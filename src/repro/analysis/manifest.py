@@ -40,8 +40,9 @@ HOT_MODULES: FrozenSet[str] = frozenset(
         "repro/core/two_level.py",
         "repro/core/free_pool.py",
         "repro/core/evictor.py",
-        "repro/core/kv_alloc.py",
-        "repro/core/kv_prefix.py",
+        # The whole manager: growth, prefix lookup, commit and release run
+        # per request per step.
+        "repro/core/kv_manager.py",
         "repro/core/admission.py",
         # The resizer handles StepCompleted on every engine step; its
         # periodic decide path may scan groups but never the page pool.

@@ -4,7 +4,7 @@ PR 6 made the prefix path incremental on two axes, and this rule keeps
 both from regressing:
 
 * **From-scratch rehash**: ``chain_hashes(stream, boundaries)`` folds the
-  whole stream every call.  On the lookup hot path (``kv_prefix.py`` and
+  whole stream every call.  On the lookup hot path (``kv_manager.py`` and
   friends) a decode-time extension must reuse the memoized chain owned by
   the sequence (``SequenceSpec.hash_chain``), so extending by one block
   costs one fold, not O(stream).  Calls to any name in

@@ -77,8 +77,7 @@ class DualManager(KVCacheManagerBase):
     def needs_allocation(self, seq: SequenceSpec, target_global: int) -> bool:
         # Sides are independent (allocate_up_to has no cross-side
         # rollback), so skipping is safe exactly when every side would
-        # no-op.  allocate_pages stays the base-class None: the sides'
-        # group ids collide, so a composite batch has no unique target.
+        # no-op.
         return any(m.needs_allocation(seq, target_global) for m in self.managers)
 
     def allocate_vision(self, seq: SequenceSpec) -> bool:
@@ -94,10 +93,6 @@ class DualManager(KVCacheManagerBase):
         for manager in self.managers:
             manager.commit(seq, computed_global, now, phase)
 
-    def touch(self, seq: SequenceSpec, now: float) -> None:
-        for manager in self.managers:
-            manager.touch(seq, now)
-
     def consume_vision(self, seq: SequenceSpec, upto_global: int) -> None:
         for manager in self.managers:
             manager.consume_vision(seq, upto_global)
@@ -107,9 +102,6 @@ class DualManager(KVCacheManagerBase):
             manager.release(seq, cacheable=cacheable)
 
     # -- probes ----------------------------------------------------------
-
-    def can_allocate(self, seq: SequenceSpec, target_global: int) -> bool:
-        return all(m.can_allocate(seq, target_global) for m in self.managers)
 
     def can_admit(
         self, seq: SequenceSpec, watermark_pages: int = 0, chunk_tokens: int = 8192

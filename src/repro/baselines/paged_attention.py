@@ -135,15 +135,6 @@ class PagedAttentionManager(JengaKVCacheManager):
             return True
         return super().needs_allocation(seq, target_global)
 
-    def can_allocate(self, seq: SequenceSpec, target_global: int) -> bool:
-        if (
-            self._mamba_slots
-            and seq.request_id not in self._mamba_holders
-            and len(self._mamba_holders) >= self._mamba_slots
-        ):
-            return False
-        return super().can_allocate(seq, target_global)
-
     def can_admit(
         self, seq: SequenceSpec, watermark_pages: int = 0, chunk_tokens: int = 8192
     ) -> bool:

@@ -1,6 +1,6 @@
 """Admission-bound cache: event-invalidated pool snapshot + demand memo.
 
-:meth:`~repro.core.kv_alloc.AllocationMixin.can_admit` answers the
+:meth:`~repro.core.kv_manager.JengaKVCacheManager.can_admit` answers the
 scheduler's "will this prompt's footprint ever fit?" question from two
 independent inputs:
 
@@ -10,8 +10,9 @@ independent inputs:
   when pages move between states, and every such move already publishes a
   typed record on the allocation-event bus;
 * the **demand side** -- the request's steady-state resident footprint per
-  group (:meth:`~repro.core.kv_alloc.AllocationMixin.resident_pages_needed`)
-  plus the sliding-window/dropped-token peak-residency correction.  For a
+  group (:meth:`~repro.core.kv_manager.JengaKVCacheManager.resident_pages_needed`)
+  plus the policy's peak-residency correction
+  (:meth:`~repro.core.layer_policy.LayerTypePolicy.peak_pages`).  For a
   fixed prompt this is a pure function of the sequence's length and tag
   layout, yet a blocked request used to recompute it on every engine step
   it spent waiting.
@@ -94,10 +95,9 @@ class DemandEntry:
     ``gross[g]`` is ``len(policy.active_page_indices(stream_len))`` --
     the resident footprint *before* subtracting pages the request already
     holds (held references change between probes as prefix-cache contents
-    move, so they are read live).  ``stream_total[g]`` feeds the
-    sliding-window/dropped-token peak-residency correction, which also
-    depends on the probe's ``chunk_tokens`` and so is applied at
-    evaluation time.
+    move, so they are read live).  ``stream_total[g]`` feeds the policy's
+    peak-residency correction (``peak_pages``), which also depends on the
+    probe's ``chunk_tokens`` and so is applied at evaluation time.
     """
 
     target_global: int

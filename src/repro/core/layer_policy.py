@@ -9,8 +9,10 @@ layers a third, ...).  Each group gets:
 * a *policy* object implementing the paper's ``LayerSupportsPrefixCache``
   interface (Figure 9a) -- ``update_last_access`` / ``set_prefix_length``
   for customized eviction and ``get_possible_prefix`` for customized cache
-  hits -- plus the allocation-side hooks Jenga needs (which pages a running
-  request must keep resident).
+  hits -- plus the allocation-side hooks Jenga needs (which pages a growing
+  stream writes, which a running request must keep resident, and which a
+  prefix hit must hold).  The KV manager and admission control never ask
+  what *kind* a group is; every layer-type decision is one of these hooks.
 
 The concrete policies mirror Section 5.3:
 
@@ -35,8 +37,8 @@ The concrete policies mirror Section 5.3:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .pages import SmallPage
 from .sequence import IMAGE, TEXT, SequenceSpec, TokenTag
@@ -155,6 +157,21 @@ class LayerTypePolicy:
     #: the run length caps how deep any later group needs to probe.
     leading_run_only: bool = False
 
+    #: True when the pages hold vision-encoder outputs rather than KV: the
+    #: encoder fills the whole image stream at admission
+    #: (``allocate_vision``), prefill frees pages as it consumes them
+    #: (``consume_vision``), and the group never constrains or serves a
+    #: prefix hit -- the encoder refills whatever the uncached remainder
+    #: needs (Section 6.2).
+    encoder_filled: bool = False
+
+    #: True when cacheable blocks are self-contained state snapshots
+    #: (Mamba) rather than token blocks: pages carry no per-token fill, and
+    #: a snapshot goes straight to evictable cache the moment its hash is
+    #: registered -- stamped at creation, with only the newest one's stamp
+    #: refreshed per step (Section 5.3).
+    snapshot_blocks: bool = False
+
     def __init__(self, spec: GroupSpec) -> None:
         self.spec = spec
 
@@ -171,11 +188,41 @@ class LayerTypePolicy:
         Indices not in this set may be released mid-request -- the page
         either turns ``EVICTABLE`` (prefix caching on) or frees outright.
         """
-        return set(range(self.num_pages_for(stream_len)))
+        return set(range(self.release_frontier(stream_len), self.num_pages_for(stream_len)))
 
     def resident_tokens(self, stream_len: int) -> int:
         """Stream tokens the group genuinely needs resident (waste metric)."""
         return stream_len
+
+    def pages_to_write(
+        self, old_stream: int, new_stream: int, held: Collection[int] = ()
+    ) -> List[int]:
+        """Page-table slots written when the stream grows old -> new.
+
+        ``held`` is the set of slots the request already references.  The
+        default writes the blocks overlapping ``[old, new)``.
+        """
+        if new_stream <= old_stream:
+            return []
+        tpp = self.spec.tokens_per_page
+        return list(range(old_stream // tpp, (new_stream + tpp - 1) // tpp))
+
+    def release_frontier(self, stream_len: int, consumed: int = 0) -> int:
+        """First page-table slot a request at ``stream_len`` still needs.
+
+        Every held slot below it is dead and released at commit;
+        ``consumed`` is the stream-token count prefill has consumed (only
+        encoder-filled groups look at it).  The default keeps everything.
+        """
+        return 0
+
+    def peak_pages(self, stream_total: int, chunk_tokens: int) -> int:
+        """Admission bound on pages held *transiently* during prefill.
+
+        Only matters where it exceeds the steady-state resident set
+        (:meth:`active_page_indices`); the default of 0 says it never does.
+        """
+        return 0
 
     # -- prefix caching: hashing geometry -------------------------------
 
@@ -210,6 +257,19 @@ class LayerTypePolicy:
         """
         return ("uniform", self.spec.tokens_per_page)
 
+    def hit_blocks_to_hold(self, cached_stream: int) -> List[int]:
+        """Blocks of a ``cached_stream``-token hit the request must reference.
+
+        Blocks outside the layer's active subset (e.g. out-of-window) stay
+        evictable -- the request never touches them again.
+        """
+        active = self.active_page_indices(cached_stream)
+        return [
+            block_idx
+            for block_idx in range(len(self.cacheable_boundaries(cached_stream)))
+            if self.page_index_of_block(block_idx) in active
+        ]
+
     # -- paper interface: customized cache hit ---------------------------
 
     def get_possible_prefix(self, is_hit: Sequence[bool]) -> List[int]:
@@ -217,9 +277,16 @@ class LayerTypePolicy:
 
         ``is_hit[b]`` says whether cacheable block ``b`` is present in this
         group's cache.  Returns prefix lengths in stream tokens; the empty
-        prefix (0) is always implicitly valid and not included.
+        prefix (0) is always implicitly valid and not included.  The
+        default is full-prefix dependency: the unbroken leading run.
         """
-        raise NotImplementedError
+        tpp = self.spec.tokens_per_page
+        prefixes: List[int] = []
+        for b, hit in enumerate(is_hit):
+            if not hit:
+                break
+            prefixes.append((b + 1) * tpp)
+        return prefixes
 
     # -- paper interface: customized eviction metadata --------------------
 
@@ -236,34 +303,28 @@ class LayerTypePolicy:
             if page is not None:
                 page.last_access = now
 
+    def prefix_length_of(self, idx: int, seq: SequenceSpec) -> float:
+        """The aligned fine-grained eviction tiebreak of slot ``idx`` (§5.1).
+
+        The default is the stream-token count of the prefix the block
+        completes, so the deepest suffix block is evicted first and the
+        values align across groups sharing a stream.
+        """
+        return float((idx + 1) * self.spec.tokens_per_page)
+
     def set_prefix_length(
         self, pages: Sequence[Optional[SmallPage]], seq: SequenceSpec
     ) -> None:
-        """Assign the aligned fine-grained eviction tiebreak (Section 5.1).
-
-        The default assigns each block the stream-token count of the prefix
-        it completes, so the deepest suffix block is evicted first and the
-        values align across groups sharing a stream.
-        """
-        tpp = self.spec.tokens_per_page
+        """The paper's bulk form: :meth:`prefix_length_of` over a page table."""
         for i, page in enumerate(pages):
             if page is not None:
-                page.prefix_length = float((i + 1) * tpp)
+                page.prefix_length = self.prefix_length_of(i, seq)
 
 
 class FullAttentionPolicy(LayerTypePolicy):
     """Standard self-attention: full-prefix dependency (PagedAttention rules)."""
 
     leading_run_only = True
-
-    def get_possible_prefix(self, is_hit: Sequence[bool]) -> List[int]:
-        tpp = self.spec.tokens_per_page
-        prefixes: List[int] = []
-        for b, hit in enumerate(is_hit):
-            if not hit:
-                break
-            prefixes.append((b + 1) * tpp)
-        return prefixes
 
 
 class CrossAttentionPolicy(FullAttentionPolicy):
@@ -285,20 +346,20 @@ class SlidingWindowPolicy(LayerTypePolicy):
         assert self.spec.window is not None  # validated in GroupSpec.__post_init__
         return self.spec.window
 
-    def active_page_indices(self, stream_len: int) -> Set[int]:
-        if stream_len == 0:
-            return set()
-        tpp = self.spec.tokens_per_page
-        window = self.window
-        num_pages = self.num_pages_for(stream_len)
-        # The next token attends to stream tokens [stream_len - window,
-        # stream_len); keep every page overlapping that span.
-        lo_token = max(0, stream_len - window)
-        first_page = lo_token // tpp
-        return set(range(first_page, num_pages))
-
     def resident_tokens(self, stream_len: int) -> int:
         return min(stream_len, self.window)
+
+    def release_frontier(self, stream_len: int, consumed: int = 0) -> int:
+        # The next token attends to stream tokens [stream_len - window,
+        # stream_len); every page overlapping that span stays.
+        return max(0, stream_len - self.window) // self.spec.tokens_per_page
+
+    def peak_pages(self, stream_total: int, chunk_tokens: int) -> int:
+        # A prefill chunk's blocks are all written before the out-of-window
+        # ones release at commit, so the group transiently holds up to
+        # window + chunk tokens (capped by the stream itself).
+        peak_tokens = min(stream_total, self.window + chunk_tokens)
+        return -(-peak_tokens // self.spec.tokens_per_page)
 
     def get_possible_prefix(self, is_hit: Sequence[bool]) -> List[int]:
         tpp = self.spec.tokens_per_page
@@ -340,18 +401,7 @@ class DroppedTokenPolicy(SlidingWindowPolicy):
 
     def __init__(self, spec: GroupSpec) -> None:
         if spec.window is None:
-            spec = GroupSpec(
-                group_id=spec.group_id,
-                kind=spec.kind,
-                num_layers=spec.num_layers,
-                per_token_bytes=spec.per_token_bytes,
-                tokens_per_page=spec.tokens_per_page,
-                accepted_tags=spec.accepted_tags,
-                window=spec.budget,
-                state_bytes=spec.state_bytes,
-                checkpoint_interval=spec.checkpoint_interval,
-                budget=spec.budget,
-            )
+            spec = replace(spec, window=spec.budget)
         super().__init__(spec)
 
     def cacheable_boundaries(self, stream_len: int) -> List[int]:
@@ -372,6 +422,8 @@ class MambaPolicy(LayerTypePolicy):
     controls that by how far it grows the table).
     """
 
+    snapshot_blocks = True
+
     def __init__(self, spec: GroupSpec, enable_checkpoints: bool = True) -> None:
         super().__init__(spec)
         self.enable_checkpoints = enable_checkpoints
@@ -389,6 +441,20 @@ class MambaPolicy(LayerTypePolicy):
     def resident_tokens(self, stream_len: int) -> int:
         # State size is fixed; report one "token" worth (the page) as useful.
         return min(stream_len, 1)
+
+    def pages_to_write(
+        self, old_stream: int, new_stream: int, held: Collection[int] = ()
+    ) -> List[int]:
+        if new_stream <= old_stream:
+            return []
+        # The working state (slot 0) whenever the request does not hold one
+        # -- first growth, or after a cache hit, which copies a checkpoint
+        # into a fresh state -- plus one checkpoint per boundary crossed.
+        indices = [] if 0 in held else [0]
+        for block_idx, boundary in enumerate(self.cacheable_boundaries(new_stream)):
+            if boundary > old_stream:
+                indices.append(self.page_index_of_block(block_idx))
+        return indices
 
     def cacheable_boundaries(self, stream_len: int) -> List[int]:
         """Stream positions where the recurrent state is snapshotted.
@@ -416,6 +482,11 @@ class MambaPolicy(LayerTypePolicy):
 
     def page_index_of_block(self, block_idx: int) -> int:
         return block_idx + 1
+
+    def hit_blocks_to_hold(self, cached_stream: int) -> List[int]:
+        # A hit copies the checkpoint into a fresh working state, so no
+        # reference is taken.
+        return []
 
     def boundary_schedule(self) -> Tuple[str, int]:
         return (self.spec.checkpoint_schedule, self.spec.checkpoint_interval)
@@ -445,17 +516,10 @@ class MambaPolicy(LayerTypePolicy):
                 page.last_access = now
                 break
 
-    def set_prefix_length(
-        self, pages: Sequence[Optional[SmallPage]], seq: SequenceSpec
-    ) -> None:
-        for i, page in enumerate(pages):
-            if page is None:
-                continue
-            # Working state sorts as the deepest suffix; checkpoints align
-            # with the token counts they snapshot.
-            page.prefix_length = (
-                float(self.boundary_of_block(i - 1)) if i > 0 else float(10**12)
-            )
+    def prefix_length_of(self, idx: int, seq: SequenceSpec) -> float:
+        # Working state sorts as the deepest suffix; checkpoints align
+        # with the token counts they snapshot.
+        return float(self.boundary_of_block(idx - 1)) if idx > 0 else float(10**12)
 
 
 class VisionEmbeddingPolicy(LayerTypePolicy):
@@ -467,53 +531,28 @@ class VisionEmbeddingPolicy(LayerTypePolicy):
     value is evicted first, across all its pages at once.
 
     Residency is driven by chunked prefill: once the LLM has consumed an
-    image token's embedding the page can be freed.  The manager feeds the
-    consumed-token watermark through :meth:`set_consumed`.
+    image token's embedding the page can be freed.  The manager keeps the
+    consumed-token watermark per request and passes it to
+    :meth:`release_frontier`.
     """
+
+    encoder_filled = True
 
     def __init__(self, spec: GroupSpec, seed: int = 0) -> None:
         super().__init__(spec)
         self._rng = random.Random(seed)
         self._image_draws: Dict[Tuple[str, int], float] = {}
-        # Per-request consumed watermark (stream tokens fully consumed by
-        # prefill).  The manager updates it; active_page_indices reads it.
-        self._consumed: Dict[str, int] = {}
 
-    def set_consumed(self, request_id: str, consumed_stream_tokens: int) -> None:
-        self._consumed[request_id] = consumed_stream_tokens
+    def release_frontier(self, stream_len: int, consumed: int = 0) -> int:
+        return consumed // self.spec.tokens_per_page
 
-    def forget_request(self, request_id: str) -> None:
-        self._consumed.pop(request_id, None)
-
-    def active_page_indices_for(self, request_id: str, stream_len: int) -> Set[int]:
-        consumed = self._consumed.get(request_id, 0)
-        tpp = self.spec.tokens_per_page
-        first_live = consumed // tpp
-        return set(range(first_live, self.num_pages_for(stream_len)))
-
-    def get_possible_prefix(self, is_hit: Sequence[bool]) -> List[int]:
-        tpp = self.spec.tokens_per_page
-        prefixes: List[int] = []
-        for b, hit in enumerate(is_hit):
-            if not hit:
-                break
-            prefixes.append((b + 1) * tpp)
-        return prefixes
-
-    def set_prefix_length(
-        self, pages: Sequence[Optional[SmallPage]], seq: SequenceSpec
-    ) -> None:
-        tpp = self.spec.tokens_per_page
-        spans = self._image_spans_in_stream(seq)
-        for i, page in enumerate(pages):
-            if page is None:
-                continue
-            token = i * tpp
-            image_idx = self._image_of(token, spans)
-            key = (seq.request_id, image_idx)
-            if key not in self._image_draws:
-                self._image_draws[key] = self._rng.random() * 1e9
-            page.prefix_length = self._image_draws[key]
+    def prefix_length_of(self, idx: int, seq: SequenceSpec) -> float:
+        token = idx * self.spec.tokens_per_page
+        image_idx = self._image_of(token, self._image_spans_in_stream(seq))
+        key = (seq.request_id, image_idx)
+        if key not in self._image_draws:
+            self._image_draws[key] = self._rng.random() * 1e9
+        return self._image_draws[key]
 
     @staticmethod
     def _image_of(stream_token: int, spans: List[Tuple[int, int]]) -> int:

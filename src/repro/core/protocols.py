@@ -19,13 +19,14 @@ the engine is allowed to touch:
 The request lifecycle the protocol encodes (see
 :class:`~repro.core.kv_manager.JengaKVCacheManager` for the reference
 implementation): ``begin_request`` -> repeated ``allocate_up_to`` +
-``commit`` -> ``release``; ``can_admit``/``can_allocate`` are the
-scheduler's capacity probes and ``stats`` the memory snapshot.
+``commit`` -> ``release``; ``can_admit`` is the scheduler's capacity probe,
+``needs_allocation`` its skip-the-call probe, and ``stats`` the memory
+snapshot.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Protocol, runtime_checkable
+from typing import Any, Dict, FrozenSet, Optional, Protocol, runtime_checkable
 
 from .events import EventBus
 from .sequence import SequenceSpec
@@ -51,18 +52,6 @@ class KVCacheManager(Protocol):
         """Back the first ``target_global`` tokens with pages (False: preempt)."""
         ...
 
-    def allocate_pages(
-        self, group_id: str, request_id: str, n: int
-    ) -> Optional[List[int]]:
-        """Batch-allocate ``n`` pages of ``group_id``; one event per call.
-
-        Returns the allocated page ids in order, or ``None`` when the batch
-        cannot be satisfied whole (all-or-nothing, like the per-page path).
-        Backends without a batched allocator return ``None``
-        unconditionally and callers fall back to ``allocate_up_to``.
-        """
-        ...
-
     def needs_allocation(self, seq: SequenceSpec, target_global: int) -> bool:
         """Whether growing ``seq`` to ``target_global`` needs new pages.
 
@@ -84,10 +73,6 @@ class KVCacheManager(Protocol):
         """Record that the first ``computed_global`` tokens are computed."""
         ...
 
-    def touch(self, seq: SequenceSpec, now: float) -> None:
-        """Refresh access stamps without committing new tokens."""
-        ...
-
     def consume_vision(self, seq: SequenceSpec, upto_global: int) -> None:
         """Free vision-embedding pages prefill has consumed."""
         ...
@@ -97,10 +82,6 @@ class KVCacheManager(Protocol):
         ...
 
     # -- capacity probes / accounting ----------------------------------
-
-    def can_allocate(self, seq: SequenceSpec, target_global: int) -> bool:
-        """Optimistic probe: could ``seq`` grow to ``target_global`` now?"""
-        ...
 
     def can_admit(
         self, seq: SequenceSpec, watermark_pages: int = 0, chunk_tokens: int = 8192
@@ -182,9 +163,9 @@ class KVCacheManagerBase:
 
     Subclasses must implement the five core lifecycle/probe methods
     (``begin_request``, ``allocate_up_to``, ``commit``, ``release``,
-    ``can_admit``) plus ``can_allocate`` and ``stats``; everything else has
-    a sensible default here, so a minimal backend (no vision cache, no
-    offload tier, LCM-layout kernels) only overrides what it customizes.
+    ``can_admit``) plus ``stats``; everything else has a sensible default
+    here, so a minimal backend (no vision cache, no offload tier,
+    LCM-layout kernels) only overrides what it customizes.
     """
 
     name = "abstract"
@@ -215,9 +196,6 @@ class KVCacheManagerBase:
     def release(self, seq: SequenceSpec, cacheable: bool = True) -> None:
         raise NotImplementedError
 
-    def can_allocate(self, seq: SequenceSpec, target_global: int) -> bool:
-        raise NotImplementedError
-
     def can_admit(
         self, seq: SequenceSpec, watermark_pages: int = 0, chunk_tokens: int = 8192
     ) -> bool:
@@ -235,13 +213,6 @@ class KVCacheManagerBase:
         # its can_admit *is* the uncached path.
         return self.can_admit(seq, watermark_pages, chunk_tokens)
 
-    def allocate_pages(
-        self, group_id: str, request_id: str, n: int
-    ) -> Optional[List[int]]:
-        # No batched allocator by default; callers fall back to the
-        # per-page path behind allocate_up_to.
-        return None
-
     def needs_allocation(self, seq: SequenceSpec, target_global: int) -> bool:
         # Conservative default: always let allocate_up_to decide.
         return True
@@ -254,9 +225,6 @@ class KVCacheManagerBase:
         return True
 
     def consume_vision(self, seq: SequenceSpec, upto_global: int) -> None:
-        return None
-
-    def touch(self, seq: SequenceSpec, now: float) -> None:
         return None
 
     def take_onload_bytes(self, request_id: str) -> int:

@@ -159,24 +159,13 @@ class LLMEngine:
         if tracing:
             tracer.step_begin(self._step_index)
             tracer.begin_span("schedule")
+        work = self._admit_or_jump()
+        if work is None:
+            if tracing:
+                tracer.end_span()
+                tracer.step_end()
+            return None
         now = self.clock
-        work = StepWork()
-        self._admit(now, work)
-        if not self.running:
-            next_arrival = self.waiting.next_arrival()
-            if next_arrival is None:
-                if tracing:
-                    tracer.end_span()
-                    tracer.step_end()
-                return None
-            self.clock = now = max(now, next_arrival)
-            work = StepWork()
-            self._admit(now, work)
-            if not self.running:
-                if tracing:
-                    tracer.end_span()
-                    tracer.step_end()
-                return None
 
         scheduled: List[Tuple[Request, int]] = []
         scheduled_set: Set[str] = set()
@@ -297,6 +286,31 @@ class LLMEngine:
                 record,
             ))
         return record
+
+    def _admit_or_jump(self) -> Optional[StepWork]:
+        """Admit at the current clock; while nothing runs, jump to the next
+        arrival and admit again.  Returns the admission pass's
+        :class:`StepWork`, or ``None`` when the engine is idle.
+
+        The jump repeats for as long as each pass only fails requests
+        permanently, so a request that can never fit does not strand the
+        arrivals behind it.  A pass that fails nothing and still runs
+        nothing is blocked on a co-tenant (shared pool): report idle and
+        let the multiplexer run the tenant holding the memory.
+        """
+        work = StepWork()
+        self._admit(self.clock, work)
+        while not self.running:
+            next_arrival = self.waiting.next_arrival()
+            if next_arrival is None:
+                return None
+            failed_before = len(self.failed)
+            self.clock = max(self.clock, next_arrival)
+            work = StepWork()
+            self._admit(self.clock, work)
+            if not self.running and len(self.failed) == failed_before:
+                return None
+        return work
 
     @staticmethod
     def _is_decode(request: Request) -> bool:

@@ -157,23 +157,12 @@ class SpecDecodeEngine(LLMEngine):
         if tracing:
             tracer.step_begin(self._step_index)
             tracer.begin_span("schedule")
+        if self._admit_or_jump() is None:
+            if tracing:
+                tracer.end_span()
+                tracer.step_end()
+            return None
         now = self.clock
-        work_unused = StepWork()
-        self._admit(now, work_unused)
-        if not self.running:
-            next_arrival = self.waiting.next_arrival()
-            if next_arrival is None:
-                if tracing:
-                    tracer.end_span()
-                    tracer.step_end()
-                return None
-            self.clock = now = max(now, next_arrival)
-            self._admit(now, work_unused)
-            if not self.running:
-                if tracing:
-                    tracer.end_span()
-                    tracer.step_end()
-                return None
 
         draft_work = StepWork()
         target_work = StepWork()

@@ -1,4 +1,4 @@
-# jengalint: module=repro/core/kv_prefix.py
+# jengalint: module=repro/core/kv_manager.py
 """Fixture: from-scratch rehash + per-page emit loop (rule per-token-rehash)."""
 
 

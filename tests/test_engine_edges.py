@@ -95,6 +95,25 @@ class TestEngineEdges:
         assert [r.request_id for r in eng.failed] == ["big"]
         assert [r.request_id for r in m.requests] == ["ok"]
 
+    def test_failure_at_idle_clock_jump_does_not_strand_later_arrivals(self):
+        # The idle engine jumps its clock to "big", which can never fit;
+        # it must keep jumping to the arrivals behind it instead of
+        # reporting idle with two requests still queued.
+        model = get_model("gemma2-9b")
+        mgr = make_manager("jenga", model, 64 * 1024 * 1024)
+        eng = LLMEngine(model, H100, mgr, config=SchedulerConfig())
+        eng.add_request(Request.text("big", token_block(0, "e", 0, 4000), 4,
+                                     arrival_time=1.0))
+        eng.add_request(Request.text("a", token_block(0, "e", 1, 32), 4,
+                                     arrival_time=5.0))
+        eng.add_request(Request.text("b", token_block(0, "e", 2, 32), 4,
+                                     arrival_time=9.0))
+        m = eng.run()
+        assert [r.request_id for r in eng.failed] == ["big"]
+        assert sorted(r.request_id for r in m.requests) == ["a", "b"]
+        assert not eng.waiting and not eng.running
+        assert len(eng.finished) + len(eng.failed) == 3  # submitted
+
     def test_interleaved_arrivals_and_finishes(self):
         eng = make_engine()
         for i in range(10):

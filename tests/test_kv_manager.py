@@ -1,13 +1,12 @@
 """Tests for the Jenga KV-cache manager (request lifecycle, hits, waste)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.kv_manager import (
-    JengaKVCacheManager,
-    ideal_resident_bytes,
-    policy_pages_to_write,
-)
+from repro.core.kv_manager import JengaKVCacheManager, ideal_resident_bytes
 from repro.core.layer_policy import (
+    CROSS_ATTENTION,
+    DROPPED_TOKEN,
     FULL_ATTENTION,
     GroupSpec,
     MAMBA,
@@ -310,12 +309,13 @@ class TestCapacityProbes:
         seq = SequenceSpec.text_only("r", list(range(600)))
         assert mgr.can_admit(seq, chunk_tokens=32)
 
-    def test_pages_needed(self):
+    def test_resident_pages_needed(self):
+        # The write set of a 20-token prefill is 5 pages per group
+        # (TestPagesToWrite); admission counts only what stays resident.
         mgr = make_manager()
         seq = SequenceSpec.text_only("r", list(range(20)))
         mgr.begin_request(seq)
-        needed = mgr.pages_needed(seq, 20)
-        assert needed == {"full": 5, "win": 5}
+        assert mgr.resident_pages_needed(seq, 20) == {"full": 5, "win": 2}
 
     def test_ideal_resident_bytes(self):
         specs = text_specs()
@@ -328,17 +328,122 @@ class TestCapacityProbes:
 class TestPagesToWrite:
     def test_attention_blocks(self):
         policy = make_policy(text_specs()["full"])
-        assert policy_pages_to_write(policy, 0, 10) == [0, 1, 2]
-        assert policy_pages_to_write(policy, 10, 12) == [2]
-        assert policy_pages_to_write(policy, 12, 13) == [3]
-        assert policy_pages_to_write(policy, 5, 5) == []
+        assert policy.pages_to_write(0, 10) == [0, 1, 2]
+        assert policy.pages_to_write(10, 12) == [2]
+        assert policy.pages_to_write(12, 13) == [3]
+        assert policy.pages_to_write(5, 5) == []
+        # A window group writes every block too; release is commit's job.
+        assert make_policy(text_specs()["win"]).pages_to_write(0, 20) == [0, 1, 2, 3, 4]
 
     def test_mamba_writes(self):
         spec = GroupSpec("m", MAMBA, 1, 0, state_bytes=64, checkpoint_interval=8, accepted_tags=T)
         policy = make_policy(spec)
-        assert policy_pages_to_write(policy, 0, 5) == [0]
-        assert policy_pages_to_write(policy, 5, 20) == [1, 2]
-        assert policy_pages_to_write(policy, 20, 21) == []
+        assert policy.pages_to_write(0, 5) == [0]
+        assert policy.pages_to_write(5, 20, held={0}) == [1, 2]
+        assert policy.pages_to_write(20, 21, held={0}) == []
+        # After a prefix hit nothing is held: the hit copies a checkpoint
+        # into a fresh working state, so slot 0 joins the write set.
+        assert policy.pages_to_write(16, 20) == [0]
+
+
+class TestNeedsAllocation:
+    """``needs_allocation`` is the engine's licence to skip
+    ``allocate_up_to``: ``False`` must mean the call is a no-op."""
+
+    def six_kinds(self):
+        return {
+            "full": GroupSpec("full", FULL_ATTENTION, 2, 64, tokens_per_page=4),
+            "win": GroupSpec("win", SLIDING_WINDOW, 2, 64, tokens_per_page=4, window=8),
+            "drop": GroupSpec("drop", DROPPED_TOKEN, 2, 64, tokens_per_page=4, budget=8),
+            "mamba": GroupSpec("mamba", MAMBA, 3, 0, state_bytes=768, checkpoint_interval=8),
+            "cross": GroupSpec("cross", CROSS_ATTENTION, 1, 64, tokens_per_page=4, accepted_tags=I),
+            "vis": GroupSpec("vis", VISION_EMBEDDING, 1, 32, tokens_per_page=4, accepted_tags=I),
+        }
+
+    def hit_kinds(self):
+        # A dropped-token group rules every hit out, so the prefix-hit
+        # arm runs the three text kinds that can share one.
+        specs = self.six_kinds()
+        return {g: specs[g] for g in ("full", "win", "mamba")}
+
+    @staticmethod
+    def tables(mgr, seq):
+        return {
+            g: (list(b.page_table), set(b.held))
+            for g, b in mgr._bindings[seq.request_id].items()
+        }
+
+    def drive(self, mgr, seq, hit, deltas):
+        """Prefill in ``deltas``-sized chunks, then decode one token per
+        remaining delta; probe before every growth."""
+        allocations = []
+        real = mgr.allocator.allocate_pages
+
+        def counted(group_id, request_id, n):
+            allocations.append(n)
+            return real(group_id, request_id, n)
+
+        mgr.allocator.allocate_pages = counted
+        pos, now, skipped = hit, 1.0, 0
+        for delta in deltas:
+            if pos < len(seq):
+                target, phase = min(len(seq), pos + delta), "prefill"
+            else:
+                seq.append(1000 + delta)
+                target, phase = len(seq), "decode"
+            before, made = self.tables(mgr, seq), len(allocations)
+            if not mgr.needs_allocation(seq, target):
+                skipped += 1
+                assert mgr.allocate_up_to(seq, target)
+                assert len(allocations) == made
+                assert self.tables(mgr, seq) == before
+            else:
+                assert mgr.allocate_up_to(seq, target)
+                assert not mgr.needs_allocation(seq, target)
+            mgr.commit(seq, target, now=now, phase=phase)
+            mgr.consume_vision(seq, target)
+            pos, now = target, now + 1.0
+        mgr.release(seq)
+        mgr.allocator.check_invariants()
+        return skipped
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 12), st.integers(0, 3), st.integers(0, 12),
+        st.lists(st.integers(1, 9), min_size=1, max_size=30),
+    )
+    def test_false_means_allocate_is_a_noop_all_six_kinds(self, head, images, tail, deltas):
+        segments = [(TEXT, list(range(head)))]
+        segments += [(IMAGE, list(range(100 * k, 100 * k + 8))) for k in range(1, images + 1)]
+        segments += [(TEXT, list(range(50, 50 + tail)))]
+        seq = SequenceSpec.multimodal("r", segments)
+        mgr = JengaKVCacheManager(self.six_kinds(), 768 * 1024)
+        assert mgr.begin_request(seq) == 0
+        assert mgr.allocate_vision(seq)
+        self.drive(mgr, seq, 0, deltas)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(17, 60), st.lists(st.integers(1, 9), min_size=4, max_size=30))
+    def test_false_means_allocate_is_a_noop_after_mamba_prefix_hit(self, prompt, deltas):
+        mgr = JengaKVCacheManager(self.hit_kinds(), 768 * 1024)
+        first = SequenceSpec.text_only("r1", list(range(prompt)))
+        run_request(mgr, first, chunk=8)
+        mgr.release(first)
+        seq = SequenceSpec.text_only("r2", list(range(prompt)) + [777])
+        hit = mgr.begin_request(seq)
+        # The deepest checkpoint whose trailing window is still cached.
+        assert hit == 8 * (prompt // 8)
+        assert not mgr._bindings["r2"]["mamba"].held  # copied, not held
+        assert mgr.needs_allocation(seq, hit + 1)  # the fresh working state
+        self.drive(mgr, seq, hit, deltas)
+
+    def test_decode_inside_a_block_is_skippable_after_slide_out(self):
+        mgr = make_manager()
+        seq = SequenceSpec.text_only("r", list(range(21)))
+        mgr.begin_request(seq)
+        # 21 tokens: the window group has slid out slots 0-2 by commit.
+        assert self.drive(mgr, seq, 0, [21, 1, 1, 1, 1, 1, 1, 1, 1]) == 6
+        assert mgr.stats().used_bytes == 0
 
 
 class TestStampingEquivalence:

@@ -235,11 +235,9 @@ class TestVisionEmbedding:
 
     def test_consumption_frees_leading_pages(self):
         p = self.make()
-        p.set_consumed("r", 9)
-        active = p.active_page_indices_for("r", 16)
-        assert active == {2, 3}
-        p.forget_request("r")
-        assert p.active_page_indices_for("r", 16) == {0, 1, 2, 3}
+        assert p.release_frontier(16, consumed=9) == 2  # pages 2, 3 stay
+        assert p.release_frontier(16) == 0
+        assert p.active_page_indices(16) == {0, 1, 2, 3}
 
 
 class TestFactory:
@@ -308,3 +306,81 @@ class TestCheckpointSchedules:
     def test_unknown_schedule_rejected(self):
         with pytest.raises(ValueError):
             GroupSpec("m", MAMBA, 1, 0, state_bytes=4, checkpoint_schedule="fib")
+
+
+# One spec per layer kind, window/budget 8 and checkpoint interval 8 over
+# 4-token pages, for the hooks the KV manager drives every kind through.
+ALL_KINDS = {
+    FULL_ATTENTION: spec(FULL_ATTENTION),
+    CROSS_ATTENTION: spec(CROSS_ATTENTION, accepted_tags=frozenset({IMAGE})),
+    SLIDING_WINDOW: spec(SLIDING_WINDOW, window=8),
+    DROPPED_TOKEN: spec(DROPPED_TOKEN, budget=8, checkpoint_schedule="exponential"),
+    MAMBA: spec(MAMBA, per_token_bytes=0, state_bytes=1024, checkpoint_interval=8),
+    VISION_EMBEDDING: spec(VISION_EMBEDDING, accepted_tags=frozenset({IMAGE})),
+}
+
+
+def expected_active(kind, stream_len):
+    """Slots the *next* token's layer computation reads, written out per
+    kind rather than through the policy."""
+    num_pages = -(-stream_len // 4)
+    if kind == MAMBA:
+        return {0} if stream_len else set()
+    if kind in (SLIDING_WINDOW, DROPPED_TOKEN):
+        return set(range(max(0, stream_len - 8) // 4, num_pages))
+    return set(range(num_pages))
+
+
+def expected_prefix_length(kind, idx, draws):
+    if kind == MAMBA:
+        return 1e12 if idx == 0 else idx * 8.0  # checkpoint idx-1 at idx*8
+    if kind == VISION_EMBEDDING:
+        return draws[idx // 2]  # two 4-token pages per 8-token image
+    return (idx + 1) * 4.0
+
+
+class TestManagerHooks:
+    @pytest.mark.parametrize("kind", sorted(ALL_KINDS))
+    def test_release_frontier_is_first_active_slot(self, kind):
+        policy = make_policy(ALL_KINDS[kind])
+        for n in range(41):
+            active = expected_active(kind, n)
+            assert policy.active_page_indices(n) == active
+            assert policy.release_frontier(n) == min(active, default=0)
+
+    @pytest.mark.parametrize("kind", sorted(ALL_KINDS))
+    def test_per_slot_prefix_length_matches_bulk(self, kind):
+        policy = make_policy(ALL_KINDS[kind], seed=3)
+        seq = SequenceSpec.multimodal(
+            "r", [(TEXT, [1]), (IMAGE, list(range(10, 18))), (IMAGE, list(range(20, 28)))]
+        )
+        table = pages(4)
+        table[1] = None  # a released slot keeps its hole in the bulk form
+        policy.set_prefix_length(table, seq)
+        draws = {}
+        if kind == VISION_EMBEDDING:
+            draws = {0: table[0].prefix_length, 1: table[2].prefix_length}
+            assert draws[0] != draws[1]
+        for idx, page in enumerate(table):
+            if page is not None:
+                assert page.prefix_length == policy.prefix_length_of(idx, seq)
+                assert page.prefix_length == expected_prefix_length(kind, idx, draws)
+        assert policy.prefix_length_of(1, seq) == expected_prefix_length(kind, 1, draws)
+
+    def test_dropped_token_keeps_every_spec_field(self):
+        p = DroppedTokenPolicy(ALL_KINDS[DROPPED_TOKEN])
+        assert p.spec.window == 8
+        assert p.spec.checkpoint_schedule == "exponential"
+
+    def test_window_peak_is_window_plus_chunk(self):
+        p = make_policy(ALL_KINDS[SLIDING_WINDOW])
+        assert p.peak_pages(stream_total=100, chunk_tokens=16) == 6  # 8 + 16 tokens
+        assert p.peak_pages(stream_total=10, chunk_tokens=16) == 3  # capped by the stream
+        assert make_policy(ALL_KINDS[FULL_ATTENTION]).peak_pages(100, 16) == 0
+
+    def test_hit_blocks_to_hold(self):
+        assert make_policy(ALL_KINDS[FULL_ATTENTION]).hit_blocks_to_hold(16) == [0, 1, 2, 3]
+        assert make_policy(ALL_KINDS[SLIDING_WINDOW]).hit_blocks_to_hold(16) == [2, 3]
+        # A Mamba hit copies its checkpoint; a dropped-token group has none.
+        assert make_policy(ALL_KINDS[MAMBA]).hit_blocks_to_hold(16) == []
+        assert make_policy(ALL_KINDS[DROPPED_TOKEN]).hit_blocks_to_hold(16) == []

@@ -88,11 +88,12 @@ class TestProtocolConformance:
         manager = model_manager(system)
         seq = SequenceSpec.text_only("r1", list(range(64)))
         assert manager.begin_request(seq) == 0
-        assert manager.can_allocate(seq, len(seq))
         assert manager.can_admit(seq)
+        assert manager.can_admit_uncached(seq)
+        assert manager.needs_allocation(seq, len(seq))
         assert manager.allocate_up_to(seq, len(seq))
+        assert not manager.needs_allocation(seq, len(seq))
         manager.commit(seq, len(seq), now=1.0, phase="prefill")
-        manager.touch(seq, now=2.0)
         assert manager.take_onload_bytes("r1") == 0
         stats = manager.stats()
         assert stats.used_bytes > 0
