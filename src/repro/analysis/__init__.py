@@ -11,8 +11,7 @@ imported, so it is safe on any tree.
 On top of the per-file rules, the whole-program phase
 (:mod:`repro.analysis.program`) builds a project graph from the same walk
 and checks cross-module event-flow invariants: registry completeness,
-orphaned events, admission-invalidation coverage, manifest drift, and
-interprocedural emission guards.
+orphaned events, manifest drift, and interprocedural emission guards.
 
 Usage::
 

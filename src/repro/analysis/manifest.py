@@ -18,7 +18,6 @@ __all__ = [
     "GUARDED_COUNTERS",
     "HOT_CLASSES",
     "HOT_MODULES",
-    "INVALIDATION_EXEMPT",
     "LIST_ATTRS",
     "ORPHAN_ALLOWED",
     "PER_TOKEN_HASH_FUNCS",
@@ -114,7 +113,6 @@ EVENT_CLASSES: FrozenSet[str] = frozenset(
         "PageAllocated",
         "PagesAllocated",
         "LargePageCarved",
-        "PageAcquired",
         "PageEvicted",
         "PageEvictedToHost",
         "PageReleased",
@@ -139,15 +137,6 @@ EVENT_CLASSES: FrozenSet[str] = frozenset(
 #: here (with a comment saying who the out-of-tree consumer is) rather
 #: than suppressing the orphan-event finding at the emit site.
 ORPHAN_ALLOWED: FrozenSet[str] = frozenset()
-
-# -- rule: invalidation-coverage ----------------------------------------
-
-#: Events emitted from pool-mutating functions that are deliberately NOT
-#: in ``AdmissionCache.INVALIDATING``.  Empty on purpose: PR 5 and PR 7
-#: both shipped stale-admission bugs because a mutation path's event was
-#: missing from INVALIDATING, so exemptions need a written justification
-#: (e.g. the mutation provably cannot change the cached bounds).
-INVALIDATION_EXEMPT: FrozenSet[str] = frozenset()
 
 # -- rule: per-token-rehash ---------------------------------------------
 
@@ -218,15 +207,14 @@ GUARDED_COUNTERS: Dict[str, str] = {
     "_num_fully_evictable": "TwoLevelAllocator",
     "_num_large_owned": "TwoLevelAllocator",
     "num_large_evictions": "TwoLevelAllocator",
+    # The pool-state version admission verdicts are keyed on: only the
+    # allocator's own mutation sites may move it.
+    "version": "TwoLevelAllocator",
     # FreePool's three mutually-redundant indexes.
     "_entry": "FreePool",
     "_by_request": "FreePool",
     "_by_large": "FreePool",
-    # AdmissionCache effectiveness counters and invalidation state: only
-    # the cache's own bind/invalidate/rebuild paths may move them,
-    # otherwise the cached bounds silently drift from can_admit_uncached.
-    "num_rebuilds": "AdmissionCache",
-    "num_invalidations": "AdmissionCache",
+    # AdmissionCache demand-memo effectiveness counters.
     "num_demand_hits": "AdmissionCache",
     "num_demand_misses": "AdmissionCache",
     # Mamba slot-occupancy churn folded into admission_version.

@@ -10,12 +10,6 @@ see (the bug class PR 5 and PR 7 fixed by hand):
     Every event class that is actually emitted has at least one subscribe
     site (or an ``ORPHAN_ALLOWED`` manifest entry) -- an emit nobody can
     hear is either dead telemetry or a missing consumer.
-``invalidation-coverage``
-    An event emitted from a function that mutates ``GUARDED_COUNTERS``
-    state (directly, or through a same-module helper it calls) must be in
-    ``AdmissionCache.INVALIDATING`` or ``INVALIDATION_EXEMPT`` -- the
-    admission cache invalidates on events, so a pool mutation whose event
-    it does not subscribe to silently stales the cached bounds.
 ``manifest-drift``
     ``HOT_MODULES``/``HOT_CLASSES``/``SPAN_METHODS`` entries must resolve
     to real modules/classes/methods, and a hot class defined in a module
@@ -46,7 +40,6 @@ __all__ = ["PROGRAM_RULE_NAMES", "run_program_checks"]
 PROGRAM_RULE_NAMES = (
     "event-registry",
     "orphan-event",
-    "invalidation-coverage",
     "manifest-drift",
     "interprocedural-emit",
 )
@@ -59,7 +52,6 @@ def run_program_checks(graph: ProjectGraph) -> List[Finding]:
     findings: List[Finding] = []
     findings.extend(_check_event_registry(graph, manifest))
     findings.extend(_check_orphan_events(graph, manifest))
-    findings.extend(_check_invalidation_coverage(graph, manifest))
     findings.extend(_check_manifest_drift(graph, manifest))
     findings.extend(_check_interprocedural_emit(graph, manifest))
     return findings
@@ -146,59 +138,7 @@ def _check_orphan_events(
     return findings
 
 
-# -- 3. invalidation-coverage ---------------------------------------------
-
-
-def _check_invalidation_coverage(
-    graph: ProjectGraph, manifest: ManifestData
-) -> List[Finding]:
-    info = graph.invalidating_info()
-    counters = set(manifest.guarded_counters)
-    if info is None or not counters:
-        return []
-    invalidating = set(info.events)
-    writers = graph.direct_counter_writers(counters)
-    findings: List[Finding] = []
-    seen: Set[str] = set()
-    for site in graph.emit_sites:
-        name = site.event
-        if (
-            name is None
-            or name not in manifest.event_classes
-            or name in invalidating
-            or name in manifest.invalidation_exempt
-            or name in seen
-            or site.func is None
-        ):
-            continue
-        func = graph.functions.get((site.module, site.cls, site.func))
-        if func is None:
-            continue
-        mutates = bool(func.attr_writes & counters) or bool(
-            func.calls & writers.get(site.module, set())
-        )
-        if not mutates:
-            continue
-        seen.add(name)
-        findings.append(
-            Finding(
-                path=site.path,
-                line=site.line,
-                col=site.col,
-                rule="invalidation-coverage",
-                message=(
-                    f"{site.func} mutates guarded pool state and emits "
-                    f"{name}, but {name} is not in AdmissionCache."
-                    f"INVALIDATING ({info.module}:{info.line}); the cached "
-                    "admission bounds would go stale on this path"
-                ),
-                subject=f"event:{name}",
-            )
-        )
-    return findings
-
-
-# -- 4. manifest-drift ----------------------------------------------------
+# -- 3. manifest-drift ----------------------------------------------------
 
 
 def _check_manifest_drift(
@@ -281,7 +221,7 @@ def _check_manifest_drift(
     return findings
 
 
-# -- 5. interprocedural-emit ----------------------------------------------
+# -- 4. interprocedural-emit ----------------------------------------------
 
 
 def _check_interprocedural_emit(

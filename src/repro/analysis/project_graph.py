@@ -2,9 +2,8 @@
 
 The per-file rules see one file at a time; the bug class they cannot
 catch is *event-topology drift* -- an ``Event`` subclass nobody
-subscribes to, a pool-mutating emit missing from
-``AdmissionCache.INVALIDATING``, a manifest entry pointing at a module
-that was renamed away (PR 5 and PR 7 both shipped hand-found instances).
+subscribes to, a manifest entry pointing at a module that was renamed
+away (PR 7 shipped a hand-found instance).
 :class:`ProjectGraphBuilder` therefore rides the *same* single AST walk
 the per-file rules use (one parse per file, no second phase over the
 sources) and accumulates a project-wide graph:
@@ -14,14 +13,13 @@ sources) and accumulates a project-wide graph:
 * every ``bus.emit(...)`` site with its constructed event class and
   whether a ``has_subscribers``/``.enabled`` guard encloses it,
 * every ``bus.subscribe(...)`` site with its event-type filter, resolved
-  through list literals, class attributes (``self._EVENT_TYPES``,
-  ``AdmissionCache.INVALIDATING``) and module-level tuples,
-* per-function call names and attribute writes (for the guarded-counter
-  mutation side of invalidation coverage),
+  through list literals, class attributes (``self._EVENT_TYPES``) and
+  module-level tuples,
+* which functions emit without a local guard (the helpers
+  interprocedural-emit holds their callers to),
 * the lint manifests themselves, read from the ``manifest.py`` AST (the
-  file assigning ``EVENT_CLASSES`` at module level), and
-  ``AdmissionCache.INVALIDATING`` read from the ``admission.py`` AST --
-  never imported, so fixture mini-trees can carry their own.
+  file assigning ``EVENT_CLASSES`` at module level) -- never imported,
+  so fixture mini-trees can carry their own.
 
 :mod:`repro.analysis.program` runs the cross-module rules over the
 finished graph.
@@ -47,7 +45,7 @@ __all__ = [
 ]
 
 #: Module-level manifest constants the graph understands.  ``frozenset``
-#: calls over set/list/tuple literals and plain dict/set literals parse;
+#: calls over set/list/tuple literals and plain set literals parse;
 #: anything fancier is ignored (the constant then reads as absent).
 _MANIFEST_SET_NAMES = (
     "EVENT_CLASSES",
@@ -55,9 +53,7 @@ _MANIFEST_SET_NAMES = (
     "HOT_CLASSES",
     "SPAN_METHODS",
     "ORPHAN_ALLOWED",
-    "INVALIDATION_EXEMPT",
 )
-_MANIFEST_DICT_NAMES = ("GUARDED_COUNTERS",)
 
 
 @dataclass
@@ -71,8 +67,7 @@ class ClassInfo:
     bases: List[str] = field(default_factory=list)
     methods: Set[str] = field(default_factory=set)
     #: Class-level ``NAME = (A, B, ...)`` tuples/lists of names, used to
-    #: resolve ``subscribe(self.NAME)``-style event filters and
-    #: ``AdmissionCache.INVALIDATING``.
+    #: resolve ``subscribe(self.NAME)``-style event filters.
     attr_tuples: Dict[str, Tuple[List[str], int]] = field(default_factory=dict)
 
 
@@ -85,10 +80,6 @@ class FunctionInfo:
     cls: Optional[str]
     name: str
     line: int
-    calls: Set[str] = field(default_factory=set)
-    #: Attribute names this function assigns (``obj.x = `` / ``obj.x[k] =``
-    #: / aug-assigns); intersected with GUARDED_COUNTERS at check time.
-    attr_writes: Set[str] = field(default_factory=set)
     #: Whether the body contains an ``.emit(...)`` call with no enclosing
     #: ``has_subscribers``/``.enabled`` guard -- the signature of an
     #: emitting *helper* whose guard obligation falls on its callers.
@@ -157,22 +148,10 @@ class ManifestData:
     hot_classes: Set[str] = field(default_factory=set)
     span_methods: Set[str] = field(default_factory=set)
     orphan_allowed: Set[str] = field(default_factory=set)
-    invalidation_exempt: Set[str] = field(default_factory=set)
-    guarded_counters: Dict[str, str] = field(default_factory=dict)
     #: Constant name -> line of its assignment (finding anchors).
     lines: Dict[str, int] = field(default_factory=dict)
     #: Which constants were actually assigned in the file.
     present: Set[str] = field(default_factory=set)
-
-
-@dataclass
-class InvalidatingInfo:
-    """``AdmissionCache.INVALIDATING`` as read from one class body."""
-
-    module: str
-    path: str
-    line: int
-    events: Tuple[str, ...]
 
 
 class ProjectGraph:
@@ -186,7 +165,6 @@ class ProjectGraph:
         self.subscribe_sites: List[SubscribeSite] = []
         self.call_arg_sites: List[CallArgSite] = []
         self.manifests: List[ManifestData] = []
-        self.invalidating: List[InvalidatingInfo] = []
         self.module_tuples: Dict[Tuple[str, str], List[str]] = {}
 
     # -- lookups ---------------------------------------------------------
@@ -251,20 +229,6 @@ class ProjectGraph:
             if attr in info.attr_tuples:
                 return info.attr_tuples[attr][0]
         return None
-
-    def invalidating_info(self) -> Optional[InvalidatingInfo]:
-        """``AdmissionCache.INVALIDATING`` (first by path when several)."""
-        if not self.invalidating:
-            return None
-        return min(self.invalidating, key=lambda i: i.path)
-
-    def direct_counter_writers(self, counters: Set[str]) -> Dict[str, Set[str]]:
-        """Per-module names of functions directly writing a guarded counter."""
-        writers: Dict[str, Set[str]] = {}
-        for info in self.functions.values():
-            if info.attr_writes & counters:
-                writers.setdefault(info.module, set()).add(info.name)
-        return writers
 
 
 # -- AST helpers ---------------------------------------------------------
@@ -334,22 +298,6 @@ def _literal_set(node: ast.AST) -> Optional[Set[str]]:
     return None
 
 
-def _literal_str_dict(node: ast.AST) -> Optional[Dict[str, str]]:
-    if not isinstance(node, ast.Dict):
-        return None
-    out: Dict[str, str] = {}
-    for key, value in zip(node.keys, node.values):
-        if not (
-            isinstance(key, ast.Constant)
-            and isinstance(key.value, str)
-            and isinstance(value, ast.Constant)
-            and isinstance(value.value, str)
-        ):
-            return None
-        out[key.value] = value.value
-    return out
-
-
 class ProjectGraphBuilder(Rule):
     """Rule plugin that only *collects*; it reports nothing itself.
 
@@ -391,11 +339,6 @@ class ProjectGraphBuilder(Rule):
                     if isinstance(target, ast.Name):
                         info.attr_tuples[target.id] = (names, stmt.lineno)
         self.graph.classes.setdefault(node.name, []).append(info)
-        if node.name == "AdmissionCache" and "INVALIDATING" in info.attr_tuples:
-            names, line = info.attr_tuples["INVALIDATING"]
-            self.graph.invalidating.append(
-                InvalidatingInfo(ctx.module, ctx.path, line, tuple(names))
-            )
 
     def visit_FunctionDef(self, node: ast.FunctionDef, ctx: Context) -> None:
         self._record_function(node, ctx)
@@ -426,16 +369,10 @@ class ProjectGraphBuilder(Rule):
     def visit_Assign(self, node: ast.Assign, ctx: Context) -> None:
         if not ctx.class_stack and not ctx.func_stack:
             self._module_level_assign(node.targets, node.value, node.lineno, ctx)
-        for target in node.targets:
-            self._record_write(target, ctx)
 
     def visit_AnnAssign(self, node: ast.AnnAssign, ctx: Context) -> None:
         if node.value is not None and not ctx.class_stack and not ctx.func_stack:
             self._module_level_assign([node.target], node.value, node.lineno, ctx)
-        self._record_write(node.target, ctx)
-
-    def visit_AugAssign(self, node: ast.AugAssign, ctx: Context) -> None:
-        self._record_write(node.target, ctx)
 
     def _module_level_assign(
         self,
@@ -458,12 +395,6 @@ class ProjectGraphBuilder(Rule):
                     setattr(
                         self._manifest(ctx), target.id.lower(), parsed
                     )
-            elif target.id in _MANIFEST_DICT_NAMES:
-                parsed_dict = _literal_str_dict(value)
-                if parsed_dict is not None:
-                    self._manifest(ctx).present.add(target.id)
-                    self._manifest(ctx).lines[target.id] = lineno
-                    self._manifest(ctx).guarded_counters = parsed_dict
 
     def _manifest(self, ctx: Context) -> ManifestData:
         data = self._manifest_by_path.get(ctx.path)
@@ -473,26 +404,13 @@ class ProjectGraphBuilder(Rule):
             self.graph.manifests.append(data)
         return data
 
-    def _record_write(self, target: ast.expr, ctx: Context) -> None:
-        func = self._current_function(ctx)
-        if func is None:
-            return
-        if isinstance(target, ast.Subscript):
-            target = target.value
-        if isinstance(target, ast.Attribute):
-            func.attr_writes.add(target.attr)
-
     # -- calls -----------------------------------------------------------
 
     def visit_Call(self, node: ast.Call, ctx: Context) -> None:
-        func_info = self._current_function(ctx)
-        callee = _name_of(node.func)
-        if func_info is not None and callee:
-            func_info.calls.add(callee)
         if isinstance(node.func, ast.Attribute):
             attr = node.func.attr
             if attr == "emit":
-                self._record_emit(node, ctx, func_info)
+                self._record_emit(node, ctx, self._current_function(ctx))
             elif attr == "subscribe":
                 self._record_subscribe(node, ctx)
             else:

@@ -121,7 +121,7 @@ class DualManager(KVCacheManagerBase):
     def admission_version(self) -> int:
         # Sum of monotone per-side counters: equal sums imply every side
         # is unchanged, so the composite verdict is unchanged.  Any side
-        # without a cache (-1) disables the skip for the composite.
+        # without a version counter (-1) disables the skip for the composite.
         total = 0
         for manager in self.managers:
             version = manager.admission_version()

@@ -100,9 +100,10 @@ class PagedAttentionManager(JengaKVCacheManager):
         )
         self._mamba_holders: Set[str] = set()
         # Monotone count of slot-occupancy changes.  Slot exhaustion gates
-        # can_admit but moves without any bus event, so admission_version
-        # folds this counter in (a sum of monotone counters is
-        # equality-safe: equal sums imply equal components).
+        # can_admit but lives outside the allocator, so admission_version
+        # folds this counter into the allocator's version (a sum of
+        # monotone counters is equality-safe: equal sums imply equal
+        # components).
         self._mamba_churn = 0
 
     # ------------------------------------------------------------------
@@ -158,10 +159,7 @@ class PagedAttentionManager(JengaKVCacheManager):
         return super().can_admit_uncached(seq, watermark_pages, chunk_tokens)
 
     def admission_version(self) -> int:
-        version = super().admission_version()
-        if version < 0 or not self._mamba_slots:
-            return version
-        return version + self._mamba_churn
+        return super().admission_version() + self._mamba_churn
 
     def release(self, seq: SequenceSpec, cacheable: bool = True) -> None:
         if seq.request_id in self._mamba_holders:

@@ -15,9 +15,9 @@ corrupted allocator:
   :class:`~repro.engine.scheduler.WaitingQueue` swept across standing
   queue depths; heap-backed, so cost must not grow with depth.
 * **admission** -- deep-waiting-queue admission sweep: every queued
-  request probed per round through the cached ``can_admit`` (snapshot +
-  demand memo) and the ``can_admit_uncached`` cross-check, with one
-  allocator mutation between rounds to force a snapshot rebuild.  Cached
+  request probed per round through the cached ``can_admit`` (live
+  allocator counters + demand memo) and the ``can_admit_uncached``
+  cross-check, with one allocator mutation between rounds.  Cached
   per-probe p50 must stay flat as the queue deepens while the uncached
   per-round total grows linearly; every verdict is asserted equal across
   the two arms.
@@ -263,13 +263,13 @@ def admission_bench(depth: int, rounds: int, seed: int = 0,
 
     Models the scheduler's worst case -- a deep FCFS queue whose head
     stays blocked, so every waiting request is re-probed each step.  Each
-    round first perturbs the allocator (one allocate/release pair, enough
-    to dirty the snapshot), then probes all ``depth`` queued sequences
+    round first perturbs the allocator (one allocate/release pair, which
+    moves its ``version``), then probes all ``depth`` queued sequences
     through the cached ``can_admit`` and again through
     ``can_admit_uncached``, asserting every verdict matches.  Cached
-    per-probe cost must be flat in ``depth`` (one snapshot rebuild
-    amortized over the round, demand memo hits after round one); the
-    uncached per-round total is the linear rescan baseline.
+    per-probe cost must be flat in ``depth`` (O(1) counter reads, demand
+    memo hits after round one); the uncached per-round total is the
+    linear rescan baseline.
     """
     from ..core.kv_manager import JengaKVCacheManager
     from ..core.sequence import SequenceSpec
@@ -312,8 +312,7 @@ def admission_bench(depth: int, rounds: int, seed: int = 0,
     cached_round_s: List[float] = []
     uncached_round_s: List[float] = []
     for _ in range(rounds):
-        # One pool mutation: net-zero on counts but it publishes events,
-        # so the next cached probe pays a real snapshot rebuild.
+        # One pool mutation per round, net-zero on counts.
         gid = rng.choice(list(mgr.allocator.groups))
         page = mgr.allocator.allocate_page(gid, "mutator")
         if page is not None:
@@ -350,7 +349,6 @@ def admission_bench(depth: int, rounds: int, seed: int = 0,
         "uncached": {"count": len(uncached_lat), **_percentiles(uncached_lat)},
         "cached_round": _percentiles(cached_round_s),
         "uncached_round": _percentiles(uncached_round_s),
-        "snapshot_rebuilds": cache.num_rebuilds,
         "demand_hits": cache.num_demand_hits,
         "demand_misses": cache.num_demand_misses,
     }
@@ -1053,8 +1051,8 @@ def run_benchmark(
         "admission": {
             "sweep": admission_sweep,
             # Cached per-probe p50 at the deepest queue over the
-            # shallowest: ~1.0 means the snapshot + demand memo make a
-            # single blocked-probe O(groups), independent of queue depth.
+            # shallowest: ~1.0 means the live counters + demand memo make
+            # a single blocked-probe O(groups), independent of queue depth.
             "cached_probe_scaling_p50": admission_cached_scaling,
             # The uncached per-round total is the linear rescan baseline
             # the cache replaces; it should track the depth ratio.

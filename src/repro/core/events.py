@@ -12,9 +12,8 @@ observable without print-debugging:
   batch call, carrying every page of the batch in a single record),
   :class:`LargePageCarved` when a large page is
   carved from the LCM pool, :class:`PageEvicted` for small- and large-page
-  evictions, :class:`PageReleased` when a request's last reference
-  drops, and :class:`PageAcquired` when a prefix-cache hit reactivates an
-  evictable page;
+  evictions, and :class:`PageReleased` when a request's last reference
+  drops;
 * the KV manager emits :class:`PrefixHit` per prefix-cache lookup;
 * the engine emits the request lifecycle (:class:`RequestQueued`,
   :class:`RequestAdmitted`, :class:`RequestPreempted`,
@@ -40,7 +39,6 @@ __all__ = [
     "PageAllocated",
     "PagesAllocated",
     "LargePageCarved",
-    "PageAcquired",
     "PageEvicted",
     "PageEvictedToHost",
     "PageReleased",
@@ -122,21 +120,6 @@ class LargePageCarved(Event):
 
 
 @dataclass(frozen=True)
-class PageAcquired(Event):
-    """A prefix-cache hit reactivated a cached page (EVICTABLE -> USED).
-
-    Emitted only on the state transition, not on extra references taken on
-    an already-active page: the transition is what moves the page out of
-    the evictor and so changes the pool's reclaimable accounting (which
-    admission bounds depend on -- see :mod:`repro.core.admission`).
-    """
-
-    group_id: str
-    page_id: int
-    request_id: str
-
-
-@dataclass(frozen=True)
 class PageEvicted(Event):
     """An evictable page was reclaimed (``level`` is ``small``/``large``).
 
@@ -183,9 +166,7 @@ class QuotaResized(Event):
     back to the LCM pool (each also published its own
     :class:`PageEvicted` record); ``num_owned`` is the group's ownership
     *after* the resize, which may still exceed ``new_quota`` -- quotas are
-    soft, and pages pinned by USED small pages are never reclaimed.  A
-    quota move changes the admission bounds (carve headroom), so this is
-    an :class:`~repro.core.admission.AdmissionCache` invalidator.
+    soft, and pages pinned by USED small pages are never reclaimed.
     """
 
     group_id: str
@@ -231,9 +212,7 @@ class AdmissionBlocked(Event):
     genuinely blocked admission).  ``queue_depth`` counts the waiting
     requests stuck behind the blocked head -- together with eviction
     provenance, preemptions, and the waste timeline this is the pressure
-    input the ROADMAP's ``PoolResizer`` acts on.  Not an
-    :class:`~repro.core.admission.AdmissionCache` invalidator: a failed
-    probe is count-net-zero on the pool.
+    input the ROADMAP's ``PoolResizer`` acts on.
     """
 
     request_id: str
@@ -273,9 +252,9 @@ class RequestFailed(Event):
 class RequestRouted(Event):
     """One routing decision, emitted on the *chosen* replica's bus.
 
-    Defined here rather than in :mod:`repro.serving.router` so replicas
-    (which the router imports) can subscribe to it without a circular
-    import; the router re-exports it for its callers.
+    Defined here rather than in :mod:`repro.serving.router` so observers
+    (:class:`~repro.obs.registry.BusTelemetry`) can subscribe to it without
+    importing the serving layer; the router re-exports it for its callers.
     """
 
     request_id: str
@@ -411,10 +390,12 @@ class EventFanout(EventBus):
     observed by N manager views, each wrapping engine owning its *own*
     per-engine bus.  The allocator holds a single ``events`` reference, so
     without a fan-out the last ``bind_events`` wins and every sibling's
-    :class:`~repro.core.admission.AdmissionCache` silently stops receiving
-    pool-event invalidations.  Installing an ``EventFanout`` as the
-    allocator's bus gives every bound view the full pool feed while each
-    engine's request-lifecycle traffic stays on its own bus.
+    observers (telemetry, pressure monitors) silently stop seeing pool
+    events.  Installing an ``EventFanout`` as the allocator's bus gives
+    every bound view the full pool feed while each engine's
+    request-lifecycle traffic stays on its own bus.  Observation only:
+    admission reads the shared allocator's counters directly, so its
+    correctness does not depend on delivery.
 
     The fan-out is itself an :class:`EventBus` (direct subscribers and the
     interest cache work as usual) but captures nothing locally by default:

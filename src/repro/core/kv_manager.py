@@ -140,11 +140,10 @@ class JengaKVCacheManager(KVCacheManagerBase):
             }
             self.allocator = shared_allocator
             # One pool, many views: the allocator's bus is a fan-out over
-            # every bound view's own bus, so pool events (and with them
-            # each view's AdmissionCache invalidation) reach all siblings
-            # while each manager keeps its private per-engine bus.  A
-            # pre-existing plain bus on the allocator stays attached as a
-            # fan-out member, preserving its feed.
+            # every bound view's own bus, so pool events reach every
+            # sibling's observers while each manager keeps its private
+            # per-engine bus.  A pre-existing plain bus on the allocator
+            # stays attached as a fan-out member, preserving its feed.
             sink = shared_allocator.events
             if not isinstance(sink, EventFanout):
                 sink = EventFanout() if sink is None else EventFanout(sink)
@@ -189,18 +188,17 @@ class JengaKVCacheManager(KVCacheManagerBase):
         if offload is not None and enable_prefix_caching:
             self.host_pool = HostMemoryPool(offload)
             self.allocator.eviction_listener = self._on_gpu_eviction
-        # Admission-bound cache: event-invalidated pool snapshot plus
-        # per-request demand memo behind can_admit (see repro.core.admission).
-        self._admission = AdmissionCache(self.allocator, self.events)
+        # Per-request demand memo behind can_admit (see repro.core.admission).
+        self._admission = AdmissionCache()
 
     def bind_events(self, events: EventBus) -> None:
         """Adopt ``events`` for this manager view.
 
         On a shared allocator the pool bus is an
         :class:`~repro.core.events.EventFanout`; this view's old bus is
-        swapped for ``events`` inside it, leaving every sibling's feed (and
-        admission invalidation) intact.  A privately-owned allocator simply
-        follows the manager onto the new bus.
+        swapped for ``events`` inside it, leaving every sibling's feed
+        intact.  A privately-owned allocator simply follows the manager
+        onto the new bus.
         """
         sink = self.allocator.events
         if isinstance(sink, EventFanout):
@@ -208,7 +206,6 @@ class JengaKVCacheManager(KVCacheManagerBase):
         else:
             self.allocator.events = events
         self.events = events
-        self._admission.bind(events)
 
     def foreign_used_bytes(self) -> int:
         """USED bytes co-tenant views hold in a shared allocator.
@@ -801,32 +798,17 @@ class JengaKVCacheManager(KVCacheManagerBase):
     ) -> bool:
         """Admission control: will the whole prompt's footprint ever fit?
 
-        Cached evaluation of the same bound :meth:`can_admit_uncached`
-        recomputes from scratch: the pool side comes from the
-        event-invalidated :class:`~repro.core.admission.AdmissionCache`
-        snapshot, the demand side from its per-request memo, and only the
-        held-page subtraction and peak-residency correction are evaluated
-        per probe (held references and ``chunk_tokens`` change between
-        probes).  ``tests/test_admission_cache.py`` property-tests the two
-        paths against each other under randomized churn.
+        The same bound :meth:`can_admit_uncached` recomputes from scratch,
+        evaluated from the allocator's live O(1) counters and the
+        per-request demand memo (:class:`~repro.core.admission.AdmissionCache`);
+        only the held-page subtraction and peak-residency correction are
+        evaluated per probe (held references and ``chunk_tokens`` change
+        between probes).  ``tests/test_admission_cache.py`` property-tests
+        the two paths against each other under randomized churn.
         """
-        cache = self._admission
-        # The manager's own bus carries every pool event: a private
-        # allocator emits on it directly, a shared allocator's EventFanout
-        # multicasts onto it.  (The allocator-side bus is the wrong key
-        # here -- on a shared pool it is the fan-out, not this view's bus.)
-        bus = self.events
-        if bus is None or self.allocator.events is None:
-            # No invalidation signal reaches the cache: fall back to the
-            # full recompute rather than trusting a snapshot nothing
-            # dirties.
-            return self.can_admit_uncached(seq, watermark_pages, chunk_tokens)
-        if cache.bus is not bus:
-            # bind_events swapped the manager's bus underneath the cache;
-            # resubscribe before trusting anything cached.
-            cache.bind(bus)
-        snap = cache.snapshot()
-        entry = cache.demand(seq, self.specs, self.policies)
+        allocator = self.allocator
+        groups = allocator.groups
+        entry = self._admission.demand(seq, self.specs, self.policies)
         bindings = self._bindings.get(seq.request_id)
         large_needed = 0
         for group_id, gross in entry.gross.items():
@@ -842,36 +824,38 @@ class JengaKVCacheManager(KVCacheManagerBase):
                 entry.stream_total[group_id], chunk_tokens
             )
             n = max(0, gross - held, peak - held)
-            deficit = n + watermark_pages - snap.local[group_id]
+            group = groups[group_id]
+            spl = group.small_per_large
+            # Small pages inside the group's own fully-evictable large
+            # pages are claimable through the large evictor below;
+            # counting them locally too would offset other groups' deficits.
+            own_fe = allocator.fully_evictable_large_pages(group_id)
+            local = group.num_free + len(group.evictor) - own_fe * spl
+            deficit = n + watermark_pages - local
             if deficit > 0:
-                need = -(-deficit // snap.small_per_large[group_id])
-                headroom = snap.quota_headroom[group_id]
-                if (
-                    headroom is not None
-                    and need - snap.own_fully_evictable[group_id] > headroom
+                need = -(-deficit // spl)
+                quota = group.quota
+                if quota is not None and need - own_fe > max(
+                    0, quota - allocator.large_pages_owned(group_id)
                 ):
                     # Large pages beyond the group's own fully-evictable
-                    # ones must be carved, and the soft quota blocks the
-                    # carve regardless of shared availability.
+                    # ones (reclaimed in place, quota-neutral) must be
+                    # carved, and the soft quota blocks the carve
+                    # regardless of shared availability.
                     return False
                 large_needed += need
-        return large_needed <= snap.available
+        return large_needed <= allocator.lcm.num_free + len(allocator.large_evictor)
 
     def admission_version(self) -> int:
         """Monotone pool-state version for admission-verdict reuse.
 
         Equal versions across probes guarantee the pool inputs of
         :meth:`can_admit` are unchanged, so the engine may skip re-probing
-        a blocked head-of-queue request entirely.  Returns ``-1`` (never
-        skip) when the allocator has no bus to publish invalidations on.
+        a blocked head-of-queue request entirely.  On a shared pool every
+        view reads the same allocator, so a co-tenant's mutation moves it
+        for all of them.
         """
-        bus = self.events
-        if bus is None or self.allocator.events is None:
-            return -1
-        cache = self._admission
-        if cache.bus is not bus:
-            cache.bind(bus)
-        return cache.version
+        return self.allocator.version
 
     def can_admit_uncached(
         self, seq: SequenceSpec, watermark_pages: int = 0, chunk_tokens: int = 8192

@@ -93,8 +93,7 @@ class KVCacheManager(Protocol):
         self, seq: SequenceSpec, watermark_pages: int = 0, chunk_tokens: int = 8192
     ) -> bool:
         """Uncached :meth:`can_admit` -- the ``stats_slow()``-style
-        cross-check for the admission-bound cache (same verdict, no
-        snapshot/memo reuse)."""
+        cross-check (same verdict, no demand-memo reuse)."""
         ...
 
     def admission_version(self) -> int:
@@ -103,7 +102,7 @@ class KVCacheManager(Protocol):
         Equal versions across probes mean the pool inputs of
         :meth:`can_admit` are unchanged, so the engine may skip
         re-probing a blocked head-of-queue request.  ``-1`` disables the
-        skip (no cache, or no bus to publish invalidations on)."""
+        skip (a backend that keeps no such counter)."""
         ...
 
     def stats(self) -> AllocatorStats:
@@ -209,7 +208,7 @@ class KVCacheManagerBase:
     def can_admit_uncached(
         self, seq: SequenceSpec, watermark_pages: int = 0, chunk_tokens: int = 8192
     ) -> bool:
-        # A backend without an admission cache has nothing to cross-check:
+        # A backend without a demand memo has nothing to cross-check:
         # its can_admit *is* the uncached path.
         return self.can_admit(seq, watermark_pages, chunk_tokens)
 
@@ -218,7 +217,8 @@ class KVCacheManagerBase:
         return True
 
     def admission_version(self) -> int:
-        # -1: no cache, never skip a re-probe on this manager's account.
+        # -1: no version counter, never skip a re-probe on this
+        # manager's account.
         return -1
 
     def allocate_vision(self, seq: SequenceSpec) -> bool:

@@ -35,7 +35,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .events import (
     EventBus,
     LargePageCarved,
-    PageAcquired,
     PageAllocated,
     PageEvicted,
     PageReleased,
@@ -234,6 +233,16 @@ class TwoLevelAllocator:
         # only in _carve_and_take / _return_large_page.
         self._num_large_owned: Dict[str, int] = {g: 0 for g in specs}
         self.num_large_evictions = 0
+        # Monotone pool-state version: moves whenever a small page changes
+        # state (_bump), a large page goes back to the LCM pool
+        # (_return_large_page -- the bulk-eviction path resets its pages
+        # without _bump) or a quota changes (set_quota).  A carve needs no
+        # site of its own: the page it hands out is activated through
+        # _bump.  Equal versions mean num_free, the evictors' sizes, the
+        # fully-evictable and owned counts, lcm.num_free and every quota
+        # are unchanged, so an admission verdict taken at one holds at the
+        # other.
+        self.version = 0
         # Optional hook fired when a *cached* (hashed) page is reclaimed:
         # (group_id, block_hash, page_bytes).  The KV manager uses it to
         # spill evicted blocks to a host-memory offload tier (Section 8).
@@ -270,8 +279,7 @@ class TwoLevelAllocator:
         allocation order) and publishes exactly one
         :class:`~repro.core.events.PagesAllocated` record for the whole
         batch; when any page cannot be found the pages taken so far are
-        released back (their :class:`~repro.core.events.PageReleased`
-        records keep event-driven caches honest) and ``None`` is returned.
+        released back and ``None`` is returned.
         ``n <= 0`` is a no-op returning an empty list.
 
         Request-associated empty pages (step 1) are drained via one
@@ -453,10 +461,6 @@ class TwoLevelAllocator:
             self._bump(page, PageState.EVICTABLE, PageState.USED)
             page.state = PageState.USED
             group.note_fill(page.num_tokens)
-            # The page just left the evictor (and possibly shrank the
-            # fully-evictable large-page set): admission bounds changed.
-            if self.events is not None and self.events.has_subscribers(PageAcquired):
-                self.events.emit(PageAcquired(group_id, page.page_id, request_id))
         page.ref_count += 1
         page.request_id = request_id
         return page
@@ -477,8 +481,7 @@ class TwoLevelAllocator:
                     group.evictor.discard(old_page_id)
                     self._free_page(group, old)
                     # The displaced copy freed outright without passing
-                    # through release_page: publish the state change so
-                    # admission bounds don't go stale.
+                    # through release_page: observers still see a release.
                     if self.events is not None and self.events.has_subscribers(PageReleased):
                         self.events.emit(PageReleased(group_id, old_page_id, False))
 
@@ -587,6 +590,7 @@ class TwoLevelAllocator:
         group.free_pool.purge_large(large_id)
         del self._large_counts[large_id]
         self._num_large_owned[large.owner_group] -= 1
+        self.version += 1
         self._large_evictor_discard(large_id)
         self.lcm.free(large_id)
 
@@ -598,6 +602,7 @@ class TwoLevelAllocator:
 
     def _bump(self, page: SmallPage, old: PageState, new: PageState) -> None:
         """Maintain per-large-page and per-group state counters."""
+        self.version += 1
         self.groups[page.group_id].bump_state(old, new)
         if page.large_page_id is None:
             return
@@ -681,20 +686,19 @@ class TwoLevelAllocator:
         never touched: the quota is *soft*, ownership may exceed it until
         releases catch up, and no new carves happen until it does.
 
-        Publishes exactly one guarded :class:`QuotaResized` record per
-        quota *change* (plus one :class:`PageEvicted` per reclaimed large
-        page), so event-driven admission snapshots rebuild against the
-        new headroom; setting the same quota again is a silent no-op.
+        Moves :attr:`version` and publishes exactly one guarded
+        :class:`QuotaResized` record per quota *change* (plus one
+        :class:`PageEvicted` per reclaimed large page); setting the same
+        quota again is a silent no-op.
         """
         if quota is not None and quota < 0:
             raise ValueError(f"negative quota {quota} for group {group_id}")
         group = self.groups[group_id]
         old = group.quota
         if old == quota:
-            # No-op: emitting would dirty every admission snapshot on the
-            # bus for a partition that did not move.
             return 0
         group.quota = quota
+        self.version += 1
         reclaimed = 0
         if quota is not None and self._num_large_owned[group_id] > quota:
             reclaimed = self._deflate_slow(group_id, quota)
@@ -781,7 +785,7 @@ class TwoLevelAllocator:
             used[group_id] = group.n_used * page_bytes
             evictable[group_id] = group.n_evictable * page_bytes
             frag += group.n_empty_carved * page_bytes
-            if group.spec.kind != "mamba":
+            if not group.policy.snapshot_blocks:
                 filled = group.used_filled_tokens * group.spec.per_token_bytes
                 partial += max(0, used[group_id] - filled)
         free_bytes = self.lcm.num_free * self.lcm.large_page_bytes
@@ -807,7 +811,7 @@ class TwoLevelAllocator:
             for page in group.pages.values():
                 if page.is_used:
                     u += page_bytes
-                    if group.spec.kind != "mamba":
+                    if not group.policy.snapshot_blocks:
                         filled = page.num_tokens * group.spec.per_token_bytes
                         partial += max(0, page_bytes - filled)
                 elif page.is_evictable:

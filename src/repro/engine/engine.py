@@ -55,7 +55,10 @@ class LLMEngine:
         events: Event bus the whole stack publishes to.  The engine owns
             one bus per instance (so per-engine metrics stay exact even
             when managers share an allocator) and rebinds the manager onto
-            it; pass a bus explicitly to share it across components.
+            it.  The default is capture-free (``EventBus(capacity=0)``):
+            an event type no observer subscribes to is never constructed.
+            Pass a bus explicitly to share it across components or to get
+            ring capture (``EventBus()``) for after-the-fact inspection.
         tracer: Span tracer for wall-clock step profiling.  Defaults to
             the inert :data:`~repro.obs.tracer.NULL_TRACER`; pass an
             enabled :class:`~repro.obs.tracer.Tracer` to split each step
@@ -81,7 +84,7 @@ class LLMEngine:
         self.cost = cost_model or CostModel(
             model, gpu, kernel_slowdown=manager.kernel_slowdown
         )
-        self.events = events if events is not None else EventBus()
+        self.events = events if events is not None else EventBus(capacity=0)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         manager.bind_events(self.events)
         manager.bind_tracer(self.tracer)
@@ -346,8 +349,8 @@ class LLMEngine:
             if self.running and self._admission_gate.should_skip(
                 seq.request_id, len(seq), self.manager.admission_version()
             ):
-                # Same blocked head, same sequence length, no pool-state
-                # event since the last failed probe: the verdict cannot
+                # Same blocked head, same sequence length, same pool
+                # version as at the last failed probe: the verdict cannot
                 # have changed, so skip the whole begin/can_admit/release
                 # cycle.  (With nothing running we always probe, so the
                 # permanent-failure path below still triggers.)
@@ -376,7 +379,7 @@ class LLMEngine:
                         num_running=len(self.running),
                     ))
                 # Version is read *after* the release so the probe's own
-                # (count-net-zero) acquire/release events are absorbed.
+                # (count-net-zero) acquire/release moves are absorbed.
                 self._admission_gate.note_blocked(
                     seq.request_id, len(seq), self.manager.admission_version()
                 )

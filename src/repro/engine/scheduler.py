@@ -151,15 +151,15 @@ class AdmissionGate:
     used to be re-probed (``begin_request`` + ``can_admit`` + ``release``,
     including a full prefix-cache lookup) on *every* step.  The verdict,
     however, is a pure function of the pool's page counts and the
-    sequence's length: the manager's ``admission_version()`` is a monotone
-    counter over exactly the events that change those counts, so an
-    unchanged ``(request_id, seq_len, version)`` triple means an unchanged
-    verdict and the probe can be skipped outright.
+    sequence's length: the manager's ``admission_version()`` is the
+    allocator's monotone counter over exactly the mutations that change
+    those counts, so an unchanged ``(request_id, seq_len, version)`` triple
+    means an unchanged verdict and the probe can be skipped outright.
 
     The recorded version is taken *after* the failed probe's release, so
     the probe's own acquire/release churn (net-zero on pool counts, but
-    each transition publishes an event) does not immediately stale the
-    memo.  A version of ``-1`` (manager without an admission cache)
+    each transition moves the version) does not immediately stale the
+    memo.  A version of ``-1`` (manager without a version counter)
     disables the gate.  Entries never need explicit expiry: versions are
     monotone, so a stale triple simply never matches again.
     """

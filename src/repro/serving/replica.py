@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..baselines import make_manager
-from ..core.events import Event, EventBus, RequestRouted
+from ..core.events import EventBus
 from ..core.resizer import PoolResizer
 from ..engine.engine import LLMEngine
 from ..engine.metrics import EngineMetrics
@@ -153,13 +153,6 @@ class Replica:
                 manager.allocator, self.pressure, self.events,
                 policy=resizing, interval=resize_interval,
             )
-        # The replica is its own consumer of routing decisions: the
-        # router emits RequestRouted on the chosen replica's bus, and
-        # these counters keep per-replica routing telemetry exact even
-        # when the router object is long gone (summaries, rebalancing).
-        self.num_routed = 0
-        self.expected_hit_tokens = 0
-        self.events.subscribe(self._on_routed, [RequestRouted])
 
     # ------------------------------------------------------------------
 
@@ -199,18 +192,12 @@ class Replica:
     def metrics(self) -> EngineMetrics:
         return self.engine.metrics()
 
-    def _on_routed(self, event: Event) -> None:
-        if isinstance(event, RequestRouted):
-            self.num_routed += 1
-            self.expected_hit_tokens += event.expected_hit_tokens
-
     def close(self) -> None:
         """Detach every subscriber this replica attached (idempotent).
 
         Reused buses must not keep feeding a dead registry -- the leak
         class ``MetricsCollector.close`` fixed at the engine layer.
         """
-        self.events.unsubscribe(self._on_routed)
         if self.resizer is not None:
             self.resizer.close()
         if self.telemetry is not None:

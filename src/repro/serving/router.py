@@ -175,11 +175,17 @@ class Router:
         ]
         # round_robin rotation cursor (harmless state for other policies).
         self.rr_next = 0
+        # Per-replica routing tallies (index-aligned with ``replicas``).
         self.routed_counts: List[int] = [0] * len(self.replicas)
-        self.expected_hit_tokens = 0
+        self.expected_hit_counts: List[int] = [0] * len(self.replicas)
         self.route_seconds: List[float] = []
 
     # ------------------------------------------------------------------
+
+    @property
+    def expected_hit_tokens(self) -> int:
+        """Shadow-predicted prefix-hit tokens summed over all replicas."""
+        return sum(self.expected_hit_counts)
 
     def block_hashes(self, request: Request) -> List[int]:
         """Block-boundary hash chain of the request's current prompt.
@@ -213,7 +219,7 @@ class Router:
         self.route_seconds.append(time.perf_counter() - start)
 
         self.routed_counts[idx] += 1
-        self.expected_hit_tokens += expected_hit
+        self.expected_hit_counts[idx] += expected_hit
         replica = self.replicas[idx]
         bus = replica.events
         if bus is not None and bus.has_subscribers(RequestRouted):

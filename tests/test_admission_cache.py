@@ -1,17 +1,18 @@
-"""Admission-bound cache tests: invalidation, memoization, cross-check.
+"""Admission tests: allocator version, demand memo, cross-check, gate.
 
-The cache (``repro.core.admission``) answers ``can_admit`` from an
-event-invalidated pool snapshot plus a per-request demand memo;
-``can_admit_uncached`` is the recompute-everything cross-check.  These
+``can_admit`` reads the allocator's live O(1) counters plus a per-request
+demand memo (``repro.core.admission``); ``can_admit_uncached`` is the
+recompute-everything cross-check, and ``TwoLevelAllocator.version`` is
+the monotone counter the engine's blocked-probe gate keys on.  These
 tests pin down:
 
-* the invalidation contract -- every event class that moves pool counts
-  dirties the snapshot and bumps the version, everything else on the bus
-  leaves both untouched;
-* the ``PageAcquired`` regression -- a prefix-cache hit reactivates
-  evictable pages without allocating, and before the fix emitted nothing,
-  so the cached bound kept counting those pages as reclaimable (verified
-  failing with the emission removed);
+* the version contract -- every allocator op that changes an admission
+  input (``num_free``, evictor sizes, fully-evictable / owned large-page
+  counts, ``lcm.num_free``, a quota) moves ``version``; ops that change
+  none leave it alone; no event bus is involved;
+* the stale-bound regressions -- a prefix-cache hit reactivating
+  evictable pages, and a cache-index displacement freeing a page outside
+  ``release_page``, both show up in the very next ``can_admit``;
 * the hypothesis property ``can_admit(...) == can_admit_uncached(...)``
   at every step of randomized allocate/commit/release/append churn;
 * the engine's blocked-probe gate -- skipping a re-probe while the
@@ -23,24 +24,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.events import (
-    EventBus,
-    LargePageCarved,
-    PageAcquired,
-    PageAllocated,
-    PageEvicted,
-    PageEvictedToHost,
-    PageReleased,
-    PagesAllocated,
-    PrefixHit,
-    QuotaResized,
-    RequestAdmitted,
-    RequestQueued,
-    StepCompleted,
-)
+from repro.core.events import EventBus
 from repro.core.kv_manager import JengaKVCacheManager
-from repro.core.layer_policy import FULL_ATTENTION, GroupSpec, SLIDING_WINDOW
+from repro.core.layer_policy import (
+    FULL_ATTENTION,
+    GroupSpec,
+    SLIDING_WINDOW,
+    make_policy,
+)
 from repro.core.sequence import TEXT, SequenceSpec
+from repro.core.two_level import TwoLevelAllocator
 from repro.engine import LLMEngine, Request, SchedulerConfig
 from repro.engine.scheduler import AdmissionGate
 from repro.models import get_model
@@ -65,107 +58,331 @@ def make_manager(total=64 * 4 * 64, caching=True, specs=None):
     )
 
 
-INVALIDATING_EVENTS = [
-    PageAllocated("full", "r", 1, 1),
-    PagesAllocated("full", "r", (1, 2, 3), (1, 1, 2)),
-    LargePageCarved("full", 1, 4),
-    PageAcquired("full", 1, "r"),
-    PageEvicted("full", 1, "small"),
-    PageReleased("full", 1, True),
-    QuotaResized("full", 8, 4, 6, 2),
+def make_allocator(num_large=3):
+    """Bare two-group allocator with no bus: 3 'a' or 2 'b' pages per large."""
+    specs = {
+        "a": GroupSpec("a", FULL_ATTENTION, 1, 64, tokens_per_page=4,
+                       accepted_tags=T),
+        "b": GroupSpec("b", FULL_ATTENTION, 1, 96, tokens_per_page=4,
+                       accepted_tags=T),
+    }
+    alloc = TwoLevelAllocator(
+        768 * num_large, specs, {g: make_policy(s) for g, s in specs.items()}
+    )
+    assert alloc.events is None
+    return alloc
+
+
+def admission_inputs(alloc):
+    """Every pool-side value ``can_admit`` reads."""
+    return (
+        alloc.lcm.num_free,
+        len(alloc.large_evictor),
+        tuple(
+            (
+                group.num_free,
+                len(group.evictor),
+                alloc.fully_evictable_large_pages(gid),
+                alloc.large_pages_owned(gid),
+                group.quota,
+            )
+            for gid, group in alloc.groups.items()
+        ),
+    )
+
+
+def cache_page(alloc, gid, page, block_hash, now):
+    """Hash ``page`` and release it into the evictable cache."""
+    alloc.register_block_hash(gid, page, block_hash)
+    page.last_access = now
+    alloc.release_page(gid, page.page_id, cacheable=True)
+
+
+def evictable_page(alloc, gid="a", block_hash=7):
+    page = alloc.allocate_page(gid, "r")
+    cache_page(alloc, gid, page, block_hash, 1.0)
+    return page
+
+
+# Each scenario sets a bare allocator up and returns the one op under test.
+
+def allocate_one(alloc):  # step 2: the first page also carves
+    return lambda: alloc.allocate_page("a", "r")
+
+
+def allocate_batch(alloc):  # 4 > 3 slots: steps 2, 1, 1, 2
+    return lambda: alloc.allocate_pages("a", "r", 4)
+
+
+def release_to_free(alloc):
+    page = alloc.allocate_page("a", "r")
+    return lambda: alloc.release_page("a", page.page_id, cacheable=False)
+
+
+def release_to_cache(alloc):
+    page = alloc.allocate_page("a", "r")
+    return lambda: cache_page(alloc, "a", page, 7, 1.0)
+
+
+def acquire_evictable(alloc):  # cache hit: EVICTABLE -> USED
+    evictable_page(alloc)
+    return lambda: alloc.acquire_cached("a", 7, "s")
+
+
+def evict_small(alloc):  # step 5
+    pages = alloc.allocate_pages("a", "r", 3 * alloc.lcm.num_free)
+    cache_page(alloc, "a", pages[0], 1, 1.0)
+    return lambda: alloc.allocate_page("a", "s")
+
+
+def evict_large(alloc):  # step 3, across groups
+    pages = alloc.allocate_pages("a", "r", 3 * alloc.lcm.num_free)
+    for i, page in enumerate(pages):
+        cache_page(alloc, "a", page, 10 + i, 2.0 + i)
+    return lambda: alloc.allocate_page("b", "t")
+
+
+def quota_set(alloc):
+    return lambda: alloc.set_quota("a", 2)
+
+
+def quota_deflate(alloc):
+    evictable_page(alloc)
+    return lambda: alloc.set_quota("a", 0)
+
+
+def quota_clear(alloc):
+    alloc.set_quota("a", 2)
+    return lambda: alloc.set_quota("a", None)
+
+
+def displace_stale_copy(alloc):
+    # Re-registering hash 7 frees the stale evictable copy outright,
+    # without passing through release_page.
+    evictable_page(alloc)
+    new = alloc.allocate_page("a", "s")
+    return lambda: alloc.register_block_hash("a", new, 7)
+
+
+def return_large_page_alone(alloc):
+    # White box: the deflation path evicts a large page without allocating;
+    # the owned / lcm.num_free counts it writes must move the version
+    # without leaning on set_quota's own bump.
+    page = evictable_page(alloc)
+    return lambda: alloc._evict_large_page(page.large_page_id)
+
+
+MOVING = [
+    allocate_one, allocate_batch, release_to_free, release_to_cache,
+    acquire_evictable, evict_small, evict_large, quota_set, quota_deflate,
+    quota_clear, displace_stale_copy, return_large_page_alone,
 ]
 
-NON_INVALIDATING_EVENTS = [
-    PrefixHit("r", 0, 4),
-    PageEvictedToHost("full", 123, 256),
-    RequestQueued("r", 0.0),
-    RequestAdmitted("r", 0.0),
-    StepCompleted(0, 0.0, 0),
+
+def same_quota(alloc):
+    alloc.set_quota("a", 2)
+    return lambda: alloc.set_quota("a", 2)
+
+
+def touch(alloc):
+    page = evictable_page(alloc)
+    page.last_access = 9.0
+    return lambda: alloc.touch_evictable("a", page)
+
+
+def share_used_page(alloc):
+    # A second reference on an already-USED page changes no pool count.
+    evictable_page(alloc)
+    alloc.acquire_cached("a", 7, "s")
+    return lambda: alloc.acquire_cached("a", 7, "t")
+
+
+def drop_shared_reference(alloc):
+    share_used_page(alloc)()
+    page_id = alloc.groups["a"].cache_index.lookup(7)
+    return lambda: alloc.release_page("a", page_id)
+
+
+def cache_miss(alloc):
+    return lambda: alloc.acquire_cached("a", 999, "t")
+
+
+def failed_allocation(alloc):
+    alloc.allocate_pages("a", "r", 3 * alloc.lcm.num_free)
+    return lambda: alloc.allocate_pages("b", "s", 2)
+
+
+def register_fresh_hash(alloc):
+    page = alloc.allocate_page("a", "r")
+    return lambda: alloc.register_block_hash("a", page, 8)
+
+
+STILL = [
+    same_quota, touch, share_used_page, drop_shared_reference, cache_miss,
+    failed_allocation, register_fresh_hash,
 ]
 
 
-class TestInvalidation:
-    @pytest.mark.parametrize(
-        "event", INVALIDATING_EVENTS, ids=lambda e: type(e).__name__
+class TestAllocatorVersion:
+    """No bus anywhere: the allocator's own ``version`` tracks its inputs."""
+
+    @pytest.mark.parametrize("scenario", MOVING, ids=lambda f: f.__name__)
+    def test_input_changing_op_moves_version(self, scenario):
+        alloc = make_allocator()
+        op = scenario(alloc)
+        before_inputs, before = admission_inputs(alloc), alloc.version
+        op()
+        assert admission_inputs(alloc) != before_inputs
+        assert alloc.version > before
+        alloc.check_invariants()
+
+    @pytest.mark.parametrize("scenario", STILL, ids=lambda f: f.__name__)
+    def test_input_preserving_op_leaves_version_alone(self, scenario):
+        alloc = make_allocator()
+        op = scenario(alloc)
+        before_inputs, before = admission_inputs(alloc), alloc.version
+        op()
+        assert admission_inputs(alloc) == before_inputs
+        assert alloc.version == before
+        alloc.check_invariants()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["alloc", "batch", "free", "cache", "acquire", "touch", "quota"]
+                ),
+                st.sampled_from(["a", "b"]),
+                st.integers(0, 5),  # request / hash / count / quota selector
+            ),
+            max_size=80,
+        )
     )
-    def test_invalidating_event_dirties_snapshot(self, event):
-        mgr = make_manager()
-        cache = mgr._admission
-        cache.snapshot()
-        assert not cache.dirty
-        version = cache.version
-        mgr.events.emit(event)
-        assert cache.dirty
-        assert cache.version == version + 1
+    def test_version_moves_with_every_admission_input(self, ops):
+        """Whenever an op changes any admission input, ``version`` changes
+        too (fails when the bump is removed from ``_bump`` or
+        ``set_quota``)."""
+        alloc = make_allocator()
+        live = []
+        clock = 0.0
+        for op, gid, k in ops:
+            before_inputs, before = admission_inputs(alloc), alloc.version
+            clock += 1.0
+            if op == "alloc":
+                page = alloc.allocate_page(gid, f"r{k}")
+                if page is not None:
+                    live.append((gid, page))
+            elif op == "batch":
+                pages = alloc.allocate_pages(gid, f"r{k}", k)
+                live.extend((gid, page) for page in pages or ())
+            elif op in ("free", "cache") and live:
+                pgid, page = live.pop(k % len(live))
+                if op == "cache":
+                    # Six hashes over many pages: re-registration displaces
+                    # stale evictable copies.
+                    alloc.register_block_hash(pgid, page, k)
+                    page.last_access = clock
+                alloc.release_page(pgid, page.page_id, cacheable=(op == "cache"))
+            elif op == "acquire":
+                page = alloc.acquire_cached(gid, k, f"r{k}")
+                if page is not None:
+                    live.append((gid, page))
+            elif op == "touch":
+                for page in alloc.groups[gid].pages.values():
+                    if page.is_evictable:
+                        page.last_access = clock
+                        alloc.touch_evictable(gid, page)
+                        break
+            elif op == "quota":
+                alloc.set_quota(gid, None if k == 5 else k)
+            assert alloc.version >= before
+            if admission_inputs(alloc) != before_inputs:
+                assert alloc.version > before, (op, gid, k)
+        alloc.check_invariants()
 
-    @pytest.mark.parametrize(
-        "event", NON_INVALIDATING_EVENTS, ids=lambda e: type(e).__name__
-    )
-    def test_non_invalidating_event_leaves_snapshot_clean(self, event):
-        mgr = make_manager()
-        cache = mgr._admission
-        cache.snapshot()
-        version = cache.version
-        mgr.events.emit(event)
-        assert not cache.dirty
-        assert cache.version == version
 
-    def test_snapshot_rebuilds_once_until_next_event(self):
+class TestManagerVersion:
+    def test_real_allocation_moves_admission_version(self):
         mgr = make_manager()
-        cache = mgr._admission
-        seq = SequenceSpec.text_only("probe", list(range(24)))
-        mgr.can_admit(seq)
-        rebuilds = cache.num_rebuilds
-        for _ in range(5):
-            mgr.can_admit(seq)
-        assert cache.num_rebuilds == rebuilds  # no events, no rebuilds
-        mgr.events.emit(PageAllocated("full", "r", 1, 1))
-        mgr.can_admit(seq)
-        assert cache.num_rebuilds == rebuilds + 1
-
-    def test_bind_events_rehomes_invalidation(self):
-        """bind_events must move the subscription and distrust old state."""
-        mgr = make_manager()
-        cache = mgr._admission
-        cache.snapshot()
-        version = cache.version
-        new_bus = EventBus()
-        mgr.bind_events(new_bus)
-        assert cache.bus is new_bus
-        assert cache.dirty
-        assert cache.version > version
-        cache.snapshot()
-        new_bus.emit(PageAllocated("full", "r", 1, 1))
-        assert cache.dirty
-
-    def test_real_allocation_invalidates_through_the_allocator(self):
-        mgr = make_manager()
-        cache = mgr._admission
-        probe = SequenceSpec.text_only("probe", list(range(24)))
-        mgr.can_admit(probe)
-        assert not cache.dirty
+        version = mgr.admission_version()
         seq = SequenceSpec.text_only("r1", list(range(16)))
         mgr.begin_request(seq)
         assert mgr.allocate_up_to(seq, 16)
-        assert cache.dirty
+        assert mgr.admission_version() > version
 
-    def test_batched_allocation_invalidates_like_singles(self):
-        """One PagesAllocated must leave admission in the same state as
-        the n PageAllocated events the batch replaced."""
+    def test_probe_and_rebind_leave_version_alone(self):
+        """Neither a ``can_admit`` probe nor ``bind_events`` touches the
+        pool, and the verdict after a rebind still matches the recompute."""
+        mgr = make_manager()
+        probe = SequenceSpec.text_only("probe", list(range(24)))
+        version = mgr.admission_version()
+        assert version >= 0
+        for _ in range(3):
+            mgr.can_admit(probe)
+        mgr.bind_events(EventBus())
+        assert mgr.admission_version() == version
+        assert mgr.can_admit(probe) == mgr.can_admit_uncached(probe)
+
+    def test_batched_allocation_matches_singles(self):
+        """One ``allocate_pages`` call must leave admission in the same
+        state as the n ``allocate_page`` calls it replaced."""
         singles = make_manager()
         batched = make_manager()
         probe = SequenceSpec.text_only("probe", list(range(24)))
         assert singles.can_admit(probe) == batched.can_admit(probe)
+        versions = (singles.admission_version(), batched.admission_version())
         for _ in range(3):
             assert singles.allocator.allocate_page("full", "r") is not None
         pages = batched.allocator.allocate_pages("full", "r", 3)
         assert pages is not None and len(pages) == 3
-        assert singles._admission.dirty
-        assert batched._admission.dirty
-        # Rebuilt snapshots must agree: same pool state, same verdicts.
+        assert singles.admission_version() > versions[0]
+        assert batched.admission_version() > versions[1]
+        assert admission_inputs(singles.allocator) == admission_inputs(batched.allocator)
         assert singles.can_admit(probe) == batched.can_admit(probe)
-        assert (singles.allocator.stats().free_bytes
-                == batched.allocator.stats().free_bytes)
+
+    def test_no_bus_views_agree_with_uncached_under_cotenant_churn(self):
+        """A manager and a shared-pool sibling whose allocator has *no* bus
+        still answer ``can_admit`` exactly and see each other's mutations
+        in ``admission_version`` -- they read the same allocator."""
+        specs = hetero_specs()
+        policies = {g: make_policy(s) for g, s in specs.items()}
+        allocator = TwoLevelAllocator(32 * 4 * 64, specs, policies)
+        full = {"full": specs["full"]}
+        win = {"win": specs["win"]}
+        ma = JengaKVCacheManager(full, 0, shared_allocator=allocator)
+        mb = JengaKVCacheManager(win, 0, shared_allocator=allocator)
+        allocator.events = None  # drop the fan-out the views installed
+        probes = [
+            SequenceSpec.text_only(f"p{n}", list(range(5000, 5000 + n)))
+            for n in (8, 48, 96, 128)
+        ]
+
+        def check():
+            for mgr in (ma, mb):
+                for probe in probes:
+                    assert mgr.can_admit(probe) == mgr.can_admit_uncached(probe)
+
+        check()
+        version = mb.admission_version()
+        assert version >= 0
+        held = []
+        for i in range(4):
+            seq = SequenceSpec.text_only(f"a{i}", list(range(100 * i, 100 * i + 24)))
+            ma.begin_request(seq)
+            assert ma.allocate_up_to(seq, 24)
+            ma.commit(seq, 24, now=float(i), phase="prefill")
+            held.append(seq)
+            assert mb.admission_version() > version  # co-tenant moved it
+            version = mb.admission_version()
+            check()
+        for i, seq in enumerate(held):
+            ma.release(seq, cacheable=(i % 2 == 0))
+            assert mb.admission_version() > version
+            version = mb.admission_version()
+            check()
+        assert allocator.events is None
+        allocator.check_invariants()
 
 
 class TestDemandMemo:
@@ -195,13 +412,12 @@ class TestDemandMemo:
 
 class TestStaleBoundRegression:
     def test_prefix_hit_reacquire_updates_admission_bounds(self):
-        """Prefix-hit reactivation (EVICTABLE -> USED) must invalidate.
+        """Prefix-hit reactivation (EVICTABLE -> USED) shrinks the bound.
 
         ``acquire_cached`` pulls pages out of the evictor without any
-        allocation; before ``PageAcquired`` existed it emitted nothing,
-        so the cached snapshot kept counting the reacquired pages as
-        reclaimable and ``can_admit`` said yes to prompts the pool could
-        no longer host (verified failing with the emission removed).
+        allocation or release; ``can_admit`` must stop counting the
+        reacquired pages as reclaimable, or it says yes to prompts the
+        pool can no longer host.
         """
         specs = {
             "full": GroupSpec("full", FULL_ATTENTION, 2, 64, tokens_per_page=4,
@@ -216,7 +432,7 @@ class TestStaleBoundRegression:
         mgr.release(donor, cacheable=True)  # whole pool now evictable
 
         probe = SequenceSpec.text_only("probe", list(range(1000, 1048)))
-        # Prime the snapshot while the evictable pool covers the demand.
+        # Probe while the evictable pool covers the demand.
         assert mgr.can_admit(probe) is True
         assert mgr.can_admit(probe) == mgr.can_admit_uncached(probe)
 
@@ -232,8 +448,8 @@ class TestStaleBoundRegression:
 
     def test_cache_index_displacement_updates_admission_bounds(self):
         """Displacing a stale cached copy frees it outright; the freed
-        page must be published (``PageReleased(cached=False)``) or the
-        snapshot's free/evictable split goes stale.
+        page must move the allocator version and the free/evictable split
+        ``can_admit`` reads.
 
         A twin request recomputes a block the cache already holds (the
         hit cap leaves the donor's last block unacquired), and its commit
@@ -245,7 +461,6 @@ class TestStaleBoundRegression:
                               accepted_tags=T),
         }
         mgr = make_manager(total=16 * 4 * 64, specs=specs)
-        cache = mgr._admission
         donor = SequenceSpec.text_only("donor", list(range(8)))
         mgr.begin_request(donor)
         assert mgr.allocate_up_to(donor, 8)
@@ -258,13 +473,12 @@ class TestStaleBoundRegression:
         assert mgr.begin_request(twin) == 4
         assert mgr.allocate_up_to(twin, 8)
 
-        # Clean the snapshot after the allocation churn, so the only
-        # remaining invalidation source in commit() is the displacement.
+        # The only pool mutation in commit() is the displacement.
         probe = SequenceSpec.text_only("probe", list(range(1000, 1016)))
         mgr.can_admit(probe)
-        assert not cache.dirty
+        version = mgr.admission_version()
         mgr.commit(twin, 8, now=2.0, phase="prefill")
-        assert cache.dirty  # displacement published the freed page
+        assert mgr.admission_version() > version  # displacement freed a page
         assert mgr.can_admit(probe) == mgr.can_admit_uncached(probe)
         mgr.allocator.check_invariants()
 

@@ -216,13 +216,13 @@ class TestClusterTeardown:
         replica.events.emit(
             RequestRouted("ghost", replica.replica_id, "cache_aware", 0)
         )
-        # PageEvicted still reaches the engine's admission-cache
-        # invalidation handler (bound for the bus's lifetime), but no
-        # observer counts it anymore: the registry stays frozen.
         replica.events.emit(PageEvicted("full", 1, "small"))
         assert replica.registry.counters == before
+        # Nothing functional lives on the bus: with the observers gone no
+        # page- or routing-level event has a subscriber left.
         assert not replica.events.has_subscribers(RequestRouted)
         assert not replica.events.has_subscribers(AdmissionBlocked)
+        assert not replica.events.has_subscribers(PageEvicted)
 
     def test_registry_stays_readable_after_close(self):
         cluster = traced_cluster()

@@ -1,5 +1,7 @@
 """Tests for the structured allocation-event bus (EventBus + §5.4 traces)."""
 
+import dataclasses
+
 from repro.core.events import (
     ALLOCATION_STEPS,
     EventBus,
@@ -19,6 +21,8 @@ from repro.core.layer_policy import FULL_ATTENTION, GroupSpec
 from repro.core.sequence import IMAGE, TEXT, SequenceSpec
 from repro.engine import LLMEngine, Request, SchedulerConfig
 from repro.models import get_model
+from repro.obs.pressure import PressureMonitor
+from repro.obs.registry import BusTelemetry
 from repro.platforms import H100
 from repro.workloads import token_block
 
@@ -266,7 +270,9 @@ class TestEngineEvents:
     def test_request_lifecycle_events(self):
         model = get_model("llama3-8b")
         mgr = JengaKVCacheManager(model.kv_groups(), 2 << 30)
-        eng = LLMEngine(model, H100, mgr, config=SchedulerConfig())
+        # The engine's default bus is capture-free; pass a ring to read.
+        eng = LLMEngine(model, H100, mgr, config=SchedulerConfig(),
+                        events=EventBus())
         eng.add_requests([
             Request.text(f"r{i}", token_block(0, "r", i, 64), 4)
             for i in range(3)
@@ -298,7 +304,8 @@ class TestEngineEvents:
     def test_collector_rebuilds_counters_from_events(self):
         model = get_model("llama3-8b")
         mgr = JengaKVCacheManager(model.kv_groups(), 2 << 30)
-        eng = LLMEngine(model, H100, mgr, config=SchedulerConfig())
+        eng = LLMEngine(model, H100, mgr, config=SchedulerConfig(),
+                        events=EventBus())
         eng.add_requests([
             Request.text(f"r{i}", token_block(0, "same", 0, 128), 4,
                          arrival_time=i * 100.0)  # r1 arrives after r0 ends
@@ -310,3 +317,49 @@ class TestEngineEvents:
         # The second request's prompt hits the first one's cached prefix.
         assert metrics.prefix_lookup_tokens >= 2 * 128
         assert metrics.prefix_hit_tokens > 0
+
+    @staticmethod
+    def pressured_engine(events=None):
+        """12 x 640-token prompts on 192 MiB: blocked admissions, cache
+        evictions and preemptions all occur."""
+        model = get_model("llama3-8b")
+        mgr = JengaKVCacheManager(model.kv_groups(), 192 * 1024 * 1024)
+        eng = LLMEngine(model, H100, mgr,
+                        config=SchedulerConfig(max_num_seqs=4), events=events)
+        eng.add_requests([
+            Request.text(f"r{i}", token_block(0, "r", i, 640), 24)
+            for i in range(12)
+        ])
+        return eng
+
+    def test_default_engine_constructs_no_page_event(self):
+        """With no observer attached nothing functional listens on the
+        bus, so the allocator's guarded emits never build a record."""
+        eng = self.pressured_engine()
+        metrics = eng.run(max_steps=20_000)
+        assert len(metrics.requests) == 12
+        assert eng.manager.allocator.num_large_evictions > 0
+        for name in ("PagesAllocated", "PageAllocated", "LargePageCarved",
+                     "PageEvicted", "PageReleased"):
+            assert eng.events.counts[name] == 0, name
+        assert len(eng.events) == 0  # capture-free default
+        # The collector's own subscriptions still flow.
+        assert eng.events.counts["StepCompleted"] == len(metrics.steps)
+
+    def test_observers_do_not_perturb_the_run(self):
+        """Bare, ring-capturing and fully-observed runs of one request set
+        take identical steps and finish identical requests."""
+
+        def outcome(eng):
+            eng.run(max_steps=20_000)
+            steps = [dataclasses.replace(r, phases=None) for r in eng.steps]
+            return steps, list(eng.finished)
+
+        bare = outcome(self.pressured_engine())
+        captured = outcome(self.pressured_engine(EventBus()))
+        bus = EventBus(capacity=0)
+        telemetry, pressure = BusTelemetry(bus), PressureMonitor(bus)
+        observed = outcome(self.pressured_engine(bus))
+        assert telemetry.registry.counters["alloc/pages"] > 0
+        assert pressure.registry.counters["pressure/admission_blocked"] > 0
+        assert bare[0] and bare == captured == observed

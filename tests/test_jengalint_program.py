@@ -20,7 +20,6 @@ BASELINE = Path(__file__).parent.parent / "lint-baseline.json"
 PROJECT_FIXTURES = {
     "event-registry": "project_event_registry",
     "orphan-event": "project_orphan",
-    "invalidation-coverage": "project_invalidation",
     "manifest-drift": "project_manifest_drift",
     "interprocedural-emit": "project_interproc",
 }
@@ -210,25 +209,18 @@ def test_deleting_registry_entry_turns_tree_red(tmp_path):
     assert {f.subject for f in result.findings} == {"event:RequestRouted"}
 
 
-def test_dropping_invalidating_event_turns_tree_red(tmp_path):
+def test_foreign_version_write_turns_tree_red(tmp_path):
+    # Admission verdicts are keyed on TwoLevelAllocator.version; the
+    # GUARDED_COUNTERS entry keeps every other class from moving it.
     root = _mutated_tree(
-        tmp_path, "core/admission.py", "        PageEvicted,\n", ""
+        tmp_path,
+        "core/kv_manager.py",
+        "        return self.allocator.version\n",
+        "        self.allocator.version += 1\n"
+        "        return self.allocator.version\n",
     )
     result = lint_paths([str(root)])
-    assert {f.rule for f in result.findings} == {"invalidation-coverage"}
-    assert {f.subject for f in result.findings} == {"event:PageEvicted"}
-
-
-def test_dropping_quota_event_from_invalidators_turns_tree_red(tmp_path):
-    # QuotaResized moves the admission carve headroom, so dropping it from
-    # the cache's INVALIDATING tuple must trip invalidation-coverage --
-    # the lint that keeps resize events wired into snapshot rebuilds.
-    root = _mutated_tree(
-        tmp_path, "core/admission.py", "        QuotaResized,\n", ""
-    )
-    result = lint_paths([str(root)])
-    assert {f.rule for f in result.findings} == {"invalidation-coverage"}
-    assert {f.subject for f in result.findings} == {"event:QuotaResized"}
+    assert {f.rule for f in result.findings} == {"guarded-counter"}
 
 
 def test_removing_subscribe_site_turns_tree_red(tmp_path):

@@ -206,29 +206,38 @@ class TestServingCluster:
             ServingCluster(replicas, router)
 
 
-class TestReplicaRoutingCounters:
-    def test_replica_counts_its_own_routing_events(self):
-        # The replica subscribes to RequestRouted on its own bus, so the
-        # routing decision is observable per replica even after the
-        # router is gone (the orphan-event lint finding this fixes).
+class TestRouterTallies:
+    def test_router_keeps_per_replica_tallies(self):
+        # The router's index-aligned lists are the one per-replica routing
+        # tally; a RequestRouted observer on each replica's bus must see
+        # exactly what they hold.
         replicas = make_replicas(2)
-        router = Router(replicas, policy="round_robin")
-        requests = forked_requests(num_families=2, fanout=2)
+        router = Router(replicas, policy="cache_aware")
+        seen = [[], []]
+        for events, replica in zip(seen, replicas):
+            replica.events.subscribe(events.append, [RequestRouted])
+        requests = forked_requests(num_families=2, fanout=3)
         for request in requests:
             router.route(request)
-        assert [r.num_routed for r in replicas] == router.routed_counts
-        assert sum(r.expected_hit_tokens for r in replicas) == (
-            router.expected_hit_tokens
-        )
+        assert sum(router.routed_counts) == len(requests)
+        assert [len(events) for events in seen] == router.routed_counts
+        assert [
+            sum(ev.expected_hit_tokens for ev in events) for events in seen
+        ] == router.expected_hit_counts
+        assert sum(router.expected_hit_counts) == router.expected_hit_tokens > 0
         for replica in replicas:
             replica.close()
 
-    def test_close_unsubscribes_routing_counter(self):
+    def test_unobserved_replica_builds_no_routing_event(self):
+        # A replica with no telemetry attached subscribes to nothing, so
+        # the router's guarded emit never constructs RequestRouted -- the
+        # tally lives on the router alone.
         replicas = make_replicas(2)
         router = Router(replicas, policy="round_robin")
-        replica = replicas[0]
-        replica.close()
-        replicas[1].close()
-        before = replica.num_routed
+        for replica in replicas:
+            assert not replica.events.has_subscribers(RequestRouted)
         router.route(forked_requests(num_families=1, fanout=1)[0])
-        assert replica.num_routed == before
+        assert router.routed_counts == [1, 0]
+        assert replicas[0].events.counts["RequestRouted"] == 0
+        for replica in replicas:
+            replica.close()

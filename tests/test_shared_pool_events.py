@@ -5,13 +5,16 @@ Regression suite for the multi-engine event-routing bug: several
 :class:`~repro.core.two_level.TwoLevelAllocator`, and each wrapping engine
 binds the manager onto its own per-engine bus.  The old ``bind_events``
 reassigned the *shared* ``allocator.events``, so the last bind silently
-won: every sibling's :class:`~repro.core.admission.AdmissionCache` stopped
-receiving pool-event invalidations (stale ``can_admit`` verdicts), and
-per-engine subscribers saw either nothing or a co-tenant's pool traffic.
+won: per-engine subscribers saw either nothing or a co-tenant's pool
+traffic (and, while admission was invalidated over the bus, siblings
+served stale ``can_admit`` verdicts).
 
 The fix multicasts: the shared allocator's bus is an
 :class:`~repro.core.events.EventFanout` over every bound view's bus, so
-pool events reach all siblings and each view's bus stays its own.
+pool events reach all siblings' observers and each view's bus stays its
+own.  Admission no longer depends on that delivery -- every view reads
+the shared allocator's counters -- but the verdict regression stays here
+as the end-to-end check.
 """
 
 import pytest
@@ -80,7 +83,7 @@ class TestBusStealingRegression:
         between.  Pre-fix, ``allocator.events`` was last-bind-wins, so the
         sibling bound to the *same* bus the allocator happened to point at
         kept a clean-but-stale admission snapshot and served a wrong
-        verdict; the fan-out delivers every pool event to every view.
+        verdict; every view now reads the shared allocator's live counters.
         """
         _, ma, mb = _shared_pair()
         bus_a, bus_b = EventBus(), EventBus()
@@ -88,8 +91,8 @@ class TestBusStealingRegression:
         ma.bind_events(bus_a)
         mb.bind_events(bus_b)
 
-        # B warms its admission snapshot against the empty pool: a probe
-        # needing the whole pool is (exactly) admissible.
+        # B probes the empty pool: a request needing the whole pool is
+        # (exactly) admissible.
         probe = SequenceSpec.text_only(
             "probe", list(range(_NUM_PAGES * _PAGE_TOKENS))
         )
@@ -111,8 +114,8 @@ class TestBusStealingRegression:
 
     def test_sibling_buses_receive_pool_events(self):
         """Every bound view's bus sees the shared pool's allocation events
-        (exact per-engine admission invalidation requires it); pre-fix only
-        the last-bound bus did."""
+        (per-engine telemetry requires it); pre-fix only the last-bound
+        bus did."""
         _, ma, mb = _shared_pair()
         bus_a, bus_b = EventBus(), EventBus()
         ma.bind_events(bus_a)
