@@ -13,7 +13,6 @@ from typing import Dict, FrozenSet
 
 __all__ = [
     "AUDITED_SLOW_FUNCS",
-    "BATCHED_EVENTS",
     "EVENT_CLASSES",
     "GUARDED_COUNTERS",
     "HOT_CLASSES",
@@ -43,8 +42,8 @@ HOT_MODULES: FrozenSet[str] = frozenset(
         # per request per step.
         "repro/core/kv_manager.py",
         "repro/core/admission.py",
-        # The resizer handles StepCompleted on every engine step; its
-        # periodic decide path may scan groups but never the page pool.
+        # The resizer is ticked on every engine step; its periodic decide
+        # path may scan groups but never the page pool.
         "repro/core/resizer.py",
         # LCMAllocator hands out the large pages every small-page carve
         # goes through; found missing by the manifest-drift rule (its
@@ -54,8 +53,10 @@ HOT_MODULES: FrozenSet[str] = frozenset(
         # The router runs once per request on the serving dispatch path;
         # shadow probes must stay dict-indexed and block hashes memoized.
         "repro/serving/router.py",
-        # The pressure monitor subscribes to per-page eviction events and
-        # folds them every step; its handlers must stay O(1) per event.
+        # The bus fold handles every per-page event (its handler must stay
+        # O(1) per event, no string formatting); the pressure view closes
+        # its window over the fold's counters every step.
+        "repro/obs/registry.py",
         "repro/obs/pressure.py",
     }
 )
@@ -79,6 +80,9 @@ AUDITED_SLOW_FUNCS: FrozenSet[str] = frozenset(
         "decide",
         "rebalance",
         "_partition",
+        # TelemetryRegistry export: one sorted dump per report, never
+        # reached from the fold's per-event handlers.
+        "snapshot",
     }
 )
 
@@ -110,7 +114,6 @@ POOL_ATTRS: FrozenSet[str] = frozenset(
 #: ``events.has_subscribers(Event)`` (the event-bus fast path).
 EVENT_CLASSES: FrozenSet[str] = frozenset(
     {
-        "PageAllocated",
         "PagesAllocated",
         "LargePageCarved",
         "PageEvicted",
@@ -147,12 +150,6 @@ ORPHAN_ALLOWED: FrozenSet[str] = frozenset()
 #: incremental chain owned by the sequence); the from-scratch helper
 #: remains the property-test oracle.
 PER_TOKEN_HASH_FUNCS: FrozenSet[str] = frozenset({"chain_hashes"})
-
-#: Per-item events that have a batched equivalent.  Emitting the per-item
-#: form inside a loop publishes one dataclass per page where a single
-#: batched event would do; the allocator's batch paths must emit the
-#: right-hand event exactly once per call.
-BATCHED_EVENTS: Dict[str, str] = {"PageAllocated": "PagesAllocated"}
 
 # -- rule: unguarded-span -----------------------------------------------
 
@@ -239,6 +236,7 @@ HOT_CLASSES: FrozenSet[str] = frozenset(
         "AdmissionGate",
         "Router",
         "ReplicaShadow",
+        "BusTelemetry",
         "PressureMonitor",
         "PoolResizer",
         "ResizePolicy",

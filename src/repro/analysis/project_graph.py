@@ -12,7 +12,7 @@ sources) and accumulates a project-wide graph:
 * ``Event`` subclasses, resolved transitively by base-class name,
 * every ``bus.emit(...)`` site with its constructed event class and
   whether a ``has_subscribers``/``.enabled`` guard encloses it,
-* every ``bus.subscribe(...)`` site with its event-type filter, resolved
+* every bus ``subscribe`` call site with its event-type filter, resolved
   through list literals, class attributes (``self._EVENT_TYPES``) and
   module-level tuples,
 * which functions emit without a local guard (the helpers
@@ -102,7 +102,7 @@ class EmitSite:
 
 @dataclass(frozen=True)
 class SubscribeSite:
-    """One ``<bus>.subscribe(handler, event_types)`` call site.
+    """One bus ``subscribe(handler, event_types)`` call site.
 
     ``events`` is the resolved type-filter names; ``None`` means the
     filter could not be resolved (or was omitted), which the rules treat

@@ -153,6 +153,14 @@ class DualManager(KVCacheManagerBase):
         return sum(m.take_onload_bytes(request_id) for m in self.managers)
 
     @property
+    def hit_tokens(self) -> int:
+        return sum(m.hit_tokens for m in self.managers)
+
+    @property
+    def lookup_tokens(self) -> int:
+        return sum(m.lookup_tokens for m in self.managers)
+
+    @property
     def prefix_hit_rate(self) -> float:
         # The model-wide hit is what *all* sides can serve.
         return min(m.prefix_hit_rate for m in self.managers)

@@ -478,7 +478,6 @@ def engine_bench(
     _assert_stats_equal(manager.allocator)
     manager.allocator.check_invariants()
     metrics = engine.metrics()
-    engine.close()
     total_tokens = sum(r.prompt_len + r.output_len for r in metrics.requests)
     wall = max(sum(step_lat), 1e-12)
     pcts = _percentiles(step_lat)
@@ -567,7 +566,7 @@ def routing_bench(
     machine-speed calibration.
     """
     from ..engine.scheduler import profile_config as _profile
-    from ..obs.cluster import slo_percentiles
+    from ..obs.cluster import ClusterReport
     from ..serving import ServingCluster
 
     model = get_model("gemma2-9b")
@@ -594,15 +593,10 @@ def routing_bench(
             if tag == "step":
                 step_lat.append(time.perf_counter() - t0)
         summary = cluster.summary()
-        requests_all: List = []
-        blocked = evictions = 0
+        report = ClusterReport.from_cluster(cluster)
         for replica in cluster.replicas:
             _assert_stats_equal(replica.manager.allocator)
             replica.manager.allocator.check_invariants()
-            requests_all.extend(summary.per_replica[replica.replica_id].requests)
-            counters = replica.registry.counters if replica.registry else {}
-            blocked += counters.get("pressure/admission_blocked", 0)
-            evictions += counters.get("pressure/evictions", 0)
         cluster.close()
         assert summary.finished == fanout * num_families, summary
         route_pcts = _percentiles(cluster.router.route_seconds)
@@ -620,10 +614,11 @@ def routing_bench(
             "routed_counts": list(summary.routed_counts),
             # Simulated-clock SLO + pressure: deterministic for a given
             # seed, so bench-compare gates them uncalibrated at ~1.0x.
-            "slo": slo_percentiles(requests_all),
+            "slo": report.slo,
             "pressure": {
-                "admission_blocked": blocked,
-                "evictions": evictions,
+                "admission_blocked": report.counters.get("pressure/admission_blocked", 0),
+                "evictions": report.counters.get("evict/small", 0)
+                + report.counters.get("evict/large", 0),
                 "preemptions": summary.preemptions,
             },
         }
@@ -713,7 +708,7 @@ def elastic_bench(
     from ..core.resizer import PoolResizer
     from ..engine.multi_model import MultiModelEngine
     from ..obs.pressure import PressureMonitor
-    from ..obs.registry import TelemetryRegistry
+    from ..obs.registry import BusTelemetry
 
     model = get_model("gemma2-9b")
     total_bytes = kv_budget(model, L4).kv_bytes // pool_divisor
@@ -721,8 +716,8 @@ def elastic_bench(
     rows: Dict[str, Dict] = {}
     for policy in policies:
         bus = EventBus(capacity=0)
-        registry = TelemetryRegistry()
-        monitor = PressureMonitor(bus, registry)
+        fold = BusTelemetry(bus)
+        fold.pressure = PressureMonitor(fold)
         engine = MultiModelEngine(
             {"a": model, "b": model}, L4, total_bytes,
             shared=True, events=bus,
@@ -731,8 +726,8 @@ def elastic_bench(
             config=profile_config("vllm", record_memory=True),
         )
         allocator = engine.engines["a"].manager.allocator
-        resizer = PoolResizer(
-            allocator, monitor, bus, policy=policy, interval=resize_interval
+        resizer = fold.resizer = PoolResizer(
+            allocator, fold.pressure, policy=policy, interval=resize_interval
         )
         for tenant, batch in elastic_requests(
             phases, requests_per_phase, seed=seed
@@ -784,13 +779,10 @@ def elastic_bench(
 
         _assert_stats_equal(allocator)
         allocator.check_invariants()
-        counters = registry.counters
-        finished = sum(
-            len(e.metrics().requests) for e in engine.engines.values()
-        )
+        counters = fold.registry.counters
+        finished = sum(len(e.finished) for e in engine.engines.values())
         failed = sum(len(e.failed) for e in engine.engines.values())
-        resizer.close()
-        monitor.close()
+        fold.close()
         wall = max(sum(step_lat), 1e-12)
         rows[policy] = {
             "finished": finished,
@@ -798,8 +790,8 @@ def elastic_bench(
             # Simulated-clock / event-count metrics: deterministic per
             # seed, gated uncalibrated under the resizer/ prefix.
             "admission_blocked": counters.get("pressure/admission_blocked", 0),
-            "evictions": counters.get("pressure/evictions", 0),
-            "preemptions": counters.get("pressure/preemptions", 0),
+            "evictions": counters.get("evict/small", 0) + counters.get("evict/large", 0),
+            "preemptions": counters.get("preempt/victim", 0) + counters.get("preempt/self", 0),
             "quota_moves": resizer.num_resizes,
             "reclaimed_large": resizer.num_reclaimed,
             "waste_bytes_p50": percentile(waste_samples, 0.50),

@@ -7,23 +7,24 @@ typed records onto one shared :class:`EventBus`.  The bus makes every
 five-step allocation decision (Section 5.4) and every eviction (Section 5)
 observable without print-debugging:
 
-* the allocator emits :class:`PageAllocated` tagged with the §5.4 step
-  (1-5) that satisfied it (or one :class:`PagesAllocated` per successful
-  batch call, carrying every page of the batch in a single record),
-  :class:`LargePageCarved` when a large page is
+* the allocator emits one :class:`PagesAllocated` per successful
+  allocation call, carrying every page of the call and the §5.4 step
+  (1-5) that satisfied each, :class:`LargePageCarved` when a large page is
   carved from the LCM pool, :class:`PageEvicted` for small- and large-page
   evictions, and :class:`PageReleased` when a request's last reference
   drops;
 * the KV manager emits :class:`PrefixHit` per prefix-cache lookup;
 * the engine emits the request lifecycle (:class:`RequestQueued`,
-  :class:`RequestAdmitted`, :class:`RequestPreempted`,
-  :class:`RequestFinished`, :class:`RequestFailed`) and one
-  :class:`StepCompleted` per engine step.
+  :class:`RequestAdmitted`, :class:`AdmissionBlocked`,
+  :class:`RequestPreempted`, :class:`RequestFinished`,
+  :class:`RequestFailed`) and one :class:`StepCompleted` per engine step.
 
-Consumers subscribe callbacks (optionally filtered by event type) or read
-the bounded ring buffer after the fact;
-:class:`~repro.engine.metrics.MetricsCollector` rebuilds the engine's
-step/preemption/prefix-hit counters purely from these events.
+The bus is observation only: nothing the stack computes is read back from
+it.  The engine keeps its own run record, admission reads the allocator's
+counters, and the one in-tree subscriber is
+:class:`~repro.obs.registry.BusTelemetry`, so an unobserved engine
+constructs no event at all.  Consumers subscribe callbacks (optionally
+filtered by event type) or read the bounded ring buffer after the fact.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "EventBus",
     "EventFanout",
     "Event",
-    "PageAllocated",
     "PagesAllocated",
     "LargePageCarved",
     "PageEvicted",
@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 # Human-readable names of the §5.4 five-step allocation algorithm, keyed by
-# the ``step`` field of :class:`PageAllocated`.  Step 0 is not part of the
+# the ``steps`` entries of :class:`PagesAllocated`.  Step 0 is not part of the
 # paper's algorithm: it tags the naive first-fit path taken when
 # request-aware allocation is disabled (the §4.3 ablation), so analytics
 # can tell it apart from a genuine step-4 fallback.
@@ -76,28 +76,12 @@ class Event:
 
 
 @dataclass(frozen=True)
-class PageAllocated(Event):
-    """One small page left the allocator via §5.4 step ``step`` (1-5,
-    or 0 for the request-aware-ablation first-fit path)."""
-
-    group_id: str
-    request_id: str
-    page_id: int
-    step: int
-
-    @property
-    def step_name(self) -> str:
-        return ALLOCATION_STEPS.get(self.step, f"step {self.step}")
-
-
-@dataclass(frozen=True)
 class PagesAllocated(Event):
-    """One batched ``allocate_pages`` call succeeded.
+    """One ``allocate_pages`` call succeeded: a single record per call.
 
-    The batched counterpart of :class:`PageAllocated`: a single record per
-    call instead of one per page.  ``steps[i]`` is the §5.4 step that
-    satisfied ``page_ids[i]``.  Consumers that count pool mutations must
-    treat this as ``len(page_ids)`` allocations.
+    ``steps[i]`` is the §5.4 step that satisfied ``page_ids[i]`` (1-5, or
+    0 for the request-aware-ablation first-fit path).  Consumers that
+    count pool mutations must treat this as ``len(page_ids)`` allocations.
     """
 
     group_id: str

@@ -259,8 +259,15 @@ class JengaKVCacheManager(KVCacheManagerBase):
             with tracer.span(
                 "prefix_lookup", cat="kv", args={"request": seq.request_id}
             ):
-                return self._lookup_and_acquire(seq, bindings)
-        return self._lookup_and_acquire(seq, bindings)
+                hit = self._lookup_and_acquire(seq, bindings)
+        else:
+            hit = self._lookup_and_acquire(seq, bindings)
+        # The one place a lookup is counted and published.
+        self.lookup_tokens += len(seq)
+        self.hit_tokens += hit
+        if self.events.has_subscribers(PrefixHit):
+            self.events.emit(PrefixHit(seq.request_id, hit, len(seq)))
+        return hit
 
     def _lookup_and_acquire(
         self, seq: SequenceSpec, bindings: Dict[str, GroupBinding]
@@ -336,10 +343,7 @@ class JengaKVCacheManager(KVCacheManagerBase):
             hit_global = longest_common_prefix(
                 seq, valid, tags, max_global=cap_global
             )
-        self.lookup_tokens += len(seq)
         if hit_global <= 0:
-            if self.events.has_subscribers(PrefixHit):
-                self.events.emit(PrefixHit(seq.request_id, 0, len(seq)))
             return 0
 
         acquired: List[Tuple[str, int]] = []
@@ -382,12 +386,7 @@ class JengaKVCacheManager(KVCacheManagerBase):
                 self.allocator.release_page(group_id, page_id, cacheable=True)
             for group_id in self.specs:
                 bindings[group_id] = GroupBinding()
-            if self.events.has_subscribers(PrefixHit):
-                self.events.emit(PrefixHit(seq.request_id, 0, len(seq)))
             return 0
-        self.hit_tokens += hit_global
-        if self.events.has_subscribers(PrefixHit):
-            self.events.emit(PrefixHit(seq.request_id, hit_global, len(seq)))
         return hit_global
 
     def _stream_of(self, seq: SequenceSpec, group_id: str) -> List[int]:

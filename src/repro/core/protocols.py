@@ -41,6 +41,10 @@ class KVCacheManager(Protocol):
 
     name: str
     events: EventBus
+    #: Prompt tokens served from / looked up in the prefix cache so far
+    #: (the engine's run record reports them).
+    hit_tokens: int
+    lookup_tokens: int
 
     # -- request lifecycle ---------------------------------------------
 
@@ -168,6 +172,8 @@ class KVCacheManagerBase:
     """
 
     name = "abstract"
+    hit_tokens = 0
+    lookup_tokens = 0
 
     def __init__(self, events: Optional[EventBus] = None) -> None:
         self.events: EventBus = events if events is not None else EventBus()

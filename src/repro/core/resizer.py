@@ -4,16 +4,17 @@ The sensing half of the ROADMAP's elastic-repartitioning item shipped
 with :class:`~repro.obs.pressure.PressureMonitor`: per-replica EWMA rates
 for admission blocks, evictions, and preemptions, condensed into a
 composite ``pressure/score`` gauge.  This module is the actuator.
-:class:`PoolResizer` subscribes to :class:`~repro.core.events.StepCompleted`
-on the same bus, and every ``interval`` simulated steps folds the
-monitor's per-group pressure components together with the allocator's
-live ownership counters into a :class:`GroupPressure` observation per
-group, asks its :class:`ResizePolicy` for desired quotas, and applies the
-changes through :meth:`~repro.core.two_level.TwoLevelAllocator.set_quota`
--- which deflates over-quota groups (fully-evictable large pages first)
-and publishes one guarded :class:`~repro.core.events.QuotaResized` record
-per move, so admission snapshots, telemetry counters, and Chrome-trace
-timelines all see every resize.
+:class:`PoolResizer` is ticked once per engine step (``on_step()``, by the
+:class:`~repro.obs.registry.BusTelemetry` fold right after it refreshed
+the monitor), and every ``interval`` steps folds the monitor's per-group
+pressure components together with the allocator's live ownership counters
+into a :class:`GroupPressure` observation per group, asks its
+:class:`ResizePolicy` for desired quotas, and applies the changes through
+:meth:`~repro.core.two_level.TwoLevelAllocator.set_quota` -- which
+deflates over-quota groups (fully-evictable large pages first), moves the
+allocator ``version`` admission is keyed on, and publishes one guarded
+:class:`~repro.core.events.QuotaResized` record per move, so telemetry
+counters and Chrome-trace timelines see every resize.
 
 Three registered policies make elastic and fixed partitioning comparable
 on the same workload (``benchmarks/bench_allocator.py``'s elastic sweep):
@@ -37,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Protocol, Tuple, Union
 
-from .events import Event, EventBus, StepCompleted
 from .two_level import TwoLevelAllocator
 
 __all__ = [
@@ -249,22 +249,19 @@ def make_resize_policy(name: str) -> ResizePolicy:
 
 
 class PoolResizer:
-    """Bus subscriber that turns pressure telemetry into quota moves.
+    """Control loop that turns pressure telemetry into quota moves.
 
-    Subscribes to :class:`~repro.core.events.StepCompleted` on
-    construction; every ``interval`` steps it runs one
-    :meth:`rebalance` pass.  With ``partition_on_start`` (the default)
-    the construction-time quota layout is an equal split of the
+    Call :meth:`on_step` once per engine step; every ``interval`` calls
+    it runs one :meth:`rebalance` pass.  With ``partition_on_start`` (the
+    default) the construction-time quota layout is an equal split of the
     large-page pool over all groups -- the fixed baseline ``static``
-    keeps and the elastic policies move away from.  Call :meth:`close`
-    when the run is over (same contract as the telemetry subscribers).
+    keeps and the elastic policies move away from.
     """
 
     def __init__(
         self,
         allocator: TwoLevelAllocator,
         monitor: PressureSource,
-        events: EventBus,
         policy: Union[str, ResizePolicy] = "hysteresis",
         interval: int = 32,
         partition_on_start: bool = True,
@@ -273,24 +270,15 @@ class PoolResizer:
             raise ValueError(f"resize interval must be positive, got {interval}")
         self.allocator = allocator
         self.monitor = monitor
-        self.events = events
         self.policy = make_resize_policy(policy) if isinstance(policy, str) else policy
         self.interval = interval
         self._steps = 0
-        self._closed = False
         # Control-loop effectiveness counters (benchmark introspection).
         self.num_decides = 0
         self.num_resizes = 0
         self.num_reclaimed = 0
         if partition_on_start:
             self._partition()
-        events.subscribe(self._on_event, (StepCompleted,))
-
-    def close(self) -> None:
-        """Unsubscribe from the bus (idempotent)."""
-        if not self._closed:
-            self.events.unsubscribe(self._on_event)
-            self._closed = True
 
     # ------------------------------------------------------------------
 
@@ -305,18 +293,18 @@ class PoolResizer:
         for index, group_id in enumerate(group_ids):
             allocator.set_quota(group_id, share + (1 if index < leftover else 0))
 
-    def _on_event(self, event: Event) -> None:
-        if isinstance(event, StepCompleted):
-            self._steps += 1
-            if self._steps % self.interval == 0:
-                self.rebalance()
+    def on_step(self) -> None:
+        """One engine step completed; rebalance on every ``interval``-th."""
+        self._steps += 1
+        if self._steps % self.interval == 0:
+            self.rebalance()
 
     def rebalance(self) -> int:
         """Run one observe/decide/apply pass; returns quotas moved.
 
         Control plane: O(#groups) per pass, never O(pages), and runs once
         per ``interval`` steps -- the per-step cost of an attached resizer
-        is one isinstance check and one counter bump.
+        is one counter bump.
         """
         allocator = self.allocator
         rates = self.monitor.group_eviction_rates()

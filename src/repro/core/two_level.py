@@ -35,7 +35,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .events import (
     EventBus,
     LargePageCarved,
-    PageAllocated,
     PageEvicted,
     PageReleased,
     PagesAllocated,
@@ -247,7 +246,7 @@ class TwoLevelAllocator:
         # (group_id, block_hash, page_bytes).  The KV manager uses it to
         # spill evicted blocks to a host-memory offload tier (Section 8).
         self.eviction_listener: Optional[Callable[[str, int, int], None]] = None
-        # Event bus receiving PageAllocated/LargePageCarved/PageEvicted/
+        # Event bus receiving PagesAllocated/LargePageCarved/PageEvicted/
         # PageReleased records; None keeps emission free for direct
         # constructions (property tests, micro-benchmarks).
         self.events = events
@@ -257,18 +256,13 @@ class TwoLevelAllocator:
     # ------------------------------------------------------------------
 
     def allocate_page(self, group_id: str, request_id: str) -> Optional[SmallPage]:
-        """Allocate one small page of ``group_id`` for ``request_id``.
+        """Allocate one small page: ``allocate_pages(..., 1)`` unwrapped.
 
         Returns ``None`` when every step fails (all memory pinned by running
         requests); the caller must preempt.
         """
-        taken = self._allocate_one(self.groups[group_id], request_id)
-        if taken is None:
-            return None
-        page, step = taken
-        if self.events is not None and self.events.has_subscribers(PageAllocated):
-            self.events.emit(PageAllocated(group_id, request_id, page.page_id, step))
-        return page
+        pages = self.allocate_pages(group_id, request_id, 1)
+        return pages[0] if pages else None
 
     def allocate_pages(
         self, group_id: str, request_id: str, n: int

@@ -52,11 +52,11 @@ class LLMEngine:
         config: Scheduler knobs.
         cost_model: Override the default roofline cost model (tests use a
             unit-cost model for determinism).
-        events: Event bus the whole stack publishes to.  The engine owns
-            one bus per instance (so per-engine metrics stay exact even
-            when managers share an allocator) and rebinds the manager onto
-            it.  The default is capture-free (``EventBus(capacity=0)``):
-            an event type no observer subscribes to is never constructed.
+        events: Event bus the whole stack publishes to; the engine rebinds
+            the manager onto it.  Observation only -- the engine's own
+            results (:attr:`steps`, :meth:`metrics`) never pass through
+            it.  The default is capture-free (``EventBus(capacity=0)``)
+            with no subscriber, so no event of any type is constructed.
             Pass a bus explicitly to share it across components or to get
             ring capture (``EventBus()``) for after-the-fact inspection.
         tracer: Span tracer for wall-clock step profiling.  Defaults to
@@ -88,7 +88,7 @@ class LLMEngine:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         manager.bind_events(self.events)
         manager.bind_tracer(self.tracer)
-        self.collector = MetricsCollector(self.events)
+        self.collector = MetricsCollector(manager)
         self.clock = 0.0
         self.waiting = WaitingQueue(events=self.events, tracer=self.tracer)
         self.running: List[Request] = []
@@ -107,7 +107,7 @@ class LLMEngine:
 
     @property
     def steps(self) -> List[StepRecord]:
-        """Per-step records, accumulated by the event-bus collector."""
+        """Per-step records, appended by :meth:`_complete_step`."""
         return self.collector.steps
 
     # ------------------------------------------------------------------
@@ -133,13 +133,9 @@ class LLMEngine:
         return self.metrics()
 
     def close(self) -> None:
-        """Detach this engine's bus subscriptions (idempotent).
-
-        Call when the engine is done and its bus outlives it (shared or
-        reused buses would otherwise keep feeding the dead collector).
-        :meth:`metrics` stays valid after closing.
-        """
-        self.collector.close()
+        """End of run.  The engine subscribes to nothing, so there is
+        nothing to detach; callers that end every run with ``close()``
+        (replicas, harnesses) keep working."""
 
     def metrics(self) -> EngineMetrics:
         return EngineMetrics(
@@ -268,9 +264,9 @@ class LLMEngine:
     # ------------------------------------------------------------------
 
     def _complete_step(self, record: StepRecord) -> StepRecord:
-        """Step bookkeeping shared with subclasses: index, admission
-        cooldown, and the :class:`StepCompleted` emission (which is what
-        appends ``record`` to :attr:`steps` via the collector)."""
+        """Step bookkeeping shared with subclasses: the run record, index,
+        admission cooldown, and the :class:`StepCompleted` emission."""
+        self.collector.steps.append(record)
         self._step_index += 1
         if record.num_preemptions:
             self._admission_cooldown = self._PREEMPTION_COOLDOWN_STEPS
@@ -359,25 +355,8 @@ class LLMEngine:
             if not self.manager.can_admit(
                 seq, self.config.watermark_pages, self.config.max_num_batched_tokens
             ):
-                self.manager.release(seq, cacheable=True)
-                if not self.running and self.manager.foreign_used_bytes() == 0:
-                    # Even an empty GPU cannot host this request: permanent
-                    # failure (the paper's Ministral-on-L4 vLLM case).  On
-                    # a shared pool "empty" must mean the *pool*, not this
-                    # engine: co-tenant USED bytes explain the refusal, so
-                    # the request blocks and retries once they drain.
-                    self.waiting.pop_ready(now)
-                    request.state = RequestState.FINISHED
-                    self.failed.append(request)
-                    if self.events.has_subscribers(RequestFailed):
-                        self.events.emit(RequestFailed(request.request_id, now))
+                if self._refuse(request, now):
                     continue
-                if self.events.has_subscribers(AdmissionBlocked):
-                    self.events.emit(AdmissionBlocked(
-                        seq.request_id, now,
-                        queue_depth=len(self.waiting),
-                        num_running=len(self.running),
-                    ))
                 # Version is read *after* the release so the probe's own
                 # (count-net-zero) acquire/release moves are absorbed.
                 self._admission_gate.note_blocked(
@@ -385,17 +364,10 @@ class LLMEngine:
                 )
                 break
             if self.model.vision is not None and seq.image_spans and not request.encoder_done:
-                if self.manager.has_vision_cache:
-                    if not self.manager.allocate_vision(seq):
-                        self.manager.release(seq, cacheable=True)
-                        if not self.running and self.manager.foreign_used_bytes() == 0:
-                            self.waiting.pop_ready(now)
-                            request.state = RequestState.FINISHED
-                            self.failed.append(request)
-                            if self.events.has_subscribers(RequestFailed):
-                                self.events.emit(RequestFailed(request.request_id, now))
-                            continue
-                        break
+                if self.manager.has_vision_cache and not self.manager.allocate_vision(seq):
+                    if self._refuse(request, now):
+                        continue
+                    break
                 # The encoder runs once at admission.  Without an embedding
                 # cache it will run *again* on every prefill chunk (see
                 # _charge_reencode), which is Figure 18's baseline.
@@ -418,6 +390,33 @@ class LLMEngine:
             # preempt/readmit cycles; otherwise a readmitted early request
             # lands at the back and is immediately re-victimized (thrash).
             self.running.sort(key=lambda r: (r.arrival_time, r.request_id))
+
+    def _refuse(self, request: Request, now: float) -> bool:
+        """Undo the queue head's failed admission probe.
+
+        Returns ``True`` when the request failed permanently and left the
+        queue (keep admitting), ``False`` when it is merely blocked.
+        """
+        self.manager.release(request.seq, cacheable=True)
+        if not self.running and self.manager.foreign_used_bytes() == 0:
+            # Even an empty GPU cannot host this request: permanent
+            # failure (the paper's Ministral-on-L4 vLLM case).  On a
+            # shared pool "empty" must mean the *pool*, not this engine:
+            # co-tenant USED bytes explain the refusal, so the request
+            # blocks and retries once they drain.
+            self.waiting.pop_ready(now)
+            request.state = RequestState.FINISHED
+            self.failed.append(request)
+            if self.events.has_subscribers(RequestFailed):
+                self.events.emit(RequestFailed(request.request_id, now))
+            return True
+        if self.events.has_subscribers(AdmissionBlocked):
+            self.events.emit(AdmissionBlocked(
+                request.request_id, now,
+                queue_depth=len(self.waiting),
+                num_running=len(self.running),
+            ))
+        return False
 
     def _charge_reencode(self, request: Request, work: StepWork) -> None:
         """Vision-encoder rerun cost for engines without an embedding cache."""
@@ -482,6 +481,7 @@ class LLMEngine:
         self.running.remove(victim)
         if tracing:
             tracer.end_span()
+        self.collector.preemptions += 1
         if self.events.has_subscribers(RequestPreempted):
             self.events.emit(RequestPreempted(victim.request_id, self.clock, reason=reason))
         self.waiting.push(victim)

@@ -9,9 +9,8 @@ Figure 16 reads the per-step memory snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-from ..core.events import Event, EventBus, PrefixHit, RequestPreempted, StepCompleted
 from ..core.math_utils import percentile as _percentile
 
 __all__ = [
@@ -93,46 +92,27 @@ class RequestMetrics:
 
 
 class MetricsCollector:
-    """Event-bus consumer that rebuilds the engine's running counters.
+    """One engine's run record, written by that engine.
 
-    The engine does not maintain a step list or preemption tally itself;
-    it emits :class:`~repro.core.events.StepCompleted` /
-    :class:`~repro.core.events.RequestPreempted` /
-    :class:`~repro.core.events.PrefixHit` records, and this collector --
-    subscribed to the engine's bus -- accumulates them.  Any other
-    consumer (a live dashboard, a trace writer) can subscribe alongside
-    without the engine knowing.
+    A plain tally object, not a bus subscriber: the engine appends each
+    :class:`StepRecord` and counts each preemption where it happens, and
+    the prefix-cache tallies are the manager's own lookup counters.  What
+    an engine reports therefore never depends on who listens to its bus,
+    and stays per-engine when several engines share one.
     """
 
-    def __init__(self, events: EventBus) -> None:
-        self.events = events
+    def __init__(self, manager: Any) -> None:
+        self._manager = manager
         self.steps: List[StepRecord] = []
         self.preemptions = 0
-        self.prefix_hit_tokens = 0
-        self.prefix_lookup_tokens = 0
-        self._closed = False
-        events.subscribe(self._on_event, [StepCompleted, RequestPreempted, PrefixHit])
 
-    def close(self) -> None:
-        """Unsubscribe from the bus (idempotent).
+    @property
+    def prefix_hit_tokens(self) -> int:
+        return self._manager.hit_tokens
 
-        Collected state stays readable afterwards.  Without this, every
-        engine run against a shared/reused bus leaks one dead handler
-        that keeps counting other engines' events.
-        """
-        if not self._closed:
-            self.events.unsubscribe(self._on_event)
-            self._closed = True
-
-    def _on_event(self, event: Event) -> None:
-        if isinstance(event, StepCompleted):
-            if event.record is not None:
-                self.steps.append(event.record)
-        elif isinstance(event, RequestPreempted):
-            self.preemptions += 1
-        elif isinstance(event, PrefixHit):
-            self.prefix_hit_tokens += event.hit_tokens
-            self.prefix_lookup_tokens += event.lookup_tokens
+    @property
+    def prefix_lookup_tokens(self) -> int:
+        return self._manager.lookup_tokens
 
 
 @dataclass
@@ -142,7 +122,7 @@ class EngineMetrics:
     steps: List[StepRecord] = field(default_factory=list)
     requests: List[RequestMetrics] = field(default_factory=list)
     prefix_hit_rate: float = 0.0
-    # Event-bus-derived tallies (see MetricsCollector).
+    # The engine's own tallies (see MetricsCollector).
     preemptions: int = 0
     prefix_hit_tokens: int = 0
     prefix_lookup_tokens: int = 0

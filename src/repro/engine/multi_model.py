@@ -83,13 +83,9 @@ class MultiModelEngine:
             silently run different page sizes.
         events: One bus shared by *every* deployment's engine.  ``None``
             (default) keeps per-engine private buses.  A shared bus is how
-            pool-level control loops (``PressureMonitor`` + ``PoolResizer``
-            in the elastic benchmark) observe all tenants' admission and
-            step traffic in one place; the trade-off is that bus-derived
-            collector tallies (step lists, preemption counts) merge across
-            deployments, so per-deployment metrics should then come from
-            each engine's own finished-request list or from registry
-            counters, not from ``MetricsCollector``.
+            a pool-level fold (``BusTelemetry`` with its pressure and
+            resizer views, as in the elastic benchmark) observes all
+            tenants' admission and step traffic in one place.
     """
 
     def __init__(

@@ -9,15 +9,16 @@ The subsystem closes the ROADMAP's "engine-step profiling hooks" item:
   :class:`~repro.engine.metrics.StepRecord`.
 * :mod:`repro.obs.registry` -- :class:`TelemetryRegistry` (counters,
   gauges, fixed-bucket histograms, bounded timelines) fed from the
-  allocation-event bus by :class:`BusTelemetry`.
+  allocation-event bus by :class:`BusTelemetry`, the one fold every
+  event is counted in.
 * :mod:`repro.obs.export` -- Chrome trace-event JSON (open it at
   https://ui.perfetto.dev) and plain-text/JSON summary reports, surfaced
   as ``repro.cli trace`` / ``repro.cli report`` and inside
   ``BENCH_alloc.json``'s per-phase breakdown.
-* :mod:`repro.obs.pressure` -- :class:`PressureMonitor`, the bus
-  subscriber folding admission blocks, eviction provenance, preemptions,
-  and the waste timeline into per-replica/per-group pressure gauges (the
-  sensing half of the ROADMAP's ``PoolResizer``).
+* :mod:`repro.obs.pressure` -- :class:`PressureMonitor`, the view that
+  turns the fold's per-step counter deltas (admission blocks, evictions,
+  preemptions) and the waste snapshot into per-replica/per-group pressure
+  gauges (the sensing half of ``PoolResizer``).
 * :mod:`repro.obs.cluster` -- cluster-scope views: the merged
   multi-replica Chrome trace (one pid lane pair per replica plus a
   cluster router lane) and :class:`ClusterReport`, the TTFT/TBT/e2e SLO

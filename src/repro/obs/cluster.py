@@ -7,8 +7,8 @@ Two cluster-level views over the per-replica observability PR 4 built:
   pid 0 is the cluster lane (router decisions as instant events on the
   *simulated* clock), and each replica ``i`` owns two lanes mirroring the
   single-engine exporter's wall/sim split: pid ``2i+1`` for wall-clock
-  spans, pid ``2i+2`` for sim-clock ``mem/*`` and ``pressure/*`` counter
-  tracks.  The merged payload passes
+  spans, pid ``2i+2`` for sim-clock ``mem/*``, ``pressure/*`` and
+  ``resize/*`` (quota staircase) counter tracks.  The merged payload passes
   :func:`~repro.obs.export.validate_chrome_trace` like every other trace
   this repo writes.
 * :class:`ClusterReport` folds the per-replica
@@ -20,8 +20,8 @@ Two cluster-level views over the per-replica observability PR 4 built:
   Markdown tables CI writes to the job summary.
 
 This module is presentation-layer (it sorts and formats freely); the
-per-event work happens in :mod:`repro.obs.registry` and
-:mod:`repro.obs.pressure`.
+per-event work happens in the one bus fold, :mod:`repro.obs.registry`,
+and the per-step pressure math in :mod:`repro.obs.pressure`.
 """
 
 from __future__ import annotations
@@ -100,7 +100,8 @@ def cluster_chrome_trace(cluster: "ServingCluster") -> Dict[str, Any]:
         if replica.registry is not None:
             events.extend(
                 timeline_counter_events(
-                    replica.registry, sim_pid, prefixes=("mem/", "pressure/")
+                    replica.registry, sim_pid,
+                    prefixes=("mem/", "pressure/", "resize/"),
                 )
             )
     return {"traceEvents": events, "displayTimeUnit": "ms"}

@@ -1,63 +1,45 @@
-"""Pool-pressure monitor: bus events -> per-replica pressure gauges.
+"""Pool-pressure view: the fold's counters -> per-replica pressure gauges.
 
-:class:`PressureMonitor` is the sensing half of the ROADMAP's elastic
-pool-repartitioning item: a single :class:`~repro.core.events.EventBus`
-subscriber that folds the pressure-bearing event stream -- admission
-blocks (:class:`~repro.core.events.AdmissionBlocked`), eviction
-provenance (:class:`~repro.core.events.PageEvicted`), preemptions, and
-the per-step waste/occupancy snapshot -- into gauges, counters, and
-sim-clock timelines a future ``PoolResizer`` (or a human reading
-``cluster-report``) can act on.
-
-Per-step rates are folded as exponentially-weighted moving averages at
-every :class:`~repro.core.events.StepCompleted`, so the gauges answer
-"how hard is this replica's pool being squeezed *right now*", not "how
-many evictions ever happened".  The composite ``pressure/score`` in
-``[0, 1]`` is the max of the block-rate, preemption-rate, and
-non-reclaimable-occupancy terms: any one of them saturating means the
-pool is the bottleneck.
-
-Like :class:`~repro.obs.registry.BusTelemetry`, the monitor is just a
-subscriber: attaching it never touches engine code, and :meth:`close`
-detaches it so reused buses do not keep feeding a dead registry.
+:class:`PressureMonitor` is the sensing half of elastic pool
+repartitioning.  It subscribes to nothing: the
+:class:`~repro.obs.registry.BusTelemetry` fold counts admission blocks,
+evictions (total and per group) and preemptions once, and ticks this view
+from its ``StepCompleted`` handler.  The view turns the *per-step deltas*
+of those counters into exponentially-weighted moving averages, so the
+gauges answer "how hard is this replica's pool being squeezed *right
+now*", not "how many evictions ever happened".  The composite
+``pressure/score`` in ``[0, 1]`` is the max of the block-rate,
+preemption-rate, and non-reclaimable-occupancy terms: any one of them
+saturating means the pool is the bottleneck.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict
 
-from ..core.events import (
-    AdmissionBlocked,
-    Event,
-    EventBus,
-    PageEvicted,
-    QuotaResized,
-    RequestPreempted,
-    StepCompleted,
-)
-from .registry import TelemetryRegistry
+from .registry import BusTelemetry, KeyMemo
 
 __all__ = ["PressureMonitor"]
 
 #: EWMA weight for per-step rates: ~the last ``1/alpha`` steps dominate.
 _EWMA_ALPHA = 0.2
 
+#: EWMA gauge -> the fold counters whose per-step delta it averages.
+_RATE_INPUTS = {
+    "pressure/blocked_rate": ("pressure/admission_blocked",),
+    "pressure/eviction_rate": ("evict/small", "evict/large"),
+    "pressure/preemption_rate": ("preempt/victim", "preempt/self"),
+}
+
 
 class PressureMonitor:
-    """Fold pressure-bearing bus events into registry gauges/timelines.
+    """EWMA/score math over a :class:`BusTelemetry` fold's counters.
 
-    Subscribes on construction.  Counters (monotonic):
-
-    * ``pressure/admission_blocked`` -- failed admission probes,
-    * ``pressure/evictions`` / ``pressure/group/<gid>/evictions``,
-    * ``pressure/preemptions``.
-
-    Gauges (folded per step):
+    Gauges (folded per step, all in the fold's registry):
 
     * ``pressure/blocked_rate`` / ``pressure/eviction_rate`` /
       ``pressure/preemption_rate`` -- EWMA events-per-step,
     * ``pressure/group/<gid>/eviction_rate`` -- per-group EWMA,
-    * ``pressure/queue_depth`` -- waiting requests behind a blocked head,
     * ``pressure/waste_frac`` / ``pressure/occupancy`` -- from the step's
       :class:`~repro.engine.metrics.MemorySnapshot` (needs
       ``record_memory``); occupancy counts only non-reclaimable bytes,
@@ -66,58 +48,22 @@ class PressureMonitor:
 
     ``pressure/score`` and ``pressure/waste_frac`` are also recorded as
     sim-clock timelines, so the squeeze is plottable next to the ``mem/*``
-    tracks in the merged cluster trace.
+    tracks in the merged cluster trace.  The counters it reads
+    (``pressure/admission_blocked``, ``evict/*``, ``preempt/*``) and the
+    ``pressure/queue_depth`` gauge are the fold's.
     """
 
-    _EVENT_TYPES = (
-        AdmissionBlocked,
-        PageEvicted,
-        QuotaResized,
-        RequestPreempted,
-        StepCompleted,
-    )
-
-    def __init__(
-        self, events: EventBus, registry: Optional[TelemetryRegistry] = None
-    ) -> None:
-        self.events = events
-        self.registry = registry if registry is not None else TelemetryRegistry()
-        self._closed = False
-        # Current-step accumulators, zeroed at every StepCompleted.
-        self._blocks = 0
-        self._evictions = 0
-        self._preemptions = 0
-        self._group_window: Dict[str, int] = {}
-        # EWMA state per rate name (and per group id).
-        self._rates: Dict[str, float] = {}
+    def __init__(self, telemetry: BusTelemetry) -> None:
+        self.registry = telemetry.registry
+        self._group_keys = telemetry.group_eviction_keys
+        # Counter name -> its value at the previous step (delta baseline;
+        # whatever the fold counted before this view existed is not its).
+        self._seen: Dict[str, int] = dict(self.registry.counters)
+        # EWMA state per gauge name, and per group id.
+        self._rates: Dict[str, float] = dict.fromkeys(_RATE_INPUTS, 0.0)
         self._group_rates: Dict[str, float] = {}
-        # Memoized counter/gauge key strings: PageEvicted fires per page,
-        # so the handler must not pay an f-string per event.
-        self._group_count_keys: Dict[str, str] = {}
-        self._group_rate_keys: Dict[str, str] = {}
-        self._group_quota_keys: Dict[str, str] = {}
+        self._group_rate_keys = KeyMemo("pressure/group/", "/eviction_rate")
         self.score = 0.0
-        # Latest simulated-clock step time, so resize timeline points land
-        # next to the pressure/score track even though QuotaResized itself
-        # carries no timestamp.
-        self._time = 0.0
-        events.subscribe(self._on_event, self._EVENT_TYPES)
-
-    def close(self) -> None:
-        """Unsubscribe from the bus (idempotent)."""
-        if not self._closed:
-            self.events.unsubscribe(self._on_event)
-            self._closed = True
-
-    # ------------------------------------------------------------------
-
-    def gauges(self) -> Dict[str, float]:
-        """The registry's ``pressure/*`` gauges (reporting convenience)."""
-        out = {}
-        for name, value in self.registry.gauges.items():
-            if name.startswith("pressure/"):
-                out[name] = value
-        return out
 
     def group_eviction_rates(self) -> Dict[str, float]:
         """Per-group EWMA eviction rates (events/step), a fresh copy.
@@ -130,58 +76,20 @@ class PressureMonitor:
 
     # ------------------------------------------------------------------
 
-    def _on_event(self, event: Event) -> None:
+    def on_step(self, time: float, memory: Any) -> None:
+        """Close this step's window: fold counter deltas into the gauges."""
         reg = self.registry
-        if isinstance(event, AdmissionBlocked):
-            self._blocks += 1
-            reg.inc("pressure/admission_blocked")
-            reg.set_gauge("pressure/queue_depth", float(event.queue_depth))
-        elif isinstance(event, PageEvicted):
-            self._evictions += 1
-            gid = event.group_id
-            key = self._group_count_keys.get(gid)
-            if key is None:
-                key = self._group_count_keys[gid] = f"pressure/group/{gid}/evictions"
-                self._group_rate_keys[gid] = f"pressure/group/{gid}/eviction_rate"
-                self._group_rates[gid] = 0.0
-            reg.inc("pressure/evictions")
-            reg.inc(key)
-            self._group_window[gid] = self._group_window.get(gid, 0) + 1
-        elif isinstance(event, RequestPreempted):
-            self._preemptions += 1
-            reg.inc("pressure/preemptions")
-        elif isinstance(event, QuotaResized):
-            # One record per resize decision (control plane): the quota
-            # staircase lands on the sim-clock timeline next to
-            # pressure/score, so Chrome traces show each counter step.
-            gid = event.group_id
-            key = self._group_quota_keys.get(gid)
-            if key is None:
-                key = self._group_quota_keys[gid] = f"pressure/group/{gid}/quota"
-            reg.inc("pressure/quota_resized")
-            if event.new_quota is not None:
-                reg.set_gauge(key, float(event.new_quota))
-                reg.record_point(key, self._time, float(event.new_quota))
-        elif isinstance(event, StepCompleted):
-            self._on_step(event)
-
-    def _on_step(self, event: StepCompleted) -> None:
-        reg = self.registry
-        self._time = event.time
-        blocked = self._fold("blocked_rate", self._blocks)
-        self._fold("eviction_rate", self._evictions)
-        preempted = self._fold("preemption_rate", self._preemptions)
-        self._blocks = self._evictions = self._preemptions = 0
-        for gid in self._group_rates:
-            prev = self._group_rates[gid]
-            cur = prev + _EWMA_ALPHA * (self._group_window.get(gid, 0) - prev)
-            self._group_rates[gid] = cur
+        for gauge, counters in _RATE_INPUTS.items():
+            window = sum(self._delta(name) for name in counters)
+            prev = self._rates[gauge]
+            self._rates[gauge] = cur = prev + _EWMA_ALPHA * (window - prev)
+            reg.set_gauge(gauge, cur)
+        for gid, key in self._group_keys.items():
+            prev = self._group_rates.get(gid, 0.0)
+            self._group_rates[gid] = cur = prev + _EWMA_ALPHA * (self._delta(key) - prev)
             reg.set_gauge(self._group_rate_keys[gid], cur)
-        self._group_window.clear()
 
         occupancy = 0.0
-        record = event.record
-        memory = getattr(record, "memory", None)
         if memory is not None:
             total = (
                 memory.used_bytes + memory.evictable_bytes
@@ -194,22 +102,20 @@ class PressureMonitor:
                 occupancy = 1.0 - (memory.free_bytes + memory.evictable_bytes) / total
                 reg.set_gauge("pressure/waste_frac", waste_frac)
                 reg.set_gauge("pressure/occupancy", occupancy)
-                reg.record_point("pressure/waste_frac", event.time, waste_frac)
+                reg.record_point("pressure/waste_frac", time, waste_frac)
 
-        score = blocked
-        if preempted > score:
-            score = preempted
-        if occupancy > score:
-            score = occupancy
-        if score > 1.0:
-            score = 1.0
+        score = min(1.0, max(
+            self._rates["pressure/blocked_rate"],
+            self._rates["pressure/preemption_rate"],
+            occupancy,
+        ))
         self.score = score
         reg.set_gauge("pressure/score", score)
-        reg.record_point("pressure/score", event.time, score)
+        reg.record_point("pressure/score", time, score)
 
-    def _fold(self, name: str, window: int) -> float:
-        prev = self._rates.get(name, 0.0)
-        cur = prev + _EWMA_ALPHA * (window - prev)
-        self._rates[name] = cur
-        self.registry.set_gauge(f"pressure/{name}", cur)
-        return cur
+    def _delta(self, name: str) -> int:
+        """How far counter ``name`` moved since the previous step."""
+        now = self.registry.counters.get(name, 0)
+        delta = now - self._seen.get(name, 0)
+        self._seen[name] = now
+        return delta

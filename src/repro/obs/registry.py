@@ -1,18 +1,19 @@
-"""Telemetry registry: counters, gauges, histograms, timelines -- bus-fed.
+"""Telemetry registry and the one bus fold that feeds it.
 
 :class:`TelemetryRegistry` is a plain in-process metrics store; it knows
-nothing about the serving stack.  :class:`BusTelemetry` is the adapter: a
-single :class:`~repro.core.events.EventBus` subscriber that turns the
-structured allocation events the stack already emits into registry
+nothing about the serving stack.  :class:`BusTelemetry` is the adapter and
+the only :class:`~repro.core.events.EventBus` subscriber in the tree: it
+counts every event the stack emits exactly once into registry
 instruments:
 
 * the Section 5.4 five-step decision histogram (``alloc/step/<n>``
   counters keyed by :data:`~repro.core.events.ALLOCATION_STEPS`),
-* eviction provenance -- small vs. large level, and balanced
-  (recency-keyed) vs. aligned (prefix-length tie-break) priority
-  (Section 5.1),
-* preemption reasons (``victim`` vs. ``self``), request lifecycle tallies,
-  prefix-cache token counters, host-offload spill volume,
+* eviction provenance -- small vs. large level, per group
+  (``evict/group/<gid>``), and balanced (recency-keyed) vs. aligned
+  (prefix-length tie-break) priority (Section 5.1),
+* preemption reasons (``victim`` vs. ``self``), blocked admissions,
+  request lifecycle tallies, prefix-cache token counters, host-offload
+  spill volume, quota moves (``resize/*``),
 * routing decisions (``routing/policy/<name>``, ``routing/replica/<id>``,
   expected hit tokens) when attached to a serving replica's bus,
 * the memory / waste / fragmentation timeline sampled from each step's
@@ -21,9 +22,12 @@ instruments:
 * per-phase wall-time histograms from ``StepRecord.phases`` when the
   engine ran with a tracer attached.
 
-Because it is just another subscriber, attaching telemetry never touches
-engine code; detach with :meth:`BusTelemetry.close` so reused buses do not
-accumulate dead handlers.
+Everything derived from those counts is a *view* ticked by the fold's one
+``StepCompleted`` handler, in a fixed written order: counters, then the
+pressure EWMAs (:class:`~repro.obs.pressure.PressureMonitor`), then the
+resizer (:class:`~repro.core.resizer.PoolResizer`).  Attaching the fold
+never touches engine code; detach with :meth:`BusTelemetry.close` so
+reused buses do not accumulate dead handlers.
 """
 
 from __future__ import annotations
@@ -32,10 +36,10 @@ from math import ceil, inf
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.events import (
+    AdmissionBlocked,
     Event,
     EventBus,
     LargePageCarved,
-    PageAllocated,
     PageEvicted,
     PageEvictedToHost,
     PageReleased,
@@ -252,24 +256,38 @@ class TelemetryRegistry:
         }
 
 
-#: Precomputed §5.4 counter keys so the per-allocation handler does no
-#: string formatting (steps 0-5; 0 is the request-aware-ablation path).
-_STEP_KEYS: Dict[int, str] = {n: f"alloc/step/{n}" for n in range(6)}
-
 #: Memory-snapshot fields mirrored onto gauges and the sim-clock timeline.
-_MEM_FIELDS = ("used", "evictable", "waste", "free")
+_MEM_GAUGES = (
+    ("mem/used", "used_bytes"),
+    ("mem/evictable", "evictable_bytes"),
+    ("mem/waste", "waste_bytes"),
+    ("mem/free", "free_bytes"),
+)
+
+
+class KeyMemo(Dict[Any, str]):
+    """``prefix + name + suffix`` instrument keys, formatted once per
+    distinct name so per-page handlers pay a dict lookup per event."""
+
+    def __init__(self, prefix: str, suffix: str = "") -> None:
+        super().__init__()
+        self.prefix, self.suffix = prefix, suffix
+
+    def __missing__(self, name: Any) -> str:
+        key = self[name] = f"{self.prefix}{name}{self.suffix}"
+        return key
 
 
 class BusTelemetry:
-    """The one bus subscriber feeding a :class:`TelemetryRegistry`.
+    """The one bus subscriber: every event counted once into a registry.
 
     Subscribes on construction; call :meth:`close` when the run is over
-    (engines reusing a shared bus would otherwise keep feeding a registry
-    nobody reads -- the same leak :class:`MetricsCollector.close` fixes).
+    (a reused bus would otherwise keep feeding a registry nobody reads).
+    ``pressure`` and ``resizer`` are the optional per-step views; whoever
+    assembles the fold assigns them, and :meth:`_on_step` ticks them.
     """
 
     _EVENT_TYPES = (
-        PageAllocated,
         PagesAllocated,
         LargePageCarved,
         PageEvicted,
@@ -279,6 +297,7 @@ class BusTelemetry:
         QuotaResized,
         RequestQueued,
         RequestAdmitted,
+        AdmissionBlocked,
         RequestPreempted,
         RequestFinished,
         RequestFailed,
@@ -291,33 +310,40 @@ class BusTelemetry:
     ) -> None:
         self.events = events
         self.registry = registry if registry is not None else TelemetryRegistry()
-        self._closed = False
+        #: Duck-typed so obs.registry imports neither view's module:
+        #: ``pressure.on_step(time, memory)`` then ``resizer.on_step()``.
+        self.pressure: Any = None
+        self.resizer: Any = None
+        self._step_keys = KeyMemo("alloc/step/")
+        self._evict_keys = KeyMemo("evict/")
+        self._preempt_keys = KeyMemo("preempt/")
+        #: group id -> its ``evict/group/<gid>`` counter key, for every
+        #: group that has evicted (the pressure view iterates it).
+        self.group_eviction_keys = KeyMemo("evict/group/")
+        # Latest simulated-clock step time, so quota timeline points land
+        # next to the pressure/score track even though QuotaResized itself
+        # carries no timestamp.
+        self._time = 0.0
         events.subscribe(self._on_event, self._EVENT_TYPES)
 
     def close(self) -> None:
         """Unsubscribe from the bus (idempotent)."""
-        if not self._closed:
-            self.events.unsubscribe(self._on_event)
-            self._closed = True
+        self.events.unsubscribe(self._on_event)
 
     # ------------------------------------------------------------------
 
     def _on_event(self, event: Event) -> None:
         reg = self.registry
-        if isinstance(event, PageAllocated):
-            reg.inc("alloc/pages")
-            reg.inc(_STEP_KEYS.get(event.step, f"alloc/step/{event.step}"))
-        elif isinstance(event, PagesAllocated):
-            # The batched form carries len(page_ids) pool mutations in one
-            # record; fold each page's §5.4 step into the same counters so
-            # alloc/pages agrees whichever emit path the allocator took.
+        if isinstance(event, PagesAllocated):
+            # One record per allocation call, len(page_ids) pool mutations.
             reg.inc("alloc/pages", event.num_pages)
             for step in event.steps:
-                reg.inc(_STEP_KEYS.get(step, f"alloc/step/{step}"))
+                reg.inc(self._step_keys[step])
         elif isinstance(event, PageReleased):
             reg.inc("release/cached" if event.cached else "release/freed")
         elif isinstance(event, PageEvicted):
-            reg.inc(f"evict/{event.level}")
+            reg.inc(self._evict_keys[event.level])
+            reg.inc(self.group_eviction_keys[event.group_id])
             # §5.1 provenance: a zero prefix length means plain recency
             # ("balanced") eviction; a non-zero one means the prefix-depth
             # tie-break ("aligned") participated in victim choice.
@@ -342,15 +368,20 @@ class BusTelemetry:
             reg.inc(f"resize/group/{event.group_id}/resizes")
             reg.inc("resize/reclaimed_large", event.reclaimed)
             if event.new_quota is not None:
-                reg.set_gauge(
-                    f"resize/group/{event.group_id}/quota", float(event.new_quota)
-                )
+                # The quota staircase lands on the sim-clock timeline, so
+                # Chrome traces show each step next to pressure/score.
+                key = f"resize/group/{event.group_id}/quota"
+                reg.set_gauge(key, float(event.new_quota))
+                reg.record_point(key, self._time, float(event.new_quota))
         elif isinstance(event, RequestQueued):
             reg.inc("requests/queued")
         elif isinstance(event, RequestAdmitted):
             reg.inc("requests/admitted")
+        elif isinstance(event, AdmissionBlocked):
+            reg.inc("pressure/admission_blocked")
+            reg.set_gauge("pressure/queue_depth", float(event.queue_depth))
         elif isinstance(event, RequestPreempted):
-            reg.inc(f"preempt/{event.reason}")
+            reg.inc(self._preempt_keys[event.reason])
         elif isinstance(event, RequestFinished):
             reg.inc("requests/finished")
         elif isinstance(event, RequestFailed):
@@ -366,23 +397,28 @@ class BusTelemetry:
             self._on_step(event)
 
     def _on_step(self, event: StepCompleted) -> None:
+        """Counters, then the pressure view, then the resizer tick.
+
+        The order is the contract: the resizer decides on EWMAs that
+        already include this step, and whatever its quota moves evict is
+        counted after the pressure view closed this step's window, so it
+        lands in the next one.
+        """
         reg = self.registry
+        self._time = event.time
         reg.inc("engine/steps")
         record = event.record
-        if record is None:
-            return
         memory = getattr(record, "memory", None)
         if memory is not None:
-            values = {
-                "used": memory.used_bytes,
-                "evictable": memory.evictable_bytes,
-                "waste": memory.waste_bytes,
-                "free": memory.free_bytes,
-            }
-            for field in _MEM_FIELDS:
-                reg.set_gauge(f"mem/{field}", values[field])
-                reg.record_point(f"mem/{field}", event.time, values[field])
+            for key, attr in _MEM_GAUGES:
+                value = getattr(memory, attr)
+                reg.set_gauge(key, value)
+                reg.record_point(key, event.time, value)
         phases = getattr(record, "phases", None)
         if phases:
             for phase, seconds in phases.items():
                 reg.observe(f"phase/{phase}", seconds)
+        if self.pressure is not None:
+            self.pressure.on_step(event.time, memory)
+        if self.resizer is not None:
+            self.resizer.on_step()

@@ -108,18 +108,16 @@ class ServingCluster:
         """Homogeneous cluster: N identical replicas, one policy.
 
         ``tracing``/``telemetry``/``pressure`` attach a *per-replica*
-        :class:`~repro.obs.tracer.Tracer` / bus-telemetry /
-        pressure-monitor set (all default off, preserving the
+        :class:`~repro.obs.tracer.Tracer` / bus-telemetry fold /
+        pressure view of that fold (all default off, preserving the
         zero-overhead ``NULL_TRACER`` path); with tracing on the cluster
         also records the route log for the merged trace's router lane.
         ``resizing`` names a :class:`~repro.core.resizer.ResizePolicy` and
-        attaches a per-replica :class:`~repro.core.resizer.PoolResizer`
-        (implies ``pressure``, its control signal).
+        adds a per-replica :class:`~repro.core.resizer.PoolResizer` to the
+        fold (implies ``pressure``, its control signal).
         """
         from ..obs.tracer import Tracer  # deferred: serving stays obs-light
 
-        if resizing is not None:
-            pressure = True
         replicas = [
             Replica(
                 f"replica-{i}", model, gpu, kv_bytes,

@@ -3,9 +3,8 @@
 A :class:`Replica` is the unit the router balances over -- a full
 :class:`~repro.engine.engine.LLMEngine` over its own KV-cache manager,
 publishing onto its *own* :class:`~repro.core.events.EventBus` so
-per-replica metrics (prefix hits, preemptions, steps) stay exact even when
-managers share an allocator (the :class:`~repro.core.events.EventFanout`
-topology).  Each replica models one GPU, so replica clocks advance
+per-replica telemetry stays exact even when managers share an allocator
+(the :class:`~repro.core.events.EventFanout` topology).  Each replica models one GPU, so replica clocks advance
 independently; :class:`~repro.serving.cluster.ServingCluster` owns the
 cross-replica event ordering.
 """
@@ -76,20 +75,21 @@ class Replica:
             keeps the zero-overhead :data:`~repro.obs.tracer.NULL_TRACER`
             default -- tracing must be opted into per replica.
         telemetry: Attach a per-replica
-            :class:`~repro.obs.registry.BusTelemetry` feeding
-            ``self.registry``.
-        pressure: Attach a per-replica
-            :class:`~repro.obs.pressure.PressureMonitor` feeding the same
-            registry.
-        registry: Registry the monitors write to; a private one is created
-            when omitted and any monitor is requested.
+            :class:`~repro.obs.registry.BusTelemetry` fold (the bus's one
+            subscriber) as ``self.telemetry``, feeding ``self.registry``.
+        pressure: Add the :class:`~repro.obs.pressure.PressureMonitor`
+            view (``self.telemetry.pressure``: EWMA rates and
+            ``pressure/score``) to that fold; it reads the fold's
+            counters, so it brings the fold with it.
         resizing: Name of a registered
             :class:`~repro.core.resizer.ResizePolicy` (``"static"`` /
-            ``"proportional"`` / ``"hysteresis"``); attaches a per-replica
-            :class:`~repro.core.resizer.PoolResizer` closing the pressure
-            feedback loop.  Requires ``pressure=True`` (the control
-            signal) and a manager exposing a two-level ``allocator`` (the
-            actuated surface).  ``None`` (default) attaches nothing.
+            ``"proportional"`` / ``"hysteresis"``); adds a
+            :class:`~repro.core.resizer.PoolResizer`
+            (``self.telemetry.resizer``) the fold ticks after the pressure
+            view, closing the feedback loop.  Implies ``pressure`` (the
+            control signal) and needs a manager exposing a two-level
+            ``allocator`` (the actuated surface).  ``None`` (default)
+            attaches nothing.
         resize_interval: Simulated steps between resize passes.
     """
 
@@ -109,7 +109,6 @@ class Replica:
         tracer: Optional[Tracer] = None,
         telemetry: bool = False,
         pressure: bool = False,
-        registry: Optional[TelemetryRegistry] = None,
         resizing: Optional[str] = None,
         resize_interval: int = 32,
     ) -> None:
@@ -127,34 +126,30 @@ class Replica:
         self.manager = manager
         self.events = events if events is not None else EventBus(capacity=0)
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        # Monitors subscribe *before* the engine so they observe every
-        # event the engine's own collector sees; they share one registry
-        # so cluster reports read a single per-replica snapshot.
-        self.registry: Optional[TelemetryRegistry] = registry
-        if (telemetry or pressure) and self.registry is None:
-            self.registry = TelemetryRegistry()
-        self.telemetry: Optional[BusTelemetry] = (
-            BusTelemetry(self.events, self.registry) if telemetry else None
-        )
-        self.pressure: Optional[PressureMonitor] = (
-            PressureMonitor(self.events, self.registry) if pressure else None
-        )
         self.engine = LLMEngine(
             model, gpu, manager, config=config, events=self.events,
             tracer=self.tracer,
         )
-        # The resizer subscribes after the monitors so each StepCompleted
-        # reaches it with the pressure EWMAs already folded for that step.
-        self.resizer: Optional[PoolResizer] = None
-        if resizing is not None:
-            if self.pressure is None:
-                raise ValueError("resizing requires pressure=True (the control signal)")
-            self.resizer = PoolResizer(
-                manager.allocator, self.pressure, self.events,
-                policy=resizing, interval=resize_interval,
-            )
+        # One fold per replica; pressure and resizing are views it ticks
+        # (counters -> pressure EWMAs -> resizer) on every StepCompleted.
+        self.telemetry: Optional[BusTelemetry] = None
+        pressure = pressure or resizing is not None  # the resizer's signal
+        if telemetry or pressure:
+            fold = self.telemetry = BusTelemetry(self.events)
+            if pressure:
+                fold.pressure = PressureMonitor(fold)
+            if resizing is not None:
+                fold.resizer = PoolResizer(
+                    manager.allocator, fold.pressure,
+                    policy=resizing, interval=resize_interval,
+                )
 
     # ------------------------------------------------------------------
+
+    @property
+    def registry(self) -> Optional[TelemetryRegistry]:
+        """The fold's registry (``None`` on an unobserved replica)."""
+        return self.telemetry.registry if self.telemetry is not None else None
 
     @property
     def clock(self) -> float:
@@ -193,18 +188,10 @@ class Replica:
         return self.engine.metrics()
 
     def close(self) -> None:
-        """Detach every subscriber this replica attached (idempotent).
-
-        Reused buses must not keep feeding a dead registry -- the leak
-        class ``MetricsCollector.close`` fixed at the engine layer.
-        """
-        if self.resizer is not None:
-            self.resizer.close()
+        """Detach the fold this replica attached (idempotent): a reused
+        bus must not keep feeding a dead registry."""
         if self.telemetry is not None:
             self.telemetry.close()
-        if self.pressure is not None:
-            self.pressure.close()
-        self.engine.close()
 
     def __repr__(self) -> str:
         return f"Replica({self.replica_id!r}, clock={self.engine.clock:.1f})"

@@ -2,11 +2,11 @@
 
 import dataclasses
 
+from repro.core import events as events_module
 from repro.core.events import (
     ALLOCATION_STEPS,
     EventBus,
     LargePageCarved,
-    PageAllocated,
     PagesAllocated,
     PageEvicted,
     PageReleased,
@@ -20,6 +20,7 @@ from repro.core.kv_manager import JengaKVCacheManager
 from repro.core.layer_policy import FULL_ATTENTION, GroupSpec
 from repro.core.sequence import IMAGE, TEXT, SequenceSpec
 from repro.engine import LLMEngine, Request, SchedulerConfig
+from repro.engine.multi_model import MultiModelEngine
 from repro.models import get_model
 from repro.obs.pressure import PressureMonitor
 from repro.obs.registry import BusTelemetry
@@ -28,6 +29,13 @@ from repro.workloads import token_block
 
 T = frozenset({TEXT})
 I = frozenset({IMAGE})
+
+#: Every concrete event class the stack can publish.
+EVENT_TYPES = [
+    cls for cls in vars(events_module).values()
+    if isinstance(cls, type) and issubclass(cls, events_module.Event)
+    and cls is not events_module.Event
+]
 
 
 class TestEventBus:
@@ -132,8 +140,7 @@ class TestEventBus:
         # 1-5 are the paper's five steps; 0 tags the request-aware
         # ablation's first-fit path.
         assert set(ALLOCATION_STEPS) == {0, 1, 2, 3, 4, 5}
-        assert PageAllocated("g", "r", 0, 3).step_name == ALLOCATION_STEPS[3]
-        assert "step 9" in PageAllocated("g", "r", 0, 9).step_name
+        assert all(isinstance(name, str) and name for name in ALLOCATION_STEPS.values())
 
 
 def five_step_manager():
@@ -301,7 +308,7 @@ class TestEngineEvents:
         assert bus.counts["PagesAllocated"] > 0
         assert bus.counts["StepCompleted"] == len(eng.steps)
 
-    def test_collector_rebuilds_counters_from_events(self):
+    def test_run_record_matches_what_the_bus_saw(self):
         model = get_model("llama3-8b")
         mgr = JengaKVCacheManager(model.kv_groups(), 2 << 30)
         eng = LLMEngine(model, H100, mgr, config=SchedulerConfig(),
@@ -333,18 +340,45 @@ class TestEngineEvents:
         return eng
 
     def test_default_engine_constructs_no_page_event(self):
-        """With no observer attached nothing functional listens on the
-        bus, so the allocator's guarded emits never build a record."""
+        """Nothing in the stack listens on an unobserved engine's bus --
+        its results are its own run record -- so the guarded emits never
+        build a record of any type."""
         eng = self.pressured_engine()
+        assert not any(eng.events.has_subscribers(cls) for cls in EVENT_TYPES)
         metrics = eng.run(max_steps=20_000)
         assert len(metrics.requests) == 12
         assert eng.manager.allocator.num_large_evictions > 0
-        for name in ("PagesAllocated", "PageAllocated", "LargePageCarved",
-                     "PageEvicted", "PageReleased"):
-            assert eng.events.counts[name] == 0, name
+        assert metrics.preemptions > 0 and len(metrics.steps) > 0
+        assert eng.events.counts == {}
         assert len(eng.events) == 0  # capture-free default
-        # The collector's own subscriptions still flow.
-        assert eng.events.counts["StepCompleted"] == len(metrics.steps)
+
+    def test_shared_bus_keeps_per_engine_tallies(self):
+        """Two deployments publishing onto one bus report exactly what
+        they report on private buses: the tallies are the engines' own."""
+        model = get_model("llama3.2-1b")
+
+        def run(events):
+            engine = MultiModelEngine(
+                {"a": model, "b": model}, H100, 48 * 1024 * 1024,
+                config=SchedulerConfig(max_num_seqs=4), events=events,
+            )
+            for name, prompt in (("a", 320), ("b", 512)):
+                engine.add_requests(name, [
+                    # i % 3: repeated prompts, so the prefix cache hits.
+                    Request.text(f"{name}{i}", token_block(0, name, i % 3, prompt), 16)
+                    for i in range(8)
+                ])
+            return {
+                name: (len(m.steps), m.preemptions, m.prefix_hit_tokens,
+                       m.prefix_lookup_tokens, len(m.requests))
+                for name, m in engine.run(max_steps=20_000).items()
+            }
+
+        private = run(None)
+        shared = run(EventBus(capacity=0))
+        assert shared == private
+        assert private["a"] != private["b"]  # merged tallies would be equal
+        assert all(t[1] > 0 and t[2] > 0 for t in private.values())
 
     def test_observers_do_not_perturb_the_run(self):
         """Bare, ring-capturing and fully-observed runs of one request set
@@ -358,8 +392,10 @@ class TestEngineEvents:
         bare = outcome(self.pressured_engine())
         captured = outcome(self.pressured_engine(EventBus()))
         bus = EventBus(capacity=0)
-        telemetry, pressure = BusTelemetry(bus), PressureMonitor(bus)
+        telemetry = BusTelemetry(bus)
+        telemetry.pressure = PressureMonitor(telemetry)
         observed = outcome(self.pressured_engine(bus))
         assert telemetry.registry.counters["alloc/pages"] > 0
-        assert pressure.registry.counters["pressure/admission_blocked"] > 0
+        assert telemetry.registry.counters["pressure/admission_blocked"] > 0
+        assert telemetry.pressure.score > 0.0
         assert bare[0] and bare == captured == observed

@@ -9,6 +9,9 @@ import pytest
 
 from repro.analysis import lint_paths, load_baseline, write_baseline
 from repro.analysis.__main__ import main as lint_main
+from repro.analysis.engine import analyze_paths_result
+from repro.analysis.manifest import HOT_MODULES
+from repro.analysis.project_graph import ProjectGraphBuilder
 from repro.analysis.program import PROGRAM_RULE_NAMES
 from repro.cli import main as cli_main
 
@@ -223,15 +226,30 @@ def test_foreign_version_write_turns_tree_red(tmp_path):
     assert {f.rule for f in result.findings} == {"guarded-counter"}
 
 
+def test_one_subscribe_site_in_tree():
+    """BusTelemetry is the only bus subscriber in src/repro: everything
+    else that used to listen reads the fold's counters or its own state."""
+    built = []
+
+    class Capturing(ProjectGraphBuilder):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    analyze_paths_result([str(SRC)], [Capturing], HOT_MODULES)
+    (builder,) = built
+    sites = {(site.module, site.pending) for site in builder.graph.subscribe_sites}
+    assert sites == {("repro/obs/registry.py", ("BusTelemetry", "_EVENT_TYPES"))}
+
+
 def test_removing_subscribe_site_turns_tree_red(tmp_path):
-    # AdmissionBlocked's only subscriber is the pressure monitor; dropping
-    # it from the dispatch tuple orphans exactly that event (the tuple's
-    # other events have further subscribers elsewhere in the tree).
+    # The fold's dispatch tuple is the tree's only subscription; dropping
+    # AdmissionBlocked from it orphans exactly that event.
     root = _mutated_tree(
         tmp_path,
-        "obs/pressure.py",
-        "        AdmissionBlocked,\n",
-        "",
+        "obs/registry.py",
+        "        AdmissionBlocked,\n        RequestPreempted,\n",
+        "        RequestPreempted,\n",
     )
     result = lint_paths([str(root)])
     assert {f.rule for f in result.findings} == {"orphan-event"}

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.events import EventBus, RequestPreempted, StepCompleted
 from repro.core.math_utils import percentile
 from repro.engine.metrics import (
     EngineMetrics,
@@ -116,33 +115,29 @@ class TestPercentile:
 
 
 class TestMetricsCollector:
-    def test_collects_from_bus(self):
-        bus = EventBus(capacity=0)
-        collector = MetricsCollector(bus)
-        bus.emit(StepCompleted(0, 0.5, 0, record=step()))
-        bus.emit(RequestPreempted("r0", 0.5))
+    """The collector is the engine's own tally object, not a subscriber.
+    That an engine run needs no bus traffic, and that engines sharing a
+    bus keep separate tallies, is pinned end to end in
+    tests/test_events.py::TestEngineEvents."""
+
+    class FakeManager:
+        hit_tokens = 48
+        lookup_tokens = 128
+
+    def test_tallies_are_plain_state_written_by_the_owner(self):
+        collector = MetricsCollector(self.FakeManager())
+        collector.steps.append(step())
+        collector.preemptions += 1
         assert len(collector.steps) == 1
         assert collector.preemptions == 1
 
-    def test_close_unsubscribes_idempotently(self):
-        bus = EventBus(capacity=0)
-        collector = MetricsCollector(bus)
-        bus.emit(StepCompleted(0, 0.5, 0, record=step()))
-        collector.close()
-        collector.close()  # idempotent
-        bus.emit(StepCompleted(1, 1.0, 0, record=step(i=1)))
-        assert len(collector.steps) == 1  # post-close event not counted
-
-    def test_closed_collector_does_not_leak_onto_shared_bus(self):
-        """Two engine runs on one bus must not cross-count events."""
-        bus = EventBus(capacity=0)
-        first = MetricsCollector(bus)
-        bus.emit(RequestPreempted("r0", 0.1))
-        first.close()
-        second = MetricsCollector(bus)
-        bus.emit(RequestPreempted("r1", 0.2))
-        assert first.preemptions == 1
-        assert second.preemptions == 1
+    def test_prefix_tallies_are_the_managers_counters(self):
+        manager = self.FakeManager()
+        collector = MetricsCollector(manager)
+        assert collector.prefix_hit_tokens == 48
+        assert collector.prefix_lookup_tokens == 128
+        manager.hit_tokens += 16  # a later lookup shows up with no event
+        assert collector.prefix_hit_tokens == 64
 
 
 class TestMemorySnapshot:

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.events import EventBus, QuotaResized, StepCompleted
+from repro.obs import BusTelemetry, PressureMonitor
 from repro.core.kv_manager import JengaKVCacheManager
 from repro.core.layer_policy import FULL_ATTENTION, GroupSpec, make_policy
 from repro.core.resizer import (
@@ -201,8 +202,7 @@ class TestHysteresisDwell:
 class TestPoolResizer:
     def test_partition_on_start_is_exact_equal_split(self):
         alloc = make_allocator(num_large=7)
-        PoolResizer(alloc, FakeMonitor(), EventBus(capacity=0),
-                    policy="static", interval=4)
+        PoolResizer(alloc, FakeMonitor(), policy="static", interval=4)
         quotas = [alloc.quota_of(g) for g in sorted(alloc.groups)]
         assert sum(quotas) == alloc.lcm.num_pages
         assert max(quotas) - min(quotas) <= 1
@@ -217,28 +217,69 @@ class TestPoolResizer:
                 CountingPolicy.calls += 1
                 return {}
 
-        bus = EventBus(capacity=0)
-        resizer = PoolResizer(alloc, FakeMonitor(), bus,
+        resizer = PoolResizer(alloc, FakeMonitor(),
                               policy=CountingPolicy(), interval=4)
+        for _ in range(12):
+            resizer.on_step()
+        assert CountingPolicy.calls == 3
+
+    def test_fold_ticks_the_resizer_until_closed(self):
+        alloc = make_allocator()
+        bus = EventBus(capacity=0)
+        fold = BusTelemetry(bus)
+        resizer = fold.resizer = PoolResizer(
+            alloc, FakeMonitor(), policy="static", interval=4)
         for step in range(12):
             bus.emit(StepCompleted(step, 0.0, 0))
-        assert CountingPolicy.calls == 3
-        resizer.close()
+        assert resizer.num_decides == 3
+        fold.close()
         bus.emit(StepCompleted(12, 0.0, 0))
-        assert CountingPolicy.calls == 3  # unsubscribed
+        assert resizer.num_decides == 3  # the fold no longer listens
 
     def test_moves_follow_demand(self):
         alloc = make_allocator(num_large=8)
         for _ in range(9):
             assert alloc.allocate_page("a", "r1") is not None
-        bus = EventBus(capacity=0)
-        resizer = PoolResizer(alloc, FakeMonitor(score=1.0), bus,
+        resizer = PoolResizer(alloc, FakeMonitor(score=1.0),
                               policy="proportional", interval=1)
-        bus.emit(StepCompleted(0, 0.0, 0))
+        resizer.on_step()
         assert resizer.num_resizes > 0
         assert alloc.quota_of("a") > alloc.quota_of("b")
         alloc.check_invariants()
-        resizer.close()
+
+    def test_resize_evictions_land_in_the_next_window(self):
+        """The fold ticks counters -> pressure -> resizer, so the
+        PageEvicted records a deflating quota move publishes from inside
+        the resizer tick are counted after this step's pressure window
+        closed: they show up in the *next* step's eviction rate."""
+        bus = EventBus(capacity=0)
+        alloc = make_allocator(events=bus)
+        cached = [alloc.allocate_page("a", "r1") for _ in range(9)]
+        for page in cached:
+            alloc.register_block_hash("a", page, hash(("a", page.page_id)))
+            alloc.release_page("a", page.page_id, cacheable=True)
+        assert alloc.fully_evictable_large_pages("a") == 3
+
+        class ShrinkA(ProportionalPolicy):
+            def decide(self, pressure, total_large, score, step):
+                return {"a": 1} if step == 1 else {}
+
+        fold = BusTelemetry(bus)
+        monitor = fold.pressure = PressureMonitor(fold)
+        fold.resizer = PoolResizer(alloc, monitor, policy=ShrinkA(),
+                                   interval=1, partition_on_start=False)
+        counters, gauges = fold.registry.counters, fold.registry.gauges
+
+        bus.emit(StepCompleted(0, 1.0, 0))
+        assert fold.resizer.num_reclaimed == 2
+        assert counters["evict/large"] == counters["evict/group/a"] == 2
+        assert counters["resize/quota_resized"] == 1
+        assert gauges["pressure/eviction_rate"] == 0.0
+        assert "pressure/group/a/eviction_rate" not in gauges
+        bus.emit(StepCompleted(1, 2.0, 0))
+        assert gauges["pressure/eviction_rate"] == 0.2 * 2
+        assert gauges["pressure/group/a/eviction_rate"] == 0.2 * 2
+        alloc.check_invariants()
 
 
 class TestPropertyResizeChurn:

@@ -5,7 +5,6 @@ import pytest
 from repro.core.events import (
     EventBus,
     LargePageCarved,
-    PageAllocated,
     PageEvicted,
     PageEvictedToHost,
     PageReleased,
@@ -169,7 +168,7 @@ class TestBusTelemetry:
         bus = EventBus(capacity=0)
         telemetry = BusTelemetry(bus)
         for step in (1, 2, 2, 3, 5):
-            bus.emit(PageAllocated("g", "r0", step, step=step))
+            bus.emit(PagesAllocated("g", "r0", (step,), (step,)))
         reg = telemetry.registry
         assert reg.counters["alloc/pages"] == 5
         assert reg.counters["alloc/step/2"] == 2
@@ -178,12 +177,12 @@ class TestBusTelemetry:
 
     def test_batched_allocation_counts_every_page(self):
         # One PagesAllocated record carries len(page_ids) pool mutations;
-        # alloc/pages and the §5.4 step histogram must agree with the
-        # equivalent per-page emission path.
+        # alloc/pages and the §5.4 step histogram count every page of it,
+        # whether the call asked for three pages or one.
         bus = EventBus(capacity=0)
         telemetry = BusTelemetry(bus)
         bus.emit(PagesAllocated("g", "r0", (1, 2, 3), (1, 2, 2)))
-        bus.emit(PageAllocated("g", "r0", 4, step=5))
+        bus.emit(PagesAllocated("g", "r0", (4,), (5,)))
         reg = telemetry.registry
         assert reg.counters["alloc/pages"] == 4
         assert reg.counters["alloc/step/1"] == 1
@@ -296,7 +295,7 @@ class TestReport:
     def _registry(self):
         bus = EventBus(capacity=0)
         telemetry = BusTelemetry(bus)
-        bus.emit(PageAllocated("g", "r0", 1, step=2))
+        bus.emit(PagesAllocated("g", "r0", (1,), (2,)))
         record = StepRecord(
             index=0, start_time=0.0, duration=0.5, decode_batch=1,
             prefill_tokens=8, num_running=1, num_waiting=0,

@@ -295,15 +295,15 @@ class TestRequestAwareAblation:
         """With request_aware=False the first-fit hit must be tagged
         step=0 (pre-fix it reported step=4 after a pointless step-1
         probe of the per-request buckets)."""
-        from repro.core.events import EventBus, PageAllocated
+        from repro.core.events import EventBus, PagesAllocated
 
         bus = EventBus()
         seen = []
-        bus.subscribe(seen.append, [PageAllocated])
+        bus.subscribe(seen.append, [PagesAllocated])
         alloc = make_allocator(num_large=1, request_aware=False, events=bus)
         alloc.allocate_page("a", "r1")   # empty pool -> carve (step 2)
         alloc.allocate_page("a", "r2")   # first-fit from the pool
-        assert [e.step for e in seen] == [2, 0]
+        assert [e.steps for e in seen] == [(2,), (0,)]
 
     def test_ablation_ignores_request_association(self):
         alloc = make_allocator(num_large=2, request_aware=False)
@@ -319,18 +319,15 @@ class TestRequestAwareAblation:
 
 class TestBatchedAllocation:
     def test_batch_emits_exactly_one_event(self):
-        from repro.core.events import EventBus, PageAllocated, PagesAllocated
+        from repro.core.events import EventBus, PagesAllocated
 
         bus = EventBus()
         seen = []
-        bus.subscribe(seen.append, [PageAllocated, PagesAllocated])
+        bus.subscribe(seen.append, [PagesAllocated])
         alloc = make_allocator(num_large=4, events=bus)
         pages = alloc.allocate_pages("a", "r1", 5)
         assert pages is not None and len(pages) == 5
-        batch_events = [e for e in seen if isinstance(e, PagesAllocated)]
-        assert len(batch_events) == 1
-        assert not any(isinstance(e, PageAllocated) for e in seen)
-        ev = batch_events[0]
+        (ev,) = seen
         assert ev.num_pages == 5
         assert ev.page_ids == tuple(p.page_id for p in pages)
         assert len(ev.steps) == 5
