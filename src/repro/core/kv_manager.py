@@ -346,8 +346,7 @@ class JengaKVCacheManager(KVCacheManagerBase):
         if hit_global <= 0:
             return 0
 
-        acquired: List[Tuple[str, int]] = []
-        ok = True
+        acquired: List[Tuple[str, List[SmallPage]]] = []
         for group_id, policy in self.policies.items():
             if policy.encoder_filled:
                 continue  # embeddings are re-encoded, not acquired
@@ -359,35 +358,43 @@ class JengaKVCacheManager(KVCacheManagerBase):
             # Only blocks at or below the hit matter here, so the boundary
             # list stops at ``cached_stream``.
             boundaries = policy.cacheable_boundaries(cached_stream)
-            hashes = all_hashes[group_id]
-            for block_idx in policy.hit_blocks_to_hold(cached_stream):
-                page = self.allocator.acquire_cached(
-                    group_id, hashes[block_idx], seq.request_id
+            blocks = policy.hit_blocks_to_hold(cached_stream)
+            wanted = [all_hashes[group_id][block_idx] for block_idx in blocks]
+            # One run for the whole hit; it comes back short at the first
+            # block a racing eviction took, which the host tier may still
+            # hold (the run then resumes behind the onloaded page).
+            pages = self.allocator.acquire_cached_run(group_id, wanted, seq.request_id)
+            while len(pages) < len(wanted) and host_pool is not None:
+                at = len(pages)
+                onloaded = self._materialize_from_host(
+                    group_id, wanted[at], seq, boundaries, blocks[at]
                 )
-                if page is None and self.host_pool is not None:
-                    page = self._materialize_from_host(
-                        group_id, hashes[block_idx], seq, boundaries, block_idx
-                    )
-                if page is None:
-                    ok = False
+                if onloaded is None:
                     break
+                pages.append(onloaded)
+                pages += self.allocator.acquire_cached_run(
+                    group_id, wanted[at + 1:], seq.request_id
+                )
+            acquired.append((group_id, pages))
+            if len(pages) < len(wanted):
+                break
+            for block_idx, page in zip(blocks, pages):
                 idx = policy.page_index_of_block(block_idx)
                 binding.page_table[idx] = page.page_id
                 binding.held.add(idx)
-                acquired.append((group_id, page.page_id))
             binding.hashed_blocks = len(boundaries)
             # Pages below the active frontier were never held.
             binding.release_ptr = policy.release_frontier(cached_stream)
-            if not ok:
-                break
-        if not ok:
-            # Racing eviction invalidated the hit; fall back to no hit.
-            for group_id, page_id in acquired:
-                self.allocator.release_page(group_id, page_id, cacheable=True)
-            for group_id in self.specs:
-                bindings[group_id] = GroupBinding()
-            return 0
-        return hit_global
+        else:
+            return hit_global
+        # Racing eviction invalidated the hit; fall back to no hit.
+        for group_id, pages in acquired:
+            self.allocator.release_pages(
+                group_id, [page.page_id for page in pages], cacheable=True
+            )
+        for group_id in self.specs:
+            bindings[group_id] = GroupBinding()
+        return 0
 
     def _stream_of(self, seq: SequenceSpec, group_id: str) -> List[int]:
         """Group's stream token ids, cached per (request, group).
@@ -461,7 +468,7 @@ class JengaKVCacheManager(KVCacheManagerBase):
         """
         request_id = seq.request_id
         bindings = self._require(request_id)
-        newly: List[Tuple[str, GroupBinding, int]] = []
+        grown: List[Tuple[str, GroupBinding, List[int], List[SmallPage]]] = []
         for group_id, policy in policies.items():
             binding = bindings[group_id]
             target_stream = seq.stream_length(policy.spec.accepted_tags, target_global)
@@ -473,21 +480,24 @@ class JengaKVCacheManager(KVCacheManagerBase):
             if num_pages > len(table):
                 table.extend([None] * (num_pages - len(table)))
             if missing:
-                # One batched call for the whole write set: one event, one
-                # five-step dispatch per page only past the free bucket.
+                # One run for the whole write set: one event, one pass
+                # through the five steps.
                 pages = self.allocator.allocate_pages(group_id, request_id, len(missing))
                 if pages is None:
-                    for gid, grown, idx in newly:
-                        page_id = grown.page_table[idx]
-                        grown.held.discard(idx)
-                        grown.page_table[idx] = None
-                        if page_id is not None:
-                            self.allocator.release_page(gid, page_id, cacheable=False)
+                    # Roll back the groups that grew before this one, a
+                    # run each.
+                    for gid, earlier, slots, got in grown:
+                        earlier.held.difference_update(slots)
+                        for idx in slots:
+                            earlier.page_table[idx] = None
+                        self.allocator.release_pages(
+                            gid, [page.page_id for page in got], cacheable=False
+                        )
                     return False
                 for idx, page in zip(missing, pages):
                     table[idx] = page.page_id
-                    binding.held.add(idx)
-                    newly.append((group_id, binding, idx))
+                binding.held.update(missing)
+                grown.append((group_id, binding, missing, pages))
             binding.stream_len = target_stream
         return True
 
@@ -620,10 +630,12 @@ class JengaKVCacheManager(KVCacheManagerBase):
     ) -> None:
         """Drop the held references among ``slots``, stamping each page's
         eviction metadata (``last_access = stamp`` and the policy's prefix
-        length) first -- the one place a page leaves a request's hold."""
-        group_id = group.spec.group_id
+        length) first and releasing them as one run -- the one place a page
+        leaves a request's hold."""
         held = binding.held
         table = binding.page_table
+        pages = group.pages
+        page_ids: List[int] = []
         for idx in slots:
             if idx not in held:
                 continue
@@ -631,11 +643,13 @@ class JengaKVCacheManager(KVCacheManagerBase):
             page_id = table[idx]
             if page_id is None:
                 continue
-            page = group.pages.get(page_id)
+            page = pages.get(page_id)
             if page is not None:
                 page.last_access = stamp
                 page.prefix_length = policy.prefix_length_of(idx, seq)
-            self.allocator.release_page(group_id, page_id, cacheable=cacheable)
+            page_ids.append(page_id)
+        if page_ids:
+            self.allocator.release_pages(group.spec.group_id, page_ids, cacheable)
 
     def _release_behind_frontier(
         self,

@@ -30,12 +30,18 @@ from typing import List, Optional, Tuple
 __all__ = ["PageState", "SmallPage", "LargePage", "PhysicalExtent"]
 
 
-class PageState(enum.Enum):
-    """Lifecycle state of a small page (paper Section 5.4)."""
+class PageState(enum.IntEnum):
+    """Lifecycle state of a small page (paper Section 5.4); the value
+    indexes a ``[empty, used, evictable]`` count list."""
 
-    EMPTY = "empty"
-    USED = "used"
-    EVICTABLE = "evictable"
+    EMPTY = 0
+    USED = 1
+    EVICTABLE = 2
+
+
+# A ``PageState.X`` read goes through the enum metaclass (~0.1 us); the
+# per-page predicates below sit on the allocator's hot path.
+EMPTY, USED, EVICTABLE = PageState
 
 
 @dataclass
@@ -89,7 +95,7 @@ class SmallPage:
         reset page stays carved out of its large page until the large page
         itself is returned to the LCM allocator.
         """
-        self.state = PageState.EMPTY
+        self.state = EMPTY
         self.request_id = None
         self.ref_count = 0
         self.last_access = -1.0
@@ -99,15 +105,15 @@ class SmallPage:
 
     @property
     def is_empty(self) -> bool:
-        return self.state is PageState.EMPTY
+        return self.state is EMPTY
 
     @property
     def is_used(self) -> bool:
-        return self.state is PageState.USED
+        return self.state is USED
 
     @property
     def is_evictable(self) -> bool:
-        return self.state is PageState.EVICTABLE
+        return self.state is EVICTABLE
 
 
 @dataclass

@@ -25,12 +25,23 @@ The five-step allocation algorithm (Section 5.4):
 
 If all five steps fail the pool is genuinely full of used pages and the
 caller (the KV manager / scheduler) must preempt a request.
+
+Pages move in runs.  Every page transition has one implementation, a run
+form -- :meth:`TwoLevelAllocator.allocate_pages` (the five steps over a
+whole write set), :meth:`~TwoLevelAllocator.release_pages` and
+:meth:`~TwoLevelAllocator.acquire_cached_run` -- doing per page only what
+differs per page (its fields, its evictor entry, its large page's counts)
+and once per run the rest: the lookups, the ``version`` move, one
+``bump_state(old, new, n)`` and ``note_fill``, the subscriber probe.  A run
+is its pages taken one at a time, in order (same page, same step, same
+victim); ``allocate_page``, ``release_page`` and ``acquire_cached`` are
+delegates to the run of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .events import (
     EventBus,
@@ -44,7 +55,7 @@ from .evictor import LRUEvictor
 from .free_pool import FreePool
 from .layer_policy import GroupSpec, LayerTypePolicy
 from .lcm_allocator import LCMAllocator
-from .pages import PageState, PhysicalExtent, SmallPage
+from .pages import EMPTY, EVICTABLE, USED, LargePage, PageState, PhysicalExtent, SmallPage
 from .prefix_cache import CachedBlockIndex
 
 __all__ = ["GroupAllocator", "TwoLevelAllocator", "AllocatorStats"]
@@ -113,12 +124,13 @@ class GroupAllocator:
         """Record a change in filled token slots of USED pages."""
         self.used_filled_tokens += delta_tokens
 
-    def note_eviction(self) -> None:
-        """Record one small-page eviction (benchmark introspection)."""
-        self.num_evictions += 1
+    def note_eviction(self, n: int = 1) -> None:
+        """Record ``n`` small-page evictions (benchmark introspection)."""
+        self.num_evictions += n
 
-    def bump_state(self, old: PageState, new: PageState) -> None:
-        """Maintain the per-state running counters for one page transition.
+    def bump_state(self, old: PageState, new: PageState, n: int = 1) -> None:
+        """Maintain the per-state running counters for ``n`` pages going
+        from ``old`` to ``new`` (one call per run, not per page).
 
         The counters (``n_used``/``n_evictable``/``n_empty_carved``) back
         the O(groups) :meth:`TwoLevelAllocator.stats` path, so every state
@@ -126,10 +138,10 @@ class GroupAllocator:
         mutated nowhere else (the ``guarded-counter`` lint rule enforces
         that).
         """
-        for state, delta in ((old, -1), (new, +1)):
-            if state is PageState.EMPTY:
+        for state, delta in ((old, -n), (new, n)):
+            if state is EMPTY:
                 self.n_empty_carved += delta
-            elif state is PageState.USED:
+            elif state is USED:
                 self.n_used += delta
             else:
                 self.n_evictable += delta
@@ -149,49 +161,31 @@ class GroupAllocator:
     def push_free(self, page: SmallPage) -> None:
         self.free_pool.push(page.page_id, page.request_id, page.large_page_id)
 
-    def pop_free(self, request_id: Optional[str]) -> Optional[SmallPage]:
-        """Pop an empty page associated with ``request_id`` (step 1)."""
-        page_id = self.free_pool.pop(request_id)
-        return None if page_id is None else self.pages[page_id]
+    def new_pages(self, large: LargePage, request_id: Optional[str]) -> List[SmallPage]:
+        """Carve ``large`` into ``small_per_large`` EMPTY pages, in slot
+        order, associated with ``request_id``."""
+        first = self._next_page_id
+        group_id = self.spec.group_id
+        large_id = large.page_id
+        ids = large.small_page_ids = list(range(first, first + self.small_per_large))
+        carved = [
+            SmallPage(page_id, group_id, large_id, page_id - first, EMPTY, request_id)
+            for page_id in ids
+        ]
+        self.pages.update(zip(ids, carved))
+        self._next_page_id = first + len(ids)
+        self.n_empty_carved += len(ids)
+        return carved
 
-    def pop_free_batch(self, request_id: Optional[str], n: int) -> List[SmallPage]:
-        """Pop up to ``n`` request-associated empty pages in one call.
-
-        The batched step-1 fast path of
-        :meth:`TwoLevelAllocator.allocate_pages`: a long prefill drains its
-        own free bucket here without re-entering the five-step dispatch per
-        page.
-        """
-        popped: List[SmallPage] = []
-        while len(popped) < n:
-            page_id = self.free_pool.pop(request_id)
-            if page_id is None:
-                break
-            popped.append(self.pages[page_id])
-        return popped
-
-    def pop_free_any(self) -> Optional[SmallPage]:
-        """Pop any empty page regardless of association (step 4)."""
-        page_id = self.free_pool.pop_any()
-        return None if page_id is None else self.pages[page_id]
-
-    def new_page(self, large_page_id: int, slot: int, request_id: Optional[str]) -> SmallPage:
-        page = SmallPage(
-            page_id=self._next_page_id,
-            group_id=self.spec.group_id,
-            large_page_id=large_page_id,
-            slot=slot,
-            request_id=request_id,
-        )
-        self._next_page_id += 1
-        self.pages[page.page_id] = page
-        self.n_empty_carved += 1
-        return page
-
-    def destroy_page(self, page: SmallPage) -> None:
-        """Forget a page whose large page returns to the LCM pool."""
-        if self.pages.pop(page.page_id, None) is not None:
-            self.n_empty_carved -= 1
+    def destroy_pages(self, page_ids: List[int], evicted: int) -> List[SmallPage]:
+        """Forget the pages of a large page returning to the LCM pool:
+        ``evicted`` of them were still EVICTABLE, the rest EMPTY."""
+        pop = self.pages.pop
+        gone = [pop(page_id) for page_id in page_ids]
+        self.num_evictions += evicted
+        self.n_evictable -= evicted
+        self.n_empty_carved -= len(gone) - evicted
+        return gone
 
 
 class TwoLevelAllocator:
@@ -221,7 +215,8 @@ class TwoLevelAllocator:
             g: GroupAllocator(specs[g], policies[g], self.lcm.small_pages_per_large(g))
             for g in specs
         }
-        # Per-large-page state counts: [empty, used, evictable].
+        # Per-large-page state counts: [empty, used, evictable], indexed
+        # by PageState.
         self._large_counts: Dict[int, List[int]] = {}
         self.large_evictor: LRUEvictor[int] = LRUEvictor()
         # Members of large_evictor per owning group, maintained alongside
@@ -229,15 +224,13 @@ class TwoLevelAllocator:
         self._num_fully_evictable: Dict[str, int] = {g: 0 for g in specs}
         # Large pages currently owned (carved) per group; the O(1) counter
         # the soft-quota carve gate and admission headroom read.  Moves
-        # only in _carve_and_take / _return_large_page.
+        # only in _carve / _return_large_page.
         self._num_large_owned: Dict[str, int] = {g: 0 for g in specs}
         self.num_large_evictions = 0
-        # Monotone pool-state version: moves whenever a small page changes
-        # state (_bump), a large page goes back to the LCM pool
-        # (_return_large_page -- the bulk-eviction path resets its pages
-        # without _bump) or a quota changes (set_quota).  A carve needs no
-        # site of its own: the page it hands out is activated through
-        # _bump.  Equal versions mean num_free, the evictors' sizes, the
+        # Monotone pool-state version: moves once per run that changes a
+        # small page's state, whenever a large page goes back to the LCM
+        # pool and whenever a quota changes (DESIGN.md lists the sites).
+        # Equal versions mean num_free, the evictors' sizes, the
         # fully-evictable and owned counts, lcm.num_free and every quota
         # are unchanged, so an admission verdict taken at one holds at the
         # other.
@@ -256,208 +249,260 @@ class TwoLevelAllocator:
     # ------------------------------------------------------------------
 
     def allocate_page(self, group_id: str, request_id: str) -> Optional[SmallPage]:
-        """Allocate one small page: ``allocate_pages(..., 1)`` unwrapped.
-
-        Returns ``None`` when every step fails (all memory pinned by running
-        requests); the caller must preempt.
-        """
+        """One small page, ``allocate_pages(..., 1)`` unwrapped: ``None`` when
+        every step fails and the caller must preempt."""
         pages = self.allocate_pages(group_id, request_id, 1)
         return pages[0] if pages else None
 
     def allocate_pages(
         self, group_id: str, request_id: str, n: int
     ) -> Optional[List[SmallPage]]:
-        """Allocate ``n`` small pages of ``group_id`` in one batched call.
+        """Allocate ``n`` small pages of ``group_id`` as one run.
 
-        All-or-nothing: on success returns the ``n`` activated pages (in
+        Each page comes from the first of the five steps that has one, so
+        a run takes the pages, in the order, ``n`` runs of one would.
+        All-or-nothing: on success returns the ``n`` USED pages (in
         allocation order) and publishes exactly one
-        :class:`~repro.core.events.PagesAllocated` record for the whole
-        batch; when any page cannot be found the pages taken so far are
-        released back and ``None`` is returned.
-        ``n <= 0`` is a no-op returning an empty list.
+        :class:`~repro.core.events.PagesAllocated` record; when a page
+        cannot be found the pages taken so far are released back as one
+        run (the evictions made for them stay made) and ``None`` is
+        returned.  ``n <= 0`` is a no-op returning an empty list.
 
-        Request-associated empty pages (step 1) are drained via one
-        :meth:`GroupAllocator.pop_free_batch` call before the per-page
-        five-step dispatch takes over for the remainder.
+        Eviction and carve records still fire as they happen -- they are
+        pool mutations in their own right.
         """
         group = self.groups[group_id]
+        pages = group.pages
+        pool = group.free_pool
+        evictor = group.evictor
+        lcm = self.lcm
+        large_evictor = self.large_evictor
+        events = self.events
+        aware = self.request_aware
         taken: List[SmallPage] = []
         steps: List[int] = []
-        if n > 0 and self.request_aware:
-            for page in group.pop_free_batch(request_id, n):
-                taken.append(self._activate(group, page, request_id))
-                steps.append(1)
+        reclaimed = 0
         while len(taken) < n:
-            result = self._allocate_one(group, request_id)
-            if result is None:
-                for page in reversed(taken):
-                    self.release_page(group_id, page.page_id, cacheable=False)
-                return None
-            taken.append(result[0])
-            steps.append(result[1])
-        if taken and self.events is not None and self.events.has_subscribers(
-            PagesAllocated
-        ):
-            self.events.emit(PagesAllocated(
-                group_id,
-                request_id,
-                tuple(page.page_id for page in taken),
-                tuple(steps),
+            # Step 1: request-associated empty small page.  In ablation
+            # mode (§4.3) naive first-fit over any empty page instead,
+            # tagged step 0 so event analytics never conflate it with a
+            # genuine step-4 fallback.
+            page_id = pool.pop(request_id) if aware else pool.pop_any()
+            if page_id is not None:
+                taken.append(pages[page_id])
+                steps.append(1 if aware else 0)
+                continue
+            # Steps 2/3 grow the group's large-page ownership, so both sit
+            # behind the soft-quota gate.  A group at quota still reaches
+            # its own memory through steps 1/4/5 (empty and evictable
+            # small pages, including those inside its own fully-evictable
+            # large pages).
+            carve_step = 0
+            if group.quota is None or self._num_large_owned[group_id] < group.quota:
+                # Step 2: carve a fresh large page.  Step 3: first evict
+                # the least-recently-used fully-evictable large page (any
+                # group's) to have one.
+                carve_step = 2 if lcm.has_free() else 3 if len(large_evictor) else 0
+            if carve_step:
+                if carve_step == 3:
+                    victim_id, last_access, prefix = large_evictor.evict_with_key()
+                    victim_group = lcm.owner_of(victim_id)
+                    assert victim_group is not None
+                    self._num_fully_evictable[victim_group] -= 1
+                    self._evict_large_page(victim_id, victim_group, last_access, prefix)
+                # Slot 0 is taken now; the rest wait in the request's
+                # bucket, where step 1 finds them next.
+                carved = self._carve(group, request_id)
+                taken.append(carved[0])
+                steps.append(carve_step)
+                for page in carved[1:]:
+                    group.push_free(page)
+                continue
+            # Step 4: any empty small page of this group.
+            page_id = pool.pop_any()
+            if page_id is not None:
+                taken.append(pages[page_id])
+                steps.append(4)
+                continue
+            # Step 5: evict an evictable small page of this group and
+            # reuse it in place.
+            if not len(evictor):
+                break
+            victim_id, last_access, prefix = evictor.evict_with_key()
+            page = pages[victim_id]
+            self._uncache(group, page)
+            large_id = page.large_page_id
+            assert large_id is not None
+            counts = self._large_counts[large_id]
+            if counts[2] == group.small_per_large:
+                self._large_evictor_discard(large_id, group_id)
+            counts[2] -= 1
+            counts[0] += 1
+            page.reset()
+            reclaimed += 1
+            if events is not None and events.has_subscribers(PageEvicted):
+                events.emit(PageEvicted(group_id, victim_id, "small", last_access, prefix))
+            taken.append(page)
+            steps.append(5)
+        if taken:
+            # EMPTY -> USED for the whole run at once.
+            self.version += 1
+            if reclaimed:
+                group.note_eviction(reclaimed)
+                group.bump_state(EVICTABLE, EMPTY, reclaimed)
+            group.bump_state(EMPTY, USED, len(taken))
+            large_counts = self._large_counts
+            for page in taken:
+                page.state = USED
+                page.request_id = request_id
+                page.ref_count = 1
+                assert page.large_page_id is not None
+                counts = large_counts[page.large_page_id]
+                counts[0] -= 1
+                counts[1] += 1
+        if len(taken) < n:
+            self.release_pages(group_id, [page.page_id for page in reversed(taken)], False)
+            return None
+        if taken and events is not None and events.has_subscribers(PagesAllocated):
+            events.emit(PagesAllocated(
+                group_id, request_id, tuple(page.page_id for page in taken), tuple(steps)
             ))
         return taken
 
-    def _allocate_one(
-        self, group: GroupAllocator, request_id: str
-    ) -> Optional[Tuple[SmallPage, int]]:
-        """Run the five-step algorithm once; returns (page, step).
-
-        Emission of the allocation record is left to the caller so the
-        batched path can publish one event per call instead of per page
-        (eviction and carve records still fire here -- they are pool
-        mutations in their own right).
-        """
-        if not self.request_aware:
-            # Ablation mode (§4.3): naive first-fit over any empty small
-            # page, tagged step=0 so event analytics never conflate it
-            # with a genuine step-4 fallback.  When it misses, the pool
-            # holds no empty page at all, so step 1 is skipped (it could
-            # only re-probe the pool this just proved empty).
-            page = group.pop_free_any()
-            if page is not None:
-                return self._activate(group, page, request_id), 0
-        else:
-            # Step 1: request-associated empty small page.
-            page = group.pop_free(request_id)
-            if page is not None:
-                return self._activate(group, page, request_id), 1
-
-        # Steps 2/3 grow the group's large-page ownership, so both sit
-        # behind the soft-quota gate.  A group at quota still reaches its
-        # own memory through steps 1/4/5 (empty and evictable small pages,
-        # including those inside its own fully-evictable large pages).
-        under_quota = (
-            group.quota is None
-            or self._num_large_owned[group.spec.group_id] < group.quota
-        )
-
-        # Step 2: carve a fresh large page.
-        if under_quota and self.lcm.has_free():
-            page = self._carve_and_take(group, request_id)
-            return self._activate(group, page, request_id), 2
-
-        # Step 3: evict a fully-evictable large page (any group's).
-        if under_quota and len(self.large_evictor):
-            victim_id, last_access, prefix_length = self.large_evictor.evict_with_key()
-            victim_group = self.lcm.page(victim_id).owner_group
-            assert victim_group is not None
-            self._num_fully_evictable[victim_group] -= 1
-            self._evict_large_page(victim_id)
-            self.num_large_evictions += 1
-            if self.events is not None and self.events.has_subscribers(PageEvicted):
-                self.events.emit(PageEvicted(
-                    victim_group, victim_id, "large", last_access, prefix_length
-                ))
-            page = self._carve_and_take(group, request_id)
-            return self._activate(group, page, request_id), 3
-
-        # Step 4: any empty small page of this group.
-        page = group.pop_free_any()
-        if page is not None:
-            return self._activate(group, page, request_id), 4
-
-        # Step 5: evict an evictable small page of this group.
-        if len(group.evictor):
-            victim_id, last_access, prefix_length = group.evictor.evict_with_key()
-            victim = group.pages[victim_id]
-            self._reclaim_evictable(group, victim)
-            group.note_eviction()
-            if self.events is not None and self.events.has_subscribers(PageEvicted):
-                self.events.emit(PageEvicted(
-                    group.spec.group_id, victim_id, "small", last_access,
-                    prefix_length
-                ))
-            return self._activate(group, victim, request_id), 5
-
-        return None
-
-    def _carve_and_take(self, group: GroupAllocator, request_id: str) -> SmallPage:
-        large = self.lcm.allocate(group.spec.group_id)
+    def _carve(self, group: GroupAllocator, request_id: str) -> List[SmallPage]:
+        """Carve a free large page into ``group``'s small pages: all EMPTY,
+        associated with ``request_id``, not yet pooled."""
+        group_id = group.spec.group_id
+        large = self.lcm.allocate(group_id)
         if self.events is not None and self.events.has_subscribers(LargePageCarved):
             self.events.emit(LargePageCarved(
-                group.spec.group_id, large.page_id, group.small_per_large
+                group_id, large.page_id, group.small_per_large
             ))
-        self._large_counts[large.page_id] = [group.small_per_large, 0, 0]
-        self._num_large_owned[group.spec.group_id] += 1
-        first: Optional[SmallPage] = None
-        for slot in range(group.small_per_large):
-            page = group.new_page(large.page_id, slot, request_id)
-            large.small_page_ids.append(page.page_id)
-            if slot == 0:
-                first = page
-            else:
-                group.push_free(page)
-        assert first is not None
-        return first
-
-    def _activate(self, group: GroupAllocator, page: SmallPage, request_id: str) -> SmallPage:
-        """Transition an EMPTY page to USED for ``request_id``."""
-        assert page.is_empty, f"activating non-empty page {page.page_id}"
-        self._bump(page, PageState.EMPTY, PageState.USED)
-        page.state = PageState.USED
-        page.request_id = request_id
-        page.ref_count = 1
-        page.block_hash = None
-        page.num_tokens = 0
-        page.prefix_length = 0.0
-        return page
+        carved = group.new_pages(large, request_id)
+        self._large_counts[large.page_id] = [len(carved), 0, 0]
+        self._num_large_owned[group_id] += 1
+        return carved
 
     # ------------------------------------------------------------------
     # Release / prefix-cache transitions
     # ------------------------------------------------------------------
 
     def release_page(self, group_id: str, page_id: int, cacheable: bool = True) -> None:
-        """Drop one reference; the last reference frees or caches the page."""
+        """Drop one reference: ``release_pages`` of a run of one."""
+        self.release_pages(group_id, (page_id,), cacheable)
+
+    def release_pages(
+        self, group_id: str, page_ids: Iterable[int], cacheable: bool = True
+    ) -> None:
+        """Drop one reference on each of ``page_ids``, in order; a page's
+        last reference caches it (hashed, ``cacheable``, prefix caching
+        on) or frees it.
+
+        Publishes one :class:`~repro.core.events.PageReleased` per page
+        that dropped its last reference, in run order.  A page that is not
+        USED raises ``ValueError``; the pages before it stay released.
+        """
         group = self.groups[group_id]
-        page = group.pages[page_id]
-        if not page.is_used or page.ref_count <= 0:
-            raise ValueError(
-                f"releasing page {page_id} of group {group_id} in state {page.state}"
-            )
-        page.ref_count -= 1
-        if page.ref_count > 0:
-            return
-        cached = cacheable and self.enable_prefix_caching and page.block_hash is not None
-        if cached:
-            group.note_fill(-page.num_tokens)
-            self._bump(page, PageState.USED, PageState.EVICTABLE)
-            page.state = PageState.EVICTABLE
-            group.evictor.add(page.page_id, page.last_access, page.prefix_length)
-        else:
-            self._free_page(group, page)
-        if self.events is not None and self.events.has_subscribers(PageReleased):
-            self.events.emit(PageReleased(group_id, page_id, cached))
+        pages = group.pages
+        evictor = group.evictor
+        large_counts = self._large_counts
+        spl = group.small_per_large
+        cache = cacheable and self.enable_prefix_caching
+        released: List[Tuple[int, bool]] = []  # (page id, cached)
+        fill = n_cached = 0
+        try:
+            for page_id in page_ids:
+                page = pages[page_id]
+                if page.state is not USED or page.ref_count <= 0:
+                    raise ValueError(
+                        f"releasing page {page_id} of group {group_id} "
+                        f"in state {page.state.name}"
+                    )
+                page.ref_count -= 1
+                if page.ref_count:
+                    continue
+                fill += page.num_tokens
+                cached = cache and page.block_hash is not None
+                released.append((page_id, cached))
+                if not cached:
+                    self._empty_page(group, page)
+                    continue
+                n_cached += 1
+                page.state = EVICTABLE
+                evictor.add(page_id, page.last_access, page.prefix_length)
+                large_id = page.large_page_id
+                assert large_id is not None
+                counts = large_counts[large_id]
+                counts[1] -= 1
+                counts[2] += 1
+                if counts[2] == spl:
+                    # The last page to turn makes the large page fully
+                    # evictable: one key scan per large page.
+                    self._num_fully_evictable[group_id] += 1
+                    self.large_evictor.add(large_id, *self._large_key_scan(large_id))
+        finally:
+            if released:
+                self.version += 1
+                group.note_fill(-fill)
+                group.bump_state(USED, EVICTABLE, n_cached)
+                group.bump_state(USED, EMPTY, len(released) - n_cached)
+                if self.events is not None and self.events.has_subscribers(PageReleased):
+                    for page_id, cached in released:
+                        self.events.emit(PageReleased(group_id, page_id, cached))
 
     def acquire_cached(
         self, group_id: str, block_hash: int, request_id: str
     ) -> Optional[SmallPage]:
-        """Take a reference on the cached block ``block_hash`` (cache hit)."""
+        """Take a reference on one cached block: a run of one, unwrapped."""
+        pages = self.acquire_cached_run(group_id, (block_hash,), request_id)
+        return pages[0] if pages else None
+
+    def acquire_cached_run(
+        self, group_id: str, block_hashes: Iterable[int], request_id: str
+    ) -> List[SmallPage]:
+        """Take a reference on the cached block of each hash, in order
+        (cache hits), stopping at the first miss or stale index entry.
+
+        Returns the pages acquired so far -- as many as there are hashes
+        when the whole run hit; the caller decides what a short run means.
+        """
         group = self.groups[group_id]
-        page_id = group.cache_index.lookup(block_hash)
-        if page_id is None:
-            return None
-        page = group.pages.get(page_id)
-        if page is None or page.block_hash != block_hash:
-            # Stale index entry (page was reclaimed); treat as miss.
-            group.cache_index.remove(block_hash, page_id)
-            return None
-        if page.is_evictable:
-            group.evictor.remove(page.page_id)
-            self._bump(page, PageState.EVICTABLE, PageState.USED)
-            page.state = PageState.USED
-            group.note_fill(page.num_tokens)
-        page.ref_count += 1
-        page.request_id = request_id
-        return page
+        pages = group.pages
+        index = group.cache_index
+        evictor = group.evictor
+        large_counts = self._large_counts
+        spl = group.small_per_large
+        acquired: List[SmallPage] = []
+        revived = fill = 0
+        for block_hash in block_hashes:
+            page_id = index.lookup(block_hash)
+            if page_id is None:
+                break
+            page = pages.get(page_id)
+            if page is None or page.block_hash != block_hash:
+                # Stale index entry (page was reclaimed); treat as miss.
+                index.remove(block_hash, page_id)
+                break
+            if page.state is EVICTABLE:
+                evictor.remove(page_id)
+                page.state = USED
+                revived += 1
+                fill += page.num_tokens
+                large_id = page.large_page_id
+                assert large_id is not None
+                counts = large_counts[large_id]
+                if counts[2] == spl:
+                    self._large_evictor_discard(large_id, group_id)
+                counts[2] -= 1
+                counts[1] += 1
+            page.ref_count += 1
+            page.request_id = request_id
+            acquired.append(page)
+        if revived:
+            self.version += 1
+            group.note_fill(fill)
+            group.bump_state(EVICTABLE, USED, revived)
+        return acquired
 
     def register_block_hash(self, group_id: str, page: SmallPage, block_hash: int) -> None:
         """Publish a completed block into the group's cache index."""
@@ -471,13 +516,16 @@ class TwoLevelAllocator:
             if old is not None and old.block_hash == block_hash:
                 old.block_hash = None
                 if old.is_evictable:
-                    old_page_id = old.page_id
-                    group.evictor.discard(old_page_id)
-                    self._free_page(group, old)
-                    # The displaced copy freed outright without passing
-                    # through release_page: observers still see a release.
+                    # The displaced copy frees outright without passing
+                    # through release_pages: observers still see a release.
+                    group.evictor.discard(displaced)
+                    assert old.large_page_id is not None
+                    self._large_evictor_discard(old.large_page_id, group_id)
+                    self.version += 1
+                    group.bump_state(EVICTABLE, EMPTY)
+                    self._empty_page(group, old)
                     if self.events is not None and self.events.has_subscribers(PageReleased):
-                        self.events.emit(PageReleased(group_id, old_page_id, False))
+                        self.events.emit(PageReleased(group_id, displaced, False))
 
     def touch_evictable(self, group_id: str, page: SmallPage) -> None:
         """Re-key an evictable page after its eviction metadata changed."""
@@ -496,159 +544,102 @@ class TwoLevelAllocator:
             key = (page.last_access, page.prefix_length)
             if key[0] >= cur[0] and key[1] >= cur[1]:
                 if key != cur:
-                    self._large_evictor_add(large_id, *key)
+                    self.large_evictor.add(large_id, *key)
             else:
-                self._large_evictor_add(large_id, *self._large_key_scan(large_id))
+                self.large_evictor.add(large_id, *self._large_key_scan(large_id))
 
     # ------------------------------------------------------------------
     # Internal state machinery
     # ------------------------------------------------------------------
 
-    def _free_page(self, group: GroupAllocator, page: SmallPage) -> None:
-        """EVICTABLE/USED(ref 0) -> EMPTY, returning empty large pages."""
-        if page.block_hash is not None:
-            group.cache_index.remove(page.block_hash, page.page_id)
-        old_state = page.state
-        if old_state is PageState.USED:
-            group.note_fill(-page.num_tokens)
-        request_id = page.request_id
-        page.reset()
-        page.request_id = request_id  # keep the association for step 1
-        self._bump(page, old_state, PageState.EMPTY)
-        large_id = page.large_page_id
-        if large_id is not None:
-            counts = self._large_counts.get(large_id)
-            if counts is not None and counts[0] == self._total_slots(large_id):
-                self._return_large_page(large_id)
-                return
-        group.push_free(page)
-
-    def _reclaim_evictable(self, group: GroupAllocator, page: SmallPage) -> None:
-        """Strip cached content from an evicted page, leaving it EMPTY."""
-        assert page.is_evictable
+    def _uncache(self, group: GroupAllocator, page: SmallPage) -> None:
+        """An evictable page is being reclaimed: tell the eviction
+        listener about its cached block and drop the block from the index."""
         if page.block_hash is not None:
             if self.eviction_listener is not None:
                 self.eviction_listener(
                     group.spec.group_id, page.block_hash, group.spec.page_bytes
                 )
             group.cache_index.remove(page.block_hash, page.page_id)
+
+    def _empty_page(self, group: GroupAllocator, page: SmallPage) -> None:
+        """USED (ref 0) / EVICTABLE -> EMPTY: unindex, reset, then pool the
+        page or return its now-empty large page.  Group counters, evictor
+        membership and the version move are the caller's, once per run."""
+        if page.block_hash is not None:
+            group.cache_index.remove(page.block_hash, page.page_id)
+        large_id = page.large_page_id
+        assert large_id is not None
+        counts = self._large_counts[large_id]
+        counts[page.state] -= 1
+        counts[0] += 1
         request_id = page.request_id
         page.reset()
-        page.request_id = request_id
-        self._bump(page, PageState.EVICTABLE, PageState.EMPTY)
-        # Not pushed to the free pool: the caller activates it immediately.
+        page.request_id = request_id  # keep the association for step 1
+        if counts[0] == group.small_per_large:
+            self._return_large_page(large_id)
+        else:
+            group.push_free(page)
 
-    def _evict_large_page(self, large_id: int) -> None:
-        """Evict every (evictable) small page of ``large_id`` and free it."""
+    def _evict_large_page(
+        self, large_id: int, owner: str, last_access: float, prefix: float
+    ) -> None:
+        """Return ``owner``'s large page as an eviction: counted and
+        published with the priority it held (step 3, quota deflation)."""
+        self._return_large_page(large_id)
+        self.num_large_evictions += 1
+        if self.events is not None and self.events.has_subscribers(PageEvicted):
+            self.events.emit(PageEvicted(owner, large_id, "large", last_access, prefix))
+
+    def _return_large_page(self, large_id: int) -> None:
+        """Give ``large_id`` back to the LCM pool, evicting in the same walk
+        whatever cached small pages it still holds.
+
+        No small page may be USED, and the caller has already taken the
+        large page out of ``large_evictor``.
+        """
         large = self.lcm.page(large_id)
-        assert large.owner_group is not None
-        group = self.groups[large.owner_group]
-        for small_id in list(large.small_page_ids):
-            page = group.pages.get(small_id)
-            if page is None:
-                continue
-            if page.is_used:
-                raise RuntimeError(
-                    f"large page {large_id} evicted while small page {small_id} is USED"
-                )
-            if page.is_evictable:
+        owner = large.owner_group
+        assert owner is not None
+        group = self.groups[owner]
+        counts = self._large_counts[large_id]
+        if counts[1]:
+            raise RuntimeError(
+                f"large page {large_id} returned while {counts[1]} small pages are USED"
+            )
+        del self._large_counts[large_id]
+        for page in group.destroy_pages(large.small_page_ids, counts[2]):
+            if page.state is EVICTABLE:
                 group.evictor.discard(page.page_id)
-                if page.block_hash is not None:
-                    if self.eviction_listener is not None:
-                        self.eviction_listener(
-                            group.spec.group_id, page.block_hash,
-                            group.spec.page_bytes,
-                        )
-                    group.cache_index.remove(page.block_hash, page.page_id)
-                group.note_eviction()
-                group.bump_state(PageState.EVICTABLE, PageState.EMPTY)
-            page.reset()
-        self._return_large_page(large_id, already_reset=True)
-
-    def _return_large_page(self, large_id: int, already_reset: bool = False) -> None:
-        large = self.lcm.page(large_id)
-        assert large.owner_group is not None
-        group = self.groups[large.owner_group]
-        for small_id in large.small_page_ids:
-            page = group.pages.get(small_id)
-            if page is None:
-                continue
-            if not already_reset and not page.is_empty:
-                raise RuntimeError(
-                    f"returning large page {large_id} with non-empty small page {small_id}"
-                )
-            group.destroy_page(page)
+                self._uncache(group, page)
+                page.reset()
         # Drop this large page's (and only this large page's) pooled empty
         # pages -- O(members) through the per-large membership index, not
         # O(all free pages of the group).
         group.free_pool.purge_large(large_id)
-        del self._large_counts[large_id]
-        self._num_large_owned[large.owner_group] -= 1
+        self._num_large_owned[owner] -= 1
         self.version += 1
-        self._large_evictor_discard(large_id)
         self.lcm.free(large_id)
-
-    def _total_slots(self, large_id: int) -> int:
-        owner = self.lcm.owner_of(large_id)
-        return self.groups[owner].small_per_large if owner else 0
-
-    _STATE_IDX = {PageState.EMPTY: 0, PageState.USED: 1, PageState.EVICTABLE: 2}
-
-    def _bump(self, page: SmallPage, old: PageState, new: PageState) -> None:
-        """Maintain per-large-page and per-group state counters."""
-        self.version += 1
-        self.groups[page.group_id].bump_state(old, new)
-        if page.large_page_id is None:
-            return
-        counts = self._large_counts.get(page.large_page_id)
-        if counts is None:
-            return
-        counts[self._STATE_IDX[old]] -= 1
-        counts[self._STATE_IDX[new]] += 1
-        # Incremental large-evictor maintenance.  A large page is in the
-        # evictor iff every small page is EVICTABLE, so only transitions
-        # touching the EVICTABLE state can change membership:
-        #   * leaving EVICTABLE breaks full evictability -> O(1) discard;
-        #   * entering EVICTABLE inserts (with the O(small_per_large) key
-        #     scan) only when this was the *last* page to turn, which
-        #     needed small_per_large prior transitions -- amortized O(1).
-        # EMPTY<->USED transitions imply the large page was not and is not
-        # fully evictable, and cost nothing here.
-        large_id = page.large_page_id
-        if old is PageState.EVICTABLE:
-            self._large_evictor_discard(large_id)
-        elif new is PageState.EVICTABLE and counts[2] == self._total_slots(large_id):
-            self._large_evictor_add(large_id, *self._large_key_scan(large_id))
 
     def _large_key_scan(self, large_id: int) -> Tuple[float, float]:
         """Eviction key of a fully-evictable large page: the component-wise
         max of ``(last_access, prefix_length)`` over its small pages."""
         large = self.lcm.page(large_id)
         assert large.owner_group is not None
-        group = self.groups[large.owner_group]
+        pages = self.groups[large.owner_group].pages
         last = -1.0
         prefix = 0.0
         for small_id in large.small_page_ids:
-            page = group.pages.get(small_id)
-            if page is None:
-                continue
+            page = pages[small_id]
             if page.last_access > last:
                 last = page.last_access
             if page.prefix_length > prefix:
                 prefix = page.prefix_length
         return last, prefix
 
-    def _large_evictor_add(self, large_id: int, last_access: float, prefix: float) -> None:
-        if large_id not in self.large_evictor:
-            owner = self.lcm.page(large_id).owner_group
-            assert owner is not None
-            self._num_fully_evictable[owner] += 1
-        self.large_evictor.add(large_id, last_access, prefix)
-
-    def _large_evictor_discard(self, large_id: int) -> None:
+    def _large_evictor_discard(self, large_id: int, owner: str) -> None:
+        """``owner``'s large page stops being fully evictable (if it was)."""
         if self.large_evictor.discard(large_id):
-            owner = self.lcm.page(large_id).owner_group
-            assert owner is not None
             self._num_fully_evictable[owner] -= 1
 
     # ------------------------------------------------------------------
@@ -736,13 +727,9 @@ class TwoLevelAllocator:
             for last, prefix, victim_id in victims:
                 if reclaimed >= excess:
                     break
-                self._evict_large_page(victim_id)
-                self.num_large_evictions += 1
+                self._large_evictor_discard(victim_id, group_id)
+                self._evict_large_page(victim_id, group_id, last, prefix)
                 reclaimed += 1
-                if self.events is not None and self.events.has_subscribers(PageEvicted):
-                    self.events.emit(PageEvicted(
-                        group_id, victim_id, "large", last, prefix
-                    ))
         return reclaimed
 
     def reclaimable_pages(self, group_id: str) -> int:
@@ -782,10 +769,14 @@ class TwoLevelAllocator:
             if not group.policy.snapshot_blocks:
                 filled = group.used_filled_tokens * group.spec.per_token_bytes
                 partial += max(0, used[group_id] - filled)
-        free_bytes = self.lcm.num_free * self.lcm.large_page_bytes
+        return self._stats_of(used, evictable, frag, partial)
+
+    def _stats_of(
+        self, used: Dict[str, int], evictable: Dict[str, int], frag: int, partial: int
+    ) -> AllocatorStats:
         return AllocatorStats(
             total_bytes=self.lcm.total_bytes,
-            free_bytes=free_bytes,
+            free_bytes=self.lcm.num_free * self.lcm.large_page_bytes,
             used_bytes_by_group=used,
             evictable_bytes_by_group=evictable,
             internal_frag_bytes=frag,
@@ -814,16 +805,7 @@ class TwoLevelAllocator:
                     frag += page_bytes
             used[group_id] = u
             evictable[group_id] = e
-        free_bytes = self.lcm.num_free * self.lcm.large_page_bytes
-        return AllocatorStats(
-            total_bytes=self.lcm.total_bytes,
-            free_bytes=free_bytes,
-            used_bytes_by_group=used,
-            evictable_bytes_by_group=evictable,
-            internal_frag_bytes=frag,
-            partial_fill_bytes=partial,
-            slack_bytes=self.lcm.slack_bytes,
-        )
+        return self._stats_of(used, evictable, frag, partial)
 
     def extent_of(self, group_id: str, page: SmallPage) -> PhysicalExtent:
         """Physical placement of a small page (page-layer partition, §4.2)."""
@@ -884,18 +866,15 @@ class TwoLevelAllocator:
         fully_by_group = {g: 0 for g in self.groups}
         owned_by_group = {g: 0 for g in self.groups}
         for large_id, counts in self._large_counts.items():
-            total = self._total_slots(large_id)
-            assert sum(counts) == total, (large_id, counts, total)
             large = self.lcm.page(large_id)
             assert large.owner_group is not None
             owned_by_group[large.owner_group] += 1
             group = self.groups[large.owner_group]
+            total = group.small_per_large
+            assert sum(counts) == total, (large_id, counts, total)
             actual = [0, 0, 0]
             for sid in large.small_page_ids:
-                page = group.pages.get(sid)
-                if page is None:
-                    continue
-                actual[{PageState.EMPTY: 0, PageState.USED: 1, PageState.EVICTABLE: 2}[page.state]] += 1
+                actual[group.pages[sid].state] += 1
             assert actual == counts, (large_id, actual, counts)
             if counts[2] == total and total > 0:
                 fully_by_group[large.owner_group] += 1

@@ -169,7 +169,7 @@ def return_large_page_alone(alloc):
     # the owned / lcm.num_free counts it writes must move the version
     # without leaning on set_quota's own bump.
     page = evictable_page(alloc)
-    return lambda: alloc._evict_large_page(page.large_page_id)
+    return lambda: alloc._return_large_page(page.large_page_id)
 
 
 MOVING = [
@@ -261,7 +261,7 @@ class TestAllocatorVersion:
     )
     def test_version_moves_with_every_admission_input(self, ops):
         """Whenever an op changes any admission input, ``version`` changes
-        too (fails when the bump is removed from ``_bump`` or
+        too (fails when the move is removed from a run form or
         ``set_quota``)."""
         alloc = make_allocator()
         live = []

@@ -175,7 +175,7 @@ class TestAllocatorProperties:
                     live.append((gid, page))
             elif live:
                 gid, page = live.pop(0)
-                if page.state.value != "used":
+                if not page.is_used:
                     continue
                 if op == "cache-release":
                     counter += 1
@@ -267,7 +267,7 @@ class TestAllocatorCrossValidation:
                             break
             elif live:
                 gid, page = live.pop(0)
-                if page.state.value != "used":
+                if not page.is_used:
                     continue
                 if op == "cache-release" and page.block_hash is None:
                     counter += 1
@@ -334,7 +334,7 @@ class TestPhysicalSafetyProperties:
             if op == "free":
                 if live:
                     gid, page = live.pop(0)
-                    if page.state.value == "used":
+                    if page.is_used:
                         alloc.release_page(gid, page.page_id, cacheable=False)
             else:
                 page = alloc.allocate_page(op, f"r{rid}")
