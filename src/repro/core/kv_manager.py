@@ -83,6 +83,7 @@ class GroupBinding:
     page_table: List[Optional[int]] = field(default_factory=list)
     held: Set[int] = field(default_factory=set)
     stream_len: int = 0  # stream tokens with pages allocated
+    backed_upto: int = 0  # global tokens needs_allocation last found backed
     filled_upto: int = 0  # stream tokens whose fill counts are recorded
     release_ptr: int = 0  # all held indices below this were released
     consumed: int = 0  # stream tokens prefill has consumed (consume_vision)
@@ -521,16 +522,30 @@ class JengaKVCacheManager(KVCacheManagerBase):
         ``binding.stream_len`` is deliberately *not* advanced here, so
         fill/hash bookkeeping catches up on the next real allocation (at
         most one page's worth of lag per group).
+
+        A walk that finds every slot backed is remembered as
+        ``binding.backed_upto``: a global token adds at most one stream
+        token, so until the stream can leave the page the walk ended in,
+        the group answers from one compare.  A slot leaving the request's
+        hold (:meth:`_release_slots`) forgets it; a ``_grow`` rollback
+        need not, it drops only slots that were missing, which no
+        remembered walk covers.
         """
         bindings = self._bindings.get(seq.request_id)
         if bindings is None:
             return True
         for group_id, policy in self.policies.items():
             binding = bindings[group_id]
+            if target_global <= binding.backed_upto:
+                continue
             target_stream = seq.stream_length(policy.spec.accepted_tags, target_global)
             if target_stream > binding.stream_len:
                 for _ in self._missing_slots(policy, binding, target_stream):
                     return True
+                slack = policy.write_free_tokens(target_stream)
+            else:
+                slack = binding.stream_len - target_stream
+            binding.backed_upto = min(target_global, len(seq)) + slack
         return False
 
     def consume_vision(self, seq: SequenceSpec, upto_global: int) -> None:
@@ -632,6 +647,7 @@ class JengaKVCacheManager(KVCacheManagerBase):
         eviction metadata (``last_access = stamp`` and the policy's prefix
         length) first and releasing them as one run -- the one place a page
         leaves a request's hold."""
+        binding.backed_upto = 0
         held = binding.held
         table = binding.page_table
         pages = group.pages

@@ -207,6 +207,12 @@ class LayerTypePolicy:
         tpp = self.spec.tokens_per_page
         return list(range(old_stream // tpp, (new_stream + tpp - 1) // tpp))
 
+    def write_free_tokens(self, stream_len: int) -> int:
+        """Tokens the stream can grow past ``stream_len`` before
+        :meth:`pages_to_write` names a slot it does not name already (the
+        rest of the current page; 0 is always a safe answer)."""
+        return -stream_len % self.spec.tokens_per_page
+
     def release_frontier(self, stream_len: int, consumed: int = 0) -> int:
         """First page-table slot a request at ``stream_len`` still needs.
 
@@ -455,6 +461,9 @@ class MambaPolicy(LayerTypePolicy):
             if boundary > old_stream:
                 indices.append(self.page_index_of_block(block_idx))
         return indices
+
+    def write_free_tokens(self, stream_len: int) -> int:
+        return 0  # the next token may cross a checkpoint boundary
 
     def cacheable_boundaries(self, stream_len: int) -> List[int]:
         """Stream positions where the recurrent state is snapshotted.

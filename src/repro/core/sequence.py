@@ -25,6 +25,7 @@ hashed before instead of the whole stream.
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -289,9 +290,7 @@ class SequenceSpec:
     def _counts_for(self, tag: TokenTag) -> List[int]:
         counts = self._prefix_counts.get(tag)
         if counts is None:
-            counts = [0]
-            for t in self.tags:
-                counts.append(counts[-1] + (1 if t == tag else 0))
+            counts = list(itertools.accumulate([t == tag for t in self.tags], initial=0))
             self._prefix_counts[tag] = counts
         return counts
 

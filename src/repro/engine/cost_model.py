@@ -23,8 +23,9 @@ exactly reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
-from ..models.config import ModelSpec
+from ..models.config import MAMBA, ModelSpec
 from ..platforms.gpu import GPU
 
 __all__ = ["StepWork", "CostModel"]
@@ -103,6 +104,23 @@ class CostModel:
         self.kernel_slowdown = kernel_slowdown
         self._flops = gpu.flops * _COMPUTE_EFF
         self._bw = gpu.hbm_bandwidth * _BANDWIDTH_EFF
+        # A step is priced per layer *class*, never per layer: attention
+        # layers fold by context limit into (limit, read bytes per token,
+        # count) -- KV-sharing layers read but store nothing -- and Mamba
+        # layers into one state term.  All integers < 2**53, so it is exact.
+        kvb = model.kv_dtype_bytes
+        folded: Dict[Optional[int], List[int]] = {}
+        for layer in model.layers:
+            if layer.kind == MAMBA:
+                continue
+            limit = min(filter(None, (layer.window, layer.budget)), default=None)
+            cls = folded.setdefault(limit, [0, 0])
+            cls[0] += 2 * layer.kv_heads * layer.head_dim * kvb
+            cls[1] += 1
+        self._classes = [(limit, per_tok, n) for limit, (per_tok, n) in folded.items()]
+        self._state_bytes = float(model.mamba_state_bytes())
+        # Every storing layer writes each new token once.
+        self._write_bytes = float(model.kv_bytes_per_token_alllayers())
 
     def step_time(self, work: StepWork) -> float:
         """Seconds one engine step takes."""
@@ -139,7 +157,7 @@ class CostModel:
     # Helpers for building StepWork
     # ------------------------------------------------------------------
 
-    def attention_read(self, context_len: int) -> tuple:
+    def attention_read(self, context_len: int) -> Tuple[float, float]:
         """(context_token_sum, kv_bytes) one new token's attention reads.
 
         Each layer reads at most its window/budget of context; Mamba layers
@@ -149,54 +167,34 @@ class CostModel:
         """
         return self.attention_read_range(context_len, context_len + 1)
 
-    def attention_read_range(self, p0: int, p1: int) -> tuple:
+    def attention_read_range(self, p0: int, p1: int) -> Tuple[float, float]:
         """Attention reads for new tokens at positions ``[p0, p1)``.
 
-        Closed form per layer, so prefill chunks cost O(#layers) to price
+        Closed form per layer class, so a chunk costs O(#classes) to price
         rather than O(chunk * #layers).  Token at position ``t`` reads
         ``min(t, limit)`` context tokens.
         """
         if p1 <= p0:
             return 0.0, 0.0
         ctx = 0.0
-        bytes_read = 0.0
-        kvb = self.model.kv_dtype_bytes
-        for layer in self.model.layers:
-            if layer.kind == "mamba":
-                # The recurrent state streams through once per pass.
-                bytes_read += float(layer.state_bytes or 0)
-                continue
-            limit = None
-            if layer.window:
-                limit = layer.window
-            if layer.budget:
-                limit = layer.budget if limit is None else min(limit, layer.budget)
-            # Compute: every new token attends to its own (window-capped)
-            # context -- genuinely quadratic.
-            ctx += _sum_min_range(p0, p1, limit)
-            # Memory: fused kernels stream the KV region once per pass (the
-            # whole point of FlashAttention tiling), so the traffic is the
-            # resident context, not context x tokens.  KV-sharing layers
-            # still *read* the shared cache even though they store nothing.
-            span = p1 if limit is None else min(p1, limit)
-            per_tok = 2 * layer.kv_heads * layer.head_dim * kvb
-            bytes_read += span * per_tok
+        bytes_read = self._state_bytes
+        for limit, per_tok, count in self._classes:
+            # Compute: each new token attends to its own capped context.
+            ctx += count * _sum_min_range(p0, p1, limit)
+            # Memory: fused (FlashAttention-tiled) kernels stream the resident
+            # KV once per pass, so traffic is context, not context x tokens.
+            bytes_read += (p1 if limit is None else min(p1, limit)) * per_tok
         return ctx, bytes_read
 
     def write_bytes_per_token(self) -> float:
-        kvb = self.model.kv_dtype_bytes
-        return float(
-            sum(l.per_token_bytes(kvb) for l in self.model.layers if l.kind != "mamba")
-        )
+        return self._write_bytes
 
 
 def _sum_min_range(p0: int, p1: int, limit) -> float:
     """``sum(min(t, limit) for t in range(p0, p1))`` in closed form."""
-    if limit is None:
+    if limit is None or p1 <= limit:
         return (p0 + p1 - 1) * (p1 - p0) / 2.0
     if p0 >= limit:
         return float(limit) * (p1 - p0)
-    mid = min(p1, limit)
-    ramp = (p0 + mid - 1) * (mid - p0) / 2.0
-    flat = float(limit) * max(0, p1 - limit)
-    return ramp + flat
+    ramp = (p0 + limit - 1) * (limit - p0) / 2.0
+    return ramp + float(limit) * (p1 - limit)

@@ -27,7 +27,7 @@ def generated_token(request_id: str, index: int) -> int:
     return hash((request_id, "gen", index)) & 0x7FFFFFFF
 
 
-@dataclass
+@dataclass(eq=False)  # ids are unique: ``running.remove`` compares by identity
 class Request:
     """One inference request moving through the engine.
 

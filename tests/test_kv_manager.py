@@ -346,6 +346,30 @@ class TestPagesToWrite:
         assert policy.pages_to_write(16, 20) == [0]
 
 
+def needs_allocation_by_walking(mgr, seq, target_global):
+    """The iterator form: walk every group's write set on every call.
+    ``needs_allocation`` remembers a walk that found nothing missing
+    (``GroupBinding.backed_upto``) and must still answer exactly this."""
+    bindings = mgr._bindings.get(seq.request_id)
+    if bindings is None:
+        return True
+    for group_id, policy in mgr.policies.items():
+        binding = bindings[group_id]
+        target_stream = seq.stream_length(policy.spec.accepted_tags, target_global)
+        if target_stream > binding.stream_len:
+            for _ in mgr._missing_slots(policy, binding, target_stream):
+                return True
+    return False
+
+
+def probe(mgr, seq, target):
+    """``needs_allocation`` at ``target``, checked against the walk there
+    and at a few targets around it (each probe may leave a memo behind)."""
+    for t in (target, target + 1, max(0, target - 1), target + 5, len(seq) + 3, target):
+        assert mgr.needs_allocation(seq, t) == needs_allocation_by_walking(mgr, seq, t)
+    return mgr.needs_allocation(seq, target)
+
+
 class TestNeedsAllocation:
     """``needs_allocation`` is the engine's licence to skip
     ``allocate_up_to``: ``False`` must mean the call is a no-op."""
@@ -392,7 +416,7 @@ class TestNeedsAllocation:
                 seq.append(1000 + delta)
                 target, phase = len(seq), "decode"
             before, made = self.tables(mgr, seq), len(allocations)
-            if not mgr.needs_allocation(seq, target):
+            if not probe(mgr, seq, target):
                 skipped += 1
                 assert mgr.allocate_up_to(seq, target)
                 assert len(allocations) == made
@@ -436,6 +460,67 @@ class TestNeedsAllocation:
         assert not mgr._bindings["r2"]["mamba"].held  # copied, not held
         assert mgr.needs_allocation(seq, hit + 1)  # the fresh working state
         self.drive(mgr, seq, hit, deltas)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(6, 14),
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(1, 9)),
+                 min_size=5, max_size=60),
+    )
+    def test_remembered_walk_equals_walking_under_pressure(self, large_pages, ops):
+        """Three requests over all six layer kinds share a pool too small
+        for them: grow (failures roll earlier groups back), commit, decode,
+        preempt and re-admit in any order -- after every operation each
+        live request answers as the walk does."""
+        mgr = JengaKVCacheManager(self.six_kinds(), large_pages * 768)
+        seqs, pos = {}, {}
+
+        def admit(r):
+            segments = [(TEXT, list(range(3 + r))), (IMAGE, list(range(100, 108)))]
+            segments += [(TEXT, list(range(50, 56)))]
+            seqs[r] = SequenceSpec.multimodal(f"r{r}", segments)
+            mgr.begin_request(seqs[r])
+            mgr.allocate_vision(seqs[r])
+            pos[r] = 0
+
+        for r in range(3):
+            admit(r)
+        now = 1.0
+        for r, op, delta in ops:
+            seq = seqs[r]
+            if op == 0:  # prefill a chunk, or decode one token
+                if pos[r] >= len(seq):
+                    seq.append(1000 + delta)
+                target = min(len(seq), pos[r] + delta)
+                if not probe(mgr, seq, target) or mgr.allocate_up_to(seq, target):
+                    mgr.commit(seq, target, now=now, phase="prefill")
+                    mgr.consume_vision(seq, target)
+                    pos[r] = target
+            elif op == 1:  # grow without committing (may fail and roll back)
+                mgr.allocate_up_to(seq, min(len(seq), pos[r] + delta))
+            elif op == 2:  # preempt by recomputation
+                mgr.release(seq, cacheable=False)
+                admit(r)
+            else:  # finish, and a new request takes the slot
+                mgr.release(seq)
+                admit(r)
+            now += 1.0
+            for other in seqs.values():
+                probe(mgr, other, pos[int(other.request_id[1:])] + delta)
+        mgr.allocator.check_invariants()
+
+    def test_a_slot_leaving_the_hold_forgets_the_remembered_walk(self):
+        mgr = make_manager()
+        seq = SequenceSpec.text_only("r", list(range(7)))
+        mgr.begin_request(seq)
+        assert mgr.allocate_up_to(seq, 6)
+        assert not mgr.needs_allocation(seq, 7)  # slot 1 backs tokens 4-7
+        binding = mgr._bindings["r"]["full"]
+        assert binding.backed_upto == 8
+        mgr._release_slots(
+            mgr.allocator.groups["full"], mgr.policies["full"], binding, [1], 1.0, seq, False
+        )
+        assert mgr.needs_allocation(seq, 7)
 
     def test_decode_inside_a_block_is_skippable_after_slide_out(self):
         mgr = make_manager()
