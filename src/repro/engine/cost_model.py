@@ -157,21 +157,24 @@ class CostModel:
     # Helpers for building StepWork
     # ------------------------------------------------------------------
 
-    def attention_read(self, context_len: int) -> Tuple[float, float]:
-        """(context_token_sum, kv_bytes) one new token's attention reads.
+    def charge(self, work: StepWork, p0: int, p1: int) -> None:
+        """Add the attention reads and KV writes of new tokens at positions
+        ``[p0, p1)`` to ``work``; the caller counts the tokens themselves."""
+        ctx, read = self.attention_read_range(p0, p1)
+        work.attn_context_tokens += ctx
+        work.kv_read_bytes += read
+        work.kv_write_bytes += (p1 - p0) * self.write_bytes_per_token()
+
+    def attention_read_range(self, p0: int, p1: int) -> Tuple[float, float]:
+        """(context_token_sum, kv_bytes) the attention of new tokens at
+        positions ``[p0, p1)`` reads.
 
         Each layer reads at most its window/budget of context; Mamba layers
         read their fixed state.  The context sum is layer-summed (so
         ``4 * hidden * attn_context_tokens`` in :meth:`step_time` gives the
-        standard per-layer attention FLOPs, summed over layers).
-        """
-        return self.attention_read_range(context_len, context_len + 1)
-
-    def attention_read_range(self, p0: int, p1: int) -> Tuple[float, float]:
-        """Attention reads for new tokens at positions ``[p0, p1)``.
-
-        Closed form per layer class, so a chunk costs O(#classes) to price
-        rather than O(chunk * #layers).  Token at position ``t`` reads
+        standard per-layer attention FLOPs, summed over layers).  Closed
+        form per layer class, so a chunk costs O(#classes) to price rather
+        than O(chunk * #layers).  Token at position ``t`` reads
         ``min(t, limit)`` context tokens.
         """
         if p1 <= p0:

@@ -107,7 +107,7 @@ class LLMEngine:
 
     @property
     def steps(self) -> List[StepRecord]:
-        """Per-step records, appended by :meth:`_complete_step`."""
+        """Per-step records, appended by :meth:`step`."""
         return self.collector.steps
 
     # ------------------------------------------------------------------
@@ -147,12 +147,34 @@ class LLMEngine:
             prefix_lookup_tokens=self.collector.prefix_lookup_tokens,
         )
 
+    def ready_time(self) -> Optional[float]:
+        """Simulated time at which this engine can next do work: its clock
+        while requests run, the next queued arrival (never before the
+        clock) while only waiting, ``None`` when idle."""
+        if self.running:
+            return self.clock
+        next_arrival = self.waiting.next_arrival()
+        if next_arrival is None:
+            return None
+        return max(self.clock, next_arrival)
+
     # ------------------------------------------------------------------
     # One engine step
     # ------------------------------------------------------------------
 
     def step(self) -> Optional[StepRecord]:
-        """Execute one engine step; returns ``None`` when fully idle."""
+        """Execute one engine step; returns ``None`` when fully idle.
+
+        This is the only step loop.  It owns admission, the prefill phase,
+        the tracer spans, the commit order (decodes, then prefills), the
+        :class:`StepRecord` and the :class:`StepCompleted` emission, and
+        calls four seams a subclass may override:
+        :meth:`_schedule_decodes` (the whole decode phase),
+        :meth:`_charge_prefill` (one chunk's work), :meth:`_step_time`
+        (the step's work in seconds) and :meth:`_finalize_decode` (one
+        decode's commit).  :class:`~repro.engine.spec_decode.SpecDecodeEngine`
+        overrides all four.
+        """
         tracer = self.tracer
         tracing = tracer.enabled
         if tracing:
@@ -166,37 +188,10 @@ class LLMEngine:
             return None
         now = self.clock
 
-        scheduled: List[Tuple[Request, int]] = []
         scheduled_set: Set[str] = set()
-        budget = self.config.max_num_batched_tokens
-        decode_batch = 0
+        decodes, budget, step_preemptions = self._schedule_decodes(work, scheduled_set)
+        prefills: List[Tuple[Request, int]] = []
         prefill_tokens = 0
-        step_preemptions = 0
-
-        # Phase 1: single-token decodes (highest priority, vLLM v0.6).
-        for request in list(self.running):
-            if budget <= 0:
-                break
-            if request.state is not RequestState.RUNNING or not self._is_decode(request):
-                # May have been preempted as an eviction victim earlier in
-                # this same loop (we iterate a snapshot of running).
-                continue
-            if self.manager.needs_allocation(request.seq, request.total_len):
-                ok, npre = self._allocate_or_preempt(
-                    request, request.total_len, scheduled_set
-                )
-                step_preemptions += npre
-                if not ok:
-                    continue
-            scheduled.append((request, 1))
-            scheduled_set.add(request.request_id)
-            decode_batch += 1
-            budget -= 1
-            ctx, read = self.cost.attention_read(request.total_len - 1)
-            work.decode_tokens += 1
-            work.attn_context_tokens += ctx
-            work.kv_read_bytes += read
-            work.kv_write_bytes += self.cost.write_bytes_per_token()
 
         # Phase 2: prefill chunks.
         for request in list(self.running):
@@ -218,27 +213,24 @@ class LLMEngine:
             step_preemptions += npre
             if not ok:
                 continue
-            scheduled.append((request, n))
+            prefills.append((request, n))
             scheduled_set.add(request.request_id)
             budget -= n
             prefill_tokens += n
-            p0 = request.num_computed_tokens
-            ctx, read = self.cost.attention_read_range(p0, p0 + n)
-            work.prefill_tokens += n
-            work.attn_context_tokens += ctx
-            work.kv_read_bytes += read
-            work.kv_write_bytes += n * self.cost.write_bytes_per_token()
+            self._charge_prefill(request, n, work)
             self._charge_reencode(request, work)
 
         if tracing:
             tracer.end_span()  # schedule
-        duration = self.cost.step_time(work)
+        duration = self._step_time(work)
         end = now + duration
         self.clock = end
 
         if tracing:
             tracer.begin_span("commit")
-        for request, n in scheduled:
+        for request, n in decodes:
+            self._finalize_decode(request, n, end)
+        for request, n in prefills:
             self._finalize(request, n, end)
         phases: Optional[Dict[str, float]] = None
         if tracing:
@@ -249,7 +241,7 @@ class LLMEngine:
             index=self._step_index,
             start_time=now,
             duration=duration,
-            decode_batch=decode_batch,
+            decode_batch=len(decodes),
             prefill_tokens=prefill_tokens,
             num_running=len(self.running),
             num_waiting=len(self.waiting),
@@ -257,34 +249,67 @@ class LLMEngine:
             memory=self._memory_snapshot() if self.config.record_memory else None,
             phases=phases,
         )
-        return self._complete_step(record)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _complete_step(self, record: StepRecord) -> StepRecord:
-        """Step bookkeeping shared with subclasses: the run record, index,
-        admission cooldown, and the :class:`StepCompleted` emission."""
         self.collector.steps.append(record)
         self._step_index += 1
-        if record.num_preemptions:
+        if step_preemptions:
             self._admission_cooldown = self._PREEMPTION_COOLDOWN_STEPS
         elif self._admission_cooldown:
             self._admission_cooldown -= 1
-        tracer = self.tracer
-        if tracer.enabled:
+        if tracing:
             # Perfetto counter tracks alongside the phase spans.
             tracer.counter("engine/running", record.num_running)
             tracer.counter("engine/waiting", record.num_waiting)
         if self.events.has_subscribers(StepCompleted):
-            self.events.emit(StepCompleted(
-                record.index,
-                record.start_time + record.duration,
-                record.num_preemptions,
-                record,
-            ))
+            self.events.emit(StepCompleted(record.index, end, step_preemptions, record))
         return record
+
+    # ------------------------------------------------------------------
+    # Step seams
+    # ------------------------------------------------------------------
+
+    def _schedule_decodes(
+        self, work: StepWork, scheduled_set: Set[str]
+    ) -> Tuple[List[Tuple[Request, int]], int, int]:
+        """Phase 1: one token for every running decode (highest priority,
+        vLLM v0.6), charged to ``work``.  Returns ``(decodes, remaining
+        token budget, preemptions)``; each decode is ``(request, tokens)``.
+        """
+        decodes: List[Tuple[Request, int]] = []
+        budget = self.config.max_num_batched_tokens
+        preemptions = 0
+        cost = self.cost
+        for request in list(self.running):
+            if budget <= 0:
+                break
+            if request.state is not RequestState.RUNNING or not self._is_decode(request):
+                # May have been preempted as an eviction victim earlier in
+                # this same loop (we iterate a snapshot of running).
+                continue
+            length = request.total_len
+            if self.manager.needs_allocation(request.seq, length):
+                ok, npre = self._allocate_or_preempt(request, length, scheduled_set)
+                preemptions += npre
+                if not ok:
+                    continue
+            decodes.append((request, 1))
+            scheduled_set.add(request.request_id)
+            budget -= 1
+            cost.charge(work, length - 1, length)
+        work.decode_tokens += len(decodes)
+        return decodes, budget, preemptions
+
+    def _charge_prefill(self, request: Request, n: int, work: StepWork) -> None:
+        """Charge the next ``n`` prompt tokens of ``request`` to ``work``."""
+        p0 = request.num_computed_tokens
+        self.cost.charge(work, p0, p0 + n)
+        work.prefill_tokens += n
+
+    def _step_time(self, work: StepWork) -> float:
+        return self.cost.step_time(work)
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
 
     def _admit_or_jump(self) -> Optional[StepWork]:
         """Admit at the current clock; while nothing runs, jump to the next
@@ -523,6 +548,9 @@ class LLMEngine:
             self._finish(request, end)
         else:
             seq.append(token_id)
+
+    #: Commit of one decode scheduled by :meth:`_schedule_decodes`.
+    _finalize_decode = _finalize
 
     def _finish(self, request: Request, end: float) -> None:
         request.state = RequestState.FINISHED

@@ -158,7 +158,7 @@ class MultiModelEngine:
         """
         best: Optional[Tuple[float, bool, str]] = None
         for name, engine in self.engines.items():
-            ready = self._ready_time(engine)
+            ready = engine.ready_time()
             if ready is None:
                 continue
             key = (ready, name in self._stalled, name)
@@ -197,23 +197,16 @@ class MultiModelEngine:
         others = [
             r for other, eng in self.engines.items()
             if other != name
-            for r in [self._ready_time(eng)]
+            for r in [eng.ready_time()]
             if r is not None
         ]
         if not others or all(
             n in self._stalled for n, e in self.engines.items()
-            if self._ready_time(e) is not None
+            if e.ready_time() is not None
         ):
             return None
         engine.clock = max(engine.clock, min(others))
         return name
-
-    def _ready_time(self, engine: LLMEngine) -> Optional[float]:
-        if engine.running:
-            return engine.clock
-        if engine.waiting:
-            return max(engine.clock, engine.waiting.next_arrival() or 0.0)
-        return None
 
     def run(self, max_steps: int = 1_000_000) -> Dict[str, EngineMetrics]:
         steps = 0

@@ -13,10 +13,11 @@ the memory manager must serve two different KV-size profiles at once:
   with fixed memory shares (optimal for plain Llama, wasteful for
   heterogeneous models).
 
-The engine mirrors :class:`~repro.engine.engine.LLMEngine`'s scheduling
-(FCFS admission, chunked prefill, preemption by recomputation) but a decode
-step advances each sequence by ``accepted + 1`` tokens and costs ``k``
-draft passes plus one (k+1)-token target pass.
+The engine overrides decode planning, pricing and decode commit of
+:class:`~repro.engine.engine.LLMEngine`'s one loop (FCFS admission, chunked
+prefill, preemption by recomputation): a decode step advances each
+sequence by ``accepted + 1`` tokens and costs ``k`` draft passes plus one
+(k+1)-token target pass.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from ..models.config import ModelSpec
 from ..platforms.gpu import GPU
 from .cost_model import CostModel, StepWork
 from .engine import LLMEngine
-from .metrics import StepRecord
 from .request import Request, RequestState
 from .scheduler import SchedulerConfig
 
@@ -120,7 +120,13 @@ def make_spec_manager(
 
 
 class SpecDecodeEngine(LLMEngine):
-    """Draft-and-target serving loop on a shared GPU."""
+    """Draft-and-target serving loop on a shared GPU.
+
+    ``self.cost`` prices the target, ``self.draft_cost`` the draft.  The
+    target pass also carries the admission pass's :class:`StepWork`, as in
+    :class:`LLMEngine`; with today's spec managers (no offload tier) and
+    text-only targets that work is always empty.
+    """
 
     def __init__(
         self,
@@ -138,9 +144,9 @@ class SpecDecodeEngine(LLMEngine):
         self.k = num_speculative_tokens
         self.acceptance_rate = acceptance_rate
         self._rng = random.Random(seed)
-        slowdown = manager.kernel_slowdown
-        self.draft_cost = CostModel(draft, gpu, kernel_slowdown=slowdown)
-        self.target_cost = CostModel(target, gpu, kernel_slowdown=slowdown)
+        self.draft_cost = CostModel(draft, gpu, kernel_slowdown=manager.kernel_slowdown)
+        # The draft model's share of the current step.
+        self._draft_work = StepWork()
 
     # ------------------------------------------------------------------
 
@@ -151,150 +157,69 @@ class SpecDecodeEngine(LLMEngine):
             accepted += 1
         return accepted
 
-    def step(self) -> Optional[StepRecord]:
-        tracer = self.tracer
-        tracing = tracer.enabled
-        if tracing:
-            tracer.step_begin(self._step_index)
-            tracer.begin_span("schedule")
-        if self._admit_or_jump() is None:
-            if tracing:
-                tracer.end_span()
-                tracer.step_end()
-            return None
-        now = self.clock
-
-        draft_work = StepWork()
-        target_work = StepWork()
-        scheduled: List[Tuple[Request, int, bool]] = []
-        scheduled_set: Set[str] = set()
+    def _schedule_decodes(
+        self, work: StepWork, scheduled_set: Set[str]
+    ) -> Tuple[List[Tuple[Request, int]], int, int]:
+        """Speculative decode iterations: each advances by its accepted
+        proposals plus one bonus token and spends ``k + 1`` of the budget."""
+        self._draft_work = draft_work = StepWork()
+        decodes: List[Tuple[Request, int]] = []
         budget = self.config.max_num_batched_tokens
-        decode_batch = 0
-        prefill_tokens = 0
-        step_preemptions = 0
-
-        # Phase 1: speculative decode iterations.
+        preemptions = 0
+        k = self.k
         for request in list(self.running):
-            if budget <= self.k:
+            if budget <= k:
                 break
             if request.state is not RequestState.RUNNING or not self._is_decode(request):
                 continue
             remaining_out = request.max_output_tokens - request.num_output_tokens
-            g = min(self._draw_accepted() + 1, remaining_out, self.k + 1)
+            g = min(self._draw_accepted() + 1, remaining_out, k + 1)
             # Extend the sequence by the accepted tokens *before* allocating
             # so both caches grow to cover them.
             base_len = request.total_len
             for i in range(g):
                 request.seq.append(request.next_generated_token() + i)
-            target = request.total_len - 1
-            ok, npre = self._allocate_or_preempt(request, target, scheduled_set)
-            step_preemptions += npre
+            ok, npre = self._allocate_or_preempt(request, request.total_len - 1, scheduled_set)
+            preemptions += npre
             if not ok:
                 request.seq.truncate(base_len)
                 continue
-            scheduled.append((request, g, True))
+            decodes.append((request, g))
             scheduled_set.add(request.request_id)
-            decode_batch += 1
-            budget -= self.k + 1
+            budget -= k + 1
             # Draft: k sequential single-token passes.
-            ctx_d, read_d = self.draft_cost.attention_read_range(
-                base_len - 1, base_len - 1 + self.k
-            )
-            draft_work.decode_tokens += self.k
-            draft_work.attn_context_tokens += ctx_d
-            draft_work.kv_read_bytes += read_d
-            draft_work.kv_write_bytes += self.k * self.draft_cost.write_bytes_per_token()
+            self.draft_cost.charge(draft_work, base_len - 1, base_len - 1 + k)
+            draft_work.decode_tokens += k
             # Target: one pass verifying k proposals (+1 pending token).
-            ctx_t, read_t = self.target_cost.attention_read_range(
-                base_len - 1, base_len + self.k
-            )
-            target_work.speculative_extra_tokens += self.k + 1
-            target_work.attn_context_tokens += ctx_t
-            target_work.kv_read_bytes += read_t
-            target_work.kv_write_bytes += (
-                (self.k + 1) * self.target_cost.write_bytes_per_token()
-            )
+            self.cost.charge(work, base_len - 1, base_len + k)
+            work.speculative_extra_tokens += k + 1
+        return decodes, budget, preemptions
 
-        # Phase 2: prefill chunks (both models prefill the prompt).
-        for request in list(self.running):
-            if budget <= 0:
-                break
-            if request.state is not RequestState.RUNNING:
-                continue
-            if self._is_decode(request) or request.request_id in scheduled_set:
-                continue
-            remaining = request.total_len - request.num_computed_tokens
-            if remaining <= 0:
-                continue
-            n = min(budget, remaining)
-            if not self.config.enable_chunked_prefill and n < remaining:
-                continue
-            ok, npre = self._allocate_or_preempt(
-                request, request.num_computed_tokens + n, scheduled_set
-            )
-            step_preemptions += npre
-            if not ok:
-                continue
-            scheduled.append((request, n, False))
-            scheduled_set.add(request.request_id)
-            budget -= n
-            prefill_tokens += n
-            p0 = request.num_computed_tokens
-            for cost, work in ((self.draft_cost, draft_work), (self.target_cost, target_work)):
-                ctx, read = cost.attention_read_range(p0, p0 + n)
-                work.prefill_tokens += n
-                work.attn_context_tokens += ctx
-                work.kv_read_bytes += read
-                work.kv_write_bytes += n * cost.write_bytes_per_token()
+    def _charge_prefill(self, request: Request, n: int, work: StepWork) -> None:
+        """Both models prefill the prompt."""
+        super()._charge_prefill(request, n, work)
+        p0 = request.num_computed_tokens
+        self.draft_cost.charge(self._draft_work, p0, p0 + n)
+        self._draft_work.prefill_tokens += n
 
-        if tracing:
-            tracer.end_span()  # schedule
-        # The draft's k passes happen sequentially, then one target pass.
-        duration = 0.0
+    def _step_time(self, work: StepWork) -> float:
+        """The draft's ``k`` passes happen sequentially, then one target pass."""
+        duration = self.cost.step_time(work)
+        draft_work = self._draft_work
         if draft_work.total_tokens:
+            k = max(1, self.k)
             per_pass = StepWork(
-                decode_tokens=max(1, draft_work.decode_tokens // max(1, self.k)),
+                decode_tokens=max(1, draft_work.decode_tokens // k),
                 prefill_tokens=draft_work.prefill_tokens,
-                attn_context_tokens=draft_work.attn_context_tokens / max(1, self.k),
-                kv_read_bytes=draft_work.kv_read_bytes / max(1, self.k),
-                kv_write_bytes=draft_work.kv_write_bytes / max(1, self.k),
+                attn_context_tokens=draft_work.attn_context_tokens / k,
+                kv_read_bytes=draft_work.kv_read_bytes / k,
+                kv_write_bytes=draft_work.kv_write_bytes / k,
             )
             passes = self.k if draft_work.decode_tokens else 1
             duration += passes * self.draft_cost.step_time(per_pass)
-        if target_work.total_tokens:
-            duration += self.target_cost.step_time(target_work)
-        if duration == 0.0:
-            duration = self.target_cost.step_time(StepWork())
-        end = now + duration
-        self.clock = end
+        return duration
 
-        if tracing:
-            tracer.begin_span("commit")
-        for request, n, is_decode in scheduled:
-            if is_decode:
-                self._finalize_spec_decode(request, n, end)
-            else:
-                self._finalize(request, n, end)
-        phases = None
-        if tracing:
-            tracer.end_span()  # commit
-            phases = tracer.step_end()
-
-        record = StepRecord(
-            index=self._step_index,
-            start_time=now,
-            duration=duration,
-            decode_batch=decode_batch,
-            prefill_tokens=prefill_tokens,
-            num_running=len(self.running),
-            num_waiting=len(self.waiting),
-            num_preemptions=step_preemptions,
-            memory=self._memory_snapshot() if self.config.record_memory else None,
-            phases=phases,
-        )
-        return self._complete_step(record)
-
-    def _finalize_spec_decode(self, request: Request, g: int, end: float) -> None:
+    def _finalize_decode(self, request: Request, g: int, end: float) -> None:
         request.num_computed_tokens += g
         self.manager.commit(
             request.seq, request.num_computed_tokens, now=end, phase="decode"

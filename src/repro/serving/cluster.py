@@ -142,7 +142,7 @@ class ServingCluster:
     def _earliest_ready(self) -> Optional[Tuple[float, int]]:
         best: Optional[Tuple[float, int]] = None
         for idx, replica in enumerate(self.replicas):
-            ready = replica.ready_time()
+            ready = replica.engine.ready_time()
             if ready is not None and (best is None or ready < best[0]):
                 best = (ready, idx)
         return best

@@ -171,19 +171,6 @@ class Replica:
             total_bytes=stats.total_bytes,
         )
 
-    def ready_time(self) -> Optional[float]:
-        """Simulated time at which this replica can next do work.
-
-        Its own clock while requests run; the next queued arrival while
-        only waiting; ``None`` when fully idle (nothing to step).
-        """
-        if self.engine.running:
-            return self.engine.clock
-        next_arrival = self.engine.waiting.next_arrival()
-        if next_arrival is None:
-            return None
-        return max(self.engine.clock, next_arrival)
-
     def metrics(self) -> EngineMetrics:
         return self.engine.metrics()
 
