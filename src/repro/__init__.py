@@ -36,12 +36,12 @@ from .baselines import (
     make_manager,
 )
 from .core import (
-    EventBus,
     GroupSpec,
     JengaKVCacheManager,
     KVCacheManager,
     KVCacheManagerBase,
     LCMAllocator,
+    Observer,
     OffloadConfig,
     SequenceSpec,
     TwoLevelAllocator,
@@ -72,7 +72,6 @@ __all__ = [
     "BusTelemetry",
     "DualManager",
     "EngineMetrics",
-    "EventBus",
     "GCDPageManager",
     "GPU",
     "GroupSpec",
@@ -86,6 +85,7 @@ __all__ = [
     "MaxPageManager",
     "ModelSpec",
     "MultiModelEngine",
+    "Observer",
     "OffloadConfig",
     "PagedAttentionManager",
     "Replica",

@@ -1,8 +1,8 @@
 """jengalint: AST-based invariant linter for the Jenga reproduction.
 
 The allocator's performance and correctness rest on invariants a type
-checker cannot see: hot paths must stay O(1)-per-page, event dataclasses
-must not be built for nobody, incremental counters must only move through
+checker cannot see: hot paths must stay O(1)-per-page, disabled tracers
+must cost one predicate, incremental counters must only move through
 their owning class, and registered managers must structurally satisfy the
 :class:`~repro.core.protocols.KVCacheManager` protocol.  jengalint
 encodes each as a lint rule over a single AST walk per file -- no code is
@@ -10,8 +10,8 @@ imported, so it is safe on any tree.
 
 On top of the per-file rules, the whole-program phase
 (:mod:`repro.analysis.program`) builds a project graph from the same walk
-and checks cross-module event-flow invariants: registry completeness,
-orphaned events, manifest drift, and interprocedural emission guards.
+and checks that the lint manifests still name real modules, classes and
+methods (manifest drift).
 
 Usage::
 

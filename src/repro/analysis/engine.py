@@ -47,7 +47,7 @@ class Finding:
     """One rule violation at a source location.
 
     ``subject`` is the finding's *symbolic* anchor -- what it is about
-    (``"event:RequestRouted"``, ``"hot-class:LCMAllocator"``), independent
+    (``"span-method:tick"``, ``"hot-class:LCMAllocator"``), independent
     of line numbers.  Cross-module rules always set it; per-file rules
     fall back to a ``module:line`` anchor.  :attr:`id` hashes
     ``rule|subject`` into the stable identifier the baseline file stores,

@@ -13,12 +13,10 @@ from typing import Dict, FrozenSet
 
 __all__ = [
     "AUDITED_SLOW_FUNCS",
-    "EVENT_CLASSES",
     "GUARDED_COUNTERS",
     "HOT_CLASSES",
     "HOT_MODULES",
     "LIST_ATTRS",
-    "ORPHAN_ALLOWED",
     "PER_TOKEN_HASH_FUNCS",
     "POOL_ATTRS",
     "PROBE_EXEMPT_MODULES",
@@ -53,9 +51,9 @@ HOT_MODULES: FrozenSet[str] = frozenset(
         # The router runs once per request on the serving dispatch path;
         # shadow probes must stay dict-indexed and block hashes memoized.
         "repro/serving/router.py",
-        # The bus fold handles every per-page event (its handler must stay
-        # O(1) per event, no string formatting); the pressure view closes
-        # its window over the fold's counters every step.
+        # The telemetry observer handles every per-page report (each
+        # method must stay O(1), no string formatting); the pressure view
+        # closes its window over the fold's counters every step.
         "repro/obs/registry.py",
         "repro/obs/pressure.py",
     }
@@ -81,7 +79,7 @@ AUDITED_SLOW_FUNCS: FrozenSet[str] = frozenset(
         "rebalance",
         "_partition",
         # TelemetryRegistry export: one sorted dump per report, never
-        # reached from the fold's per-event handlers.
+        # reached from the fold's per-page observer methods.
         "snapshot",
     }
 )
@@ -106,41 +104,6 @@ POOL_ATTRS: FrozenSet[str] = frozenset(
     }
 )
 
-# -- rule: unguarded-emit -----------------------------------------------
-
-#: Event dataclasses published on the allocation-event bus.  Constructing
-#: one costs a dataclass allocation per page operation, so every
-#: ``emit(Event(...))`` call site must be guarded by
-#: ``events.has_subscribers(Event)`` (the event-bus fast path).
-EVENT_CLASSES: FrozenSet[str] = frozenset(
-    {
-        "PagesAllocated",
-        "LargePageCarved",
-        "PageEvicted",
-        "PageEvictedToHost",
-        "PageReleased",
-        "PrefixHit",
-        "RequestQueued",
-        "RequestAdmitted",
-        "AdmissionBlocked",
-        "RequestPreempted",
-        "RequestFinished",
-        "RequestFailed",
-        "RequestRouted",
-        "StepCompleted",
-        "QuotaResized",
-    }
-)
-
-# -- rule: orphan-event -------------------------------------------------
-
-#: Events that are allowed to have emit sites but no subscribe site in
-#: the tree: telemetry published for *external* consumers only.  Empty on
-#: purpose -- every current event has an in-tree consumer; add a name
-#: here (with a comment saying who the out-of-tree consumer is) rather
-#: than suppressing the orphan-event finding at the emit site.
-ORPHAN_ALLOWED: FrozenSet[str] = frozenset()
-
 # -- rule: per-token-rehash ---------------------------------------------
 
 #: Full-stream hash helpers.  ``chain_hashes(stream, boundaries)`` folds
@@ -156,9 +119,9 @@ PER_TOKEN_HASH_FUNCS: FrozenSet[str] = frozenset({"chain_hashes"})
 #: Span primitives of :class:`repro.obs.tracer.Tracer`.  Each call does
 #: stack/deque work per invocation, so in hot modules every call on a
 #: ``tracer`` receiver must sit inside an ``if`` that tests the tracer's
-#: ``.enabled`` flag (the null fast path, mirroring the event bus's
-#: ``has_subscribers`` guard) -- a disabled tracer then costs one
-#: predicate per operation, not a method call.
+#: ``.enabled`` flag (the null fast path, mirroring the ``observer is
+#: not None`` test) -- a disabled tracer then costs one predicate per
+#: operation, not a method call.
 SPAN_METHODS: FrozenSet[str] = frozenset(
     {
         "begin_span",

@@ -6,12 +6,12 @@ from typing import List, Type
 
 from ..engine import Rule
 from .cross_module import CrossModuleRule
-from .event_bus import UnguardedEmitRule, UnguardedSpanRule
 from .hot_path import HotPathScanRule
 from .probes import DuckTypedProbeRule
 from .protocol import ProtocolConformanceRule
 from .rehash import PerTokenRehashRule
 from .state import DynamicAttrRule, GuardedCounterRule, WallClockRule
+from .tracing import UnguardedSpanRule
 
 __all__ = [
     "ALL_RULES",
@@ -22,14 +22,12 @@ __all__ = [
     "HotPathScanRule",
     "PerTokenRehashRule",
     "ProtocolConformanceRule",
-    "UnguardedEmitRule",
     "UnguardedSpanRule",
     "WallClockRule",
 ]
 
 ALL_RULES: List[Type[Rule]] = [
     HotPathScanRule,
-    UnguardedEmitRule,
     UnguardedSpanRule,
     PerTokenRehashRule,
     ProtocolConformanceRule,

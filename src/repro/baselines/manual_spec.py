@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..core.events import EventBus
+from ..core.events import Observer
 from ..core.protocols import KVCacheManagerBase
 from ..core.sequence import SequenceSpec
 from ..core.two_level import AllocatorStats
@@ -34,19 +34,17 @@ class DualManager(KVCacheManagerBase):
 
     name = "vllm-manual"
 
-    def __init__(self, managers: List, events: Optional[EventBus] = None) -> None:
+    def __init__(self, managers: List) -> None:
         if not managers:
             raise ValueError("DualManager needs at least one sub-manager")
-        super().__init__(events)
+        super().__init__()
         self.managers = list(managers)
-        for manager in self.managers:
-            manager.bind_events(self.events)
 
-    def bind_events(self, events: EventBus) -> None:
-        """Adopt ``events`` on the composite and every sub-manager."""
-        self.events = events
+    def bind_observer(self, observer: Optional[Observer]) -> None:
+        """Report to ``observer`` from the composite and every sub-manager."""
+        self.observer = observer
         for manager in self.managers:
-            manager.bind_events(events)
+            manager.bind_observer(observer)
 
     def bind_tracer(self, tracer) -> None:
         """Adopt ``tracer`` on the composite and every sub-manager."""

@@ -704,7 +704,6 @@ def elastic_bench(
     ``static`` on *both* admission blocks and waste p50 at equal pool
     size.
     """
-    from ..core.events import EventBus
     from ..core.resizer import PoolResizer
     from ..engine.multi_model import MultiModelEngine
     from ..obs.pressure import PressureMonitor
@@ -715,12 +714,11 @@ def elastic_bench(
 
     rows: Dict[str, Dict] = {}
     for policy in policies:
-        bus = EventBus(capacity=0)
-        fold = BusTelemetry(bus)
+        fold = BusTelemetry()
         fold.pressure = PressureMonitor(fold)
         engine = MultiModelEngine(
             {"a": model, "b": model}, L4, total_bytes,
-            shared=True, events=bus,
+            shared=True, observer=fold,
             # record_memory feeds the occupancy component of the
             # pressure score -- the signal the hysteresis gate opens on.
             config=profile_config("vllm", record_memory=True),
@@ -782,7 +780,6 @@ def elastic_bench(
         counters = fold.registry.counters
         finished = sum(len(e.finished) for e in engine.engines.values())
         failed = sum(len(e.failed) for e in engine.engines.values())
-        fold.close()
         wall = max(sum(step_lat), 1e-12)
         rows[policy] = {
             "finished": finished,

@@ -183,31 +183,27 @@ def cmd_specdecode(args) -> int:
 def _traced_run(args):
     """Run one traced engine workload; return ``(tracer, registry, metrics)``.
 
-    Shared by ``trace`` and ``report``: an :class:`~repro.core.events.EventBus`
-    in pure-dispatch mode (no ring retention -- the telemetry fold consumes
-    events as they happen), a memory-recording
+    Shared by ``trace`` and ``report``: a
+    :class:`~repro.obs.registry.BusTelemetry` observer, a memory-recording
     scheduler profile so the simulated-clock timelines are populated, and an
     enabled :class:`~repro.obs.tracer.Tracer` on the engine.
     """
-    from .core.events import EventBus
     from .obs import BusTelemetry, Tracer
 
     model = get_model(args.model, quantized=args.fp8)
     gpu = GPUS[args.gpu]
     kv = int(args.kv_gib * GIB) if args.kv_gib else kv_budget(model, gpu).kv_bytes
     requests = build_workload(args.workload, args.requests, model, args.seed)
-    events = EventBus(capacity=0)
-    telemetry = BusTelemetry(events)
+    telemetry = BusTelemetry()
     tracer = Tracer()
     manager = make_manager(args.system, model, kv)
     engine = LLMEngine(
         model, gpu, manager,
         config=profile_config("vllm", record_memory=True),
-        events=events, tracer=tracer,
+        observer=telemetry, tracer=tracer,
     )
     engine.add_requests(requests)
     metrics = engine.run(max_steps=args.max_steps)
-    telemetry.close()
     return tracer, telemetry.registry, metrics
 
 

@@ -3,24 +3,7 @@
 Public entry point: :class:`~repro.core.kv_manager.JengaKVCacheManager`.
 """
 
-from .events import (
-    ALLOCATION_STEPS,
-    Event,
-    EventBus,
-    EventFanout,
-    LargePageCarved,
-    PageEvicted,
-    PageEvictedToHost,
-    PageReleased,
-    PrefixHit,
-    QuotaResized,
-    RequestAdmitted,
-    RequestFailed,
-    RequestFinished,
-    RequestPreempted,
-    RequestQueued,
-    StepCompleted,
-)
+from .events import ALLOCATION_STEPS, Observer
 from .evictor import LRUEvictor
 from .kv_manager import GroupBinding, JengaKVCacheManager
 from .layer_policy import (
@@ -73,9 +56,6 @@ __all__ = [
     "CrossAttentionPolicy",
     "DROPPED_TOKEN",
     "DroppedTokenPolicy",
-    "Event",
-    "EventBus",
-    "EventFanout",
     "FULL_ATTENTION",
     "FullAttentionPolicy",
     "GroupBinding",
@@ -88,36 +68,25 @@ __all__ = [
     "KVCacheManager",
     "KVCacheManagerBase",
     "LargePage",
-    "LargePageCarved",
     "LayerTypePolicy",
     "LCMAllocator",
     "LRUEvictor",
     "MAMBA",
     "MambaPolicy",
+    "Observer",
     "OffloadConfig",
     "OffloadStats",
     "OutOfLargePagesError",
-    "PageEvicted",
-    "PageEvictedToHost",
-    "PageReleased",
     "PageState",
     "PhysicalExtent",
     "PoolResizer",
-    "PrefixHit",
     "ProportionalPolicy",
-    "QuotaResized",
     "RESIZE_POLICIES",
-    "RequestAdmitted",
     "ResizePolicy",
-    "RequestFailed",
-    "RequestFinished",
-    "RequestPreempted",
-    "RequestQueued",
     "SequenceSpec",
     "SLIDING_WINDOW",
     "SlidingWindowPolicy",
     "SmallPage",
-    "StepCompleted",
     "TEXT",
     "TwoLevelAllocator",
     "UnknownManagerError",

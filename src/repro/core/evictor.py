@@ -104,8 +104,8 @@ class LRUEvictor(Generic[T]):
         """Like :meth:`evict`, also returning the victim's priority.
 
         Returns ``(item, last_access, prefix_length)`` -- the two-key
-        eviction priority the victim held, used to enrich
-        :class:`~repro.core.events.PageEvicted` records.
+        eviction priority the victim held, reported through
+        :meth:`~repro.core.events.Observer.page_evicted`.
         """
         self._compact()
         if not self._heap:

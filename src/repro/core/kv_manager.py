@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .admission import AdmissionCache
-from .events import EventBus, EventFanout, PageEvictedToHost, PrefixHit
+from .events import Observer
 from .layer_policy import GroupSpec, LayerTypePolicy, make_policy
 from .offload import HostMemoryPool, OffloadConfig
 from .pages import SmallPage
@@ -105,13 +105,9 @@ class JengaKVCacheManager(KVCacheManagerBase):
         strategy: Compatible-page-size strategy (``"lcm"``/``"gcd"``/
             ``"max"``) -- non-LCM values exist for the Section 4.4 ablation.
         seed: Seed for randomized per-image eviction draws.
-        events: Event bus allocation/eviction records publish to; a private
-            bus is created when omitted (the engine rebinds managers onto
-            its own via :meth:`bind_events`).
         shared_allocator: Multi-model serving (Section 6.1): several
-            managers, one page pool.  The pool's events fan out to every
-            sharing manager's own bus (see
-            :class:`~repro.core.events.EventFanout`).
+            managers, one page pool, which reports to one observer (see
+            :meth:`bind_observer`).
     """
 
     name = "jenga"
@@ -126,9 +122,8 @@ class JengaKVCacheManager(KVCacheManagerBase):
         request_aware: bool = True,
         offload: Optional[OffloadConfig] = None,
         shared_allocator: Optional[TwoLevelAllocator] = None,
-        events: Optional[EventBus] = None,
     ) -> None:
-        super().__init__(events)
+        super().__init__()
         self.specs = dict(group_specs)
         if shared_allocator is not None:
             # The shared allocator was built over the union of all models'
@@ -140,16 +135,6 @@ class JengaKVCacheManager(KVCacheManagerBase):
                 g: shared_allocator.groups[g].policy for g in self.specs
             }
             self.allocator = shared_allocator
-            # One pool, many views: the allocator's bus is a fan-out over
-            # every bound view's own bus, so pool events reach every
-            # sibling's observers while each manager keeps its private
-            # per-engine bus.  A pre-existing plain bus on the allocator
-            # stays attached as a fan-out member, preserving its feed.
-            sink = shared_allocator.events
-            if not isinstance(sink, EventFanout):
-                sink = EventFanout() if sink is None else EventFanout(sink)
-                shared_allocator.events = sink
-            sink.attach(self.events)
         else:
             self.policies = {
                 g: make_policy(s, enable_prefix_caching=enable_prefix_caching, seed=seed)
@@ -162,8 +147,8 @@ class JengaKVCacheManager(KVCacheManagerBase):
                 strategy=strategy,
                 enable_prefix_caching=enable_prefix_caching,
                 request_aware=request_aware,
-                events=self.events,
             )
+        self._shares_pool = shared_allocator is not None
         self.enable_prefix_caching = enable_prefix_caching
         # Groups the vision encoder fills (allocate_vision/consume_vision).
         self._encoder_groups = {
@@ -192,21 +177,25 @@ class JengaKVCacheManager(KVCacheManagerBase):
         # Per-request demand memo behind can_admit (see repro.core.admission).
         self._admission = AdmissionCache()
 
-    def bind_events(self, events: EventBus) -> None:
-        """Adopt ``events`` for this manager view.
+    def bind_observer(self, observer: Optional[Observer]) -> None:
+        """Report this view's lookups, and its pool's events, to ``observer``.
 
-        On a shared allocator the pool bus is an
-        :class:`~repro.core.events.EventFanout`; this view's old bus is
-        swapped for ``events`` inside it, leaving every sibling's feed
-        intact.  A privately-owned allocator simply follows the manager
-        onto the new bus.
+        A private allocator follows the manager.  A shared pool reports to
+        one observer: the first non-``None`` one bound through any view.
+        Binding a different one raises ``ValueError`` (no multicast), and
+        binding ``None`` leaves the pool's observer as it is.
         """
-        sink = self.allocator.events
-        if isinstance(sink, EventFanout):
-            sink.replace(self.events, events)
-        else:
-            self.allocator.events = events
-        self.events = events
+        pool = self.allocator
+        if not self._shares_pool:
+            pool.observer = observer
+        elif observer is not None and pool.observer is not observer:
+            if pool.observer is not None:
+                raise ValueError(
+                    "a shared pool reports to one observer; bind the same "
+                    "observer through every view"
+                )
+            pool.observer = observer
+        self.observer = observer
 
     def foreign_used_bytes(self) -> int:
         """USED bytes co-tenant views hold in a shared allocator.
@@ -263,11 +252,12 @@ class JengaKVCacheManager(KVCacheManagerBase):
                 hit = self._lookup_and_acquire(seq, bindings)
         else:
             hit = self._lookup_and_acquire(seq, bindings)
-        # The one place a lookup is counted and published.
+        # The one place a lookup is counted and reported.
         self.lookup_tokens += len(seq)
         self.hit_tokens += hit
-        if self.events.has_subscribers(PrefixHit):
-            self.events.emit(PrefixHit(seq.request_id, hit, len(seq)))
+        obs = self.observer
+        if obs is not None:
+            obs.prefix_hit(seq.request_id, hit, len(seq))
         return hit
 
     def _lookup_and_acquire(
@@ -761,8 +751,9 @@ class JengaKVCacheManager(KVCacheManagerBase):
         """Spill an evicted cached block to the host pool."""
         assert self.host_pool is not None
         self.host_pool.offload(block_hash, group_id, page_bytes)
-        if self.events.has_subscribers(PageEvictedToHost):
-            self.events.emit(PageEvictedToHost(group_id, block_hash, page_bytes))
+        obs = self.observer
+        if obs is not None:
+            obs.page_evicted_to_host(group_id, block_hash, page_bytes)
 
     def _materialize_from_host(
         self,

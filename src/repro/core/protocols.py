@@ -12,7 +12,7 @@ the engine is allowed to touch:
 * :class:`KVCacheManagerBase` -- a concrete base class providing the
   defaults optional members used to be duck-typed for (``kernel_slowdown``
   of 1.0, a zero ``prefix_hit_rate``, no vision cache, no offload debt)
-  plus event-bus plumbing.  All in-tree managers -- Jenga, the four
+  plus observer and tracer binding.  All in-tree managers -- Jenga, the four
   baselines, and the spec-decode composite -- derive from it; new backends
   should too, then register a factory in :mod:`repro.core.registry`.
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, FrozenSet, Optional, Protocol, runtime_checkable
 
-from .events import EventBus
+from .events import Observer
 from .sequence import SequenceSpec
 from .two_level import AllocatorStats
 
@@ -40,7 +40,7 @@ class KVCacheManager(Protocol):
     """Everything the engine and scheduler may touch on a memory manager."""
 
     name: str
-    events: EventBus
+    observer: Optional[Observer]
     #: Prompt tokens served from / looked up in the prefix cache so far
     #: (the engine's run record reports them).
     hit_tokens: int
@@ -127,10 +127,11 @@ class KVCacheManager(Protocol):
         """Drain PCIe transfer debt accrued by host-offload cache hits."""
         ...
 
-    # -- event plumbing -------------------------------------------------
+    # -- observation ------------------------------------------------------
 
-    def bind_events(self, events: EventBus) -> None:
-        """Adopt ``events`` as this manager's bus (propagating downward)."""
+    def bind_observer(self, observer: Optional[Observer]) -> None:
+        """Report to ``observer`` (``None``: to nobody), propagating to the
+        allocator under the rules in :mod:`repro.core.events`."""
         ...
 
     def bind_tracer(self, tracer: Any) -> None:
@@ -175,12 +176,12 @@ class KVCacheManagerBase:
     hit_tokens = 0
     lookup_tokens = 0
 
-    def __init__(self, events: Optional[EventBus] = None) -> None:
-        self.events: EventBus = events if events is not None else EventBus()
+    def __init__(self) -> None:
+        self.observer: Optional[Observer] = None
         self.tracer: Optional[Any] = None
 
-    def bind_events(self, events: EventBus) -> None:
-        self.events = events
+    def bind_observer(self, observer: Optional[Observer]) -> None:
+        self.observer = observer
 
     def bind_tracer(self, tracer: Any) -> None:
         self.tracer = tracer

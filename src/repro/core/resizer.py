@@ -12,8 +12,8 @@ into a :class:`GroupPressure` observation per group, asks its
 :class:`ResizePolicy` for desired quotas, and applies the changes through
 :meth:`~repro.core.two_level.TwoLevelAllocator.set_quota` -- which
 deflates over-quota groups (fully-evictable large pages first), moves the
-allocator ``version`` admission is keyed on, and publishes one guarded
-:class:`~repro.core.events.QuotaResized` record per move, so telemetry
+allocator ``version`` admission is keyed on, and reports one
+``quota_resized`` to the pool's observer per move, so telemetry
 counters and Chrome-trace timelines see every resize.
 
 Three registered policies make elastic and fixed partitioning comparable

@@ -32,7 +32,7 @@ whole write set), :meth:`~TwoLevelAllocator.release_pages` and
 :meth:`~TwoLevelAllocator.acquire_cached_run` -- doing per page only what
 differs per page (its fields, its evictor entry, its large page's counts)
 and once per run the rest: the lookups, the ``version`` move, one
-``bump_state(old, new, n)`` and ``note_fill``, the subscriber probe.  A run
+``bump_state(old, new, n)`` and ``note_fill``, the observer test.  A run
 is its pages taken one at a time, in order (same page, same step, same
 victim); ``allocate_page``, ``release_page`` and ``acquire_cached`` are
 delegates to the run of one.
@@ -43,14 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .events import (
-    EventBus,
-    LargePageCarved,
-    PageEvicted,
-    PageReleased,
-    PagesAllocated,
-    QuotaResized,
-)
+from .events import Observer
 from .evictor import LRUEvictor
 from .free_pool import FreePool
 from .layer_policy import GroupSpec, LayerTypePolicy
@@ -117,7 +110,7 @@ class GroupAllocator:
         # Enforced at carve time (steps 2/3); ownership may exceed the
         # quota after a deflation until releases catch up.  Set through
         # TwoLevelAllocator.set_quota, which also runs the deflation
-        # reclaim and publishes the QuotaResized record.
+        # reclaim and reports the quota move.
         self.quota: Optional[int] = None
 
     def note_fill(self, delta_tokens: int) -> None:
@@ -199,7 +192,6 @@ class TwoLevelAllocator:
         strategy: str = "lcm",
         enable_prefix_caching: bool = True,
         request_aware: bool = True,
-        events: Optional[EventBus] = None,
     ) -> None:
         if set(specs) != set(policies):
             raise ValueError("specs and policies must cover the same groups")
@@ -239,10 +231,10 @@ class TwoLevelAllocator:
         # (group_id, block_hash, page_bytes).  The KV manager uses it to
         # spill evicted blocks to a host-memory offload tier (Section 8).
         self.eviction_listener: Optional[Callable[[str, int, int], None]] = None
-        # Event bus receiving PagesAllocated/LargePageCarved/PageEvicted/
-        # PageReleased records; None keeps emission free for direct
-        # constructions (property tests, micro-benchmarks).
-        self.events = events
+        # Where allocations, carves, evictions, releases and quota moves
+        # are reported; bound by the manager(s) over this pool (see
+        # JengaKVCacheManager.bind_observer).  None reports nothing.
+        self.observer: Optional[Observer] = None
 
     # ------------------------------------------------------------------
     # The five-step allocation algorithm
@@ -262,14 +254,14 @@ class TwoLevelAllocator:
         Each page comes from the first of the five steps that has one, so
         a run takes the pages, in the order, ``n`` runs of one would.
         All-or-nothing: on success returns the ``n`` USED pages (in
-        allocation order) and publishes exactly one
-        :class:`~repro.core.events.PagesAllocated` record; when a page
+        allocation order) and reports exactly one
+        :meth:`~repro.core.events.Observer.pages_allocated`; when a page
         cannot be found the pages taken so far are released back as one
         run (the evictions made for them stay made) and ``None`` is
         returned.  ``n <= 0`` is a no-op returning an empty list.
 
-        Eviction and carve records still fire as they happen -- they are
-        pool mutations in their own right.
+        Evictions and carves are still reported as they happen -- they
+        are pool mutations in their own right.
         """
         group = self.groups[group_id]
         pages = group.pages
@@ -277,7 +269,7 @@ class TwoLevelAllocator:
         evictor = group.evictor
         lcm = self.lcm
         large_evictor = self.large_evictor
-        events = self.events
+        obs = self.observer
         aware = self.request_aware
         taken: List[SmallPage] = []
         steps: List[int] = []
@@ -340,8 +332,8 @@ class TwoLevelAllocator:
             counts[0] += 1
             page.reset()
             reclaimed += 1
-            if events is not None and events.has_subscribers(PageEvicted):
-                events.emit(PageEvicted(group_id, victim_id, "small", last_access, prefix))
+            if obs is not None:
+                obs.page_evicted(group_id, victim_id, "small", last_access, prefix)
             taken.append(page)
             steps.append(5)
         if taken:
@@ -363,10 +355,10 @@ class TwoLevelAllocator:
         if len(taken) < n:
             self.release_pages(group_id, [page.page_id for page in reversed(taken)], False)
             return None
-        if taken and events is not None and events.has_subscribers(PagesAllocated):
-            events.emit(PagesAllocated(
+        if taken and obs is not None:
+            obs.pages_allocated(
                 group_id, request_id, tuple(page.page_id for page in taken), tuple(steps)
-            ))
+            )
         return taken
 
     def _carve(self, group: GroupAllocator, request_id: str) -> List[SmallPage]:
@@ -374,10 +366,9 @@ class TwoLevelAllocator:
         associated with ``request_id``, not yet pooled."""
         group_id = group.spec.group_id
         large = self.lcm.allocate(group_id)
-        if self.events is not None and self.events.has_subscribers(LargePageCarved):
-            self.events.emit(LargePageCarved(
-                group_id, large.page_id, group.small_per_large
-            ))
+        obs = self.observer
+        if obs is not None:
+            obs.large_page_carved(group_id, large.page_id, group.small_per_large)
         carved = group.new_pages(large, request_id)
         self._large_counts[large.page_id] = [len(carved), 0, 0]
         self._num_large_owned[group_id] += 1
@@ -398,8 +389,8 @@ class TwoLevelAllocator:
         last reference caches it (hashed, ``cacheable``, prefix caching
         on) or frees it.
 
-        Publishes one :class:`~repro.core.events.PageReleased` per page
-        that dropped its last reference, in run order.  A page that is not
+        Reports one :meth:`~repro.core.events.Observer.page_released` per
+        page that dropped its last reference, in run order.  A page that is not
         USED raises ``ValueError``; the pages before it stay released.
         """
         group = self.groups[group_id]
@@ -446,9 +437,10 @@ class TwoLevelAllocator:
                 group.note_fill(-fill)
                 group.bump_state(USED, EVICTABLE, n_cached)
                 group.bump_state(USED, EMPTY, len(released) - n_cached)
-                if self.events is not None and self.events.has_subscribers(PageReleased):
+                obs = self.observer
+                if obs is not None:
                     for page_id, cached in released:
-                        self.events.emit(PageReleased(group_id, page_id, cached))
+                        obs.page_released(group_id, page_id, cached)
 
     def acquire_cached(
         self, group_id: str, block_hash: int, request_id: str
@@ -524,8 +516,9 @@ class TwoLevelAllocator:
                     self.version += 1
                     group.bump_state(EVICTABLE, EMPTY)
                     self._empty_page(group, old)
-                    if self.events is not None and self.events.has_subscribers(PageReleased):
-                        self.events.emit(PageReleased(group_id, displaced, False))
+                    obs = self.observer
+                    if obs is not None:
+                        obs.page_released(group_id, displaced, False)
 
     def touch_evictable(self, group_id: str, page: SmallPage) -> None:
         """Re-key an evictable page after its eviction metadata changed."""
@@ -585,11 +578,12 @@ class TwoLevelAllocator:
         self, large_id: int, owner: str, last_access: float, prefix: float
     ) -> None:
         """Return ``owner``'s large page as an eviction: counted and
-        published with the priority it held (step 3, quota deflation)."""
+        reported with the priority it held (step 3, quota deflation)."""
         self._return_large_page(large_id)
         self.num_large_evictions += 1
-        if self.events is not None and self.events.has_subscribers(PageEvicted):
-            self.events.emit(PageEvicted(owner, large_id, "large", last_access, prefix))
+        obs = self.observer
+        if obs is not None:
+            obs.page_evicted(owner, large_id, "large", last_access, prefix)
 
     def _return_large_page(self, large_id: int) -> None:
         """Give ``large_id`` back to the LCM pool, evicting in the same walk
@@ -671,10 +665,9 @@ class TwoLevelAllocator:
         never touched: the quota is *soft*, ownership may exceed it until
         releases catch up, and no new carves happen until it does.
 
-        Moves :attr:`version` and publishes exactly one guarded
-        :class:`QuotaResized` record per quota *change* (plus one
-        :class:`PageEvicted` per reclaimed large page); setting the same
-        quota again is a silent no-op.
+        Moves :attr:`version` and reports exactly one ``quota_resized``
+        per quota *change* (plus one ``page_evicted`` per reclaimed large
+        page); setting the same quota again is a silent no-op.
         """
         if quota is not None and quota < 0:
             raise ValueError(f"negative quota {quota} for group {group_id}")
@@ -687,10 +680,9 @@ class TwoLevelAllocator:
         reclaimed = 0
         if quota is not None and self._num_large_owned[group_id] > quota:
             reclaimed = self._deflate_slow(group_id, quota)
-        if self.events is not None and self.events.has_subscribers(QuotaResized):
-            self.events.emit(QuotaResized(
-                group_id, old, quota, self._num_large_owned[group_id], reclaimed
-            ))
+        obs = self.observer
+        if obs is not None:
+            obs.quota_resized(group_id, old, quota, self._num_large_owned[group_id], reclaimed)
         return reclaimed
 
     def _deflate_slow(self, group_id: str, quota: int) -> int:

@@ -11,17 +11,9 @@ model's step time.  The *only* component swapped between "vLLM" and
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.events import (
-    AdmissionBlocked,
-    EventBus,
-    RequestAdmitted,
-    RequestFailed,
-    RequestFinished,
-    RequestPreempted,
-    StepCompleted,
-)
+from ..core.events import AdmissionBlocked, Observer
 from ..engine.cost_model import CostModel, StepWork
 from ..models.config import ModelSpec
 from ..obs.tracer import NULL_TRACER, Tracer
@@ -39,6 +31,28 @@ from .scheduler import AdmissionGate, SchedulerConfig, WaitingQueue
 __all__ = ["LLMEngine"]
 
 
+class _Events:
+    """``engine.events.subscribe(fn, [AdmissionBlocked])``, the one bus
+    subscription ``benchmarks/e2e/harness.py`` makes: wraps the engine's
+    observer so ``fn`` also gets each blocked admission as a record."""
+
+    def __init__(self, engine: "LLMEngine") -> None:
+        self._engine = engine
+
+    def subscribe(self, fn: Callable[[AdmissionBlocked], None], _types: Any = None) -> None:
+        inner = self._engine.observer or Observer()
+
+        class Tap:
+            def __getattr__(self, name: str) -> Any:
+                return getattr(inner, name)
+
+            def admission_blocked(self, *args: Any) -> None:
+                fn(AdmissionBlocked(*args))
+                inner.admission_blocked(*args)
+
+        self._engine.observer = Tap()  # type: ignore[assignment]
+
+
 class LLMEngine:
     """Step-level simulator of one model served on one GPU.
 
@@ -52,13 +66,12 @@ class LLMEngine:
         config: Scheduler knobs.
         cost_model: Override the default roofline cost model (tests use a
             unit-cost model for determinism).
-        events: Event bus the whole stack publishes to; the engine rebinds
-            the manager onto it.  Observation only -- the engine's own
-            results (:attr:`steps`, :meth:`metrics`) never pass through
-            it.  The default is capture-free (``EventBus(capacity=0)``)
-            with no subscriber, so no event of any type is constructed.
-            Pass a bus explicitly to share it across components or to get
-            ring capture (``EventBus()``) for after-the-fact inspection.
+        observer: The :class:`~repro.core.events.Observer` the whole
+            stack reports to; the engine binds it on its waiting queue and
+            (through ``manager.bind_observer``) on the manager and its
+            allocator.  Observation only -- the engine's own results
+            (:attr:`steps`, :meth:`metrics`) never pass through it.  The
+            default ``None`` reports nothing and calls nothing.
         tracer: Span tracer for wall-clock step profiling.  Defaults to
             the inert :data:`~repro.obs.tracer.NULL_TRACER`; pass an
             enabled :class:`~repro.obs.tracer.Tracer` to split each step
@@ -74,7 +87,7 @@ class LLMEngine:
         manager,
         config: Optional[SchedulerConfig] = None,
         cost_model: Optional[CostModel] = None,
-        events: Optional[EventBus] = None,
+        observer: Optional[Observer] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.model = model
@@ -84,13 +97,14 @@ class LLMEngine:
         self.cost = cost_model or CostModel(
             model, gpu, kernel_slowdown=manager.kernel_slowdown
         )
-        self.events = events if events is not None else EventBus(capacity=0)
+        self.observer = observer
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        manager.bind_events(self.events)
+        manager.bind_observer(observer)
         manager.bind_tracer(self.tracer)
         self.collector = MetricsCollector(manager)
         self.clock = 0.0
-        self.waiting = WaitingQueue(events=self.events, tracer=self.tracer)
+        self.waiting = WaitingQueue(tracer=self.tracer)
+        self.waiting.observer = observer
         self.running: List[Request] = []
         self.finished: List[RequestMetrics] = []
         self.failed: List[Request] = []
@@ -104,6 +118,8 @@ class LLMEngine:
         # Skip re-probing a blocked queue head until pool state changes
         # (keyed on the manager's monotone admission_version).
         self._admission_gate = AdmissionGate()
+
+    events = property(_Events)
 
     @property
     def steps(self) -> List[StepRecord]:
@@ -167,7 +183,7 @@ class LLMEngine:
 
         This is the only step loop.  It owns admission, the prefill phase,
         the tracer spans, the commit order (decodes, then prefills), the
-        :class:`StepRecord` and the :class:`StepCompleted` emission, and
+        :class:`StepRecord` and the ``step_completed`` report, and
         calls four seams a subclass may override:
         :meth:`_schedule_decodes` (the whole decode phase),
         :meth:`_charge_prefill` (one chunk's work), :meth:`_step_time`
@@ -259,8 +275,9 @@ class LLMEngine:
             # Perfetto counter tracks alongside the phase spans.
             tracer.counter("engine/running", record.num_running)
             tracer.counter("engine/waiting", record.num_waiting)
-        if self.events.has_subscribers(StepCompleted):
-            self.events.emit(StepCompleted(record.index, end, step_preemptions, record))
+        obs = self.observer
+        if obs is not None:
+            obs.step_completed(end, record)
         return record
 
     # ------------------------------------------------------------------
@@ -408,8 +425,9 @@ class LLMEngine:
                 request.cached_prompt_tokens = hit
             request.state = RequestState.RUNNING
             self.running.append(request)
-            if self.events.has_subscribers(RequestAdmitted):
-                self.events.emit(RequestAdmitted(request.request_id, now, cached_tokens=hit))
+            obs = self.observer
+            if obs is not None:
+                obs.request_admitted(request.request_id, now, hit)
             # Keep running sorted by arrival so scheduling priority (and
             # victim choice: latest arrival first) is stable across
             # preempt/readmit cycles; otherwise a readmitted early request
@@ -432,15 +450,15 @@ class LLMEngine:
             self.waiting.pop_ready(now)
             request.state = RequestState.FINISHED
             self.failed.append(request)
-            if self.events.has_subscribers(RequestFailed):
-                self.events.emit(RequestFailed(request.request_id, now))
+            obs = self.observer
+            if obs is not None:
+                obs.request_failed(request.request_id, now)
             return True
-        if self.events.has_subscribers(AdmissionBlocked):
-            self.events.emit(AdmissionBlocked(
-                request.request_id, now,
-                queue_depth=len(self.waiting),
-                num_running=len(self.running),
-            ))
+        obs = self.observer
+        if obs is not None:
+            obs.admission_blocked(
+                request.request_id, now, len(self.waiting), len(self.running)
+            )
         return False
 
     def _charge_reencode(self, request: Request, work: StepWork) -> None:
@@ -507,8 +525,9 @@ class LLMEngine:
         if tracing:
             tracer.end_span()
         self.collector.preemptions += 1
-        if self.events.has_subscribers(RequestPreempted):
-            self.events.emit(RequestPreempted(victim.request_id, self.clock, reason=reason))
+        obs = self.observer
+        if obs is not None:
+            obs.request_preempted(victim.request_id, self.clock, reason)
         self.waiting.push(victim)
 
     def _fail(self, request: Request) -> None:
@@ -523,8 +542,9 @@ class LLMEngine:
         self.failed.append(request)
         if tracing:
             tracer.end_span()
-        if self.events.has_subscribers(RequestFailed):
-            self.events.emit(RequestFailed(request.request_id, self.clock))
+        obs = self.observer
+        if obs is not None:
+            obs.request_failed(request.request_id, self.clock)
 
     def _finalize(self, request: Request, n: int, end: float) -> None:
         request.num_computed_tokens += n
@@ -563,8 +583,9 @@ class LLMEngine:
         self.running.remove(request)
         if tracing:
             tracer.end_span()
-        if self.events.has_subscribers(RequestFinished):
-            self.events.emit(RequestFinished(request.request_id, end))
+        obs = self.observer
+        if obs is not None:
+            obs.request_finished(request.request_id, end)
         self.finished.append(
             RequestMetrics(
                 request_id=request.request_id,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..core.events import EventBus
+from ..core.events import Observer
 from ..core.kv_manager import JengaKVCacheManager
 from ..core.layer_policy import GroupSpec, make_policy
 from ..core.two_level import TwoLevelAllocator
@@ -81,11 +81,11 @@ class MultiModelEngine:
         tokens_per_page: Small-page granularity, plumbed identically
             through both modes so shared vs. static comparisons never
             silently run different page sizes.
-        events: One bus shared by *every* deployment's engine.  ``None``
-            (default) keeps per-engine private buses.  A shared bus is how
-            a pool-level fold (``BusTelemetry`` with its pressure and
-            resizer views, as in the elastic benchmark) observes all
-            tenants' admission and step traffic in one place.
+        observer: One observer for *every* deployment's engine (and, in
+            shared mode, the one pool).  ``None`` (default) observes
+            nothing.  It is how a pool-level fold (``BusTelemetry`` with
+            its pressure and resizer views, as in the elastic benchmark)
+            sees all tenants' admission and step traffic in one place.
     """
 
     def __init__(
@@ -97,7 +97,7 @@ class MultiModelEngine:
         config: Optional[SchedulerConfig] = None,
         enable_prefix_caching: bool = True,
         tokens_per_page: int = 16,
-        events: Optional[EventBus] = None,
+        observer: Optional[Observer] = None,
     ) -> None:
         if not models:
             raise ValueError("at least one model deployment is required")
@@ -130,7 +130,7 @@ class MultiModelEngine:
                 )
         for name, model in models.items():
             self.engines[name] = LLMEngine(
-                model, gpu, managers[name], config=config, events=events
+                model, gpu, managers[name], config=config, observer=observer
             )
 
     # ------------------------------------------------------------------

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
-from ..core.events import EventBus, RequestQueued
+from ..core.events import Observer
 from .request import Request
 
 __all__ = ["AdmissionGate", "SchedulerConfig", "PROFILES", "profile_config"]
@@ -93,20 +93,20 @@ class WaitingQueue:
     same instant.  Among equally-placed requests, push order is preserved
     by the monotone sequence number.
 
-    When built with an event bus, every push publishes a
-    :class:`~repro.core.events.RequestQueued` record (both fresh arrivals
-    and preempted requests re-entering the queue).  When built with an
-    enabled :class:`~repro.obs.tracer.Tracer`, every push also drops a
+    With an :attr:`observer` (bound by the engine), every push reports
+    ``request_queued`` (both fresh arrivals and preempted requests
+    re-entering the queue).  When built with an enabled
+    :class:`~repro.obs.tracer.Tracer`, every push also drops a
     ``queue/push`` instant (with the post-push depth) onto the trace so
     queue growth is visible on the Perfetto timeline; both hooks follow
     the guarded fast-path idiom, so a queue without consumers pays only a
     predicate per push.
     """
 
-    def __init__(self, events: Optional[EventBus] = None, tracer=None) -> None:
+    def __init__(self, tracer=None) -> None:
         self._heap: List[Tuple[float, int, int, Request]] = []
         self._seq = itertools.count()
-        self.events = events
+        self.observer: Optional[Observer] = None
         self.tracer = tracer
 
     def __len__(self) -> int:
@@ -121,8 +121,9 @@ class WaitingQueue:
             self._heap,
             (request.arrival_time, freshness, next(self._seq), request),
         )
-        if self.events is not None and self.events.has_subscribers(RequestQueued):
-            self.events.emit(RequestQueued(request.request_id, request.arrival_time))
+        obs = self.observer
+        if obs is not None:
+            obs.request_queued(request.request_id, request.arrival_time)
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.instant(
                 "queue/push", cat="scheduler", args={"depth": len(self._heap)}

@@ -8,9 +8,9 @@ The subsystem closes the ROADMAP's "engine-step profiling hooks" item:
   stamps the exclusive per-phase wall time onto
   :class:`~repro.engine.metrics.StepRecord`.
 * :mod:`repro.obs.registry` -- :class:`TelemetryRegistry` (counters,
-  gauges, fixed-bucket histograms, bounded timelines) fed from the
-  allocation-event bus by :class:`BusTelemetry`, the one fold every
-  event is counted in.
+  gauges, fixed-bucket histograms, bounded timelines) fed by
+  :class:`BusTelemetry`, the observer every report of the stack is
+  counted in.
 * :mod:`repro.obs.export` -- Chrome trace-event JSON (open it at
   https://ui.perfetto.dev) and plain-text/JSON summary reports, surfaced
   as ``repro.cli trace`` / ``repro.cli report`` and inside

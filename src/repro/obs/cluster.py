@@ -20,7 +20,7 @@ Two cluster-level views over the per-replica observability PR 4 built:
   Markdown tables CI writes to the job summary.
 
 This module is presentation-layer (it sorts and formats freely); the
-per-event work happens in the one bus fold, :mod:`repro.obs.registry`,
+per-report work happens in the one observer, :mod:`repro.obs.registry`,
 and the per-step pressure math in :mod:`repro.obs.pressure`.
 """
 

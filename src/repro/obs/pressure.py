@@ -1,10 +1,10 @@
 """Pool-pressure view: the fold's counters -> per-replica pressure gauges.
 
 :class:`PressureMonitor` is the sensing half of elastic pool
-repartitioning.  It subscribes to nothing: the
+repartitioning.  It observes nothing itself: the
 :class:`~repro.obs.registry.BusTelemetry` fold counts admission blocks,
 evictions (total and per group) and preemptions once, and ticks this view
-from its ``StepCompleted`` handler.  The view turns the *per-step deltas*
+from its ``step_completed``.  The view turns the *per-step deltas*
 of those counters into exponentially-weighted moving averages, so the
 gauges answer "how hard is this replica's pool being squeezed *right
 now*", not "how many evictions ever happened".  The composite

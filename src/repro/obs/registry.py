@@ -1,10 +1,9 @@
-"""Telemetry registry and the one bus fold that feeds it.
+"""Telemetry registry and the one observer that feeds it.
 
 :class:`TelemetryRegistry` is a plain in-process metrics store; it knows
 nothing about the serving stack.  :class:`BusTelemetry` is the adapter and
-the only :class:`~repro.core.events.EventBus` subscriber in the tree: it
-counts every event the stack emits exactly once into registry
-instruments:
+the in-tree :class:`~repro.core.events.Observer`: it counts every report
+the stack makes exactly once into registry instruments:
 
 * the Section 5.4 five-step decision histogram (``alloc/step/<n>``
   counters keyed by :data:`~repro.core.events.ALLOCATION_STEPS`),
@@ -15,19 +14,17 @@ instruments:
   request lifecycle tallies, prefix-cache token counters, host-offload
   spill volume, quota moves (``resize/*``),
 * routing decisions (``routing/policy/<name>``, ``routing/replica/<id>``,
-  expected hit tokens) when attached to a serving replica's bus,
+  expected hit tokens) when it observes a serving replica,
 * the memory / waste / fragmentation timeline sampled from each step's
   :class:`~repro.engine.metrics.MemorySnapshot` (the Figure 16 axes), on
   the *simulated* clock,
 * per-phase wall-time histograms from ``StepRecord.phases`` when the
   engine ran with a tracer attached.
 
-Everything derived from those counts is a *view* ticked by the fold's one
-``StepCompleted`` handler, in a fixed written order: counters, then the
-pressure EWMAs (:class:`~repro.obs.pressure.PressureMonitor`), then the
-resizer (:class:`~repro.core.resizer.PoolResizer`).  Attaching the fold
-never touches engine code; detach with :meth:`BusTelemetry.close` so
-reused buses do not accumulate dead handlers.
+Everything derived from those counts is a *view* ticked by the fold's
+``step_completed``, in a fixed written order: counters, then the pressure
+EWMAs (:class:`~repro.obs.pressure.PressureMonitor`), then the resizer
+(:class:`~repro.core.resizer.PoolResizer`).
 """
 
 from __future__ import annotations
@@ -35,25 +32,7 @@ from __future__ import annotations
 from math import ceil, inf
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.events import (
-    AdmissionBlocked,
-    Event,
-    EventBus,
-    LargePageCarved,
-    PageEvicted,
-    PageEvictedToHost,
-    PageReleased,
-    PagesAllocated,
-    PrefixHit,
-    QuotaResized,
-    RequestAdmitted,
-    RequestFailed,
-    RequestFinished,
-    RequestPreempted,
-    RequestQueued,
-    RequestRouted,
-    StepCompleted,
-)
+from ..core.events import Observer
 
 __all__ = [
     "Histogram",
@@ -278,37 +257,15 @@ class KeyMemo(Dict[Any, str]):
         return key
 
 
-class BusTelemetry:
-    """The one bus subscriber: every event counted once into a registry.
+class BusTelemetry(Observer):
+    """The in-tree observer: every report counted once into a registry.
 
-    Subscribes on construction; call :meth:`close` when the run is over
-    (a reused bus would otherwise keep feeding a registry nobody reads).
+    Pass it as ``LLMEngine(observer=...)`` (or ``MultiModelEngine``).
     ``pressure`` and ``resizer`` are the optional per-step views; whoever
-    assembles the fold assigns them, and :meth:`_on_step` ticks them.
+    assembles the fold assigns them, and :meth:`step_completed` ticks them.
     """
 
-    _EVENT_TYPES = (
-        PagesAllocated,
-        LargePageCarved,
-        PageEvicted,
-        PageEvictedToHost,
-        PageReleased,
-        PrefixHit,
-        QuotaResized,
-        RequestQueued,
-        RequestAdmitted,
-        AdmissionBlocked,
-        RequestPreempted,
-        RequestFinished,
-        RequestFailed,
-        RequestRouted,
-        StepCompleted,
-    )
-
-    def __init__(
-        self, events: EventBus, registry: Optional[TelemetryRegistry] = None
-    ) -> None:
-        self.events = events
+    def __init__(self, registry: Optional[TelemetryRegistry] = None) -> None:
         self.registry = registry if registry is not None else TelemetryRegistry()
         #: Duck-typed so obs.registry imports neither view's module:
         #: ``pressure.on_step(time, memory)`` then ``resizer.on_step()``.
@@ -321,82 +278,102 @@ class BusTelemetry:
         #: group that has evicted (the pressure view iterates it).
         self.group_eviction_keys = KeyMemo("evict/group/")
         # Latest simulated-clock step time, so quota timeline points land
-        # next to the pressure/score track even though QuotaResized itself
+        # next to the pressure/score track even though a quota move
         # carries no timestamp.
         self._time = 0.0
-        events.subscribe(self._on_event, self._EVENT_TYPES)
-
-    def close(self) -> None:
-        """Unsubscribe from the bus (idempotent)."""
-        self.events.unsubscribe(self._on_event)
 
     # ------------------------------------------------------------------
 
-    def _on_event(self, event: Event) -> None:
+    def pages_allocated(
+        self, group_id: str, request_id: str,
+        page_ids: Tuple[int, ...], steps: Tuple[int, ...],
+    ) -> None:
+        # One report per allocation call, len(page_ids) pool mutations.
         reg = self.registry
-        if isinstance(event, PagesAllocated):
-            # One record per allocation call, len(page_ids) pool mutations.
-            reg.inc("alloc/pages", event.num_pages)
-            for step in event.steps:
-                reg.inc(self._step_keys[step])
-        elif isinstance(event, PageReleased):
-            reg.inc("release/cached" if event.cached else "release/freed")
-        elif isinstance(event, PageEvicted):
-            reg.inc(self._evict_keys[event.level])
-            reg.inc(self.group_eviction_keys[event.group_id])
-            # §5.1 provenance: a zero prefix length means plain recency
-            # ("balanced") eviction; a non-zero one means the prefix-depth
-            # tie-break ("aligned") participated in victim choice.
-            reg.inc(
-                "evict/priority/aligned"
-                if event.prefix_length
-                else "evict/priority/balanced"
-            )
-        elif isinstance(event, LargePageCarved):
-            reg.inc("alloc/large_carved")
-        elif isinstance(event, PageEvictedToHost):
-            reg.inc("offload/spills")
-            reg.inc("offload/spill_bytes", event.page_bytes)
-        elif isinstance(event, PrefixHit):
-            reg.inc("prefix/lookups")
-            reg.inc("prefix/hit_tokens", event.hit_tokens)
-            reg.inc("prefix/lookup_tokens", event.lookup_tokens)
-        elif isinstance(event, QuotaResized):
-            # One event per resize decision (control plane, not per page),
-            # so the f-string group key is off the per-page hot path.
-            reg.inc("resize/quota_resized")
-            reg.inc(f"resize/group/{event.group_id}/resizes")
-            reg.inc("resize/reclaimed_large", event.reclaimed)
-            if event.new_quota is not None:
-                # The quota staircase lands on the sim-clock timeline, so
-                # Chrome traces show each step next to pressure/score.
-                key = f"resize/group/{event.group_id}/quota"
-                reg.set_gauge(key, float(event.new_quota))
-                reg.record_point(key, self._time, float(event.new_quota))
-        elif isinstance(event, RequestQueued):
-            reg.inc("requests/queued")
-        elif isinstance(event, RequestAdmitted):
-            reg.inc("requests/admitted")
-        elif isinstance(event, AdmissionBlocked):
-            reg.inc("pressure/admission_blocked")
-            reg.set_gauge("pressure/queue_depth", float(event.queue_depth))
-        elif isinstance(event, RequestPreempted):
-            reg.inc(self._preempt_keys[event.reason])
-        elif isinstance(event, RequestFinished):
-            reg.inc("requests/finished")
-        elif isinstance(event, RequestFailed):
-            reg.inc("requests/failed")
-        elif isinstance(event, RequestRouted):
-            # One event per request dispatch (not per page), so the
-            # f-string keys are off the per-page hot path.
-            reg.inc("routing/requests")
-            reg.inc(f"routing/policy/{event.policy}")
-            reg.inc(f"routing/replica/{event.replica_id}")
-            reg.inc("routing/expected_hit_tokens", event.expected_hit_tokens)
-        elif isinstance(event, StepCompleted):
-            self._on_step(event)
+        reg.inc("alloc/pages", len(page_ids))
+        for step in steps:
+            reg.inc(self._step_keys[step])
 
-    def _on_step(self, event: StepCompleted) -> None:
+    def page_released(self, group_id: str, page_id: int, cached: bool) -> None:
+        self.registry.inc("release/cached" if cached else "release/freed")
+
+    def page_evicted(
+        self, group_id: str, page_id: int, level: str,
+        last_access: float, prefix_length: float,
+    ) -> None:
+        reg = self.registry
+        reg.inc(self._evict_keys[level])
+        reg.inc(self.group_eviction_keys[group_id])
+        # §5.1 provenance: a zero prefix length means plain recency
+        # ("balanced") eviction; a non-zero one means the prefix-depth
+        # tie-break ("aligned") participated in victim choice.
+        reg.inc("evict/priority/aligned" if prefix_length else "evict/priority/balanced")
+
+    def large_page_carved(
+        self, group_id: str, large_page_id: int, num_small_pages: int
+    ) -> None:
+        self.registry.inc("alloc/large_carved")
+
+    def page_evicted_to_host(self, group_id: str, block_hash: int, page_bytes: int) -> None:
+        self.registry.inc("offload/spills")
+        self.registry.inc("offload/spill_bytes", page_bytes)
+
+    def prefix_hit(self, request_id: str, hit_tokens: int, lookup_tokens: int) -> None:
+        reg = self.registry
+        reg.inc("prefix/lookups")
+        reg.inc("prefix/hit_tokens", hit_tokens)
+        reg.inc("prefix/lookup_tokens", lookup_tokens)
+
+    def quota_resized(
+        self, group_id: str, old_quota: Optional[int], new_quota: Optional[int],
+        num_owned: int, reclaimed: int,
+    ) -> None:
+        # One report per resize decision (control plane, not per page),
+        # so the f-string group key is off the per-page hot path.
+        reg = self.registry
+        reg.inc("resize/quota_resized")
+        reg.inc(f"resize/group/{group_id}/resizes")
+        reg.inc("resize/reclaimed_large", reclaimed)
+        if new_quota is not None:
+            # The quota staircase lands on the sim-clock timeline, so
+            # Chrome traces show each step next to pressure/score.
+            key = f"resize/group/{group_id}/quota"
+            reg.set_gauge(key, float(new_quota))
+            reg.record_point(key, self._time, float(new_quota))
+
+    def request_queued(self, request_id: str, arrival_time: float) -> None:
+        self.registry.inc("requests/queued")
+
+    def request_admitted(self, request_id: str, time: float, cached_tokens: int) -> None:
+        self.registry.inc("requests/admitted")
+
+    def admission_blocked(
+        self, request_id: str, time: float, queue_depth: int, num_running: int
+    ) -> None:
+        self.registry.inc("pressure/admission_blocked")
+        self.registry.set_gauge("pressure/queue_depth", float(queue_depth))
+
+    def request_preempted(self, request_id: str, time: float, reason: str) -> None:
+        self.registry.inc(self._preempt_keys[reason])
+
+    def request_finished(self, request_id: str, time: float) -> None:
+        self.registry.inc("requests/finished")
+
+    def request_failed(self, request_id: str, time: float) -> None:
+        self.registry.inc("requests/failed")
+
+    def request_routed(
+        self, request_id: str, replica_id: str, policy: str, expected_hit_tokens: int
+    ) -> None:
+        # One report per request dispatch (not per page), so the f-string
+        # keys are off the per-page hot path.
+        reg = self.registry
+        reg.inc("routing/requests")
+        reg.inc(f"routing/policy/{policy}")
+        reg.inc(f"routing/replica/{replica_id}")
+        reg.inc("routing/expected_hit_tokens", expected_hit_tokens)
+
+    def step_completed(self, time: float, record: Any) -> None:
         """Counters, then the pressure view, then the resizer tick.
 
         The order is the contract: the resizer decides on EWMAs that
@@ -405,20 +382,19 @@ class BusTelemetry:
         lands in the next one.
         """
         reg = self.registry
-        self._time = event.time
+        self._time = time
         reg.inc("engine/steps")
-        record = event.record
         memory = getattr(record, "memory", None)
         if memory is not None:
             for key, attr in _MEM_GAUGES:
                 value = getattr(memory, attr)
                 reg.set_gauge(key, value)
-                reg.record_point(key, event.time, value)
+                reg.record_point(key, time, value)
         phases = getattr(record, "phases", None)
         if phases:
             for phase, seconds in phases.items():
                 reg.observe(f"phase/{phase}", seconds)
         if self.pressure is not None:
-            self.pressure.on_step(event.time, memory)
+            self.pressure.on_step(time, memory)
         if self.resizer is not None:
             self.resizer.on_step()

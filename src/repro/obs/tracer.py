@@ -10,14 +10,14 @@ attribute a regression to the scheduler loop vs. the allocator vs. commit
 bookkeeping without an external profiler.
 
 Two clocks coexist deliberately: spans are stamped with ``perf_counter``
-wall time (this is a profiler), while the event bus and step records keep
-the simulated clock.  The Chrome-trace exporter keeps them on separate
+wall time (this is a profiler), while observer reports and step records
+keep the simulated clock.  The Chrome-trace exporter keeps them on separate
 "processes" so Perfetto never conflates the two.
 
 **Null fast path.**  Tracing must cost nothing when off.  Every span
-primitive is a no-op on a disabled tracer, but -- exactly like
-``EventBus.has_subscribers`` -- call sites on hot paths must not even pay
-for argument construction.  The idiom, enforced in hot modules by
+primitive is a no-op on a disabled tracer, but -- exactly like the
+``observer is not None`` test -- call sites on hot paths must not even
+pay for argument construction.  The idiom, enforced in hot modules by
 jengalint's ``unguarded-span`` rule::
 
     if tracer is not None and tracer.enabled:

@@ -4,10 +4,9 @@ The paper evaluates one engine on one GPU; this package scales the
 deterministic simulator out to a cluster (ROADMAP's top open item, the
 rtp-llm ``flexlb`` pattern):
 
-* :class:`~repro.serving.replica.Replica` -- one engine + manager + its
-  own per-replica event bus (the shared-allocator fan-out fix in
-  :class:`~repro.core.events.EventFanout` keeps per-engine metrics exact
-  even for co-tenant replicas over one pool);
+* :class:`~repro.serving.replica.Replica` -- one engine + manager, with
+  an optional per-replica telemetry observer (routing decisions are
+  reported to the chosen replica's engine observer);
 * :class:`~repro.serving.router.Router` -- pluggable policies:
   ``round_robin``, ``least_loaded`` (free-pool pressure from
   ``stats()``), and ``cache_aware`` (a router-side shadow of each
@@ -22,7 +21,6 @@ from .replica import Replica, ReplicaLoad
 from .router import (
     ROUTING_POLICIES,
     ReplicaShadow,
-    RequestRouted,
     Router,
     register_policy,
 )
@@ -33,7 +31,6 @@ __all__ = [
     "Replica",
     "ReplicaLoad",
     "ReplicaShadow",
-    "RequestRouted",
     "Router",
     "ServingCluster",
     "register_policy",

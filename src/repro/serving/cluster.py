@@ -108,7 +108,7 @@ class ServingCluster:
         """Homogeneous cluster: N identical replicas, one policy.
 
         ``tracing``/``telemetry``/``pressure`` attach a *per-replica*
-        :class:`~repro.obs.tracer.Tracer` / bus-telemetry fold /
+        :class:`~repro.obs.tracer.Tracer` / telemetry observer /
         pressure view of that fold (all default off, preserving the
         zero-overhead ``NULL_TRACER`` path); with tracing on the cluster
         also records the route log for the merged trace's router lane.
@@ -215,5 +215,6 @@ class ServingCluster:
         )
 
     def close(self) -> None:
-        for replica in self.replicas:
-            replica.close()
+        """End of run.  Observers hold no subscription, so there is
+        nothing to detach; callers that end every run with ``close()``
+        keep working."""

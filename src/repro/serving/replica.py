@@ -1,12 +1,12 @@
-"""One serving replica: engine + manager + a private event bus.
+"""One serving replica: engine + manager + an optional telemetry observer.
 
 A :class:`Replica` is the unit the router balances over -- a full
 :class:`~repro.engine.engine.LLMEngine` over its own KV-cache manager,
-publishing onto its *own* :class:`~repro.core.events.EventBus` so
-per-replica telemetry stays exact even when managers share an allocator
-(the :class:`~repro.core.events.EventFanout` topology).  Each replica models one GPU, so replica clocks advance
-independently; :class:`~repro.serving.cluster.ServingCluster` owns the
-cross-replica event ordering.
+reporting to its *own* :class:`~repro.obs.registry.BusTelemetry` when
+asked for one, so per-replica telemetry stays exact.  Each replica models
+one GPU, so replica clocks advance independently;
+:class:`~repro.serving.cluster.ServingCluster` owns the cross-replica
+event ordering.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..baselines import make_manager
-from ..core.events import EventBus
 from ..core.resizer import PoolResizer
 from ..engine.engine import LLMEngine
 from ..engine.metrics import EngineMetrics
@@ -68,15 +67,12 @@ class Replica:
         manager: Pre-built manager, overriding ``system``/``kv_bytes``
             construction -- how shared-allocator co-tenant replicas are
             assembled (build views via ``build_shared_managers`` first).
-        events: Per-replica bus; a capture-free private bus is created
-            when omitted (ring capture off: the cluster runs millions of
-            events and metrics flow through subscribers, not the ring).
         tracer: Per-replica span tracer handed to the engine.  ``None``
             keeps the zero-overhead :data:`~repro.obs.tracer.NULL_TRACER`
             default -- tracing must be opted into per replica.
-        telemetry: Attach a per-replica
-            :class:`~repro.obs.registry.BusTelemetry` fold (the bus's one
-            subscriber) as ``self.telemetry``, feeding ``self.registry``.
+        telemetry: Observe the engine with a per-replica
+            :class:`~repro.obs.registry.BusTelemetry` fold, kept as
+            ``self.telemetry`` and feeding ``self.registry``.
         pressure: Add the :class:`~repro.obs.pressure.PressureMonitor`
             view (``self.telemetry.pressure``: EWMA rates and
             ``pressure/score``) to that fold; it reads the fold's
@@ -105,7 +101,6 @@ class Replica:
         tokens_per_page: int = 16,
         seed: int = 0,
         manager=None,
-        events: Optional[EventBus] = None,
         tracer: Optional[Tracer] = None,
         telemetry: bool = False,
         pressure: bool = False,
@@ -124,21 +119,23 @@ class Replica:
                 seed=seed,
             )
         self.manager = manager
-        self.events = events if events is not None else EventBus(capacity=0)
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.engine = LLMEngine(
-            model, gpu, manager, config=config, events=self.events,
-            tracer=self.tracer,
-        )
         # One fold per replica; pressure and resizing are views it ticks
-        # (counters -> pressure EWMAs -> resizer) on every StepCompleted.
+        # (counters -> pressure EWMAs -> resizer) on every step_completed.
         self.telemetry: Optional[BusTelemetry] = None
         pressure = pressure or resizing is not None  # the resizer's signal
         if telemetry or pressure:
-            fold = self.telemetry = BusTelemetry(self.events)
-            if pressure:
-                fold.pressure = PressureMonitor(fold)
+            self.telemetry = BusTelemetry()
+        self.engine = LLMEngine(
+            model, gpu, manager, config=config, observer=self.telemetry,
+            tracer=self.tracer,
+        )
+        fold = self.telemetry
+        if fold is not None and pressure:
+            fold.pressure = PressureMonitor(fold)
             if resizing is not None:
+                # Built after the engine bound the fold, so the initial
+                # partition's quota moves are counted.
                 fold.resizer = PoolResizer(
                     manager.allocator, fold.pressure,
                     policy=resizing, interval=resize_interval,
@@ -173,12 +170,6 @@ class Replica:
 
     def metrics(self) -> EngineMetrics:
         return self.engine.metrics()
-
-    def close(self) -> None:
-        """Detach the fold this replica attached (idempotent): a reused
-        bus must not keep feeding a dead registry."""
-        if self.telemetry is not None:
-            self.telemetry.close()
 
     def __repr__(self) -> str:
         return f"Replica({self.replica_id!r}, clock={self.engine.clock:.1f})"

@@ -15,8 +15,8 @@ Three built-in policies (the rtp-llm ``flexlb`` ladder):
 The router runs once per request on the serving hot path, so it follows
 the hot-module rules: block hashes come from the memoized per-sequence
 ``hash_chain`` (never the from-scratch ``chain_hashes``), shadow
-membership is dict-indexed, and the :class:`RequestRouted` record is only
-constructed behind a ``has_subscribers`` guard.
+membership is dict-indexed, and the routing decision is reported only to
+the chosen replica engine's observer, when it has one.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import time
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.events import RequestRouted
 from ..core.sequence import IMAGE, TEXT, SequenceSpec
 from ..engine.request import Request
 from .replica import Replica
@@ -34,7 +33,6 @@ __all__ = [
     "ROUTER_TAGS",
     "ROUTING_POLICIES",
     "ReplicaShadow",
-    "RequestRouted",
     "Router",
     "register_policy",
 ]
@@ -208,7 +206,7 @@ class Router:
 
         Returns the chosen replica index; also updates that replica's
         shadow (the routed prompt is about to become resident there) and
-        emits :class:`RequestRouted` on the replica's bus.
+        reports ``request_routed`` to the replica engine's observer.
         """
         start = time.perf_counter()
         idx = self.policy(self, request)
@@ -221,11 +219,10 @@ class Router:
         self.routed_counts[idx] += 1
         self.expected_hit_counts[idx] += expected_hit
         replica = self.replicas[idx]
-        bus = replica.events
-        if bus is not None and bus.has_subscribers(RequestRouted):
-            bus.emit(RequestRouted(
-                request.request_id, replica.replica_id,
-                self.policy_name, expected_hit,
-            ))
+        obs = replica.engine.observer
+        if obs is not None:
+            obs.request_routed(
+                request.request_id, replica.replica_id, self.policy_name, expected_hit
+            )
         replica.submit(request)
         return idx

@@ -2,24 +2,10 @@
 """Fixture: near-miss patterns every rule must accept.
 
 Lives (virtually) in a hot module so the hot-path and wall-clock rules
-are active, yet contains no violation: guarded emits, guarded tracer
-spans, owner-class counter mutation, audited slow helpers, dict
-membership, and a fixed attribute layout.
+are active, yet contains no violation: observer reports behind a None
+test, guarded tracer spans, owner-class counter mutation, audited slow
+helpers, dict membership, and a fixed attribute layout.
 """
-
-
-class PageEvicted:
-    def __init__(self, group_id, page_id):
-        self.group_id = group_id
-        self.page_id = page_id
-
-
-class PagesAllocated:
-    def __init__(self, group_id, request_id, page_ids, steps):
-        self.group_id = group_id
-        self.request_id = request_id
-        self.page_ids = page_ids
-        self.steps = steps
 
 
 class Meter:
@@ -28,8 +14,8 @@ class Meter:
 
 
 class GroupAllocator:
-    def __init__(self, events):
-        self.events = events
+    def __init__(self, observer):
+        self.observer = observer
         self.tracer = None
         self.meter = Meter()
         self.n_used = 0
@@ -45,31 +31,23 @@ class GroupAllocator:
         return item in self._priority
 
     def evict(self, group_id, page_id):
-        if self.events is not None and self.events.has_subscribers(PageEvicted):
-            self.events.emit(PageEvicted(group_id, page_id))
+        obs = self.observer
+        if obs is not None:
+            obs.page_evicted(group_id, page_id, "small", 0.0, 0.0)
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.instant("evict", args={"group": group_id})
         # Span-method *names* on a non-tracer receiver are not spans.
         self.meter.counter("evictions", 1)
 
-    def forward(self, event):
-        # Pre-built event objects carry no construction cost here.
-        self.events.emit(event)
-
     def allocate_batch(self, group_id, request_id, pages):
         taken = []
         for page in pages:
             taken.append(page)
-        # One batched record after the loop, not one per page.
-        if self.events is not None and self.events.has_subscribers(PagesAllocated):
-            self.events.emit(PagesAllocated(group_id, request_id, tuple(taken), ()))
+        # One batched report after the loop, not one per page.
+        obs = self.observer
+        if obs is not None:
+            obs.pages_allocated(group_id, request_id, tuple(taken), ())
         return taken
-
-    def replay(self, backlog):
-        for event in backlog:
-            # Forwarding pre-built events in a loop constructs nothing
-            # per item; only per-item *construction* is a rehash smell.
-            self.events.emit(event)
 
     def hashes_for(self, seq, tags, schedule, stream, boundaries):
         # The memoized incremental chain is the sanctioned hot-path hash;

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.events import EventBus
+from repro.core.events import Observer
 from repro.core.kv_manager import JengaKVCacheManager
 from repro.core.layer_policy import (
     FULL_ATTENTION,
@@ -59,7 +59,7 @@ def make_manager(total=64 * 4 * 64, caching=True, specs=None):
 
 
 def make_allocator(num_large=3):
-    """Bare two-group allocator with no bus: 3 'a' or 2 'b' pages per large."""
+    """Bare two-group allocator with no observer: 3 'a' or 2 'b' pages per large."""
     specs = {
         "a": GroupSpec("a", FULL_ATTENTION, 1, 64, tokens_per_page=4,
                        accepted_tags=T),
@@ -69,7 +69,7 @@ def make_allocator(num_large=3):
     alloc = TwoLevelAllocator(
         768 * num_large, specs, {g: make_policy(s) for g, s in specs.items()}
     )
-    assert alloc.events is None
+    assert alloc.observer is None
     return alloc
 
 
@@ -312,7 +312,7 @@ class TestManagerVersion:
         assert mgr.admission_version() > version
 
     def test_probe_and_rebind_leave_version_alone(self):
-        """Neither a ``can_admit`` probe nor ``bind_events`` touches the
+        """Neither a ``can_admit`` probe nor ``bind_observer`` touches the
         pool, and the verdict after a rebind still matches the recompute."""
         mgr = make_manager()
         probe = SequenceSpec.text_only("probe", list(range(24)))
@@ -320,7 +320,7 @@ class TestManagerVersion:
         assert version >= 0
         for _ in range(3):
             mgr.can_admit(probe)
-        mgr.bind_events(EventBus())
+        mgr.bind_observer(Observer())
         assert mgr.admission_version() == version
         assert mgr.can_admit(probe) == mgr.can_admit_uncached(probe)
 
@@ -342,7 +342,7 @@ class TestManagerVersion:
         assert singles.can_admit(probe) == batched.can_admit(probe)
 
     def test_no_bus_views_agree_with_uncached_under_cotenant_churn(self):
-        """A manager and a shared-pool sibling whose allocator has *no* bus
+        """A manager and a shared-pool sibling whose allocator has *no* observer
         still answer ``can_admit`` exactly and see each other's mutations
         in ``admission_version`` -- they read the same allocator."""
         specs = hetero_specs()
@@ -352,7 +352,6 @@ class TestManagerVersion:
         win = {"win": specs["win"]}
         ma = JengaKVCacheManager(full, 0, shared_allocator=allocator)
         mb = JengaKVCacheManager(win, 0, shared_allocator=allocator)
-        allocator.events = None  # drop the fan-out the views installed
         probes = [
             SequenceSpec.text_only(f"p{n}", list(range(5000, 5000 + n)))
             for n in (8, 48, 96, 128)
@@ -381,7 +380,7 @@ class TestManagerVersion:
             assert mb.admission_version() > version
             version = mb.admission_version()
             check()
-        assert allocator.events is None
+        assert allocator.observer is None
         allocator.check_invariants()
 
 

@@ -4,32 +4,34 @@ After a step that preempted, the engine holds the waiting queue back for
 ``LLMEngine._PREEMPTION_COOLDOWN_STEPS`` steps (while anything is still
 running) so freed memory first drains the preempted victims instead of
 being handed straight to fresh admissions, which would re-preempt the
-victims and endlessly re-prefill long prompts.  The event bus makes this
-scheduling contract checkable from the outside: the cooldown window is
-fully determined by the ``StepCompleted`` preemption tallies, so the
-emitted ``RequestAdmitted`` events must all fall outside it.
+victims and endlessly re-prefill long prompts.  The engine's observer
+makes this scheduling contract checkable from the outside: the cooldown
+window is fully determined by the ``StepCompleted`` preemption tallies, so
+the reported ``RequestAdmitted`` records must all fall outside it.
 """
 
-from repro.core.events import (
-    RequestAdmitted,
-    RequestPreempted,
-    StepCompleted,
-)
 from repro.engine import LLMEngine, Request, SchedulerConfig
 from repro.models import GIB, get_model
 from repro.platforms import H100
 from repro.workloads import token_block
 
+from .recording import (
+    RecordingObserver,
+    RequestAdmitted,
+    RequestPreempted,
+    StepCompleted,
+)
+
 COOLDOWN = LLMEngine._PREEMPTION_COOLDOWN_STEPS
 
 
-def pressured_engine():
+def pressured_engine(observer=None):
     """~2 requests' worth of KV for 16 requests: heavy preemption."""
     from repro.baselines import make_manager
 
     model = get_model("llama3-8b")
     manager = make_manager("jenga", model, 96 * 1024 * 1024)
-    engine = LLMEngine(model, H100, manager, config=SchedulerConfig())
+    engine = LLMEngine(model, H100, manager, config=SchedulerConfig(), observer=observer)
     engine.add_requests([
         Request.text(f"r{i}", token_block(0, "r", i, 300), 32)
         for i in range(16)
@@ -55,13 +57,12 @@ class TestAdmissionCooldown:
         assert preempting.num_preemptions > 0
 
     def test_no_admission_inside_cooldown_window(self):
-        engine = pressured_engine()
-        trace = []
-        engine.events.subscribe(
-            trace.append, [RequestAdmitted, RequestPreempted, StepCompleted]
-        )
+        recorder = RecordingObserver()
+        engine = pressured_engine(recorder)
         metrics = engine.run(max_steps=20_000)
         assert len(metrics.requests) == 16  # everyone eventually finishes
+        watched = (RequestAdmitted, RequestPreempted, StepCompleted)
+        trace = [ev for ev in recorder.records if isinstance(ev, watched)]
 
         preempted = [ev for ev in trace if isinstance(ev, RequestPreempted)]
         assert preempted, "scenario must actually preempt"
@@ -94,18 +95,15 @@ class TestAdmissionCooldown:
     def test_preemption_events_round_trip_requeue(self):
         """Each preemption re-queues its victim: the victim's admissions
         outnumber its preemptions by exactly one."""
-        engine = pressured_engine()
+        recorder = RecordingObserver()
+        engine = pressured_engine(recorder)
+        metrics = engine.run(max_steps=20_000)
         admissions = {}
         preemptions = {}
-
-        def tally(event):
-            if isinstance(event, RequestAdmitted):
-                admissions[event.request_id] = admissions.get(event.request_id, 0) + 1
-            else:
-                preemptions[event.request_id] = preemptions.get(event.request_id, 0) + 1
-
-        engine.events.subscribe(tally, [RequestAdmitted, RequestPreempted])
-        metrics = engine.run(max_steps=20_000)
+        for event in recorder.recent(RequestAdmitted):
+            admissions[event.request_id] = admissions.get(event.request_id, 0) + 1
+        for event in recorder.recent(RequestPreempted):
+            preemptions[event.request_id] = preemptions.get(event.request_id, 0) + 1
         assert len(metrics.requests) == 16
         assert metrics.preemptions == sum(preemptions.values()) > 0
         for request_id, count in preemptions.items():

@@ -12,7 +12,7 @@ its pages taken one at a time:
   on the commit *before* the run forms existed (per-page code), so "same
   page, same step, same victim" is pinned against the old implementation
   and not only against itself;
-* with a subscriber attached the event stream and the cache-index
+* with an observer attached the reported stream and the cache-index
   counters are those of the per-page loop.
 """
 
@@ -24,17 +24,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.events import (
-    EventBus,
-    LargePageCarved,
-    PageEvicted,
-    PageReleased,
-    PagesAllocated,
-)
 from repro.core.layer_policy import FULL_ATTENTION, GroupSpec, make_policy
 from repro.core.sequence import TEXT
 from repro.core.two_level import TwoLevelAllocator
 
+from .recording import (
+    LargePageCarved,
+    PageEvicted,
+    PageReleased,
+    PagesAllocated,
+    RecordingObserver,
+)
 from .test_admission_cache import admission_inputs
 
 T = frozenset({TEXT})
@@ -51,8 +51,10 @@ def make_allocator(num_large=12, caching=True, request_aware=True):
     alloc = TwoLevelAllocator(
         1024 * num_large, specs, {g: make_policy(s) for g, s in specs.items()},
         enable_prefix_caching=caching, request_aware=request_aware,
-        events=EventBus(capacity=1 << 20),
     )
+    # ``events`` names the recorder the way other_events (unchanged since
+    # the golden was recorded) reads the stream.
+    alloc.observer = alloc.events = RecordingObserver()
     assert [alloc.groups[g].small_per_large for g in GROUPS] == [1, 2, 4]
     return alloc
 
@@ -106,8 +108,11 @@ class Driver:
         self.alloc = make_allocator(**kwargs)
         self.held = {g: [] for g in GROUPS}  # references held, in order
         self.clock = 0.0
-        self.allocated = []  # every PagesAllocated record
-        self.alloc.events.subscribe(self.allocated.append, [PagesAllocated])
+
+    @property
+    def allocated(self):
+        """Every PagesAllocated record so far."""
+        return self.alloc.observer.recent(PagesAllocated)
 
     def release_ids(self, gid, ids, cacheable):
         alloc = self.alloc
@@ -323,12 +328,11 @@ class TestObserversSeeTheSameStream:
         pages = cached_run(alloc, "four", "r0", 6)
         shared = alloc.acquire_cached("four", 2, "r1")  # second reference
         plain = alloc.allocate_pages("four", "r0", 2)
-        seen = []
-        alloc.events.subscribe(seen.append, [PageReleased])
+        seen = alloc.observer = RecordingObserver()
         ids = [p.page_id for p in pages + plain]
         alloc.release_pages("four", ids, cacheable=True)
         # The shared page only dropped a reference: no record for it.
-        assert seen == [
+        assert seen.records == [
             PageReleased("four", page_id, cached=page_id not in {p.page_id for p in plain})
             for page_id in ids if page_id != shared.page_id
         ]
@@ -336,15 +340,15 @@ class TestObserversSeeTheSameStream:
 
     def test_one_pages_allocated_record_per_call_with_every_step(self):
         alloc = make_allocator(num_large=2)
-        seen = []
-        alloc.events.subscribe(seen.append, [PagesAllocated, LargePageCarved, PageEvicted])
+        seen = alloc.observer = RecordingObserver()
         pages = alloc.allocate_pages("four", "r0", 6)
-        allocated = [e for e in seen if isinstance(e, PagesAllocated)]
-        assert allocated == [PagesAllocated(
+        assert seen.recent(PagesAllocated) == [PagesAllocated(
             "four", "r0", tuple(p.page_id for p in pages), (2, 1, 1, 1, 2, 1)
         )]
         # Carve records precede the allocation record they fed.
-        assert [type(e) for e in seen] == [LargePageCarved, LargePageCarved, PagesAllocated]
+        assert [type(e) for e in seen.records] == [
+            LargePageCarved, LargePageCarved, PagesAllocated
+        ]
 
     def test_failed_run_acquire_counts_lookups_like_the_loop(self):
         alloc = make_allocator()
@@ -362,12 +366,14 @@ class TestObserversSeeTheSameStream:
         cached = cached_run(alloc, "one", "r0", 2)
         alloc.release_pages("one", [p.page_id for p in cached], cacheable=True)
         pinned = alloc.allocate_pages("one", "r1", 1)
-        seen = []
-        alloc.events.subscribe(seen.append, [PageEvicted, PageReleased, PagesAllocated])
+        seen = alloc.observer = RecordingObserver()
         assert alloc.allocate_pages("one", "r2", 3) is None
         # Both cached large pages were evicted for it and stay evicted;
         # the two pages it took were released again, newest first.
-        assert [type(e) for e in seen] == [PageEvicted, PageEvicted, PageReleased, PageReleased]
+        watched = (PageEvicted, PageReleased, PagesAllocated)
+        assert [type(e) for e in seen.records if isinstance(e, watched)] == [
+            PageEvicted, PageEvicted, PageReleased, PageReleased
+        ]
         assert alloc.num_large_evictions == 2
         assert len(alloc.groups["one"].cache_index) == 0
         assert alloc.lcm.num_free == 2 and pinned[0].is_used

@@ -3,7 +3,6 @@
 import json
 
 from repro.cli import main
-from repro.core.events import AdmissionBlocked, PageEvicted, RequestRouted
 from repro.core.math_utils import percentile
 from repro.engine.request import Request
 from repro.engine.scheduler import profile_config
@@ -215,10 +214,13 @@ class TestReplicaFold:
     def test_unobserved_replica_has_no_fold(self):
         replica = self.build()
         assert replica.telemetry is None and replica.registry is None
-        assert not replica.events.has_subscribers(PageEvicted)
+        assert replica.engine.observer is None
+        assert replica.manager.allocator.observer is None
 
     def test_telemetry_alone_carries_no_views(self):
         replica = self.build(telemetry=True)
+        assert replica.engine.observer is replica.telemetry
+        assert replica.manager.allocator.observer is replica.telemetry
         assert replica.registry is replica.telemetry.registry
         assert replica.telemetry.pressure is None
         assert replica.telemetry.resizer is None
@@ -248,24 +250,6 @@ class TestReplicaFold:
 
 
 class TestClusterTeardown:
-    def test_close_detaches_monitors_idempotently(self):
-        cluster = traced_cluster()
-        replica = cluster.replicas[0]
-        before = dict(replica.registry.counters)
-        cluster.close()
-        cluster.close()  # idempotent
-        # A reused bus must not feed the dead registry anymore.
-        replica.events.emit(
-            RequestRouted("ghost", replica.replica_id, "cache_aware", 0)
-        )
-        replica.events.emit(PageEvicted("full", 1, "small"))
-        assert replica.registry.counters == before
-        # Nothing functional lives on the bus: with the observers gone no
-        # page- or routing-level event has a subscriber left.
-        assert not replica.events.has_subscribers(RequestRouted)
-        assert not replica.events.has_subscribers(AdmissionBlocked)
-        assert not replica.events.has_subscribers(PageEvicted)
-
     def test_registry_stays_readable_after_close(self):
         cluster = traced_cluster()
         cluster.close()

@@ -180,3 +180,62 @@ class TestMultiModelEdges:
         # LCM of one model's groups is its own page size).
         assert len(metrics.steps) == len(plain_metrics.steps)
         assert metrics.makespan == pytest.approx(plain_metrics.makespan)
+
+
+class TestTerminalStates:
+    """A drained run ends every submitted request exactly once, finished or
+    failed, at every scope that drives engines."""
+
+    MODEL = get_model("llama3.2-1b")  # 32 KiB of KV per token
+
+    def requests(self, tag, n=10):
+        """Short prompts plus two (``big*``) that no 16 MiB pool can hold,
+        spread over arrivals so failures land between finishes."""
+        out = []
+        for i in range(n):
+            tokens = 2048 if i in (3, 7) else 96 + 16 * i
+            rid = f"{tag}big{i}" if i in (3, 7) else f"{tag}{i}"
+            out.append(Request.text(rid, token_block(0, tag, i, tokens), 8,
+                                    arrival_time=0.05 * i))
+        return out
+
+    @staticmethod
+    def assert_drained(engines, submitted):
+        ended = [m.request_id for e in engines for m in e.finished]
+        ended += [r.request_id for e in engines for r in e.failed]
+        assert sorted(ended) == sorted(r.request_id for r in submitted)
+        failed = {r.request_id for e in engines for r in e.failed}
+        assert failed and all("big" in rid for rid in failed)
+        for engine in engines:
+            assert not engine.waiting and not engine.running
+
+    def test_every_request_ends_exactly_once(self):
+        from repro.serving import ServingCluster
+
+        pool = 16 * 1024 * 1024
+        config = SchedulerConfig(max_num_seqs=4)
+
+        engine = LLMEngine(self.MODEL, H100, make_manager("jenga", self.MODEL, pool),
+                           config=config)
+        submitted = self.requests("e")
+        engine.add_requests(submitted)
+        engine.run()
+        self.assert_drained([engine], submitted)
+
+        for shared in (True, False):
+            multi = MultiModelEngine({"a": self.MODEL, "b": self.MODEL}, H100, 2 * pool,
+                                     shared=shared, config=config)
+            submitted = []
+            for name in ("a", "b"):
+                batch = self.requests(f"{name}{shared}")
+                multi.add_requests(name, batch)
+                submitted += batch
+            multi.run()
+            self.assert_drained(multi.engines.values(), submitted)
+
+        cluster = ServingCluster.build(self.MODEL, H100, pool, 2, config=config)
+        submitted = self.requests("c", n=16)
+        cluster.submit(submitted)
+        cluster.run()
+        assert cluster.num_dispatched == len(submitted)
+        self.assert_drained([r.engine for r in cluster.replicas], submitted)

@@ -1,23 +1,11 @@
-"""Tests for the structured allocation-event bus (EventBus + §5.4 traces)."""
+"""Tests for the stack's observer reports (the §5.4 traces included)."""
 
 import dataclasses
 
-from repro.core import events as events_module
-from repro.core.events import (
-    ALLOCATION_STEPS,
-    EventBus,
-    LargePageCarved,
-    PagesAllocated,
-    PageEvicted,
-    PageReleased,
-    PrefixHit,
-    RequestAdmitted,
-    RequestFinished,
-    RequestQueued,
-    StepCompleted,
-)
+from repro.core.events import ALLOCATION_STEPS, Observer
 from repro.core.kv_manager import JengaKVCacheManager
 from repro.core.layer_policy import FULL_ATTENTION, GroupSpec
+from repro.core.registry import available_managers, create_manager
 from repro.core.sequence import IMAGE, TEXT, SequenceSpec
 from repro.engine import LLMEngine, Request, SchedulerConfig
 from repro.engine.multi_model import MultiModelEngine
@@ -27,120 +15,34 @@ from repro.obs.registry import BusTelemetry
 from repro.platforms import H100
 from repro.workloads import token_block
 
+from .recording import (
+    RECORDS,
+    AdmissionBlocked,
+    LargePageCarved,
+    PageEvicted,
+    PageReleased,
+    PagesAllocated,
+    PrefixHit,
+    RecordingObserver,
+    RequestAdmitted,
+    RequestFinished,
+    StepCompleted,
+)
+
 T = frozenset({TEXT})
 I = frozenset({IMAGE})
 
-#: Every concrete event class the stack can publish.
-EVENT_TYPES = [
-    cls for cls in vars(events_module).values()
-    if isinstance(cls, type) and issubclass(cls, events_module.Event)
-    and cls is not events_module.Event
-]
 
-
-class TestEventBus:
-    def test_emit_recent_counts(self):
-        bus = EventBus()
-        bus.emit(RequestQueued("r1", 0.0))
-        bus.emit(RequestQueued("r2", 1.0))
-        bus.emit(PrefixHit("r1", 4, 8))
-        assert len(bus) == 3
-        assert bus.counts["RequestQueued"] == 2
-        assert bus.counts["PrefixHit"] == 1
-        queued = bus.recent(RequestQueued)
-        assert [e.request_id for e in queued] == ["r1", "r2"]
-        assert bus.recent(RequestQueued, limit=1) == [queued[-1]]
-
-    def test_subscriber_type_filter(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append, [PrefixHit])
-        bus.emit(RequestQueued("r1", 0.0))
-        bus.emit(PrefixHit("r1", 2, 4))
-        assert seen == [PrefixHit("r1", 2, 4)]
-
-    def test_unfiltered_subscriber_sees_everything(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append)
-        bus.emit(RequestQueued("r1", 0.0))
-        bus.emit(PrefixHit("r1", 2, 4))
-        assert len(seen) == 2
-
-    def test_unsubscribe(self):
-        bus = EventBus()
-        seen = []
-        handler = bus.subscribe(seen.append)
-        assert bus.unsubscribe(handler)
-        assert not bus.unsubscribe(handler)
-        bus.emit(RequestQueued("r1", 0.0))
-        assert not seen
-
-    def test_ring_capacity_bounds_buffer_not_subscribers(self):
-        bus = EventBus(capacity=4)
-        seen = []
-        bus.subscribe(seen.append)
-        for i in range(10):
-            bus.emit(RequestQueued(f"r{i}", float(i)))
-        assert len(bus) == 4
-        assert [e.request_id for e in bus.recent()] == ["r6", "r7", "r8", "r9"]
-        assert len(seen) == 10  # subscribers see every event
-        assert bus.counts["RequestQueued"] == 10  # counters are not bounded
-
-    def test_clear_keeps_subscribers(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append)
-        bus.emit(RequestQueued("r1", 0.0))
-        bus.clear()
-        assert len(bus) == 0 and not bus.counts
-        bus.emit(RequestQueued("r2", 0.0))
-        assert len(seen) == 2
-
-    def test_has_subscribers_true_while_ring_captures(self):
-        # A capturing bus has an implicit consumer (recent()/counts), so
-        # emit call sites must keep constructing events.
-        bus = EventBus()
-        assert bus.has_subscribers(PrefixHit)
-        assert bus.has_subscribers(RequestQueued)
-
-    def test_has_subscribers_pure_dispatch_tracks_interest(self):
-        bus = EventBus(capacity=0)
-        assert not bus.has_subscribers(PrefixHit)
-        seen = []
-        handler = bus.subscribe(seen.append, [PrefixHit])
-        assert bus.has_subscribers(PrefixHit)
-        assert not bus.has_subscribers(RequestQueued)
-        bus.unsubscribe(handler)
-        assert not bus.has_subscribers(PrefixHit)
-
-    def test_has_subscribers_unfiltered_subscriber_matches_all(self):
-        bus = EventBus(capacity=0)
-        bus.subscribe(lambda e: None)
-        assert bus.has_subscribers(PrefixHit)
-        assert bus.has_subscribers(StepCompleted)
-
-    def test_interest_cache_invalidated_by_late_subscribe(self):
-        bus = EventBus(capacity=0)
-        assert not bus.has_subscribers(PrefixHit)  # caches the negative
-        seen = []
-        bus.subscribe(seen.append, [PrefixHit])
-        assert bus.has_subscribers(PrefixHit)  # cache was cleared
-
-    def test_pure_dispatch_bus_skips_ring(self):
-        bus = EventBus(capacity=0)
-        seen = []
-        bus.subscribe(seen.append)
-        bus.emit(RequestQueued("r1", 0.0))
-        assert len(bus) == 0 and not bus.recent()
-        assert len(seen) == 1
-        assert bus.counts["RequestQueued"] == 1
-
+class TestObserver:
     def test_step_names(self):
         # 1-5 are the paper's five steps; 0 tags the request-aware
         # ablation's first-fit path.
         assert set(ALLOCATION_STEPS) == {0, 1, 2, 3, 4, 5}
         assert all(isinstance(name, str) and name for name in ALLOCATION_STEPS.values())
+
+    def test_every_observer_method_has_a_record(self):
+        methods = {name for name in vars(Observer) if not name.startswith("_")}
+        assert methods == set(RECORDS) | {"step_completed"}
 
 
 def five_step_manager():
@@ -179,6 +81,7 @@ class TestFiveStepTrace:
 
     def stage(self):
         mgr = five_step_manager()
+        mgr.bind_observer(RecordingObserver())
 
         # C carves large page #1; its second slot stays EMPTY and
         # C-associated (step-4 fodder: empty but not A's).
@@ -214,14 +117,14 @@ class TestFiveStepTrace:
 
     def test_allocation_steps_fire_in_paper_order(self):
         mgr, a = self.stage()
-        trace = []
-        mgr.events.subscribe(
-            trace.append, [PagesAllocated, PageEvicted, LargePageCarved]
-        )
+        recorder = RecordingObserver()
+        mgr.bind_observer(recorder)
 
         for _ in range(7):  # grow A one "full" page per call
             a.extend(range(len(a), len(a) + 4))
             assert mgr.allocate_up_to(a, len(a))
+        watched = (PagesAllocated, PageEvicted, LargePageCarved)
+        trace = [ev for ev in recorder.records if isinstance(ev, watched)]
 
         # allocate_up_to batches: one PagesAllocated per call, whose steps
         # record the §5.4 step satisfying each page of the batch.
@@ -235,8 +138,8 @@ class TestFiveStepTrace:
         first_seen = list(dict.fromkeys(steps))
         assert first_seen == [1, 2, 3, 4, 5]
 
-        # The full interleaving: carves and evictions fire inside the
-        # batch, before the PagesAllocated record they make room for.
+        # The full interleaving: carves and evictions are reported inside
+        # the batch, before the PagesAllocated record they make room for.
         shapes = [
             (type(ev).__name__, getattr(ev, "steps", getattr(ev, "level", None)))
             for ev in trace
@@ -263,12 +166,12 @@ class TestFiveStepTrace:
 
     def test_prefix_hits_and_releases_are_emitted(self):
         mgr, a = self.stage()
-        hits = mgr.events.recent(PrefixHit)
+        hits = mgr.observer.recent(PrefixHit)
         by_request = {ev.request_id: ev for ev in hits}
         assert by_request["E"].hit_tokens == 4
         assert by_request["E"].lookup_tokens == 8
         assert by_request["A"].hit_tokens == 0
-        released = mgr.events.recent(PageReleased)
+        released = mgr.observer.recent(PageReleased)
         # B's and F's two pages each were released into the cache.
         assert len([ev for ev in released if ev.cached]) == 4
 
@@ -277,62 +180,61 @@ class TestEngineEvents:
     def test_request_lifecycle_events(self):
         model = get_model("llama3-8b")
         mgr = JengaKVCacheManager(model.kv_groups(), 2 << 30)
-        # The engine's default bus is capture-free; pass a ring to read.
-        eng = LLMEngine(model, H100, mgr, config=SchedulerConfig(),
-                        events=EventBus())
+        seen = RecordingObserver()
+        eng = LLMEngine(model, H100, mgr, config=SchedulerConfig(), observer=seen)
         eng.add_requests([
             Request.text(f"r{i}", token_block(0, "r", i, 64), 4)
             for i in range(3)
         ])
         metrics = eng.run()
 
-        assert eng.events.counts["RequestQueued"] == 3
-        assert eng.events.counts["RequestAdmitted"] == 3
-        assert eng.events.counts["RequestFinished"] == 3
-        assert eng.events.counts["StepCompleted"] == len(metrics.steps)
-        admitted = {ev.request_id for ev in eng.events.recent(RequestAdmitted)}
-        finished = {ev.request_id for ev in eng.events.recent(RequestFinished)}
+        assert seen.counts["RequestQueued"] == 3
+        assert seen.counts["RequestAdmitted"] == 3
+        assert seen.counts["RequestFinished"] == 3
+        assert seen.counts["StepCompleted"] == len(metrics.steps)
+        admitted = {ev.request_id for ev in seen.recent(RequestAdmitted)}
+        finished = {ev.request_id for ev in seen.recent(RequestFinished)}
         assert admitted == finished == {"r0", "r1", "r2"}
 
     def test_manager_events_flow_to_engine_bus(self):
         model = get_model("llama3-8b")
         mgr = JengaKVCacheManager(model.kv_groups(), 2 << 30)
-        assert mgr.allocator.events is mgr.events
-        bus = EventBus()
-        eng = LLMEngine(model, H100, mgr, config=SchedulerConfig(), events=bus)
-        # The engine owns the bus; binding rewires the manager + allocator.
-        assert eng.events is bus
-        assert mgr.events is bus and mgr.allocator.events is bus
+        assert mgr.observer is None and mgr.allocator.observer is None
+        seen = RecordingObserver()
+        eng = LLMEngine(model, H100, mgr, config=SchedulerConfig(), observer=seen)
+        # The engine binds its observer on the queue, manager + allocator.
+        assert eng.observer is seen and eng.waiting.observer is seen
+        assert mgr.observer is seen and mgr.allocator.observer is seen
         eng.add_requests([Request.text("r0", token_block(0, "r", 0, 64), 2)])
         eng.run()
-        assert bus.counts["PagesAllocated"] > 0
-        assert bus.counts["StepCompleted"] == len(eng.steps)
+        assert seen.counts["PagesAllocated"] > 0
+        assert seen.counts["StepCompleted"] == len(eng.steps)
 
     def test_run_record_matches_what_the_bus_saw(self):
         model = get_model("llama3-8b")
         mgr = JengaKVCacheManager(model.kv_groups(), 2 << 30)
-        eng = LLMEngine(model, H100, mgr, config=SchedulerConfig(),
-                        events=EventBus())
+        seen = RecordingObserver()
+        eng = LLMEngine(model, H100, mgr, config=SchedulerConfig(), observer=seen)
         eng.add_requests([
             Request.text(f"r{i}", token_block(0, "same", 0, 128), 4,
                          arrival_time=i * 100.0)  # r1 arrives after r0 ends
             for i in range(2)
         ])
         metrics = eng.run()
-        records = [ev.record for ev in eng.events.recent(StepCompleted)]
+        records = [ev.record for ev in seen.recent(StepCompleted)]
         assert records == metrics.steps
         # The second request's prompt hits the first one's cached prefix.
         assert metrics.prefix_lookup_tokens >= 2 * 128
         assert metrics.prefix_hit_tokens > 0
 
     @staticmethod
-    def pressured_engine(events=None):
+    def pressured_engine(observer=None):
         """12 x 640-token prompts on 192 MiB: blocked admissions, cache
         evictions and preemptions all occur."""
         model = get_model("llama3-8b")
         mgr = JengaKVCacheManager(model.kv_groups(), 192 * 1024 * 1024)
         eng = LLMEngine(model, H100, mgr,
-                        config=SchedulerConfig(max_num_seqs=4), events=events)
+                        config=SchedulerConfig(max_num_seqs=4), observer=observer)
         eng.add_requests([
             Request.text(f"r{i}", token_block(0, "r", i, 640), 24)
             for i in range(12)
@@ -340,27 +242,55 @@ class TestEngineEvents:
         return eng
 
     def test_default_engine_constructs_no_page_event(self):
-        """Nothing in the stack listens on an unobserved engine's bus --
-        its results are its own run record -- so the guarded emits never
-        build a record of any type."""
+        """An engine built without an observer leaves the queue, the manager
+        and its allocator with none, for every registered manager system,
+        so every report site is skipped and no record of any kind is
+        built; the results are the engine's own run record."""
+        model = get_model("llama3-8b")
+        for system in available_managers("model"):
+            mgr = create_manager(system, "model", model, 192 * 1024 * 1024)
+            eng = LLMEngine(model, H100, mgr, config=SchedulerConfig(max_num_seqs=4))
+            assert eng.observer is None and eng.waiting.observer is None, system
+            assert mgr.observer is None and mgr.allocator.observer is None, system
         eng = self.pressured_engine()
-        assert not any(eng.events.has_subscribers(cls) for cls in EVENT_TYPES)
         metrics = eng.run(max_steps=20_000)
         assert len(metrics.requests) == 12
         assert eng.manager.allocator.num_large_evictions > 0
         assert metrics.preemptions > 0 and len(metrics.steps) > 0
-        assert eng.events.counts == {}
-        assert len(eng.events) == 0  # capture-free default
+        assert eng.manager.allocator.observer is None
+
+    def test_events_subscribe_counts_what_telemetry_counts(self):
+        """``engine.events.subscribe(fn, [AdmissionBlocked])`` (the e2e
+        harness's one subscription) hands ``fn`` exactly the blocked
+        admissions BusTelemetry counts, and leaves the observer it wraps
+        fed and the manager's observer alone."""
+        telemetry = BusTelemetry()
+        eng = self.pressured_engine(telemetry)
+        blocked = []
+        eng.events.subscribe(blocked.append, [AdmissionBlocked])
+        assert eng.manager.observer is telemetry
+        assert eng.manager.allocator.observer is telemetry
+        eng.run(max_steps=20_000)
+        assert blocked and all(isinstance(ev, AdmissionBlocked) for ev in blocked)
+        assert len(blocked) == telemetry.registry.counters["pressure/admission_blocked"]
+        assert telemetry.registry.counters["requests/finished"] == 12
+
+        bare = self.pressured_engine()
+        unobserved = []
+        bare.events.subscribe(unobserved.append, [AdmissionBlocked])
+        assert bare.manager.observer is None
+        bare.run(max_steps=20_000)
+        assert unobserved == blocked
 
     def test_shared_bus_keeps_per_engine_tallies(self):
         """Two deployments publishing onto one bus report exactly what
         they report on private buses: the tallies are the engines' own."""
         model = get_model("llama3.2-1b")
 
-        def run(events):
+        def run(observer):
             engine = MultiModelEngine(
                 {"a": model, "b": model}, H100, 48 * 1024 * 1024,
-                config=SchedulerConfig(max_num_seqs=4), events=events,
+                config=SchedulerConfig(max_num_seqs=4), observer=observer,
             )
             for name, prompt in (("a", 320), ("b", 512)):
                 engine.add_requests(name, [
@@ -375,14 +305,14 @@ class TestEngineEvents:
             }
 
         private = run(None)
-        shared = run(EventBus(capacity=0))
+        shared = run(RecordingObserver())
         assert shared == private
         assert private["a"] != private["b"]  # merged tallies would be equal
         assert all(t[1] > 0 and t[2] > 0 for t in private.values())
 
     def test_observers_do_not_perturb_the_run(self):
-        """Bare, ring-capturing and fully-observed runs of one request set
-        take identical steps and finish identical requests."""
+        """Bare, recorded and fully-observed runs of one request set take
+        identical steps and finish identical requests."""
 
         def outcome(eng):
             eng.run(max_steps=20_000)
@@ -390,11 +320,10 @@ class TestEngineEvents:
             return steps, list(eng.finished)
 
         bare = outcome(self.pressured_engine())
-        captured = outcome(self.pressured_engine(EventBus()))
-        bus = EventBus(capacity=0)
-        telemetry = BusTelemetry(bus)
+        captured = outcome(self.pressured_engine(RecordingObserver()))
+        telemetry = BusTelemetry()
         telemetry.pressure = PressureMonitor(telemetry)
-        observed = outcome(self.pressured_engine(bus))
+        observed = outcome(self.pressured_engine(telemetry))
         assert telemetry.registry.counters["alloc/pages"] > 0
         assert telemetry.registry.counters["pressure/admission_blocked"] > 0
         assert telemetry.pressure.score > 0.0

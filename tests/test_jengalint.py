@@ -13,7 +13,6 @@ SRC = Path(__file__).parent.parent / "src"
 #: bad fixture -> the one rule it exists to trigger.
 BAD_FIXTURES = {
     "bad_hot_path.py": "hot-path-scan",
-    "bad_unguarded_emit.py": "unguarded-emit",
     "bad_unguarded_span.py": "unguarded-span",
     "bad_protocol.py": "protocol-conformance",
     "bad_probe.py": "duck-typed-probe",

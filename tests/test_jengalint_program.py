@@ -1,4 +1,4 @@
-"""Whole-program jengalint: cross-module rules, baseline, CLI, budget."""
+"""Whole-program jengalint: the cross-module rule, baseline, CLI, budget."""
 
 import json
 import shutil
@@ -9,9 +9,6 @@ import pytest
 
 from repro.analysis import lint_paths, load_baseline, write_baseline
 from repro.analysis.__main__ import main as lint_main
-from repro.analysis.engine import analyze_paths_result
-from repro.analysis.manifest import HOT_MODULES
-from repro.analysis.project_graph import ProjectGraphBuilder
 from repro.analysis.program import PROGRAM_RULE_NAMES
 from repro.cli import main as cli_main
 
@@ -20,12 +17,10 @@ SRC = Path(__file__).parent.parent / "src"
 BASELINE = Path(__file__).parent.parent / "lint-baseline.json"
 
 #: cross-module rule -> its project_* fixture directory.
-PROJECT_FIXTURES = {
-    "event-registry": "project_event_registry",
-    "orphan-event": "project_orphan",
-    "manifest-drift": "project_manifest_drift",
-    "interprocedural-emit": "project_interproc",
-}
+PROJECT_FIXTURES = {"manifest-drift": "project_manifest_drift"}
+#: The drifted tree: four findings, one per kind of drift.
+DRIFT_BAD = FIXTURES / "project_manifest_drift" / "bad"
+DRIFT_CLEAN = FIXTURES / "project_manifest_drift" / "clean"
 
 
 def test_every_program_rule_has_a_fixture_tree():
@@ -54,20 +49,20 @@ def test_clean_near_miss_tree_passes(rule, tree):
 
 def test_lone_files_skip_program_rules():
     """Without a manifest in the analyzed set, cross-module rules are off."""
-    result = lint_paths([str(FIXTURES / "project_orphan" / "bad" / "pool.py")])
+    result = lint_paths([str(DRIFT_BAD / "widgets.py")])
     assert result.findings == []
 
 
 def test_suppression_silences_cross_module_finding(tmp_path):
-    src = FIXTURES / "project_orphan" / "bad"
-    result = lint_paths([str(src)])
-    (finding,) = result.findings
+    result = lint_paths([str(DRIFT_BAD)])
+    assert len(result.findings) == 4
     tree = tmp_path / "bad"
-    shutil.copytree(src, tree)
-    target = tree / Path(finding.path).name
-    lines = target.read_text().splitlines()
-    lines[finding.line - 1] += "  # jengalint: disable=orphan-event"
-    target.write_text("\n".join(lines) + "\n")
+    shutil.copytree(DRIFT_BAD, tree)
+    for finding in result.findings:
+        target = tree / Path(finding.path).name
+        lines = target.read_text().splitlines()
+        lines[finding.line - 1] += "  # jengalint: disable=manifest-drift"
+        target.write_text("\n".join(lines) + "\n")
     assert lint_paths([str(tree)]).findings == []
 
 
@@ -83,20 +78,23 @@ def test_real_tree_is_clean_with_committed_baseline():
 # -- stable IDs and the baseline workflow ---------------------------------
 
 
-def test_finding_ids_are_stable_and_line_independent():
-    bad = str(FIXTURES / "project_orphan" / "bad")
-    first = lint_paths([bad]).findings
-    second = lint_paths([bad]).findings
+def test_finding_ids_are_stable_and_line_independent(tmp_path):
+    first = lint_paths([str(DRIFT_BAD)]).findings
+    second = lint_paths([str(DRIFT_BAD)]).findings
     assert [f.id for f in first] == [f.id for f in second]
-    (finding,) = first
-    # Subject-anchored: the ID hashes rule|subject, not the line number.
-    assert finding.subject == "event:WidgetMade"
+    (finding,) = [f for f in first if f.subject == "hot-class:GhostPool"]
     assert len(finding.id) == 12
+    # Subject-anchored: the ID hashes rule|subject, not the line number.
+    tree = tmp_path / "bad"
+    shutil.copytree(DRIFT_BAD, tree)
+    manifest = tree / "manifest.py"
+    manifest.write_text("\n\n" + manifest.read_text())
+    (moved,) = [f for f in lint_paths([str(tree)]).findings if f.subject == finding.subject]
+    assert moved.line == finding.line + 2 and moved.id == finding.id
 
 
 def test_baseline_grandfathers_then_goes_stale(tmp_path):
-    bad = str(FIXTURES / "project_orphan" / "bad")
-    clean = str(FIXTURES / "project_orphan" / "clean")
+    bad, clean = str(DRIFT_BAD), str(DRIFT_CLEAN)
     baseline = tmp_path / "baseline.json"
     write_baseline(str(baseline), lint_paths([bad]).findings)
     assert load_baseline(str(baseline))
@@ -106,8 +104,8 @@ def test_baseline_grandfathers_then_goes_stale(tmp_path):
     # Fixed: the finding no longer fires, so the baseline entry is stale
     # and itself becomes a finding (the baseline only shrinks).
     fixed = lint_paths([clean], baseline=str(baseline))
-    assert [f.rule for f in fixed.findings] == ["stale-baseline"]
-    assert fixed.findings[0].path == str(baseline)
+    assert [f.rule for f in fixed.findings] == ["stale-baseline"] * 4
+    assert {f.path for f in fixed.findings} == {str(baseline)}
 
 
 def test_malformed_baseline_is_an_analysis_error(tmp_path):
@@ -118,7 +116,7 @@ def test_malformed_baseline_is_an_analysis_error(tmp_path):
 
 
 def test_write_baseline_cli_roundtrip(tmp_path):
-    bad = str(FIXTURES / "project_orphan" / "bad")
+    bad = str(DRIFT_BAD)
     baseline = tmp_path / "baseline.json"
     assert lint_main([bad, "--write-baseline", str(baseline)]) == 0
     assert lint_main([bad, "--baseline", str(baseline)]) == 0
@@ -145,25 +143,25 @@ def test_json_output_is_stable_across_runs(tmp_path):
 
 def test_json_payload_shape(tmp_path):
     out = tmp_path / "findings.json"
-    code = lint_main(
-        [str(FIXTURES / "project_orphan" / "bad"), "--format", "json",
-         "--output", str(out)]
-    )
+    code = lint_main([str(DRIFT_BAD), "--format", "json", "--output", str(out)])
     assert code == 1
-    (entry,) = json.loads(out.read_text())["findings"]
-    assert entry["rule"] == "orphan-event"
-    assert entry["subject"] == "event:WidgetMade"
-    assert set(entry) == {"id", "rule", "path", "line", "col", "subject", "message"}
+    entries = json.loads(out.read_text())["findings"]
+    assert len(entries) == 4
+    assert {entry["rule"] for entry in entries} == {"manifest-drift"}
+    assert "hot-class:GhostPool" in {entry["subject"] for entry in entries}
+    for entry in entries:
+        assert set(entry) == {"id", "rule", "path", "line", "col", "subject", "message"}
 
 
 def test_github_annotations(capsys):
-    code = lint_main([str(FIXTURES / "project_orphan" / "bad"), "--github"])
+    code = lint_main([str(DRIFT_BAD), "--github"])
     assert code == 1
     out = capsys.readouterr().out
     annotations = [l for l in out.splitlines() if l.startswith("::error ")]
-    assert len(annotations) == 1
-    assert "file=" in annotations[0] and ",line=" in annotations[0]
-    assert "title=jengalint orphan-event" in annotations[0]
+    assert len(annotations) == 4
+    for annotation in annotations:
+        assert "file=" in annotation and ",line=" in annotation
+        assert "title=jengalint manifest-drift" in annotation
 
 
 def test_exit_codes_distinguish_findings_from_crashes(tmp_path):
@@ -203,15 +201,6 @@ def _mutated_tree(tmp_path, rel, old, new):
     return root
 
 
-def test_deleting_registry_entry_turns_tree_red(tmp_path):
-    root = _mutated_tree(
-        tmp_path, "analysis/manifest.py", '        "RequestRouted",\n', ""
-    )
-    result = lint_paths([str(root)])
-    assert {f.rule for f in result.findings} == {"event-registry"}
-    assert {f.subject for f in result.findings} == {"event:RequestRouted"}
-
-
 def test_foreign_version_write_turns_tree_red(tmp_path):
     # Admission verdicts are keyed on TwoLevelAllocator.version; the
     # GUARDED_COUNTERS entry keeps every other class from moving it.
@@ -224,36 +213,6 @@ def test_foreign_version_write_turns_tree_red(tmp_path):
     )
     result = lint_paths([str(root)])
     assert {f.rule for f in result.findings} == {"guarded-counter"}
-
-
-def test_one_subscribe_site_in_tree():
-    """BusTelemetry is the only bus subscriber in src/repro: everything
-    else that used to listen reads the fold's counters or its own state."""
-    built = []
-
-    class Capturing(ProjectGraphBuilder):
-        def __init__(self):
-            super().__init__()
-            built.append(self)
-
-    analyze_paths_result([str(SRC)], [Capturing], HOT_MODULES)
-    (builder,) = built
-    sites = {(site.module, site.pending) for site in builder.graph.subscribe_sites}
-    assert sites == {("repro/obs/registry.py", ("BusTelemetry", "_EVENT_TYPES"))}
-
-
-def test_removing_subscribe_site_turns_tree_red(tmp_path):
-    # The fold's dispatch tuple is the tree's only subscription; dropping
-    # AdmissionBlocked from it orphans exactly that event.
-    root = _mutated_tree(
-        tmp_path,
-        "obs/registry.py",
-        "        AdmissionBlocked,\n        RequestPreempted,\n",
-        "        RequestPreempted,\n",
-    )
-    result = lint_paths([str(root)])
-    assert {f.rule for f in result.findings} == {"orphan-event"}
-    assert {f.subject for f in result.findings} == {"event:AdmissionBlocked"}
 
 
 # -- bench guard ----------------------------------------------------------

@@ -1,14 +1,7 @@
-"""PressureMonitor: the pressure view of the bus fold, engine integration,
-guarded emission."""
+"""PressureMonitor: the pressure view of the telemetry fold, engine
+integration, guarded reports."""
 
 from repro.baselines import make_manager
-from repro.core.events import (
-    AdmissionBlocked,
-    EventBus,
-    PageEvicted,
-    RequestPreempted,
-    StepCompleted,
-)
 from repro.engine import LLMEngine, Request, SchedulerConfig
 from repro.engine.metrics import MemorySnapshot, StepRecord
 from repro.engine.scheduler import profile_config
@@ -17,33 +10,35 @@ from repro.obs import BusTelemetry, PressureMonitor, TelemetryRegistry
 from repro.platforms import H100
 from repro.workloads import token_block
 
+from .recording import RecordingObserver
+
 MODEL = get_model("llama3.2-1b")
 
 
-def step_event(index=0, t=1.0, memory=None):
+def step(fold, index=0, t=1.0, memory=None):
+    """Report one engine step ending at ``t`` to ``fold``."""
     record = StepRecord(
         index=index, start_time=t, duration=0.01, decode_batch=1,
         prefill_tokens=0, num_running=1, num_waiting=0, num_preemptions=0,
         memory=memory,
     )
-    return StepCompleted(index=index, time=t, num_preemptions=0, record=record)
+    fold.step_completed(t, record)
 
 
-def fold_with_pressure(bus, registry=None):
-    """The one bus subscriber with its pressure view attached."""
-    fold = BusTelemetry(bus, registry)
+def fold_with_pressure(registry=None):
+    """The telemetry observer with its pressure view attached."""
+    fold = BusTelemetry(registry)
     fold.pressure = PressureMonitor(fold)
-    return fold.pressure
+    return fold
 
 
 class TestPressureMonitorUnit:
     def test_admission_blocks_feed_counter_and_rate(self):
-        bus = EventBus(capacity=0)
-        monitor = fold_with_pressure(bus)
-        assert bus.has_subscribers(AdmissionBlocked)
-        bus.emit(AdmissionBlocked("r0", 1.0, queue_depth=3, num_running=2))
-        bus.emit(AdmissionBlocked("r0", 1.1, queue_depth=4, num_running=2))
-        bus.emit(step_event(t=1.2))
+        fold = fold_with_pressure()
+        monitor = fold.pressure
+        fold.admission_blocked("r0", 1.0, 3, 2)
+        fold.admission_blocked("r0", 1.1, 4, 2)
+        step(fold, t=1.2)
         reg = monitor.registry
         assert reg.counters["pressure/admission_blocked"] == 2
         assert reg.gauges["pressure/queue_depth"] == 4.0
@@ -52,12 +47,12 @@ class TestPressureMonitorUnit:
         assert reg.gauges["pressure/score"] == monitor.score
 
     def test_per_group_eviction_rates(self):
-        bus = EventBus(capacity=0)
-        monitor = fold_with_pressure(bus)
+        fold = fold_with_pressure()
+        monitor = fold.pressure
         for _ in range(3):
-            bus.emit(PageEvicted("full", 1, "small"))
-        bus.emit(PageEvicted("win", 2, "large"))
-        bus.emit(step_event())
+            fold.page_evicted("full", 1, "small", 0.0, 0.0)
+        fold.page_evicted("win", 2, "large", 0.0, 0.0)
+        step(fold)
         reg = monitor.registry
         assert reg.counters["evict/small"] + reg.counters["evict/large"] == 4
         assert reg.counters["evict/group/full"] == 3
@@ -67,24 +62,24 @@ class TestPressureMonitorUnit:
                 > reg.gauges["pressure/group/win/eviction_rate"] > 0.0)
 
     def test_rates_decay_over_quiet_steps(self):
-        bus = EventBus(capacity=0)
-        monitor = fold_with_pressure(bus)
-        bus.emit(AdmissionBlocked("r0", 1.0, queue_depth=1, num_running=1))
-        bus.emit(step_event(index=0, t=1.0))
+        fold = fold_with_pressure()
+        monitor = fold.pressure
+        fold.admission_blocked("r0", 1.0, 1, 1)
+        step(fold, index=0, t=1.0)
         busy = monitor.registry.gauges["pressure/blocked_rate"]
         for i in range(1, 20):
-            bus.emit(step_event(index=i, t=1.0 + i))
+            step(fold, index=i, t=1.0 + i)
         quiet = monitor.registry.gauges["pressure/blocked_rate"]
         assert 0.0 < quiet < busy
 
     def test_memory_snapshot_feeds_waste_and_occupancy(self):
-        bus = EventBus(capacity=0)
-        monitor = fold_with_pressure(bus)
+        fold = fold_with_pressure()
+        monitor = fold.pressure
         memory = MemorySnapshot(
             used_by_group={"g": 6000}, evictable_bytes=1000,
             waste_bytes=1000, free_bytes=2000,
         )
-        bus.emit(step_event(memory=memory))
+        step(fold, memory=memory)
         reg = monitor.registry
         assert reg.gauges["pressure/waste_frac"] == 0.1
         # occupancy excludes free + evictable (reclaimable headroom)
@@ -94,61 +89,46 @@ class TestPressureMonitorUnit:
         assert timeline.last == (1.0, 0.7)
 
     def test_preemptions_feed_score(self):
-        bus = EventBus(capacity=0)
-        monitor = fold_with_pressure(bus)
+        fold = fold_with_pressure()
+        monitor = fold.pressure
         for _ in range(10):
-            bus.emit(RequestPreempted("r0", 1.0))
-        bus.emit(step_event())
+            fold.request_preempted("r0", 1.0, "victim")
+        step(fold)
         reg = monitor.registry
         assert reg.counters["preempt/victim"] == 10
         assert reg.gauges["pressure/preemption_rate"] == 0.2 * 10
         assert 0.0 < monitor.score <= 1.0
 
     def test_score_clipped_to_one(self):
-        bus = EventBus(capacity=0)
-        monitor = fold_with_pressure(bus)
+        fold = fold_with_pressure()
         for i in range(50):
             for _ in range(20):
-                bus.emit(AdmissionBlocked("r", float(i), 1, 1))
-            bus.emit(step_event(index=i, t=float(i)))
-        assert monitor.score == 1.0
-
-    def test_closing_the_fold_freezes_the_view(self):
-        bus = EventBus(capacity=0)
-        fold = BusTelemetry(bus)
-        monitor = fold.pressure = PressureMonitor(fold)
-        bus.emit(AdmissionBlocked("r0", 1.0, 1, 1))
-        fold.close()
-        fold.close()
-        assert not bus.has_subscribers(AdmissionBlocked)
-        bus.emit(AdmissionBlocked("r1", 2.0, 1, 1))  # goes nowhere
-        bus.emit(step_event())
-        assert monitor.registry.counters["pressure/admission_blocked"] == 1
-        assert monitor.score == 0.0  # never ticked after close
+                fold.admission_blocked("r", float(i), 1, 1)
+            step(fold, index=i, t=float(i))
+        assert fold.pressure.score == 1.0
 
     def test_view_shares_the_folds_registry(self):
         reg = TelemetryRegistry()
-        monitor = fold_with_pressure(EventBus(capacity=0), registry=reg)
+        monitor = fold_with_pressure(registry=reg).pressure
         assert monitor.registry is reg
 
     def test_view_ignores_counts_older_than_itself(self):
-        bus = EventBus(capacity=0)
-        fold = BusTelemetry(bus)
+        fold = BusTelemetry()
         for _ in range(5):
-            bus.emit(AdmissionBlocked("r0", 1.0, 1, 1))
+            fold.admission_blocked("r0", 1.0, 1, 1)
         monitor = fold.pressure = PressureMonitor(fold)
-        bus.emit(step_event())
+        step(fold)
         assert monitor.registry.gauges["pressure/blocked_rate"] == 0.0
 
 
 class TestEngineEmission:
-    def _pressured_engine(self, events):
+    def _pressured_engine(self, observer):
         # ~96 MiB with ~42 MiB per request: roughly two fit, the rest of
         # the waiting queue blocks at admission.
         manager = make_manager("jenga", MODEL, 96 * 1024 * 1024)
         return LLMEngine(
             MODEL, H100, manager,
-            config=profile_config("vllm", record_memory=True), events=events,
+            config=profile_config("vllm", record_memory=True), observer=observer,
         )
 
     def _requests(self, n=12):
@@ -158,15 +138,18 @@ class TestEngineEmission:
         ]
 
     def test_blocked_admission_emits_event(self):
-        bus = EventBus(capacity=0)
-        monitor = fold_with_pressure(bus)
-        engine = self._pressured_engine(bus)
+        fold = fold_with_pressure()
+        engine = self._pressured_engine(fold)
         engine.add_requests(self._requests())
         metrics = engine.run(max_steps=20_000)
         assert len(metrics.requests) == 12
-        reg = monitor.registry
+        reg = fold.registry
         assert reg.counters["pressure/admission_blocked"] > 0
-        assert bus.counts["AdmissionBlocked"] == (
+        recorded = RecordingObserver()
+        again = self._pressured_engine(recorded)
+        again.add_requests(self._requests())
+        again.run(max_steps=20_000)
+        assert recorded.counts["AdmissionBlocked"] == (
             reg.counters["pressure/admission_blocked"]
         )
         # record_memory=True populated the waste/occupancy gauges too.
@@ -174,36 +157,42 @@ class TestEngineEmission:
         assert len(reg.timelines["pressure/score"].points) > 0
 
     def test_no_subscriber_means_no_event_constructed(self):
-        bus = EventBus(capacity=0)  # pure dispatch, nobody listening
-        engine = self._pressured_engine(bus)
+        # No observer: the engine binds none anywhere, so every report
+        # site (blocked admissions included) is skipped, and the run is
+        # the observed one.
+        engine = self._pressured_engine(None)
+        assert engine.observer is None and engine.manager.observer is None
         engine.add_requests(self._requests())
-        engine.run(max_steps=20_000)
-        assert bus.counts.get("AdmissionBlocked", 0) == 0
+        bare = engine.run(max_steps=20_000)
+        observed = self._pressured_engine(fold_with_pressure())
+        observed.add_requests(self._requests())
+        assert len(observed.run(max_steps=20_000).steps) == len(bare.steps)
+        assert observed.observer.registry.counters["pressure/admission_blocked"] > 0
 
     def test_gate_suppresses_redundant_block_events(self):
         # The AdmissionGate memo skips provably redundant re-probes, so
         # blocked events must be far rarer than engine steps.
-        bus = EventBus(capacity=0)
-        monitor = fold_with_pressure(bus)
-        engine = self._pressured_engine(bus)
+        fold = fold_with_pressure()
+        engine = self._pressured_engine(fold)
         engine.add_requests(self._requests())
         metrics = engine.run(max_steps=20_000)
-        blocked = monitor.registry.counters["pressure/admission_blocked"]
+        blocked = fold.registry.counters["pressure/admission_blocked"]
         assert 0 < blocked < len(metrics.steps)
 
     def test_vision_embedding_refusal_is_a_blocked_admission(self):
         """A head request whose text pages fit but whose vision-embedding
         pages do not stalls the queue exactly like a failed can_admit, so
-        it publishes the same AdmissionBlocked record (it used to release
-        and break silently)."""
+        it reports the same blocked admission (it used to release and
+        break silently)."""
         model = get_model("llava-onevision-7b")
         manager = make_manager("jenga", model, 4 * GIB, enable_prefix_caching=False)
-        bus = EventBus(capacity=0)
-        monitor = fold_with_pressure(bus)
+        fold = fold_with_pressure()
+        blocked = []
         engine = LLMEngine(
-            model, H100, manager, events=bus,
+            model, H100, manager, observer=fold,
             config=SchedulerConfig(max_num_batched_tokens=1024),
         )
+        engine.events.subscribe(blocked.append)
         real, refused = manager.allocate_vision, []
 
         def refuse_v1_once(seq):
@@ -226,5 +215,5 @@ class TestEngineEmission:
         ])
         metrics = engine.run(max_steps=20_000)
         assert len(metrics.requests) == 2 and refused == ["v1"]
-        assert bus.counts["AdmissionBlocked"] == 1
-        assert monitor.registry.counters["pressure/admission_blocked"] == 1
+        assert [ev.request_id for ev in blocked] == ["v1"]
+        assert fold.registry.counters["pressure/admission_blocked"] == 1

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.events import EventBus
 from repro.core.protocols import KVCacheManager, KVCacheManagerBase
 from repro.core.registry import (
     UnknownManagerError,
@@ -16,6 +15,8 @@ from repro.core.registry import (
 )
 from repro.core.sequence import SequenceSpec
 from repro.models import GIB, get_model
+
+from .recording import RecordingObserver
 
 MODEL_SYSTEMS = available_managers("model")
 SPEC_SYSTEMS = available_managers("spec")
@@ -73,14 +74,14 @@ class TestProtocolConformance:
         manager = model_manager(system)
         assert isinstance(manager, KVCacheManager)
         assert isinstance(manager, KVCacheManagerBase)
-        assert isinstance(manager.events, EventBus)
+        assert manager.observer is None
         assert isinstance(manager.name, str) and manager.name
 
     @pytest.mark.parametrize("system", SPEC_SYSTEMS)
     def test_spec_managers_satisfy_protocol(self, system):
         manager = spec_manager(system)
         assert isinstance(manager, KVCacheManager)
-        assert isinstance(manager.events, EventBus)
+        assert manager.observer is None
 
     @pytest.mark.parametrize("system", MODEL_SYSTEMS)
     def test_protocol_surface_is_live(self, system):
@@ -103,11 +104,14 @@ class TestProtocolConformance:
         manager.release(seq, cacheable=True)
 
     @pytest.mark.parametrize("system", MODEL_SYSTEMS)
-    def test_bind_events_rewires_the_bus(self, system):
+    def test_bind_observer_rewires_the_observer(self, system):
         manager = model_manager(system)
-        bus = EventBus()
-        manager.bind_events(bus)
-        assert manager.events is bus
+        observer = RecordingObserver()
+        manager.bind_observer(observer)
+        assert manager.observer is observer
+        assert manager.allocator.observer is observer
+        manager.bind_observer(None)
+        assert manager.observer is None and manager.allocator.observer is None
 
 
 class TestNoDuckTyping:

@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.events import EventBus, QuotaResized, StepCompleted
 from repro.obs import BusTelemetry, PressureMonitor
 from repro.core.kv_manager import JengaKVCacheManager
 from repro.core.layer_policy import FULL_ATTENTION, GroupSpec, make_policy
@@ -34,6 +33,8 @@ from repro.core.sequence import TEXT, SequenceSpec
 from repro.core.two_level import TwoLevelAllocator
 from repro.engine.multi_model import build_shared_managers
 from repro.models import get_model
+
+from .recording import QuotaResized, RecordingObserver
 
 T = frozenset({TEXT})
 
@@ -102,23 +103,20 @@ class TestDeflation:
         assert_stats_equal(alloc)
 
     def test_resize_emits_guarded_quota_event(self):
-        bus = EventBus(capacity=8)
-        received = []
-        bus.subscribe(received.append, (QuotaResized,))
-        alloc = make_allocator(events=bus)
+        alloc = make_allocator()
+        seen = alloc.observer = RecordingObserver()
         alloc.set_quota("a", 3)
+        received = seen.recent(QuotaResized)
         assert len(received) == 1
         assert received[0].group_id == "a"
         assert received[0].new_quota == 3
 
     def test_noop_resize_emits_nothing(self):
-        bus = EventBus(capacity=8)
-        received = []
-        bus.subscribe(received.append, (QuotaResized,))
-        alloc = make_allocator(events=bus)
+        alloc = make_allocator()
+        seen = alloc.observer = RecordingObserver()
         alloc.set_quota("a", 3)
         alloc.set_quota("a", 3)
-        assert len(received) == 1  # second call is a no-op
+        assert len(seen.recent(QuotaResized)) == 1  # second call is a no-op
 
 
 class TestBatchedAllocRollback:
@@ -223,18 +221,14 @@ class TestPoolResizer:
             resizer.on_step()
         assert CountingPolicy.calls == 3
 
-    def test_fold_ticks_the_resizer_until_closed(self):
+    def test_fold_ticks_the_resizer(self):
         alloc = make_allocator()
-        bus = EventBus(capacity=0)
-        fold = BusTelemetry(bus)
+        fold = BusTelemetry()
         resizer = fold.resizer = PoolResizer(
             alloc, FakeMonitor(), policy="static", interval=4)
-        for step in range(12):
-            bus.emit(StepCompleted(step, 0.0, 0))
+        for _ in range(12):
+            fold.step_completed(0.0, None)
         assert resizer.num_decides == 3
-        fold.close()
-        bus.emit(StepCompleted(12, 0.0, 0))
-        assert resizer.num_decides == 3  # the fold no longer listens
 
     def test_moves_follow_demand(self):
         alloc = make_allocator(num_large=8)
@@ -249,11 +243,10 @@ class TestPoolResizer:
 
     def test_resize_evictions_land_in_the_next_window(self):
         """The fold ticks counters -> pressure -> resizer, so the
-        PageEvicted records a deflating quota move publishes from inside
+        page evictions a deflating quota move reports from inside
         the resizer tick are counted after this step's pressure window
         closed: they show up in the *next* step's eviction rate."""
-        bus = EventBus(capacity=0)
-        alloc = make_allocator(events=bus)
+        alloc = make_allocator()
         cached = [alloc.allocate_page("a", "r1") for _ in range(9)]
         for page in cached:
             alloc.register_block_hash("a", page, hash(("a", page.page_id)))
@@ -264,19 +257,19 @@ class TestPoolResizer:
             def decide(self, pressure, total_large, score, step):
                 return {"a": 1} if step == 1 else {}
 
-        fold = BusTelemetry(bus)
+        fold = alloc.observer = BusTelemetry()
         monitor = fold.pressure = PressureMonitor(fold)
         fold.resizer = PoolResizer(alloc, monitor, policy=ShrinkA(),
                                    interval=1, partition_on_start=False)
         counters, gauges = fold.registry.counters, fold.registry.gauges
 
-        bus.emit(StepCompleted(0, 1.0, 0))
+        fold.step_completed(1.0, None)
         assert fold.resizer.num_reclaimed == 2
         assert counters["evict/large"] == counters["evict/group/a"] == 2
         assert counters["resize/quota_resized"] == 1
         assert gauges["pressure/eviction_rate"] == 0.0
         assert "pressure/group/a/eviction_rate" not in gauges
-        bus.emit(StepCompleted(1, 2.0, 0))
+        fold.step_completed(2.0, None)
         assert gauges["pressure/eviction_rate"] == 0.2 * 2
         assert gauges["pressure/group/a/eviction_rate"] == 0.2 * 2
         alloc.check_invariants()

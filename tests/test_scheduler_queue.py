@@ -2,9 +2,10 @@
 
 import random
 
-from repro.core.events import EventBus, RequestQueued
 from repro.engine.request import Request
 from repro.engine.scheduler import WaitingQueue
+
+from .recording import RecordingObserver, RequestQueued
 
 
 def req(request_id, arrival, preemptions=0):
@@ -88,10 +89,9 @@ class TestGating:
 
 class TestEvents:
     def test_push_emits_request_queued(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append, [RequestQueued])
-        q = WaitingQueue(events=bus)
+        q = WaitingQueue()
+        q.observer = RecordingObserver()
         q.push(req("a", 1.5))
+        seen = q.observer.recent(RequestQueued)
         assert len(seen) == 1
         assert seen[0].request_id == "a" and seen[0].arrival_time == 1.5

@@ -10,12 +10,13 @@ from repro.serving import (
     ROUTING_POLICIES,
     Replica,
     ReplicaShadow,
-    RequestRouted,
     Router,
     ServingCluster,
     register_policy,
 )
 from repro.workloads import poisson_arrivals, token_block
+
+from .recording import RecordingObserver, RequestRouted
 
 MODEL = get_model("llama3.2-1b")
 KV = GIB // 4
@@ -131,11 +132,11 @@ class TestRouterPolicies:
 
     def test_route_emits_guarded_event_on_replica_bus(self):
         replicas = make_replicas(2)
-        seen = []
-        replicas[1].events.subscribe(seen.append, [RequestRouted])
+        recorder = replicas[1].engine.observer = RecordingObserver()
         router = Router(replicas, policy="round_robin")
         router.route(Request.text("r0", token_block(0, "x", 0, 64), 4))
         router.route(Request.text("r1", token_block(0, "x", 1, 64), 4))
+        seen = recorder.recent(RequestRouted)
         assert [e.request_id for e in seen] == ["r1"]
         assert seen[0].replica_id == "replica-1"
         assert seen[0].policy == "round_robin"
@@ -189,15 +190,14 @@ class TestServingCluster:
         cluster = ServingCluster.build(
             MODEL, H100, KV, 2, policy="round_robin", config=SchedulerConfig()
         )
-        counters = [0, 0]
-        for i, replica in enumerate(cluster.replicas):
-            def bump(event, i=i):
-                counters[i] += 1
-            replica.events.subscribe(bump, [RequestRouted])
+        recorders = []
+        for replica in cluster.replicas:
+            recorders.append(RecordingObserver())
+            replica.engine.observer = recorders[-1]
         cluster.submit(forked_requests(num_families=2, fanout=2))
         cluster.run()
         cluster.close()
-        assert counters == [2, 2]
+        assert [r.counts["RequestRouted"] for r in recorders] == [2, 2]
 
     def test_mismatched_router_rejected(self):
         replicas = make_replicas(2)
@@ -209,35 +209,32 @@ class TestServingCluster:
 class TestRouterTallies:
     def test_router_keeps_per_replica_tallies(self):
         # The router's index-aligned lists are the one per-replica routing
-        # tally; a RequestRouted observer on each replica's bus must see
-        # exactly what they hold.
+        # tally; an observer on each replica's engine must see exactly what
+        # they hold.
         replicas = make_replicas(2)
         router = Router(replicas, policy="cache_aware")
-        seen = [[], []]
-        for events, replica in zip(seen, replicas):
-            replica.events.subscribe(events.append, [RequestRouted])
+        recorders = []
+        for replica in replicas:
+            recorders.append(RecordingObserver())
+            replica.engine.observer = recorders[-1]
         requests = forked_requests(num_families=2, fanout=3)
         for request in requests:
             router.route(request)
+        seen = [r.recent(RequestRouted) for r in recorders]
         assert sum(router.routed_counts) == len(requests)
         assert [len(events) for events in seen] == router.routed_counts
         assert [
             sum(ev.expected_hit_tokens for ev in events) for events in seen
         ] == router.expected_hit_counts
         assert sum(router.expected_hit_counts) == router.expected_hit_tokens > 0
-        for replica in replicas:
-            replica.close()
 
     def test_unobserved_replica_builds_no_routing_event(self):
-        # A replica with no telemetry attached subscribes to nothing, so
-        # the router's guarded emit never constructs RequestRouted -- the
-        # tally lives on the router alone.
+        # A replica with no telemetry attached has no observer, so the
+        # router reports the decision to nobody -- the tally lives on the
+        # router alone.
         replicas = make_replicas(2)
         router = Router(replicas, policy="round_robin")
         for replica in replicas:
-            assert not replica.events.has_subscribers(RequestRouted)
+            assert replica.telemetry is None and replica.engine.observer is None
         router.route(forked_requests(num_families=1, fanout=1)[0])
         assert router.routed_counts == [1, 0]
-        assert replicas[0].events.counts["RequestRouted"] == 0
-        for replica in replicas:
-            replica.close()

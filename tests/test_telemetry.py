@@ -1,23 +1,7 @@
-"""Telemetry registry, histogram/timeline math, and the bus subscriber."""
+"""Telemetry registry, histogram/timeline math, and the telemetry observer."""
 
 import pytest
 
-from repro.core.events import (
-    EventBus,
-    LargePageCarved,
-    PageEvicted,
-    PageEvictedToHost,
-    PageReleased,
-    PagesAllocated,
-    PrefixHit,
-    RequestAdmitted,
-    RequestFailed,
-    RequestFinished,
-    RequestPreempted,
-    RequestQueued,
-    RequestRouted,
-    StepCompleted,
-)
 from repro.engine.metrics import MemorySnapshot, StepRecord
 from repro.obs import BusTelemetry, Histogram, TelemetryRegistry
 from repro.obs.export import render_report, report_payload
@@ -165,10 +149,9 @@ def _snapshot():
 
 class TestBusTelemetry:
     def test_allocation_step_histogram(self):
-        bus = EventBus(capacity=0)
-        telemetry = BusTelemetry(bus)
+        telemetry = BusTelemetry()
         for step in (1, 2, 2, 3, 5):
-            bus.emit(PagesAllocated("g", "r0", (step,), (step,)))
+            telemetry.pages_allocated("g", "r0", (step,), (step,))
         reg = telemetry.registry
         assert reg.counters["alloc/pages"] == 5
         assert reg.counters["alloc/step/2"] == 2
@@ -176,13 +159,12 @@ class TestBusTelemetry:
         assert "alloc/step/4" not in reg.counters
 
     def test_batched_allocation_counts_every_page(self):
-        # One PagesAllocated record carries len(page_ids) pool mutations;
+        # One pages_allocated report carries len(page_ids) pool mutations;
         # alloc/pages and the §5.4 step histogram count every page of it,
         # whether the call asked for three pages or one.
-        bus = EventBus(capacity=0)
-        telemetry = BusTelemetry(bus)
-        bus.emit(PagesAllocated("g", "r0", (1, 2, 3), (1, 2, 2)))
-        bus.emit(PagesAllocated("g", "r0", (4,), (5,)))
+        telemetry = BusTelemetry()
+        telemetry.pages_allocated("g", "r0", (1, 2, 3), (1, 2, 2))
+        telemetry.pages_allocated("g", "r0", (4,), (5,))
         reg = telemetry.registry
         assert reg.counters["alloc/pages"] == 4
         assert reg.counters["alloc/step/1"] == 1
@@ -190,10 +172,9 @@ class TestBusTelemetry:
         assert reg.counters["alloc/step/5"] == 1
 
     def test_eviction_provenance(self):
-        bus = EventBus(capacity=0)
-        telemetry = BusTelemetry(bus)
-        bus.emit(PageEvicted("g", 1, "small", prefix_length=0.0))
-        bus.emit(PageEvicted("g", 2, "large", prefix_length=3.0))
+        telemetry = BusTelemetry()
+        telemetry.page_evicted("g", 1, "small", 0.0, 0.0)
+        telemetry.page_evicted("g", 2, "large", 0.0, 3.0)
         reg = telemetry.registry
         assert reg.counters["evict/small"] == 1
         assert reg.counters["evict/large"] == 1
@@ -201,19 +182,18 @@ class TestBusTelemetry:
         assert reg.counters["evict/priority/aligned"] == 1
 
     def test_lifecycle_prefix_and_offload_counters(self):
-        bus = EventBus(capacity=0)
-        telemetry = BusTelemetry(bus)
-        bus.emit(RequestQueued("r0", 0.0))
-        bus.emit(RequestAdmitted("r0", 0.1))
-        bus.emit(PrefixHit("r0", 8, 64))
-        bus.emit(LargePageCarved("g", 0, 4))
-        bus.emit(PageReleased("g", 1, cached=True))
-        bus.emit(PageReleased("g", 2, cached=False))
-        bus.emit(PageEvictedToHost("g", 99, 4096))
-        bus.emit(RequestPreempted("r1", 0.2, reason="victim"))
-        bus.emit(RequestPreempted("r2", 0.3, reason="self"))
-        bus.emit(RequestFinished("r0", 0.4))
-        bus.emit(RequestFailed("r3", 0.5))
+        telemetry = BusTelemetry()
+        telemetry.request_queued("r0", 0.0)
+        telemetry.request_admitted("r0", 0.1, 0)
+        telemetry.prefix_hit("r0", 8, 64)
+        telemetry.large_page_carved("g", 0, 4)
+        telemetry.page_released("g", 1, True)
+        telemetry.page_released("g", 2, False)
+        telemetry.page_evicted_to_host("g", 99, 4096)
+        telemetry.request_preempted("r1", 0.2, "victim")
+        telemetry.request_preempted("r2", 0.3, "self")
+        telemetry.request_finished("r0", 0.4)
+        telemetry.request_failed("r3", 0.5)
         c = telemetry.registry.counters
         assert c["requests/queued"] == 1
         assert c["requests/admitted"] == 1
@@ -231,15 +211,14 @@ class TestBusTelemetry:
         assert c["requests/failed"] == 1
 
     def test_step_feeds_memory_timeline_and_phases(self):
-        bus = EventBus(capacity=0)
-        telemetry = BusTelemetry(bus)
+        telemetry = BusTelemetry()
         record = StepRecord(
             index=0, start_time=0.0, duration=0.5, decode_batch=1,
             prefill_tokens=0, num_running=1, num_waiting=0,
             num_preemptions=0, memory=_snapshot(),
             phases={"schedule": 1e-4, "allocate": 2e-5},
         )
-        bus.emit(StepCompleted(0, 0.5, 0, record=record))
+        telemetry.step_completed(0.5, record)
         reg = telemetry.registry
         assert reg.counters["engine/steps"] == 1
         assert reg.gauges["mem/used"] == 3000
@@ -249,22 +228,19 @@ class TestBusTelemetry:
         assert reg.histograms["phase/allocate"].count == 1
 
     def test_step_without_record_still_counts(self):
-        bus = EventBus(capacity=0)
-        telemetry = BusTelemetry(bus)
-        bus.emit(StepCompleted(0, 0.5, 0, record=None))
+        telemetry = BusTelemetry()
+        telemetry.step_completed(0.5, None)
         assert telemetry.registry.counters["engine/steps"] == 1
         assert telemetry.registry.timelines == {}
 
     def test_request_routed_counters(self):
-        # Regression: BusTelemetry ignored RequestRouted entirely, so
+        # Regression: BusTelemetry ignored routing decisions entirely, so
         # cluster runs had no routing counters (same bug class as the
-        # PagesAllocated gap PR 8 fixed).
-        bus = EventBus(capacity=0)
-        telemetry = BusTelemetry(bus)
-        assert bus.has_subscribers(RequestRouted)
-        bus.emit(RequestRouted("r0", "replica-0", "cache_aware", 48))
-        bus.emit(RequestRouted("r1", "replica-1", "cache_aware", 0))
-        bus.emit(RequestRouted("r2", "replica-0", "round_robin", 16))
+        # pages-allocated gap PR 8 fixed).
+        telemetry = BusTelemetry()
+        telemetry.request_routed("r0", "replica-0", "cache_aware", 48)
+        telemetry.request_routed("r1", "replica-1", "cache_aware", 0)
+        telemetry.request_routed("r2", "replica-0", "round_robin", 16)
         counters = telemetry.registry.counters
         assert counters["routing/requests"] == 3
         assert counters["routing/policy/cache_aware"] == 2
@@ -273,36 +249,25 @@ class TestBusTelemetry:
         assert counters["routing/replica/replica-1"] == 1
         assert counters["routing/expected_hit_tokens"] == 64
 
-    def test_close_unsubscribes_idempotently(self):
-        bus = EventBus(capacity=0)
-        telemetry = BusTelemetry(bus)
-        bus.emit(RequestQueued("r0", 0.0))
-        telemetry.close()
-        telemetry.close()  # idempotent
-        bus.emit(RequestQueued("r1", 0.0))
-        assert telemetry.registry.counters["requests/queued"] == 1
-
     def test_external_registry_is_adopted(self):
         reg = TelemetryRegistry()
-        bus = EventBus(capacity=0)
-        telemetry = BusTelemetry(bus, registry=reg)
-        bus.emit(RequestQueued("r0", 0.0))
+        telemetry = BusTelemetry(registry=reg)
+        telemetry.request_queued("r0", 0.0)
         assert reg.counters["requests/queued"] == 1
         assert telemetry.registry is reg
 
 
 class TestReport:
     def _registry(self):
-        bus = EventBus(capacity=0)
-        telemetry = BusTelemetry(bus)
-        bus.emit(PagesAllocated("g", "r0", (1,), (2,)))
+        telemetry = BusTelemetry()
+        telemetry.pages_allocated("g", "r0", (1,), (2,))
         record = StepRecord(
             index=0, start_time=0.0, duration=0.5, decode_batch=1,
             prefill_tokens=8, num_running=1, num_waiting=0,
             num_preemptions=0, memory=_snapshot(),
             phases={"schedule": 1e-4},
         )
-        bus.emit(StepCompleted(0, 0.5, 0, record=record))
+        telemetry.step_completed(0.5, record)
         return telemetry.registry
 
     def test_render_report_sections(self):

@@ -13,6 +13,8 @@ from repro.core.pages import PageState
 from repro.core.sequence import TEXT
 from repro.core.two_level import TwoLevelAllocator
 
+from .recording import PageReleased, PagesAllocated, RecordingObserver
+
 T = frozenset({TEXT})
 
 
@@ -295,15 +297,11 @@ class TestRequestAwareAblation:
         """With request_aware=False the first-fit hit must be tagged
         step=0 (pre-fix it reported step=4 after a pointless step-1
         probe of the per-request buckets)."""
-        from repro.core.events import EventBus, PagesAllocated
-
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append, [PagesAllocated])
-        alloc = make_allocator(num_large=1, request_aware=False, events=bus)
+        alloc = make_allocator(num_large=1, request_aware=False)
+        seen = alloc.observer = RecordingObserver()
         alloc.allocate_page("a", "r1")   # empty pool -> carve (step 2)
         alloc.allocate_page("a", "r2")   # first-fit from the pool
-        assert [e.steps for e in seen] == [(2,), (0,)]
+        assert [e.steps for e in seen.recent(PagesAllocated)] == [(2,), (0,)]
 
     def test_ablation_ignores_request_association(self):
         alloc = make_allocator(num_large=2, request_aware=False)
@@ -319,16 +317,11 @@ class TestRequestAwareAblation:
 
 class TestBatchedAllocation:
     def test_batch_emits_exactly_one_event(self):
-        from repro.core.events import EventBus, PagesAllocated
-
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append, [PagesAllocated])
-        alloc = make_allocator(num_large=4, events=bus)
+        alloc = make_allocator(num_large=4)
+        seen = alloc.observer = RecordingObserver()
         pages = alloc.allocate_pages("a", "r1", 5)
         assert pages is not None and len(pages) == 5
-        (ev,) = seen
-        assert ev.num_pages == 5
+        (ev,) = seen.recent(PagesAllocated)
         assert ev.page_ids == tuple(p.page_id for p in pages)
         assert len(ev.steps) == 5
 
@@ -345,16 +338,12 @@ class TestBatchedAllocation:
         batched.check_invariants()
 
     def test_batch_is_all_or_nothing(self):
-        from repro.core.events import EventBus, PageReleased
-
-        bus = EventBus()
-        released = []
-        bus.subscribe(released.append, [PageReleased])
-        alloc = make_allocator(num_large=1, events=bus)  # 3 'a' slots total
+        alloc = make_allocator(num_large=1)  # 3 'a' slots total
+        seen = alloc.observer = RecordingObserver()
         before_free = alloc.stats().free_bytes
         assert alloc.allocate_pages("a", "r1", 4) is None
         # Partial takes were rolled back (non-cacheably) ...
-        assert all(not ev.cached for ev in released)
+        assert all(not ev.cached for ev in seen.recent(PageReleased))
         # ... leaving the pool exactly where it started.
         assert alloc.stats().free_bytes == before_free
         fast, slow = alloc.stats(), alloc.stats_slow()
@@ -362,26 +351,17 @@ class TestBatchedAllocation:
         alloc.check_invariants()
 
     def test_empty_batch_is_a_noop(self):
-        from repro.core.events import EventBus, PagesAllocated
-
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append, [PagesAllocated])
-        alloc = make_allocator(events=bus)
+        alloc = make_allocator()
+        seen = alloc.observer = RecordingObserver()
         assert alloc.allocate_pages("a", "r1", 0) == []
-        assert seen == []
+        assert seen.records == []
 
     def test_batch_steps_follow_paper_order(self):
         alloc = make_allocator(num_large=2)
-        from repro.core.events import EventBus, PagesAllocated
-
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append, [PagesAllocated])
-        alloc.events = bus
+        seen = alloc.observer = RecordingObserver()
         pages = alloc.allocate_pages("a", "r1", 4)
         assert pages is not None
-        (ev,) = seen
+        (ev,) = seen.recent(PagesAllocated)
         # First page carves (step 2), later ones drain the request's own
         # free slots (step 1), spilling into a second carve when the
         # first large page fills.
