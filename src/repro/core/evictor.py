@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, Generic, Hashable, List, Optional, Set, Tuple, TypeVar
+from typing import Dict, Generic, Hashable, Iterator, List, Optional, Tuple, TypeVar
 
 __all__ = ["LRUEvictor", "COMPACT_RATIO"]
 
@@ -120,21 +120,24 @@ class LRUEvictor(Generic[T]):
         return (key[0], -key[1])
 
     def items_in_order(self) -> List[T]:
-        """All items in eviction order (cheapest victim first).
+        """All items in eviction order (cheapest victim first); ``O(n log n)``."""
+        return list(self.iter_in_order())
 
-        Intended for tests and the fragmentation benchmark's introspection;
-        costs ``O(n log n)``.
-        """
-        self._compact()
-        live = [(key, item) for key, item in self._heap if self._priority.get(item) == key]
-        live.sort()
-        seen: Set[T] = set()
-        ordered: List[T] = []
-        for _, item in live:
-            if item not in seen:
-                seen.add(item)
-                ordered.append(item)
-        return ordered
+    def iter_in_order(self) -> Iterator[T]:
+        """Items in eviction order, lazily and read-only: a walk of the heap
+        tree that costs ``O(k log k)`` (plus the stale entries passed) for
+        the first ``k`` items, so a capacity check can peek at the victims
+        it would take without taking them."""
+        heap = self._heap
+        priority = self._priority
+        frontier = [(heap[0], 0)] if heap else []
+        while frontier:
+            (key, item), index = heapq.heappop(frontier)
+            if priority.get(item) == key:
+                yield item
+            for child in (2 * index + 1, 2 * index + 2):
+                if child < len(heap):
+                    heapq.heappush(frontier, (heap[child], child))
 
     def _compact(self) -> None:
         """Drop stale heap entries left behind by updates and removals."""

@@ -64,6 +64,11 @@ class FreePool:
         """Number of per-request buckets (bounded by ``len(self)``)."""
         return len(self._by_request)
 
+    def bucket_size(self, request_id: _BucketKey) -> int:
+        """Pages pooled under ``request_id`` (what step 1 can pop)."""
+        bucket = self._by_request.get(request_id)
+        return len(bucket) if bucket else 0
+
     # -- mutation ------------------------------------------------------
 
     def push(self, page_id: int, request_id: _BucketKey, large_page_id: Optional[int]) -> None:

@@ -26,14 +26,15 @@ Lifecycle of a request ``r``:
    from cache.  Vision-language requests then ``allocate_vision(seq)``
    once: encoder-filled groups get pages for the whole image stream.
 2. repeatedly ``allocate_up_to(seq, n)`` -- grow page tables so the first
-   ``n`` global tokens have backing pages (``pages_to_write``), one
-   all-or-nothing batched allocator call per group, rolled back if any
-   group fails (``needs_allocation`` is the same write-set computation
-   without the allocation); then the engine "computes" the tokens and
-   calls ``commit(seq, n, now)`` -- fill counts, block-hash registration,
-   and release of pages behind the policy's ``release_frontier``
-   (out-of-window pages; Mamba checkpoints leave at registration, consumed
-   vision embeddings through ``consume_vision``).
+   ``n`` global tokens have backing pages (``pages_to_write``): one
+   capacity check over every group, then one batched allocator call per
+   group, so a refused call allocates nothing (``needs_allocation`` is the
+   same write-set computation without the allocation); then the engine
+   "computes" the tokens and calls ``commit(seq, n, now)`` -- fill
+   counts, block-hash registration, and release of pages behind the
+   policy's ``release_frontier`` (out-of-window pages; Mamba checkpoints
+   leave at registration, consumed vision embeddings through
+   ``consume_vision``).
 3. ``release(seq)`` -- request finished or was preempted; all held
    references drop, and completed blocks stay resident as evictable cached
    prefixes.
@@ -416,9 +417,10 @@ class JengaKVCacheManager(KVCacheManagerBase):
     def allocate_up_to(self, seq: SequenceSpec, target_global: int) -> bool:
         """Ensure pages back the first ``target_global`` tokens of ``seq``.
 
-        Runs the five-step algorithm for every missing page.  On failure the
-        pages newly allocated by *this call* are rolled back and ``False``
-        is returned; the scheduler then preempts a request and retries.
+        Runs the five-step algorithm for every missing page once the
+        allocator has confirmed they all fit; otherwise allocates nothing
+        and returns ``False``, and the scheduler preempts a request and
+        retries.
         """
         return self._grow(seq, self.policies, target_global)
 
@@ -428,8 +430,8 @@ class JengaKVCacheManager(KVCacheManagerBase):
         The vision encoder runs once at admission and produces embeddings
         for every image token (Section 6.2), so encoder-filled groups are
         allocated to the full image stream up front, independently of how
-        far LLM prefill has progressed.  Returns ``False`` (with rollback)
-        if memory does not suffice.
+        far LLM prefill has progressed.  Returns ``False`` (allocating
+        nothing) if memory does not suffice.
         """
         if not self._grow(seq, self._encoder_groups, None):
             return False
@@ -449,17 +451,24 @@ class JengaKVCacheManager(KVCacheManagerBase):
         policies: Dict[str, LayerTypePolicy],
         target_global: Optional[int],
     ) -> bool:
-        """Grow ``policies``' page tables to ``target_global`` or roll back.
+        """Grow ``policies``' page tables to ``target_global``, or refuse.
 
-        A failed call releases the pages it allocated but leaves
-        ``stream_len`` advanced on the groups that grew before the failing
-        one, as every version of this manager has (the retry then skips
-        them); ``sim_digest`` pins that trajectory, so changing it is its
-        own PR (ROADMAP, reference-model item).
+        Check, then commit: every group's missing slots are planned first,
+        the allocator is asked once (:meth:`TwoLevelAllocator.groups_that_fit`)
+        and, when all fit, each group's slots are allocated as one run --
+        no allocation can fail and nothing is ever rolled back.
+
+        A refusal allocates nothing, but still leaves ``stream_len``
+        advanced on the groups planned before the first one that does not
+        fit: the retry then skips them, so those blocks may stay unbacked
+        (``tests/test_kv_manager.py::test_needs_allocation_false_implies_write_set_backed``,
+        a strict xfail).  ``sim_digest`` pins that trajectory, and
+        changing it moves TTFT and preemptions, so the fix is its own
+        change.
         """
         request_id = seq.request_id
         bindings = self._require(request_id)
-        grown: List[Tuple[str, GroupBinding, List[int], List[SmallPage]]] = []
+        plan: List[Tuple[str, GroupBinding, int, List[int]]] = []
         for group_id, policy in policies.items():
             binding = bindings[group_id]
             target_stream = seq.stream_length(policy.spec.accepted_tags, target_global)
@@ -470,25 +479,25 @@ class JengaKVCacheManager(KVCacheManagerBase):
             num_pages = policy.num_pages_for(target_stream)
             if num_pages > len(table):
                 table.extend([None] * (num_pages - len(table)))
+            plan.append((group_id, binding, target_stream, missing))
+        demand = [(group_id, len(missing)) for group_id, _, _, missing in plan if missing]
+        fits = self.allocator.groups_that_fit(demand, request_id)
+        if fits < len(demand):
+            refused = demand[fits][0]
+            for group_id, binding, target_stream, _ in plan:
+                if group_id == refused:
+                    return False
+                binding.stream_len = target_stream
+        for group_id, binding, target_stream, missing in plan:
             if missing:
-                # One run for the whole write set: one event, one pass
+                # One run for the whole write set: one report, one pass
                 # through the five steps.
                 pages = self.allocator.allocate_pages(group_id, request_id, len(missing))
-                if pages is None:
-                    # Roll back the groups that grew before this one, a
-                    # run each.
-                    for gid, earlier, slots, got in grown:
-                        earlier.held.difference_update(slots)
-                        for idx in slots:
-                            earlier.page_table[idx] = None
-                        self.allocator.release_pages(
-                            gid, [page.page_id for page in got], cacheable=False
-                        )
-                    return False
+                assert pages is not None
+                table = binding.page_table
                 for idx, page in zip(missing, pages):
                     table[idx] = page.page_id
                 binding.held.update(missing)
-                grown.append((group_id, binding, missing, pages))
             binding.stream_len = target_stream
         return True
 
@@ -517,9 +526,8 @@ class JengaKVCacheManager(KVCacheManagerBase):
         ``binding.backed_upto``: a global token adds at most one stream
         token, so until the stream can leave the page the walk ended in,
         the group answers from one compare.  A slot leaving the request's
-        hold (:meth:`_release_slots`) forgets it; a ``_grow`` rollback
-        need not, it drops only slots that were missing, which no
-        remembered walk covers.
+        hold (:meth:`_release_slots`) forgets it; a refused ``_grow``
+        allocates nothing, so no slot leaves a hold.
         """
         bindings = self._bindings.get(seq.request_id)
         if bindings is None:

@@ -53,7 +53,11 @@ class KVCacheManager(Protocol):
         ...
 
     def allocate_up_to(self, seq: SequenceSpec, target_global: int) -> bool:
-        """Back the first ``target_global`` tokens with pages (False: preempt)."""
+        """Back the first ``target_global`` tokens with pages.
+
+        ``False`` means they do not fit and nothing was allocated: the
+        engine preempts and retries.
+        """
         ...
 
     def needs_allocation(self, seq: SequenceSpec, target_global: int) -> bool:

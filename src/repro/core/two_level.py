@@ -24,7 +24,10 @@ The five-step allocation algorithm (Section 5.4):
    type and reuse it in place.
 
 If all five steps fail the pool is genuinely full of used pages and the
-caller (the KV manager / scheduler) must preempt a request.
+caller (the KV manager / scheduler) must preempt a request.  Allocation
+is check, then commit: :meth:`TwoLevelAllocator.groups_that_fit` counts,
+without touching a page, how much of a request's demand the five steps
+would serve, and a run it refuses mutates nothing.
 
 Pages move in runs.  Every page transition has one implementation, a run
 form -- :meth:`TwoLevelAllocator.allocate_pages` (the five steps over a
@@ -41,7 +44,7 @@ delegates to the run of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .events import Observer
 from .evictor import LRUEvictor
@@ -253,16 +256,16 @@ class TwoLevelAllocator:
 
         Each page comes from the first of the five steps that has one, so
         a run takes the pages, in the order, ``n`` runs of one would.
-        All-or-nothing: on success returns the ``n`` USED pages (in
-        allocation order) and reports exactly one
-        :meth:`~repro.core.events.Observer.pages_allocated`; when a page
-        cannot be found the pages taken so far are released back as one
-        run (the evictions made for them stay made) and ``None`` is
-        returned.  ``n <= 0`` is a no-op returning an empty list.
-
-        Evictions and carves are still reported as they happen -- they
-        are pool mutations in their own right.
+        Check, then commit: a run :meth:`groups_that_fit` refuses returns
+        ``None`` and mutates nothing (no carve, eviction or report);
+        otherwise returns the ``n`` USED pages (in allocation order) and
+        reports exactly one
+        :meth:`~repro.core.events.Observer.pages_allocated`, after the
+        carves and evictions that fed it.  ``n <= 0`` is a no-op
+        returning an empty list.
         """
+        if not self.groups_that_fit(((group_id, n),), request_id):
+            return None
         group = self.groups[group_id]
         pages = group.pages
         pool = group.free_pool
@@ -317,9 +320,8 @@ class TwoLevelAllocator:
                 steps.append(4)
                 continue
             # Step 5: evict an evictable small page of this group and
-            # reuse it in place.
-            if not len(evictor):
-                break
+            # reuse it in place (the check promised one).
+            assert len(evictor), f"groups_that_fit admitted {n} pages of {group_id}"
             victim_id, last_access, prefix = evictor.evict_with_key()
             page = pages[victim_id]
             self._uncache(group, page)
@@ -336,30 +338,140 @@ class TwoLevelAllocator:
                 obs.page_evicted(group_id, victim_id, "small", last_access, prefix)
             taken.append(page)
             steps.append(5)
-        if taken:
-            # EMPTY -> USED for the whole run at once.
-            self.version += 1
-            if reclaimed:
-                group.note_eviction(reclaimed)
-                group.bump_state(EVICTABLE, EMPTY, reclaimed)
-            group.bump_state(EMPTY, USED, len(taken))
-            large_counts = self._large_counts
-            for page in taken:
-                page.state = USED
-                page.request_id = request_id
-                page.ref_count = 1
-                assert page.large_page_id is not None
-                counts = large_counts[page.large_page_id]
-                counts[0] -= 1
-                counts[1] += 1
-        if len(taken) < n:
-            self.release_pages(group_id, [page.page_id for page in reversed(taken)], False)
-            return None
-        if taken and obs is not None:
+        if not taken:
+            return taken
+        # EMPTY -> USED for the whole run at once.
+        self.version += 1
+        if reclaimed:
+            group.note_eviction(reclaimed)
+            group.bump_state(EVICTABLE, EMPTY, reclaimed)
+        group.bump_state(EMPTY, USED, len(taken))
+        large_counts = self._large_counts
+        for page in taken:
+            page.state = USED
+            page.request_id = request_id
+            page.ref_count = 1
+            assert page.large_page_id is not None
+            counts = large_counts[page.large_page_id]
+            counts[0] -= 1
+            counts[1] += 1
+        if obs is not None:
             obs.pages_allocated(
                 group_id, request_id, tuple(page.page_id for page in taken), tuple(steps)
             )
         return taken
+
+    def groups_that_fit(
+        self, demand: Sequence[Tuple[str, int]], request_id: str
+    ) -> int:
+        """How many leading entries of ``demand`` would allocate, in order.
+
+        ``demand`` lists ``(group_id, n)`` pairs over distinct groups; the
+        answer is the length of the longest prefix whose
+        ``allocate_pages(group_id, request_id, n)`` calls, made one after
+        another, all succeed.  Exact and read-only -- the check half of
+        check-then-commit, counted from the counters admission reads:
+
+        * a group first takes its step-1 bucket (all of ``num_free`` in
+          the ``request_aware=False`` ablation), then ``ceil(rest / spl)``
+          carves from the shared ``lcm.num_free + len(large_evictor)``
+          (steps 2/3), then the rest of its free and evictable pages
+          (steps 4/5); its capacity is ``num_free + len(evictor)`` plus
+          ``spl`` per *foreign* large page it may carve -- the shared
+          count less its own fully-evictable pages (evicting one to carve
+          it again is net zero), capped by the quota headroom;
+        * a group drains the shared count before later groups see it --
+          ``ceil(rest / spl)`` carves, fewer if its quota gate closes
+          first -- and which victim a carve takes does not change a later
+          group's capacity unless that group is already over its quota.
+
+        Two cases depend on the evictors' order, and only with quotas: a
+        group that owns fully-evictable large pages and whose gate may
+        close before later groups run (own victims keep the gate open,
+        and its step 5 may take its large pages off the shared count),
+        and a group over its quota after an earlier one may have carved
+        its pages away.  Those go to :meth:`_groups_that_fit_slow`;
+        everything else is O(#groups).
+        """
+        groups = self.groups
+        shared = self.lcm.num_free + len(self.large_evictor)
+        last = len(demand) - 1
+        for fitted, (group_id, n) in enumerate(demand):
+            group = groups[group_id]
+            spl = group.small_per_large
+            own_fe = self._num_fully_evictable[group_id]
+            first = self._step_one_pages(group, request_id)
+            carves = -(-(n - first) // spl) if n > first else 0
+            foreign = shared - own_fe
+            if group.quota is not None:
+                spare = group.quota - self._num_large_owned[group_id]
+                if own_fe and (spare < 0 < fitted or (fitted < last and carves > spare)):
+                    return self._groups_that_fit_slow(demand, request_id)
+                carves = min(carves, max(0, spare))
+                foreign = min(foreign, max(0, spare))
+            if n > group.num_free + len(group.evictor) + foreign * spl:
+                return fitted
+            shared -= min(shared, carves)
+        return len(demand)
+
+    def _groups_that_fit_slow(
+        self, demand: Sequence[Tuple[str, int]], request_id: str
+    ) -> int:
+        """:meth:`groups_that_fit` where the evictors' order matters.
+
+        Walks the five steps in count form over lazy, read-only peeks at
+        both evictors' orders: O(carves + evictions) of the demand, the
+        work the allocations themselves would do.  Reached only while
+        quotas are set (the resizer sets them).
+        """
+        lcm_free = self.lcm.num_free
+        victims = self.large_evictor.iter_in_order()
+        returned: Set[int] = set()  # large pages a step 3 took
+        gone: Set[int] = set()  # large pages off the large evictor
+        owned = dict(self._num_large_owned)
+        for fitted, (group_id, n) in enumerate(demand):
+            group = self.groups[group_id]
+            spl = group.small_per_large
+            first = self._step_one_pages(group, request_id)
+            rest = n - first
+            while rest > 0 and (group.quota is None or owned[group_id] < group.quota):
+                if lcm_free:
+                    lcm_free -= 1
+                else:
+                    victim = next((v for v in victims if v not in gone), None)
+                    if victim is None:
+                        break
+                    gone.add(victim)
+                    returned.add(victim)
+                    victim_owner = self.lcm.owner_of(victim)
+                    assert victim_owner is not None
+                    owned[victim_owner] -= 1
+                owned[group_id] += 1
+                rest -= spl
+            rest -= group.num_free - first
+            if rest <= 0:
+                continue
+            pages = group.pages
+            for page_id in group.evictor.iter_in_order():
+                large_id = pages[page_id].large_page_id
+                assert large_id is not None
+                if large_id in returned:
+                    continue  # went with its large page in a step 3
+                if large_id in self.large_evictor:
+                    gone.add(large_id)  # no longer fully evictable
+                rest -= 1
+                if not rest:
+                    break
+            else:
+                return fitted
+        return len(demand)
+
+    def _step_one_pages(self, group: GroupAllocator, request_id: str) -> int:
+        """Pages step 1 hands out before any carve: the request's bucket,
+        or every free page in the ``request_aware=False`` ablation."""
+        if self.request_aware:
+            return group.free_pool.bucket_size(request_id)
+        return group.num_free
 
     def _carve(self, group: GroupAllocator, request_id: str) -> List[SmallPage]:
         """Carve a free large page into ``group``'s small pages: all EMPTY,

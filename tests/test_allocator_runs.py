@@ -8,10 +8,9 @@ its pages taken one at a time:
 * a hypothesis property drives two allocators through the same random
   op sequence, one issuing runs and one issuing runs of one, and compares
   everything observable after every op;
-* one scripted sequence is digested and compared with the value recorded
-  on the commit *before* the run forms existed (per-page code), so "same
-  page, same step, same victim" is pinned against the old implementation
-  and not only against itself;
+* one scripted sequence is digested and compared with a recorded value
+  that an older implementation reproduces (see ``GOLDEN``), so "same
+  page, same step, same victim" is pinned against more than itself;
 * with an observer attached the reported stream and the cache-index
   counters are those of the per-page loop.
 """
@@ -30,7 +29,6 @@ from repro.core.two_level import TwoLevelAllocator
 
 from .recording import (
     LargePageCarved,
-    PageEvicted,
     PageReleased,
     PagesAllocated,
     RecordingObserver,
@@ -126,19 +124,18 @@ class Driver:
                 alloc.release_page(gid, page_id, cacheable=cacheable)
 
     def allocate(self, gid, rid, n):
-        """``(page ids, steps)`` of the run, ``None`` if it rolled back."""
+        """``(page ids, steps)`` of the run, ``None`` if it was refused."""
         alloc = self.alloc
         mark = len(self.allocated)
         if self.dialect != "single":
             pages = alloc.allocate_pages(gid, rid, n)
+        elif not alloc.groups_that_fit([(gid, n)], rid):
+            pages = None  # refused before any page moves, as the run is
         else:
             pages = []
             for _ in range(n):
                 got = alloc.allocate_pages(gid, rid, 1)
-                if got is None:  # all-or-nothing, as the run rolls back
-                    self.release_ids(gid, [p.page_id for p in reversed(pages)], False)
-                    pages = None
-                    break
+                assert got is not None, "a checked run of ones cannot fail"
                 pages.extend(got)
         if pages is None:
             return None
@@ -246,7 +243,7 @@ class TestBatchingInvariance:
 
 
 # ----------------------------------------------------------------------
-# The golden: one scripted sequence, digested on the parent commit
+# The golden: one scripted sequence, digested
 # ----------------------------------------------------------------------
 
 
@@ -283,12 +280,17 @@ def scripted_digest(dialect, **kwargs):
     return hashlib.sha256(payload.encode()).hexdigest()[:16], steps, results
 
 
-#: Recorded at 9420a05 (the per-page implementation) with
-#: ``scripted_digest("per_page", **config)``.
+#: Re-recorded when a refused allocation stopped mutating the pool (it used
+#: to carve, evict and re-bucket, then release what it took).  The same
+#: values come out of the previous implementation (578b5bf) driven with
+#: ``scripted_digest("run", **config)`` when every ``allocate_pages`` that
+#: returns ``None`` is undone by restoring a deep copy of the allocator
+#: taken before it -- so a refusal is exactly "as if never called", and
+#: every successful call still takes the same pages in the same steps.
 GOLDEN = {
-    (True, True): "ee22cb82139fd8a2",
-    (False, True): "c9fbdc1a3b5b61c6",
-    (True, False): "276ae2a6e58af8d4",
+    (True, True): "ef3c6290067cdbb6",
+    (False, True): "4690dc6088e4bbbb",
+    (True, False): "e2acfa0609136b95",
 }
 
 
@@ -304,7 +306,7 @@ class TestGoldenAgainstPerPageImplementation:
     def test_the_script_reaches_every_step_and_fails_sometimes(self):
         _, steps, results = scripted_digest("run", caching=True, request_aware=True)
         assert steps == {1, 2, 3, 4, 5}
-        assert any(r is None for r in results)  # a rolled-back allocate_pages
+        assert any(r is None for r in results)  # a refused allocate_pages
         _, steps, _ = scripted_digest("run", caching=True, request_aware=False)
         assert 0 in steps
 
@@ -361,20 +363,219 @@ class TestObserversSeeTheSameStream:
         assert (index.hits, index.misses) == (2, 1)
         assert pages[2].is_evictable
 
-    def test_failed_allocate_leaves_its_evictions_behind(self):
+    def test_refused_allocate_mutates_nothing(self):
         alloc = make_allocator(num_large=3)
         cached = cached_run(alloc, "one", "r0", 2)
         alloc.release_pages("one", [p.page_id for p in cached], cacheable=True)
         pinned = alloc.allocate_pages("one", "r1", 1)
         seen = alloc.observer = RecordingObserver()
+        before, version = snapshot(alloc), alloc.version
+        assert alloc.groups_that_fit([("one", 3)], "r2") == 0
         assert alloc.allocate_pages("one", "r2", 3) is None
-        # Both cached large pages were evicted for it and stay evicted;
-        # the two pages it took were released again, newest first.
-        watched = (PageEvicted, PageReleased, PagesAllocated)
-        assert [type(e) for e in seen.records if isinstance(e, watched)] == [
-            PageEvicted, PageEvicted, PageReleased, PageReleased
-        ]
+        # No eviction, carve, release or report: the two cached pages
+        # stay cached and the pool is as it was.
+        assert seen.records == []
+        assert snapshot(alloc) == before and alloc.version == version
+        assert len(alloc.groups["one"].cache_index) == 2 and pinned[0].is_used
+        # Two pages do fit, and the check said so.
+        assert alloc.groups_that_fit([("one", 2)], "r2") == 1
+        assert alloc.allocate_pages("one", "r2", 2) is not None
         assert alloc.num_large_evictions == 2
-        assert len(alloc.groups["one"].cache_index) == 0
-        assert alloc.lcm.num_free == 2 and pinned[0].is_used
         alloc.check_invariants()
+
+
+# ----------------------------------------------------------------------
+# Check, then commit: groups_that_fit is exact and a refusal is free
+# ----------------------------------------------------------------------
+
+
+def unchecked(owner, allocator_of=lambda alloc: alloc):
+    """A deep copy of ``owner`` (an allocator or a manager) whose capacity
+    check always says yes: the five-step loop alone decides, and a run
+    that runs out of pages trips the loop's step-5 assertion."""
+    trial = copy.deepcopy(owner)
+    allocator_of(trial).groups_that_fit = lambda demand, request_id: len(demand)
+    return trial
+
+
+def unchecked_fit(alloc, demand, rid):
+    """How many leading allocations of ``demand`` the unchecked loop makes."""
+    trial = unchecked(alloc)
+    for fitted, (gid, n) in enumerate(demand):
+        try:
+            trial.allocate_pages(gid, rid, n)
+        except AssertionError:
+            return fitted
+    return len(demand)
+
+
+QUOTAS = st.lists(
+    st.tuples(st.sampled_from(GROUPS), st.one_of(st.none(), st.integers(0, 6))), max_size=3
+)
+
+
+def set_quotas(alloc, quotas):
+    for gid, quota in quotas:
+        alloc.set_quota(gid, quota)
+
+
+class TestCheckThenCommit:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        warm=st.lists(
+            st.tuples(st.sampled_from(GROUPS), st.integers(1, 8), st.integers(0, 23)),
+            max_size=6,
+        ),
+        spare=st.lists(st.tuples(st.sampled_from(GROUPS), st.sampled_from(REQUESTS)), max_size=4),
+        ops=st.lists(OPS, max_size=20),
+        caching=st.booleans(),
+        request_aware=st.booleans(),
+        quotas=QUOTAS,
+        demand=st.lists(
+            st.tuples(st.sampled_from(GROUPS), st.integers(0, 14)),
+            min_size=1, max_size=3, unique_by=lambda entry: entry[0],
+        ).filter(lambda d: len(d) > 1 or d[0][1] % 3 == 0),
+        rid=st.sampled_from(REQUESTS),
+    )
+    def test_groups_that_fit_is_exact_and_a_refusal_mutates_nothing(
+        self, warm, spare, ops, caching, request_aware, quotas, demand, rid
+    ):
+        """``warm`` fills the pool with cached runs (fully-evictable large
+        pages of every group, interleaved in LRU order), so quota gates
+        close while the large evictor still holds pages; ``spare`` carves
+        a page per entry, leaving the rest of its large page in another
+        request's bucket, which step 4 reaches only after steps 2/3."""
+        driver = Driver("run", num_large=6, caching=caching, request_aware=request_aware)
+        for gid, n, hash_base in warm:
+            if driver.apply(("allocate", gid, "w", n)) is not None:
+                driver.apply(("release", gid, len(driver.held[gid]), True, hash_base))
+        for gid, owner in spare:
+            driver.apply(("allocate", gid, owner, 1))
+        for op in ops:
+            driver.apply(op)
+        alloc = driver.alloc
+        set_quotas(alloc, quotas)
+        before = snapshot(alloc)
+        fitted = alloc.groups_that_fit(demand, rid)
+        assert snapshot(alloc) == before  # the check is read-only
+        assert fitted == unchecked_fit(alloc, demand, rid)
+        for gid, n in demand[:fitted]:
+            assert alloc.allocate_pages(gid, rid, n) is not None
+        if fitted < len(demand):
+            gid, n = demand[fitted]
+            before, version = snapshot(alloc), alloc.version
+            records = len(alloc.observer.records)
+            assert alloc.allocate_pages(gid, rid, n) is None
+            assert snapshot(alloc) == before and alloc.version == version
+            assert len(alloc.observer.records) == records
+        alloc.check_invariants()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(st.integers(0, 3), st.sampled_from(["grow", "grow", "release"]),
+                      st.integers(1, 24)),
+            min_size=1, max_size=40,
+        ),
+        caching=st.booleans(),
+        quotas=QUOTAS,
+    )
+    def test_a_refused_allocate_up_to_mutates_nothing_on_a_shared_pool(
+        self, ops, caching, quotas
+    ):
+        """Two managers over one pool ("one" + "two", and "four"); four
+        requests, two per view.  ``allocate_up_to`` refuses exactly when the
+        unchecked loop would run out of pages, and a refusal leaves the
+        pool as it was."""
+        from repro.core.kv_manager import JengaKVCacheManager
+        from repro.core.sequence import SequenceSpec
+
+        alloc = make_allocator(num_large=6, caching=caching)
+        set_quotas(alloc, quotas)
+        views = [
+            JengaKVCacheManager(
+                {g: alloc.groups[g].spec for g in gids}, 0,
+                enable_prefix_caching=caching, shared_allocator=alloc,
+            )
+            for gids in (("one", "two"), ("four",))
+        ]
+        seqs = [SequenceSpec.text_only(f"r{i}", list(range(i % 2, 40))) for i in range(4)]
+        pos = [0] * 4
+        for i, seq in enumerate(seqs):
+            views[i % 2].begin_request(seq)
+        clock = 0.0
+        for i, kind, delta in ops:
+            mgr, seq = views[i % 2], seqs[i]
+            clock += 1.0
+            if kind == "release":
+                mgr.release(seq)
+                pos[i] = mgr.begin_request(seq)
+                continue
+            target = min(len(seq), pos[i] + delta)
+            try:
+                expected = unchecked(mgr, lambda m: m.allocator).allocate_up_to(seq, target)
+            except AssertionError:
+                expected = False
+            before, version = snapshot(alloc), alloc.version
+            assert mgr.allocate_up_to(seq, target) == expected
+            if expected:
+                mgr.commit(seq, target, now=clock)
+                pos[i] = target
+            else:
+                assert snapshot(alloc) == before and alloc.version == version
+            alloc.check_invariants()
+
+    #: Hand-built states where an earlier group changes what a later one
+    #: sees; each entry is (ops, quotas, demand by r1, expected answer).
+    EDGES = {
+        # "four" takes its page by carving the last free large page (the
+        # three spare "four" pages sit in r0's bucket, not r1's): none left.
+        "carves_before_others_buckets": (
+            [("allocate", "four", "r0", 1), ("allocate", "one", "r3", 4)],
+            [], [("four", 1), ("one", 1)], 1,
+        ),
+        # "two" is at quota: it takes r0's spare page (step 4) and carves
+        # nothing, so all five free large pages are left for "one".
+        "a_closed_gate_carves_nothing": (
+            [("allocate", "two", "r0", 1)],
+            [("two", 1)], [("two", 1), ("one", 5)], 2,
+        ),
+        # "one" is at quota and reuses its own cached pages in place (step
+        # 5): their large pages leave the large evictor, so "two" can reach
+        # only the four free large pages (8 pages), not 6 (12 pages).
+        "step_5_shrinks_the_large_evictor": (
+            [("allocate", "one", "r0", 2), ("release", "one", 2, True, 0)],
+            [("one", 2)], [("one", 2), ("two", 10)], 1,
+        ),
+        # "one" may carve one more large page; its first step-3 victim is
+        # its own (least recently used) cached page, which is net zero, so
+        # the second carve takes "two"'s cached page.
+        "an_own_victim_keeps_the_gate_open": (
+            [("allocate", "one", "r0", 1), ("release", "one", 1, True, 0),
+             ("allocate", "two", "r2", 2), ("release", "two", 2, True, 5),
+             ("allocate", "four", "r3", 16)],
+            [("one", 2)], [("one", 2), ("four", 0)], 2,
+        ),
+        # "four" stays over its quota of 1 (both its large pages were USED
+        # when it was set); its cached large page is the least recently
+        # used, so "one"'s carve takes it, and with it all of "four"'s
+        # evictable pages.
+        "an_over_quota_group_loses_its_cache_first": (
+            [("allocate", "four", "r3", 8), ("quota", "four", 1),
+             ("release", "four", 4, True, 0),
+             ("allocate", "two", "r2", 2), ("release", "two", 2, True, 9),
+             ("allocate", "one", "r0", 3)],
+            [], [("one", 1), ("four", 4)], 1,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EDGES))
+    def test_groups_that_fit_on_hand_built_edges(self, name):
+        ops, quotas, demand, expected = self.EDGES[name]
+        driver = Driver("run", num_large=6)
+        for op in ops:
+            driver.apply(op)
+        alloc = driver.alloc
+        set_quotas(alloc, quotas)
+        assert alloc.groups_that_fit(demand, "r1") == expected
+        assert expected == unchecked_fit(alloc, demand, "r1")

@@ -4,8 +4,8 @@ Covers the quota edge cases the elastic sweep leans on:
 
 * deflating below current usage must reclaim only reclaimable pages --
   USED-pinned large pages survive every resize (quotas are soft);
-* a batched ``allocate_pages`` that fails mid-carve under a freshly
-  shrunk quota rolls back completely, leaving accounting exact;
+* a batched ``allocate_pages`` that a freshly shrunk quota blocks is
+  refused before it carves, leaving accounting exact;
 * the hysteresis dwell gate under square-wave demand: a group's quota
   moves at most once per dwell window no matter how fast demand flips;
 * the hypothesis property that ``stats() == stats_slow()`` and
@@ -123,8 +123,8 @@ class TestBatchedAllocRollback:
     def test_quota_blocked_batch_rolls_back_clean(self):
         alloc = make_allocator(num_large=8)
         # Shrink 'a' to one large page (3 small) mid-flight, then ask for
-        # a batch that must carve a second one: all-or-nothing means the
-        # partial carve is rolled back and accounting stays exact.
+        # a batch that must carve a second one: all-or-nothing means it
+        # is refused before any carve, and accounting stays exact.
         alloc.set_quota("a", 1)
         pages = alloc.allocate_pages("a", "r1", 5)
         assert pages is None
