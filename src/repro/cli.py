@@ -355,36 +355,6 @@ def cmd_bench_compare(args) -> int:
     return compare_main(argv)
 
 
-def cmd_lint(args) -> int:
-    import json as _json
-
-    from .analysis import lint_paths
-
-    result = lint_paths(args.paths, baseline=args.baseline)
-    if args.format == "json":
-        payload = {
-            "findings": [f.to_json() for f in result.findings],
-            "errors": [f.to_json() for f in result.errors],
-            "stats": dict(sorted(result.stats.items())),
-        }
-        print(_json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for finding in result.findings + result.errors:
-            print(finding.render())
-    # Exit 2 when the analysis itself failed: an unparseable file proves
-    # nothing about the tree and must not read as clean (or as a mere
-    # finding) to CI.
-    if result.errors:
-        print(f"jengalint: analysis failed on {len(result.errors)} file(s)")
-        return 2
-    if result.findings:
-        print(f"jengalint: {len(result.findings)} finding(s)")
-        return 1
-    if args.format != "json":
-        print("jengalint: clean")
-    return 0
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Jenga reproduction experiment runner"
@@ -531,19 +501,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", default=None, metavar="PATH",
                    help="append a markdown summary (e.g. $GITHUB_STEP_SUMMARY)")
     p.set_defaults(func=cmd_bench_compare)
-
-    p = sub.add_parser(
-        "lint",
-        help="jengalint: AST-based invariant linter (see repro.analysis)",
-    )
-    p.add_argument("paths", nargs="*", default=["src"],
-                   help="files or directories to lint (default: src)")
-    p.add_argument("--format", choices=("text", "json"), default="text",
-                   help="findings output format (default: text)")
-    p.add_argument("--baseline", default=None, metavar="FILE",
-                   help="grandfather findings listed in FILE "
-                        "(stale entries are reported)")
-    p.set_defaults(func=cmd_lint)
     return parser
 
 

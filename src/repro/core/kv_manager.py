@@ -625,7 +625,7 @@ class JengaKVCacheManager(KVCacheManagerBase):
             self._release_slots(
                 self.allocator.groups[group_id], self.policies[group_id], binding,
                 # Per-request, not per-pool: the slots one request holds.
-                sorted(binding.held),  # jengalint: disable=hot-path-scan
+                sorted(binding.held),
                 binding.last_time, seq, cacheable,
             )
             self._stream_cache.pop((seq.request_id, group_id), None)

@@ -131,7 +131,7 @@ class GroupAllocator:
         The counters (``n_used``/``n_evictable``/``n_empty_carved``) back
         the O(groups) :meth:`TwoLevelAllocator.stats` path, so every state
         transition must pass through here; they are owned by this class and
-        mutated nowhere else (the ``guarded-counter`` lint rule enforces
+        mutated nowhere else (``tests/test_invariants.py`` enforces
         that).
         """
         for state, delta in ((old, -n), (new, n)):

@@ -73,7 +73,7 @@ def profile_config(name: str, **overrides) -> SchedulerConfig:
     base = PROFILES.get(name)
     if base is None:
         # Error path over the 3-entry profile table, not pool state.
-        names = sorted(PROFILES)  # jengalint: disable=hot-path-scan
+        names = sorted(PROFILES)
         raise KeyError(f"unknown scheduler profile {name!r}; have {names}")
     return base.with_(**overrides) if overrides else base
 

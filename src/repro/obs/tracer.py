@@ -17,8 +17,8 @@ keep the simulated clock.  The Chrome-trace exporter keeps them on separate
 **Null fast path.**  Tracing must cost nothing when off.  Every span
 primitive is a no-op on a disabled tracer, but -- exactly like the
 ``observer is not None`` test -- call sites on hot paths must not even
-pay for argument construction.  The idiom, enforced in hot modules by
-jengalint's ``unguarded-span`` rule::
+pay for argument construction.  The convention: every span call in a
+hot module sits under a test of the tracer's ``.enabled`` flag::
 
     if tracer is not None and tracer.enabled:
         tracer.instant("queue.push", args={"depth": len(self._heap)})

@@ -160,7 +160,7 @@ class Router:
         if not replicas:
             raise ValueError("router needs at least one replica")
         if policy not in ROUTING_POLICIES:
-            names = sorted(ROUTING_POLICIES)  # jengalint: disable=hot-path-scan
+            names = sorted(ROUTING_POLICIES)
             raise KeyError(
                 f"unknown routing policy {policy!r}; registered: {names}"
             )

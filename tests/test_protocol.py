@@ -1,5 +1,6 @@
 """Protocol conformance and registry tests for every KV-cache manager."""
 
+import inspect
 import re
 from pathlib import Path
 
@@ -30,6 +31,35 @@ def spec_manager(system):
     return create_manager(
         system, "spec", get_model("llama3.2-1b"), get_model("llama3-8b"), GIB
     )
+
+
+def _positional_arity(func):
+    """(required, maximum or ``None`` for ``*args``) positional args, self excluded."""
+    params = list(inspect.signature(func).parameters.values())[1:]
+    positional = [p for p in params if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    required = sum(p.default is p.empty for p in positional)
+    varargs = any(p.kind is p.VAR_POSITIONAL for p in params)
+    return required, None if varargs else len(positional)
+
+
+def protocol_mismatches(cls):
+    """Protocol methods ``cls`` resolves (through its real MRO) to a
+    non-method, or to a method protocol call sites cannot call."""
+    problems = []
+    for name, member in vars(KVCacheManager).items():
+        if name.startswith("_") or not inspect.isfunction(member):
+            continue
+        impl = inspect.getattr_static(cls, name, None)
+        if not inspect.isfunction(impl):
+            problems.append(f"{cls.__name__}.{name} is a {type(impl).__name__}")
+            continue
+        (p_min, p_max), (i_min, i_max) = _positional_arity(member), _positional_arity(impl)
+        if i_min > p_min or (i_max is not None and i_max < p_max):
+            problems.append(
+                f"{cls.__name__}.{name} takes {i_min}..{i_max} positional args, "
+                f"the protocol passes {p_min}..{p_max}"
+            )
+    return problems
 
 
 class TestRegistry:
@@ -74,6 +104,7 @@ class TestProtocolConformance:
         manager = model_manager(system)
         assert isinstance(manager, KVCacheManager)
         assert isinstance(manager, KVCacheManagerBase)
+        assert protocol_mismatches(type(manager)) == []
         assert manager.observer is None
         assert isinstance(manager.name, str) and manager.name
 
@@ -81,6 +112,7 @@ class TestProtocolConformance:
     def test_spec_managers_satisfy_protocol(self, system):
         manager = spec_manager(system)
         assert isinstance(manager, KVCacheManager)
+        assert protocol_mismatches(type(manager)) == []
         assert manager.observer is None
 
     @pytest.mark.parametrize("system", MODEL_SYSTEMS)
@@ -113,16 +145,36 @@ class TestProtocolConformance:
         manager.bind_observer(None)
         assert manager.observer is None and manager.allocator.observer is None
 
+    def test_mismatched_method_is_flagged(self):
+        base = type(model_manager("jenga"))
+
+        class Mutant(base):
+            def commit(self, seq, computed_global, now, phase, extra):
+                pass
+
+            @property
+            def stats(self):
+                return None
+
+        assert protocol_mismatches(Mutant) == [
+            "Mutant.commit takes 5..5 positional args, the protocol passes 3..4",
+            "Mutant.stats is a property",
+        ]
+
 
 class TestNoDuckTyping:
     def test_no_getattr_on_managers_in_source(self):
         """The protocol makes every manager attribute explicit; duck-typed
-        ``getattr(manager, ...)`` probes must not creep back in."""
+        ``getattr`` / ``hasattr`` probes on a manager must not creep back in.
+        The registry is the one sanctioned dynamic-dispatch point."""
         src = Path(__file__).resolve().parents[1] / "src"
-        pattern = re.compile(r"getattr\(.*manager")
+        pattern = re.compile(r"\b(?:getattr|hasattr)\(\s*[\w.]*(?:manager|mgr)", re.I)
+        for probe in ('getattr(self.manager, "name")', 'hasattr(kv_mgr, "take_onload_bytes")'):
+            assert pattern.search(probe), probe
         offenders = [
             f"{path}:{lineno}"
             for path in sorted(src.rglob("*.py"))
+            if path.relative_to(src).as_posix() != "repro/core/registry.py"
             for lineno, line in enumerate(path.read_text().splitlines(), 1)
             if pattern.search(line)
         ]
