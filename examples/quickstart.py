@@ -42,7 +42,7 @@ def main() -> None:
             system,
             f"{metrics.token_throughput():.0f}",
             f"{metrics.mean_decode_batch():.2f}",
-            metrics.num_preemptions(),
+            metrics.preemptions,
             len(metrics.steps),
         )
     table.print()

@@ -42,7 +42,7 @@ def main() -> None:
             system,
             f"{metrics.output_throughput():.0f}",
             f"{metrics.mean_decode_batch():.1f}",
-            metrics.num_preemptions(),
+            metrics.preemptions,
         )
     table.print()
     print(

@@ -121,7 +121,7 @@ def cmd_throughput(args) -> int:
         table.add(system, f"{m.token_throughput():.0f}",
                   f"{m.request_throughput():.2f}",
                   f"{m.mean_decode_batch():.1f}", f"{m.prefix_hit_rate:.3f}",
-                  m.num_preemptions(), len(engine.failed))
+                  m.preemptions, len(engine.failed))
     table.print()
     return 0
 
@@ -238,7 +238,6 @@ def cmd_cluster_report(args) -> int:
     """Fan-out cluster run per policy -> cluster SLO/pressure report."""
     import json as _json
 
-    from .bench.alloc import fanout_requests
     from .obs.cluster import (
         ClusterReport,
         cluster_markdown,
@@ -247,6 +246,7 @@ def cmd_cluster_report(args) -> int:
         write_cluster_trace,
     )
     from .serving import ServingCluster
+    from .workloads import fanout_requests
 
     model = get_model(args.model, quantized=args.fp8)
     gpu = GPUS[args.gpu]
@@ -283,16 +283,124 @@ def cmd_cluster_report(args) -> int:
     return 0
 
 
+def _elastic_sweep(phases, requests_per_phase, policies, resize_interval, seed):
+    """Mixed-tenant elastic-repartitioning sweep: resize policy vs. waste.
+
+    Two deployments of the same model share one LCM pool
+    (:class:`~repro.engine.multi_model.MultiModelEngine` shared mode, all
+    groups namespaced per tenant) under
+    :func:`~repro.workloads.elastic_requests`'s alternating square-wave
+    traffic.  One run per resize policy: every run starts from the same
+    equal-split quota partition (laid down by
+    :class:`~repro.core.resizer.PoolResizer` at construction), and the
+    policy decides whether quotas then follow the traffic.  ``static`` is
+    the fixed-partition baseline; ``proportional`` chases demand every
+    interval; ``hysteresis`` adds the dead-band/dwell gates.
+
+    Reported per policy, all on the simulated clock or counted: admission
+    blocks, evictions, preemptions, quota moves and the per-step
+    waste-bytes p50.  ``hysteresis`` should beat ``static`` on *both*
+    admission blocks and waste p50 at equal pool size.
+    """
+    from .core.math_utils import percentile
+    from .core.resizer import PoolResizer
+    from .engine.multi_model import MultiModelEngine
+    from .obs.pressure import PressureMonitor
+    from .obs.registry import BusTelemetry
+    from .workloads import elastic_requests
+
+    model = get_model("gemma2-9b")
+    total_bytes = kv_budget(model, L4).kv_bytes
+
+    rows = {}
+    for policy in policies:
+        fold = BusTelemetry()
+        fold.pressure = PressureMonitor(fold)
+        engine = MultiModelEngine(
+            {"a": model, "b": model}, L4, total_bytes,
+            shared=True, observer=fold,
+            # record_memory feeds the occupancy component of the
+            # pressure score -- the signal the hysteresis gate opens on.
+            config=profile_config("vllm", record_memory=True),
+        )
+        allocator = engine.engines["a"].manager.allocator
+        resizer = fold.resizer = PoolResizer(
+            allocator, fold.pressure, policy=policy, interval=resize_interval
+        )
+        for tenant, batch in elastic_requests(
+            phases, requests_per_phase, seed=seed
+        ).items():
+            engine.add_requests(tenant, batch)
+
+        large_bytes = allocator.lcm.large_page_bytes
+        tenant_groups = {
+            name: [g for g in allocator.groups if g.startswith(f"{name}/")]
+            for name in engine.engines
+        }
+        waste_samples = []
+        steps = 0
+        while engine.step() is not None:
+            steps += 1
+            # Waste sample = the allocator's intrinsic waste (internal
+            # fragmentation + partial fill + slack) plus *quota-stranded*
+            # memory: free or fully-evictable large pages that no tenant
+            # with live demand has the quota headroom to carve.  The
+            # stranded term is the Section-3-style reservation waste a
+            # fixed partition creates and elastic repartitioning removes;
+            # with nobody demanding, nothing is stranded.
+            stats = allocator.stats()
+            reclaimable = allocator.lcm.num_free + len(allocator.large_evictor)
+            headroom = 0
+            demanding = False
+            for name, eng in engine.engines.items():
+                arrival = eng.waiting.next_arrival()
+                if not eng.running and (
+                    arrival is None or arrival > engine.clock
+                ):
+                    continue
+                demanding = True
+                for gid in tenant_groups[name]:
+                    quota = allocator.quota_of(gid)
+                    if quota is None:
+                        headroom = reclaimable
+                        break
+                    headroom += max(
+                        0, quota - allocator.large_pages_owned(gid)
+                    )
+            stranded = max(0, reclaimable - headroom) if demanding else 0
+            waste_samples.append(
+                float(stats.waste_bytes + stranded * large_bytes)
+            )
+
+        allocator.check_invariants()
+        counters = fold.registry.counters
+        rows[policy] = {
+            "finished": sum(len(e.finished) for e in engine.engines.values()),
+            "failed": sum(len(e.failed) for e in engine.engines.values()),
+            "admission_blocked": counters.get("pressure/admission_blocked", 0),
+            "evictions": counters.get("evict/small", 0) + counters.get("evict/large", 0),
+            "preemptions": counters.get("preempt/victim", 0) + counters.get("preempt/self", 0),
+            "quota_moves": resizer.num_resizes,
+            "reclaimed_large": resizer.num_reclaimed,
+            "waste_bytes_p50": percentile(waste_samples, 0.50),
+            "steps": steps,
+        }
+    return {
+        "phases": phases,
+        "requests_per_phase": requests_per_phase,
+        "requests": phases * requests_per_phase,
+        "resize_interval": resize_interval,
+        "policies": rows,
+    }
+
+
 def cmd_resize_report(args) -> int:
     """Elastic-repartitioning sweep -> per-policy quota/blocking report."""
     import json as _json
 
-    from .bench.alloc import elastic_bench
-
     policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
-    result = elastic_bench(
-        args.phases, requests_per_phase=args.requests_per_phase,
-        policies=policies, resize_interval=args.interval, seed=args.seed,
+    result = _elastic_sweep(
+        args.phases, args.requests_per_phase, policies, args.interval, args.seed
     )
     if args.json:
         print(_json.dumps(result, indent=2))
@@ -314,45 +422,7 @@ def cmd_resize_report(args) -> int:
     for r in rows:
         lines.append("  ".join(cell.rjust(w) for cell, w in zip(r, widths)))
     print("\n".join(lines))
-    if args.summary:
-        md = ["", f"### {header}", "",
-              "| " + " | ".join(rows[0]) + " |",
-              "|" + "---|" * len(rows[0])]
-        md += ["| " + " | ".join(r) + " |" for r in rows[1:]]
-        with open(args.summary, "a") as f:
-            f.write("\n".join(md) + "\n")
     return 0
-
-
-def cmd_bench_alloc(args) -> int:
-    from .bench.alloc import run_benchmark
-
-    payload = run_benchmark(output=args.output, smoke=args.smoke, seed=args.seed)
-    churn = payload["churn"]["scaling_ratio_p50"]
-    queue = payload["queue"]["scaling_ratio_p50"]
-    admission = payload["admission"]["cached_probe_scaling_p50"]
-    print(f"scaling ratios (p50 largest/smallest): churn {churn:.2f}, "
-          f"queue {queue:.2f}, admission cached {admission:.2f}")
-    for cell in payload["routing"]["sweep"]:
-        rates = "  ".join(
-            f"{policy} {row['hit_rate']:.3f}"
-            for policy, row in cell["policies"].items()
-        )
-        print(f"routing hit rates (fanout {cell['fanout']}, "
-              f"{cell['num_replicas']} replicas): {rates}")
-    return 0
-
-
-def cmd_bench_compare(args) -> int:
-    from .bench.compare import main as compare_main
-
-    argv = ["--baseline", args.baseline, "--current", args.current,
-            "--tolerance", str(args.tolerance)]
-    if args.calibrate:
-        argv += ["--calibrate", args.calibrate]
-    if args.summary:
-        argv += ["--summary", args.summary]
-    return compare_main(argv)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -471,36 +541,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--policies", default="static,proportional,hysteresis",
                    help="comma-separated resize policies to compare")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--summary", default=None, metavar="PATH",
-                   help="append a markdown table (e.g. $GITHUB_STEP_SUMMARY)")
     p.add_argument("--json", action="store_true",
                    help="machine-readable JSON instead of text")
     p.set_defaults(func=cmd_resize_report)
-
-    p = sub.add_parser(
-        "bench-alloc",
-        help="allocator/scheduler microbenchmark (emits BENCH_alloc.json)",
-    )
-    p.add_argument("--smoke", action="store_true", help="reduced CI scale")
-    p.add_argument("--output", default="BENCH_alloc.json")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench_alloc)
-
-    p = sub.add_parser(
-        "bench-compare",
-        help="gate a BENCH_alloc.json payload against a committed baseline",
-    )
-    p.add_argument("--baseline", required=True,
-                   help="committed BENCH_alloc.json to gate against")
-    p.add_argument("--current", required=True,
-                   help="freshly produced payload to check")
-    p.add_argument("--tolerance", type=float, default=1.5,
-                   help="max allowed current/baseline p50 ratio")
-    p.add_argument("--calibrate", default=None, metavar="METRIC",
-                   help="metric used to normalize machine speed")
-    p.add_argument("--summary", default=None, metavar="PATH",
-                   help="append a markdown summary (e.g. $GITHUB_STEP_SUMMARY)")
-    p.set_defaults(func=cmd_bench_compare)
     return parser
 
 

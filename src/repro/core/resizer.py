@@ -17,7 +17,7 @@ allocator ``version`` admission is keyed on, and reports one
 counters and Chrome-trace timelines see every resize.
 
 Three registered policies make elastic and fixed partitioning comparable
-on the same workload (``benchmarks/bench_allocator.py``'s elastic sweep):
+on the same workload (``repro.cli resize-report``):
 
 * ``static`` -- pin the construction-time partition and never move it
   (the fixed-quota baseline);

@@ -180,9 +180,6 @@ class EngineMetrics:
     def decode_batch_timeline(self) -> List[int]:
         return [s.decode_batch for s in self.steps]
 
-    def num_preemptions(self) -> int:
-        return sum(r.num_preemptions for r in self.requests)
-
 
 def _mean(values: List[float]) -> float:
     return sum(values) / len(values) if values else 0.0

@@ -13,8 +13,7 @@ The subsystem closes the ROADMAP's "engine-step profiling hooks" item:
   counted in.
 * :mod:`repro.obs.export` -- Chrome trace-event JSON (open it at
   https://ui.perfetto.dev) and plain-text/JSON summary reports, surfaced
-  as ``repro.cli trace`` / ``repro.cli report`` and inside
-  ``BENCH_alloc.json``'s per-phase breakdown.
+  as ``repro.cli trace`` / ``repro.cli report``.
 * :mod:`repro.obs.pressure` -- :class:`PressureMonitor`, the view that
   turns the fold's per-step counter deltas (admission blocks, evictions,
   preemptions) and the waste snapshot into per-replica/per-group pressure

@@ -132,7 +132,8 @@ def slo_percentiles(requests: Sequence["RequestMetrics"]) -> Dict[str, float]:
 
     Keys: ``<axis>_{p50,p99,mean}_s`` for ``ttft``/``tbt``/``e2e`` plus
     ``requests``.  All values derive from the simulated clock, so they are
-    machine-independent (the bench-compare gate must not calibrate them).
+    machine-independent and exact (``tests/test_report_golden.py`` pins
+    them).
     """
     values: Dict[str, List[float]] = {
         "ttft": [r.ttft for r in requests],

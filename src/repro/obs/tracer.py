@@ -5,9 +5,9 @@ The simulator's :class:`~repro.engine.metrics.StepRecord` carries a single
 *wall-clock* cost of a step went.  The :class:`Tracer` fills that gap: the
 engine opens one ``step`` span per :meth:`~repro.engine.engine.LLMEngine.step`
 call and nests ``schedule`` / ``allocate`` / ``commit`` / ``release`` phase
-spans inside it, so ``BENCH_alloc.json`` and ``repro.cli trace`` can
-attribute a regression to the scheduler loop vs. the allocator vs. commit
-bookkeeping without an external profiler.
+spans inside it, so ``repro.cli trace`` can attribute a regression to the
+scheduler loop vs. the allocator vs. commit bookkeeping without an
+external profiler.
 
 Two clocks coexist deliberately: spans are stamped with ``perf_counter``
 wall time (this is a profiler), while observer reports and step records

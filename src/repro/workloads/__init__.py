@@ -9,7 +9,14 @@ from .datasets import (
     mmmu_pro,
     sharegpt,
 )
-from .synthetic import clamp, lognormal_lengths, token_block, uniform_lengths
+from .synthetic import (
+    clamp,
+    elastic_requests,
+    fanout_requests,
+    lognormal_lengths,
+    token_block,
+    uniform_lengths,
+)
 from .trace import (
     ministral_dynamic_trace,
     ministral_static_trace,
@@ -21,6 +28,8 @@ __all__ = [
     "arxiv_qa_long",
     "arxiv_qa_multiturn",
     "clamp",
+    "elastic_requests",
+    "fanout_requests",
     "lognormal_lengths",
     "long_document_qa",
     "ministral_dynamic_trace",

@@ -1,4 +1,4 @@
-"""Seeded synthetic token/length generators.
+"""Seeded synthetic token/length generators and the two report workloads.
 
 All workloads are derived from seeded RNGs so every experiment is exactly
 reproducible.  Token *content* only matters for prefix-cache hashing, so
@@ -9,13 +9,17 @@ image) reuse the same draw.
 from __future__ import annotations
 
 import random
-from typing import List
+from typing import Dict, List
+
+from ..engine.request import Request
 
 __all__ = [
     "token_block",
     "lognormal_lengths",
     "uniform_lengths",
     "clamp",
+    "fanout_requests",
+    "elastic_requests",
 ]
 
 
@@ -54,3 +58,82 @@ def uniform_lengths(rng: random.Random, n: int, lo: int, hi: int) -> List[int]:
 
 def clamp(value: int, lo: int, hi: int) -> int:
     return max(lo, min(hi, value))
+
+
+def fanout_requests(
+    fanout: int,
+    num_families: int = 6,
+    prefix_tokens: int = 512,
+    suffix_tokens: int = 32,
+    output_tokens: int = 16,
+    rate: float = 8.0,
+    seed: int = 0,
+) -> List[Request]:
+    """Forked-prefix routing workload: ``num_families`` shared prefixes
+    fork into ``fanout`` requests each, interleaved family-by-family with
+    Poisson arrivals.
+
+    The canonical cluster workload of ``repro.cli cluster-report``.
+    ``num_families`` should not divide the replica count evenly, otherwise
+    round_robin pins families to replicas by accident and the cache_aware
+    comparison degenerates.
+    """
+    from .trace import poisson_arrivals
+
+    requests = []
+    for j in range(fanout):
+        for family in range(num_families):
+            prefix = token_block(seed, f"family{family}", 0, prefix_tokens)
+            suffix = token_block(
+                seed + 1, f"fam{family}-sfx{j}", j, suffix_tokens
+            )
+            requests.append(
+                Request.text(f"j{j:03d}-f{family}", prefix + suffix,
+                             output_tokens)
+            )
+    poisson_arrivals(requests, rate=rate, seed=seed)
+    return requests
+
+
+def elastic_requests(
+    phases: int,
+    requests_per_phase: int,
+    prefix_tokens: int = 384,
+    suffix_tokens: int = 32,
+    output_tokens: int = 160,
+    rate: float = 128.0,
+    idle_gap: float = 24.0,
+    seed: int = 0,
+) -> Dict[str, List[Request]]:
+    """Square-wave mixed-tenant traffic for ``repro.cli resize-report``.
+
+    Tenants ``a`` and ``b`` alternate whole phases: all of phase ``p``'s
+    requests go to one tenant, share one fresh ``prefix_tokens``-token
+    prefix (so the burst exercises prefix caching and leaves evictable
+    cache behind when it drains), and arrive as a Poisson burst starting
+    ``idle_gap`` simulated seconds after the previous phase's last
+    arrival.  The result is the workload quotas exist for: whichever
+    tenant is bursting needs most of the pool, while the idle tenant's
+    footprint is pure reclaimable history.
+    """
+    from .trace import poisson_arrivals
+
+    per_tenant: Dict[str, List[Request]] = {"a": [], "b": []}
+    start = 0.0
+    for phase in range(phases):
+        tenant = "a" if phase % 2 == 0 else "b"
+        prefix = token_block(seed, f"{tenant}-phase{phase}", 0, prefix_tokens)
+        burst = [
+            Request.text(
+                f"{tenant}-p{phase:02d}-r{i:03d}",
+                prefix + token_block(
+                    seed + 1, f"{tenant}-p{phase}-sfx", i, suffix_tokens
+                ),
+                output_tokens,
+            )
+            for i in range(requests_per_phase)
+        ]
+        poisson_arrivals(burst, rate=rate, seed=seed + phase, start=start)
+        per_tenant[tenant].extend(burst)
+        start = burst[-1].arrival_time + idle_gap
+    return per_tenant

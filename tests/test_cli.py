@@ -39,6 +39,26 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "vllm" in out and "jenga" in out
 
+    def test_throughput_counts_preemptions_of_failed_requests(self, capsys, monkeypatch):
+        """In a 32 MiB pool (16 pages, 8 of them watermark), s0's decode
+        growth preempts s1, whose recompute prompt then needs 9 pages and
+        fails even with the pool empty.  The "preempt" column is the
+        engine's tally, so s1's preemption counts although s1 never
+        finished."""
+        from repro.engine import Request
+        from repro.workloads import token_block
+
+        def two_requests(name, n, model, seed):
+            return [Request.text(f"s{i}", token_block(0, "s", i, 100), 40) for i in range(2)]
+
+        monkeypatch.setattr("repro.cli.build_workload", two_requests)
+        assert main([
+            "throughput", "--model", "llama3-8b", "--kv-gib", "0.03125",
+            "--systems", "jenga",
+        ]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split()
+        assert row[0] == "jenga" and row[-2:] == ["1", "1"]  # preempt, failed
+
     def test_latency_small(self, capsys):
         assert main([
             "latency", "--model", "llama3-8b", "--workload", "sharegpt",

@@ -1,13 +1,20 @@
 """Source invariants that ruff, mypy and the behaviour tests cannot see.
 
 Each check is a function over a source root returning its findings: none on
-the real tree, and a mutation test proves it catches its violation.  Manager
-conformance lives with the other protocol tests in ``test_protocol.py``.
+the real tree, and a mutation test proves it catches its violation.  The
+churn fence counts the allocator's work instead of reading its source.
+Manager conformance lives with the other protocol tests in
+``test_protocol.py``.
 """
 
 import ast
+import importlib.util
+import random
 import shutil
+import sys
 from pathlib import Path
+
+import repro
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -132,3 +139,107 @@ class TestNoWallClockInCore:
         root = _mutated_tree(tmp_path, "core/evictor.py", old, old + "from time import monotonic\n")
         (found,) = wall_clock_imports(root)
         assert found.startswith(str(root / "core" / "evictor.py"))
+
+
+#: Heterogeneous layer-type groups (kind, per-token bytes, window): 256 /
+#: 384 / 640-byte small pages share 3840-byte large pages (15 / 10 / 6
+#: small pages per large).
+CHURN_GROUPS = {
+    "full": ("full_attention", 64, None),
+    "win": ("sliding_window", 96, 16),
+    "big": ("full_attention", 160, None),
+}
+
+
+def churn_lines_per_op(package, num_large, seed, num_ops=20_000):
+    """Python line events per ``allocate_page`` / ``release_page`` /
+    ``acquire_cached`` call over a seeded random churn on one allocator of
+    ``num_large`` large pages of ``package`` (``repro`` or a mutated copy).
+
+    Half the ops allocate, 35% release (half of those cacheable, with a
+    fresh block hash) and 15% take a reference on a cached block.  Line
+    events count work exactly, where a timer would read the machine.
+    """
+    layer_policy, two_level = package.core.layer_policy, package.core.two_level
+    specs = {
+        name: layer_policy.GroupSpec(name, kind, 1, per_token, tokens_per_page=4,
+                                     window=window, accepted_tags=frozenset({"text"}))
+        for name, (kind, per_token, window) in CHURN_GROUPS.items()
+    }
+    alloc = two_level.TwoLevelAllocator(
+        3840 * num_large, specs, {g: layer_policy.make_policy(s) for g, s in specs.items()}
+    )
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return tracer
+
+    def counted(op, *args):
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            return op(*args)
+        finally:
+            sys.settrace(previous)
+
+    rng = random.Random(seed)
+    group_ids = list(alloc.groups)
+    live, hashes = [], []  # (group id, page) holding one reference; (group id, hash)
+    for i in range(num_ops):
+        roll = rng.random()
+        if not live or roll < 0.50:
+            gid = group_ids[rng.randrange(len(group_ids))]
+            page = counted(alloc.allocate_page, gid, f"r{rng.randrange(32)}")
+            if page is not None:
+                page.last_access = float(i)
+                page.num_tokens = 4
+                alloc.groups[gid].note_fill(4)
+                live.append((gid, page))
+        elif roll < 0.85 or not hashes:
+            gid, page = live.pop(rng.randrange(len(live)))
+            cacheable = rng.random() < 0.5
+            if cacheable:
+                hashes.append((gid, len(hashes) + 1))
+                alloc.register_block_hash(gid, page, len(hashes))
+            counted(alloc.release_page, gid, page.page_id, cacheable)
+        else:
+            gid, block_hash = hashes[rng.randrange(len(hashes))]
+            page = counted(alloc.acquire_cached, gid, block_hash, f"r{rng.randrange(32)}")
+            if page is not None:
+                live.append((gid, page))
+    alloc.check_invariants()
+    return lines / num_ops
+
+
+def churn_scaling(package, seed):
+    """Work per op at a 16x larger pool: ~1.0 when no op scans the pool."""
+    return churn_lines_per_op(package, 1024, seed) / churn_lines_per_op(package, 64, seed)
+
+
+def _load_tree(root, name):
+    """Import the package at ``root`` under the top-level name ``name``."""
+    spec = importlib.util.spec_from_file_location(
+        name, root / "__init__.py", submodule_search_locations=[str(root)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestChurnScaling:
+    def test_op_cost_stays_flat_as_the_pool_grows_16x(self):
+        for seed in (0, 1):
+            assert churn_scaling(repro, seed) <= 1.3
+
+    def test_pool_scan_is_flagged(self, tmp_path):
+        root = _mutated_tree(tmp_path, "core/free_pool.py", "return len(self._entry)",
+                             "return len([p for p in self._entry])")
+        try:
+            assert churn_scaling(_load_tree(root, "repro_mutant"), 0) > 1.3
+        finally:
+            for name in [n for n in sys.modules if n.split(".")[0] == "repro_mutant"]:
+                del sys.modules[name]

@@ -29,6 +29,16 @@ def text_specs(tpp=4, window=8):
     }
 
 
+def three_size_specs():
+    """Full, window and full groups whose 256 / 384 / 640-byte pages share
+    3840-byte large pages (15 / 10 / 6 small pages per large)."""
+    return {
+        "full": GroupSpec("full", FULL_ATTENTION, 1, 64, tokens_per_page=4, accepted_tags=T),
+        "win": GroupSpec("win", SLIDING_WINDOW, 1, 96, tokens_per_page=4, window=16, accepted_tags=T),
+        "big": GroupSpec("big", FULL_ATTENTION, 1, 160, tokens_per_page=4, accepted_tags=T),
+    }
+
+
 def make_manager(total=64 * 4 * 64, caching=True, specs=None):
     return JengaKVCacheManager(specs or text_specs(), total, enable_prefix_caching=caching)
 
@@ -186,6 +196,28 @@ class TestPrefixHits:
         run_request(mgr, seq2)
         assert mgr.prefix_hit_rate == pytest.approx(40 / 81)
 
+    def test_fanout_hits_whole_prefix_and_strangers_miss(self):
+        """Over three page sizes, every request forking a cached 1024-token
+        prefix hits all of it on every repeat, and an unrelated prompt of
+        the same length hits nothing."""
+        mgr = make_manager(total=3840 * 256, specs=three_size_specs())
+        rng = random.Random(0)
+        prefix = [rng.randrange(1 << 30) for _ in range(1024)]
+        seeder = SequenceSpec.text_only("seeder", prefix + [1])
+        run_request(mgr, seeder)
+        mgr.release(seeder, cacheable=True)
+        for i in range(4):
+            shared = SequenceSpec.text_only(
+                f"fan{i}", prefix + [rng.randrange(1 << 30) for _ in range(32)])
+            stranger = SequenceSpec.text_only(
+                f"miss{i}", [rng.randrange(1 << 30) for _ in range(1024)])
+            for _ in range(3):
+                assert mgr.begin_request(shared) == 1024
+                mgr.release(shared, cacheable=True)
+                assert mgr.begin_request(stranger) == 0
+                mgr.release(stranger, cacheable=False)
+        mgr.allocator.check_invariants()
+
     def test_preempted_request_rehits_its_own_cache(self):
         # Full-attention groups re-hit a preempted request's whole cache.
         # (Window groups cannot: only their trailing window stays cached,
@@ -312,6 +344,33 @@ class TestCapacityProbes:
         mgr = JengaKVCacheManager(specs, 256 * 40)
         seq = SequenceSpec.text_only("r", list(range(600)))
         assert mgr.can_admit(seq, chunk_tokens=32)
+
+    def test_deep_queue_verdicts_match_uncached(self):
+        """A queue of 64 prompts re-probed after each of eight pool
+        mutations, over three page sizes with held and cached pages in
+        the pool: every cached verdict equals the recomputed one."""
+        mgr = make_manager(total=3840 * 256, specs=three_size_specs())
+        for i in range(24):
+            filler = SequenceSpec.text_only(f"fill{i}", [10_000 * i + t for t in range(128)])
+            run_request(mgr, filler, now=float(i))
+            if i % 2 == 0:
+                mgr.release(filler, cacheable=True)
+        waiting = [
+            SequenceSpec.text_only(f"wait{i}", [1_000_000 + 2000 * i + t for t in range(64 + 64 * i)])
+            for i in range(64)
+        ]
+        rng = random.Random(0)
+        verdicts = set()
+        for _ in range(8):
+            gid = rng.choice(sorted(mgr.allocator.groups))
+            page = mgr.allocator.allocate_page(gid, "mutator")
+            mgr.allocator.release_page(gid, page.page_id, cacheable=False)
+            for seq in waiting:
+                verdict = mgr.can_admit(seq, 8)
+                assert verdict == mgr.can_admit_uncached(seq, 8)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+        mgr.allocator.check_invariants()
 
     def test_resident_pages_needed(self):
         # The write set of a 20-token prefill is 5 pages per group
