@@ -32,7 +32,6 @@ from .baselines import (
     GCDPageManager,
     MaxPageManager,
     PagedAttentionManager,
-    VAttentionManager,
     make_manager,
 )
 from .core import (
@@ -42,7 +41,6 @@ from .core import (
     KVCacheManagerBase,
     LCMAllocator,
     Observer,
-    OffloadConfig,
     SequenceSpec,
     TwoLevelAllocator,
     UnknownManagerError,
@@ -86,7 +84,6 @@ __all__ = [
     "ModelSpec",
     "MultiModelEngine",
     "Observer",
-    "OffloadConfig",
     "PagedAttentionManager",
     "Replica",
     "Request",
@@ -99,7 +96,6 @@ __all__ = [
     "Tracer",
     "TwoLevelAllocator",
     "UnknownManagerError",
-    "VAttentionManager",
     "available_managers",
     "create_manager",
     "get_model",

@@ -18,14 +18,12 @@ from .gcd_page import GCDPageManager
 from .manual_spec import DualManager, manual_spec_managers
 from .max_page import MaxPageManager, max_page_specs
 from .paged_attention import PagedAttentionManager, unified_group_specs
-from .vattention import VAttentionManager
 
 __all__ = [
     "DualManager",
     "GCDPageManager",
     "MaxPageManager",
     "PagedAttentionManager",
-    "VAttentionManager",
     "make_manager",
     "manual_spec_managers",
     "max_page_specs",
@@ -106,18 +104,6 @@ def _make_gcd(
         enable_prefix_caching=enable_prefix_caching,
         seed=seed,
     )
-
-
-@register_manager("vattention")
-def _make_vattention(
-    model: ModelSpec,
-    kv_bytes: int,
-    tokens_per_page: int = 16,
-    enable_prefix_caching: bool = True,
-    max_num_seqs: int = 256,
-    seed: int = 0,
-):
-    return VAttentionManager(model, kv_bytes, max_num_seqs=max_num_seqs, seed=seed)
 
 
 SYSTEMS = tuple(available_managers("model"))

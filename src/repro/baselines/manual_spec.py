@@ -147,9 +147,6 @@ class DualManager(KVCacheManagerBase):
             slack_bytes=sum(p.slack_bytes for p in parts),
         )
 
-    def take_onload_bytes(self, request_id: str) -> int:
-        return sum(m.take_onload_bytes(request_id) for m in self.managers)
-
     @property
     def hit_tokens(self) -> int:
         return sum(m.hit_tokens for m in self.managers)

@@ -25,7 +25,6 @@ from .layer_policy import (
 )
 from .lcm_allocator import LCMAllocator, OutOfLargePagesError
 from .math_utils import compatible_page_bytes, gcd_of, lcm_blowup, lcm_of
-from .offload import HostMemoryPool, OffloadConfig, OffloadStats
 from .pages import LargePage, PageState, PhysicalExtent, SmallPage
 from .prefix_cache import CachedBlockIndex, chain_hashes, longest_common_prefix
 from .protocols import KVCacheManager, KVCacheManagerBase
@@ -61,7 +60,6 @@ __all__ = [
     "GroupBinding",
     "GroupPressure",
     "GroupSpec",
-    "HostMemoryPool",
     "HysteresisPolicy",
     "IMAGE",
     "JengaKVCacheManager",
@@ -74,8 +72,6 @@ __all__ = [
     "MAMBA",
     "MambaPolicy",
     "Observer",
-    "OffloadConfig",
-    "OffloadStats",
     "OutOfLargePagesError",
     "PageState",
     "PhysicalExtent",

@@ -72,9 +72,6 @@ class Observer:
         """An evictable page (``level`` ``small``/``large``) was reclaimed;
         the two keys are the priority it held (§5.1's eviction order)."""
 
-    def page_evicted_to_host(self, group_id: str, block_hash: int, page_bytes: int) -> None:
-        """A cached block spilled to the host-memory offload tier."""
-
     def page_released(self, group_id: str, page_id: int, cached: bool) -> None:
         """A page's last reference dropped (``cached``: kept as evictable),
         or a displaced stale cached copy was freed (``cached=False``)."""

@@ -54,13 +54,11 @@ cross-checks this optimized protocol against the literal per-step one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .admission import AdmissionCache
 from .events import Observer
 from .layer_policy import GroupSpec, LayerTypePolicy, make_policy
-from .offload import HostMemoryPool, OffloadConfig
-from .pages import SmallPage
 from .prefix_cache import longest_common_prefix
 from .protocols import KVCacheManagerBase
 from .sequence import SequenceSpec
@@ -121,7 +119,6 @@ class JengaKVCacheManager(KVCacheManagerBase):
         strategy: str = "lcm",
         seed: int = 0,
         request_aware: bool = True,
-        offload: Optional[OffloadConfig] = None,
         shared_allocator: Optional[TwoLevelAllocator] = None,
     ) -> None:
         super().__init__()
@@ -167,14 +164,6 @@ class JengaKVCacheManager(KVCacheManagerBase):
         # Token-level prefix-cache accounting (Figure 17's metric).
         self.lookup_tokens = 0
         self.hit_tokens = 0
-        # Optional host-memory offload tier (Section 8 extension): evicted
-        # cached blocks spill to host RAM and can be onloaded over PCIe
-        # instead of recomputed.
-        self.host_pool: Optional[HostMemoryPool] = None
-        self._pending_onload_bytes: Dict[str, int] = {}
-        if offload is not None and enable_prefix_caching:
-            self.host_pool = HostMemoryPool(offload)
-            self.allocator.eviction_listener = self._on_gpu_eviction
         # Per-request demand memo behind can_admit (see repro.core.admission).
         self._admission = AdmissionCache()
 
@@ -280,7 +269,6 @@ class JengaKVCacheManager(KVCacheManagerBase):
         ordered = self._lookup_order
         all_hashes: Dict[str, List[int]] = {}
         valid: Dict[str, List[int]] = {}
-        host_pool = self.host_pool
         cap_global = len(seq) - 1
         for group_id in ordered:
             if cap_global <= 0:
@@ -302,17 +290,10 @@ class JengaKVCacheManager(KVCacheManagerBase):
             if policy.leading_run_only:
                 is_hit: List[bool] = []
                 for h in hashes:
-                    hit = index.probe(h) is not None or (
-                        host_pool is not None and host_pool.probe(h) is not None
-                    )
+                    hit = index.probe(h) is not None
                     is_hit.append(hit)
                     if not hit:
                         break
-            elif host_pool is not None:
-                is_hit = [
-                    index.probe(h) is not None or host_pool.probe(h) is not None
-                    for h in hashes
-                ]
             else:
                 is_hit = [index.probe(h) is not None for h in hashes]
             all_hashes[group_id] = hashes
@@ -338,7 +319,6 @@ class JengaKVCacheManager(KVCacheManagerBase):
         if hit_global <= 0:
             return 0
 
-        acquired: List[Tuple[str, List[SmallPage]]] = []
         for group_id, policy in self.policies.items():
             if policy.encoder_filled:
                 continue  # embeddings are re-encoded, not acquired
@@ -347,46 +327,22 @@ class JengaKVCacheManager(KVCacheManagerBase):
             binding.stream_len = cached_stream
             binding.filled_upto = cached_stream
             binding.page_table = [None] * policy.num_pages_for(cached_stream)
-            # Only blocks at or below the hit matter here, so the boundary
-            # list stops at ``cached_stream``.
-            boundaries = policy.cacheable_boundaries(cached_stream)
             blocks = policy.hit_blocks_to_hold(cached_stream)
             wanted = [all_hashes[group_id][block_idx] for block_idx in blocks]
-            # One run for the whole hit; it comes back short at the first
-            # block a racing eviction took, which the host tier may still
-            # hold (the run then resumes behind the onloaded page).
+            # Every wanted block was probed resident above, and nothing
+            # allocates (so nothing evicts) between probe and acquire.
             pages = self.allocator.acquire_cached_run(group_id, wanted, seq.request_id)
-            while len(pages) < len(wanted) and host_pool is not None:
-                at = len(pages)
-                onloaded = self._materialize_from_host(
-                    group_id, wanted[at], seq, boundaries, blocks[at]
-                )
-                if onloaded is None:
-                    break
-                pages.append(onloaded)
-                pages += self.allocator.acquire_cached_run(
-                    group_id, wanted[at + 1:], seq.request_id
-                )
-            acquired.append((group_id, pages))
-            if len(pages) < len(wanted):
-                break
+            assert len(pages) == len(wanted)
             for block_idx, page in zip(blocks, pages):
                 idx = policy.page_index_of_block(block_idx)
                 binding.page_table[idx] = page.page_id
                 binding.held.add(idx)
-            binding.hashed_blocks = len(boundaries)
+            # Only blocks at or below the hit matter here, so the boundary
+            # list stops at ``cached_stream``.
+            binding.hashed_blocks = len(policy.cacheable_boundaries(cached_stream))
             # Pages below the active frontier were never held.
             binding.release_ptr = policy.release_frontier(cached_stream)
-        else:
-            return hit_global
-        # Racing eviction invalidated the hit; fall back to no hit.
-        for group_id, pages in acquired:
-            self.allocator.release_pages(
-                group_id, [page.page_id for page in pages], cacheable=True
-            )
-        for group_id in self.specs:
-            bindings[group_id] = GroupBinding()
-        return 0
+        return hit_global
 
     def _stream_of(self, seq: SequenceSpec, group_id: str) -> List[int]:
         """Group's stream token ids, cached per (request, group).
@@ -629,7 +585,6 @@ class JengaKVCacheManager(KVCacheManagerBase):
                 binding.last_time, seq, cacheable,
             )
             self._stream_cache.pop((seq.request_id, group_id), None)
-        self._pending_onload_bytes.pop(seq.request_id, None)
 
     def _release_slots(
         self,
@@ -750,53 +705,6 @@ class JengaKVCacheManager(KVCacheManagerBase):
             return
         page.last_access = now
         self.allocator.touch_evictable(group.spec.group_id, page)
-
-    # ------------------------------------------------------------------
-    # Host-memory offload tier (Section 8 extension)
-    # ------------------------------------------------------------------
-
-    def _on_gpu_eviction(self, group_id: str, block_hash: int, page_bytes: int) -> None:
-        """Spill an evicted cached block to the host pool."""
-        assert self.host_pool is not None
-        self.host_pool.offload(block_hash, group_id, page_bytes)
-        obs = self.observer
-        if obs is not None:
-            obs.page_evicted_to_host(group_id, block_hash, page_bytes)
-
-    def _materialize_from_host(
-        self,
-        group_id: str,
-        block_hash: int,
-        seq: SequenceSpec,
-        boundaries: Sequence[int],
-        block_idx: int,
-    ) -> Optional[SmallPage]:
-        """Onload a host-resident block into a freshly allocated GPU page.
-
-        The transfer cost accrues against the request and is drained by
-        the engine via :meth:`take_onload_bytes`.
-        """
-        assert self.host_pool is not None
-        size = self.host_pool.onload(block_hash)
-        if size is None:
-            return None
-        page = self.allocator.allocate_page(group_id, seq.request_id)
-        if page is None:
-            return None
-        prev = boundaries[block_idx - 1] if block_idx > 0 else 0
-        tokens = boundaries[block_idx] - prev
-        group = self.allocator.groups[group_id]
-        group.note_fill(tokens - page.num_tokens)
-        page.num_tokens = tokens
-        self.allocator.register_block_hash(group_id, page, block_hash)
-        self._pending_onload_bytes[seq.request_id] = (
-            self._pending_onload_bytes.get(seq.request_id, 0) + size
-        )
-        return page
-
-    def take_onload_bytes(self, request_id: str) -> int:
-        """Drain the PCIe transfer debt accrued by host-pool hits."""
-        return self._pending_onload_bytes.pop(request_id, 0)
 
     # ------------------------------------------------------------------
     # Admission control

@@ -106,7 +106,6 @@ class GroupSpec:
     window: Optional[int] = None
     state_bytes: Optional[int] = None
     checkpoint_interval: int = 512
-    checkpoint_schedule: str = "fixed"
     budget: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -121,10 +120,6 @@ class GroupSpec:
             raise ValueError(f"sliding-window group {self.group_id!r} needs a window")
         if self.kind == DROPPED_TOKEN and (self.budget is None or self.budget <= 0):
             raise ValueError(f"dropped-token group {self.group_id!r} needs a budget")
-        if self.checkpoint_schedule not in ("fixed", "exponential"):
-            raise ValueError(
-                f"unknown checkpoint schedule {self.checkpoint_schedule!r}"
-            )
 
     @property
     def page_bytes(self) -> int:
@@ -422,8 +417,7 @@ class MambaPolicy(LayerTypePolicy):
 
     Page-table layout: slot 0 is the working state (always resident while
     the request runs); slot ``b + 1`` holds the checkpoint taken at
-    ``boundary_of_block(b)`` tokens -- fixed spacing by default, or a
-    Marconi-style exponential schedule (``checkpoint_schedule``).
+    ``boundary_of_block(b)`` tokens, one every ``checkpoint_interval``.
     Checkpoints exist only when prefix caching is enabled (the manager
     controls that by how far it grows the table).
     """
@@ -466,27 +460,12 @@ class MambaPolicy(LayerTypePolicy):
         return 0  # the next token may cross a checkpoint boundary
 
     def cacheable_boundaries(self, stream_len: int) -> List[int]:
-        """Stream positions where the recurrent state is snapshotted.
-
-        ``fixed``: every ``checkpoint_interval`` tokens (the paper's
-        default -- "only caches the state of every 512 tokens").
-        ``exponential``: at interval, 2x interval, 4x interval, ... -- a
-        Marconi-style admission schedule that caps checkpoint memory at
-        O(log n) states for long contexts while keeping hit points at the
-        depths where reuse saves the most recompute.  Both schedules only
-        *append* boundaries as the stream grows, which the page-table
-        layout requires.
-        """
+        """Stream positions where the recurrent state is snapshotted: every
+        ``checkpoint_interval`` tokens (the paper's default -- "only caches
+        the state of every 512 tokens")."""
         if not self.enable_checkpoints:
             return []
         interval = self.spec.checkpoint_interval
-        if self.spec.checkpoint_schedule == "exponential":
-            boundaries: List[int] = []
-            position = interval
-            while position <= stream_len:
-                boundaries.append(position)
-                position *= 2
-            return boundaries
         return list(range(interval, stream_len + 1, interval))
 
     def page_index_of_block(self, block_idx: int) -> int:
@@ -498,14 +477,11 @@ class MambaPolicy(LayerTypePolicy):
         return []
 
     def boundary_schedule(self) -> Tuple[str, int]:
-        return (self.spec.checkpoint_schedule, self.spec.checkpoint_interval)
+        return ("fixed", self.spec.checkpoint_interval)
 
     def boundary_of_block(self, block_idx: int) -> int:
         """Snapshot depth (stream tokens) of checkpoint ``block_idx``."""
-        interval = self.spec.checkpoint_interval
-        if self.spec.checkpoint_schedule == "exponential":
-            return interval * (2 ** block_idx)
-        return (block_idx + 1) * interval
+        return (block_idx + 1) * self.spec.checkpoint_interval
 
     def get_possible_prefix(self, is_hit: Sequence[bool]) -> List[int]:
         # A checkpoint grants a hit at exactly its snapshot depth,

@@ -11,8 +11,8 @@ the engine is allowed to touch:
   ``tests/test_protocol.py`` runs this over every registered manager).
 * :class:`KVCacheManagerBase` -- a concrete base class providing the
   defaults optional members used to be duck-typed for (``kernel_slowdown``
-  of 1.0, a zero ``prefix_hit_rate``, no vision cache, no offload debt)
-  plus observer and tracer binding.  All in-tree managers -- Jenga, the four
+  of 1.0, a zero ``prefix_hit_rate``, no vision cache) plus observer and
+  tracer binding.  All in-tree managers -- Jenga, the four
   baselines, and the spec-decode composite -- derive from it; new backends
   should too, then register a factory in :mod:`repro.core.registry`.
 
@@ -127,10 +127,6 @@ class KVCacheManager(Protocol):
         """
         ...
 
-    def take_onload_bytes(self, request_id: str) -> int:
-        """Drain PCIe transfer debt accrued by host-offload cache hits."""
-        ...
-
     # -- observation ------------------------------------------------------
 
     def bind_observer(self, observer: Optional[Observer]) -> None:
@@ -172,8 +168,8 @@ class KVCacheManagerBase:
     Subclasses must implement the five core lifecycle/probe methods
     (``begin_request``, ``allocate_up_to``, ``commit``, ``release``,
     ``can_admit``) plus ``stats``; everything else has a sensible default
-    here, so a minimal backend (no vision cache, no offload tier,
-    LCM-layout kernels) only overrides what it customizes.
+    here, so a minimal backend (no vision cache, LCM-layout kernels) only
+    overrides what it customizes.
     """
 
     name = "abstract"
@@ -237,9 +233,6 @@ class KVCacheManagerBase:
 
     def consume_vision(self, seq: SequenceSpec, upto_global: int) -> None:
         return None
-
-    def take_onload_bytes(self, request_id: str) -> int:
-        return 0
 
     def foreign_used_bytes(self) -> int:
         # USED bytes held by co-tenant views of a shared pool.  A private

@@ -7,7 +7,7 @@ through here instead of hard-coding an if/elif chain.  Two independent
 namespaces exist:
 
 * ``kind="model"`` -- single-model managers (``jenga``, ``vllm``,
-  ``sglang``, ``tgi``, ``max``, ``gcd``, ``vattention``), registered by
+  ``sglang``, ``tgi``, ``max``, ``gcd``), registered by
   :mod:`repro.baselines`;
 * ``kind="spec"`` -- speculative-decoding (draft+target) manager setups
   (``jenga``, ``vllm-max``, ``vllm-manual``), registered by

@@ -39,7 +39,7 @@ IMAGE: TokenTag = "image"
 HASH_SEED = 0x9E3779B97F4A7C15
 
 #: Memo key: the accepted-tag stream plus the policy's boundary schedule
-#: (e.g. ``("uniform", 16)`` or ``("exponential", 512)``).  Policies with
+#: (e.g. ``("uniform", 16)`` or ``("fixed", 512)``).  Policies with
 #: identical keys share one chain, so a model whose attention groups all
 #: use the same page size hashes each stream once per request lifetime.
 ChainKey = Tuple[FrozenSet[TokenTag], Tuple[str, int]]

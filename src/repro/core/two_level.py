@@ -44,7 +44,7 @@ delegates to the run of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .events import Observer
 from .evictor import LRUEvictor
@@ -230,10 +230,6 @@ class TwoLevelAllocator:
         # are unchanged, so an admission verdict taken at one holds at the
         # other.
         self.version = 0
-        # Optional hook fired when a *cached* (hashed) page is reclaimed:
-        # (group_id, block_hash, page_bytes).  The KV manager uses it to
-        # spill evicted blocks to a host-memory offload tier (Section 8).
-        self.eviction_listener: Optional[Callable[[str, int, int], None]] = None
         # Where allocations, carves, evictions, releases and quota moves
         # are reported; bound by the manager(s) over this pool (see
         # JengaKVCacheManager.bind_observer).  None reports nothing.
@@ -245,7 +241,12 @@ class TwoLevelAllocator:
 
     def allocate_page(self, group_id: str, request_id: str) -> Optional[SmallPage]:
         """One small page, ``allocate_pages(..., 1)`` unwrapped: ``None`` when
-        every step fails and the caller must preempt."""
+        every step fails and the caller must preempt.
+
+        Nothing in the package calls it; it stays because tests drive the
+        allocator page by page and the benchmark harness
+        (``benchmarks/e2e``) proxies it as ``core.two_level.allocate_page``.
+        """
         pages = self.allocate_pages(group_id, request_id, 1)
         return pages[0] if pages else None
 
@@ -658,13 +659,9 @@ class TwoLevelAllocator:
     # ------------------------------------------------------------------
 
     def _uncache(self, group: GroupAllocator, page: SmallPage) -> None:
-        """An evictable page is being reclaimed: tell the eviction
-        listener about its cached block and drop the block from the index."""
+        """An evictable page is being reclaimed: drop its cached block from
+        the group's index."""
         if page.block_hash is not None:
-            if self.eviction_listener is not None:
-                self.eviction_listener(
-                    group.spec.group_id, page.block_hash, group.spec.page_bytes
-                )
             group.cache_index.remove(page.block_hash, page.page_id)
 
     def _empty_page(self, group: GroupAllocator, page: SmallPage) -> None:

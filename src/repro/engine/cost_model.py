@@ -53,8 +53,6 @@ class StepWork:
         images_encoded: Images pushed through the vision encoder.
         speculative_extra_tokens: Extra target-model tokens verified in a
             speculative-decoding step.
-        offload_read_bytes: Host-to-device KV transfers (onloading blocks
-            from the offload tier instead of recomputing them).
     """
 
     prefill_tokens: int = 0
@@ -64,7 +62,6 @@ class StepWork:
     kv_write_bytes: float = 0.0
     images_encoded: int = 0
     speculative_extra_tokens: int = 0
-    offload_read_bytes: float = 0.0
 
     @property
     def total_tokens(self) -> int:
@@ -81,7 +78,6 @@ class StepWork:
             speculative_extra_tokens=(
                 self.speculative_extra_tokens + other.speculative_extra_tokens
             ),
-            offload_read_bytes=self.offload_read_bytes + other.offload_read_bytes,
         )
 
 
@@ -124,11 +120,7 @@ class CostModel:
 
     def step_time(self, work: StepWork) -> float:
         """Seconds one engine step takes."""
-        if (
-            work.total_tokens == 0
-            and work.images_encoded == 0
-            and work.offload_read_bytes == 0
-        ):
+        if work.total_tokens == 0 and work.images_encoded == 0:
             return _STEP_OVERHEAD_S
 
         # Dense (linear-layer) compute: 2 * params FLOPs per token.
@@ -144,8 +136,7 @@ class CostModel:
         kv_s = (work.kv_read_bytes + work.kv_write_bytes) / self._bw
 
         attn_s = max(attn_compute_s, kv_s) * self.kernel_slowdown
-        pcie_s = work.offload_read_bytes / self.gpu.pcie_bandwidth
-        return max(compute_s, weight_s) + attn_s + pcie_s + _STEP_OVERHEAD_S
+        return max(compute_s, weight_s) + attn_s + _STEP_OVERHEAD_S
 
     def encoder_time(self, num_images: int) -> float:
         """Seconds to run the vision encoder on ``num_images`` images."""

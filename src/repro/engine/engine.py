@@ -416,9 +416,6 @@ class LLMEngine:
                 work.images_encoded += len(seq.image_spans)
                 request.encoder_done = True
             self.waiting.pop_ready(now)
-            # Blocks served from the host offload tier transfer over PCIe
-            # this step instead of being recomputed.
-            work.offload_read_bytes += self.manager.take_onload_bytes(seq.request_id)
             request.num_computed_tokens = hit
             if request.first_scheduled_time is None:
                 request.first_scheduled_time = now

@@ -124,8 +124,7 @@ class SpecDecodeEngine(LLMEngine):
 
     ``self.cost`` prices the target, ``self.draft_cost`` the draft.  The
     target pass also carries the admission pass's :class:`StepWork`, as in
-    :class:`LLMEngine`; with today's spec managers (no offload tier) and
-    text-only targets that work is always empty.
+    :class:`LLMEngine`; on a text-only target that work is always empty.
     """
 
     def __init__(

@@ -11,8 +11,8 @@ the stack makes exactly once into registry instruments:
   (``evict/group/<gid>``), and balanced (recency-keyed) vs. aligned
   (prefix-length tie-break) priority (Section 5.1),
 * preemption reasons (``victim`` vs. ``self``), blocked admissions,
-  request lifecycle tallies, prefix-cache token counters, host-offload
-  spill volume, quota moves (``resize/*``),
+  request lifecycle tallies, prefix-cache token counters, quota moves
+  (``resize/*``),
 * routing decisions (``routing/policy/<name>``, ``routing/replica/<id>``,
   expected hit tokens) when it observes a serving replica,
 * the memory / waste / fragmentation timeline sampled from each step's
@@ -313,10 +313,6 @@ class BusTelemetry(Observer):
         self, group_id: str, large_page_id: int, num_small_pages: int
     ) -> None:
         self.registry.inc("alloc/large_carved")
-
-    def page_evicted_to_host(self, group_id: str, block_hash: int, page_bytes: int) -> None:
-        self.registry.inc("offload/spills")
-        self.registry.inc("offload/spill_bytes", page_bytes)
 
     def prefix_hit(self, request_id: str, hit_tokens: int, lookup_tokens: int) -> None:
         reg = self.registry

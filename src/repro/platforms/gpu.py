@@ -31,8 +31,6 @@ class GPU:
             ``gpu_memory_utilization``, default 0.9).
         reserved_bytes: Engine overhead -- activations, CUDA graphs, NCCL
           buffers (the paper's "reserved" slice in Figure 16).
-        pcie_bandwidth: Host-device transfer bandwidth (for the KV
-            offloading extension).
     """
 
     name: str
@@ -41,7 +39,6 @@ class GPU:
     hbm_bandwidth: float
     memory_utilization: float = 0.9
     reserved_bytes: int = 2 * GIB
-    pcie_bandwidth: float = 25e9
 
     def usable_bytes(self) -> int:
         return int(self.memory_bytes * self.memory_utilization)

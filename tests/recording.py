@@ -17,7 +17,6 @@ __all__ = [
     "AdmissionBlocked",
     "LargePageCarved",
     "PageEvicted",
-    "PageEvictedToHost",
     "PageReleased",
     "PagesAllocated",
     "PrefixHit",
@@ -44,7 +43,6 @@ PageEvicted = _record(
     "PageEvicted", "group_id", "page_id", "level", "last_access", "prefix_length",
     last_access=0.0, prefix_length=0.0,
 )
-PageEvictedToHost = _record("PageEvictedToHost", "group_id", "block_hash", "page_bytes")
 PageReleased = _record("PageReleased", "group_id", "page_id", "cached")
 QuotaResized = _record(
     "QuotaResized", "group_id", "old_quota", "new_quota", "num_owned", "reclaimed"
@@ -71,7 +69,6 @@ RECORDS = {
     "pages_allocated": PagesAllocated,
     "large_page_carved": LargePageCarved,
     "page_evicted": PageEvicted,
-    "page_evicted_to_host": PageEvictedToHost,
     "page_released": PageReleased,
     "quota_resized": QuotaResized,
     "prefix_hit": PrefixHit,

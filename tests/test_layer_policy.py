@@ -267,45 +267,27 @@ class TestFactory:
 
 
 class TestCheckpointSchedules:
-    def make(self, schedule, interval=8):
+    def make(self, interval=8):
         return MambaPolicy(
-            GroupSpec(
-                "m", MAMBA, 1, 0, state_bytes=1024,
-                checkpoint_interval=interval, checkpoint_schedule=schedule,
-            )
+            GroupSpec("m", MAMBA, 1, 0, state_bytes=1024, checkpoint_interval=interval)
         )
 
     def test_fixed_boundaries(self):
-        p = self.make("fixed")
+        p = self.make()
         assert p.cacheable_boundaries(33) == [8, 16, 24, 32]
         assert p.boundary_of_block(2) == 24
-
-    def test_exponential_boundaries(self):
-        p = self.make("exponential")
-        assert p.cacheable_boundaries(100) == [8, 16, 32, 64]
-        assert p.boundary_of_block(3) == 64
-
-    def test_exponential_is_logarithmic(self):
-        p = self.make("exponential", interval=512)
-        assert p.num_pages_for(1_000_000) <= 13  # 1 working + ~11 ckpts
-
-    def test_exponential_hits(self):
-        p = self.make("exponential")
-        assert p.get_possible_prefix([True, False, True]) == [8, 32]
+        assert p.boundary_schedule() == ("fixed", 8)
 
     def test_boundaries_append_monotonically(self):
         # Growing the stream must only append boundaries (page-table
-        # layout requirement).
-        p = self.make("exponential")
+        # layout requirement), each at its block's snapshot depth.
+        p = self.make()
         prev = []
         for n in range(0, 200, 7):
             cur = p.cacheable_boundaries(n)
             assert cur[: len(prev)] == prev
+            assert cur == [p.boundary_of_block(b) for b in range(len(cur))]
             prev = cur
-
-    def test_unknown_schedule_rejected(self):
-        with pytest.raises(ValueError):
-            GroupSpec("m", MAMBA, 1, 0, state_bytes=4, checkpoint_schedule="fib")
 
 
 # One spec per layer kind, window/budget 8 and checkpoint interval 8 over
@@ -314,7 +296,7 @@ ALL_KINDS = {
     FULL_ATTENTION: spec(FULL_ATTENTION),
     CROSS_ATTENTION: spec(CROSS_ATTENTION, accepted_tags=frozenset({IMAGE})),
     SLIDING_WINDOW: spec(SLIDING_WINDOW, window=8),
-    DROPPED_TOKEN: spec(DROPPED_TOKEN, budget=8, checkpoint_schedule="exponential"),
+    DROPPED_TOKEN: spec(DROPPED_TOKEN, budget=8, checkpoint_interval=16),
     MAMBA: spec(MAMBA, per_token_bytes=0, state_bytes=1024, checkpoint_interval=8),
     VISION_EMBEDDING: spec(VISION_EMBEDDING, accepted_tags=frozenset({IMAGE})),
 }
@@ -370,7 +352,7 @@ class TestManagerHooks:
     def test_dropped_token_keeps_every_spec_field(self):
         p = DroppedTokenPolicy(ALL_KINDS[DROPPED_TOKEN])
         assert p.spec.window == 8
-        assert p.spec.checkpoint_schedule == "exponential"
+        assert p.spec.checkpoint_interval == 16
 
     def test_window_peak_is_window_plus_chunk(self):
         p = make_policy(ALL_KINDS[SLIDING_WINDOW])

@@ -308,6 +308,88 @@ class TestManagerProperties:
             assert mgr.stats().used_bytes == 0
             mgr.allocator.check_invariants()
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["start", "start", "finish", "preempt"]),
+                st.integers(0, 2),   # prefix family / running-request pick
+                st.integers(0, 40),  # shared-prefix tokens taken
+                st.lists(st.integers(0, 3), max_size=8),  # own suffix
+            ),
+            min_size=4,
+            max_size=30,
+        ),
+        st.integers(4, 16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_prefix_hits_hold_exactly_their_blocks_under_eviction(self, ops, window):
+        """Caching on, concurrent requests over shared-prefix families, and
+        a pool too small for their cache: every hit holds, in every group,
+        exactly the cached pages ``hit_blocks_to_hold`` names, and every
+        page's reference count is the number of requests holding it."""
+        specs = {
+            "full": GroupSpec("full", FULL_ATTENTION, 1, 16, tokens_per_page=4,
+                              accepted_tags=frozenset({TEXT})),
+            "win": GroupSpec("win", SLIDING_WINDOW, 1, 32, tokens_per_page=4,
+                             window=window, accepted_tags=frozenset({TEXT})),
+        }
+        mgr = JengaKVCacheManager(specs, 128 * 24)
+        alloc = mgr.allocator
+        families = [[100 * f + t for t in range(40)] for f in range(3)]
+        running = {}
+
+        def check_refcounts():
+            for gid, group in alloc.groups.items():
+                holders = {}
+                for rid in running:
+                    binding = mgr._bindings[rid][gid]
+                    for idx in binding.held:
+                        page_id = binding.page_table[idx]
+                        holders[page_id] = holders.get(page_id, 0) + 1
+                for page in group.pages.values():
+                    assert page.ref_count == holders.get(page.page_id, 0)
+
+        for step, (op, pick, shared, suffix) in enumerate(ops):
+            if op == "start":
+                tokens = families[pick][:shared] + suffix
+                if not tokens:
+                    continue
+                seq = SequenceSpec.text_only(f"r{step}", tokens)
+                hit = mgr.begin_request(seq)
+                assert 0 <= hit < len(seq)
+                alloc.check_invariants()
+                for gid, policy in mgr.policies.items():
+                    cached = seq.stream_length(specs[gid].accepted_tags, hit)
+                    blocks = policy.hit_blocks_to_hold(cached)
+                    hashes = chain_hashes(
+                        seq.stream_tokens(specs[gid].accepted_tags),
+                        policy.cacheable_boundaries(cached),
+                    )
+                    binding = mgr._bindings[seq.request_id][gid]
+                    want = {policy.page_index_of_block(b): hashes[b] for b in blocks}
+                    assert binding.held == set(want)
+                    assert {
+                        idx for idx, p in enumerate(binding.page_table) if p is not None
+                    } == set(want)
+                    for idx, block_hash in want.items():
+                        page = alloc.groups[gid].pages[binding.page_table[idx]]
+                        assert page.is_used and page.block_hash == block_hash
+                running[seq.request_id] = seq
+                if mgr.allocate_up_to(seq, len(seq)):
+                    mgr.commit(seq, len(seq), now=float(step), phase="prefill")
+                else:
+                    mgr.release(running.pop(seq.request_id), cacheable=False)
+            elif running:
+                rid = sorted(running)[pick % len(running)]
+                mgr.release(running.pop(rid), cacheable=(op == "finish"))
+            alloc.check_invariants()
+            check_refcounts()
+        for seq in list(running.values()):
+            mgr.release(seq)
+        running.clear()
+        check_refcounts()
+        assert mgr.stats().used_bytes == 0
+
 
 class TestPhysicalSafetyProperties:
     @given(

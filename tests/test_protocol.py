@@ -65,7 +65,7 @@ def protocol_mismatches(cls):
 class TestRegistry:
     def test_expected_systems_registered(self):
         assert set(MODEL_SYSTEMS) >= {
-            "jenga", "vllm", "sglang", "tgi", "max", "gcd", "vattention"
+            "jenga", "vllm", "sglang", "tgi", "max", "gcd"
         }
         assert set(SPEC_SYSTEMS) == {"jenga", "vllm-max", "vllm-manual"}
 
@@ -127,7 +127,7 @@ class TestProtocolConformance:
         assert manager.allocate_up_to(seq, len(seq))
         assert not manager.needs_allocation(seq, len(seq))
         manager.commit(seq, len(seq), now=1.0, phase="prefill")
-        assert manager.take_onload_bytes("r1") == 0
+        assert isinstance(manager.admission_version(), int)
         stats = manager.stats()
         assert stats.used_bytes > 0
         assert manager.kernel_slowdown >= 1.0
@@ -169,7 +169,7 @@ class TestNoDuckTyping:
         The registry is the one sanctioned dynamic-dispatch point."""
         src = Path(__file__).resolve().parents[1] / "src"
         pattern = re.compile(r"\b(?:getattr|hasattr)\(\s*[\w.]*(?:manager|mgr)", re.I)
-        for probe in ('getattr(self.manager, "name")', 'hasattr(kv_mgr, "take_onload_bytes")'):
+        for probe in ('getattr(self.manager, "name")', 'hasattr(kv_mgr, "needs_allocation")'):
             assert pattern.search(probe), probe
         offenders = [
             f"{path}:{lineno}"
