@@ -108,14 +108,6 @@ class DualManager(KVCacheManagerBase):
             m.can_admit(seq, watermark_pages, chunk_tokens) for m in self.managers
         )
 
-    def can_admit_uncached(
-        self, seq: SequenceSpec, watermark_pages: int = 0, chunk_tokens: int = 8192
-    ) -> bool:
-        return all(
-            m.can_admit_uncached(seq, watermark_pages, chunk_tokens)
-            for m in self.managers
-        )
-
     def admission_version(self) -> int:
         # Sum of monotone per-side counters: equal sums imply every side
         # is unchanged, so the composite verdict is unchanged.  Any side

@@ -147,17 +147,6 @@ class PagedAttentionManager(JengaKVCacheManager):
             return False
         return super().can_admit(seq, watermark_pages, chunk_tokens)
 
-    def can_admit_uncached(
-        self, seq: SequenceSpec, watermark_pages: int = 0, chunk_tokens: int = 8192
-    ) -> bool:
-        if (
-            self._mamba_slots
-            and seq.request_id not in self._mamba_holders
-            and len(self._mamba_holders) >= self._mamba_slots
-        ):
-            return False
-        return super().can_admit_uncached(seq, watermark_pages, chunk_tokens)
-
     def admission_version(self) -> int:
         return super().admission_version() + self._mamba_churn
 

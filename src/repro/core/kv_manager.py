@@ -23,8 +23,11 @@ Lifecycle of a request ``r``:
 1. ``begin_request(seq)`` -- look up the prefix cache (Section 5.2) and
    acquire references on every hit page each group still needs
    (``hit_blocks_to_hold``); returns the number of *global* tokens served
-   from cache.  Vision-language requests then ``allocate_vision(seq)``
-   once: encoder-filled groups get pages for the whole image stream.
+   from cache.  The scheduler then probes ``can_admit(seq)``: the
+   prompt's per-group admission demand, put to the allocator as the same
+   exact check ``allocate_up_to`` makes (``groups_that_fit``).
+   Vision-language requests then ``allocate_vision(seq)`` once:
+   encoder-filled groups get pages for the whole image stream.
 2. repeatedly ``allocate_up_to(seq, n)`` -- grow page tables so the first
    ``n`` global tokens have backing pages (``pages_to_write``): one
    capacity check over every group, then one batched allocator call per
@@ -56,7 +59,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .admission import AdmissionCache
 from .events import Observer
 from .layer_policy import GroupSpec, LayerTypePolicy, make_policy
 from .prefix_cache import longest_common_prefix
@@ -164,8 +166,6 @@ class JengaKVCacheManager(KVCacheManagerBase):
         # Token-level prefix-cache accounting (Figure 17's metric).
         self.lookup_tokens = 0
         self.hit_tokens = 0
-        # Per-request demand memo behind can_admit (see repro.core.admission).
-        self._admission = AdmissionCache()
 
     def bind_observer(self, observer: Optional[Observer]) -> None:
         """Report this view's lookups, and its pool's events, to ``observer``.
@@ -710,77 +710,35 @@ class JengaKVCacheManager(KVCacheManagerBase):
     # Admission control
     # ------------------------------------------------------------------
 
-    def resident_pages_needed(self, seq: SequenceSpec, target_global: int) -> Dict[str, int]:
-        """Pages each group must keep *resident* once ``target_global`` tokens
-        are computed -- the steady-state footprint, not the transient
-        write set.  Sliding-window groups only count their window's pages
-        even though prefill writes (and promptly releases) every block.
-        """
-        bindings = self._bindings.get(seq.request_id)
-        needed: Dict[str, int] = {}
-        for group_id, spec in self.specs.items():
-            policy = self.policies[group_id]
-            stream_len = seq.stream_length(spec.accepted_tags, target_global)
-            n = len(policy.active_page_indices(stream_len))
-            if bindings is not None:
-                # Pages already held (prefix-cache hits acquired at
-                # begin_request) need no new allocation.
-                n -= len(bindings[group_id].held)
-            needed[group_id] = max(0, n)
-        return needed
-
     def can_admit(
         self, seq: SequenceSpec, watermark_pages: int = 0, chunk_tokens: int = 8192
     ) -> bool:
-        """Admission control: will the whole prompt's footprint ever fit?
+        """Admission control: does the whole prompt's footprint fit now?
 
-        The same bound :meth:`can_admit_uncached` recomputes from scratch,
-        evaluated from the allocator's live O(1) counters and the
-        per-request demand memo (:class:`~repro.core.admission.AdmissionCache`);
-        only the held-page subtraction and peak-residency correction are
-        evaluated per probe (held references and ``chunk_tokens`` change
-        between probes).  ``tests/test_admission_cache.py`` property-tests
-        the two paths against each other under randomized churn.
+        vLLM gates admission on the full prompt's block count; doing the
+        same avoids admit-preempt thrash.  Each group's demand is its
+        steady-state *resident* set (``active_page_indices``) -- so a
+        window model's long prompt does not demand pages it frees during
+        prefill -- or, if larger, the policy's transient prefill peak
+        (``peak_pages``: a chunk's blocks are all written before the
+        out-of-window ones release at commit).  Pages the request already
+        holds (prefix hits acquired at ``begin_request``) need no new
+        allocation, so they come off both; ``watermark_pages`` goes on top.
+
+        The verdict is the question :meth:`_grow` asks: whether those runs,
+        allocated in ``self.policies`` order, all come out of the five
+        steps (:meth:`TwoLevelAllocator.groups_that_fit`, exact and
+        read-only).
         """
-        allocator = self.allocator
-        groups = allocator.groups
-        entry = self._admission.demand(seq, self.specs, self.policies)
         bindings = self._bindings.get(seq.request_id)
-        large_needed = 0
-        for group_id, gross in entry.gross.items():
-            # Pages already held (prefix-cache hits acquired at
-            # begin_request) need no new allocation.  They are part of the
-            # policy's transient prefill peak too -- without subtracting
-            # them there a probe taken while the prefix hit is pinned
-            # counts those pages as demand *and* (via ownership) against
-            # the quota headroom, and a request mostly served from its
-            # group's own cache gets refused.
+        demand: List[Tuple[str, int]] = []
+        for group_id, policy in self.policies.items():
+            stream_len = seq.stream_length(policy.spec.accepted_tags)
+            resident = len(policy.active_page_indices(stream_len))
+            peak = policy.peak_pages(stream_len, chunk_tokens)
             held = len(bindings[group_id].held) if bindings is not None else 0
-            peak = self.policies[group_id].peak_pages(
-                entry.stream_total[group_id], chunk_tokens
-            )
-            n = max(0, gross - held, peak - held)
-            group = groups[group_id]
-            spl = group.small_per_large
-            # Small pages inside the group's own fully-evictable large
-            # pages are claimable through the large evictor below;
-            # counting them locally too would offset other groups' deficits.
-            own_fe = allocator.fully_evictable_large_pages(group_id)
-            local = group.num_free + len(group.evictor) - own_fe * spl
-            deficit = n + watermark_pages - local
-            if deficit > 0:
-                need = -(-deficit // spl)
-                quota = group.quota
-                if quota is not None and need - own_fe > max(
-                    0, quota - allocator.large_pages_owned(group_id)
-                ):
-                    # Large pages beyond the group's own fully-evictable
-                    # ones (reclaimed in place, quota-neutral) must be
-                    # carved, and the soft quota blocks the carve
-                    # regardless of shared availability.
-                    return False
-                large_needed += need
-        return large_needed <= allocator.lcm.num_free + len(allocator.large_evictor)
+            demand.append((group_id, max(resident - held, peak - held, 0) + watermark_pages))
+        return self.allocator.groups_that_fit(demand, seq.request_id) == len(demand)
 
     def admission_version(self) -> int:
         """Monotone pool-state version for admission-verdict reuse.
@@ -792,59 +750,6 @@ class JengaKVCacheManager(KVCacheManagerBase):
         for all of them.
         """
         return self.allocator.version
-
-    def can_admit_uncached(
-        self, seq: SequenceSpec, watermark_pages: int = 0, chunk_tokens: int = 8192
-    ) -> bool:
-        """Uncached admission check -- the ``stats_slow()``-style cross-check.
-
-        vLLM gates admission on the full prompt's block count; doing the
-        same avoids admit-preempt thrash.  Each group's need is its
-        steady-state *resident* set -- so a window model's long prompt does
-        not demand pages it frees during prefill (Jenga's L4 Ministral
-        advantage) -- plus the transient write set of one prefill chunk
-        (a chunk's blocks must all be materialized before the out-of-window
-        ones release at commit).  Groups compete for the shared large-page
-        pool, so the check is joint in large-page units.
-        """
-        large_needed = 0
-        bindings = self._bindings.get(seq.request_id)
-        resident = self.resident_pages_needed(seq, len(seq))
-        for group_id, n in resident.items():
-            spec = self.specs[group_id]
-            # Peak residency (see LayerTypePolicy.peak_pages).  Pages
-            # already held by this request (pinned prefix hits) are part of
-            # that peak and need no new allocation -- matching the
-            # subtraction resident_pages_needed applied to ``n``.
-            peak = self.policies[group_id].peak_pages(
-                seq.stream_length(spec.accepted_tags), chunk_tokens
-            )
-            held = len(bindings[group_id].held) if bindings is not None else 0
-            n = max(n, peak - held)
-            group = self.allocator.groups[group_id]
-            # The group's small pages inside its *own* fully-evictable
-            # large pages are already claimable through ``available``
-            # (the large evictor); counting them in ``local`` too would
-            # double-count them against other groups' deficits.
-            own_fe = self.allocator.fully_evictable_large_pages(group_id)
-            overlap = own_fe * group.small_per_large
-            local = group.num_free + len(group.evictor) - overlap
-            deficit = n + watermark_pages - local
-            if deficit > 0:
-                need = -(-deficit // group.small_per_large)
-                quota = group.quota
-                if quota is not None:
-                    # Beyond the group's own fully-evictable large pages
-                    # (reclaimable in place, quota-neutral), every large
-                    # page must be carved under the soft-quota headroom.
-                    headroom = max(
-                        0, quota - self.allocator.large_pages_owned(group_id)
-                    )
-                    if need - own_fe > headroom:
-                        return False
-                large_needed += need
-        available = self.allocator.lcm.num_free + len(self.allocator.large_evictor)
-        return large_needed <= available
 
     # ------------------------------------------------------------------
     # Engine-facing properties and accounting

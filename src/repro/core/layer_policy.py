@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .pages import SmallPage
 from .sequence import IMAGE, TEXT, SequenceSpec, TokenTag
@@ -177,13 +177,15 @@ class LayerTypePolicy:
         tpp = self.spec.tokens_per_page
         return (stream_len + tpp - 1) // tpp
 
-    def active_page_indices(self, stream_len: int) -> Set[int]:
+    def active_page_indices(self, stream_len: int) -> range:
         """Pages a running request must keep resident (``USED``).
 
-        Indices not in this set may be released mid-request -- the page
+        Indices outside this range may be released mid-request -- the page
         either turns ``EVICTABLE`` (prefix caching on) or frees outright.
+        A ``range``: admission measures it and the hit path tests
+        membership, both O(1).
         """
-        return set(range(self.release_frontier(stream_len), self.num_pages_for(stream_len)))
+        return range(self.release_frontier(stream_len), self.num_pages_for(stream_len))
 
     def resident_tokens(self, stream_len: int) -> int:
         """Stream tokens the group genuinely needs resident (waste metric)."""
@@ -435,8 +437,8 @@ class MambaPolicy(LayerTypePolicy):
             return 1
         return 1 + len(self.cacheable_boundaries(stream_len))
 
-    def active_page_indices(self, stream_len: int) -> Set[int]:
-        return {0} if stream_len > 0 else set()
+    def active_page_indices(self, stream_len: int) -> range:
+        return range(min(stream_len, 1))
 
     def resident_tokens(self, stream_len: int) -> int:
         # State size is fixed; report one "token" worth (the page) as useful.

@@ -94,21 +94,18 @@ class KVCacheManager(Protocol):
     def can_admit(
         self, seq: SequenceSpec, watermark_pages: int = 0, chunk_tokens: int = 8192
     ) -> bool:
-        """Admission control: will the whole prompt's footprint ever fit?"""
-        ...
+        """Admission control: does the whole prompt's footprint fit now?
 
-    def can_admit_uncached(
-        self, seq: SequenceSpec, watermark_pages: int = 0, chunk_tokens: int = 8192
-    ) -> bool:
-        """Uncached :meth:`can_admit` -- the ``stats_slow()``-style
-        cross-check (same verdict, no demand-memo reuse)."""
+        Jenga asks its allocator the question allocation asks
+        (``TwoLevelAllocator.groups_that_fit``), so a yes means the
+        demand would come out of the five steps as the pool stands."""
         ...
 
     def admission_version(self) -> int:
         """Monotone pool-state version for admission-verdict reuse.
 
-        Equal versions across probes mean the pool inputs of
-        :meth:`can_admit` are unchanged, so the engine may skip
+        Equal versions across probes mean every pool input of
+        :meth:`can_admit` is unchanged, so the engine may skip
         re-probing a blocked head-of-queue request.  ``-1`` disables the
         skip (a backend that keeps no such counter)."""
         ...
@@ -211,13 +208,6 @@ class KVCacheManagerBase:
         raise NotImplementedError
 
     # -- optional members with defaults ---------------------------------
-
-    def can_admit_uncached(
-        self, seq: SequenceSpec, watermark_pages: int = 0, chunk_tokens: int = 8192
-    ) -> bool:
-        # A backend without a demand memo has nothing to cross-check:
-        # its can_admit *is* the uncached path.
-        return self.can_admit(seq, watermark_pages, chunk_tokens)
 
     def needs_allocation(self, seq: SequenceSpec, target_global: int) -> bool:
         # Conservative default: always let allocate_up_to decide.

@@ -224,8 +224,9 @@ class TwoLevelAllocator:
         self.num_large_evictions = 0
         # Monotone pool-state version: moves once per run that changes a
         # small page's state, whenever a large page goes back to the LCM
-        # pool and whenever a quota changes (DESIGN.md lists the sites).
-        # Equal versions mean num_free, the evictors' sizes, the
+        # pool, whenever a quota changes and whenever an evictable page is
+        # re-keyed (DESIGN.md lists the sites).  Equal versions mean the
+        # free pools, the evictors' contents and order, the
         # fully-evictable and owned counts, lcm.num_free and every quota
         # are unchanged, so an admission verdict taken at one holds at the
         # other.
@@ -371,7 +372,9 @@ class TwoLevelAllocator:
         answer is the length of the longest prefix whose
         ``allocate_pages(group_id, request_id, n)`` calls, made one after
         another, all succeed.  Exact and read-only -- the check half of
-        check-then-commit, counted from the counters admission reads:
+        check-then-commit and the admission verdict
+        (:meth:`~repro.core.kv_manager.JengaKVCacheManager.can_admit`),
+        counted from O(1) counters:
 
         * a group first takes its step-1 bucket (all of ``num_free`` in
           the ``request_aware=False`` ablation), then ``ceil(rest / spl)``
@@ -634,9 +637,15 @@ class TwoLevelAllocator:
                         obs.page_released(group_id, displaced, False)
 
     def touch_evictable(self, group_id: str, page: SmallPage) -> None:
-        """Re-key an evictable page after its eviction metadata changed."""
+        """Re-key an evictable page after its eviction metadata changed.
+
+        Moves :attr:`version`: the evictors' order is an input of
+        :meth:`_groups_that_fit_slow`, so an admission verdict keyed on the
+        version must not outlive a re-key.
+        """
         group = self.groups[group_id]
         if page.is_evictable and page.page_id in group.evictor:
+            self.version += 1
             group.evictor.add(page.page_id, page.last_access, page.prefix_length)
             large_id = page.large_page_id
             if large_id is None or large_id not in self.large_evictor:
@@ -832,29 +841,6 @@ class TwoLevelAllocator:
                 self._evict_large_page(victim_id, group_id, last, prefix)
                 reclaimed += 1
         return reclaimed
-
-    def reclaimable_pages(self, group_id: str) -> int:
-        """Upper bound on small pages of ``group_id`` obtainable right now.
-
-        Counts the group's empty pages, empty large pages, fully-evictable
-        large pages (all reusable by any group), and the group's own
-        evictable pages.  Small pages sitting inside the group's *own*
-        fully-evictable large pages appear both in ``len(group.evictor)``
-        and in the large-evictor term, so that overlap is subtracted --
-        without it the bound double-counts and admission can overshoot
-        into admit-preempt thrash.  Used by the scheduler for admission
-        control; the bound is optimistic only across *multiple* groups
-        competing for the same large pages, which admission handles by
-        re-checking per step.
-        """
-        group = self.groups[group_id]
-        spl = group.small_per_large
-        return (
-            group.num_free
-            + (self.lcm.num_free + len(self.large_evictor)) * spl
-            + len(group.evictor)
-            - self._num_fully_evictable[group_id] * spl
-        )
 
     def stats(self) -> AllocatorStats:
         """O(#groups) point-in-time accounting from running counters."""

@@ -151,11 +151,14 @@ class AdmissionGate:
     blocked, nothing behind it is probed either -- and the whole queue
     used to be re-probed (``begin_request`` + ``can_admit`` + ``release``,
     including a full prefix-cache lookup) on *every* step.  The verdict,
-    however, is a pure function of the pool's page counts and the
-    sequence's length: the manager's ``admission_version()`` is the
-    allocator's monotone counter over exactly the mutations that change
-    those counts, so an unchanged ``(request_id, seq_len, version)`` triple
-    means an unchanged verdict and the probe can be skipped outright.
+    however, is a pure function of the sequence's length and the state
+    the manager's ``admission_version()`` tracks: the allocator's monotone
+    ``version`` moves on every mutation of its free pools, evictor
+    contents, large-page counts and quotas, and on every re-key of an
+    evictable page (``touch_evictable``) -- the evictors' order is an
+    input of the allocator's exact check while quotas are set.  So an
+    unchanged ``(request_id, seq_len, version)`` triple means an
+    unchanged verdict and the probe can be skipped outright.
 
     The recorded version is taken *after* the failed probe's release, so
     the probe's own acquire/release churn (net-zero on pool counts, but

@@ -1,20 +1,20 @@
-"""Admission tests: allocator version, demand memo, cross-check, gate.
+"""Admission tests: allocator version, the allocation oracle, gate.
 
-``can_admit`` reads the allocator's live O(1) counters plus a per-request
-demand memo (``repro.core.admission``); ``can_admit_uncached`` is the
-recompute-everything cross-check, and ``TwoLevelAllocator.version`` is
-the monotone counter the engine's blocked-probe gate keys on.  These
-tests pin down:
+``can_admit`` puts the prompt's per-group admission demand to the
+allocator's exact check (``groups_that_fit``); ``tests/oracle.py`` answers
+the same question by allocating that demand on a copy of the pool, and
+``TwoLevelAllocator.version`` is the monotone counter the engine's
+blocked-probe gate keys on.  These tests pin down:
 
 * the version contract -- every allocator op that changes an admission
-  input (``num_free``, evictor sizes, fully-evictable / owned large-page
-  counts, ``lcm.num_free``, a quota) moves ``version``; ops that change
-  none leave it alone; no event bus is involved;
+  input (``num_free``, the evictors' contents and order, fully-evictable /
+  owned large-page counts, ``lcm.num_free``, a quota) moves ``version``;
+  ops that change none leave it alone; no event bus is involved;
 * the stale-bound regressions -- a prefix-cache hit reactivating
   evictable pages, and a cache-index displacement freeing a page outside
   ``release_page``, both show up in the very next ``can_admit``;
-* the hypothesis property ``can_admit(...) == can_admit_uncached(...)``
-  at every step of randomized allocate/commit/release/append churn;
+* the hypothesis property ``can_admit(...) == admission_oracle(...)`` at
+  every step of randomized allocate/commit/release/append churn;
 * the engine's blocked-probe gate -- skipping a re-probe while the
   version is unchanged must not change scheduling outcomes, and must
   actually eliminate the per-step prefix-lookup rescans.
@@ -39,6 +39,8 @@ from repro.engine.scheduler import AdmissionGate
 from repro.models import get_model
 from repro.platforms import H100
 from repro.workloads import token_block
+
+from .oracle import admission_oracle
 
 T = frozenset({TEXT})
 
@@ -73,15 +75,21 @@ def make_allocator(num_large=3):
     return alloc
 
 
+def in_order(evictor):
+    """``evictor``'s items with their priorities, cheapest victim first."""
+    return tuple((item, evictor.priority_of(item)) for item in evictor.iter_in_order())
+
+
 def admission_inputs(alloc):
-    """Every pool-side value ``can_admit`` reads."""
+    """Every pool-side value ``can_admit`` reads (the free pools are read
+    through their sizes: every bucket move is a size move)."""
     return (
         alloc.lcm.num_free,
-        len(alloc.large_evictor),
+        in_order(alloc.large_evictor),
         tuple(
             (
                 group.num_free,
-                len(group.evictor),
+                in_order(group.evictor),
                 alloc.fully_evictable_large_pages(gid),
                 alloc.large_pages_owned(gid),
                 group.quota,
@@ -172,22 +180,22 @@ def return_large_page_alone(alloc):
     return lambda: alloc._return_large_page(page.large_page_id)
 
 
+def touch(alloc):  # re-key: the evictors' order is a can_admit input
+    page = evictable_page(alloc)
+    page.last_access = 9.0
+    return lambda: alloc.touch_evictable("a", page)
+
+
 MOVING = [
     allocate_one, allocate_batch, release_to_free, release_to_cache,
     acquire_evictable, evict_small, evict_large, quota_set, quota_deflate,
-    quota_clear, displace_stale_copy, return_large_page_alone,
+    quota_clear, displace_stale_copy, return_large_page_alone, touch,
 ]
 
 
 def same_quota(alloc):
     alloc.set_quota("a", 2)
     return lambda: alloc.set_quota("a", 2)
-
-
-def touch(alloc):
-    page = evictable_page(alloc)
-    page.last_access = 9.0
-    return lambda: alloc.touch_evictable("a", page)
 
 
 def share_used_page(alloc):
@@ -218,7 +226,7 @@ def register_fresh_hash(alloc):
 
 
 STILL = [
-    same_quota, touch, share_used_page, drop_shared_reference, cache_miss,
+    same_quota, share_used_page, drop_shared_reference, cache_miss,
     failed_allocation, register_fresh_hash,
 ]
 
@@ -313,7 +321,7 @@ class TestManagerVersion:
 
     def test_probe_and_rebind_leave_version_alone(self):
         """Neither a ``can_admit`` probe nor ``bind_observer`` touches the
-        pool, and the verdict after a rebind still matches the recompute."""
+        pool, and the verdict after a rebind still matches the allocation."""
         mgr = make_manager()
         probe = SequenceSpec.text_only("probe", list(range(24)))
         version = mgr.admission_version()
@@ -322,7 +330,7 @@ class TestManagerVersion:
             mgr.can_admit(probe)
         mgr.bind_observer(Observer())
         assert mgr.admission_version() == version
-        assert mgr.can_admit(probe) == mgr.can_admit_uncached(probe)
+        assert mgr.can_admit(probe) == admission_oracle(mgr, probe)
 
     def test_batched_allocation_matches_singles(self):
         """One ``allocate_pages`` call must leave admission in the same
@@ -343,8 +351,9 @@ class TestManagerVersion:
 
     def test_no_bus_views_agree_with_uncached_under_cotenant_churn(self):
         """A manager and a shared-pool sibling whose allocator has *no* observer
-        still answer ``can_admit`` exactly and see each other's mutations
-        in ``admission_version`` -- they read the same allocator."""
+        still answer ``can_admit`` as the allocation does and see each
+        other's mutations in ``admission_version`` -- they read the same
+        allocator."""
         specs = hetero_specs()
         policies = {g: make_policy(s) for g, s in specs.items()}
         allocator = TwoLevelAllocator(32 * 4 * 64, specs, policies)
@@ -360,7 +369,7 @@ class TestManagerVersion:
         def check():
             for mgr in (ma, mb):
                 for probe in probes:
-                    assert mgr.can_admit(probe) == mgr.can_admit_uncached(probe)
+                    assert mgr.can_admit(probe) == admission_oracle(mgr, probe)
 
         check()
         version = mb.admission_version()
@@ -382,31 +391,6 @@ class TestManagerVersion:
             check()
         assert allocator.observer is None
         allocator.check_invariants()
-
-
-class TestDemandMemo:
-    def test_probe_hits_memo_until_length_changes(self):
-        mgr = make_manager()
-        cache = mgr._admission
-        seq = SequenceSpec.text_only("r1", list(range(20)))
-        mgr.can_admit(seq)
-        misses = cache.num_demand_misses
-        hits = cache.num_demand_hits
-        for _ in range(4):
-            mgr.can_admit(seq)
-        assert cache.num_demand_misses == misses
-        assert cache.num_demand_hits == hits + 4
-        seq.append(999)  # new computed-length bucket
-        mgr.can_admit(seq)
-        assert cache.num_demand_misses == misses + 1
-
-    def test_memo_capacity_is_bounded(self):
-        mgr = make_manager()
-        cache = mgr._admission
-        cap = cache.DEMAND_CAPACITY
-        for i in range(cap + 10):
-            mgr.can_admit(SequenceSpec.text_only(f"r{i}", [1, 2, 3]))
-        assert len(cache._demand) <= cap
 
 
 class TestStaleBoundRegression:
@@ -433,7 +417,7 @@ class TestStaleBoundRegression:
         probe = SequenceSpec.text_only("probe", list(range(1000, 1048)))
         # Probe while the evictable pool covers the demand.
         assert mgr.can_admit(probe) is True
-        assert mgr.can_admit(probe) == mgr.can_admit_uncached(probe)
+        assert admission_oracle(mgr, probe) is True
 
         # Same-prefix request reacquires the cached pages: no allocation,
         # no release -- only the EVICTABLE -> USED transition.  The hit is
@@ -442,8 +426,8 @@ class TestStaleBoundRegression:
         reuser = SequenceSpec.text_only("reuser", list(range(64)))
         hit = mgr.begin_request(reuser)
         assert hit == 60
-        assert mgr.can_admit_uncached(probe) is False
-        assert mgr.can_admit(probe) == mgr.can_admit_uncached(probe)
+        assert admission_oracle(mgr, probe) is False
+        assert mgr.can_admit(probe) is False
 
     def test_cache_index_displacement_updates_admission_bounds(self):
         """Displacing a stale cached copy frees it outright; the freed
@@ -478,7 +462,7 @@ class TestStaleBoundRegression:
         version = mgr.admission_version()
         mgr.commit(twin, 8, now=2.0, phase="prefill")
         assert mgr.admission_version() > version  # displacement freed a page
-        assert mgr.can_admit(probe) == mgr.can_admit_uncached(probe)
+        assert mgr.can_admit(probe) == admission_oracle(mgr, probe)
         mgr.allocator.check_invariants()
 
 
@@ -497,6 +481,8 @@ class TestPropertyEquivalence:
         watermark=st.integers(min_value=0, max_value=8),
     )
     def test_cached_equals_uncached_under_churn(self, ops, watermark):
+        """Every verdict equals the one a from-scratch allocation of the
+        demand on a copy of the pool gives."""
         mgr = make_manager(total=48 * 4 * 64)  # small pool: verdicts flip
         seqs = {}
         for i in range(6):
@@ -511,7 +497,7 @@ class TestPropertyEquivalence:
             for seq in seqs.values():
                 for chunk in (64, 8192):
                     assert mgr.can_admit(seq, watermark, chunk) == \
-                        mgr.can_admit_uncached(seq, watermark, chunk)
+                        admission_oracle(mgr, seq, watermark, chunk)
 
         for i, op in ops:
             seq = seqs[i]

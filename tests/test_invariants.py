@@ -31,7 +31,6 @@ OWNED_COUNTERS = {
         "TwoLevelAllocator": ("_num_fully_evictable", "_num_large_owned",
                               "num_large_evictions", "version"),
         "FreePool": ("_entry", "_by_request", "_by_large"),
-        "AdmissionCache": ("num_demand_hits", "num_demand_misses"),
         "PagedAttentionManager": ("_mamba_churn",),
     }.items()
     for attr in attrs

@@ -18,6 +18,8 @@ from repro.core.layer_policy import (
 )
 from repro.core.sequence import IMAGE, TEXT, SequenceSpec
 
+from .oracle import admission_oracle
+
 T = frozenset({TEXT})
 I = frozenset({IMAGE})
 
@@ -348,7 +350,13 @@ class TestCapacityProbes:
     def test_deep_queue_verdicts_match_uncached(self):
         """A queue of 64 prompts re-probed after each of eight pool
         mutations, over three page sizes with held and cached pages in
-        the pool: every cached verdict equals the recomputed one."""
+        the pool: every verdict equals the one allocating the demand on a
+        copy of the pool gives.
+
+        A joint large-page sum over the groups said yes to 80 of these 512
+        probes where the ordered allocation runs out: it counted a group's
+        free pages before its carves, but steps 2/3 carve before step 4
+        reaches pages in other requests' buckets."""
         mgr = make_manager(total=3840 * 256, specs=three_size_specs())
         for i in range(24):
             filler = SequenceSpec.text_only(f"fill{i}", [10_000 * i + t for t in range(128)])
@@ -367,18 +375,20 @@ class TestCapacityProbes:
             mgr.allocator.release_page(gid, page.page_id, cacheable=False)
             for seq in waiting:
                 verdict = mgr.can_admit(seq, 8)
-                assert verdict == mgr.can_admit_uncached(seq, 8)
+                assert verdict == admission_oracle(mgr, seq, 8)
                 verdicts.add(verdict)
         assert verdicts == {True, False}
         mgr.allocator.check_invariants()
 
-    def test_resident_pages_needed(self):
+    def test_resident_and_peak_pages(self):
         # The write set of a 20-token prefill is 5 pages per group
-        # (TestPagesToWrite); admission counts only what stays resident.
-        mgr = make_manager()
-        seq = SequenceSpec.text_only("r", list(range(20)))
-        mgr.begin_request(seq)
-        assert mgr.resident_pages_needed(seq, 20) == {"full": 5, "win": 2}
+        # (TestPagesToWrite); admission counts only what stays resident,
+        # or the window plus one prefill chunk if that is more.
+        policies = make_manager().policies
+        assert {g: len(p.active_page_indices(20)) for g, p in policies.items()} == {
+            "full": 5, "win": 2,
+        }
+        assert {g: p.peak_pages(20, 4) for g, p in policies.items()} == {"full": 0, "win": 3}
 
     def test_ideal_resident_bytes(self):
         specs = text_specs()

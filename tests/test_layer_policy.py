@@ -70,7 +70,7 @@ class TestFullAttention:
 
     def test_all_pages_active(self):
         p = FullAttentionPolicy(spec(FULL_ATTENTION))
-        assert p.active_page_indices(10) == {0, 1, 2}
+        assert set(p.active_page_indices(10)) == {0, 1, 2}
 
     def test_possible_prefix_stops_at_miss(self):
         p = FullAttentionPolicy(spec(FULL_ATTENTION))
@@ -102,12 +102,12 @@ class TestSlidingWindow:
     def test_active_pages_cover_window(self):
         p = self.make(window=8)
         # 20 tokens, window 8: next token reads [12, 20) -> pages 3, 4.
-        assert p.active_page_indices(20) == {3, 4}
+        assert set(p.active_page_indices(20)) == {3, 4}
 
     def test_active_pages_short_stream(self):
         p = self.make(window=8)
-        assert p.active_page_indices(6) == {0, 1}
-        assert p.active_page_indices(0) == set()
+        assert set(p.active_page_indices(6)) == {0, 1}
+        assert set(p.active_page_indices(0)) == set()
 
     def test_resident_tokens_capped(self):
         p = self.make(window=8)
@@ -151,7 +151,7 @@ class TestDroppedToken:
     def test_behaves_like_budget_window(self):
         p = DroppedTokenPolicy(spec(DROPPED_TOKEN, budget=8))
         assert p.resident_tokens(100) == 8
-        assert p.active_page_indices(20) == {3, 4}
+        assert set(p.active_page_indices(20)) == {3, 4}
 
     def test_no_prefix_caching(self):
         p = DroppedTokenPolicy(spec(DROPPED_TOKEN, budget=8))
@@ -179,7 +179,7 @@ class TestMamba:
 
     def test_only_working_state_active(self):
         p = self.make()
-        assert p.active_page_indices(100) == {0}
+        assert set(p.active_page_indices(100)) == {0}
 
     def test_checkpoint_boundaries(self):
         p = self.make(interval=8)
@@ -237,7 +237,7 @@ class TestVisionEmbedding:
         p = self.make()
         assert p.release_frontier(16, consumed=9) == 2  # pages 2, 3 stay
         assert p.release_frontier(16) == 0
-        assert p.active_page_indices(16) == {0, 1, 2, 3}
+        assert set(p.active_page_indices(16)) == {0, 1, 2, 3}
 
 
 class TestFactory:
@@ -327,7 +327,7 @@ class TestManagerHooks:
         policy = make_policy(ALL_KINDS[kind])
         for n in range(41):
             active = expected_active(kind, n)
-            assert policy.active_page_indices(n) == active
+            assert set(policy.active_page_indices(n)) == active
             assert policy.release_frontier(n) == min(active, default=0)
 
     @pytest.mark.parametrize("kind", sorted(ALL_KINDS))

@@ -17,6 +17,7 @@ from repro.core.registry import (
 from repro.core.sequence import SequenceSpec
 from repro.models import GIB, get_model
 
+from .oracle import admission_oracle
 from .recording import RecordingObserver
 
 MODEL_SYSTEMS = available_managers("model")
@@ -122,7 +123,7 @@ class TestProtocolConformance:
         seq = SequenceSpec.text_only("r1", list(range(64)))
         assert manager.begin_request(seq) == 0
         assert manager.can_admit(seq)
-        assert manager.can_admit_uncached(seq)
+        assert admission_oracle(manager, seq)
         assert manager.needs_allocation(seq, len(seq))
         assert manager.allocate_up_to(seq, len(seq))
         assert not manager.needs_allocation(seq, len(seq))

@@ -8,9 +8,10 @@ Covers the quota edge cases the elastic sweep leans on:
   refused before it carves, leaving accounting exact;
 * the hysteresis dwell gate under square-wave demand: a group's quota
   moves at most once per dwell window no matter how fast demand flips;
-* the hypothesis property that ``stats() == stats_slow()`` and
-  ``can_admit == can_admit_uncached`` hold at every step of randomized
-  resize/allocate/release interleavings;
+* the hypothesis property that ``stats() == stats_slow()`` holds, and
+  that ``can_admit`` agrees with allocating the demand on a copy of the
+  pool, at every step of randomized resize/allocate/release
+  interleavings;
 * ``foreign_used_bytes``: zero for private pools, co-tenant USED bytes
   for shared-allocator views (the engine's permanent-failure gate).
 """
@@ -34,6 +35,7 @@ from repro.core.two_level import TwoLevelAllocator
 from repro.engine.multi_model import build_shared_managers
 from repro.models import get_model
 
+from .oracle import admission_oracle
 from .recording import QuotaResized, RecordingObserver
 
 T = frozenset({TEXT})
@@ -323,7 +325,7 @@ class TestPropertyResizeChurn:
             elif op == "unquota":
                 alloc.set_quota("full", None)
             for probe in seqs.values():
-                assert mgr.can_admit(probe) == mgr.can_admit_uncached(probe)
+                assert mgr.can_admit(probe) == admission_oracle(mgr, probe)
             assert_stats_equal(alloc)
         alloc.check_invariants()
 

@@ -254,18 +254,25 @@ class TestAccounting:
                 live.append((gid, page))
             alloc.check_invariants()
 
-    def test_reclaimable_pages(self):
+    def test_capacity_counts_free_and_carvable_pages(self):
         alloc = make_allocator(num_large=2)
-        assert alloc.reclaimable_pages("a") == 6  # 2 large x 3
-        page = alloc.allocate_page("a", "r")
-        assert alloc.reclaimable_pages("a") == 5
+        assert fits_exactly(alloc, "a", 6)  # 2 large x 3
+        alloc.allocate_page("a", "r")
+        assert fits_exactly(alloc, "a", 5)
+
+
+def fits_exactly(alloc, group_id, n):
+    """``n`` pages of ``group_id`` fit and ``n + 1`` do not."""
+    return alloc.groups_that_fit([(group_id, n)], "s") == 1 and not alloc.groups_that_fit(
+        [(group_id, n + 1)], "s"
+    )
 
 
 class TestReclaimableOverlapRegression:
     def test_fully_evictable_own_pages_not_double_counted(self):
         """A group's own small pages inside a fully-evictable large page
-        used to show up twice in reclaimable_pages: once in the group's
-        evictor term and once via the large-evictor term (pre-fix this
+        used to show up twice in the capacity bound: once in the group's
+        evictor term and once via the large-evictor term (pre-fix it
         reported 6 reclaimable pages while the group only has 3)."""
         alloc = make_allocator(num_large=1)
         pages = [alloc.allocate_page("a", "r1") for _ in range(3)]
@@ -275,10 +282,10 @@ class TestReclaimableOverlapRegression:
             alloc.release_page("a", p.page_id, cacheable=True)
         assert len(alloc.large_evictor) == 1
         assert len(alloc.groups["a"].evictor) == 3
-        # Bound can never exceed the pages that physically exist (3).
-        assert alloc.reclaimable_pages("a") == 3
+        # Capacity can never exceed the pages that physically exist (3).
+        assert fits_exactly(alloc, "a", 3)
         # Group b sees the fully-evictable large page once, as 2 b-slots.
-        assert alloc.reclaimable_pages("b") == 2
+        assert fits_exactly(alloc, "b", 2)
         alloc.check_invariants()
 
     def test_partially_evictable_large_not_affected(self):
@@ -289,7 +296,7 @@ class TestReclaimableOverlapRegression:
         alloc.release_page("a", pages[0].page_id, cacheable=True)
         # 1 evictable + 2 used: large page not fully evictable.
         assert len(alloc.large_evictor) == 0
-        assert alloc.reclaimable_pages("a") == 1
+        assert fits_exactly(alloc, "a", 1)
 
 
 class TestRequestAwareAblation:
