@@ -12,32 +12,32 @@ policies assign to every page:
    the same value to the corresponding token across layer types, which makes
    eviction **aligned**.
 
-:class:`LRUEvictor` is a priority queue over ``(last_access,
--prefix_length)`` implemented as a lazy-deletion binary heap: updates push a
-new entry and stale entries are skipped on pop.  All operations are amortized
-``O(log n)``; this matters because the engine touches evictor state for every
-block of every scheduled request on every step.
+:class:`LRUEvictor` is a lazy-deletion binary heap of flat entries
+``(last_access, -prefix_length, seq, item)``.  ``seq`` counts adds, so keys
+are distinct (ties go to the earlier add) and a comparison never reaches
+``item``.  ``_priority`` maps each item to its live entry; an update pushes
+a new one, and an entry is stale unless ``priority.get(item) is entry``.
+:meth:`~LRUEvictor.add_run` is ``add`` over a run of triples, in order,
+pushing each entry.  All operations are amortized ``O(log n)``.
 
-Lazy deletion leaves dead entries in the heap.  Under touch-heavy churn
-(every re-``add`` of a live item strands its previous heap entry) the heap
-can grow far beyond the live set, inflating every subsequent push/pop.  The
-evictor therefore rebuilds the heap from the live priority map whenever dead
-entries outnumber live ones by :data:`COMPACT_RATIO`, bounding heap size to
-a constant multiple of the live set while keeping compaction cost amortized
-``O(1)`` per operation.
+Stale entries left by re-adds and removals could grow the heap far beyond
+the live set, so after each run the heap is rebuilt from the live entries
+if it holds more than :data:`COMPACT_RATIO` entries per live item:
+compaction stays amortized ``O(1)``.  Only adds grow the heap, so checking
+there bounds it; removals leave their stale entries to the next run's check
+or to ``evict_with_key``'s pop loop.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, Generic, Hashable, Iterator, List, Optional, Tuple, TypeVar
+from typing import Dict, Generic, Hashable, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
 __all__ = ["LRUEvictor", "COMPACT_RATIO"]
 
-_Key = Tuple[float, float, int]
-
 T = TypeVar("T", bound=Hashable)
+_Entry = Tuple[float, float, int, T]  # (last_access, -prefix_length, seq, item)
 
 # Rebuild the lazy-deletion heap once it holds more than this many entries
 # per live item.  4x keeps rebuilds rare (amortized O(1) per mutation) while
@@ -54,8 +54,8 @@ class LRUEvictor(Generic[T]):
     """
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[_Key, T]] = []
-        self._priority: Dict[T, _Key] = {}
+        self._heap: List[_Entry[T]] = []
+        self._priority: Dict[T, _Entry[T]] = {}
         self._counter = itertools.count()
         self.num_compactions = 0
 
@@ -67,18 +67,28 @@ class LRUEvictor(Generic[T]):
 
     def add(self, item: T, last_access: float, prefix_length: float = 0.0) -> None:
         """Insert ``item`` or update its priority if already present."""
-        key = (last_access, -prefix_length, next(self._counter))
-        self._priority[item] = key
-        heapq.heappush(self._heap, (key, item))
-        if len(self._heap) > COMPACT_RATIO * max(1, len(self._priority)):
-            self._rebuild()
+        self.add_run(((item, last_access, prefix_length),))
+
+    def add_run(self, triples: Iterable[Tuple[T, float, float]]) -> None:
+        """``add(item, last_access, prefix_length)`` for each triple, in
+        order (a re-added item keeps its last priority)."""
+        counter = self._counter
+        run: List[_Entry[T]] = [
+            (last_access, -prefix_length, next(counter), item)
+            for item, last_access, prefix_length in triples
+        ]
+        self._priority.update((entry[3], entry) for entry in run)
+        heap = self._heap
+        for entry in run:
+            heapq.heappush(heap, entry)
+        if len(heap) > COMPACT_RATIO * len(self._priority):
+            self._heap = list(self._priority.values())
+            heapq.heapify(self._heap)
+            self.num_compactions += 1
 
     def remove(self, item: T) -> None:
-        """Remove ``item`` (e.g. a cache hit revived the page).
-
-        Raises :class:`KeyError` if absent, because silently ignoring a
-        missing page would hide ref-counting bugs upstream.
-        """
+        """Remove ``item`` (a cache hit revived the page); :class:`KeyError`
+        if absent, since ignoring it would hide a ref-counting bug upstream."""
         del self._priority[item]
 
     def discard(self, item: T) -> bool:
@@ -87,17 +97,10 @@ class LRUEvictor(Generic[T]):
 
     def peek(self) -> Optional[T]:
         """Return the next eviction victim without removing it."""
-        self._compact()
-        if not self._heap:
-            return None
-        return self._heap[0][1]
+        return next(self.iter_in_order(), None)
 
     def evict(self) -> T:
-        """Pop and return the item with the earliest last access.
-
-        Ties on ``last_access`` break toward the largest ``prefix_length``
-        (aligned eviction).  Raises :class:`KeyError` when empty.
-        """
+        """Pop and return the next victim; :class:`KeyError` when empty."""
         return self.evict_with_key()[0]
 
     def evict_with_key(self) -> Tuple[T, float, float]:
@@ -107,21 +110,20 @@ class LRUEvictor(Generic[T]):
         eviction priority the victim held, reported through
         :meth:`~repro.core.events.Observer.page_evicted`.
         """
-        self._compact()
-        if not self._heap:
-            raise KeyError("evictor is empty")
-        key, item = heapq.heappop(self._heap)
-        del self._priority[item]
-        return item, key[0], -key[1]
+        heap = self._heap
+        priority = self._priority
+        while heap:
+            entry = heapq.heappop(heap)
+            item = entry[3]
+            if priority.get(item) is entry:
+                del priority[item]
+                return item, entry[0], -entry[1]
+        raise KeyError("evictor is empty")
 
     def priority_of(self, item: T) -> Tuple[float, float]:
         """Return ``(last_access, prefix_length)`` currently recorded for ``item``."""
-        key = self._priority[item]
-        return (key[0], -key[1])
-
-    def items_in_order(self) -> List[T]:
-        """All items in eviction order (cheapest victim first); ``O(n log n)``."""
-        return list(self.iter_in_order())
+        entry = self._priority[item]
+        return (entry[0], -entry[1])
 
     def iter_in_order(self) -> Iterator[T]:
         """Items in eviction order, lazily and read-only: a walk of the heap
@@ -132,24 +134,9 @@ class LRUEvictor(Generic[T]):
         priority = self._priority
         frontier = [(heap[0], 0)] if heap else []
         while frontier:
-            (key, item), index = heapq.heappop(frontier)
-            if priority.get(item) == key:
-                yield item
+            entry, index = heapq.heappop(frontier)
+            if priority.get(entry[3]) is entry:
+                yield entry[3]
             for child in (2 * index + 1, 2 * index + 2):
                 if child < len(heap):
                     heapq.heappush(frontier, (heap[child], child))
-
-    def _compact(self) -> None:
-        """Drop stale heap entries left behind by updates and removals."""
-        heap = self._heap
-        while heap:
-            key, item = heap[0]
-            if self._priority.get(item) == key:
-                return
-            heapq.heappop(heap)
-
-    def _rebuild(self) -> None:
-        """Rebuild the heap from the live priority map (dead/live > ratio)."""
-        self._heap = [(key, item) for item, key in self._priority.items()]
-        heapq.heapify(self._heap)
-        self.num_compactions += 1

@@ -511,12 +511,13 @@ class TwoLevelAllocator:
         """
         group = self.groups[group_id]
         pages = group.pages
-        evictor = group.evictor
         large_counts = self._large_counts
         spl = group.small_per_large
         cache = cacheable and self.enable_prefix_caching
         released: List[Tuple[int, bool]] = []  # (page id, cached)
-        fill = n_cached = 0
+        small_run: List[Tuple[int, float, float]] = []
+        large_run: List[Tuple[int, float, float]] = []
+        fill = 0
         try:
             for page_id in page_ids:
                 page = pages[page_id]
@@ -534,9 +535,8 @@ class TwoLevelAllocator:
                 if not cached:
                     self._empty_page(group, page)
                     continue
-                n_cached += 1
                 page.state = EVICTABLE
-                evictor.add(page_id, page.last_access, page.prefix_length)
+                small_run.append((page_id, page.last_access, page.prefix_length))
                 large_id = page.large_page_id
                 assert large_id is not None
                 counts = large_counts[large_id]
@@ -546,13 +546,15 @@ class TwoLevelAllocator:
                     # The last page to turn makes the large page fully
                     # evictable: one key scan per large page.
                     self._num_fully_evictable[group_id] += 1
-                    self.large_evictor.add(large_id, *self._large_key_scan(large_id))
+                    large_run.append((large_id, *self._large_key_scan(large_id)))
         finally:
             if released:
+                group.evictor.add_run(small_run)
+                self.large_evictor.add_run(large_run)
                 self.version += 1
                 group.note_fill(-fill)
-                group.bump_state(USED, EVICTABLE, n_cached)
-                group.bump_state(USED, EMPTY, len(released) - n_cached)
+                group.bump_state(USED, EVICTABLE, len(small_run))
+                group.bump_state(USED, EMPTY, len(released) - len(small_run))
                 obs = self.observer
                 if obs is not None:
                     for page_id, cached in released:
@@ -734,13 +736,13 @@ class TwoLevelAllocator:
         self.lcm.free(large_id)
 
     def _large_key_scan(self, large_id: int) -> Tuple[float, float]:
-        """Eviction key of a fully-evictable large page: the component-wise
-        max of ``(last_access, prefix_length)`` over its small pages."""
+        """Eviction key of a fully-evictable large page: the component-wise max
+        of ``(last_access, prefix_length)`` over its small pages, floor-free
+        (slide-outs stamped ``now - 1e15`` keep their LRU order)."""
         large = self.lcm.page(large_id)
         assert large.owner_group is not None
         pages = self.groups[large.owner_group].pages
-        last = -1.0
-        prefix = 0.0
+        last = prefix = float("-inf")
         for small_id in large.small_page_ids:
             page = pages[small_id]
             if page.last_access > last:

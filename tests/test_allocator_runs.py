@@ -77,7 +77,7 @@ def snapshot(alloc):
         pool = copy.deepcopy(group.free_pool)
         pop_order = tuple(iter(pool.pop_any, None))
         groups.append((
-            group_id, pages, tuple(group.evictor.items_in_order()), pop_order,
+            group_id, pages, tuple(group.evictor.iter_in_order()), pop_order,
             group.n_used, group.n_evictable, group.n_empty_carved,
             group.used_filled_tokens, group.num_evictions, group.quota,
             group.cache_index.hits, group.cache_index.misses,
@@ -86,7 +86,7 @@ def snapshot(alloc):
         ))
     return (
         tuple(groups),
-        tuple(alloc.large_evictor.items_in_order()),
+        tuple(alloc.large_evictor.iter_in_order()),
         tuple(
             (large.page_id, large.owner_group, tuple(large.small_page_ids))
             for large in map(alloc.lcm.page, range(alloc.lcm.num_pages))

@@ -100,8 +100,8 @@ class TestUpdatesAndRemoval:
         ev.add("a", 3.0)
         ev.add("b", 1.0)
         ev.add("c", 2.0)
-        assert ev.items_in_order() == ["b", "c", "a"]
-        # items_in_order must not mutate the evictor.
+        assert list(ev.iter_in_order()) == ["b", "c", "a"]
+        # iter_in_order must not mutate the evictor.
         assert len(ev) == 3
 
     def test_readd_after_evict(self):
@@ -110,6 +110,19 @@ class TestUpdatesAndRemoval:
         assert ev.evict() == "a"
         ev.add("a", 2.0)
         assert ev.evict() == "a"
+
+
+class TestAddRun:
+    def test_run_is_its_adds_in_order(self):
+        ev = LRUEvictor()
+        ev.add("x", 1.5)
+        # "a" is re-added inside the run: its last triple wins.
+        ev.add_run([("a", 2.0, 0.0), ("b", 1.0, 4.0), ("a", 0.5, 0.0), ("c", 1.0, 9.0)])
+        # "d" ties "c" on both keys but is added later.
+        ev.add_run([("d", 1.0, 9.0)])
+        assert list(ev.iter_in_order()) == ["a", "c", "d", "b", "x"]
+        assert ev.priority_of("a") == (0.5, 0.0)
+        assert [ev.evict_with_key() for _ in range(2)] == [("a", 0.5, 0.0), ("c", 1.0, 9.0)]
 
 
 class TestHeapCompaction:

@@ -178,7 +178,7 @@ class TestPrefixHits:
             win.evictor.add(page.page_id, page.last_access)  # restore key
             break
         # Simpler: drop the whole window cache through the public path.
-        for page_id in list(win.evictor.items_in_order()):
+        for page_id in list(win.evictor.iter_in_order()):
             page = win.pages[page_id]
             win.evictor.remove(page_id)
             win.cache_index.remove(page.block_hash, page_id)

@@ -4,7 +4,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.evictor import LRUEvictor
+from repro.core.evictor import COMPACT_RATIO, LRUEvictor
 from repro.core.kv_manager import JengaKVCacheManager
 from repro.core.layer_policy import (
     FULL_ATTENTION,
@@ -55,15 +55,55 @@ class TestEvictorProperties:
     )
     def test_eviction_order_sorted(self, ops):
         ev = LRUEvictor()
-        for item, t, p in ops:
+        last_add = {}  # item -> (last_access, -prefix_length, index of its last add)
+        for index, (item, t, p) in enumerate(ops):
             ev.add(item, t, p)
+            last_add[item] = (t, -p, index)
         order = []
         while len(ev):
-            item = ev.evict()
-            order.append(ev._priority.get(item) or item)
-        # Draining twice as many items as inserted never happens, and the
-        # evictor empties completely.
-        assert len(ev) == 0
+            order.append(ev.evict())
+        assert order == sorted(last_add, key=last_add.__getitem__)
+        assert ev.peek() is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("run"), st.lists(
+            st.tuples(st.integers(0, 12), st.sampled_from([0.0, 1.0, 2.0, -1e15]),
+                      st.sampled_from([0.0, 3.0, 5.0])),
+            max_size=12,
+        )),
+        st.tuples(st.just("remove"), st.integers(0, 12)),
+        st.tuples(st.just("discard"), st.integers(0, 12)),
+        st.tuples(st.just("evict"), st.just(None)),
+    ), max_size=60))
+    def test_add_run_is_successive_adds(self, ops):
+        """``add_run`` takes the same victims with the same keys, and walks
+        the same order, as ``add`` on each triple; after each run the heap
+        holds at most ``COMPACT_RATIO`` entries per live item."""
+        runs, singles = LRUEvictor(), LRUEvictor()
+        for kind, arg in ops:
+            outcomes = []
+            for ev in (runs, singles):
+                if kind == "run":
+                    if ev is runs:
+                        ev.add_run(arg)
+                    else:
+                        for triple in arg:
+                            ev.add(*triple)
+                    outcomes.append(None)
+                elif kind == "evict":
+                    outcomes.append(ev.evict_with_key() if len(ev) else None)
+                elif kind == "remove":
+                    outcomes.append(arg in ev and ev.remove(arg))
+                else:
+                    outcomes.append(ev.discard(arg))
+            assert outcomes[0] == outcomes[1]
+            assert list(runs.iter_in_order()) == list(singles.iter_in_order())
+            assert [runs.priority_of(i) for i in runs.iter_in_order()] == [
+                singles.priority_of(i) for i in singles.iter_in_order()
+            ]
+            if kind == "run":
+                assert len(runs._heap) <= COMPACT_RATIO * len(runs)
 
     @given(st.lists(st.tuples(st.integers(0, 10), st.floats(0, 9)), min_size=1, max_size=50))
     def test_peek_matches_evict(self, ops):

@@ -13,7 +13,7 @@ from repro.core.pages import PageState
 from repro.core.sequence import TEXT
 from repro.core.two_level import TwoLevelAllocator
 
-from .recording import PagesAllocated, RecordingObserver
+from .recording import PageEvicted, PagesAllocated, RecordingObserver
 
 T = frozenset({TEXT})
 
@@ -153,6 +153,31 @@ class TestEvictionSteps:
         # The old request's large page was the victim.
         assert all(alloc.groups["a"].pages.get(p.page_id) is None for p in old)
         assert all(alloc.groups["a"].pages.get(p.page_id) is not None for p in new)
+
+    def test_large_eviction_keeps_lru_order_of_biased_stamps(self):
+        """Prefill slide-outs are stamped ``now - 1e15``: a large page's key
+        is the true max of such stamps (it used to be clamped to -1.0, so
+        the large page released first was the victim)."""
+        alloc = make_allocator(num_large=2)
+        newer = [alloc.allocate_page("a", "newer") for _ in range(3)]
+        older = [alloc.allocate_page("a", "older") for _ in range(3)]
+        for stamp, run in ((10.0 - 1e15, newer), (5.0 - 1e15, older)):
+            for prefix, p in enumerate(run):
+                alloc.register_block_hash("a", p, hash((stamp, p.page_id)))
+                p.last_access = stamp - prefix
+                p.prefix_length = float(prefix)
+            alloc.release_pages("a", [p.page_id for p in run])
+        newer_large, older_large = newer[0].large_page_id, older[0].large_page_id
+        assert alloc.large_evictor.priority_of(newer_large) == (10.0 - 1e15, 2.0)
+        assert alloc.large_evictor.priority_of(older_large) == (5.0 - 1e15, 2.0)
+        seen = alloc.observer = RecordingObserver()
+        alloc.allocate_page("b", "r")  # step 3
+        assert [(e.page_id, e.last_access) for e in seen.recent(PageEvicted)] == [
+            (older_large, 5.0 - 1e15)
+        ]
+        assert all(alloc.groups["a"].pages.get(p.page_id) is None for p in older)
+        assert newer_large in alloc.large_evictor
+        alloc.check_invariants()
 
 
 class TestPrefixCacheTransitions:

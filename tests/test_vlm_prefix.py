@@ -140,7 +140,7 @@ class TestEvictionAcrossStreams:
         mgr.release(s1)
         # Manually drop the cross-attention cache.
         cross = mgr.allocator.groups["cross"]
-        for page_id in list(cross.evictor.items_in_order()):
+        for page_id in list(cross.evictor.iter_in_order()):
             page = cross.pages[page_id]
             cross.evictor.remove(page_id)
             cross.cache_index.remove(page.block_hash, page_id)
