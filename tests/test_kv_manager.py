@@ -272,6 +272,26 @@ class TestMambaManager:
         # A fresh working state was allocated despite the hit.
         assert mgr.allocator.groups["mamba"].n_used == 1
 
+    def test_refresh_skips_a_checkpoint_whose_large_page_was_recarved(self):
+        """r1's newest checkpoint is evicted (step 3) and its large page is
+        carved again for r2's checkpoint; r1's next commit must not re-stamp
+        r2's checkpoint, which now sits where r1's used to."""
+        mgr = JengaKVCacheManager(self.specs(), 768 * 5)  # 5 large pages
+        alloc = mgr.allocator
+        mamba = alloc.groups["mamba"]
+        assert mamba.small_per_large == 1
+        first = SequenceSpec.text_only("r1", list(range(10)))
+        run_request(mgr, first, now=1.0)  # attention 1 large page, Mamba 2
+        (old,) = [p for p in mamba.pages.values() if p.is_evictable]
+        second = SequenceSpec.text_only("r2", list(range(100, 110)))
+        run_request(mgr, second, now=2.0)  # the last free pages, then step 3
+        assert alloc.num_large_evictions == 1
+        (new,) = [p for p in mamba.pages.values() if p.is_evictable]
+        assert new.large_page_id == old.large_page_id and new.last_access == 2.0
+        mgr.commit(first, len(first), now=3.0)
+        assert new.last_access == 2.0
+        alloc.check_invariants()
+
     def test_mamba_without_caching_single_state(self):
         mgr = JengaKVCacheManager(self.specs(), 768 * 64, enable_prefix_caching=False)
         seq = SequenceSpec.text_only("r1", list(range(64)))

@@ -13,7 +13,9 @@ and compare it with the value recorded on e51e0ab, the commit on which
 * ``LLMEngine`` on step paths the benchmark ledger never runs: a vision
   model whose encoder outputs are cached (``allocate_vision`` /
   ``consume_vision``) or re-encoded per chunk, prefill without chunking,
-  and a shared-pool ``MultiModelEngine``.
+  and a shared-pool ``MultiModelEngine``;
+* a hybrid Mamba/attention model under prefix caching and eviction, where
+  one large page holds one Mamba page or 84 attention pages.
 
 Every run keeps ``record_memory`` on, so the per-step memory snapshot is
 part of the digest.
@@ -178,11 +180,36 @@ def shared_multi_model_run():
     return list(multi.engines.values())
 
 
+def jamba_prefix_run():
+    """jamba-52b with prefix caching over 40 large pages: one 21 MiB Mamba
+    state or checkpoint per large page, 84 attention pages in another, so
+    both groups evict under pressure.  36 requests in four shared-prefix
+    families (1 100 - 2 000-token prefixes).  The watermark is four pages:
+    the default eight Mamba pages are eight large pages, and with them some
+    long prompts fail admission with nothing running."""
+    model = get_model("jamba-52b")
+    manager = make_manager("jenga", model, 40 * 21 * MIB)
+    engine = LLMEngine(model, H100, manager, config=CONFIG.with_(watermark_pages=4))
+    prefixes = [token_block(0, "jp", family, 1100 + 300 * family) for family in range(4)]
+    engine.add_requests([
+        Request.text(
+            f"j{i}",
+            prefixes[i % 4] + token_block(0, "js", i, 16 + (i * 37) % 64),
+            16 + (i * 13) % 64,
+            arrival_time=i * 0.05,
+        )
+        for i in range(36)
+    ])
+    engine.run(max_steps=5000)
+    return [engine]
+
+
 LLM_RUNS = {
     "vision_cache": lambda: vision_run("jenga"),
     "vision_reencode": lambda: vision_run("vllm"),
     "unchunked": unchunked_run,
     "multi_model_shared": shared_multi_model_run,
+    "jamba_prefix": jamba_prefix_run,
 }
 
 #: Recorded at e51e0ab with ``digest(LLM_RUNS[name]())``.  Re-recorded,
@@ -191,15 +218,28 @@ LLM_RUNS = {
 #: clock value, and only their memory snapshots move (refused calls
 #: no longer evict 114 / 288 cached pages); ``multi_model_shared`` loses
 #: 25 large-page evictions and one of its nine preemptions.
+#: ``jamba_prefix`` was recorded later, on 6498d9f.
 LLM_GOLDEN = {
     "vision_cache": "36739523851d7ff9",
     "vision_reencode": "5c1c9d6208e14b77",
     "unchunked": "e3b392b0eafd6dab",
     "multi_model_shared": "f0f8ece57b60a180",
+    "jamba_prefix": "09ed1f880e1f2d5a",
 }
 
 
 @pytest.mark.parametrize("name", sorted(LLM_GOLDEN))
 def test_llm_engine_digest(name):
     assert digest(LLM_RUNS[name]()) == LLM_GOLDEN[name]
+
+
+def test_jamba_prefix_evicts_in_both_groups_and_hits():
+    """The run the golden pins exercises what it is there for: Mamba
+    checkpoints and attention pages both evicted, and prefix hits."""
+    (engine,) = jamba_prefix_run()
+    groups = engine.manager.allocator.groups
+    assert groups["mamba"].num_evictions > 0
+    assert groups["self_attn"].num_evictions > 0
+    assert engine.manager.hit_tokens > 0
+    assert not engine.failed
 
