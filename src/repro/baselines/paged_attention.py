@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, Set
 
 from ..core.kv_manager import JengaKVCacheManager
-from ..core.layer_policy import FULL_ATTENTION, GroupSpec
+from ..core.layer_policy import FULL_ATTENTION, MAMBA, GroupSpec
 from ..core.sequence import IMAGE, TEXT, SequenceSpec
 from ..core.two_level import AllocatorStats
 from ..models.config import ModelSpec
@@ -40,7 +40,7 @@ def unified_group_specs(model: ModelSpec, tokens_per_page: int = 16) -> Dict[str
         "unified": GroupSpec(
             group_id="unified",
             kind=FULL_ATTENTION,
-            num_layers=sum(1 for l in model.layers if l.kind != "mamba"),
+            num_layers=sum(1 for l in model.layers if l.kind != MAMBA),
             per_token_bytes=per_token,
             tokens_per_page=tokens_per_page,
             accepted_tags=frozenset({TEXT, IMAGE}),

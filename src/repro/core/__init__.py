@@ -25,7 +25,7 @@ from .layer_policy import (
 )
 from .lcm_allocator import LCMAllocator, OutOfLargePagesError
 from .math_utils import compatible_page_bytes, gcd_of, lcm_blowup, lcm_of
-from .pages import LargePage, PageState, PhysicalExtent, SmallPage
+from .pages import PageState, PhysicalExtent, SmallPage
 from .prefix_cache import CachedBlockIndex, chain_hashes, longest_common_prefix
 from .protocols import KVCacheManager, KVCacheManagerBase
 from .registry import (
@@ -65,7 +65,6 @@ __all__ = [
     "JengaKVCacheManager",
     "KVCacheManager",
     "KVCacheManagerBase",
-    "LargePage",
     "LayerTypePolicy",
     "LCMAllocator",
     "LRUEvictor",

@@ -61,6 +61,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .events import Observer
 from .layer_policy import GroupSpec, LayerTypePolicy, make_policy
+from .pages import SmallPage
 from .prefix_cache import longest_common_prefix
 from .protocols import KVCacheManagerBase
 from .sequence import SequenceSpec
@@ -92,7 +93,9 @@ class GroupBinding:
     # Chain state lives on the sequence (SequenceSpec.hash_chain); the
     # binding only tracks how many blocks it registered with the index.
     hashed_blocks: int = 0  # cacheable blocks already registered
-    last_checkpoint_page: Optional[int] = None  # newest released snapshot
+    # Newest released snapshot.  The page itself, not its id: once its
+    # large page returns to the pool the id names the next carve's page.
+    last_checkpoint_page: Optional[SmallPage] = None
 
 
 class JengaKVCacheManager(KVCacheManagerBase):
@@ -693,15 +696,15 @@ class JengaKVCacheManager(KVCacheManagerBase):
                         # Checkpoints go straight to evictable cache: stamp
                         # creation time and release the working reference.
                         self._release_slots(group, policy, binding, (idx,), now, seq, True)
-                        binding.last_checkpoint_page = page_id
+                        binding.last_checkpoint_page = page
         binding.hashed_blocks = len(boundaries)
 
     def _refresh_last_checkpoint(
-        self, group: GroupAllocator, page_id: int, now: float
+        self, group: GroupAllocator, page: SmallPage, now: float
     ) -> None:
-        """Keep only the newest Mamba checkpoint's stamp fresh (§5.3)."""
-        page = group.pages.get(page_id)
-        if page is None or not page.is_evictable:
+        """Keep only the newest Mamba checkpoint's stamp fresh (§5.3), while
+        it is still carved (its id may already name another page)."""
+        if group.pages.get(page.page_id) is not page or not page.is_evictable:
             return
         page.last_access = now
         self.allocator.touch_evictable(group.spec.group_id, page)

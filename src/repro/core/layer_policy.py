@@ -68,16 +68,6 @@ CROSS_ATTENTION = "cross_attention"
 VISION_EMBEDDING = "vision_embedding"
 DROPPED_TOKEN = "dropped_token"
 
-_DEFAULT_TAGS = {
-    FULL_ATTENTION: frozenset({TEXT, IMAGE}),
-    SLIDING_WINDOW: frozenset({TEXT, IMAGE}),
-    MAMBA: frozenset({TEXT, IMAGE}),
-    CROSS_ATTENTION: frozenset({IMAGE}),
-    VISION_EMBEDDING: frozenset({IMAGE}),
-    DROPPED_TOKEN: frozenset({TEXT, IMAGE}),
-}
-
-
 @dataclass(frozen=True)
 class GroupSpec:
     """Static description of one layer-type group.
@@ -576,8 +566,3 @@ def make_policy(spec: GroupSpec, enable_prefix_caching: bool = True, seed: int =
     if spec.kind == DROPPED_TOKEN:
         return DroppedTokenPolicy(spec)
     raise ValueError(f"unknown layer-type kind: {spec.kind!r}")
-
-
-def default_tags_for(kind: str) -> FrozenSet[TokenTag]:
-    """Conventional accepted tags for a layer kind."""
-    return _DEFAULT_TAGS.get(kind, frozenset({TEXT, IMAGE}))

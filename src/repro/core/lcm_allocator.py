@@ -18,7 +18,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional
 
 from .math_utils import compatible_page_bytes
-from .pages import LargePage, PhysicalExtent
+from .pages import PhysicalExtent
 
 __all__ = ["LCMAllocator", "OutOfLargePagesError"]
 
@@ -81,25 +81,25 @@ class LCMAllocator:
             )
         self.total_bytes = total_bytes
         self.slack_bytes = total_bytes - self.num_pages * self.large_page_bytes
-        self._pages: List[LargePage] = [LargePage(i) for i in range(self.num_pages)]
+        # Owning group per large-page id; None while the page is free.
+        self._owner: List[Optional[str]] = [None] * self.num_pages
         self._free: Deque[int] = deque(range(self.num_pages))
 
     # ------------------------------------------------------------------
     # Allocation interface
     # ------------------------------------------------------------------
 
-    def allocate(self, group_id: str) -> LargePage:
-        """Hand a free large page to ``group_id``.
+    def allocate(self, group_id: str) -> int:
+        """Hand a free large page to ``group_id``; returns its id.
 
         Raises :class:`OutOfLargePagesError` when the pool is exhausted; the
         two-level allocator then attempts eviction (Section 5.4 step 3).
         """
         if not self._free:
             raise OutOfLargePagesError(group_id, self.num_pages)
-        page = self._pages[self._free.popleft()]
-        page.owner_group = group_id
-        page.small_page_ids = []
-        return page
+        page_id = self._free.popleft()
+        self._owner[page_id] = group_id
+        return page_id
 
     def free(self, page_id: int) -> None:
         """Return a large page to the free pool.
@@ -107,11 +107,9 @@ class LCMAllocator:
         The caller must have already released all small pages carved from
         it; freeing an unowned page is a bookkeeping bug and raises.
         """
-        page = self._pages[page_id]
-        if page.is_free:
+        if self._owner[page_id] is None:
             raise ValueError(f"double free of large page {page_id}")
-        page.owner_group = None
-        page.small_page_ids = []
+        self._owner[page_id] = None
         self._free.append(page_id)
 
     # ------------------------------------------------------------------
@@ -129,14 +127,11 @@ class LCMAllocator:
     def num_allocated(self) -> int:
         return self.num_pages - len(self._free)
 
-    def page(self, page_id: int) -> LargePage:
-        return self._pages[page_id]
-
     def owner_of(self, page_id: int) -> Optional[str]:
-        return self._pages[page_id].owner_group
+        return self._owner[page_id]
 
-    def pages_owned_by(self, group_id: str) -> List[LargePage]:
-        return [p for p in self._pages if p.owner_group == group_id]
+    def pages_owned_by(self, group_id: str) -> List[int]:
+        return [i for i, owner in enumerate(self._owner) if owner == group_id]
 
     def extent_of(self, page_id: int) -> PhysicalExtent:
         """Byte range of a large page in the flat KV tensor."""

@@ -19,15 +19,21 @@ Section 5.4 gives each small page one of three states:
 
 A large page is *empty* if all of its small pages are empty and *evictable*
 if all of its small pages are evictable (mixed states pin the large page).
+
+The pool never changes size, so a small page is named by where it sits: the
+group's page ``large_page_id * small_per_large + slot`` is slot ``slot`` of
+large page ``large_page_id``.  A large page is only an id; the LCM
+allocator records which group owns it.  Once a large page returns to the
+pool and is carved again, its ids name new :class:`SmallPage` objects.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
-__all__ = ["PageState", "SmallPage", "LargePage", "PhysicalExtent"]
+__all__ = ["PageState", "SmallPage", "PhysicalExtent"]
 
 
 class PageState(enum.IntEnum):
@@ -49,13 +55,12 @@ class SmallPage:
     """A per-layer-type page carved from a large page.
 
     Attributes:
-        page_id: Identifier unique within the owning small-page allocator.
-            Attention kernels address the KV cache of one layer type purely
-            through these ids, so heterogeneity is invisible to them.
+        page_id: ``large_page_id * small_per_large + slot`` within the
+            owning small-page allocator.  Attention kernels address the KV
+            cache of one layer type purely through these ids, so
+            heterogeneity is invisible to them.
         group_id: The layer-type group this page belongs to.
-        large_page_id: The large page this small page was carved from, or
-            ``None`` while the page is not backed by physical memory.
-        slot: Index of this small page inside its large page.
+        large_page_id: The large page this small page was carved from.
         state: Current :class:`PageState`.
         request_id: Request-aware-allocation association (Section 4.3): the
             request whose tokens this page was last carved for.  Pages are
@@ -78,8 +83,7 @@ class SmallPage:
 
     page_id: int
     group_id: str
-    large_page_id: Optional[int] = None
-    slot: int = 0
+    large_page_id: int
     state: PageState = PageState.EMPTY
     request_id: Optional[str] = None
     ref_count: int = 0
@@ -91,9 +95,9 @@ class SmallPage:
     def reset(self) -> None:
         """Return the page to a pristine ``EMPTY`` state.
 
-        Physical placement (``large_page_id``/``slot``) is preserved: a
-        reset page stays carved out of its large page until the large page
-        itself is returned to the LCM allocator.
+        Physical placement (``large_page_id``) is preserved: a reset page
+        stays carved out of its large page until the large page itself is
+        returned to the LCM allocator.
         """
         self.state = EMPTY
         self.request_id = None
@@ -114,29 +118,6 @@ class SmallPage:
     @property
     def is_evictable(self) -> bool:
         return self.state is EVICTABLE
-
-
-@dataclass
-class LargePage:
-    """A compatibility-layer slab handed out by the LCM allocator.
-
-    Attributes:
-        page_id: Identifier unique within the LCM allocator; also the
-            physical placement (large page ``i`` covers bytes
-            ``[i * lcm_bytes, (i + 1) * lcm_bytes)`` of the KV region).
-        owner_group: Layer-type group currently holding the page, or ``None``
-            when the page sits in the free pool.
-        small_page_ids: Ids of the small pages carved from this page (empty
-            while the page is free).
-    """
-
-    page_id: int
-    owner_group: Optional[str] = None
-    small_page_ids: List[int] = field(default_factory=list)
-
-    @property
-    def is_free(self) -> bool:
-        return self.owner_group is None
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ from .evictor import LRUEvictor
 from .free_pool import FreePool
 from .layer_policy import GroupSpec, LayerTypePolicy
 from .lcm_allocator import LCMAllocator
-from .pages import EMPTY, EVICTABLE, USED, LargePage, PageState, PhysicalExtent, SmallPage
+from .pages import EMPTY, EVICTABLE, USED, PageState, PhysicalExtent, SmallPage
 from .prefix_cache import CachedBlockIndex
 
 __all__ = ["GroupAllocator", "TwoLevelAllocator", "AllocatorStats"]
@@ -93,10 +93,11 @@ class GroupAllocator:
         self.spec = spec
         self.policy = policy
         self.small_per_large = small_per_large
+        # Carved pages by id: slot ``s`` of large page ``l`` is page
+        # ``l * small_per_large + s`` (see slots()).
         self.pages: Dict[int, SmallPage] = {}
-        self._next_page_id = 0
         # EMPTY pages carved into this group, indexed by request
-        # association and by owning large page (O(1) push/pop/purge).
+        # association (O(1) push/pop/discard).
         self.free_pool = FreePool()
         self.evictor: LRUEvictor[int] = LRUEvictor()
         self.cache_index = CachedBlockIndex()
@@ -155,29 +156,29 @@ class GroupAllocator:
         return self.free_pool.num_buckets
 
     def push_free(self, page: SmallPage) -> None:
-        self.free_pool.push(page.page_id, page.request_id, page.large_page_id)
+        self.free_pool.push(page.page_id, page.request_id)
 
-    def new_pages(self, large: LargePage, request_id: Optional[str]) -> List[SmallPage]:
-        """Carve ``large`` into ``small_per_large`` EMPTY pages, in slot
-        order, associated with ``request_id``."""
-        first = self._next_page_id
+    def slots(self, large_id: int) -> range:
+        """Ids of the small pages large page ``large_id`` holds, in slot
+        order, while this group owns it."""
+        first = large_id * self.small_per_large
+        return range(first, first + self.small_per_large)
+
+    def new_pages(self, large_id: int, request_id: Optional[str]) -> List[SmallPage]:
+        """Carve large page ``large_id`` into ``small_per_large`` EMPTY
+        pages, in slot order, associated with ``request_id``."""
         group_id = self.spec.group_id
-        large_id = large.page_id
-        ids = large.small_page_ids = list(range(first, first + self.small_per_large))
-        carved = [
-            SmallPage(page_id, group_id, large_id, page_id - first, EMPTY, request_id)
-            for page_id in ids
-        ]
+        ids = self.slots(large_id)
+        carved = [SmallPage(page_id, group_id, large_id, EMPTY, request_id) for page_id in ids]
         self.pages.update(zip(ids, carved))
-        self._next_page_id = first + len(ids)
         self.n_empty_carved += len(ids)
         return carved
 
-    def destroy_pages(self, page_ids: List[int], evicted: int) -> List[SmallPage]:
+    def destroy_pages(self, large_id: int, evicted: int) -> List[SmallPage]:
         """Forget the pages of a large page returning to the LCM pool:
         ``evicted`` of them were still EVICTABLE, the rest EMPTY."""
         pop = self.pages.pop
-        gone = [pop(page_id) for page_id in page_ids]
+        gone = [pop(page_id) for page_id in self.slots(large_id)]
         self.num_evictions += evicted
         self.n_evictable -= evicted
         self.n_empty_carved -= len(gone) - evicted
@@ -328,7 +329,6 @@ class TwoLevelAllocator:
             page = pages[victim_id]
             self._uncache(group, page)
             large_id = page.large_page_id
-            assert large_id is not None
             counts = self._large_counts[large_id]
             if counts[2] == group.small_per_large:
                 self._large_evictor_discard(large_id, group_id)
@@ -353,7 +353,6 @@ class TwoLevelAllocator:
             page.state = USED
             page.request_id = request_id
             page.ref_count = 1
-            assert page.large_page_id is not None
             counts = large_counts[page.large_page_id]
             counts[0] -= 1
             counts[1] += 1
@@ -458,7 +457,6 @@ class TwoLevelAllocator:
             pages = group.pages
             for page_id in group.evictor.iter_in_order():
                 large_id = pages[page_id].large_page_id
-                assert large_id is not None
                 if large_id in returned:
                     continue  # went with its large page in a step 3
                 if large_id in self.large_evictor:
@@ -481,12 +479,12 @@ class TwoLevelAllocator:
         """Carve a free large page into ``group``'s small pages: all EMPTY,
         associated with ``request_id``, not yet pooled."""
         group_id = group.spec.group_id
-        large = self.lcm.allocate(group_id)
+        large_id = self.lcm.allocate(group_id)
         obs = self.observer
         if obs is not None:
-            obs.large_page_carved(group_id, large.page_id, group.small_per_large)
-        carved = group.new_pages(large, request_id)
-        self._large_counts[large.page_id] = [len(carved), 0, 0]
+            obs.large_page_carved(group_id, large_id, group.small_per_large)
+        carved = group.new_pages(large_id, request_id)
+        self._large_counts[large_id] = [len(carved), 0, 0]
         self._num_large_owned[group_id] += 1
         return carved
 
@@ -538,7 +536,6 @@ class TwoLevelAllocator:
                 page.state = EVICTABLE
                 small_run.append((page_id, page.last_access, page.prefix_length))
                 large_id = page.large_page_id
-                assert large_id is not None
                 counts = large_counts[large_id]
                 counts[1] -= 1
                 counts[2] += 1
@@ -599,7 +596,6 @@ class TwoLevelAllocator:
                 revived += 1
                 fill += page.num_tokens
                 large_id = page.large_page_id
-                assert large_id is not None
                 counts = large_counts[large_id]
                 if counts[2] == spl:
                     self._large_evictor_discard(large_id, group_id)
@@ -629,7 +625,6 @@ class TwoLevelAllocator:
                     # The displaced copy frees outright without passing
                     # through release_pages: observers still see a release.
                     group.evictor.discard(displaced)
-                    assert old.large_page_id is not None
                     self._large_evictor_discard(old.large_page_id, group_id)
                     self.version += 1
                     group.bump_state(EVICTABLE, EMPTY)
@@ -650,7 +645,7 @@ class TwoLevelAllocator:
             self.version += 1
             group.evictor.add(page.page_id, page.last_access, page.prefix_length)
             large_id = page.large_page_id
-            if large_id is None or large_id not in self.large_evictor:
+            if large_id not in self.large_evictor:
                 return
             # Incremental re-key of the fully-evictable large page: its
             # priority is the component-wise max over its small pages.  If
@@ -682,7 +677,6 @@ class TwoLevelAllocator:
         if page.block_hash is not None:
             group.cache_index.remove(page.block_hash, page.page_id)
         large_id = page.large_page_id
-        assert large_id is not None
         counts = self._large_counts[large_id]
         counts[page.state] -= 1
         counts[0] += 1
@@ -712,8 +706,7 @@ class TwoLevelAllocator:
         No small page may be USED, and the caller has already taken the
         large page out of ``large_evictor``.
         """
-        large = self.lcm.page(large_id)
-        owner = large.owner_group
+        owner = self.lcm.owner_of(large_id)
         assert owner is not None
         group = self.groups[owner]
         counts = self._large_counts[large_id]
@@ -722,15 +715,15 @@ class TwoLevelAllocator:
                 f"large page {large_id} returned while {counts[1]} small pages are USED"
             )
         del self._large_counts[large_id]
-        for page in group.destroy_pages(large.small_page_ids, counts[2]):
+        pool = group.free_pool
+        for page in group.destroy_pages(large_id, counts[2]):
             if page.state is EVICTABLE:
                 group.evictor.discard(page.page_id)
                 self._uncache(group, page)
                 page.reset()
-        # Drop this large page's (and only this large page's) pooled empty
-        # pages -- O(members) through the per-large membership index, not
-        # O(all free pages of the group).
-        group.free_pool.purge_large(large_id)
+            else:
+                # Pooled unless it is the page whose emptying returns it.
+                pool.discard(page.page_id)
         self._num_large_owned[owner] -= 1
         self.version += 1
         self.lcm.free(large_id)
@@ -739,11 +732,12 @@ class TwoLevelAllocator:
         """Eviction key of a fully-evictable large page: the component-wise max
         of ``(last_access, prefix_length)`` over its small pages, floor-free
         (slide-outs stamped ``now - 1e15`` keep their LRU order)."""
-        large = self.lcm.page(large_id)
-        assert large.owner_group is not None
-        pages = self.groups[large.owner_group].pages
+        owner = self.lcm.owner_of(large_id)
+        assert owner is not None
+        group = self.groups[owner]
+        pages = group.pages
         last = prefix = float("-inf")
-        for small_id in large.small_page_ids:
+        for small_id in group.slots(large_id):
             page = pages[small_id]
             if page.last_access > last:
                 last = page.last_access
@@ -821,8 +815,7 @@ class TwoLevelAllocator:
             if reclaimed >= excess:
                 break
             victims: List[Tuple[float, float, int]] = []
-            for large in self.lcm.pages_owned_by(group_id):
-                large_id = large.page_id
+            for large_id in self.lcm.pages_owned_by(group_id):
                 if large_id in self.large_evictor:
                     if not fully_evictable_only:
                         continue  # pass 1 already took what it wanted
@@ -898,10 +891,11 @@ class TwoLevelAllocator:
 
     def extent_of(self, group_id: str, page: SmallPage) -> PhysicalExtent:
         """Physical placement of a small page (page-layer partition, §4.2)."""
-        assert page.large_page_id is not None
+        group = self.groups[group_id]
         base = self.lcm.extent_of(page.large_page_id)
-        size = self.groups[group_id].spec.page_bytes
-        return PhysicalExtent(base.start + page.slot * size, size)
+        size = group.spec.page_bytes
+        slot = page.page_id - group.slots(page.large_page_id).start
+        return PhysicalExtent(base.start + slot * size, size)
 
     def check_no_physical_overlap(self) -> None:
         """Memory-safety check: no two live small pages share bytes.
@@ -932,11 +926,12 @@ class TwoLevelAllocator:
             group.free_pool.check_consistent()
             n_empty = 0
             for page in group.pages.values():
-                assert page.large_page_id is not None
-                large = self.lcm.page(page.large_page_id)
-                assert large.owner_group == group_id, (
+                large_id = page.large_page_id
+                assert page.page_id in group.slots(large_id), (group_id, page.page_id, large_id)
+                owner = self.lcm.owner_of(large_id)
+                assert owner == group_id, (
                     f"page {page.page_id} of {group_id} sits in large page "
-                    f"{large.page_id} owned by {large.owner_group}"
+                    f"{large_id} owned by {owner}"
                 )
                 if page.is_evictable:
                     assert page.page_id in group.evictor
@@ -955,18 +950,18 @@ class TwoLevelAllocator:
         fully_by_group = {g: 0 for g in self.groups}
         owned_by_group = {g: 0 for g in self.groups}
         for large_id, counts in self._large_counts.items():
-            large = self.lcm.page(large_id)
-            assert large.owner_group is not None
-            owned_by_group[large.owner_group] += 1
-            group = self.groups[large.owner_group]
+            owner = self.lcm.owner_of(large_id)
+            assert owner is not None
+            owned_by_group[owner] += 1
+            group = self.groups[owner]
             total = group.small_per_large
             assert sum(counts) == total, (large_id, counts, total)
             actual = [0, 0, 0]
-            for sid in large.small_page_ids:
+            for sid in group.slots(large_id):
                 actual[group.pages[sid].state] += 1
             assert actual == counts, (large_id, actual, counts)
             if counts[2] == total and total > 0:
-                fully_by_group[large.owner_group] += 1
+                fully_by_group[owner] += 1
                 assert large_id in self.large_evictor, (
                     f"fully-evictable large page {large_id} missing from the evictor"
                 )

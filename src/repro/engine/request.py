@@ -68,19 +68,6 @@ class Request:
     def total_len(self) -> int:
         return len(self.seq)
 
-    @property
-    def is_prefill(self) -> bool:
-        """Still computing prompt tokens."""
-        return self.num_computed_tokens < self.prompt_len
-
-    @property
-    def is_finished(self) -> bool:
-        return self.state is RequestState.FINISHED
-
-    @property
-    def remaining_prompt(self) -> int:
-        return max(0, self.prompt_len - self.num_computed_tokens)
-
     def next_generated_token(self) -> int:
         """Deterministic synthetic token id for the next output token.
 

@@ -164,13 +164,6 @@ class ModelSpec:
         """Total recurrent-state bytes per sequence across Mamba layers."""
         return sum(int(l.state_bytes or 0) for l in self.layers if l.kind == MAMBA)
 
-    def has_mamba(self) -> bool:
-        return any(l.kind == MAMBA for l in self.layers)
-
-    def max_window(self) -> Optional[int]:
-        windows = [l.window for l in self.layers if l.window]
-        return max(windows) if windows else None
-
     # ------------------------------------------------------------------
     # Layer-type grouping (what Jenga allocates over)
     # ------------------------------------------------------------------

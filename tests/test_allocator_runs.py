@@ -10,7 +10,9 @@ its pages taken one at a time:
   everything observable after every op;
 * one scripted sequence is digested and compared with a recorded value
   that an older implementation reproduces (see ``GOLDEN``), so "same
-  page, same step, same victim" is pinned against more than itself;
+  page, same step, same victim" is pinned against more than itself --
+  with page ids renamed to the carve order that implementation numbered
+  them in (:class:`CarveOrder`);
 * with an observer attached the reported stream and the cache-index
   counters are those of the per-page loop.
 """
@@ -52,9 +54,45 @@ def make_allocator(num_large=12, caching=True, request_aware=True):
     )
     # ``events`` names the recorder the way other_events (unchanged since
     # the golden was recorded) reads the stream.
-    alloc.observer = alloc.events = RecordingObserver()
+    alloc.observer = alloc.events = CarveOrder()
     assert [alloc.groups[g].small_per_large for g in GROUPS] == [1, 2, 4]
     return alloc
+
+
+class CarveOrder(RecordingObserver):
+    """A recorder that names small pages as the allocator the golden was
+    recorded on numbered them: each group counts 0, 1, 2, ... over the
+    slots it carves, in slot order, and a page keeps its name until its
+    large page is carved again.  An order-preserving bijection onto the
+    live page ids, so every pop order reads the same under both names.
+    Records carry the names."""
+
+    def __init__(self):
+        super().__init__()
+        self.num_carved = {}  # group -> small pages carved so far
+        self.names = {}  # (group, page id) -> carve-order name
+
+    def name(self, group_id, page_id):
+        return self.names[group_id, page_id]
+
+    def large_page_carved(self, group_id, large_page_id, num_small_pages):
+        first = self.num_carved.get(group_id, 0)
+        self.num_carved[group_id] = first + num_small_pages
+        for slot in range(num_small_pages):
+            self.names[group_id, large_page_id * num_small_pages + slot] = first + slot
+        super().large_page_carved(group_id, large_page_id, num_small_pages)
+
+    def pages_allocated(self, group_id, request_id, page_ids, steps):
+        names = tuple(self.name(group_id, page_id) for page_id in page_ids)
+        super().pages_allocated(group_id, request_id, names, steps)
+
+    def page_evicted(self, group_id, page_id, level, last_access, prefix_length):
+        if level == "small":
+            page_id = self.name(group_id, page_id)
+        super().page_evicted(group_id, page_id, level, last_access, prefix_length)
+
+    def page_released(self, group_id, page_id, cached):
+        super().page_released(group_id, self.name(group_id, page_id), cached)
 
 
 def other_events(alloc):
@@ -66,18 +104,23 @@ def other_events(alloc):
 
 
 def snapshot(alloc):
-    """Everything observable about the pool, as a comparable value."""
+    """Everything observable about the pool, as a comparable value, with
+    small pages under their carve-order names."""
+    name = alloc.events.name
     groups = []
     for group_id, group in alloc.groups.items():
-        pages = tuple(
-            (p.page_id, p.state.name, p.ref_count, p.request_id, p.large_page_id,
-             p.slot, p.block_hash, p.num_tokens, p.last_access, p.prefix_length)
-            for p in sorted(group.pages.values(), key=lambda p: p.page_id)
+        spl = group.small_per_large
+        pages = sorted(
+            (name(group_id, p.page_id), p.state.name, p.ref_count, p.request_id,
+             p.large_page_id, p.page_id % spl, p.block_hash, p.num_tokens,
+             p.last_access, p.prefix_length)
+            for p in group.pages.values()
         )
         pool = copy.deepcopy(group.free_pool)
-        pop_order = tuple(iter(pool.pop_any, None))
+        pop_order = tuple(name(group_id, page_id) for page_id in iter(pool.pop_any, None))
+        evict_order = tuple(name(group_id, page_id) for page_id in group.evictor.iter_in_order())
         groups.append((
-            group_id, pages, tuple(group.evictor.iter_in_order()), pop_order,
+            group_id, tuple(pages), evict_order, pop_order,
             group.n_used, group.n_evictable, group.n_empty_carved,
             group.used_filled_tokens, group.num_evictions, group.quota,
             group.cache_index.hits, group.cache_index.misses,
@@ -88,8 +131,12 @@ def snapshot(alloc):
         tuple(groups),
         tuple(alloc.large_evictor.iter_in_order()),
         tuple(
-            (large.page_id, large.owner_group, tuple(large.small_page_ids))
-            for large in map(alloc.lcm.page, range(alloc.lcm.num_pages))
+            (large_id, owner, () if owner is None else tuple(
+                name(owner, page_id) for page_id in alloc.groups[owner].slots(large_id)
+            ))
+            for large_id, owner in (
+                (large_id, alloc.lcm.owner_of(large_id)) for large_id in range(alloc.lcm.num_pages)
+            )
         ),
         alloc.lcm.num_free,
         alloc.num_large_evictions,
@@ -123,8 +170,11 @@ class Driver:
             for page_id in ids:
                 alloc.release_page(gid, page_id, cacheable=cacheable)
 
+    def names(self, gid, page_ids):
+        return [self.alloc.events.name(gid, page_id) for page_id in page_ids]
+
     def allocate(self, gid, rid, n):
-        """``(page ids, steps)`` of the run, ``None`` if it was refused."""
+        """``(page names, steps)`` of the run, ``None`` if it was refused."""
         alloc = self.alloc
         mark = len(self.allocated)
         if self.dialect != "single":
@@ -141,7 +191,7 @@ class Driver:
             return None
         self.held[gid].extend(p.page_id for p in pages)
         steps = [step for event in self.allocated[mark:] for step in event.steps]
-        return [p.page_id for p in pages], steps
+        return self.names(gid, (p.page_id for p in pages)), steps
 
     def release(self, gid, count, cacheable, hash_base):
         """Release the ``count`` oldest held references of ``gid``; with a
@@ -159,7 +209,7 @@ class Driver:
             page.last_access = self.clock - (offset % 2)
             page.prefix_length = float(offset)
         self.release_ids(gid, ids, cacheable)
-        return ids
+        return self.names(gid, ids)
 
     def acquire(self, gid, hashes, rid):
         alloc = self.alloc
@@ -176,7 +226,7 @@ class Driver:
                     break
                 pages.append(page)
         self.held[gid].extend(p.page_id for p in pages)
-        return [p.page_id for p in pages]
+        return self.names(gid, (p.page_id for p in pages))
 
     def touch(self, gid):
         self.clock += 1.0
@@ -184,7 +234,7 @@ class Driver:
             if page.is_evictable:
                 page.last_access = self.clock
                 self.alloc.touch_evictable(gid, page)
-                return page.page_id
+                return self.alloc.events.name(gid, page.page_id)
         return None
 
     def quota(self, gid, quota):

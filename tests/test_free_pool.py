@@ -23,7 +23,7 @@ class TestFreePool:
     def test_push_pop_lifo_within_request(self):
         pool = FreePool()
         for pid in (1, 2, 3):
-            pool.push(pid, "r1", large_page_id=0)
+            pool.push(pid, "r1")
         assert pool.pop("r1") == 3
         assert pool.pop("r1") == 2
         assert pool.pop("r1") == 1
@@ -32,16 +32,16 @@ class TestFreePool:
 
     def test_pop_misses_other_requests(self):
         pool = FreePool()
-        pool.push(1, "r1", 0)
+        pool.push(1, "r1")
         assert pool.pop("r2") is None
         assert pool.pop(None) is None
         assert len(pool) == 1
 
     def test_pop_any_serves_oldest_bucket_first(self):
         pool = FreePool()
-        pool.push(1, "r1", 0)
-        pool.push(2, "r2", 0)
-        pool.push(3, "r1", 0)
+        pool.push(1, "r1")
+        pool.push(2, "r2")
+        pool.push(3, "r1")
         assert pool.pop_any() == 3  # r1 bucket first (oldest), LIFO within
         assert pool.pop_any() == 1
         assert pool.pop_any() == 2
@@ -49,33 +49,40 @@ class TestFreePool:
 
     def test_duplicate_push_raises(self):
         pool = FreePool()
-        pool.push(1, "r1", 0)
+        pool.push(1, "r1")
         with pytest.raises(ValueError):
-            pool.push(1, "r2", 0)
+            pool.push(1, "r2")
 
     def test_discard(self):
         pool = FreePool()
-        pool.push(1, "r1", 0)
-        pool.push(2, "r1", 1)
+        pool.push(1, "r1")
+        pool.push(2, "r1")
         assert pool.discard(1) is True
         assert pool.discard(1) is False
         assert 1 not in pool and 2 in pool
         pool.check_consistent()
 
-    def test_purge_large_drops_only_its_members(self):
-        pool = FreePool()
-        pool.push(1, "r1", large_page_id=0)
-        pool.push(2, "r1", large_page_id=1)
-        pool.push(3, "r2", large_page_id=0)
-        assert pool.purge_large(0) == 2
-        assert len(pool) == 1 and 2 in pool
-        assert pool.purge_large(0) == 0
-        pool.check_consistent()
+    def test_returning_a_large_page_drops_only_its_slots(self):
+        alloc = make_allocator(num_large=2)  # 3 small pages per large page
+        group = alloc.groups["a"]
+        (first,) = alloc.allocate_pages("a", "r1", 1)
+        (second,) = alloc.allocate_pages("a", "r2", 1)
+        spare = {
+            page_id
+            for page in (first, second)
+            for page_id in group.slots(page.large_page_id)
+            if page_id != page.page_id
+        }
+        assert set(group.free_pool) == spare
+        alloc.release_pages("a", [first.page_id], cacheable=False)
+        assert alloc.lcm.owner_of(first.large_page_id) is None
+        assert set(group.free_pool) == set(group.slots(second.large_page_id)) - {second.page_id}
+        group.free_pool.check_consistent()
 
     def test_buckets_deleted_when_exhausted(self):
         pool = FreePool()
         for i in range(5):
-            pool.push(i, f"r{i}", 0)
+            pool.push(i, f"r{i}")
         for i in range(5):
             assert pool.pop(f"r{i}") == i
         assert pool.num_buckets == 0

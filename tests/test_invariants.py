@@ -30,7 +30,7 @@ OWNED_COUNTERS = {
                            "used_filled_tokens", "num_evictions"),
         "TwoLevelAllocator": ("_num_fully_evictable", "_num_large_owned",
                               "num_large_evictions", "version"),
-        "FreePool": ("_entry", "_by_request", "_by_large"),
+        "FreePool": ("_entry", "_by_request"),
         "PagedAttentionManager": ("_mamba_churn",),
     }.items()
     for attr in attrs

@@ -31,7 +31,7 @@ def spec(kind, **kw):
 
 
 def pages(n):
-    return [SmallPage(page_id=i, group_id="g") for i in range(n)]
+    return [SmallPage(page_id=i, group_id="g", large_page_id=i) for i in range(n)]
 
 
 class TestGroupSpec:

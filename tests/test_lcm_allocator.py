@@ -40,9 +40,8 @@ class TestConstruction:
 class TestAllocateFree:
     def test_allocate_assigns_owner(self):
         alloc = make()
-        page = alloc.allocate("text")
-        assert page.owner_group == "text"
-        assert alloc.owner_of(page.page_id) == "text"
+        page_id = alloc.allocate("text")
+        assert alloc.owner_of(page_id) == "text"
         assert alloc.num_allocated == 1
 
     def test_exhaustion_raises(self):
@@ -55,35 +54,34 @@ class TestAllocateFree:
 
     def test_free_returns_to_pool(self):
         alloc = make(total=768 * 1)
-        page = alloc.allocate("text")
+        page_id = alloc.allocate("text")
         assert not alloc.has_free()
-        alloc.free(page.page_id)
+        alloc.free(page_id)
         assert alloc.has_free()
         assert alloc.num_free == 1
 
     def test_double_free_raises(self):
         alloc = make()
-        page = alloc.allocate("text")
-        alloc.free(page.page_id)
+        page_id = alloc.allocate("text")
+        alloc.free(page_id)
         with pytest.raises(ValueError):
-            alloc.free(page.page_id)
+            alloc.free(page_id)
 
     def test_freed_page_reusable_by_any_group(self):
         # No external fragmentation: a page freed by one type serves another.
         alloc = make(total=768 * 1)
-        page = alloc.allocate("text")
-        alloc.free(page.page_id)
-        page2 = alloc.allocate("image")
-        assert page2.page_id == page.page_id
-        assert page2.owner_group == "image"
+        page_id = alloc.allocate("text")
+        alloc.free(page_id)
+        assert alloc.owner_of(page_id) is None
+        assert alloc.allocate("image") == page_id
+        assert alloc.owner_of(page_id) == "image"
 
     def test_pages_owned_by(self):
         alloc = make()
         a = alloc.allocate("text")
         b = alloc.allocate("text")
         alloc.allocate("image")
-        owned = {p.page_id for p in alloc.pages_owned_by("text")}
-        assert owned == {a.page_id, b.page_id}
+        assert alloc.pages_owned_by("text") == [a, b]
 
 
 class TestGeometry:

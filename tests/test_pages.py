@@ -1,18 +1,18 @@
 """Tests for page objects and physical extents."""
 
-from repro.core.pages import LargePage, PageState, PhysicalExtent, SmallPage
+from repro.core.pages import PageState, PhysicalExtent, SmallPage
 
 
 class TestSmallPage:
     def test_initial_state(self):
-        page = SmallPage(page_id=0, group_id="g")
+        page = SmallPage(page_id=0, group_id="g", large_page_id=0)
         assert page.is_empty
         assert not page.is_used
         assert not page.is_evictable
         assert page.ref_count == 0
 
     def test_reset_preserves_placement(self):
-        page = SmallPage(page_id=3, group_id="g", large_page_id=7, slot=2)
+        page = SmallPage(page_id=23, group_id="g", large_page_id=7)
         page.state = PageState.USED
         page.request_id = "r1"
         page.ref_count = 2
@@ -23,26 +23,17 @@ class TestSmallPage:
         page.reset()
         assert page.is_empty
         assert page.large_page_id == 7
-        assert page.slot == 2
         assert page.request_id is None
         assert page.ref_count == 0
         assert page.block_hash is None
         assert page.num_tokens == 0
 
     def test_state_predicates(self):
-        page = SmallPage(page_id=0, group_id="g")
+        page = SmallPage(page_id=0, group_id="g", large_page_id=0)
         page.state = PageState.USED
         assert page.is_used and not page.is_empty
         page.state = PageState.EVICTABLE
         assert page.is_evictable and not page.is_used
-
-
-class TestLargePage:
-    def test_free_cycle(self):
-        page = LargePage(page_id=0)
-        assert page.is_free
-        page.owner_group = "text"
-        assert not page.is_free
 
 
 class TestPhysicalExtent:
