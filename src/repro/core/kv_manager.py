@@ -61,7 +61,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .events import Observer
 from .layer_policy import GroupSpec, LayerTypePolicy, make_policy
-from .pages import SmallPage
+from .pages import EVICTABLE
 from .prefix_cache import longest_common_prefix
 from .protocols import KVCacheManagerBase
 from .sequence import SequenceSpec
@@ -93,9 +93,9 @@ class GroupBinding:
     # Chain state lives on the sequence (SequenceSpec.hash_chain); the
     # binding only tracks how many blocks it registered with the index.
     hashed_blocks: int = 0  # cacheable blocks already registered
-    # Newest released snapshot.  The page itself, not its id: once its
-    # large page returns to the pool the id names the next carve's page.
-    last_checkpoint_page: Optional[SmallPage] = None
+    # Newest released snapshot as (page id, carve): once its large page
+    # returns to the pool the id names the next carve's page.
+    last_checkpoint_page: Optional[Tuple[int, int]] = None
 
 
 class JengaKVCacheManager(KVCacheManagerBase):
@@ -334,11 +334,11 @@ class JengaKVCacheManager(KVCacheManagerBase):
             wanted = [all_hashes[group_id][block_idx] for block_idx in blocks]
             # Every wanted block was probed resident above, and nothing
             # allocates (so nothing evicts) between probe and acquire.
-            pages = self.allocator.acquire_cached_run(group_id, wanted, seq.request_id)
-            assert len(pages) == len(wanted)
-            for block_idx, page in zip(blocks, pages):
+            page_ids = self.allocator.acquire_cached_run(group_id, wanted, seq.request_id)
+            assert len(page_ids) == len(wanted)
+            for block_idx, page_id in zip(blocks, page_ids):
                 idx = policy.page_index_of_block(block_idx)
-                binding.page_table[idx] = page.page_id
+                binding.page_table[idx] = page_id
                 binding.held.add(idx)
             # Only blocks at or below the hit matter here, so the boundary
             # list stops at ``cached_stream``.
@@ -451,11 +451,11 @@ class JengaKVCacheManager(KVCacheManagerBase):
             if missing:
                 # One run for the whole write set: one report, one pass
                 # through the five steps.
-                pages = self.allocator.allocate_pages(group_id, request_id, len(missing))
-                assert pages is not None
+                page_ids = self.allocator.allocate_pages(group_id, request_id, len(missing))
+                assert page_ids is not None
                 table = binding.page_table
-                for idx, page in zip(missing, pages):
-                    table[idx] = page.page_id
+                for idx, page_id in zip(missing, page_ids):
+                    table[idx] = page_id
                 binding.held.update(missing)
             binding.stream_len = target_stream
         return True
@@ -602,11 +602,17 @@ class JengaKVCacheManager(KVCacheManagerBase):
         """Drop the held references among ``slots``, stamping each page's
         eviction metadata (``last_access = stamp`` and the policy's prefix
         length) first and releasing them as one run -- the one place a page
-        leaves a request's hold."""
+        leaves a request's hold.
+
+        A release that cannot cache stamps nothing: a page it frees is
+        cleared, and a page another request still holds is stamped again
+        by the release that drops its last reference."""
         binding.backed_upto = 0
         held = binding.held
         table = binding.page_table
-        pages = group.pages
+        last_access = group.last_access
+        prefix_length = group.prefix_length
+        stamped = cacheable and self.allocator.enable_prefix_caching
         page_ids: List[int] = []
         for idx in slots:
             if idx not in held:
@@ -615,10 +621,9 @@ class JengaKVCacheManager(KVCacheManagerBase):
             page_id = table[idx]
             if page_id is None:
                 continue
-            page = pages.get(page_id)
-            if page is not None:
-                page.last_access = stamp
-                page.prefix_length = policy.prefix_length_of(idx, seq)
+            if stamped:
+                last_access[page_id] = stamp
+                prefix_length[page_id] = policy.prefix_length_of(idx, seq)
             page_ids.append(page_id)
         if page_ids:
             self.allocator.release_pages(group.spec.group_id, page_ids, cacheable)
@@ -651,16 +656,17 @@ class JengaKVCacheManager(KVCacheManagerBase):
 
     def _update_fill(self, group: GroupAllocator, binding: GroupBinding, stream_len: int) -> None:
         tpp = group.spec.tokens_per_page
+        num_tokens = group.num_tokens
         first = binding.filled_upto // tpp
         last = (stream_len + tpp - 1) // tpp
+        fill = 0
         for idx in range(first, last):
             page_id = binding.page_table[idx]
             if idx in binding.held and page_id is not None:
-                page = group.pages.get(page_id)
-                if page is not None:
-                    new_tokens = max(0, min(tpp, stream_len - idx * tpp))
-                    group.note_fill(new_tokens - page.num_tokens)
-                    page.num_tokens = new_tokens
+                new_tokens = max(0, min(tpp, stream_len - idx * tpp))
+                fill += new_tokens - num_tokens[page_id]
+                num_tokens[page_id] = new_tokens
+        group.note_fill(fill)
         binding.filled_upto = stream_len
 
     def _register_hashes(
@@ -688,26 +694,28 @@ class JengaKVCacheManager(KVCacheManagerBase):
         for block_idx in range(binding.hashed_blocks, len(boundaries)):
             idx = policy.page_index_of_block(block_idx)
             page_id = binding.page_table[idx] if idx in binding.held else None
-            if page_id is not None:
-                page = group.pages.get(page_id)
-                if page is not None and page.block_hash is None:
-                    self.allocator.register_block_hash(group_id, page, hashes[block_idx])
-                    if policy.snapshot_blocks:
-                        # Checkpoints go straight to evictable cache: stamp
-                        # creation time and release the working reference.
-                        self._release_slots(group, policy, binding, (idx,), now, seq, True)
-                        binding.last_checkpoint_page = page
+            if page_id is not None and group.block_hash[page_id] is None:
+                self.allocator.register_block_hash(group_id, page_id, hashes[block_idx])
+                if policy.snapshot_blocks:
+                    # Checkpoints go straight to evictable cache: stamp
+                    # creation time and release the working reference.
+                    self._release_slots(group, policy, binding, (idx,), now, seq, True)
+                    carve = group.carve[page_id // group.small_per_large]
+                    binding.last_checkpoint_page = (page_id, carve)
         binding.hashed_blocks = len(boundaries)
 
     def _refresh_last_checkpoint(
-        self, group: GroupAllocator, page: SmallPage, now: float
+        self, group: GroupAllocator, checkpoint: Tuple[int, int], now: float
     ) -> None:
         """Keep only the newest Mamba checkpoint's stamp fresh (§5.3), while
-        it is still carved (its id may already name another page)."""
-        if group.pages.get(page.page_id) is not page or not page.is_evictable:
+        the carve that held it lasts (its id may already name another
+        carve's page)."""
+        page_id, carve = checkpoint
+        large_id = page_id // group.small_per_large
+        if group.carve[large_id] != carve or group.state[page_id] is not EVICTABLE:
             return
-        page.last_access = now
-        self.allocator.touch_evictable(group.spec.group_id, page)
+        group.last_access[page_id] = now
+        self.allocator.touch_evictable(group.spec.group_id, page_id)
 
     # ------------------------------------------------------------------
     # Admission control

@@ -40,7 +40,6 @@ import random
 from dataclasses import dataclass, replace
 from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .pages import SmallPage
 from .sequence import IMAGE, TEXT, SequenceSpec, TokenTag
 
 __all__ = [
@@ -67,6 +66,9 @@ MAMBA = "mamba"
 CROSS_ATTENTION = "cross_attention"
 VISION_EMBEDDING = "vision_embedding"
 DROPPED_TOKEN = "dropped_token"
+
+# A request's page ids for one group, by slot (None where released).
+PageTable = Sequence[Optional[int]]
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -284,17 +286,18 @@ class LayerTypePolicy:
     # -- paper interface: customized eviction metadata --------------------
 
     def update_last_access(
-        self, pages: Sequence[Optional[SmallPage]], stream_len: int, now: float
+        self, last_access: List[float], page_table: PageTable, stream_len: int, now: float
     ) -> None:
         """Stamp ``now`` on the pages the current step actually attends to.
 
-        ``pages`` is the request's page table for this group (entries may be
-        ``None`` where pages were already released).  The default touches
-        every resident page -- full-prefix dependency.
+        ``last_access`` is the group's per-page list and ``page_table`` the
+        request's page ids for this group (entries may be ``None`` where
+        pages were already released).  The default touches every resident
+        page -- full-prefix dependency.
         """
-        for page in pages:
-            if page is not None:
-                page.last_access = now
+        for page_id in page_table:
+            if page_id is not None:
+                last_access[page_id] = now
 
     def prefix_length_of(self, idx: int, seq: SequenceSpec) -> float:
         """The aligned fine-grained eviction tiebreak of slot ``idx`` (§5.1).
@@ -306,12 +309,13 @@ class LayerTypePolicy:
         return float((idx + 1) * self.spec.tokens_per_page)
 
     def set_prefix_length(
-        self, pages: Sequence[Optional[SmallPage]], seq: SequenceSpec
+        self, prefix_length: List[float], page_table: PageTable, seq: SequenceSpec
     ) -> None:
-        """The paper's bulk form: :meth:`prefix_length_of` over a page table."""
-        for i, page in enumerate(pages):
-            if page is not None:
-                page.prefix_length = self.prefix_length_of(i, seq)
+        """The paper's bulk form: :meth:`prefix_length_of` over a page
+        table, written into the group's per-page ``prefix_length`` list."""
+        for idx, page_id in enumerate(page_table):
+            if page_id is not None:
+                prefix_length[page_id] = self.prefix_length_of(idx, seq)
 
 
 class FullAttentionPolicy(LayerTypePolicy):
@@ -372,14 +376,14 @@ class SlidingWindowPolicy(LayerTypePolicy):
         return prefixes
 
     def update_last_access(
-        self, pages: Sequence[Optional[SmallPage]], stream_len: int, now: float
+        self, last_access: List[float], page_table: PageTable, stream_len: int, now: float
     ) -> None:
         for idx in self.active_page_indices(stream_len):
-            if idx >= len(pages):
+            if idx >= len(page_table):
                 continue
-            page = pages[idx]
-            if page is not None:
-                page.last_access = now
+            page_id = page_table[idx]
+            if page_id is not None:
+                last_access[page_id] = now
 
 
 class DroppedTokenPolicy(SlidingWindowPolicy):
@@ -481,16 +485,16 @@ class MambaPolicy(LayerTypePolicy):
         return [self.boundary_of_block(b) for b, hit in enumerate(is_hit) if hit]
 
     def update_last_access(
-        self, pages: Sequence[Optional[SmallPage]], stream_len: int, now: float
+        self, last_access: List[float], page_table: PageTable, stream_len: int, now: float
     ) -> None:
         # Only the working state and the most recent checkpoint are "hot"
         # (Section 5.3: "only the last cached token's access time is
         # updated"); older checkpoints keep stale stamps and evict first.
-        if pages and pages[0] is not None:
-            pages[0].last_access = now
-        for page in reversed(pages[1:]):
-            if page is not None:
-                page.last_access = now
+        if page_table and page_table[0] is not None:
+            last_access[page_table[0]] = now
+        for page_id in reversed(page_table[1:]):
+            if page_id is not None:
+                last_access[page_id] = now
                 break
 
     def prefix_length_of(self, idx: int, seq: SequenceSpec) -> float:

@@ -5,7 +5,9 @@ This module implements the mechanism half of Jenga:
 * :class:`GroupAllocator` -- one per layer-type group; carves large pages
   into that group's small pages, keeps per-request free pools
   (request-aware allocation, Section 4.3), a per-group LRU evictor, and the
-  group's cached-block index.
+  group's cached-block index.  A small page is a slot: its fields are
+  entries of the group's flat lists, indexed by page id and built once for
+  the whole pool, so a carve or a return makes and drops no object.
 * :class:`TwoLevelAllocator` -- owns the :class:`LCMAllocator`, all group
   allocators, and the *prefix-subset evictor* state: per-large-page
   empty/used/evictable counts, and the LRU of fully-evictable large pages
@@ -37,8 +39,8 @@ differs per page (its fields, its evictor entry, its large page's counts)
 and once per run the rest: the lookups, the ``version`` move, one
 ``bump_state(old, new, n)`` and ``note_fill``, the observer test.  A run
 is its pages taken one at a time, in order (same page, same step, same
-victim); ``allocate_page``, ``release_page`` and ``acquire_cached`` are
-delegates to the run of one.
+victim), and takes or returns page ids; ``allocate_page``,
+``release_page`` and ``acquire_cached`` are delegates to the run of one.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .evictor import LRUEvictor
 from .free_pool import FreePool
 from .layer_policy import GroupSpec, LayerTypePolicy
 from .lcm_allocator import LCMAllocator
-from .pages import EMPTY, EVICTABLE, USED, PageState, PhysicalExtent, SmallPage
+from .pages import EMPTY, EVICTABLE, USED, PageState, PhysicalExtent
 from .prefix_cache import CachedBlockIndex
 
 __all__ = ["GroupAllocator", "TwoLevelAllocator", "AllocatorStats"]
@@ -87,15 +89,44 @@ class AllocatorStats:
 
 
 class GroupAllocator:
-    """Small-page allocator customized for one layer-type group."""
+    """Small-page allocator customized for one layer-type group.
 
-    def __init__(self, spec: GroupSpec, policy: LayerTypePolicy, small_per_large: int) -> None:
+    A small page is a slot (see :meth:`slots`), and its fields are entries
+    of flat lists indexed by page id, one entry per slot of every large
+    page in the pool, built once.  ``state`` is ``None`` while the group
+    does not own the slot's large page.  A slot that is neither USED nor
+    EVICTABLE has ``ref_count`` 0, no ``block_hash``, ``num_tokens`` 0 and
+    the unstamped eviction key ``(-1.0, 0.0)``; an EMPTY one keeps its
+    ``request_id`` for step 1.
+    """
+
+    def __init__(
+        self, spec: GroupSpec, policy: LayerTypePolicy, small_per_large: int, num_large: int
+    ) -> None:
         self.spec = spec
         self.policy = policy
         self.small_per_large = small_per_large
-        # Carved pages by id: slot ``s`` of large page ``l`` is page
-        # ``l * small_per_large + s`` (see slots()).
-        self.pages: Dict[int, SmallPage] = {}
+        size = num_large * small_per_large
+        self.state: List[Optional[PageState]] = [None] * size
+        # Request-aware association (Section 4.3): the request the page was
+        # last carved or allocated for; step 1 re-uses it for that request
+        # first, so a finishing request frees whole large pages.
+        self.request_id: List[Optional[str]] = [None] * size
+        # Running requests referencing the page (shared prefixes exceed 1).
+        self.ref_count = [0] * size
+        # Eviction key (Section 5.1), stamped by the KV manager: the latest
+        # access, then the aligned tiebreak -- among equal stamps the
+        # largest prefix length evicts first.
+        self.last_access = [-1.0] * size
+        self.prefix_length = [0.0] * size
+        # Content hash of the completed, prefix-cacheable block the page
+        # holds; None otherwise.
+        self.block_hash: List[Optional[int]] = [None] * size
+        # Token slots filled (at most tokens_per_page).
+        self.num_tokens = [0] * size
+        # Times each large page was carved into this group.  Ids are reused
+        # after a re-carve, so (page id, carve) names one carve's page.
+        self.carve = [0] * num_large
         # EMPTY pages carved into this group, indexed by request
         # association (O(1) push/pop/discard).
         self.free_pool = FreePool()
@@ -155,34 +186,44 @@ class GroupAllocator:
         """Per-request buckets in the free pool (bounded by ``num_free``)."""
         return self.free_pool.num_buckets
 
-    def push_free(self, page: SmallPage) -> None:
-        self.free_pool.push(page.page_id, page.request_id)
-
     def slots(self, large_id: int) -> range:
         """Ids of the small pages large page ``large_id`` holds, in slot
         order, while this group owns it."""
         first = large_id * self.small_per_large
         return range(first, first + self.small_per_large)
 
-    def new_pages(self, large_id: int, request_id: Optional[str]) -> List[SmallPage]:
+    def new_pages(self, large_id: int, request_id: Optional[str]) -> range:
         """Carve large page ``large_id`` into ``small_per_large`` EMPTY
         pages, in slot order, associated with ``request_id``."""
-        group_id = self.spec.group_id
-        ids = self.slots(large_id)
-        carved = [SmallPage(page_id, group_id, large_id, EMPTY, request_id) for page_id in ids]
-        self.pages.update(zip(ids, carved))
-        self.n_empty_carved += len(ids)
-        return carved
+        n = self.small_per_large
+        first = large_id * n
+        self.state[first:first + n] = [EMPTY] * n
+        self.request_id[first:first + n] = [request_id] * n
+        self.carve[large_id] += 1
+        self.n_empty_carved += n
+        return range(first, first + n)
 
-    def destroy_pages(self, large_id: int, evicted: int) -> List[SmallPage]:
-        """Forget the pages of a large page returning to the LCM pool:
-        ``evicted`` of them were still EVICTABLE, the rest EMPTY."""
-        pop = self.pages.pop
-        gone = [pop(page_id) for page_id in self.slots(large_id)]
+    def destroy_pages(self, large_id: int, evicted: int) -> None:
+        """Uncarve a large page returning to the LCM pool: ``evicted`` of
+        its pages were still EVICTABLE, the rest EMPTY, and all of them
+        are already cleared."""
+        n = self.small_per_large
+        first = large_id * n
+        self.state[first:first + n] = [None] * n
         self.num_evictions += evicted
         self.n_evictable -= evicted
-        self.n_empty_carved -= len(gone) - evicted
-        return gone
+        self.n_empty_carved -= n - evicted
+
+    def clear(self, page_id: int) -> None:
+        """A page is emptying: drop its block from the cache index and
+        reset its hash, fill count and eviction key."""
+        block_hash = self.block_hash[page_id]
+        if block_hash is not None:
+            self.cache_index.remove(block_hash, page_id)
+            self.block_hash[page_id] = None
+        self.num_tokens[page_id] = 0
+        self.last_access[page_id] = -1.0
+        self.prefix_length[page_id] = 0.0
 
 
 class TwoLevelAllocator:
@@ -208,7 +249,9 @@ class TwoLevelAllocator:
             total_bytes, {g: s.page_bytes for g, s in specs.items()}, strategy=strategy
         )
         self.groups: Dict[str, GroupAllocator] = {
-            g: GroupAllocator(specs[g], policies[g], self.lcm.small_pages_per_large(g))
+            g: GroupAllocator(
+                specs[g], policies[g], self.lcm.small_pages_per_large(g), self.lcm.num_pages
+            )
             for g in specs
         }
         # Per-large-page state counts: [empty, used, evictable], indexed
@@ -241,7 +284,7 @@ class TwoLevelAllocator:
     # The five-step allocation algorithm
     # ------------------------------------------------------------------
 
-    def allocate_page(self, group_id: str, request_id: str) -> Optional[SmallPage]:
+    def allocate_page(self, group_id: str, request_id: str) -> Optional[int]:
         """One small page, ``allocate_pages(..., 1)`` unwrapped: ``None`` when
         every step fails and the caller must preempt.
 
@@ -254,15 +297,15 @@ class TwoLevelAllocator:
 
     def allocate_pages(
         self, group_id: str, request_id: str, n: int
-    ) -> Optional[List[SmallPage]]:
+    ) -> Optional[List[int]]:
         """Allocate ``n`` small pages of ``group_id`` as one run.
 
         Each page comes from the first of the five steps that has one, so
         a run takes the pages, in the order, ``n`` runs of one would.
         Check, then commit: a run :meth:`groups_that_fit` refuses returns
         ``None`` and mutates nothing (no carve, eviction or report);
-        otherwise returns the ``n`` USED pages (in allocation order) and
-        reports exactly one
+        otherwise returns the ids of the ``n`` USED pages (in allocation
+        order) and reports exactly one
         :meth:`~repro.core.events.Observer.pages_allocated`, after the
         carves and evictions that fed it.  ``n <= 0`` is a no-op
         returning an empty list.
@@ -270,14 +313,16 @@ class TwoLevelAllocator:
         if not self.groups_that_fit(((group_id, n),), request_id):
             return None
         group = self.groups[group_id]
-        pages = group.pages
+        spl = group.small_per_large
+        state = group.state
         pool = group.free_pool
         evictor = group.evictor
         lcm = self.lcm
         large_evictor = self.large_evictor
+        large_counts = self._large_counts
         obs = self.observer
         aware = self.request_aware
-        taken: List[SmallPage] = []
+        taken: List[int] = []
         steps: List[int] = []
         reclaimed = 0
         while len(taken) < n:
@@ -287,7 +332,7 @@ class TwoLevelAllocator:
             # genuine step-4 fallback.
             page_id = pool.pop(request_id) if aware else pool.pop_any()
             if page_id is not None:
-                taken.append(pages[page_id])
+                taken.append(page_id)
                 steps.append(1 if aware else 0)
                 continue
             # Steps 2/3 grow the group's large-page ownership, so both sit
@@ -308,37 +353,44 @@ class TwoLevelAllocator:
                     assert victim_group is not None
                     self._num_fully_evictable[victim_group] -= 1
                     self._evict_large_page(victim_id, victim_group, last_access, prefix)
-                # Slot 0 is taken now; the rest wait in the request's
-                # bucket, where step 1 finds them next.
                 carved = self._carve(group, request_id)
                 taken.append(carved[0])
                 steps.append(carve_step)
-                for page in carved[1:]:
-                    group.push_free(page)
+                if spl > 1:
+                    # The other slots would go to the request's bucket
+                    # (step 1 just found it empty; in the ablation, the
+                    # whole pool) and step 1 would pop them last slot
+                    # first: the run takes the ones it still needs
+                    # straight, in that order, and pools only the others.
+                    more = min(n - len(taken), spl - 1)
+                    split = spl - more
+                    taken.extend(reversed(carved[split:]))
+                    steps.extend([1 if aware else 0] * more)
+                    for page_id in carved[1:split]:
+                        pool.push(page_id, request_id)
                 continue
             # Step 4: any empty small page of this group.
             page_id = pool.pop_any()
             if page_id is not None:
-                taken.append(pages[page_id])
+                taken.append(page_id)
                 steps.append(4)
                 continue
             # Step 5: evict an evictable small page of this group and
             # reuse it in place (the check promised one).
             assert len(evictor), f"groups_that_fit admitted {n} pages of {group_id}"
             victim_id, last_access, prefix = evictor.evict_with_key()
-            page = pages[victim_id]
-            self._uncache(group, page)
-            large_id = page.large_page_id
-            counts = self._large_counts[large_id]
-            if counts[2] == group.small_per_large:
+            group.clear(victim_id)
+            state[victim_id] = EMPTY
+            large_id = victim_id // spl
+            counts = large_counts[large_id]
+            if counts[2] == spl:
                 self._large_evictor_discard(large_id, group_id)
             counts[2] -= 1
             counts[0] += 1
-            page.reset()
             reclaimed += 1
             if obs is not None:
                 obs.page_evicted(group_id, victim_id, "small", last_access, prefix)
-            taken.append(page)
+            taken.append(victim_id)
             steps.append(5)
         if not taken:
             return taken
@@ -348,18 +400,17 @@ class TwoLevelAllocator:
             group.note_eviction(reclaimed)
             group.bump_state(EVICTABLE, EMPTY, reclaimed)
         group.bump_state(EMPTY, USED, len(taken))
-        large_counts = self._large_counts
-        for page in taken:
-            page.state = USED
-            page.request_id = request_id
-            page.ref_count = 1
-            counts = large_counts[page.large_page_id]
+        owner = group.request_id
+        refs = group.ref_count
+        for page_id in taken:
+            state[page_id] = USED
+            owner[page_id] = request_id
+            refs[page_id] = 1
+            counts = large_counts[page_id // spl]
             counts[0] -= 1
             counts[1] += 1
         if obs is not None:
-            obs.pages_allocated(
-                group_id, request_id, tuple(page.page_id for page in taken), tuple(steps)
-            )
+            obs.pages_allocated(group_id, request_id, tuple(taken), tuple(steps))
         return taken
 
     def groups_that_fit(
@@ -454,9 +505,8 @@ class TwoLevelAllocator:
             rest -= group.num_free - first
             if rest <= 0:
                 continue
-            pages = group.pages
             for page_id in group.evictor.iter_in_order():
-                large_id = pages[page_id].large_page_id
+                large_id = page_id // spl
                 if large_id in returned:
                     continue  # went with its large page in a step 3
                 if large_id in self.large_evictor:
@@ -475,7 +525,7 @@ class TwoLevelAllocator:
             return group.free_pool.bucket_size(request_id)
         return group.num_free
 
-    def _carve(self, group: GroupAllocator, request_id: str) -> List[SmallPage]:
+    def _carve(self, group: GroupAllocator, request_id: str) -> range:
         """Carve a free large page into ``group``'s small pages: all EMPTY,
         associated with ``request_id``, not yet pooled."""
         group_id = group.spec.group_id
@@ -508,7 +558,12 @@ class TwoLevelAllocator:
         USED raises ``ValueError``; the pages before it stay released.
         """
         group = self.groups[group_id]
-        pages = group.pages
+        state = group.state
+        refs = group.ref_count
+        hashes = group.block_hash
+        num_tokens = group.num_tokens
+        last_access = group.last_access
+        prefix_length = group.prefix_length
         large_counts = self._large_counts
         spl = group.small_per_large
         cache = cacheable and self.enable_prefix_caching
@@ -518,24 +573,24 @@ class TwoLevelAllocator:
         fill = 0
         try:
             for page_id in page_ids:
-                page = pages[page_id]
-                if page.state is not USED or page.ref_count <= 0:
+                refs_left = refs[page_id] - 1
+                if state[page_id] is not USED or refs_left < 0:
                     raise ValueError(
                         f"releasing page {page_id} of group {group_id} "
-                        f"in state {page.state.name}"
+                        f"in state {getattr(state[page_id], 'name', None)}"
                     )
-                page.ref_count -= 1
-                if page.ref_count:
+                refs[page_id] = refs_left
+                if refs_left:
                     continue
-                fill += page.num_tokens
-                cached = cache and page.block_hash is not None
+                fill += num_tokens[page_id]
+                cached = cache and hashes[page_id] is not None
                 released.append((page_id, cached))
                 if not cached:
-                    self._empty_page(group, page)
+                    self._empty_page(group, page_id, USED)
                     continue
-                page.state = EVICTABLE
-                small_run.append((page_id, page.last_access, page.prefix_length))
-                large_id = page.large_page_id
+                state[page_id] = EVICTABLE
+                small_run.append((page_id, last_access[page_id], prefix_length[page_id]))
+                large_id = page_id // spl
                 counts = large_counts[large_id]
                 counts[1] -= 1
                 counts[2] += 1
@@ -559,81 +614,83 @@ class TwoLevelAllocator:
 
     def acquire_cached(
         self, group_id: str, block_hash: int, request_id: str
-    ) -> Optional[SmallPage]:
+    ) -> Optional[int]:
         """Take a reference on one cached block: a run of one, unwrapped."""
         pages = self.acquire_cached_run(group_id, (block_hash,), request_id)
         return pages[0] if pages else None
 
     def acquire_cached_run(
         self, group_id: str, block_hashes: Iterable[int], request_id: str
-    ) -> List[SmallPage]:
+    ) -> List[int]:
         """Take a reference on the cached block of each hash, in order
         (cache hits), stopping at the first miss or stale index entry.
 
-        Returns the pages acquired so far -- as many as there are hashes
-        when the whole run hit; the caller decides what a short run means.
+        Returns the ids of the pages acquired so far -- as many as there
+        are hashes when the whole run hit; the caller decides what a short
+        run means.
         """
         group = self.groups[group_id]
-        pages = group.pages
+        state = group.state
+        refs = group.ref_count
+        owner = group.request_id
         index = group.cache_index
         evictor = group.evictor
         large_counts = self._large_counts
         spl = group.small_per_large
-        acquired: List[SmallPage] = []
+        acquired: List[int] = []
         revived = fill = 0
         for block_hash in block_hashes:
             page_id = index.lookup(block_hash)
             if page_id is None:
                 break
-            page = pages.get(page_id)
-            if page is None or page.block_hash != block_hash:
+            if group.block_hash[page_id] != block_hash:
                 # Stale index entry (page was reclaimed); treat as miss.
                 index.remove(block_hash, page_id)
                 break
-            if page.state is EVICTABLE:
+            if state[page_id] is EVICTABLE:
                 evictor.remove(page_id)
-                page.state = USED
+                state[page_id] = USED
                 revived += 1
-                fill += page.num_tokens
-                large_id = page.large_page_id
+                fill += group.num_tokens[page_id]
+                large_id = page_id // spl
                 counts = large_counts[large_id]
                 if counts[2] == spl:
                     self._large_evictor_discard(large_id, group_id)
                 counts[2] -= 1
                 counts[1] += 1
-            page.ref_count += 1
-            page.request_id = request_id
-            acquired.append(page)
+            refs[page_id] += 1
+            owner[page_id] = request_id
+            acquired.append(page_id)
         if revived:
             self.version += 1
             group.note_fill(fill)
             group.bump_state(EVICTABLE, USED, revived)
         return acquired
 
-    def register_block_hash(self, group_id: str, page: SmallPage, block_hash: int) -> None:
-        """Publish a completed block into the group's cache index."""
+    def register_block_hash(self, group_id: str, page_id: int, block_hash: int) -> None:
+        """Publish page ``page_id``'s completed block into the group's
+        cache index."""
         if not self.enable_prefix_caching:
             return
         group = self.groups[group_id]
-        page.block_hash = block_hash
-        displaced = group.cache_index.insert(block_hash, page.page_id)
-        if displaced is not None:
-            old = group.pages.get(displaced)
-            if old is not None and old.block_hash == block_hash:
-                old.block_hash = None
-                if old.is_evictable:
-                    # The displaced copy frees outright without passing
-                    # through release_pages: observers still see a release.
-                    group.evictor.discard(displaced)
-                    self._large_evictor_discard(old.large_page_id, group_id)
-                    self.version += 1
-                    group.bump_state(EVICTABLE, EMPTY)
-                    self._empty_page(group, old)
-                    obs = self.observer
-                    if obs is not None:
-                        obs.page_released(group_id, displaced, False)
+        hashes = group.block_hash
+        hashes[page_id] = block_hash
+        displaced = group.cache_index.insert(block_hash, page_id)
+        if displaced is not None and hashes[displaced] == block_hash:
+            hashes[displaced] = None
+            if group.state[displaced] is EVICTABLE:
+                # The displaced copy frees outright without passing
+                # through release_pages: observers still see a release.
+                group.evictor.discard(displaced)
+                self._large_evictor_discard(displaced // group.small_per_large, group_id)
+                self.version += 1
+                group.bump_state(EVICTABLE, EMPTY)
+                self._empty_page(group, displaced, EVICTABLE)
+                obs = self.observer
+                if obs is not None:
+                    obs.page_released(group_id, displaced, False)
 
-    def touch_evictable(self, group_id: str, page: SmallPage) -> None:
+    def touch_evictable(self, group_id: str, page_id: int) -> None:
         """Re-key an evictable page after its eviction metadata changed.
 
         Moves :attr:`version`: the evictors' order is an input of
@@ -641,10 +698,11 @@ class TwoLevelAllocator:
         version must not outlive a re-key.
         """
         group = self.groups[group_id]
-        if page.is_evictable and page.page_id in group.evictor:
+        if group.state[page_id] is EVICTABLE and page_id in group.evictor:
             self.version += 1
-            group.evictor.add(page.page_id, page.last_access, page.prefix_length)
-            large_id = page.large_page_id
+            key = (group.last_access[page_id], group.prefix_length[page_id])
+            group.evictor.add(page_id, *key)
+            large_id = page_id // group.small_per_large
             if large_id not in self.large_evictor:
                 return
             # Incremental re-key of the fully-evictable large page: its
@@ -653,7 +711,6 @@ class TwoLevelAllocator:
             # new max; only when it does not (it may have been the holder
             # and shrunk) do we fall back to the full scan.
             cur = self.large_evictor.priority_of(large_id)
-            key = (page.last_access, page.prefix_length)
             if key[0] >= cur[0] and key[1] >= cur[1]:
                 if key != cur:
                     self.large_evictor.add(large_id, *key)
@@ -664,29 +721,21 @@ class TwoLevelAllocator:
     # Internal state machinery
     # ------------------------------------------------------------------
 
-    def _uncache(self, group: GroupAllocator, page: SmallPage) -> None:
-        """An evictable page is being reclaimed: drop its cached block from
-        the group's index."""
-        if page.block_hash is not None:
-            group.cache_index.remove(page.block_hash, page.page_id)
-
-    def _empty_page(self, group: GroupAllocator, page: SmallPage) -> None:
-        """USED (ref 0) / EVICTABLE -> EMPTY: unindex, reset, then pool the
-        page or return its now-empty large page.  Group counters, evictor
-        membership and the version move are the caller's, once per run."""
-        if page.block_hash is not None:
-            group.cache_index.remove(page.block_hash, page.page_id)
-        large_id = page.large_page_id
+    def _empty_page(self, group: GroupAllocator, page_id: int, old: PageState) -> None:
+        """``old`` (USED at ref 0, or EVICTABLE) -> EMPTY: clear, then pool
+        the page under the request it keeps for step 1, or return its
+        now-empty large page.  Group counters, evictor membership and the
+        version move are the caller's, once per run."""
+        group.clear(page_id)
+        large_id = page_id // group.small_per_large
         counts = self._large_counts[large_id]
-        counts[page.state] -= 1
+        counts[old] -= 1
         counts[0] += 1
-        request_id = page.request_id
-        page.reset()
-        page.request_id = request_id  # keep the association for step 1
+        group.state[page_id] = EMPTY
         if counts[0] == group.small_per_large:
             self._return_large_page(large_id)
         else:
-            group.push_free(page)
+            group.free_pool.push(page_id, group.request_id[page_id])
 
     def _evict_large_page(
         self, large_id: int, owner: str, last_access: float, prefix: float
@@ -715,15 +764,16 @@ class TwoLevelAllocator:
                 f"large page {large_id} returned while {counts[1]} small pages are USED"
             )
         del self._large_counts[large_id]
+        state = group.state
         pool = group.free_pool
-        for page in group.destroy_pages(large_id, counts[2]):
-            if page.state is EVICTABLE:
-                group.evictor.discard(page.page_id)
-                self._uncache(group, page)
-                page.reset()
+        for page_id in group.slots(large_id):
+            if state[page_id] is EVICTABLE:
+                group.evictor.discard(page_id)
+                group.clear(page_id)
             else:
                 # Pooled unless it is the page whose emptying returns it.
-                pool.discard(page.page_id)
+                pool.discard(page_id)
+        group.destroy_pages(large_id, counts[2])
         self._num_large_owned[owner] -= 1
         self.version += 1
         self.lcm.free(large_id)
@@ -735,15 +785,11 @@ class TwoLevelAllocator:
         owner = self.lcm.owner_of(large_id)
         assert owner is not None
         group = self.groups[owner]
-        pages = group.pages
-        last = prefix = float("-inf")
-        for small_id in group.slots(large_id):
-            page = pages[small_id]
-            if page.last_access > last:
-                last = page.last_access
-            if page.prefix_length > prefix:
-                prefix = page.prefix_length
-        return last, prefix
+        n = group.small_per_large
+        first = large_id * n
+        if n == 1:  # most groups: the key is the one page's
+            return group.last_access[first], group.prefix_length[first]
+        return max(group.last_access[first:first + n]), max(group.prefix_length[first:first + n])
 
     def _large_evictor_discard(self, large_id: int, owner: str) -> None:
         """``owner``'s large page stops being fully evictable (if it was)."""
@@ -875,27 +921,26 @@ class TwoLevelAllocator:
         for group_id, group in self.groups.items():
             page_bytes = group.spec.page_bytes
             u = e = 0
-            for page in group.pages.values():
-                if page.is_used:
+            for page_id, state in enumerate(group.state):
+                if state is USED:
                     u += page_bytes
                     if not group.policy.snapshot_blocks:
-                        filled = page.num_tokens * group.spec.per_token_bytes
+                        filled = group.num_tokens[page_id] * group.spec.per_token_bytes
                         partial += max(0, page_bytes - filled)
-                elif page.is_evictable:
+                elif state is EVICTABLE:
                     e += page_bytes
-                else:
+                elif state is EMPTY:
                     frag += page_bytes
             used[group_id] = u
             evictable[group_id] = e
         return self._stats_of(used, evictable, frag, partial)
 
-    def extent_of(self, group_id: str, page: SmallPage) -> PhysicalExtent:
+    def extent_of(self, group_id: str, page_id: int) -> PhysicalExtent:
         """Physical placement of a small page (page-layer partition, §4.2)."""
         group = self.groups[group_id]
-        base = self.lcm.extent_of(page.large_page_id)
+        large_id, slot = divmod(page_id, group.small_per_large)
         size = group.spec.page_bytes
-        slot = page.page_id - group.slots(page.large_page_id).start
-        return PhysicalExtent(base.start + slot * size, size)
+        return PhysicalExtent(self.lcm.extent_of(large_id).start + slot * size, size)
 
     def check_no_physical_overlap(self) -> None:
         """Memory-safety check: no two live small pages share bytes.
@@ -908,12 +953,14 @@ class TwoLevelAllocator:
         """
         extents: List[Tuple[int, int, str, int]] = []
         for group_id, group in self.groups.items():
-            for page in group.pages.values():
-                extent = self.extent_of(group_id, page)
+            for page_id, state in enumerate(group.state):
+                if state is None:
+                    continue
+                extent = self.extent_of(group_id, page_id)
                 assert extent.end <= self.lcm.total_bytes, (
-                    f"page {group_id}/{page.page_id} extends past the region"
+                    f"page {group_id}/{page_id} extends past the region"
                 )
-                extents.append((extent.start, extent.end, group_id, page.page_id))
+                extents.append((extent.start, extent.end, group_id, page_id))
         extents.sort()
         for (s1, e1, g1, p1), (s2, e2, g2, p2) in zip(extents, extents[1:]):
             assert e1 <= s2, (
@@ -922,27 +969,34 @@ class TwoLevelAllocator:
 
     def check_invariants(self) -> None:
         """Assert internal consistency; used by property-based tests."""
+        owners = [self.lcm.owner_of(large_id) for large_id in range(self.lcm.num_pages)]
         for group_id, group in self.groups.items():
             group.free_pool.check_consistent()
             n_empty = 0
-            for page in group.pages.values():
-                large_id = page.large_page_id
-                assert page.page_id in group.slots(large_id), (group_id, page.page_id, large_id)
-                owner = self.lcm.owner_of(large_id)
-                assert owner == group_id, (
-                    f"page {page.page_id} of {group_id} sits in large page "
+            for page_id, state in enumerate(group.state):
+                large_id = page_id // group.small_per_large
+                owner = owners[large_id]
+                # A slot is carved exactly while its large page is owned.
+                assert (state is not None) == (owner == group_id), (
+                    f"page {group_id}/{page_id} is {state} in large page "
                     f"{large_id} owned by {owner}"
                 )
-                if page.is_evictable:
-                    assert page.page_id in group.evictor
-                    assert page.page_id not in group.free_pool
-                if page.is_used:
-                    assert page.ref_count > 0
-                    assert page.page_id not in group.free_pool
-                if page.is_empty:
+                if state is USED or state is EVICTABLE:
+                    assert page_id not in group.free_pool
+                    if state is USED:
+                        assert group.ref_count[page_id] > 0
+                    else:
+                        assert page_id in group.evictor
+                    continue
+                # Neither USED nor EVICTABLE: cleared (see GroupAllocator).
+                fields = (group.ref_count[page_id], group.block_hash[page_id],
+                          group.num_tokens[page_id], group.last_access[page_id],
+                          group.prefix_length[page_id])
+                assert fields == (0, None, 0, -1.0, 0.0), (group_id, page_id, fields)
+                if state is EMPTY:
                     n_empty += 1
-                    assert page.page_id in group.free_pool, (
-                        f"EMPTY page {group_id}/{page.page_id} missing from the free pool"
+                    assert page_id in group.free_pool, (
+                        f"EMPTY page {group_id}/{page_id} missing from the free pool"
                     )
             # The pool holds exactly the EMPTY pages (no stale ids), so
             # num_free needs no separate running counter.
@@ -950,7 +1004,7 @@ class TwoLevelAllocator:
         fully_by_group = {g: 0 for g in self.groups}
         owned_by_group = {g: 0 for g in self.groups}
         for large_id, counts in self._large_counts.items():
-            owner = self.lcm.owner_of(large_id)
+            owner = owners[large_id]
             assert owner is not None
             owned_by_group[owner] += 1
             group = self.groups[owner]
@@ -958,7 +1012,9 @@ class TwoLevelAllocator:
             assert sum(counts) == total, (large_id, counts, total)
             actual = [0, 0, 0]
             for sid in group.slots(large_id):
-                actual[group.pages[sid].state] += 1
+                state = group.state[sid]
+                assert state is not None, (owner, sid)
+                actual[state] += 1
             assert actual == counts, (large_id, actual, counts)
             if counts[2] == total and total > 0:
                 fully_by_group[owner] += 1

@@ -32,6 +32,7 @@ from repro.core.layer_policy import (
     SLIDING_WINDOW,
     make_policy,
 )
+from repro.core.pages import EVICTABLE
 from repro.core.sequence import TEXT, SequenceSpec
 from repro.core.two_level import TwoLevelAllocator
 from repro.engine import LLMEngine, Request, SchedulerConfig
@@ -102,8 +103,8 @@ def admission_inputs(alloc):
 def cache_page(alloc, gid, page, block_hash, now):
     """Hash ``page`` and release it into the evictable cache."""
     alloc.register_block_hash(gid, page, block_hash)
-    page.last_access = now
-    alloc.release_page(gid, page.page_id, cacheable=True)
+    alloc.groups[gid].last_access[page] = now
+    alloc.release_page(gid, page, cacheable=True)
 
 
 def evictable_page(alloc, gid="a", block_hash=7):
@@ -124,7 +125,7 @@ def allocate_batch(alloc):  # 4 > 3 slots: steps 2, 1, 1, 2
 
 def release_to_free(alloc):
     page = alloc.allocate_page("a", "r")
-    return lambda: alloc.release_page("a", page.page_id, cacheable=False)
+    return lambda: alloc.release_page("a", page, cacheable=False)
 
 
 def release_to_cache(alloc):
@@ -177,12 +178,12 @@ def return_large_page_alone(alloc):
     # the owned / lcm.num_free counts it writes must move the version
     # without leaning on set_quota's own bump.
     page = evictable_page(alloc)
-    return lambda: alloc._return_large_page(page.large_page_id)
+    return lambda: alloc._return_large_page(page // alloc.groups["a"].small_per_large)
 
 
 def touch(alloc):  # re-key: the evictors' order is a can_admit input
     page = evictable_page(alloc)
-    page.last_access = 9.0
+    alloc.groups["a"].last_access[page] = 9.0
     return lambda: alloc.touch_evictable("a", page)
 
 
@@ -290,18 +291,18 @@ class TestAllocatorVersion:
                     # Six hashes over many pages: re-registration displaces
                     # stale evictable copies.
                     alloc.register_block_hash(pgid, page, k)
-                    page.last_access = clock
-                alloc.release_page(pgid, page.page_id, cacheable=(op == "cache"))
+                    alloc.groups[pgid].last_access[page] = clock
+                alloc.release_page(pgid, page, cacheable=(op == "cache"))
             elif op == "acquire":
                 page = alloc.acquire_cached(gid, k, f"r{k}")
                 if page is not None:
                     live.append((gid, page))
             elif op == "touch":
-                for page in alloc.groups[gid].pages.values():
-                    if page.is_evictable:
-                        page.last_access = clock
-                        alloc.touch_evictable(gid, page)
-                        break
+                group = alloc.groups[gid]
+                if EVICTABLE in group.state:
+                    page = group.state.index(EVICTABLE)
+                    group.last_access[page] = clock
+                    alloc.touch_evictable(gid, page)
             elif op == "quota":
                 alloc.set_quota(gid, None if k == 5 else k)
             assert alloc.version >= before

@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.layer_policy import FULL_ATTENTION, GroupSpec, make_policy
+from repro.core.pages import EMPTY, EVICTABLE, USED
 from repro.core.sequence import TEXT
 from repro.core.two_level import TwoLevelAllocator
 
@@ -111,10 +112,10 @@ def snapshot(alloc):
     for group_id, group in alloc.groups.items():
         spl = group.small_per_large
         pages = sorted(
-            (name(group_id, p.page_id), p.state.name, p.ref_count, p.request_id,
-             p.large_page_id, p.page_id % spl, p.block_hash, p.num_tokens,
-             p.last_access, p.prefix_length)
-            for p in group.pages.values()
+            (name(group_id, p), state.name, group.ref_count[p], group.request_id[p],
+             p // spl, p % spl, group.block_hash[p], group.num_tokens[p],
+             group.last_access[p], group.prefix_length[p])
+            for p, state in enumerate(group.state) if state is not None
         )
         pool = copy.deepcopy(group.free_pool)
         pop_order = tuple(name(group_id, page_id) for page_id in iter(pool.pop_any, None))
@@ -189,25 +190,25 @@ class Driver:
                 pages.extend(got)
         if pages is None:
             return None
-        self.held[gid].extend(p.page_id for p in pages)
+        self.held[gid].extend(pages)
         steps = [step for event in self.allocated[mark:] for step in event.steps]
-        return self.names(gid, (p.page_id for p in pages)), steps
+        return self.names(gid, pages), steps
 
     def release(self, gid, count, cacheable, hash_base):
         """Release the ``count`` oldest held references of ``gid``; with a
         ``hash_base`` the pages are hashed first (small hash domain, so
         re-registration displaces stale copies)."""
         alloc = self.alloc
+        group = alloc.groups[gid]
         ids, self.held[gid] = self.held[gid][:count], self.held[gid][count:]
         self.clock += 1.0
         for offset, page_id in enumerate(ids):
-            page = alloc.groups[gid].pages[page_id]
-            if hash_base is not None and page.block_hash is None:
-                alloc.register_block_hash(gid, page, (hash_base + offset) % 24)
-                alloc.groups[gid].note_fill(4 - page.num_tokens)
-                page.num_tokens = 4
-            page.last_access = self.clock - (offset % 2)
-            page.prefix_length = float(offset)
+            if hash_base is not None and group.block_hash[page_id] is None:
+                alloc.register_block_hash(gid, page_id, (hash_base + offset) % 24)
+                group.note_fill(4 - group.num_tokens[page_id])
+                group.num_tokens[page_id] = 4
+            group.last_access[page_id] = self.clock - (offset % 2)
+            group.prefix_length[page_id] = float(offset)
         self.release_ids(gid, ids, cacheable)
         return self.names(gid, ids)
 
@@ -225,17 +226,22 @@ class Driver:
                 if page is None:
                     break
                 pages.append(page)
-        self.held[gid].extend(p.page_id for p in pages)
-        return self.names(gid, (p.page_id for p in pages))
+        self.held[gid].extend(pages)
+        return self.names(gid, pages)
 
     def touch(self, gid):
+        """Re-key the evictable page carved first (the lowest carve-order
+        name), if there is one."""
         self.clock += 1.0
-        for page in self.alloc.groups[gid].pages.values():
-            if page.is_evictable:
-                page.last_access = self.clock
-                self.alloc.touch_evictable(gid, page)
-                return self.alloc.events.name(gid, page.page_id)
-        return None
+        group = self.alloc.groups[gid]
+        name = self.alloc.events.name
+        evictable = [p for p, state in enumerate(group.state) if state is EVICTABLE]
+        if not evictable:
+            return None
+        page = min(evictable, key=lambda p: name(gid, p))
+        group.last_access[page] = self.clock
+        self.alloc.touch_evictable(gid, page)
+        return name(gid, page)
 
     def quota(self, gid, quota):
         return self.alloc.set_quota(gid, quota)
@@ -286,8 +292,9 @@ class TestBatchingInvariance:
         alloc = make_allocator()
         a, b = alloc.allocate_pages("four", "r0", 2)
         with pytest.raises(ValueError):
-            alloc.release_pages("four", [a.page_id, a.page_id, b.page_id], False)
-        assert a.is_empty and b.is_used
+            alloc.release_pages("four", [a, a, b], False)
+        state = alloc.groups["four"].state
+        assert state[a] is EMPTY and state[b] is USED
         alloc.check_invariants()
         assert alloc.stats() == alloc.stats_slow()
 
@@ -370,7 +377,7 @@ def cached_run(alloc, gid, rid, n, first_hash=0):
     pages = alloc.allocate_pages(gid, rid, n)
     for offset, page in enumerate(pages):
         alloc.register_block_hash(gid, page, first_hash + offset)
-        page.last_access = 1.0
+        alloc.groups[gid].last_access[page] = 1.0
     return pages
 
 
@@ -381,21 +388,22 @@ class TestObserversSeeTheSameStream:
         shared = alloc.acquire_cached("four", 2, "r1")  # second reference
         plain = alloc.allocate_pages("four", "r0", 2)
         seen = alloc.observer = RecordingObserver()
-        ids = [p.page_id for p in pages + plain]
+        ids = pages + plain
         alloc.release_pages("four", ids, cacheable=True)
         # The shared page only dropped a reference: no record for it.
         assert seen.records == [
-            PageReleased("four", page_id, cached=page_id not in {p.page_id for p in plain})
-            for page_id in ids if page_id != shared.page_id
+            PageReleased("four", page_id, cached=page_id not in plain)
+            for page_id in ids if page_id != shared
         ]
-        assert shared.is_used and shared.ref_count == 1
+        group = alloc.groups["four"]
+        assert group.state[shared] is USED and group.ref_count[shared] == 1
 
     def test_one_pages_allocated_record_per_call_with_every_step(self):
         alloc = make_allocator(num_large=2)
         seen = alloc.observer = RecordingObserver()
         pages = alloc.allocate_pages("four", "r0", 6)
         assert seen.recent(PagesAllocated) == [PagesAllocated(
-            "four", "r0", tuple(p.page_id for p in pages), (2, 1, 1, 1, 2, 1)
+            "four", "r0", tuple(pages), (2, 1, 1, 1, 2, 1)
         )]
         # Carve records precede the allocation record they fed.
         assert [type(e) for e in seen.records] == [
@@ -405,18 +413,18 @@ class TestObserversSeeTheSameStream:
     def test_failed_run_acquire_counts_lookups_like_the_loop(self):
         alloc = make_allocator()
         pages = cached_run(alloc, "two", "r0", 3)
-        alloc.release_pages("two", [p.page_id for p in pages], cacheable=True)
+        alloc.release_pages("two", pages, cacheable=True)
         index = alloc.groups["two"].cache_index
         got = alloc.acquire_cached_run("two", [0, 1, 99, 2], "r1")
         # Two hits, the miss that stopped the run, and nothing past it.
-        assert [p.page_id for p in got] == [pages[0].page_id, pages[1].page_id]
+        assert got == pages[:2]
         assert (index.hits, index.misses) == (2, 1)
-        assert pages[2].is_evictable
+        assert alloc.groups["two"].state[pages[2]] is EVICTABLE
 
     def test_refused_allocate_mutates_nothing(self):
         alloc = make_allocator(num_large=3)
         cached = cached_run(alloc, "one", "r0", 2)
-        alloc.release_pages("one", [p.page_id for p in cached], cacheable=True)
+        alloc.release_pages("one", cached, cacheable=True)
         pinned = alloc.allocate_pages("one", "r1", 1)
         seen = alloc.observer = RecordingObserver()
         before, version = snapshot(alloc), alloc.version
@@ -426,7 +434,8 @@ class TestObserversSeeTheSameStream:
         # stay cached and the pool is as it was.
         assert seen.records == []
         assert snapshot(alloc) == before and alloc.version == version
-        assert len(alloc.groups["one"].cache_index) == 2 and pinned[0].is_used
+        assert len(alloc.groups["one"].cache_index) == 2
+        assert alloc.groups["one"].state[pinned[0]] is USED
         # Two pages do fit, and the check said so.
         assert alloc.groups_that_fit([("one", 2)], "r2") == 1
         assert alloc.allocate_pages("one", "r2", 2) is not None

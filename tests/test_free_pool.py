@@ -67,16 +67,17 @@ class TestFreePool:
         group = alloc.groups["a"]
         (first,) = alloc.allocate_pages("a", "r1", 1)
         (second,) = alloc.allocate_pages("a", "r2", 1)
+        spl = group.small_per_large
         spare = {
             page_id
             for page in (first, second)
-            for page_id in group.slots(page.large_page_id)
-            if page_id != page.page_id
+            for page_id in group.slots(page // spl)
+            if page_id != page
         }
         assert set(group.free_pool) == spare
-        alloc.release_pages("a", [first.page_id], cacheable=False)
-        assert alloc.lcm.owner_of(first.large_page_id) is None
-        assert set(group.free_pool) == set(group.slots(second.large_page_id)) - {second.page_id}
+        alloc.release_pages("a", [first], cacheable=False)
+        assert alloc.lcm.owner_of(first // spl) is None
+        assert set(group.free_pool) == set(group.slots(second // spl)) - {second}
         group.free_pool.check_consistent()
 
     def test_buckets_deleted_when_exhausted(self):
@@ -106,8 +107,8 @@ class TestBucketLeakRegression:
             p1 = alloc.allocate_page("a", rid)
             p2 = alloc.allocate_page("a", rid)
             assert p1 is not None and p2 is not None
-            alloc.release_page("a", p1.page_id, cacheable=False)
-            alloc.release_page("a", p2.page_id, cacheable=False)
+            alloc.release_page("a", p1, cacheable=False)
+            alloc.release_page("a", p2, cacheable=False)
             assert group.free_buckets <= group.num_free
         assert group.free_buckets <= 2
         alloc.check_invariants()
@@ -122,10 +123,10 @@ class TestBucketLeakRegression:
             pages = [alloc.allocate_page("a", rid) for _ in range(3)]
             keep = pages[: i % 3]
             for p in pages[i % 3:]:
-                alloc.release_page("a", p.page_id, cacheable=False)
+                alloc.release_page("a", p, cacheable=False)
             assert group.free_buckets <= group.num_free
             for p in keep:
-                alloc.release_page("a", p.page_id, cacheable=False)
+                alloc.release_page("a", p, cacheable=False)
         assert group.free_buckets == 0
         assert group.num_free == 0
         alloc.check_invariants()

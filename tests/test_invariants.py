@@ -193,9 +193,10 @@ def churn_lines_per_op(package, num_large, seed, num_ops=20_000):
             gid = group_ids[rng.randrange(len(group_ids))]
             page = counted(alloc.allocate_page, gid, f"r{rng.randrange(32)}")
             if page is not None:
-                page.last_access = float(i)
-                page.num_tokens = 4
-                alloc.groups[gid].note_fill(4)
+                group = alloc.groups[gid]
+                group.last_access[page] = float(i)
+                group.num_tokens[page] = 4
+                group.note_fill(4)
                 live.append((gid, page))
         elif roll < 0.85 or not hashes:
             gid, page = live.pop(rng.randrange(len(live)))
@@ -203,7 +204,7 @@ def churn_lines_per_op(package, num_large, seed, num_ops=20_000):
             if cacheable:
                 hashes.append((gid, len(hashes) + 1))
                 alloc.register_block_hash(gid, page, len(hashes))
-            counted(alloc.release_page, gid, page.page_id, cacheable)
+            counted(alloc.release_page, gid, page, cacheable)
         else:
             gid, block_hash = hashes[rng.randrange(len(hashes))]
             page = counted(alloc.acquire_cached, gid, block_hash, f"r{rng.randrange(32)}")

@@ -16,6 +16,7 @@ from repro.core.layer_policy import (
     VISION_EMBEDDING,
     make_policy,
 )
+from repro.core.pages import EMPTY, EVICTABLE
 from repro.core.sequence import IMAGE, TEXT, SequenceSpec
 
 from .oracle import admission_oracle
@@ -111,8 +112,8 @@ class TestLifecycle:
         assert stats.used_bytes_by_group["win"] == 2 * 256
         assert stats.evictable_bytes_by_group["win"] == 8 * 256
         win = mgr.allocator.groups["win"]
-        biased = [p for p in win.pages.values() if p.is_evictable]
-        assert all(p.last_access < -1e12 for p in biased)
+        biased = [p for p, state in enumerate(win.state) if state is EVICTABLE]
+        assert all(win.last_access[p] < -1e12 for p in biased)
 
     def test_release_without_caching_frees_everything(self):
         mgr = make_manager(caching=False)
@@ -174,16 +175,14 @@ class TestPrefixHits:
         # Evict every window-group page (in-window ones carry latest
         # stamps; evict all to be sure).
         while len(win.evictor):
-            page = win.pages[win.evictor.evict()]
-            win.evictor.add(page.page_id, page.last_access)  # restore key
+            page = win.evictor.evict()
+            win.evictor.add(page, win.last_access[page])  # restore key
             break
         # Simpler: drop the whole window cache through the public path.
         for page_id in list(win.evictor.iter_in_order()):
-            page = win.pages[page_id]
             win.evictor.remove(page_id)
-            win.cache_index.remove(page.block_hash, page_id)
-            page.block_hash = None
-            page.reset()
+            win.clear(page_id)  # unindexes the block
+            win.state[page_id] = EMPTY
         seq2 = SequenceSpec.text_only("r2", list(range(40)) + [1])
         # Full group alone cannot grant a hit: window layers lost their
         # trailing blocks.
@@ -282,14 +281,14 @@ class TestMambaManager:
         assert mamba.small_per_large == 1
         first = SequenceSpec.text_only("r1", list(range(10)))
         run_request(mgr, first, now=1.0)  # attention 1 large page, Mamba 2
-        (old,) = [p for p in mamba.pages.values() if p.is_evictable]
+        (old,) = [p for p, state in enumerate(mamba.state) if state is EVICTABLE]
         second = SequenceSpec.text_only("r2", list(range(100, 110)))
         run_request(mgr, second, now=2.0)  # the last free pages, then step 3
         assert alloc.num_large_evictions == 1
-        (new,) = [p for p in mamba.pages.values() if p.is_evictable]
-        assert new.large_page_id == old.large_page_id and new.last_access == 2.0
+        (new,) = [p for p, state in enumerate(mamba.state) if state is EVICTABLE]
+        assert new == old and mamba.last_access[new] == 2.0  # same slot, next carve
         mgr.commit(first, len(first), now=3.0)
-        assert new.last_access == 2.0
+        assert mamba.last_access[new] == 2.0
         alloc.check_invariants()
 
     def test_mamba_without_caching_single_state(self):
@@ -392,7 +391,7 @@ class TestCapacityProbes:
         for _ in range(8):
             gid = rng.choice(sorted(mgr.allocator.groups))
             page = mgr.allocator.allocate_page(gid, "mutator")
-            mgr.allocator.release_page(gid, page.page_id, cacheable=False)
+            mgr.allocator.release_page(gid, page, cacheable=False)
             for seq in waiting:
                 verdict = mgr.can_admit(seq, 8)
                 assert verdict == admission_oracle(mgr, seq, 8)
@@ -653,22 +652,22 @@ class TestStampingEquivalence:
                 ref_win[idx] = now  # window touches in-window pages
         full_group = mgr.allocator.groups["full"]
         win_group = mgr.allocator.groups["win"]
-        for page in full_group.pages.values():
-            if page.is_evictable:
-                idx = int(page.prefix_length // 4) - 1
-                assert page.last_access == ref_full[idx]
+        for page, state in enumerate(full_group.state):
+            if state is EVICTABLE:
+                idx = int(full_group.prefix_length[page] // 4) - 1
+                assert full_group.last_access[page] == ref_full[idx]
         # Window group: pages that slid out of the window sit in the
         # biased (evict-first) class; pages still in the final window carry
         # the final access stamp.
-        evictable_win = [p for p in win_group.pages.values() if p.is_evictable]
+        evictable_win = [p for p, state in enumerate(win_group.state) if state is EVICTABLE]
         assert evictable_win
         final_window_start = (16 - 8) // 4  # block index of the last window
         for page in evictable_win:
-            idx = int(page.prefix_length // 4) - 1
+            idx = int(win_group.prefix_length[page] // 4) - 1
             if idx < final_window_start:
-                assert page.last_access < -1e12  # evict-first class
+                assert win_group.last_access[page] < -1e12  # evict-first class
             else:
-                assert abs(page.last_access - ref_win[idx]) <= 1.0
+                assert abs(win_group.last_access[page] - ref_win[idx]) <= 1.0
 
 
 @pytest.mark.xfail(

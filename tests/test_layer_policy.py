@@ -18,7 +18,6 @@ from repro.core.layer_policy import (
     VisionEmbeddingPolicy,
     make_policy,
 )
-from repro.core.pages import SmallPage
 from repro.core.sequence import IMAGE, TEXT, SequenceSpec
 
 
@@ -31,7 +30,14 @@ def spec(kind, **kw):
 
 
 def pages(n):
-    return [SmallPage(page_id=i, group_id="g", large_page_id=i) for i in range(n)]
+    """A request's page table over ``n`` pages, in reverse id order, and
+    the group's fresh per-page ``last_access`` and ``prefix_length``."""
+    return list(range(n - 1, -1, -1)), [-1.0] * n, [0.0] * n
+
+
+def by_slot(table, values):
+    """``values`` (indexed by page id) read along the page table."""
+    return [None if page_id is None else values[page_id] for page_id in table]
 
 
 class TestGroupSpec:
@@ -84,15 +90,15 @@ class TestFullAttention:
 
     def test_update_last_access_touches_all(self):
         p = FullAttentionPolicy(spec(FULL_ATTENTION))
-        ps = pages(3)
-        p.update_last_access(ps, 12, now=7.0)
-        assert all(x.last_access == 7.0 for x in ps)
+        table, last, _ = pages(3)
+        p.update_last_access(last, table, 12, now=7.0)
+        assert last == [7.0] * 3
 
     def test_set_prefix_length_is_depth(self):
         p = FullAttentionPolicy(spec(FULL_ATTENTION))
-        ps = pages(3)
-        p.set_prefix_length(ps, SequenceSpec.text_only("r", list(range(12))))
-        assert [x.prefix_length for x in ps] == [4.0, 8.0, 12.0]
+        table, _, prefix = pages(3)
+        p.set_prefix_length(prefix, table, SequenceSpec.text_only("r", list(range(12))))
+        assert by_slot(table, prefix) == [4.0, 8.0, 12.0]
 
 
 class TestSlidingWindow:
@@ -142,9 +148,9 @@ class TestSlidingWindow:
 
     def test_update_last_access_only_window(self):
         p = self.make(window=8)
-        ps = pages(5)
-        p.update_last_access(ps, 20, now=3.0)
-        assert [x.last_access for x in ps] == [-1.0, -1.0, -1.0, 3.0, 3.0]
+        table, last, _ = pages(5)
+        p.update_last_access(last, table, 20, now=3.0)
+        assert by_slot(table, last) == [-1.0, -1.0, -1.0, 3.0, 3.0]
 
 
 class TestDroppedToken:
@@ -194,12 +200,13 @@ class TestMamba:
 
     def test_update_last_access_only_latest(self):
         p = self.make(interval=8)
-        ps = pages(4)  # working + 3 checkpoints
-        p.update_last_access(ps, 24, now=5.0)
-        assert ps[0].last_access == 5.0  # working state
-        assert ps[3].last_access == 5.0  # newest checkpoint
-        assert ps[1].last_access == -1.0
-        assert ps[2].last_access == -1.0
+        table, last, _ = pages(4)  # working + 3 checkpoints
+        p.update_last_access(last, table, 24, now=5.0)
+        stamps = by_slot(table, last)
+        assert stamps[0] == 5.0  # working state
+        assert stamps[3] == 5.0  # newest checkpoint
+        assert stamps[1] == -1.0
+        assert stamps[2] == -1.0
 
 
 class TestVisionEmbedding:
@@ -217,21 +224,22 @@ class TestVisionEmbedding:
     def test_same_image_same_prefix_value(self):
         p = self.make()
         seq = self.seq_two_images()
-        ps = pages(4)  # 16 image tokens / 4 per page
-        p.set_prefix_length(ps, seq)
+        table, _, prefix = pages(4)  # 16 image tokens / 4 per page
+        p.set_prefix_length(prefix, table, seq)
+        got = by_slot(table, prefix)
         # Pages 0-1 are image 0; pages 2-3 are image 1.
-        assert ps[0].prefix_length == ps[1].prefix_length
-        assert ps[2].prefix_length == ps[3].prefix_length
-        assert ps[0].prefix_length != ps[2].prefix_length
+        assert got[0] == got[1]
+        assert got[2] == got[3]
+        assert got[0] != got[2]
 
     def test_draw_is_stable(self):
         p = self.make()
         seq = self.seq_two_images()
-        ps = pages(4)
-        p.set_prefix_length(ps, seq)
-        first = [x.prefix_length for x in ps]
-        p.set_prefix_length(ps, seq)
-        assert [x.prefix_length for x in ps] == first
+        table, _, prefix = pages(4)
+        p.set_prefix_length(prefix, table, seq)
+        first = list(prefix)
+        p.set_prefix_length(prefix, table, seq)
+        assert prefix == first
 
     def test_consumption_frees_leading_pages(self):
         p = self.make()
@@ -336,17 +344,18 @@ class TestManagerHooks:
         seq = SequenceSpec.multimodal(
             "r", [(TEXT, [1]), (IMAGE, list(range(10, 18))), (IMAGE, list(range(20, 28)))]
         )
-        table = pages(4)
+        table, _, prefix = pages(4)
         table[1] = None  # a released slot keeps its hole in the bulk form
-        policy.set_prefix_length(table, seq)
+        policy.set_prefix_length(prefix, table, seq)
+        got = by_slot(table, prefix)
         draws = {}
         if kind == VISION_EMBEDDING:
-            draws = {0: table[0].prefix_length, 1: table[2].prefix_length}
+            draws = {0: got[0], 1: got[2]}
             assert draws[0] != draws[1]
-        for idx, page in enumerate(table):
-            if page is not None:
-                assert page.prefix_length == policy.prefix_length_of(idx, seq)
-                assert page.prefix_length == expected_prefix_length(kind, idx, draws)
+        for idx, value in enumerate(got):
+            if value is not None:
+                assert value == policy.prefix_length_of(idx, seq)
+                assert value == expected_prefix_length(kind, idx, draws)
         assert policy.prefix_length_of(1, seq) == expected_prefix_length(kind, 1, draws)
 
     def test_dropped_token_keeps_every_spec_field(self):

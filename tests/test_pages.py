@@ -1,39 +1,65 @@
-"""Tests for page objects and physical extents."""
+"""Tests for small-page slots and physical extents."""
 
-from repro.core.pages import PageState, PhysicalExtent, SmallPage
+from repro.core.layer_policy import FULL_ATTENTION, GroupSpec, make_policy
+from repro.core.pages import PageState, PhysicalExtent
+from repro.core.sequence import TEXT
+from repro.core.two_level import TwoLevelAllocator
 
 
-class TestSmallPage:
-    def test_initial_state(self):
-        page = SmallPage(page_id=0, group_id="g", large_page_id=0)
-        assert page.is_empty
-        assert not page.is_used
-        assert not page.is_evictable
-        assert page.ref_count == 0
+def carved(num_large=2):
+    """An allocator whose group "g" has four pages per large page (the
+    large page is a page of group "big")."""
+    specs = {
+        name: GroupSpec(name, FULL_ATTENTION, 1, per_token_bytes=size, tokens_per_page=4,
+                        accepted_tags=frozenset({TEXT}))
+        for name, size in (("g", 16), ("big", 64))
+    }
+    large = specs["big"].page_bytes
+    alloc = TwoLevelAllocator(
+        large * num_large, specs, {name: make_policy(s) for name, s in specs.items()}
+    )
+    assert alloc.groups["g"].small_per_large == 4
+    return alloc, alloc.groups["g"]
 
-    def test_reset_preserves_placement(self):
-        page = SmallPage(page_id=23, group_id="g", large_page_id=7)
-        page.state = PageState.USED
-        page.request_id = "r1"
-        page.ref_count = 2
-        page.last_access = 9.0
-        page.prefix_length = 5.0
-        page.block_hash = 42
-        page.num_tokens = 16
-        page.reset()
-        assert page.is_empty
-        assert page.large_page_id == 7
-        assert page.request_id is None
-        assert page.ref_count == 0
-        assert page.block_hash is None
-        assert page.num_tokens == 0
 
-    def test_state_predicates(self):
-        page = SmallPage(page_id=0, group_id="g", large_page_id=0)
-        page.state = PageState.USED
-        assert page.is_used and not page.is_empty
-        page.state = PageState.EVICTABLE
-        assert page.is_evictable and not page.is_used
+class TestSlots:
+    def test_a_carved_slot_starts_empty(self):
+        alloc, group = carved()
+        assert group.state == [None] * 8
+        page = alloc.allocate_page("g", "r1")
+        for slot in group.slots(page // 4):
+            if slot != page:
+                assert group.state[slot] is PageState.EMPTY
+                assert group.ref_count[slot] == 0
+                assert group.request_id[slot] == "r1"
+        assert group.state[page] is PageState.USED and group.ref_count[page] == 1
+
+    def test_emptying_clears_the_slot_but_keeps_its_placement(self):
+        alloc, group = carved()
+        pinned, page = alloc.allocate_pages("g", "r1", 2)
+        alloc.register_block_hash("g", page, 42)
+        group.num_tokens[page] = 4
+        group.last_access[page] = 9.0
+        group.prefix_length[page] = 5.0
+        alloc.release_page("g", page, cacheable=False)
+        assert group.state[page] is PageState.EMPTY  # still carved
+        assert page // 4 == pinned // 4
+        assert group.request_id[page] == "r1"  # kept for step 1
+        assert group.ref_count[page] == 0
+        assert group.block_hash[page] is None
+        assert group.num_tokens[page] == 0
+        assert (group.last_access[page], group.prefix_length[page]) == (-1.0, 0.0)
+        alloc.check_invariants()
+
+    def test_returning_the_large_page_uncarves_every_slot(self):
+        alloc, group = carved(num_large=1)
+        pages = alloc.allocate_pages("g", "r1", 2)
+        alloc.release_pages("g", pages, cacheable=False)
+        assert group.state == [None] * 4
+        assert group.carve == [1]
+        assert alloc.allocate_page("g", "r2") == pages[0]  # the same id ...
+        assert group.carve == [2]  # ... of the next carve
+        alloc.check_invariants()
 
 
 class TestPhysicalExtent:

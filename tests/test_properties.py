@@ -14,6 +14,7 @@ from repro.core.layer_policy import (
     make_policy,
 )
 from repro.core.math_utils import compatible_page_bytes, gcd_of, lcm_of
+from repro.core.pages import EMPTY, EVICTABLE, USED
 from repro.core.prefix_cache import chain_hashes, longest_common_prefix
 from repro.core.sequence import IMAGE, TEXT, SequenceSpec
 from repro.core.two_level import TwoLevelAllocator
@@ -215,15 +216,15 @@ class TestAllocatorProperties:
                     live.append((gid, page))
             elif live:
                 gid, page = live.pop(0)
-                if not page.is_used:
+                if alloc.groups[gid].state[page] is not USED:
                     continue
                 if op == "cache-release":
                     counter += 1
                     alloc.register_block_hash(gid, page, counter)
-                    page.last_access = float(counter)
-                    alloc.release_page(gid, page.page_id, cacheable=True)
+                    alloc.groups[gid].last_access[page] = float(counter)
+                    alloc.release_page(gid, page, cacheable=True)
                 else:
-                    alloc.release_page(gid, page.page_id, cacheable=False)
+                    alloc.release_page(gid, page, cacheable=False)
             alloc.check_invariants()
             fast, slow = alloc.stats(), alloc.stats_slow()
             assert fast.used_bytes_by_group == slow.used_bytes_by_group
@@ -290,39 +291,36 @@ class TestAllocatorCrossValidation:
                 gid = op[-1]
                 page = alloc.allocate_page(gid, f"r{rid}")
                 if page is not None:
-                    page.last_access = float(jitter)
+                    alloc.groups[gid].last_access[page] = float(jitter)
                     live.append((gid, page))
             elif op == "acquire" and known_hashes:
                 gid, h = known_hashes[jitter % len(known_hashes)]
                 page = alloc.acquire_cached(gid, h, f"r{rid}")
                 if page is not None:  # revived or ref-shared
-                    page.last_access = float(jitter)
+                    alloc.groups[gid].last_access[page] = float(jitter)
                     live.append((gid, page))
             elif op == "touch":
                 for gid, group in alloc.groups.items():
-                    for page in group.pages.values():
-                        if page.is_evictable:
-                            page.last_access = float(jitter)
-                            alloc.touch_evictable(gid, page)
-                            break
+                    if EVICTABLE in group.state:
+                        page = group.state.index(EVICTABLE)
+                        group.last_access[page] = float(jitter)
+                        alloc.touch_evictable(gid, page)
             elif live:
                 gid, page = live.pop(0)
-                if not page.is_used:
+                group = alloc.groups[gid]
+                if group.state[page] is not USED:
                     continue
-                if op == "cache-release" and page.block_hash is None:
+                if op == "cache-release" and group.block_hash[page] is None:
                     counter += 1
                     alloc.register_block_hash(gid, page, counter)
                     known_hashes.append((gid, counter))
-                alloc.release_page(
-                    gid, page.page_id, cacheable=(op == "cache-release")
-                )
+                alloc.release_page(gid, page, cacheable=(op == "cache-release"))
             alloc.check_invariants()
             alloc.check_no_physical_overlap()
             fast, slow = alloc.stats(), alloc.stats_slow()
             assert fast == slow
             for gid, group in alloc.groups.items():
-                empties = sum(1 for p in group.pages.values() if p.is_empty)
-                assert group.num_free == empties
+                assert group.num_free == group.state.count(EMPTY)
 
 
 class TestManagerProperties:
@@ -386,8 +384,8 @@ class TestManagerProperties:
                     for idx in binding.held:
                         page_id = binding.page_table[idx]
                         holders[page_id] = holders.get(page_id, 0) + 1
-                for page in group.pages.values():
-                    assert page.ref_count == holders.get(page.page_id, 0)
+                for page_id, refs in enumerate(group.ref_count):
+                    assert refs == holders.get(page_id, 0)
 
         for step, (op, pick, shared, suffix) in enumerate(ops):
             if op == "start":
@@ -412,8 +410,9 @@ class TestManagerProperties:
                         idx for idx, p in enumerate(binding.page_table) if p is not None
                     } == set(want)
                     for idx, block_hash in want.items():
-                        page = alloc.groups[gid].pages[binding.page_table[idx]]
-                        assert page.is_used and page.block_hash == block_hash
+                        group, page = alloc.groups[gid], binding.page_table[idx]
+                        assert group.state[page] is USED
+                        assert group.block_hash[page] == block_hash
                 running[seq.request_id] = seq
                 if mgr.allocate_up_to(seq, len(seq)):
                     mgr.commit(seq, len(seq), now=float(step), phase="prefill")
@@ -456,8 +455,8 @@ class TestPhysicalSafetyProperties:
             if op == "free":
                 if live:
                     gid, page = live.pop(0)
-                    if page.is_used:
-                        alloc.release_page(gid, page.page_id, cacheable=False)
+                    if alloc.groups[gid].state[page] is USED:
+                        alloc.release_page(gid, page, cacheable=False)
             else:
                 page = alloc.allocate_page(op, f"r{rid}")
                 if page is not None:

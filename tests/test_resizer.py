@@ -93,8 +93,8 @@ class TestDeflation:
         evictable = [alloc.allocate_page("a", "r1") for _ in range(3)]
         pinned = [alloc.allocate_page("a", "r2") for _ in range(3)]
         for p in evictable:
-            alloc.register_block_hash("a", p, hash(("a", p.page_id)))
-            alloc.release_page("a", p.page_id, cacheable=True)
+            alloc.register_block_hash("a", p, hash(("a", p)))
+            alloc.release_page("a", p, cacheable=True)
         assert alloc.large_pages_owned("a") == 2
         assert alloc.fully_evictable_large_pages("a") == 1
         reclaimed = alloc.set_quota("a", 1)
@@ -251,8 +251,8 @@ class TestPoolResizer:
         alloc = make_allocator()
         cached = [alloc.allocate_page("a", "r1") for _ in range(9)]
         for page in cached:
-            alloc.register_block_hash("a", page, hash(("a", page.page_id)))
-            alloc.release_page("a", page.page_id, cacheable=True)
+            alloc.register_block_hash("a", page, hash(("a", page)))
+            alloc.release_page("a", page, cacheable=True)
         assert alloc.fully_evictable_large_pages("a") == 3
 
         class ShrinkA(ProportionalPolicy):

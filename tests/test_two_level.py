@@ -9,7 +9,7 @@ from repro.core.layer_policy import (
     make_policy,
 )
 from repro.core.lcm_allocator import OutOfLargePagesError
-from repro.core.pages import PageState
+from repro.core.pages import EMPTY, EVICTABLE, USED
 from repro.core.sequence import TEXT
 from repro.core.two_level import TwoLevelAllocator
 
@@ -31,11 +31,22 @@ def make_allocator(num_large=4, enable_prefix_caching=True, **kwargs):
     )
 
 
+def large_of(alloc, group_id, page_id):
+    """The large page that page ``page_id`` of ``group_id`` is a slot of."""
+    return page_id // alloc.groups[group_id].small_per_large
+
+
+def cache(alloc, group_id, page_id, block_hash, last_access=1.0):
+    """Hash page ``page_id`` and stamp it, ready to release into the cache."""
+    alloc.register_block_hash(group_id, page_id, block_hash)
+    alloc.groups[group_id].last_access[page_id] = last_access
+
+
 class TestCarving:
     def test_first_allocation_carves_large_page(self):
         alloc = make_allocator()
         page = alloc.allocate_page("a", "r1")
-        assert page is not None and page.is_used
+        assert page is not None and alloc.groups["a"].state[page] is USED
         assert alloc.lcm.num_allocated == 1
         assert alloc.groups["a"].num_free == 2  # 3 per large, 1 taken
 
@@ -43,6 +54,18 @@ class TestCarving:
         alloc = make_allocator()
         assert alloc.groups["a"].small_per_large == 3
         assert alloc.groups["b"].small_per_large == 2
+
+    def test_slots_are_uncarved_until_their_large_page_is_owned(self):
+        alloc = make_allocator(num_large=4)
+        group = alloc.groups["a"]
+        assert group.state == [None] * 12  # 4 large x 3 slots, built once
+        page = alloc.allocate_page("a", "r1")
+        large = large_of(alloc, "a", page)
+        assert [group.state[i] for i in group.slots(large)] == [USED, EMPTY, EMPTY]
+        assert group.request_id[page + 1] == "r1"  # carved for the request
+        assert all(s is None for i, s in enumerate(group.state) if i not in group.slots(large))
+        assert alloc.groups["b"].state == [None] * 8
+        alloc.check_invariants()
 
     def test_extents_within_large_page(self):
         alloc = make_allocator()
@@ -58,7 +81,7 @@ class TestRequestAwareAllocation:
         p1 = alloc.allocate_page("a", "r1")
         p2 = alloc.allocate_page("a", "r1")
         # Same large page: request-aware (Section 4.3).
-        assert p1.large_page_id == p2.large_page_id
+        assert large_of(alloc, "a", p1) == large_of(alloc, "a", p2)
 
     def test_step2_new_request_gets_new_large_page(self):
         alloc = make_allocator()
@@ -66,23 +89,24 @@ class TestRequestAwareAllocation:
         p2 = alloc.allocate_page("a", "r2")
         # r1's large page still has empty slots, but r2 carves its own
         # (step 2 before step 4) to avoid Figure 8a interleaving.
-        assert p1.large_page_id != p2.large_page_id
+        assert large_of(alloc, "a", p1) != large_of(alloc, "a", p2)
 
     def test_step4_falls_back_to_foreign_pages(self):
         alloc = make_allocator(num_large=1)
         alloc.allocate_page("a", "r1")
         page = alloc.allocate_page("a", "r2")
         assert page is not None
-        assert page.request_id == "r2"  # re-associated
+        assert alloc.groups["a"].request_id[page] == "r2"  # re-associated
 
     def test_whole_large_page_freed_when_request_completes(self):
         alloc = make_allocator()
         pages = [alloc.allocate_page("a", "r1") for _ in range(3)]
         assert alloc.lcm.num_allocated == 1
         for p in pages:
-            alloc.release_page("a", p.page_id, cacheable=False)
+            alloc.release_page("a", p, cacheable=False)
         assert alloc.lcm.num_allocated == 0
         assert alloc.lcm.num_free == 4
+        assert alloc.groups["a"].state == [None] * 12
 
 
 class TestInterleavingFragmentation:
@@ -95,11 +119,11 @@ class TestInterleavingFragmentation:
             a_pages.append(alloc.allocate_page("a", "reqA"))
             b_pages.append(alloc.allocate_page("a", "reqB"))
         # Each request's pages are packed into its own large pages.
-        assert len({p.large_page_id for p in a_pages}) == 1
-        assert len({p.large_page_id for p in b_pages}) == 1
+        assert len({large_of(alloc, "a", p) for p in a_pages}) == 1
+        assert len({large_of(alloc, "a", p) for p in b_pages}) == 1
         before = alloc.lcm.num_free
         for p in a_pages:
-            alloc.release_page("a", p.page_id, cacheable=False)
+            alloc.release_page("a", p, cacheable=False)
         assert alloc.lcm.num_free == before + 1
 
 
@@ -108,15 +132,14 @@ class TestEvictionSteps:
         alloc = make_allocator(num_large=1)
         pages = [alloc.allocate_page("a", "r1") for _ in range(3)]
         for p in pages:
-            p.block_hash = hash(("a", p.page_id))
-            alloc.groups["a"].cache_index.insert(p.block_hash, p.page_id)
-            p.last_access = 1.0
-            alloc.release_page("a", p.page_id, cacheable=True)
+            cache(alloc, "a", p, hash(("a", p)))
+            alloc.release_page("a", p, cacheable=True)
         # All of group a's pages are evictable; group b needs memory.
         page = alloc.allocate_page("b", "r2")
-        assert page is not None and page.group_id == "b"
+        assert page is not None and alloc.groups["b"].state[page] is USED
         assert alloc.num_large_evictions == 1
         assert len(alloc.groups["a"].cache_index) == 0
+        assert alloc.groups["a"].state == [None] * 3
 
     def test_step5_evicts_small_page_in_place(self):
         alloc = make_allocator(num_large=1)
@@ -124,13 +147,12 @@ class TestEvictionSteps:
         # Only one becomes evictable; the others stay used, pinning the
         # large page (step 3 unavailable).
         victim = pages[0]
-        victim.block_hash = 123
-        alloc.groups["a"].cache_index.insert(123, victim.page_id)
-        alloc.release_page("a", victim.page_id, cacheable=True)
+        cache(alloc, "a", victim, 123)
+        alloc.release_page("a", victim, cacheable=True)
         page = alloc.allocate_page("a", "r2")
         assert page is not None
-        assert page.page_id == victim.page_id
-        assert page.block_hash is None
+        assert page == victim
+        assert alloc.groups["a"].block_hash[page] is None
         assert alloc.groups["a"].num_evictions == 1
 
     def test_allocation_fails_when_all_used(self):
@@ -145,29 +167,28 @@ class TestEvictionSteps:
         new = [alloc.allocate_page("a", "new") for _ in range(3)]
         for t, group in ((1.0, old), (2.0, new)):
             for p in group:
-                p.block_hash = hash((t, p.page_id))
-                alloc.groups["a"].cache_index.insert(p.block_hash, p.page_id)
-                p.last_access = t
-                alloc.release_page("a", p.page_id, cacheable=True)
+                cache(alloc, "a", p, hash((t, p)), last_access=t)
+                alloc.release_page("a", p, cacheable=True)
         alloc.allocate_page("b", "r")
         # The old request's large page was the victim.
-        assert all(alloc.groups["a"].pages.get(p.page_id) is None for p in old)
-        assert all(alloc.groups["a"].pages.get(p.page_id) is not None for p in new)
+        state = alloc.groups["a"].state
+        assert all(state[p] is None for p in old)
+        assert all(state[p] is EVICTABLE for p in new)
 
     def test_large_eviction_keeps_lru_order_of_biased_stamps(self):
         """Prefill slide-outs are stamped ``now - 1e15``: a large page's key
         is the true max of such stamps (it used to be clamped to -1.0, so
         the large page released first was the victim)."""
         alloc = make_allocator(num_large=2)
+        group = alloc.groups["a"]
         newer = [alloc.allocate_page("a", "newer") for _ in range(3)]
         older = [alloc.allocate_page("a", "older") for _ in range(3)]
         for stamp, run in ((10.0 - 1e15, newer), (5.0 - 1e15, older)):
             for prefix, p in enumerate(run):
-                alloc.register_block_hash("a", p, hash((stamp, p.page_id)))
-                p.last_access = stamp - prefix
-                p.prefix_length = float(prefix)
-            alloc.release_pages("a", [p.page_id for p in run])
-        newer_large, older_large = newer[0].large_page_id, older[0].large_page_id
+                cache(alloc, "a", p, hash((stamp, p)), last_access=stamp - prefix)
+                group.prefix_length[p] = float(prefix)
+            alloc.release_pages("a", run)
+        newer_large, older_large = large_of(alloc, "a", newer[0]), large_of(alloc, "a", older[0])
         assert alloc.large_evictor.priority_of(newer_large) == (10.0 - 1e15, 2.0)
         assert alloc.large_evictor.priority_of(older_large) == (5.0 - 1e15, 2.0)
         seen = alloc.observer = RecordingObserver()
@@ -175,7 +196,7 @@ class TestEvictionSteps:
         assert [(e.page_id, e.last_access) for e in seen.recent(PageEvicted)] == [
             (older_large, 5.0 - 1e15)
         ]
-        assert all(alloc.groups["a"].pages.get(p.page_id) is None for p in older)
+        assert all(group.state[p] is None for p in older)
         assert newer_large in alloc.large_evictor
         alloc.check_invariants()
 
@@ -184,38 +205,43 @@ class TestPrefixCacheTransitions:
     def test_release_without_hash_frees(self):
         alloc = make_allocator()
         page = alloc.allocate_page("a", "r1")
-        alloc.release_page("a", page.page_id, cacheable=True)
-        assert page.is_empty  # no hash -> nothing to cache
+        alloc.release_page("a", page, cacheable=True)
+        # No hash -> nothing to cache: the page empties, and with it its
+        # large page, which goes back uncarved.
+        assert alloc.groups["a"].state[page] is None
+        assert alloc.lcm.num_allocated == 0
 
     def test_release_with_hash_becomes_evictable(self):
         alloc = make_allocator()
         page = alloc.allocate_page("a", "r1")
         alloc.register_block_hash("a", page, 555)
-        alloc.release_page("a", page.page_id, cacheable=True)
-        assert page.is_evictable
-        assert alloc.groups["a"].cache_index.probe(555) == page.page_id
+        alloc.release_page("a", page, cacheable=True)
+        assert alloc.groups["a"].state[page] is EVICTABLE
+        assert alloc.groups["a"].cache_index.probe(555) == page
 
     def test_acquire_cached_revives_page(self):
         alloc = make_allocator()
+        group = alloc.groups["a"]
         page = alloc.allocate_page("a", "r1")
-        page.num_tokens = 4
+        group.num_tokens[page] = 4
         alloc.register_block_hash("a", page, 555)
-        alloc.release_page("a", page.page_id, cacheable=True)
+        alloc.release_page("a", page, cacheable=True)
         got = alloc.acquire_cached("a", 555, "r2")
-        assert got is page
-        assert got.is_used and got.ref_count == 1
-        assert got.request_id == "r2"
+        assert got == page
+        assert group.state[got] is USED and group.ref_count[got] == 1
+        assert group.request_id[got] == "r2"
 
     def test_shared_page_refcount(self):
         alloc = make_allocator()
+        group = alloc.groups["a"]
         page = alloc.allocate_page("a", "r1")
         alloc.register_block_hash("a", page, 7)
         got = alloc.acquire_cached("a", 7, "r2")
-        assert got.ref_count == 2
-        alloc.release_page("a", page.page_id)
-        assert page.is_used  # r2 still holds it
-        alloc.release_page("a", page.page_id)
-        assert page.is_evictable
+        assert group.ref_count[got] == 2
+        alloc.release_page("a", page)
+        assert group.state[page] is USED  # r2 still holds it
+        alloc.release_page("a", page)
+        assert group.state[page] is EVICTABLE
 
     def test_acquire_miss(self):
         alloc = make_allocator()
@@ -225,20 +251,23 @@ class TestPrefixCacheTransitions:
         alloc = make_allocator()
         p1 = alloc.allocate_page("a", "r1")
         alloc.register_block_hash("a", p1, 42)
-        alloc.release_page("a", p1.page_id, cacheable=True)
+        alloc.release_page("a", p1, cacheable=True)
         p2 = alloc.allocate_page("a", "r2")
         alloc.register_block_hash("a", p2, 42)
-        # The older duplicate was evictable -> freed outright.
-        assert p1.is_empty
-        assert alloc.groups["a"].cache_index.probe(42) == p2.page_id
+        # The older duplicate was evictable -> freed outright (and its
+        # now-empty large page with it).
+        assert alloc.groups["a"].state[p1] is None
+        assert alloc.lcm.owner_of(large_of(alloc, "a", p1)) is None
+        assert alloc.groups["a"].cache_index.probe(42) == p2
 
     def test_caching_disabled_never_caches(self):
         alloc = make_allocator(enable_prefix_caching=False)
         page = alloc.allocate_page("a", "r1")
         alloc.register_block_hash("a", page, 1)
-        assert page.block_hash is None
-        alloc.release_page("a", page.page_id, cacheable=True)
-        assert page.is_empty
+        assert alloc.groups["a"].block_hash[page] is None
+        alloc.release_page("a", page, cacheable=True)
+        assert alloc.groups["a"].state[page] is None  # freed, large page too
+        assert not alloc.groups["a"].cache_index
 
 
 class TestAccounting:
@@ -248,11 +277,11 @@ class TestAccounting:
         for r in ("r1", "r2"):
             for _ in range(2):
                 p = alloc.allocate_page("a", r)
-                p.num_tokens = 3
+                alloc.groups["a"].num_tokens[p] = 3
                 pages.append(p)
         alloc.allocate_page("b", "r1")
         alloc.register_block_hash("a", pages[0], 9)
-        alloc.release_page("a", pages[0].page_id, cacheable=True)
+        alloc.release_page("a", pages[0], cacheable=True)
         fast, slow = alloc.stats(), alloc.stats_slow()
         assert fast.used_bytes_by_group == slow.used_bytes_by_group
         assert fast.evictable_bytes_by_group == slow.evictable_bytes_by_group
@@ -267,7 +296,7 @@ class TestAccounting:
         for i in range(200):
             if live and rng.random() < 0.4:
                 gid, page = live.pop(rng.randrange(len(live)))
-                alloc.release_page(gid, page.page_id, cacheable=rng.random() < 0.5)
+                alloc.release_page(gid, page, cacheable=rng.random() < 0.5)
             else:
                 gid = rng.choice(["a", "b"])
                 page = alloc.allocate_page(gid, f"r{rng.randrange(3)}")
@@ -275,7 +304,7 @@ class TestAccounting:
                     continue
                 if rng.random() < 0.5:
                     alloc.register_block_hash(gid, page, rng.randrange(10**9))
-                page.last_access = float(i)
+                alloc.groups[gid].last_access[page] = float(i)
                 live.append((gid, page))
             alloc.check_invariants()
 
@@ -302,9 +331,8 @@ class TestReclaimableOverlapRegression:
         alloc = make_allocator(num_large=1)
         pages = [alloc.allocate_page("a", "r1") for _ in range(3)]
         for p in pages:
-            alloc.register_block_hash("a", p, hash(("a", p.page_id)))
-            p.last_access = 1.0
-            alloc.release_page("a", p.page_id, cacheable=True)
+            cache(alloc, "a", p, hash(("a", p)))
+            alloc.release_page("a", p, cacheable=True)
         assert len(alloc.large_evictor) == 1
         assert len(alloc.groups["a"].evictor) == 3
         # Capacity can never exceed the pages that physically exist (3).
@@ -316,9 +344,8 @@ class TestReclaimableOverlapRegression:
     def test_partially_evictable_large_not_affected(self):
         alloc = make_allocator(num_large=1)
         pages = [alloc.allocate_page("a", "r1") for _ in range(3)]
-        alloc.register_block_hash("a", pages[0], 1234)
-        pages[0].last_access = 1.0
-        alloc.release_page("a", pages[0].page_id, cacheable=True)
+        cache(alloc, "a", pages[0], 1234)
+        alloc.release_page("a", pages[0], cacheable=True)
         # 1 evictable + 2 used: large page not fully evictable.
         assert len(alloc.large_evictor) == 0
         assert fits_exactly(alloc, "a", 1)
@@ -339,11 +366,11 @@ class TestRequestAwareAblation:
         alloc = make_allocator(num_large=2, request_aware=False)
         anchor = alloc.allocate_page("a", "r1")  # keeps the large page alive
         p1 = alloc.allocate_page("a", "r1")
-        alloc.release_page("a", p1.page_id, cacheable=False)
+        alloc.release_page("a", p1, cacheable=False)
         # r2 gets r1's slot straight from the pool: no step-2 carve.
         p2 = alloc.allocate_page("a", "r2")
-        assert p2.page_id == p1.page_id
-        assert p2.large_page_id == anchor.large_page_id
+        assert p2 == p1
+        assert large_of(alloc, "a", p2) == large_of(alloc, "a", anchor)
         assert alloc.lcm.num_allocated == 1
 
 
@@ -354,7 +381,7 @@ class TestBatchedAllocation:
         pages = alloc.allocate_pages("a", "r1", 5)
         assert pages is not None and len(pages) == 5
         (ev,) = seen.recent(PagesAllocated)
-        assert ev.page_ids == tuple(p.page_id for p in pages)
+        assert ev.page_ids == tuple(pages)
         assert len(ev.steps) == 5
 
     def test_batch_matches_singles(self):
@@ -364,7 +391,7 @@ class TestBatchedAllocation:
         batch = batched.allocate_pages("a", "r1", 6)
         assert all(p is not None for p in singles)
         assert batch is not None
-        assert [p.page_id for p in singles] == [p.page_id for p in batch]
+        assert singles == batch
         assert (one_by_one.stats().free_bytes == batched.stats().free_bytes)
         one_by_one.check_invariants()
         batched.check_invariants()

@@ -14,6 +14,7 @@ from repro.core.layer_policy import (
     GroupSpec,
     VISION_EMBEDDING,
 )
+from repro.core.pages import EMPTY
 from repro.core.sequence import IMAGE, TEXT, SequenceSpec
 
 T = frozenset({TEXT})
@@ -95,7 +96,7 @@ class TestMllamaHits:
         assert hit == 32
         # The cross-attention pages were acquired (shared), not copied.
         cross = mgr.allocator.groups["cross"]
-        shared = [p for p in cross.pages.values() if p.ref_count >= 1]
+        shared = [p for p in cross.ref_count if p >= 1]
         assert len(shared) == 8  # 32 image tokens / 4 per page
 
 
@@ -141,11 +142,9 @@ class TestEvictionAcrossStreams:
         # Manually drop the cross-attention cache.
         cross = mgr.allocator.groups["cross"]
         for page_id in list(cross.evictor.iter_in_order()):
-            page = cross.pages[page_id]
             cross.evictor.remove(page_id)
-            cross.cache_index.remove(page.block_hash, page_id)
-            page.block_hash = None
-            page.reset()
+            cross.clear(page_id)  # unindexes the block
+            cross.state[page_id] = EMPTY
         s2 = vlm_seq("r2", img, range(1, 9), extra=[9])
         # Self-attention alone cannot carry the hit past the image span.
         assert mgr.begin_request(s2) == 0
