@@ -26,7 +26,7 @@ from .layer_policy import (
 from .lcm_allocator import LCMAllocator, OutOfLargePagesError
 from .math_utils import compatible_page_bytes, gcd_of, lcm_blowup, lcm_of
 from .pages import PageState, PhysicalExtent
-from .prefix_cache import CachedBlockIndex, chain_hashes, longest_common_prefix
+from .prefix_cache import CachedBlockIndex, chain_hashes
 from .protocols import KVCacheManager, KVCacheManagerBase
 from .registry import (
     UnknownManagerError,
@@ -93,7 +93,6 @@ __all__ = [
     "gcd_of",
     "lcm_blowup",
     "lcm_of",
-    "longest_common_prefix",
     "make_policy",
     "make_resize_policy",
     "register_manager",

@@ -57,12 +57,11 @@ cross-checks this optimized protocol against the literal per-step one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .events import Observer
 from .layer_policy import GroupSpec, LayerTypePolicy, make_policy
 from .pages import EVICTABLE
-from .prefix_cache import longest_common_prefix
 from .protocols import KVCacheManagerBase
 from .sequence import SequenceSpec
 from .two_level import AllocatorStats, GroupAllocator, TwoLevelAllocator
@@ -256,118 +255,99 @@ class JengaKVCacheManager(KVCacheManagerBase):
     def _lookup_and_acquire(
         self, seq: SequenceSpec, bindings: Dict[str, GroupBinding]
     ) -> int:
-        """Hash-chain lookup plus cached-page acquisition (the hit path).
+        """Prefix-cache lookup plus cached-page acquisition (the hit path).
 
-        Probing is bounded by a running *cap* on the model-wide hit.
-        Encoder-filled groups never constrain the hit (embeddings are
-        inputs to prefill, refilled by the encoder when the uncached
-        remainder contains image tokens).  Leading-run groups
-        (full/cross attention) go first: their probe stops at the first
-        miss, and the resulting run caps how deep every later group needs
-        to hash and probe at all -- a total miss costs one dict probe per
-        leading-run group and zero for the rest, so the steady-state
-        lookup is O(hit-prefix blocks), not O(stream blocks).
+        The hit is the largest global prefix every group accepts.  A global
+        *cap* starts at ``len(seq) - 1`` and only falls: each group answers
+        the largest valid stream prefix ``v`` within the stream count ``s``
+        of the cap (``largest_prefix_at_most``), and ``v < s`` lowers the
+        cap to the last global position whose stream count is ``v``.  No
+        valid prefix lies above the cap, and once every group in turn
+        accepts it unchanged, the cap itself is valid everywhere: it is the
+        hit.  Groups are asked in ``_lookup_order`` (leading-run groups
+        first), and a group hashes its stream only up to the cap at its
+        first turn, so a cap of 0 stops the lookup before later groups hash
+        or probe at all.  Encoder-filled groups never constrain the hit
+        (embeddings are inputs to prefill, refilled by the encoder when the
+        uncached remainder contains image tokens).
         """
         specs = self.specs
         ordered = self._lookup_order
+        groups = self.allocator.groups
         all_hashes: Dict[str, List[int]] = {}
-        valid: Dict[str, List[int]] = {}
-        cap_global = len(seq) - 1
-        for group_id in ordered:
-            if cap_global <= 0:
-                # An earlier group already ruled out any non-empty hit.
-                valid[group_id] = []
-                continue
+        cap = len(seq) - 1
+        turn = settled = 0
+        while settled < len(ordered) and cap > 0:
+            group_id = ordered[turn % len(ordered)]
+            turn += 1
             policy = self.policies[group_id]
-            group_tags = specs[group_id].accepted_tags
-            stream = self._stream_of(seq, group_id)
-            stream_total = len(stream)
-            cap_stream = seq.stream_length(group_tags, cap_global)
-            boundaries = policy.cacheable_boundaries(min(stream_total, cap_stream))
-            # Memoized on the sequence: only never-hashed tokens fold, so a
-            # re-probe of a blocked or preempted request is pure dict work.
-            hashes = seq.hash_chain(
-                group_tags, policy.boundary_schedule(), stream, boundaries
+            tags = specs[group_id].accepted_tags
+            cap_stream = seq.stream_length(tags, cap)
+            hashes = all_hashes.get(group_id)
+            if hashes is None:
+                # Memoized on the sequence (and shared with the router's
+                # chain): only never-hashed tokens fold.
+                hashes = all_hashes[group_id] = seq.hash_chain(
+                    tags,
+                    policy.boundary_schedule(),
+                    self._stream_of(seq, group_id),
+                    policy.cacheable_boundaries(cap_stream),
+                )
+            valid = policy.largest_prefix_at_most(
+                cap_stream, hashes, groups[group_id].cache_index.probe
             )
-            index = self.allocator.groups[group_id].cache_index
-            if policy.leading_run_only:
-                is_hit: List[bool] = []
-                for h in hashes:
-                    hit = index.probe(h) is not None
-                    is_hit.append(hit)
-                    if not hit:
-                        break
+            if valid < cap_stream:
+                # The group now accepts the lowered cap: its count is ``valid``.
+                cap = seq.global_prefix_for_stream(tags, valid + 1) - 1
+                settled = 1
             else:
-                is_hit = [index.probe(h) is not None for h in hashes]
-            all_hashes[group_id] = hashes
-            prefixes = policy.get_possible_prefix(is_hit)
-            valid[group_id] = prefixes
-            # Any model-wide hit must keep this group's stream count within
-            # its largest valid prefix; shrink the cap accordingly.
-            v_max = max(prefixes) if prefixes else 0
-            if v_max >= stream_total:
-                upper = len(seq)
-            else:
-                upper = seq.global_prefix_for_stream(group_tags, v_max + 1) - 1
-            if upper < cap_global:
-                cap_global = upper
-
-        if cap_global <= 0:
-            hit_global = 0
-        else:
-            tags = {g: specs[g].accepted_tags for g in ordered}
-            hit_global = longest_common_prefix(
-                seq, valid, tags, max_global=cap_global
-            )
-        if hit_global <= 0:
+                settled += 1
+        if cap <= 0:
             return 0
 
         for group_id, policy in self.policies.items():
             if policy.encoder_filled:
                 continue  # embeddings are re-encoded, not acquired
             binding = bindings[group_id]
-            cached_stream = seq.stream_length(specs[group_id].accepted_tags, hit_global)
+            cached_stream = seq.stream_length(specs[group_id].accepted_tags, cap)
             binding.stream_len = cached_stream
             binding.filled_upto = cached_stream
             binding.page_table = [None] * policy.num_pages_for(cached_stream)
             blocks = policy.hit_blocks_to_hold(cached_stream)
-            wanted = [all_hashes[group_id][block_idx] for block_idx in blocks]
-            # Every wanted block was probed resident above, and nothing
-            # allocates (so nothing evicts) between probe and acquire.
-            page_ids = self.allocator.acquire_cached_run(group_id, wanted, seq.request_id)
-            assert len(page_ids) == len(wanted)
-            for block_idx, page_id in zip(blocks, page_ids):
-                idx = policy.page_index_of_block(block_idx)
-                binding.page_table[idx] = page_id
-                binding.held.add(idx)
+            if blocks:
+                page_ids = self.allocator.acquire_cached_run(
+                    group_id, all_hashes[group_id][blocks.start:blocks.stop], seq.request_id
+                )
+                # Every wanted block was probed resident above, and nothing
+                # allocates (so nothing evicts) between probe and acquire.
+                assert len(page_ids) == len(blocks)
+                first = policy.page_index_of_block(blocks.start)
+                end = first + len(blocks)
+                binding.page_table[first:end] = page_ids
+                binding.held.update(range(first, end))
             # Only blocks at or below the hit matter here, so the boundary
             # list stops at ``cached_stream``.
             binding.hashed_blocks = len(policy.cacheable_boundaries(cached_stream))
             # Pages below the active frontier were never held.
             binding.release_ptr = policy.release_frontier(cached_stream)
-        return hit_global
+        return cap
 
-    def _stream_of(self, seq: SequenceSpec, group_id: str) -> List[int]:
-        """Group's stream token ids, cached per (request, group).
+    def _stream_of(self, seq: SequenceSpec, group_id: str) -> Sequence[int]:
+        """Group's stream token ids, to read only.
 
-        The cache is length-validated, so decode appends refresh it lazily.
+        A group that accepts every tag of ``seq`` reads ``seq.token_ids``
+        itself (``hash_chain`` only slices it).  Other streams are cached
+        per (request, group); the cache is length-validated, so decode
+        appends refresh it lazily.
         """
-        spec = self.specs[group_id]
+        tags = self.specs[group_id].accepted_tags
+        if seq.covered_by(tags):
+            return seq.token_ids
         key = (seq.request_id, group_id)
         cached = self._stream_cache.get(key)
-        expect = seq.stream_length(spec.accepted_tags)
-        if cached is not None and len(cached) == expect:
-            return cached
-        if (
-            cached is not None
-            and len(cached) < expect
-            and spec.accepted_tags >= seq._tag_set
-        ):
-            cached.extend(seq.token_ids[len(cached):])
-            return cached
-        stream = seq.stream_tokens(spec.accepted_tags)
-        self._stream_cache[key] = stream
-        return stream
+        if cached is None or len(cached) != seq.stream_length(tags):
+            cached = self._stream_cache[key] = seq.stream_tokens(tags)
+        return cached
 
     # ------------------------------------------------------------------
     # Growth: the request-granular face of the five-step allocator
@@ -774,9 +754,6 @@ class JengaKVCacheManager(KVCacheManagerBase):
         all co-tenant models' groups, but this manager drives (and should
         be charged for) only its own subset."""
         return frozenset(self.specs)
-
-    def cache_hit_rates(self) -> Dict[str, float]:
-        return {g: self.allocator.groups[g].cache_index.hit_rate for g in self.specs}
 
     @property
     def prefix_hit_rate(self) -> float:

@@ -9,10 +9,12 @@ layers a third, ...).  Each group gets:
 * a *policy* object implementing the paper's ``LayerSupportsPrefixCache``
   interface (Figure 9a) -- ``update_last_access`` / ``set_prefix_length``
   for customized eviction and ``get_possible_prefix`` for customized cache
-  hits -- plus the allocation-side hooks Jenga needs (which pages a growing
-  stream writes, which a running request must keep resident, and which a
-  prefix hit must hold).  The KV manager and admission control never ask
-  what *kind* a group is; every layer-type decision is one of these hooks.
+  hits (answered on the lookup path by ``largest_prefix_at_most``, which
+  probes only the blocks the layer type needs) -- plus the allocation-side
+  hooks Jenga needs (which pages a growing stream writes, which a running
+  request must keep resident, and which a prefix hit must hold).  The KV
+  manager and admission control never ask what *kind* a group is; every
+  layer-type decision is one of these hooks.
 
 The concrete policies mirror Section 5.3:
 
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .sequence import IMAGE, TEXT, SequenceSpec, TokenTag
 
@@ -69,6 +71,9 @@ DROPPED_TOKEN = "dropped_token"
 
 # A request's page ids for one group, by slot (None where released).
 PageTable = Sequence[Optional[int]]
+
+# A group's cache-index read: block hash -> cached page id, or None.
+Probe = Callable[[int], Optional[int]]
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -140,8 +145,8 @@ class LayerTypePolicy:
 
     #: True when :meth:`get_possible_prefix` only ever returns an unbroken
     #: leading run of boundaries (full/cross attention).  The lookup path
-    #: exploits this: probing such a group stops at its first miss, and
-    #: the run length caps how deep any later group needs to probe.
+    #: asks such groups first: their answer costs O(hit) probes, and it
+    #: caps how deep any later group needs to hash and probe.
     leading_run_only: bool = False
 
     #: True when the pages hold vision-encoder outputs rather than KV: the
@@ -252,18 +257,18 @@ class LayerTypePolicy:
         """
         return ("uniform", self.spec.tokens_per_page)
 
-    def hit_blocks_to_hold(self, cached_stream: int) -> List[int]:
+    def hit_blocks_to_hold(self, cached_stream: int) -> range:
         """Blocks of a ``cached_stream``-token hit the request must reference.
 
-        Blocks outside the layer's active subset (e.g. out-of-window) stay
-        evictable -- the request never touches them again.
+        Blocks below the release frontier (e.g. out-of-window) stay
+        evictable -- the request never touches them again.  The blocks are
+        contiguous and so are their page-table slots, which start at
+        ``page_index_of_block(blocks.start)``.
         """
-        active = self.active_page_indices(cached_stream)
-        return [
-            block_idx
-            for block_idx in range(len(self.cacheable_boundaries(cached_stream)))
-            if self.page_index_of_block(block_idx) in active
-        ]
+        return range(
+            self.release_frontier(cached_stream),
+            len(self.cacheable_boundaries(cached_stream)),
+        )
 
     # -- paper interface: customized cache hit ---------------------------
 
@@ -282,6 +287,23 @@ class LayerTypePolicy:
                 break
             prefixes.append((b + 1) * tpp)
         return prefixes
+
+    def largest_prefix_at_most(
+        self, cap: int, hashes: Sequence[int], probe: Probe
+    ) -> int:
+        """Largest valid cached stream prefix of at most ``cap`` tokens.
+
+        ``hashes[b]`` is the chain hash of cacheable block ``b`` (at least
+        every block completing at or below ``cap``) and ``probe`` reads the
+        group's cache index.  0 (the empty prefix) is always valid.  The
+        lookup path calls this instead of :meth:`get_possible_prefix`, so
+        a policy decides which blocks to probe; this default is the
+        reference lift of :meth:`get_possible_prefix`, which probes every
+        block under ``cap``.
+        """
+        blocks = len(self.cacheable_boundaries(cap))
+        is_hit = [probe(h) is not None for h in hashes[:blocks]]
+        return max(self.get_possible_prefix(is_hit), default=0)
 
     # -- paper interface: customized eviction metadata --------------------
 
@@ -322,6 +344,17 @@ class FullAttentionPolicy(LayerTypePolicy):
     """Standard self-attention: full-prefix dependency (PagedAttention rules)."""
 
     leading_run_only = True
+
+    def largest_prefix_at_most(
+        self, cap: int, hashes: Sequence[int], probe: Probe
+    ) -> int:
+        # The leading run of cached blocks, probed up to its first miss.
+        tpp = self.spec.tokens_per_page
+        blocks = min(cap // tpp, len(hashes))
+        for b in range(blocks):
+            if probe(hashes[b]) is None:
+                return b * tpp
+        return blocks * tpp
 
 
 class CrossAttentionPolicy(FullAttentionPolicy):
@@ -375,6 +408,26 @@ class SlidingWindowPolicy(LayerTypePolicy):
                 prefixes.append(p)
         return prefixes
 
+    def largest_prefix_at_most(
+        self, cap: int, hashes: Sequence[int], probe: Probe
+    ) -> int:
+        # Candidate ``top * tpp`` needs blocks [lo, top) cached.  Probe
+        # them top-down; [k, top) are known cached.  A miss at block k - 1
+        # rules out every candidate down to ``(k - 1) * tpp`` (each of
+        # their windows covers it), and no block is probed twice:
+        # O(window + misses) probes.
+        tpp = self.spec.tokens_per_page
+        window = self.window
+        top = k = min(cap // tpp, len(hashes))
+        while top > 0:
+            lo = max(0, top * tpp - window) // tpp
+            while k > lo and probe(hashes[k - 1]) is not None:
+                k -= 1
+            if k == lo:
+                return top * tpp
+            top = k = k - 1
+        return 0
+
     def update_last_access(
         self, last_access: List[float], page_table: PageTable, stream_len: int, now: float
     ) -> None:
@@ -406,6 +459,11 @@ class DroppedTokenPolicy(SlidingWindowPolicy):
 
     def get_possible_prefix(self, is_hit: Sequence[bool]) -> List[int]:
         return []
+
+    def largest_prefix_at_most(
+        self, cap: int, hashes: Sequence[int], probe: Probe
+    ) -> int:
+        return 0
 
 
 class MambaPolicy(LayerTypePolicy):
@@ -467,10 +525,10 @@ class MambaPolicy(LayerTypePolicy):
     def page_index_of_block(self, block_idx: int) -> int:
         return block_idx + 1
 
-    def hit_blocks_to_hold(self, cached_stream: int) -> List[int]:
+    def hit_blocks_to_hold(self, cached_stream: int) -> range:
         # A hit copies the checkpoint into a fresh working state, so no
         # reference is taken.
-        return []
+        return range(0)
 
     def boundary_schedule(self) -> Tuple[str, int]:
         return ("fixed", self.spec.checkpoint_interval)

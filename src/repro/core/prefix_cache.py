@@ -1,4 +1,4 @@
-"""Prefix-cache bookkeeping: content hashing and the model-wide hit rule.
+"""Prefix-cache bookkeeping: content hashing and the per-group block index.
 
 Prefix caching identifies reusable KV by *content*: each cacheable block's
 hash chains the hash of its predecessor with the token ids it covers, so a
@@ -7,22 +7,22 @@ Every layer-type group keeps its own ``hash -> page`` index because groups
 store different streams at different granularities.
 
 The model-wide hit (Section 5.2) is the longest *global* prefix that every
-group can serve from cache.  Each policy reports its valid *stream*-prefix
-lengths via ``get_possible_prefix``; :func:`longest_common_prefix` lifts
-those to global token counts (a group only constrains the tokens it stores)
-and intersects across groups.
+group can serve from cache.  Each policy answers the largest valid
+*stream* prefix under a cap (``largest_prefix_at_most``, probing this
+index); the manager lifts the answers to global token counts (a group only
+constrains the tokens it stores) and lowers a global cap until every group
+accepts it (``JengaKVCacheManager._lookup_and_acquire``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence
 
-from .sequence import HASH_SEED, SequenceSpec, TokenTag
+from .sequence import HASH_SEED
 
 __all__ = [
     "chain_hashes",
     "CachedBlockIndex",
-    "longest_common_prefix",
 ]
 
 # Seed lives on the sequence layer, which owns the memoized incremental
@@ -63,8 +63,6 @@ class CachedBlockIndex:
         self._by_hash: Dict[int, int] = {}
         self.hits = 0
         self.misses = 0
-        self.probe_hits = 0
-        self.probe_misses = 0
 
     def __len__(self) -> int:
         return len(self._by_hash)
@@ -85,6 +83,7 @@ class CachedBlockIndex:
         return old
 
     def lookup(self, block_hash: int) -> Optional[int]:
+        """Acquire-time read, counted in :attr:`hits` / :attr:`misses`."""
         page_id = self._by_hash.get(block_hash)
         if page_id is None:
             self.misses += 1
@@ -92,20 +91,12 @@ class CachedBlockIndex:
             self.hits += 1
         return page_id
 
-    def probe(self, block_hash: int) -> Optional[int]:
-        """Like :meth:`lookup` but counted separately.
-
-        Lookup-phase probes (``_lookup_and_acquire``) test candidacy
-        without committing to an acquire, so they are tallied apart from
-        :meth:`lookup`'s acquire-time counters -- but they are still
-        lookups, and :attr:`hit_rate` folds both in.
-        """
-        page_id = self._by_hash.get(block_hash)
-        if page_id is None:
-            self.probe_misses += 1
-        else:
-            self.probe_hits += 1
-        return page_id
+    @property
+    def probe(self) -> Callable[[int], Optional[int]]:
+        """The lookup path's uncounted read: ``probe(block_hash)`` is the
+        page id cached under the hash, or ``None``.  A bound ``dict.get``,
+        so each probe costs no Python call."""
+        return self._by_hash.get
 
     def remove(self, block_hash: int, page_id: Optional[int] = None) -> None:
         """Drop a cached block (its page was evicted or reused).
@@ -119,74 +110,3 @@ class CachedBlockIndex:
         if page_id is not None and current != page_id:
             return
         del self._by_hash[block_hash]
-
-    @property
-    def hit_rate(self) -> float:
-        """Hit fraction over *all* index consultations, probes included."""
-        hits = self.hits + self.probe_hits
-        total = hits + self.misses + self.probe_misses
-        return hits / total if total else 0.0
-
-
-def longest_common_prefix(
-    seq: SequenceSpec,
-    valid_stream_prefixes: Mapping[str, Iterable[int]],
-    accepted_tags: Mapping[str, FrozenSet[TokenTag]],
-    max_global: Optional[int] = None,
-) -> int:
-    """Longest global prefix every group can serve from cache.
-
-    Args:
-        seq: The request's token sequence.
-        valid_stream_prefixes: For each group id, the stream-prefix lengths
-            that group's ``get_possible_prefix`` declared valid (0 is
-            implicitly valid everywhere).
-        accepted_tags: Each group's accepted token tags, to map stream
-            lengths to global positions.
-        max_global: Cap on the returned prefix.  Serving engines cap at
-            ``len(seq) - 1`` so at least one token is always computed.
-
-    A global prefix ``P`` is valid for group ``g`` iff the number of
-    ``g``-stream tokens within the first ``P`` global tokens is one of
-    ``g``'s valid stream prefixes.  The answer is the largest ``P`` valid
-    for all groups.  Candidates are the maximal global positions realising
-    each valid stream length, so the search is linear in the number of
-    valid prefixes rather than in sequence length.
-    """
-    cap = len(seq) if max_global is None else min(max_global, len(seq))
-    if cap <= 0:
-        return 0
-
-    valid_sets: Dict[str, Set[int]] = {}
-    for group_id, prefixes in valid_stream_prefixes.items():
-        s = set(prefixes)
-        s.add(0)
-        valid_sets[group_id] = s
-
-    candidates = {cap}
-    for group_id, prefixes in valid_sets.items():
-        tags = accepted_tags[group_id]
-        stream_total = seq.stream_length(tags)
-        for v in prefixes:
-            if v > stream_total:
-                continue
-            # The largest global P whose g-stream count is exactly v is just
-            # before the (v+1)-th g-token, or the end of the sequence.
-            if v == stream_total:
-                upper = len(seq)
-            else:
-                upper = seq.global_prefix_for_stream(tags, v + 1) - 1
-            candidates.add(min(upper, cap))
-
-    for p in sorted(candidates, reverse=True):
-        if p <= 0:
-            break
-        ok = True
-        for group_id, valid in valid_sets.items():
-            stream_len = seq.stream_length(accepted_tags[group_id], p)
-            if stream_len not in valid:
-                ok = False
-                break
-        if ok:
-            return p
-    return 0

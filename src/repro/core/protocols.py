@@ -26,7 +26,7 @@ snapshot.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Optional, Protocol, runtime_checkable
+from typing import Any, FrozenSet, Optional, Protocol, runtime_checkable
 
 from .events import Observer
 from .sequence import SequenceSpec
@@ -238,9 +238,6 @@ class KVCacheManagerBase:
         # Empty set == "no filtering": a backend that owns its whole pool
         # reports every group as its own.
         return frozenset()
-
-    def cache_hit_rates(self) -> Dict[str, float]:
-        return {}
 
     @property
     def kernel_slowdown(self) -> float:

@@ -42,6 +42,8 @@ HASH_SEED = 0x9E3779B97F4A7C15
 #: (e.g. ``("uniform", 16)`` or ``("fixed", 512)``).  Policies with
 #: identical keys share one chain, so a model whose attention groups all
 #: use the same page size hashes each stream once per request lifetime.
+#: The router hashes under a policy's key too, so a routed prompt's chain
+#: is already built when the replica looks it up.
 ChainKey = Tuple[FrozenSet[TokenTag], Tuple[str, int]]
 
 
@@ -174,9 +176,14 @@ class SequenceSpec:
             return 0
         return self._counts_for(tag)[len(self.token_ids)]
 
+    def covered_by(self, accepted: FrozenSet[TokenTag]) -> bool:
+        """Whether ``accepted`` covers every tag present: the stream is then
+        ``token_ids`` itself, which a reader may use without a copy."""
+        return self._tag_set <= accepted
+
     def stream_tokens(self, accepted: FrozenSet[TokenTag]) -> List[int]:
         """Token ids of the subsequence with tags in ``accepted``."""
-        if self._accepts_all(accepted):
+        if self.covered_by(accepted):
             return list(self.token_ids)
         return [t for t, tag in zip(self.token_ids, self.tags) if tag in accepted]
 
@@ -192,7 +199,7 @@ class SequenceSpec:
             if global_prefix is None
             else min(global_prefix, len(self.token_ids))
         )
-        if self._accepts_all(accepted):
+        if self.covered_by(accepted):
             return n
         total = 0
         for tag in accepted:
@@ -211,7 +218,7 @@ class SequenceSpec:
         """
         if stream_len == 0:
             return 0
-        if self._accepts_all(accepted):
+        if self.covered_by(accepted):
             if stream_len > len(self.token_ids):
                 raise ValueError("stream_len beyond sequence")
             return stream_len
@@ -283,9 +290,6 @@ class SequenceSpec:
     # ------------------------------------------------------------------
     # Internal caches
     # ------------------------------------------------------------------
-
-    def _accepts_all(self, accepted: FrozenSet[TokenTag]) -> bool:
-        return self._tag_set <= accepted
 
     def _counts_for(self, tag: TokenTag) -> List[int]:
         counts = self._prefix_counts.get(tag)

@@ -14,7 +14,10 @@ Three built-in policies (the rtp-llm ``flexlb`` ladder):
 
 The router runs once per request on the serving hot path, so it follows
 the hot-module rules: block hashes come from the memoized per-sequence
-``hash_chain`` (never the from-scratch ``chain_hashes``), shadow
+``hash_chain`` (never the from-scratch ``chain_hashes``), once per route,
+under the memo key a uniform group policy of the same page size uses
+(``LayerTypePolicy.boundary_schedule``) -- so the replica's lookup reads
+the chain the router built instead of hashing the prompt again.  Shadow
 membership is dict-indexed, and the routing decision is reported only to
 the chosen replica engine's observer, when it has one.
 """
@@ -38,9 +41,10 @@ __all__ = [
 ]
 
 #: Tag filter for router-side block hashing.  The router does not know
-#: which layer-type groups a replica's model has, so it shadows the
-#: full multimodal stream; the schedule key ``("router", tokens_per_page)``
-#: keeps its memoized chain separate from any group policy's.
+#: which layer-type groups a replica's model has, so it shadows the full
+#: multimodal stream.  With the schedule ``("uniform", tokens_per_page)``
+#: its memo key is that of any group accepting both tags at that page
+#: size: same stream, same boundaries, so the same chain.
 ROUTER_TAGS = frozenset({TEXT, IMAGE})
 
 
@@ -91,7 +95,9 @@ class ReplicaShadow:
             blocks.popitem(last=False)
 
 
-RoutingPolicy = Callable[["Router", Request], int]
+#: ``policy(router, request, hashes)`` -> replica index, where ``hashes``
+#: is the request's :meth:`Router.block_hashes`.
+RoutingPolicy = Callable[["Router", Request, Sequence[int]], int]
 
 #: Registered policy name -> policy callable.
 ROUTING_POLICIES: Dict[str, RoutingPolicy] = {}
@@ -110,14 +116,14 @@ def register_policy(name: str) -> Callable[[RoutingPolicy], RoutingPolicy]:
 
 
 @register_policy("round_robin")
-def _round_robin(router: "Router", request: Request) -> int:
+def _round_robin(router: "Router", request: Request, hashes: Sequence[int]) -> int:
     idx = router.rr_next % len(router.replicas)
     router.rr_next += 1
     return idx
 
 
 @register_policy("least_loaded")
-def _least_loaded(router: "Router", request: Request) -> int:
+def _least_loaded(router: "Router", request: Request, hashes: Sequence[int]) -> int:
     best_idx = 0
     best_key: Optional[Tuple[int, int, int]] = None
     for idx, replica in enumerate(router.replicas):
@@ -129,8 +135,7 @@ def _least_loaded(router: "Router", request: Request) -> int:
 
 
 @register_policy("cache_aware")
-def _cache_aware(router: "Router", request: Request) -> int:
-    hashes = router.block_hashes(request)
+def _cache_aware(router: "Router", request: Request, hashes: Sequence[int]) -> int:
     best_idx = 0
     best_key: Optional[Tuple[int, int, int, int]] = None
     for idx, replica in enumerate(router.replicas):
@@ -188,17 +193,23 @@ class Router:
     def block_hashes(self, request: Request) -> List[int]:
         """Block-boundary hash chain of the request's current prompt.
 
-        Uses the sequence's own memoized incremental chain under the
-        router's private ``("router", tokens_per_page)`` schedule; repeat
-        probes of the same request cost only the new tail blocks.
+        Uses the sequence's own memoized incremental chain under the key
+        ``(ROUTER_TAGS, ("uniform", tokens_per_page))``, which a replica
+        group of that page size shares; repeat probes of the same request
+        cost only the new tail blocks.
         """
         seq: SequenceSpec = request.seq
-        stream = seq.stream_tokens(ROUTER_TAGS)
+        stream = (
+            seq.token_ids
+            if seq.covered_by(ROUTER_TAGS)
+            else seq.stream_tokens(ROUTER_TAGS)
+        )
         tokens_per_page = self.tokens_per_page
-        num_blocks = len(stream) // tokens_per_page
-        boundaries = [(i + 1) * tokens_per_page for i in range(num_blocks)]
         return seq.hash_chain(
-            ROUTER_TAGS, ("router", tokens_per_page), stream, boundaries
+            ROUTER_TAGS,
+            ("uniform", tokens_per_page),
+            stream,
+            range(tokens_per_page, len(stream) + 1, tokens_per_page),
         )
 
     def route(self, request: Request) -> int:
@@ -209,8 +220,8 @@ class Router:
         reports ``request_routed`` to the replica engine's observer.
         """
         start = time.perf_counter()
-        idx = self.policy(self, request)
         hashes = self.block_hashes(request)
+        idx = self.policy(self, request, hashes)
         shadow = self.shadows[idx]
         expected_hit = shadow.match_len(hashes) * self.tokens_per_page
         shadow.record(hashes)

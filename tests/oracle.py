@@ -1,5 +1,6 @@
-"""The admission verdict from a real allocation.
+"""Reference answers the fast paths are checked against.
 
+The admission verdict from a real allocation:
 ``JengaKVCacheManager.can_admit`` asks the allocator's exact check
 (``TwoLevelAllocator.groups_that_fit``) whether a prompt's admission
 demand would come out of the five steps.  :func:`admission_oracle`
@@ -7,9 +8,17 @@ answers the same question by doing it: on a deep copy of the pool whose
 check always says yes (as ``tests/test_allocator_runs.py``'s
 ``unchecked`` does with ``copy.deepcopy``), it allocates each group's demand in order, and the
 answer is whether the five-step loop ran out of pages.
+
+The model-wide prefix hit by the paper's rule (Section 5.2):
+:func:`reference_hit` probes every block of every group, lists each
+group's valid prefixes with ``get_possible_prefix`` and intersects them
+with :func:`longest_common_prefix`.  The manager's lookup asks each
+policy's ``largest_prefix_at_most`` instead and must agree.
 """
 
 import pickle
+
+from repro.core.prefix_cache import chain_hashes
 
 
 def admission_demand(mgr, seq, watermark_pages=0, chunk_tokens=8192):
@@ -48,3 +57,67 @@ def admission_oracle(mgr, seq, watermark_pages=0, chunk_tokens=8192):
         except AssertionError:  # step 5 found no page: the run does not fit
             return False
     return True
+
+
+def longest_common_prefix(seq, valid_stream_prefixes, accepted_tags, max_global=None):
+    """Longest global prefix every group can serve from cache.
+
+    Args:
+        seq: The request's token sequence.
+        valid_stream_prefixes: For each group id, the stream-prefix lengths
+            that group's ``get_possible_prefix`` declared valid (0 is
+            implicitly valid everywhere).
+        accepted_tags: Each group's accepted token tags, to map stream
+            lengths to global positions.
+        max_global: Cap on the returned prefix.  Serving engines cap at
+            ``len(seq) - 1`` so at least one token is always computed.
+
+    A global prefix ``P`` is valid for group ``g`` iff the number of
+    ``g``-stream tokens within the first ``P`` global tokens is one of
+    ``g``'s valid stream prefixes.  The answer is the largest ``P`` valid
+    for all groups.  Candidates are the maximal global positions realising
+    each valid stream length.
+    """
+    cap = len(seq) if max_global is None else min(max_global, len(seq))
+    if cap <= 0:
+        return 0
+    valid_sets = {g: set(prefixes) | {0} for g, prefixes in valid_stream_prefixes.items()}
+    candidates = {cap}
+    for group_id, prefixes in valid_sets.items():
+        tags = accepted_tags[group_id]
+        stream_total = seq.stream_length(tags)
+        for v in prefixes:
+            if v > stream_total:
+                continue
+            # The largest global P whose g-stream count is exactly v is just
+            # before the (v+1)-th g-token, or the end of the sequence.
+            if v == stream_total:
+                upper = len(seq)
+            else:
+                upper = seq.global_prefix_for_stream(tags, v + 1) - 1
+            candidates.add(min(upper, cap))
+    for p in sorted(candidates, reverse=True):
+        if p <= 0:
+            break
+        if all(
+            seq.stream_length(accepted_tags[g], p) in valid
+            for g, valid in valid_sets.items()
+        ):
+            return p
+    return 0
+
+
+def reference_hit(mgr, seq):
+    """The hit ``mgr.begin_request(seq)`` must return, from every block's
+    probe: ``get_possible_prefix`` per group, then
+    :func:`longest_common_prefix` under the ``len(seq) - 1`` cap."""
+    valid, tags = {}, {}
+    for group_id, policy in mgr.policies.items():
+        if policy.encoder_filled:
+            continue
+        tags[group_id] = policy.spec.accepted_tags
+        stream = seq.stream_tokens(tags[group_id])
+        hashes = chain_hashes(stream, policy.cacheable_boundaries(len(stream)))
+        index = mgr.allocator.groups[group_id].cache_index
+        valid[group_id] = policy.get_possible_prefix([h in index for h in hashes])
+    return longest_common_prefix(seq, valid, tags, max_global=len(seq) - 1)

@@ -370,8 +370,8 @@ class TestManagerHooks:
         assert make_policy(ALL_KINDS[FULL_ATTENTION]).peak_pages(100, 16) == 0
 
     def test_hit_blocks_to_hold(self):
-        assert make_policy(ALL_KINDS[FULL_ATTENTION]).hit_blocks_to_hold(16) == [0, 1, 2, 3]
-        assert make_policy(ALL_KINDS[SLIDING_WINDOW]).hit_blocks_to_hold(16) == [2, 3]
+        assert list(make_policy(ALL_KINDS[FULL_ATTENTION]).hit_blocks_to_hold(16)) == [0, 1, 2, 3]
+        assert list(make_policy(ALL_KINDS[SLIDING_WINDOW]).hit_blocks_to_hold(16)) == [2, 3]
         # A Mamba hit copies its checkpoint; a dropped-token group has none.
-        assert make_policy(ALL_KINDS[MAMBA]).hit_blocks_to_hold(16) == []
-        assert make_policy(ALL_KINDS[DROPPED_TOKEN]).hit_blocks_to_hold(16) == []
+        assert list(make_policy(ALL_KINDS[MAMBA]).hit_blocks_to_hold(16)) == []
+        assert list(make_policy(ALL_KINDS[DROPPED_TOKEN]).hit_blocks_to_hold(16)) == []

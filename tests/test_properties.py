@@ -1,13 +1,18 @@
 """Property-based tests (hypothesis) on allocator and policy invariants."""
 
 import math
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.evictor import COMPACT_RATIO, LRUEvictor
 from repro.core.kv_manager import JengaKVCacheManager
 from repro.core.layer_policy import (
+    CROSS_ATTENTION,
+    DROPPED_TOKEN,
     FULL_ATTENTION,
+    MAMBA,
     GroupSpec,
     SLIDING_WINDOW,
     SlidingWindowPolicy,
@@ -15,9 +20,12 @@ from repro.core.layer_policy import (
 )
 from repro.core.math_utils import compatible_page_bytes, gcd_of, lcm_of
 from repro.core.pages import EMPTY, EVICTABLE, USED
-from repro.core.prefix_cache import chain_hashes, longest_common_prefix
+from repro.core.prefix_cache import chain_hashes
 from repro.core.sequence import IMAGE, TEXT, SequenceSpec
 from repro.core.two_level import TwoLevelAllocator
+from repro.models.zoo import get_model
+
+from .oracle import reference_hit
 
 sizes = st.lists(st.integers(min_value=1, max_value=4096), min_size=1, max_size=5)
 
@@ -428,6 +436,86 @@ class TestManagerProperties:
         running.clear()
         check_refcounts()
         assert mgr.stats().used_bytes == 0
+
+
+#: Hit flags biased toward cached, so runs are long enough to meet a window.
+mostly_hit = st.sampled_from([True, True, True, False])
+
+
+class TestLookupOracle:
+    """The lookup's per-group ``largest_prefix_at_most`` fixed point gives
+    the hit the paper's rule gives: ``get_possible_prefix`` over every
+    block, intersected by ``tests/oracle.py``'s ``longest_common_prefix``."""
+
+    @given(
+        # The window's jump has the most cases, so it is drawn most.
+        st.sampled_from([FULL_ATTENTION, CROSS_ATTENTION, MAMBA, DROPPED_TOKEN]
+                        + [SLIDING_WINDOW] * 4),
+        st.integers(1, 8),  # tokens per page
+        st.integers(1, 40),  # window / budget / checkpoint interval
+        st.integers(0, 160),  # stream tokens hashed
+        st.data(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_policy_answer_is_the_largest_valid_prefix(self, kind, tpp, span, stream, data):
+        spec = GroupSpec("g", kind, 1, 8, tokens_per_page=tpp, window=span,
+                         budget=span, state_bytes=64, checkpoint_interval=span)
+        policy = make_policy(spec)
+        cap = data.draw(st.integers(0, stream), label="cap")
+        n = len(policy.cacheable_boundaries(stream))
+        is_hit = data.draw(st.lists(mostly_hit, min_size=n, max_size=n), label="is_hit")
+        probe = {b: b for b, hit in enumerate(is_hit) if hit}.get
+        blocks = len(policy.cacheable_boundaries(cap))
+        want = max(policy.get_possible_prefix(is_hit[:blocks]), default=0)
+        assert policy.largest_prefix_at_most(cap, range(n), probe) == want
+
+    @pytest.mark.parametrize("model", ["gemma2-9b", "llama3.2-vision-11b", "jamba-52b"])
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_manager_hit_matches_reference(self, model, data):
+        """Random resident block sets per group and random prompt lengths
+        (the cap) over three geometries: gemma2-9b with its window cut
+        below the stream, so the window policy's jump runs;
+        llama3.2-vision-11b, whose cross attention sees only the image
+        stream (stream != global); and jamba-52b's Mamba checkpoints."""
+        specs = get_model(model).kv_groups()
+        if model == "gemma2-9b":
+            window = data.draw(st.integers(1, 64), label="window")
+            specs = {g: replace(s, window=window) if s.kind == SLIDING_WINDOW else s
+                     for g, s in specs.items()}
+            segments = [(TEXT, data.draw(st.integers(1, 200), label="text"))]
+        elif model == "jamba-52b":
+            segments = [(TEXT, data.draw(st.integers(1, 2200), label="text"))]
+        else:
+            segments = [(TEXT, data.draw(st.integers(0, 80), label="text")),
+                        (IMAGE, data.draw(st.integers(1, 160), label="image")),
+                        (TEXT, data.draw(st.integers(1, 120), label="text"))]
+        ids = iter(range(10**6))
+        full = SequenceSpec.multimodal(
+            "full", [(tag, [next(ids) for _ in range(n)]) for tag, n in segments]
+        )
+        large = lcm_of([s.page_bytes for s in specs.values()])
+        mgr = JengaKVCacheManager(specs, 64 * large)
+        alloc = mgr.allocator
+        for group_id in mgr._lookup_order:
+            policy = mgr.policies[group_id]
+            stream = full.stream_tokens(specs[group_id].accepted_tags)
+            hashes = chain_hashes(stream, policy.cacheable_boundaries(len(stream)))
+            evicted = data.draw(st.one_of(st.just(0), st.integers(0, len(hashes))),
+                                label=f"{group_id} evicted head")
+            holes = data.draw(st.one_of(st.just(set()), st.sets(
+                st.integers(0, max(len(hashes) - 1, 0)), max_size=3)), label=f"{group_id} holes")
+            resident = [h for b, h in enumerate(hashes) if b >= evicted and b not in holes]
+            if resident:
+                pages = alloc.allocate_pages(group_id, "warm", len(resident))
+                for page_id, block_hash in zip(pages, resident):
+                    alloc.register_block_hash(group_id, page_id, block_hash)
+                alloc.release_pages(group_id, pages, True)
+        length = data.draw(st.integers(1, len(full)), label="prompt length")
+        seq = SequenceSpec("r", token_ids=full.token_ids[:length], tags=full.tags[:length])
+        want = reference_hit(mgr, seq)
+        assert mgr.begin_request(seq) == want
+        alloc.check_invariants()
 
 
 class TestPhysicalSafetyProperties:
