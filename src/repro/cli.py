@@ -283,148 +283,6 @@ def cmd_cluster_report(args) -> int:
     return 0
 
 
-def _elastic_sweep(phases, requests_per_phase, policies, resize_interval, seed):
-    """Mixed-tenant elastic-repartitioning sweep: resize policy vs. waste.
-
-    Two deployments of the same model share one LCM pool
-    (:class:`~repro.engine.multi_model.MultiModelEngine` shared mode, all
-    groups namespaced per tenant) under
-    :func:`~repro.workloads.elastic_requests`'s alternating square-wave
-    traffic.  One run per resize policy: every run starts from the same
-    equal-split quota partition (laid down by
-    :class:`~repro.core.resizer.PoolResizer` at construction), and the
-    policy decides whether quotas then follow the traffic.  ``static`` is
-    the fixed-partition baseline; ``proportional`` chases demand every
-    interval; ``hysteresis`` adds the dead-band/dwell gates.
-
-    Reported per policy, all on the simulated clock or counted: admission
-    blocks, evictions, preemptions, quota moves and the per-step
-    waste-bytes p50.  ``hysteresis`` should beat ``static`` on *both*
-    admission blocks and waste p50 at equal pool size.
-    """
-    from .core.math_utils import percentile
-    from .core.resizer import PoolResizer
-    from .engine.multi_model import MultiModelEngine
-    from .obs.pressure import PressureMonitor
-    from .obs.registry import BusTelemetry
-    from .workloads import elastic_requests
-
-    model = get_model("gemma2-9b")
-    total_bytes = kv_budget(model, L4).kv_bytes
-
-    rows = {}
-    for policy in policies:
-        fold = BusTelemetry()
-        fold.pressure = PressureMonitor(fold)
-        engine = MultiModelEngine(
-            {"a": model, "b": model}, L4, total_bytes,
-            shared=True, observer=fold,
-            # record_memory feeds the occupancy component of the
-            # pressure score -- the signal the hysteresis gate opens on.
-            config=profile_config("vllm", record_memory=True),
-        )
-        allocator = engine.engines["a"].manager.allocator
-        resizer = fold.resizer = PoolResizer(
-            allocator, fold.pressure, policy=policy, interval=resize_interval
-        )
-        for tenant, batch in elastic_requests(
-            phases, requests_per_phase, seed=seed
-        ).items():
-            engine.add_requests(tenant, batch)
-
-        large_bytes = allocator.lcm.large_page_bytes
-        tenant_groups = {
-            name: [g for g in allocator.groups if g.startswith(f"{name}/")]
-            for name in engine.engines
-        }
-        waste_samples = []
-        steps = 0
-        while engine.step() is not None:
-            steps += 1
-            # Waste sample = the allocator's intrinsic waste (internal
-            # fragmentation + partial fill + slack) plus *quota-stranded*
-            # memory: free or fully-evictable large pages that no tenant
-            # with live demand has the quota headroom to carve.  The
-            # stranded term is the Section-3-style reservation waste a
-            # fixed partition creates and elastic repartitioning removes;
-            # with nobody demanding, nothing is stranded.
-            stats = allocator.stats()
-            reclaimable = allocator.lcm.num_free + len(allocator.large_evictor)
-            headroom = 0
-            demanding = False
-            for name, eng in engine.engines.items():
-                arrival = eng.waiting.next_arrival()
-                if not eng.running and (
-                    arrival is None or arrival > engine.clock
-                ):
-                    continue
-                demanding = True
-                for gid in tenant_groups[name]:
-                    quota = allocator.quota_of(gid)
-                    if quota is None:
-                        headroom = reclaimable
-                        break
-                    headroom += max(
-                        0, quota - allocator.large_pages_owned(gid)
-                    )
-            stranded = max(0, reclaimable - headroom) if demanding else 0
-            waste_samples.append(
-                float(stats.waste_bytes + stranded * large_bytes)
-            )
-
-        allocator.check_invariants()
-        counters = fold.registry.counters
-        rows[policy] = {
-            "finished": sum(len(e.finished) for e in engine.engines.values()),
-            "failed": sum(len(e.failed) for e in engine.engines.values()),
-            "admission_blocked": counters.get("pressure/admission_blocked", 0),
-            "evictions": counters.get("evict/small", 0) + counters.get("evict/large", 0),
-            "preemptions": counters.get("preempt/victim", 0) + counters.get("preempt/self", 0),
-            "quota_moves": resizer.num_resizes,
-            "reclaimed_large": resizer.num_reclaimed,
-            "waste_bytes_p50": percentile(waste_samples, 0.50),
-            "steps": steps,
-        }
-    return {
-        "phases": phases,
-        "requests_per_phase": requests_per_phase,
-        "requests": phases * requests_per_phase,
-        "resize_interval": resize_interval,
-        "policies": rows,
-    }
-
-
-def cmd_resize_report(args) -> int:
-    """Elastic-repartitioning sweep -> per-policy quota/blocking report."""
-    import json as _json
-
-    policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
-    result = _elastic_sweep(
-        args.phases, args.requests_per_phase, policies, args.interval, args.seed
-    )
-    if args.json:
-        print(_json.dumps(result, indent=2))
-        return 0
-    header = (f"elastic sweep: {result['phases']} phases x "
-              f"{result['requests_per_phase']} requests, resize interval "
-              f"{result['resize_interval']} steps")
-    lines = [header, "-" * len(header)]
-    rows = [("policy", "finished", "failed", "blocked", "preempt",
-             "quota moves", "reclaimed", "waste p50 MB")]
-    for policy, row in result["policies"].items():
-        rows.append((
-            policy, str(row["finished"]), str(row["failed"]),
-            str(row["admission_blocked"]), str(row["preemptions"]),
-            str(row["quota_moves"]), str(row["reclaimed_large"]),
-            f"{row['waste_bytes_p50'] / 2**20:.0f}",
-        ))
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    for r in rows:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(r, widths)))
-    print("\n".join(lines))
-    return 0
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Jenga reproduction experiment runner"
@@ -528,22 +386,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="machine-readable JSON instead of text")
     p.set_defaults(func=cmd_cluster_report)
 
-    p = sub.add_parser(
-        "resize-report",
-        help="mixed-tenant elastic-repartitioning sweep -> per-policy "
-             "admission-blocking / waste / quota-move report",
-    )
-    p.add_argument("--phases", type=int, default=4,
-                   help="alternating square-wave traffic phases")
-    p.add_argument("--requests-per-phase", type=int, default=24)
-    p.add_argument("--interval", type=int, default=16,
-                   help="steps between resize decisions")
-    p.add_argument("--policies", default="static,proportional,hysteresis",
-                   help="comma-separated resize policies to compare")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable JSON instead of text")
-    p.set_defaults(func=cmd_resize_report)
     return parser
 
 

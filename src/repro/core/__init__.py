@@ -35,15 +35,6 @@ from .registry import (
     register_manager,
     resolve_manager,
 )
-from .resizer import (
-    GroupPressure,
-    HysteresisPolicy,
-    PoolResizer,
-    ProportionalPolicy,
-    RESIZE_POLICIES,
-    ResizePolicy,
-    make_resize_policy,
-)
 from .sequence import IMAGE, TEXT, SequenceSpec
 from .two_level import AllocatorStats, TwoLevelAllocator
 
@@ -58,9 +49,7 @@ __all__ = [
     "FULL_ATTENTION",
     "FullAttentionPolicy",
     "GroupBinding",
-    "GroupPressure",
     "GroupSpec",
-    "HysteresisPolicy",
     "IMAGE",
     "JengaKVCacheManager",
     "KVCacheManager",
@@ -74,10 +63,6 @@ __all__ = [
     "OutOfLargePagesError",
     "PageState",
     "PhysicalExtent",
-    "PoolResizer",
-    "ProportionalPolicy",
-    "RESIZE_POLICIES",
-    "ResizePolicy",
     "SequenceSpec",
     "SLIDING_WINDOW",
     "SlidingWindowPolicy",
@@ -94,7 +79,6 @@ __all__ = [
     "lcm_blowup",
     "lcm_of",
     "make_policy",
-    "make_resize_policy",
     "register_manager",
     "resolve_manager",
 ]

@@ -28,7 +28,7 @@ binding ``None`` leaves it unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 __all__ = ["ALLOCATION_STEPS", "AdmissionBlocked", "Observer"]
 
@@ -75,14 +75,6 @@ class Observer:
     def page_released(self, group_id: str, page_id: int, cached: bool) -> None:
         """A page's last reference dropped (``cached``: kept as evictable),
         or a displaced stale cached copy was freed (``cached=False``)."""
-
-    def quota_resized(
-        self, group_id: str, old_quota: Optional[int], new_quota: Optional[int],
-        num_owned: int, reclaimed: int,
-    ) -> None:
-        """A soft large-page quota changed, after any deflation reclaim
-        (each reclaimed page was reported by :meth:`page_evicted`);
-        ``num_owned`` is the ownership after the resize."""
 
     # -- manager ---------------------------------------------------------
 

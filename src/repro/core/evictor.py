@@ -128,8 +128,8 @@ class LRUEvictor(Generic[T]):
     def iter_in_order(self) -> Iterator[T]:
         """Items in eviction order, lazily and read-only: a walk of the heap
         tree that costs ``O(k log k)`` (plus the stale entries passed) for
-        the first ``k`` items, so a capacity check can peek at the victims
-        it would take without taking them."""
+        the first ``k`` items, so :meth:`peek` and tests can read the
+        victims without taking them."""
         heap = self._heap
         priority = self._priority
         frontier = [(heap[0], 0)] if heap else []

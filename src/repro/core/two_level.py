@@ -46,7 +46,7 @@ victim), and takes or returns page ids; ``allocate_page``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .events import Observer
 from .evictor import LRUEvictor
@@ -141,12 +141,6 @@ class GroupAllocator:
         # Sum of num_tokens over USED pages (for partial-fill accounting);
         # maintained by the KV manager through note_fill().
         self.used_filled_tokens = 0
-        # Soft cap on large pages this group may *own* (None = unlimited).
-        # Enforced at carve time (steps 2/3); ownership may exceed the
-        # quota after a deflation until releases catch up.  Set through
-        # TwoLevelAllocator.set_quota, which also runs the deflation
-        # reclaim and reports the quota move.
-        self.quota: Optional[int] = None
 
     def note_fill(self, delta_tokens: int) -> None:
         """Record a change in filled token slots of USED pages."""
@@ -261,22 +255,17 @@ class TwoLevelAllocator:
         # Members of large_evictor per owning group, maintained alongside
         # every add/remove so capacity probes never scan the evictor.
         self._num_fully_evictable: Dict[str, int] = {g: 0 for g in specs}
-        # Large pages currently owned (carved) per group; the O(1) counter
-        # the soft-quota carve gate and admission headroom read.  Moves
-        # only in _carve / _return_large_page.
-        self._num_large_owned: Dict[str, int] = {g: 0 for g in specs}
         self.num_large_evictions = 0
         # Monotone pool-state version: moves once per run that changes a
-        # small page's state, whenever a large page goes back to the LCM
-        # pool, whenever a quota changes and whenever an evictable page is
-        # re-keyed (DESIGN.md lists the sites).  Equal versions mean the
-        # free pools, the evictors' contents and order, the
-        # fully-evictable and owned counts, lcm.num_free and every quota
-        # are unchanged, so an admission verdict taken at one holds at the
-        # other.
+        # small page's state and whenever a large page goes back to the LCM
+        # pool (DESIGN.md lists the sites).  Equal versions mean the free
+        # pools, the evictors' contents, the fully-evictable counts and
+        # lcm.num_free are unchanged -- a re-key only reorders an evictor,
+        # which no capacity count reads -- so an admission verdict taken at
+        # one holds at the other.
         self.version = 0
-        # Where allocations, carves, evictions, releases and quota moves
-        # are reported; bound by the manager(s) over this pool (see
+        # Where allocations, carves, evictions and releases are reported;
+        # bound by the manager(s) over this pool (see
         # JengaKVCacheManager.bind_observer).  None reports nothing.
         self.observer: Optional[Observer] = None
 
@@ -335,17 +324,10 @@ class TwoLevelAllocator:
                 taken.append(page_id)
                 steps.append(1 if aware else 0)
                 continue
-            # Steps 2/3 grow the group's large-page ownership, so both sit
-            # behind the soft-quota gate.  A group at quota still reaches
-            # its own memory through steps 1/4/5 (empty and evictable
-            # small pages, including those inside its own fully-evictable
-            # large pages).
-            carve_step = 0
-            if group.quota is None or self._num_large_owned[group_id] < group.quota:
-                # Step 2: carve a fresh large page.  Step 3: first evict
-                # the least-recently-used fully-evictable large page (any
-                # group's) to have one.
-                carve_step = 2 if lcm.has_free() else 3 if len(large_evictor) else 0
+            # Step 2: carve a fresh large page.  Step 3: first evict the
+            # least-recently-used fully-evictable large page (any group's)
+            # to have one.
+            carve_step = 2 if lcm.has_free() else 3 if len(large_evictor) else 0
             if carve_step:
                 if carve_step == 3:
                     victim_id, last_access, prefix = large_evictor.evict_with_key()
@@ -424,7 +406,7 @@ class TwoLevelAllocator:
         another, all succeed.  Exact and read-only -- the check half of
         check-then-commit and the admission verdict
         (:meth:`~repro.core.kv_manager.JengaKVCacheManager.can_admit`),
-        counted from O(1) counters:
+        counted in O(#groups) from O(1) counters:
 
         * a group first takes its step-1 bucket (all of ``num_free`` in
           the ``request_aware=False`` ablation), then ``ceil(rest / spl)``
@@ -433,89 +415,25 @@ class TwoLevelAllocator:
           (steps 4/5); its capacity is ``num_free + len(evictor)`` plus
           ``spl`` per *foreign* large page it may carve -- the shared
           count less its own fully-evictable pages (evicting one to carve
-          it again is net zero), capped by the quota headroom;
-        * a group drains the shared count before later groups see it --
-          ``ceil(rest / spl)`` carves, fewer if its quota gate closes
-          first -- and which victim a carve takes does not change a later
-          group's capacity unless that group is already over its quota.
+          it again is net zero);
+        * a group drains the shared count before later groups see it, and
+          which victim a carve takes does not change a later group's
+          capacity.
 
-        Two cases depend on the evictors' order, and only with quotas: a
-        group that owns fully-evictable large pages and whose gate may
-        close before later groups run (own victims keep the gate open,
-        and its step 5 may take its large pages off the shared count),
-        and a group over its quota after an earlier one may have carved
-        its pages away.  Those go to :meth:`_groups_that_fit_slow`;
-        everything else is O(#groups).
+        No count reads the evictors' order, so re-keying an evictable page
+        (:meth:`touch_evictable`) cannot change the answer.
         """
         groups = self.groups
         shared = self.lcm.num_free + len(self.large_evictor)
-        last = len(demand) - 1
         for fitted, (group_id, n) in enumerate(demand):
             group = groups[group_id]
             spl = group.small_per_large
-            own_fe = self._num_fully_evictable[group_id]
-            first = self._step_one_pages(group, request_id)
-            carves = -(-(n - first) // spl) if n > first else 0
-            foreign = shared - own_fe
-            if group.quota is not None:
-                spare = group.quota - self._num_large_owned[group_id]
-                if own_fe and (spare < 0 < fitted or (fitted < last and carves > spare)):
-                    return self._groups_that_fit_slow(demand, request_id)
-                carves = min(carves, max(0, spare))
-                foreign = min(foreign, max(0, spare))
+            foreign = shared - self._num_fully_evictable[group_id]
             if n > group.num_free + len(group.evictor) + foreign * spl:
                 return fitted
-            shared -= min(shared, carves)
-        return len(demand)
-
-    def _groups_that_fit_slow(
-        self, demand: Sequence[Tuple[str, int]], request_id: str
-    ) -> int:
-        """:meth:`groups_that_fit` where the evictors' order matters.
-
-        Walks the five steps in count form over lazy, read-only peeks at
-        both evictors' orders: O(carves + evictions) of the demand, the
-        work the allocations themselves would do.  Reached only while
-        quotas are set (the resizer sets them).
-        """
-        lcm_free = self.lcm.num_free
-        victims = self.large_evictor.iter_in_order()
-        returned: Set[int] = set()  # large pages a step 3 took
-        gone: Set[int] = set()  # large pages off the large evictor
-        owned = dict(self._num_large_owned)
-        for fitted, (group_id, n) in enumerate(demand):
-            group = self.groups[group_id]
-            spl = group.small_per_large
-            first = self._step_one_pages(group, request_id)
-            rest = n - first
-            while rest > 0 and (group.quota is None or owned[group_id] < group.quota):
-                if lcm_free:
-                    lcm_free -= 1
-                else:
-                    victim = next((v for v in victims if v not in gone), None)
-                    if victim is None:
-                        break
-                    gone.add(victim)
-                    returned.add(victim)
-                    victim_owner = self.lcm.owner_of(victim)
-                    assert victim_owner is not None
-                    owned[victim_owner] -= 1
-                owned[group_id] += 1
-                rest -= spl
-            rest -= group.num_free - first
-            if rest <= 0:
-                continue
-            for page_id in group.evictor.iter_in_order():
-                large_id = page_id // spl
-                if large_id in returned:
-                    continue  # went with its large page in a step 3
-                if large_id in self.large_evictor:
-                    gone.add(large_id)  # no longer fully evictable
-                rest -= 1
-                if not rest:
-                    break
-            else:
-                return fitted
+            rest = n - self._step_one_pages(group, request_id)
+            if rest > 0:
+                shared -= min(shared, -(-rest // spl))
         return len(demand)
 
     def _step_one_pages(self, group: GroupAllocator, request_id: str) -> int:
@@ -535,7 +453,6 @@ class TwoLevelAllocator:
             obs.large_page_carved(group_id, large_id, group.small_per_large)
         carved = group.new_pages(large_id, request_id)
         self._large_counts[large_id] = [len(carved), 0, 0]
-        self._num_large_owned[group_id] += 1
         return carved
 
     # ------------------------------------------------------------------
@@ -693,13 +610,11 @@ class TwoLevelAllocator:
     def touch_evictable(self, group_id: str, page_id: int) -> None:
         """Re-key an evictable page after its eviction metadata changed.
 
-        Moves :attr:`version`: the evictors' order is an input of
-        :meth:`_groups_that_fit_slow`, so an admission verdict keyed on the
-        version must not outlive a re-key.
+        Leaves :attr:`version` alone: a re-key reorders the evictors but
+        changes no count :meth:`groups_that_fit` reads.
         """
         group = self.groups[group_id]
         if group.state[page_id] is EVICTABLE and page_id in group.evictor:
-            self.version += 1
             key = (group.last_access[page_id], group.prefix_length[page_id])
             group.evictor.add(page_id, *key)
             large_id = page_id // group.small_per_large
@@ -741,7 +656,7 @@ class TwoLevelAllocator:
         self, large_id: int, owner: str, last_access: float, prefix: float
     ) -> None:
         """Return ``owner``'s large page as an eviction: counted and
-        reported with the priority it held (step 3, quota deflation)."""
+        reported with the priority it held (step 3)."""
         self._return_large_page(large_id)
         self.num_large_evictions += 1
         obs = self.observer
@@ -774,7 +689,6 @@ class TwoLevelAllocator:
                 # Pooled unless it is the page whose emptying returns it.
                 pool.discard(page_id)
         group.destroy_pages(large_id, counts[2])
-        self._num_large_owned[owner] -= 1
         self.version += 1
         self.lcm.free(large_id)
 
@@ -803,85 +717,6 @@ class TwoLevelAllocator:
     def fully_evictable_large_pages(self, group_id: str) -> int:
         """Large-evictor members owned by ``group_id`` (O(1) counter)."""
         return self._num_fully_evictable[group_id]
-
-    def large_pages_owned(self, group_id: str) -> int:
-        """Large pages currently carved for ``group_id`` (O(1) counter)."""
-        return self._num_large_owned[group_id]
-
-    def quota_of(self, group_id: str) -> Optional[int]:
-        """``group_id``'s soft large-page quota (``None`` = unlimited)."""
-        return self.groups[group_id].quota
-
-    def set_quota(self, group_id: str, quota: Optional[int]) -> int:
-        """Set ``group_id``'s soft large-page quota; returns pages reclaimed.
-
-        The elastic-repartitioning actuator (ROADMAP; eLLM in PAPERS.md).
-        Inflating (or clearing, ``quota=None``) only moves the carve gate.
-        Deflating below current ownership additionally reclaims the
-        group's reclaimable large pages -- fully-evictable ones first in
-        LRU order, then any owned large page holding no USED small page
-        (coldest first) -- until ownership meets the new quota or nothing
-        reclaimable remains.  Large pages pinned by USED small pages are
-        never touched: the quota is *soft*, ownership may exceed it until
-        releases catch up, and no new carves happen until it does.
-
-        Moves :attr:`version` and reports exactly one ``quota_resized``
-        per quota *change* (plus one ``page_evicted`` per reclaimed large
-        page); setting the same quota again is a silent no-op.
-        """
-        if quota is not None and quota < 0:
-            raise ValueError(f"negative quota {quota} for group {group_id}")
-        group = self.groups[group_id]
-        old = group.quota
-        if old == quota:
-            return 0
-        group.quota = quota
-        self.version += 1
-        reclaimed = 0
-        if quota is not None and self._num_large_owned[group_id] > quota:
-            reclaimed = self._deflate_slow(group_id, quota)
-        obs = self.observer
-        if obs is not None:
-            obs.quota_resized(group_id, old, quota, self._num_large_owned[group_id], reclaimed)
-        return reclaimed
-
-    def _deflate_slow(self, group_id: str, quota: int) -> int:
-        """Reclaim ``group_id``'s large pages down toward ``quota``.
-
-        Control-plane path (runs once per resize, not per allocation):
-        scans the group's owned large pages -- documented O(owned), hence
-        the ``slow`` audit suffix.  Two passes, both coldest-first on the
-        (last_access, prefix_length) eviction key: fully-evictable large
-        pages, then partially-empty ones with no USED small page.
-        """
-        group = self.groups[group_id]
-        excess = self._num_large_owned[group_id] - quota
-        reclaimed = 0
-        for fully_evictable_only in (True, False):
-            if reclaimed >= excess:
-                break
-            victims: List[Tuple[float, float, int]] = []
-            for large_id in self.lcm.pages_owned_by(group_id):
-                if large_id in self.large_evictor:
-                    if not fully_evictable_only:
-                        continue  # pass 1 already took what it wanted
-                    last, prefix = self.large_evictor.priority_of(large_id)
-                elif fully_evictable_only:
-                    continue
-                else:
-                    counts = self._large_counts.get(large_id)
-                    if counts is None or counts[1] != 0:
-                        continue  # pinned by a USED small page
-                    last, prefix = self._large_key_scan(large_id)
-                victims.append((last, prefix, large_id))
-            victims.sort()
-            for last, prefix, victim_id in victims:
-                if reclaimed >= excess:
-                    break
-                self._large_evictor_discard(victim_id, group_id)
-                self._evict_large_page(victim_id, group_id, last, prefix)
-                reclaimed += 1
-        return reclaimed
 
     def stats(self) -> AllocatorStats:
         """O(#groups) point-in-time accounting from running counters."""
@@ -1002,11 +837,9 @@ class TwoLevelAllocator:
             # num_free needs no separate running counter.
             assert group.num_free == n_empty, (group_id, group.num_free, n_empty)
         fully_by_group = {g: 0 for g in self.groups}
-        owned_by_group = {g: 0 for g in self.groups}
         for large_id, counts in self._large_counts.items():
             owner = owners[large_id]
             assert owner is not None
-            owned_by_group[owner] += 1
             group = self.groups[owner]
             total = group.small_per_large
             assert sum(counts) == total, (large_id, counts, total)
@@ -1028,7 +861,4 @@ class TwoLevelAllocator:
                 )
         assert fully_by_group == self._num_fully_evictable, (
             fully_by_group, self._num_fully_evictable
-        )
-        assert owned_by_group == self._num_large_owned, (
-            owned_by_group, self._num_large_owned
         )

@@ -83,9 +83,9 @@ class MultiModelEngine:
             silently run different page sizes.
         observer: One observer for *every* deployment's engine (and, in
             shared mode, the one pool).  ``None`` (default) observes
-            nothing.  It is how a pool-level fold (``BusTelemetry`` with
-            its pressure and resizer views, as in the elastic benchmark)
-            sees all tenants' admission and step traffic in one place.
+            nothing.  It is how a pool-level fold (``BusTelemetry``, with
+            or without its pressure view) sees all tenants' admission and
+            step traffic in one place.
     """
 
     def __init__(

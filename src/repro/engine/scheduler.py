@@ -154,11 +154,11 @@ class AdmissionGate:
     however, is a pure function of the sequence's length and the state
     the manager's ``admission_version()`` tracks: the allocator's monotone
     ``version`` moves on every mutation of its free pools, evictor
-    contents, large-page counts and quotas, and on every re-key of an
-    evictable page (``touch_evictable``) -- the evictors' order is an
-    input of the allocator's exact check while quotas are set.  So an
-    unchanged ``(request_id, seq_len, version)`` triple means an
-    unchanged verdict and the probe can be skipped outright.
+    contents and large-page counts, and the allocator's exact check reads
+    nothing else (not the evictors' order, so a re-key by
+    ``touch_evictable`` leaves it alone).  So an unchanged
+    ``(request_id, seq_len, version)`` triple means an unchanged verdict
+    and the probe can be skipped outright.
 
     The recorded version is taken *after* the failed probe's release, so
     the probe's own acquire/release churn (net-zero on pool counts, but

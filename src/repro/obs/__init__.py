@@ -17,7 +17,7 @@ The subsystem closes the ROADMAP's "engine-step profiling hooks" item:
 * :mod:`repro.obs.pressure` -- :class:`PressureMonitor`, the view that
   turns the fold's per-step counter deltas (admission blocks, evictions,
   preemptions) and the waste snapshot into per-replica/per-group pressure
-  gauges (the sensing half of ``PoolResizer``).
+  gauges (``repro.cli cluster-report``'s ``pressure/score`` column).
 * :mod:`repro.obs.cluster` -- cluster-scope views: the merged
   multi-replica Chrome trace (one pid lane pair per replica plus a
   cluster router lane) and :class:`ClusterReport`, the TTFT/TBT/e2e SLO

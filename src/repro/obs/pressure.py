@@ -1,7 +1,6 @@
 """Pool-pressure view: the fold's counters -> per-replica pressure gauges.
 
-:class:`PressureMonitor` is the sensing half of elastic pool
-repartitioning.  It observes nothing itself: the
+:class:`PressureMonitor` observes nothing itself: the
 :class:`~repro.obs.registry.BusTelemetry` fold counts admission blocks,
 evictions (total and per group) and preemptions once, and ticks this view
 from its ``step_completed``.  The view turns the *per-step deltas*
@@ -64,15 +63,6 @@ class PressureMonitor:
         self._group_rates: Dict[str, float] = {}
         self._group_rate_keys = KeyMemo("pressure/group/", "/eviction_rate")
         self.score = 0.0
-
-    def group_eviction_rates(self) -> Dict[str, float]:
-        """Per-group EWMA eviction rates (events/step), a fresh copy.
-
-        The per-group pressure component a bound
-        :class:`~repro.core.resizer.PoolResizer` folds into its demand
-        weights; O(#groups) per call, control-plane only.
-        """
-        return dict(self._group_rates)
 
     # ------------------------------------------------------------------
 

@@ -11,8 +11,7 @@ the stack makes exactly once into registry instruments:
   (``evict/group/<gid>``), and balanced (recency-keyed) vs. aligned
   (prefix-length tie-break) priority (Section 5.1),
 * preemption reasons (``victim`` vs. ``self``), blocked admissions,
-  request lifecycle tallies, prefix-cache token counters, quota moves
-  (``resize/*``),
+  request lifecycle tallies, prefix-cache token counters,
 * routing decisions (``routing/policy/<name>``, ``routing/replica/<id>``,
   expected hit tokens) when it observes a serving replica,
 * the memory / waste / fragmentation timeline sampled from each step's
@@ -21,10 +20,9 @@ the stack makes exactly once into registry instruments:
 * per-phase wall-time histograms from ``StepRecord.phases`` when the
   engine ran with a tracer attached.
 
-Everything derived from those counts is a *view* ticked by the fold's
-``step_completed``, in a fixed written order: counters, then the pressure
-EWMAs (:class:`~repro.obs.pressure.PressureMonitor`), then the resizer
-(:class:`~repro.core.resizer.PoolResizer`).
+Derived from those counts, the pressure EWMAs
+(:class:`~repro.obs.pressure.PressureMonitor`) are a *view* the fold's
+``step_completed`` ticks after its counters.
 """
 
 from __future__ import annotations
@@ -261,26 +259,21 @@ class BusTelemetry(Observer):
     """The in-tree observer: every report counted once into a registry.
 
     Pass it as ``LLMEngine(observer=...)`` (or ``MultiModelEngine``).
-    ``pressure`` and ``resizer`` are the optional per-step views; whoever
-    assembles the fold assigns them, and :meth:`step_completed` ticks them.
+    ``pressure`` is the optional per-step view; whoever assembles the
+    fold assigns it, and :meth:`step_completed` ticks it.
     """
 
     def __init__(self, registry: Optional[TelemetryRegistry] = None) -> None:
         self.registry = registry if registry is not None else TelemetryRegistry()
-        #: Duck-typed so obs.registry imports neither view's module:
-        #: ``pressure.on_step(time, memory)`` then ``resizer.on_step()``.
+        #: Duck-typed so obs.registry does not import the view's module:
+        #: ``pressure.on_step(time, memory)``.
         self.pressure: Any = None
-        self.resizer: Any = None
         self._step_keys = KeyMemo("alloc/step/")
         self._evict_keys = KeyMemo("evict/")
         self._preempt_keys = KeyMemo("preempt/")
         #: group id -> its ``evict/group/<gid>`` counter key, for every
         #: group that has evicted (the pressure view iterates it).
         self.group_eviction_keys = KeyMemo("evict/group/")
-        # Latest simulated-clock step time, so quota timeline points land
-        # next to the pressure/score track even though a quota move
-        # carries no timestamp.
-        self._time = 0.0
 
     # ------------------------------------------------------------------
 
@@ -320,23 +313,6 @@ class BusTelemetry(Observer):
         reg.inc("prefix/hit_tokens", hit_tokens)
         reg.inc("prefix/lookup_tokens", lookup_tokens)
 
-    def quota_resized(
-        self, group_id: str, old_quota: Optional[int], new_quota: Optional[int],
-        num_owned: int, reclaimed: int,
-    ) -> None:
-        # One report per resize decision (control plane, not per page),
-        # so the f-string group key is off the per-page hot path.
-        reg = self.registry
-        reg.inc("resize/quota_resized")
-        reg.inc(f"resize/group/{group_id}/resizes")
-        reg.inc("resize/reclaimed_large", reclaimed)
-        if new_quota is not None:
-            # The quota staircase lands on the sim-clock timeline, so
-            # Chrome traces show each step next to pressure/score.
-            key = f"resize/group/{group_id}/quota"
-            reg.set_gauge(key, float(new_quota))
-            reg.record_point(key, self._time, float(new_quota))
-
     def request_queued(self, request_id: str, arrival_time: float) -> None:
         self.registry.inc("requests/queued")
 
@@ -370,15 +346,9 @@ class BusTelemetry(Observer):
         reg.inc("routing/expected_hit_tokens", expected_hit_tokens)
 
     def step_completed(self, time: float, record: Any) -> None:
-        """Counters, then the pressure view, then the resizer tick.
-
-        The order is the contract: the resizer decides on EWMAs that
-        already include this step, and whatever its quota moves evict is
-        counted after the pressure view closed this step's window, so it
-        lands in the next one.
-        """
+        """Counters, then the pressure view, whose EWMAs then include
+        this step."""
         reg = self.registry
-        self._time = time
         reg.inc("engine/steps")
         memory = getattr(record, "memory", None)
         if memory is not None:
@@ -392,5 +362,3 @@ class BusTelemetry(Observer):
                 reg.observe(f"phase/{phase}", seconds)
         if self.pressure is not None:
             self.pressure.on_step(time, memory)
-        if self.resizer is not None:
-            self.resizer.on_step()

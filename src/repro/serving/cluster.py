@@ -102,8 +102,6 @@ class ServingCluster:
         tracing: bool = False,
         telemetry: bool = False,
         pressure: bool = False,
-        resizing: Optional[str] = None,
-        resize_interval: int = 32,
     ) -> "ServingCluster":
         """Homogeneous cluster: N identical replicas, one policy.
 
@@ -112,9 +110,6 @@ class ServingCluster:
         pressure view of that fold (all default off, preserving the
         zero-overhead ``NULL_TRACER`` path); with tracing on the cluster
         also records the route log for the merged trace's router lane.
-        ``resizing`` names a :class:`~repro.core.resizer.ResizePolicy` and
-        adds a per-replica :class:`~repro.core.resizer.PoolResizer` to the
-        fold (implies ``pressure``, its control signal).
         """
         from ..obs.tracer import Tracer  # deferred: serving stays obs-light
 
@@ -125,7 +120,6 @@ class ServingCluster:
                 tokens_per_page=tokens_per_page, seed=seed + i,
                 tracer=Tracer() if tracing else None,
                 telemetry=telemetry, pressure=pressure,
-                resizing=resizing, resize_interval=resize_interval,
             )
             for i in range(num_replicas)
         ]

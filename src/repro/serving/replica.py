@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..baselines import make_manager
-from ..core.resizer import PoolResizer
 from ..engine.engine import LLMEngine
 from ..engine.metrics import EngineMetrics
 from ..engine.request import Request
@@ -77,16 +76,6 @@ class Replica:
             view (``self.telemetry.pressure``: EWMA rates and
             ``pressure/score``) to that fold; it reads the fold's
             counters, so it brings the fold with it.
-        resizing: Name of a registered
-            :class:`~repro.core.resizer.ResizePolicy` (``"static"`` /
-            ``"proportional"`` / ``"hysteresis"``); adds a
-            :class:`~repro.core.resizer.PoolResizer`
-            (``self.telemetry.resizer``) the fold ticks after the pressure
-            view, closing the feedback loop.  Implies ``pressure`` (the
-            control signal) and needs a manager exposing a two-level
-            ``allocator`` (the actuated surface).  ``None`` (default)
-            attaches nothing.
-        resize_interval: Simulated steps between resize passes.
     """
 
     def __init__(
@@ -104,8 +93,6 @@ class Replica:
         tracer: Optional[Tracer] = None,
         telemetry: bool = False,
         pressure: bool = False,
-        resizing: Optional[str] = None,
-        resize_interval: int = 32,
     ) -> None:
         self.replica_id = replica_id
         self.model = model
@@ -120,10 +107,9 @@ class Replica:
             )
         self.manager = manager
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        # One fold per replica; pressure and resizing are views it ticks
-        # (counters -> pressure EWMAs -> resizer) on every step_completed.
+        # One fold per replica; pressure is a view it ticks (counters ->
+        # pressure EWMAs) on every step_completed.
         self.telemetry: Optional[BusTelemetry] = None
-        pressure = pressure or resizing is not None  # the resizer's signal
         if telemetry or pressure:
             self.telemetry = BusTelemetry()
         self.engine = LLMEngine(
@@ -133,13 +119,6 @@ class Replica:
         fold = self.telemetry
         if fold is not None and pressure:
             fold.pressure = PressureMonitor(fold)
-            if resizing is not None:
-                # Built after the engine bound the fold, so the initial
-                # partition's quota moves are counted.
-                fold.resizer = PoolResizer(
-                    manager.allocator, fold.pressure,
-                    policy=resizing, interval=resize_interval,
-                )
 
     # ------------------------------------------------------------------
 

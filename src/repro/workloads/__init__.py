@@ -11,7 +11,6 @@ from .datasets import (
 )
 from .synthetic import (
     clamp,
-    elastic_requests,
     fanout_requests,
     lognormal_lengths,
     token_block,
@@ -28,7 +27,6 @@ __all__ = [
     "arxiv_qa_long",
     "arxiv_qa_multiturn",
     "clamp",
-    "elastic_requests",
     "fanout_requests",
     "lognormal_lengths",
     "long_document_qa",

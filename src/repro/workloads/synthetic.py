@@ -1,4 +1,4 @@
-"""Seeded synthetic token/length generators and the two report workloads.
+"""Seeded synthetic token/length generators and the cluster report workload.
 
 All workloads are derived from seeded RNGs so every experiment is exactly
 reproducible.  Token *content* only matters for prefix-cache hashing, so
@@ -9,7 +9,7 @@ image) reuse the same draw.
 from __future__ import annotations
 
 import random
-from typing import Dict, List
+from typing import List
 
 from ..engine.request import Request
 
@@ -19,7 +19,6 @@ __all__ = [
     "uniform_lengths",
     "clamp",
     "fanout_requests",
-    "elastic_requests",
 ]
 
 
@@ -93,47 +92,3 @@ def fanout_requests(
             )
     poisson_arrivals(requests, rate=rate, seed=seed)
     return requests
-
-
-def elastic_requests(
-    phases: int,
-    requests_per_phase: int,
-    prefix_tokens: int = 384,
-    suffix_tokens: int = 32,
-    output_tokens: int = 160,
-    rate: float = 128.0,
-    idle_gap: float = 24.0,
-    seed: int = 0,
-) -> Dict[str, List[Request]]:
-    """Square-wave mixed-tenant traffic for ``repro.cli resize-report``.
-
-    Tenants ``a`` and ``b`` alternate whole phases: all of phase ``p``'s
-    requests go to one tenant, share one fresh ``prefix_tokens``-token
-    prefix (so the burst exercises prefix caching and leaves evictable
-    cache behind when it drains), and arrive as a Poisson burst starting
-    ``idle_gap`` simulated seconds after the previous phase's last
-    arrival.  The result is the workload quotas exist for: whichever
-    tenant is bursting needs most of the pool, while the idle tenant's
-    footprint is pure reclaimable history.
-    """
-    from .trace import poisson_arrivals
-
-    per_tenant: Dict[str, List[Request]] = {"a": [], "b": []}
-    start = 0.0
-    for phase in range(phases):
-        tenant = "a" if phase % 2 == 0 else "b"
-        prefix = token_block(seed, f"{tenant}-phase{phase}", 0, prefix_tokens)
-        burst = [
-            Request.text(
-                f"{tenant}-p{phase:02d}-r{i:03d}",
-                prefix + token_block(
-                    seed + 1, f"{tenant}-p{phase}-sfx", i, suffix_tokens
-                ),
-                output_tokens,
-            )
-            for i in range(requests_per_phase)
-        ]
-        poisson_arrivals(burst, rate=rate, seed=seed + phase, start=start)
-        per_tenant[tenant].extend(burst)
-        start = burst[-1].arrival_time + idle_gap
-    return per_tenant

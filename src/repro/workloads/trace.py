@@ -16,7 +16,7 @@ __all__ = [
 
 
 def poisson_arrivals(
-    requests: Sequence[Request], rate: float, seed: int = 0, start: float = 0.0
+    requests: Sequence[Request], rate: float, seed: int = 0
 ) -> List[Request]:
     """Assign Poisson arrival times (``rate`` requests/second).
 
@@ -29,7 +29,7 @@ def poisson_arrivals(
     if rate <= 0:
         raise ValueError("arrival rate must be positive")
     rng = random.Random(f"{seed}:" + str("poisson"))
-    t = start
+    t = 0.0
     for request in requests:
         t += rng.expovariate(rate)
         request.arrival_time = t

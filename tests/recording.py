@@ -20,7 +20,6 @@ __all__ = [
     "PageReleased",
     "PagesAllocated",
     "PrefixHit",
-    "QuotaResized",
     "RecordingObserver",
     "RequestAdmitted",
     "RequestFailed",
@@ -44,9 +43,6 @@ PageEvicted = _record(
     last_access=0.0, prefix_length=0.0,
 )
 PageReleased = _record("PageReleased", "group_id", "page_id", "cached")
-QuotaResized = _record(
-    "QuotaResized", "group_id", "old_quota", "new_quota", "num_owned", "reclaimed"
-)
 PrefixHit = _record("PrefixHit", "request_id", "hit_tokens", "lookup_tokens")
 RequestQueued = _record("RequestQueued", "request_id", "arrival_time")
 RequestAdmitted = _record("RequestAdmitted", "request_id", "time", "cached_tokens",
@@ -70,7 +66,6 @@ RECORDS = {
     "large_page_carved": LargePageCarved,
     "page_evicted": PageEvicted,
     "page_released": PageReleased,
-    "quota_resized": QuotaResized,
     "prefix_hit": PrefixHit,
     "request_queued": RequestQueued,
     "request_admitted": RequestAdmitted,

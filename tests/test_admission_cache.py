@@ -7,9 +7,10 @@ the same question by allocating that demand on a copy of the pool, and
 blocked-probe gate keys on.  These tests pin down:
 
 * the version contract -- every allocator op that changes an admission
-  input (``num_free``, the evictors' contents and order, fully-evictable /
-  owned large-page counts, ``lcm.num_free``, a quota) moves ``version``;
-  ops that change none leave it alone; no event bus is involved;
+  input (``num_free``, the evictors' sizes, fully-evictable large-page
+  counts, ``lcm.num_free``) moves ``version``; ops that change none,
+  re-keying an evictable page among them, leave it alone; no event bus is
+  involved;
 * the stale-bound regressions -- a prefix-cache hit reactivating
   evictable pages, and a cache-index displacement freeing a page outside
   ``release_page``, both show up in the very next ``can_admit``;
@@ -76,25 +77,14 @@ def make_allocator(num_large=3):
     return alloc
 
 
-def in_order(evictor):
-    """``evictor``'s items with their priorities, cheapest victim first."""
-    return tuple((item, evictor.priority_of(item)) for item in evictor.iter_in_order())
-
-
 def admission_inputs(alloc):
     """Every pool-side value ``can_admit`` reads (the free pools are read
     through their sizes: every bucket move is a size move)."""
     return (
         alloc.lcm.num_free,
-        in_order(alloc.large_evictor),
+        len(alloc.large_evictor),
         tuple(
-            (
-                group.num_free,
-                in_order(group.evictor),
-                alloc.fully_evictable_large_pages(gid),
-                alloc.large_pages_owned(gid),
-                group.quota,
-            )
+            (group.num_free, len(group.evictor), alloc.fully_evictable_large_pages(gid))
             for gid, group in alloc.groups.items()
         ),
     )
@@ -151,20 +141,6 @@ def evict_large(alloc):  # step 3, across groups
     return lambda: alloc.allocate_page("b", "t")
 
 
-def quota_set(alloc):
-    return lambda: alloc.set_quota("a", 2)
-
-
-def quota_deflate(alloc):
-    evictable_page(alloc)
-    return lambda: alloc.set_quota("a", 0)
-
-
-def quota_clear(alloc):
-    alloc.set_quota("a", 2)
-    return lambda: alloc.set_quota("a", None)
-
-
 def displace_stale_copy(alloc):
     # Re-registering hash 7 frees the stale evictable copy outright,
     # without passing through release_page.
@@ -174,29 +150,23 @@ def displace_stale_copy(alloc):
 
 
 def return_large_page_alone(alloc):
-    # White box: the deflation path evicts a large page without allocating;
-    # the owned / lcm.num_free counts it writes must move the version
-    # without leaning on set_quota's own bump.
+    # White box: the lcm.num_free count a returned large page writes must
+    # move the version without leaning on its caller's bump.
     page = evictable_page(alloc)
     return lambda: alloc._return_large_page(page // alloc.groups["a"].small_per_large)
 
 
-def touch(alloc):  # re-key: the evictors' order is a can_admit input
-    page = evictable_page(alloc)
-    alloc.groups["a"].last_access[page] = 9.0
-    return lambda: alloc.touch_evictable("a", page)
-
-
 MOVING = [
     allocate_one, allocate_batch, release_to_free, release_to_cache,
-    acquire_evictable, evict_small, evict_large, quota_set, quota_deflate,
-    quota_clear, displace_stale_copy, return_large_page_alone, touch,
+    acquire_evictable, evict_small, evict_large, displace_stale_copy,
+    return_large_page_alone,
 ]
 
 
-def same_quota(alloc):
-    alloc.set_quota("a", 2)
-    return lambda: alloc.set_quota("a", 2)
+def touch(alloc):  # re-key: reorders an evictor, moves no count
+    page = evictable_page(alloc)
+    alloc.groups["a"].last_access[page] = 9.0
+    return lambda: alloc.touch_evictable("a", page)
 
 
 def share_used_page(alloc):
@@ -227,7 +197,7 @@ def register_fresh_hash(alloc):
 
 
 STILL = [
-    same_quota, share_used_page, drop_shared_reference, cache_miss,
+    touch, share_used_page, drop_shared_reference, cache_miss,
     failed_allocation, register_fresh_hash,
 ]
 
@@ -259,19 +229,16 @@ class TestAllocatorVersion:
     @given(
         ops=st.lists(
             st.tuples(
-                st.sampled_from(
-                    ["alloc", "batch", "free", "cache", "acquire", "touch", "quota"]
-                ),
+                st.sampled_from(["alloc", "batch", "free", "cache", "acquire", "touch"]),
                 st.sampled_from(["a", "b"]),
-                st.integers(0, 5),  # request / hash / count / quota selector
+                st.integers(0, 5),  # request / hash / count selector
             ),
             max_size=80,
         )
     )
     def test_version_moves_with_every_admission_input(self, ops):
         """Whenever an op changes any admission input, ``version`` changes
-        too (fails when the move is removed from a run form or
-        ``set_quota``)."""
+        too (fails when the move is removed from a run form)."""
         alloc = make_allocator()
         live = []
         clock = 0.0
@@ -303,8 +270,6 @@ class TestAllocatorVersion:
                     page = group.state.index(EVICTABLE)
                     group.last_access[page] = clock
                     alloc.touch_evictable(gid, page)
-            elif op == "quota":
-                alloc.set_quota(gid, None if k == 5 else k)
             assert alloc.version >= before
             if admission_inputs(alloc) != before_inputs:
                 assert alloc.version > before, (op, gid, k)

@@ -242,9 +242,6 @@ class Driver:
         self.alloc.touch_evictable(gid, page)
         return name(gid, page)
 
-    def quota(self, gid, quota):
-        return self.alloc.set_quota(gid, quota)
-
     def apply(self, op):
         """One op; asserts the version contract around it."""
         alloc = self.alloc
@@ -335,12 +332,11 @@ def scripted_digest(dialect, **kwargs):
 #: reading quotas and owned-page counts (the owner map already gives the
 #: latter): the values pin the five steps without quotas, so the allocator
 #: that no longer has them must match them unedited.  The values before
-#: (mix with quotas) had been pinned
-#: against 578b5bf driven with ``scripted_digest("run", **config)``, with
-#: every ``allocate_pages`` that returns ``None`` undone by restoring a
-#: deep copy of the allocator taken before it -- so a refusal is exactly
-#: "as if never called", and every successful call still takes the same
-#: pages in the same steps.
+#: (mix with quotas) had been pinned against 578b5bf driven with
+#: ``scripted_digest("run", **config)``, with every ``allocate_pages`` that
+#: returns ``None`` undone by restoring a deep copy of the allocator taken
+#: before it -- so a refusal is exactly "as if never called", and every
+#: successful call still takes the same pages in the same steps.
 GOLDEN = {
     (True, True): "01ba74a2b02777e9",
     (False, True): "55d0b33f59272ebd",
@@ -465,16 +461,6 @@ def unchecked_fit(alloc, demand, rid):
     return len(demand)
 
 
-QUOTAS = st.lists(
-    st.tuples(st.sampled_from(GROUPS), st.one_of(st.none(), st.integers(0, 6))), max_size=3
-)
-
-
-def set_quotas(alloc, quotas):
-    for gid, quota in quotas:
-        alloc.set_quota(gid, quota)
-
-
 class TestCheckThenCommit:
     @settings(max_examples=400, deadline=None)
     @given(
@@ -486,7 +472,6 @@ class TestCheckThenCommit:
         ops=st.lists(OPS, max_size=20),
         caching=st.booleans(),
         request_aware=st.booleans(),
-        quotas=QUOTAS,
         demand=st.lists(
             st.tuples(st.sampled_from(GROUPS), st.integers(0, 14)),
             min_size=1, max_size=3, unique_by=lambda entry: entry[0],
@@ -494,13 +479,13 @@ class TestCheckThenCommit:
         rid=st.sampled_from(REQUESTS),
     )
     def test_groups_that_fit_is_exact_and_a_refusal_mutates_nothing(
-        self, warm, spare, ops, caching, request_aware, quotas, demand, rid
+        self, warm, spare, ops, caching, request_aware, demand, rid
     ):
         """``warm`` fills the pool with cached runs (fully-evictable large
-        pages of every group, interleaved in LRU order), so quota gates
-        close while the large evictor still holds pages; ``spare`` carves
-        a page per entry, leaving the rest of its large page in another
-        request's bucket, which step 4 reaches only after steps 2/3."""
+        pages of every group, interleaved in LRU order), so carves evict
+        them (step 3); ``spare`` carves a page per entry, leaving the rest
+        of its large page in another request's bucket, which step 4
+        reaches only after steps 2/3."""
         driver = Driver("run", num_large=6, caching=caching, request_aware=request_aware)
         for gid, n, hash_base in warm:
             if driver.apply(("allocate", gid, "w", n)) is not None:
@@ -510,7 +495,6 @@ class TestCheckThenCommit:
         for op in ops:
             driver.apply(op)
         alloc = driver.alloc
-        set_quotas(alloc, quotas)
         before = snapshot(alloc)
         fitted = alloc.groups_that_fit(demand, rid)
         assert snapshot(alloc) == before  # the check is read-only
@@ -534,11 +518,8 @@ class TestCheckThenCommit:
             min_size=1, max_size=40,
         ),
         caching=st.booleans(),
-        quotas=QUOTAS,
     )
-    def test_a_refused_allocate_up_to_mutates_nothing_on_a_shared_pool(
-        self, ops, caching, quotas
-    ):
+    def test_a_refused_allocate_up_to_mutates_nothing_on_a_shared_pool(self, ops, caching):
         """Two managers over one pool ("one" + "two", and "four"); four
         requests, two per view.  ``allocate_up_to`` refuses exactly when the
         unchecked loop would run out of pages, and a refusal leaves the
@@ -547,7 +528,6 @@ class TestCheckThenCommit:
         from repro.core.sequence import SequenceSpec
 
         alloc = make_allocator(num_large=6, caching=caching)
-        set_quotas(alloc, quotas)
         views = [
             JengaKVCacheManager(
                 {g: alloc.groups[g].spec for g in gids}, 0,
@@ -582,57 +562,23 @@ class TestCheckThenCommit:
             alloc.check_invariants()
 
     #: Hand-built states where an earlier group changes what a later one
-    #: sees; each entry is (ops, quotas, demand by r1, expected answer).
+    #: sees; each entry is (ops, demand by r1, expected answer).
     EDGES = {
         # "four" takes its page by carving the last free large page (the
         # three spare "four" pages sit in r0's bucket, not r1's): none left.
         "carves_before_others_buckets": (
             [("allocate", "four", "r0", 1), ("allocate", "one", "r3", 4)],
-            [], [("four", 1), ("one", 1)], 1,
-        ),
-        # "two" is at quota: it takes r0's spare page (step 4) and carves
-        # nothing, so all five free large pages are left for "one".
-        "a_closed_gate_carves_nothing": (
-            [("allocate", "two", "r0", 1)],
-            [("two", 1)], [("two", 1), ("one", 5)], 2,
-        ),
-        # "one" is at quota and reuses its own cached pages in place (step
-        # 5): their large pages leave the large evictor, so "two" can reach
-        # only the four free large pages (8 pages), not 6 (12 pages).
-        "step_5_shrinks_the_large_evictor": (
-            [("allocate", "one", "r0", 2), ("release", "one", 2, True, 0)],
-            [("one", 2)], [("one", 2), ("two", 10)], 1,
-        ),
-        # "one" may carve one more large page; its first step-3 victim is
-        # its own (least recently used) cached page, which is net zero, so
-        # the second carve takes "two"'s cached page.
-        "an_own_victim_keeps_the_gate_open": (
-            [("allocate", "one", "r0", 1), ("release", "one", 1, True, 0),
-             ("allocate", "two", "r2", 2), ("release", "two", 2, True, 5),
-             ("allocate", "four", "r3", 16)],
-            [("one", 2)], [("one", 2), ("four", 0)], 2,
-        ),
-        # "four" stays over its quota of 1 (both its large pages were USED
-        # when it was set); its cached large page is the least recently
-        # used, so "one"'s carve takes it, and with it all of "four"'s
-        # evictable pages.
-        "an_over_quota_group_loses_its_cache_first": (
-            [("allocate", "four", "r3", 8), ("quota", "four", 1),
-             ("release", "four", 4, True, 0),
-             ("allocate", "two", "r2", 2), ("release", "two", 2, True, 9),
-             ("allocate", "one", "r0", 3)],
-            [], [("one", 1), ("four", 4)], 1,
+            [("four", 1), ("one", 1)], 1,
         ),
     }
 
     @pytest.mark.parametrize("name", sorted(EDGES))
     def test_groups_that_fit_on_hand_built_edges(self, name):
-        ops, quotas, demand, expected = self.EDGES[name]
+        ops, demand, expected = self.EDGES[name]
         driver = Driver("run", num_large=6)
         for op in ops:
             driver.apply(op)
         alloc = driver.alloc
-        set_quotas(alloc, quotas)
         assert alloc.groups_that_fit(demand, "r1") == expected
         assert expected == unchecked_fit(alloc, demand, "r1")
 
@@ -693,7 +639,8 @@ class TestReKeyingKeepsTheFit:
                     alloc.allocate_pages(gid, owner, k % (2 * group.small_per_large + 2)) or ()
                 )
                 continue
-            ids, held[gid] = held[gid][:k % (len(held[gid]) + 1)], held[gid][k % (len(held[gid]) + 1):]
+            count = k % (len(held[gid]) + 1)
+            ids, held[gid] = held[gid][:count], held[gid][count:]
             for page_id in ids:
                 next_hash += 1
                 alloc.register_block_hash(gid, page_id, next_hash)

@@ -205,8 +205,8 @@ class TestClusterReport:
 
 
 class TestReplicaFold:
-    """telemetry= / pressure= / resizing= select what the replica's one
-    fold carries; each later keyword brings the earlier ones with it."""
+    """telemetry= / pressure= select what the replica's one fold carries;
+    pressure brings the fold with it."""
 
     def build(self, **kwargs):
         return ServingCluster.build(MODEL, H100, KV, 1, **kwargs).replicas[0]
@@ -223,30 +223,10 @@ class TestReplicaFold:
         assert replica.manager.allocator.observer is replica.telemetry
         assert replica.registry is replica.telemetry.registry
         assert replica.telemetry.pressure is None
-        assert replica.telemetry.resizer is None
 
     def test_pressure_brings_the_fold(self):
         replica = self.build(pressure=True)
         assert replica.telemetry.pressure.registry is replica.registry
-        assert replica.telemetry.resizer is None
-
-    def test_resizing_brings_pressure_and_is_ticked_by_the_fold(self):
-        cluster = ServingCluster.build(
-            MODEL, H100, KV, 1, resizing="hysteresis", resize_interval=4,
-            config=profile_config("vllm", record_memory=True),
-        )
-        replica = cluster.replicas[0]
-        resizer = replica.telemetry.resizer
-        assert resizer.monitor is replica.telemetry.pressure
-        # The equal-split partition laid down at construction is counted.
-        groups = len(replica.manager.allocator.groups)
-        assert replica.registry.counters["resize/quota_resized"] == groups
-        cluster.submit(forked_requests())
-        cluster.run()
-        steps = replica.registry.counters["engine/steps"]
-        assert steps == len(replica.engine.steps) > 4
-        assert resizer.num_decides == steps // 4
-        assert "pressure/score" in replica.registry.gauges
 
 
 class TestClusterTeardown:

@@ -28,8 +28,7 @@ OWNED_COUNTERS = {
     for owner, attrs in {
         "GroupAllocator": ("n_used", "n_evictable", "n_empty_carved",
                            "used_filled_tokens", "num_evictions"),
-        "TwoLevelAllocator": ("_num_fully_evictable", "_num_large_owned",
-                              "num_large_evictions", "version"),
+        "TwoLevelAllocator": ("_num_fully_evictable", "num_large_evictions", "version"),
         "FreePool": ("_entry", "_by_request"),
         "PagedAttentionManager": ("_mamba_churn",),
     }.items()

@@ -46,6 +46,39 @@ class TestSharedManagers:
             )
 
 
+class TestForeignUsedBytes:
+    """``foreign_used_bytes``: zero for a private pool, co-tenant USED
+    bytes for a shared-pool view (the engine's permanent-failure gate)."""
+
+    def test_private_pool_reports_zero(self):
+        from repro.core.kv_manager import JengaKVCacheManager
+        from repro.core.layer_policy import FULL_ATTENTION, GroupSpec
+        from repro.core.sequence import TEXT, SequenceSpec
+
+        mgr = JengaKVCacheManager(
+            {"full": GroupSpec("full", FULL_ATTENTION, 1, 64, tokens_per_page=4,
+                               accepted_tags=frozenset({TEXT}))},
+            768 * 4,
+        )
+        seq = SequenceSpec.text_only("r1", list(range(12)))
+        mgr.begin_request(seq)
+        assert mgr.allocate_up_to(seq, len(seq))
+        assert mgr.foreign_used_bytes() == 0
+
+    def test_shared_view_counts_cotenant_used_bytes(self):
+        from repro.core.sequence import SequenceSpec
+
+        model = get_model("llama3-8b")
+        managers = build_shared_managers({"a": model, "b": model}, 512 * 1024 * 1024)
+        seq = SequenceSpec.text_only("r1", list(range(64)))
+        managers["a"].begin_request(seq)
+        assert managers["a"].allocate_up_to(seq, len(seq))
+        assert managers["a"].foreign_used_bytes() == 0  # b holds nothing
+        assert managers["b"].foreign_used_bytes() > 0   # a's USED bytes
+        managers["a"].release(seq, cacheable=True)      # evictable != used
+        assert managers["b"].foreign_used_bytes() == 0
+
+
 class TestMultiModelEngine:
     def test_both_deployments_complete(self):
         engine = MultiModelEngine(two_models(), H100, GIB)

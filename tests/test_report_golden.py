@@ -1,12 +1,11 @@
-"""Golden values of the two report CLIs: routing policies and pool resizing.
+"""Golden values of the cluster report CLI, one run per routing policy.
 
 ``cluster-report`` serves the forked-prefix fan-out workload on four
 gemma2-9b replicas (a quarter of the L4 budget each) once per routing
-policy; ``resize-report`` serves two tenants' square-wave traffic from one
-shared pool once per resize policy.  Everything checked here runs on the
-simulated clock or counts events, so it is exact: the values were recorded
-by the allocator microbenchmark this test replaces, and a run that moves
-any of them changed what the router, the scheduler or the resizer did.
+policy.  Everything checked here runs on the simulated clock or counts
+events, so it is exact: the values were recorded by the allocator
+microbenchmark this test replaces, and a run that moves any of them
+changed what the router or the scheduler did.
 """
 
 import json
@@ -17,7 +16,6 @@ from repro.cli import main
 
 #: ``slo/fanout=F/<policy>/<axis>``: cluster SLO percentiles (simulated s).
 #: ``pressure/fanout=F/<policy>/<count>``: admission blocks and preemptions.
-#: ``resizer/phases=P/policy=<policy>/<value>``: per resize policy.
 GOLDEN = {
     "slo/fanout=4/round_robin/ttft_p50_s": 0.1550709532087553,
     "slo/fanout=4/round_robin/ttft_p99_s": 0.2382143809222328,
@@ -55,18 +53,6 @@ GOLDEN = {
     "pressure/fanout=16/least_loaded/preemptions": 2,
     "pressure/fanout=16/cache_aware/admission_blocked": 0,
     "pressure/fanout=16/cache_aware/preemptions": 0,
-    "resizer/phases=4/policy=static/admission_blocked": 8,
-    "resizer/phases=4/policy=static/waste_bytes_p50": 1720626790.0,
-    "resizer/phases=4/policy=proportional/admission_blocked": 2,
-    "resizer/phases=4/policy=proportional/waste_bytes_p50": 322350694.0,
-    "resizer/phases=4/policy=hysteresis/admission_blocked": 3,
-    "resizer/phases=4/policy=hysteresis/waste_bytes_p50": 322350694.0,
-    "resizer/phases=8/policy=static/admission_blocked": 16,
-    "resizer/phases=8/policy=static/waste_bytes_p50": 2116988518.0,
-    "resizer/phases=8/policy=proportional/admission_blocked": 4,
-    "resizer/phases=8/policy=proportional/waste_bytes_p50": 327855718.0,
-    "resizer/phases=8/policy=hysteresis/admission_blocked": 7,
-    "resizer/phases=8/policy=hysteresis/waste_bytes_p50": 322350694.0,
 }
 
 
@@ -86,21 +72,10 @@ def cluster_values(capsys, fanout):
     return values
 
 
-def resizer_values(capsys, phases):
-    payload = _json_of(capsys, ["resize-report", "--phases", str(phases), "--json"])
-    values = {}
-    for policy, row in payload["policies"].items():
-        for key in ("admission_blocked", "waste_bytes_p50"):
-            values[f"resizer/phases={phases}/policy={policy}/{key}"] = row[key]
-    return values
-
-
 #: Golden-key fragment -> the CLI run that produces those keys.
 RUNS = {
     "fanout=4/": lambda capsys: cluster_values(capsys, 4),
     "fanout=16/": lambda capsys: cluster_values(capsys, 16),
-    "phases=4/": lambda capsys: resizer_values(capsys, 4),
-    "phases=8/": lambda capsys: resizer_values(capsys, 8),
 }
 
 
@@ -111,4 +86,4 @@ def test_report_matches_golden(fragment, capsys):
 
 
 def test_every_golden_value_is_checked_once():
-    assert sorted(sum(fragment in key for fragment in RUNS) for key in GOLDEN) == [1] * 48
+    assert sorted(sum(fragment in key for fragment in RUNS) for key in GOLDEN) == [1] * 36
