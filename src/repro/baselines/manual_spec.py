@@ -46,12 +46,6 @@ class DualManager(KVCacheManagerBase):
         for manager in self.managers:
             manager.bind_observer(observer)
 
-    def bind_tracer(self, tracer) -> None:
-        """Adopt ``tracer`` on the composite and every sub-manager."""
-        self.tracer = tracer
-        for manager in self.managers:
-            manager.bind_tracer(tracer)
-
     # -- lifecycle -------------------------------------------------------
 
     def begin_request(self, seq: SequenceSpec) -> int:

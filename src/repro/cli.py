@@ -185,8 +185,9 @@ def _traced_run(args):
 
     Shared by ``trace`` and ``report``: a
     :class:`~repro.obs.registry.BusTelemetry` observer, a memory-recording
-    scheduler profile so the simulated-clock timelines are populated, and an
-    enabled :class:`~repro.obs.tracer.Tracer` on the engine.
+    scheduler profile so the simulated-clock timelines are populated, and a
+    :class:`~repro.obs.tracer.Tracer` on the engine that adds its
+    ``phase/*`` histograms to the telemetry's registry.
     """
     from .obs import BusTelemetry, Tracer
 
@@ -195,7 +196,7 @@ def _traced_run(args):
     kv = int(args.kv_gib * GIB) if args.kv_gib else kv_budget(model, gpu).kv_bytes
     requests = build_workload(args.workload, args.requests, model, args.seed)
     telemetry = BusTelemetry()
-    tracer = Tracer()
+    tracer = Tracer(registry=telemetry.registry)
     manager = make_manager(args.system, model, kv)
     engine = LLMEngine(
         model, gpu, manager,

@@ -18,6 +18,11 @@ back from the observer.  The engine keeps its own run record, admission
 reads the allocator's counters, and the in-tree observer is
 :class:`~repro.obs.registry.BusTelemetry`.
 
+Wall-clock profiling rides the same hook: the engine and the manager
+report the phases of their work (``phase_began`` / ``phase_ended``), which
+every observer but :class:`~repro.obs.tracer.Tracer` ignores.  Several
+observers share one seat through :class:`Fanout`.
+
 Observers arrive by binding (``manager.bind_observer``, done by the
 engine).  A private allocator follows its manager.  A shared allocator
 (several manager views over one pool) reports to the first non-``None``
@@ -28,9 +33,9 @@ binding ``None`` leaves it unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-__all__ = ["ALLOCATION_STEPS", "AdmissionBlocked", "Observer"]
+__all__ = ["ALLOCATION_STEPS", "AdmissionBlocked", "Fanout", "Observer"]
 
 # Human-readable names of the §5.4 five-step allocation algorithm, keyed by
 # the ``steps`` of :meth:`Observer.pages_allocated`.  Step 0 is not part of
@@ -115,6 +120,37 @@ class Observer:
         """One engine step ended at ``time``; ``record`` is its
         :class:`~repro.engine.metrics.StepRecord` (``Any`` keeps the core
         layer free of engine imports)."""
+
+    # -- wall-clock phases -------------------------------------------------
+
+    def phase_began(self, name: str, request_id: Optional[str] = None) -> None:
+        """A phase of work opened inside the innermost open one (``"step"``
+        opens one engine step); ``request_id`` names the request it
+        serves, if one."""
+
+    def phase_ended(self) -> None:
+        """The innermost open phase closed."""
+
+
+class Fanout(Observer):
+    """One observer seat for several: every :class:`Observer` call is
+    forwarded to each of ``observers`` in turn."""
+
+    def __init__(self, *observers: Observer) -> None:
+        self.observers = observers
+
+
+def _forward(name: str) -> Any:
+    def forward(self: Fanout, *args: Any, **kwargs: Any) -> None:
+        for observer in self.observers:
+            getattr(observer, name)(*args, **kwargs)
+
+    forward.__name__, forward.__qualname__ = name, f"Fanout.{name}"
+    return forward
+
+
+for _name in [name for name in vars(Observer) if not name.startswith("_")]:
+    setattr(Fanout, _name, _forward(_name))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, Generic, Hashable, Iterable, Iterator, List, Optional, Tuple, TypeVar
+from typing import Dict, Generic, Hashable, Iterable, Iterator, List, Tuple, TypeVar
 
 __all__ = ["LRUEvictor", "COMPACT_RATIO"]
 
@@ -94,10 +94,6 @@ class LRUEvictor(Generic[T]):
     def discard(self, item: T) -> bool:
         """Remove ``item`` if present; return whether it was present."""
         return self._priority.pop(item, None) is not None
-
-    def peek(self) -> Optional[T]:
-        """Return the next eviction victim without removing it."""
-        return next(self.iter_in_order(), None)
 
     def evict(self) -> T:
         """Pop and return the next victim; :class:`KeyError` when empty."""

@@ -225,10 +225,9 @@ class JengaKVCacheManager(KVCacheManagerBase):
         Returns the number of leading *global* tokens whose cache is already
         resident (0 when prefix caching is disabled or nothing matches).
         The engine must still compute at least one token, so the hit is
-        capped at ``len(seq) - 1``.  With an enabled tracer bound, the
-        hash-chain lookup and page acquisition are wrapped in a
-        ``prefix_lookup`` span (nested under the engine's ``schedule``
-        phase).
+        capped at ``len(seq) - 1``.  The hash-chain lookup and page
+        acquisition are reported to the observer as a ``prefix_lookup``
+        phase (nested under the engine's ``admission`` phase).
         """
         if seq.request_id in self._bindings:
             raise ValueError(f"request {seq.request_id!r} already active")
@@ -236,19 +235,15 @@ class JengaKVCacheManager(KVCacheManagerBase):
         self._bindings[seq.request_id] = bindings
         if not self.enable_prefix_caching:
             return 0
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            with tracer.span(
-                "prefix_lookup", cat="kv", args={"request": seq.request_id}
-            ):
-                hit = self._lookup_and_acquire(seq, bindings)
-        else:
-            hit = self._lookup_and_acquire(seq, bindings)
+        obs = self.observer
+        if obs is not None:
+            obs.phase_began("prefix_lookup", seq.request_id)
+        hit = self._lookup_and_acquire(seq, bindings)
         # The one place a lookup is counted and reported.
         self.lookup_tokens += len(seq)
         self.hit_tokens += hit
-        obs = self.observer
         if obs is not None:
+            obs.phase_ended()
             obs.prefix_hit(seq.request_id, hit, len(seq))
         return hit
 

@@ -130,9 +130,6 @@ class LCMAllocator:
     def owner_of(self, page_id: int) -> Optional[str]:
         return self._owner[page_id]
 
-    def pages_owned_by(self, group_id: str) -> List[int]:
-        return [i for i, owner in enumerate(self._owner) if owner == group_id]
-
     def extent_of(self, page_id: int) -> PhysicalExtent:
         """Byte range of a large page in the flat KV tensor."""
         if not 0 <= page_id < self.num_pages:

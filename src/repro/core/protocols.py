@@ -11,8 +11,8 @@ the engine is allowed to touch:
   ``tests/test_protocol.py`` runs this over every registered manager).
 * :class:`KVCacheManagerBase` -- a concrete base class providing the
   defaults optional members used to be duck-typed for (``kernel_slowdown``
-  of 1.0, a zero ``prefix_hit_rate``, no vision cache) plus observer and
-  tracer binding.  All in-tree managers -- Jenga, the four
+  of 1.0, a zero ``prefix_hit_rate``, no vision cache) plus observer
+  binding.  All in-tree managers -- Jenga, the four
   baselines, and the spec-decode composite -- derive from it; new backends
   should too, then register a factory in :mod:`repro.core.registry`.
 
@@ -26,7 +26,7 @@ snapshot.
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Optional, Protocol, runtime_checkable
+from typing import FrozenSet, Optional, Protocol, runtime_checkable
 
 from .events import Observer
 from .sequence import SequenceSpec
@@ -131,16 +131,6 @@ class KVCacheManager(Protocol):
         allocator under the rules in :mod:`repro.core.events`."""
         ...
 
-    def bind_tracer(self, tracer: Any) -> None:
-        """Adopt ``tracer`` for span emission (may be ``None`` / disabled).
-
-        Typed ``Any`` rather than :class:`~repro.obs.tracer.Tracer` so the
-        core layer never imports the observability layer; managers only
-        touch ``tracer.enabled`` and the span primitives behind the guarded
-        fast-path idiom, so any object with that surface works.
-        """
-        ...
-
     # -- engine-facing properties ---------------------------------------
 
     @property
@@ -175,13 +165,9 @@ class KVCacheManagerBase:
 
     def __init__(self) -> None:
         self.observer: Optional[Observer] = None
-        self.tracer: Optional[Any] = None
 
     def bind_observer(self, observer: Optional[Observer]) -> None:
         self.observer = observer
-
-    def bind_tracer(self, tracer: Any) -> None:
-        self.tracer = tracer
 
     # -- required lifecycle (abstract) ----------------------------------
 

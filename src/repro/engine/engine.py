@@ -11,12 +11,11 @@ model's step time.  The *only* component swapped between "vLLM" and
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
 
-from ..core.events import AdmissionBlocked, Observer
+from ..core.events import AdmissionBlocked, Fanout, Observer
 from ..engine.cost_model import CostModel, StepWork
 from ..models.config import ModelSpec
-from ..obs.tracer import NULL_TRACER, Tracer
 from ..platforms.gpu import GPU
 from .metrics import (
     EngineMetrics,
@@ -72,12 +71,11 @@ class LLMEngine:
             allocator.  Observation only -- the engine's own results
             (:attr:`steps`, :meth:`metrics`) never pass through it.  The
             default ``None`` reports nothing and calls nothing.
-        tracer: Span tracer for wall-clock step profiling.  Defaults to
-            the inert :data:`~repro.obs.tracer.NULL_TRACER`; pass an
-            enabled :class:`~repro.obs.tracer.Tracer` to split each step
-            into schedule / allocate / commit / release phase spans
-            (recorded on :class:`StepRecord.phases`) and to export a
-            Chrome/Perfetto trace via :mod:`repro.obs.export`.
+        tracer: A :class:`~repro.obs.tracer.Tracer` to split each step into
+            wall-clock phase spans (exported as a Chrome/Perfetto trace by
+            :mod:`repro.obs.export`).  It joins ``observer`` in the one
+            observer seat, through :class:`~repro.core.events.Fanout` when
+            both are given.
     """
 
     def __init__(
@@ -88,7 +86,7 @@ class LLMEngine:
         config: Optional[SchedulerConfig] = None,
         cost_model: Optional[CostModel] = None,
         observer: Optional[Observer] = None,
-        tracer: Optional[Tracer] = None,
+        tracer: Optional[Observer] = None,
     ) -> None:
         self.model = model
         self.gpu = gpu
@@ -97,13 +95,13 @@ class LLMEngine:
         self.cost = cost_model or CostModel(
             model, gpu, kernel_slowdown=manager.kernel_slowdown
         )
+        if tracer is not None:
+            observer = tracer if observer is None else Fanout(observer, tracer)
         self.observer = observer
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         manager.bind_observer(observer)
-        manager.bind_tracer(self.tracer)
         self.collector = MetricsCollector(manager)
         self.clock = 0.0
-        self.waiting = WaitingQueue(tracer=self.tracer)
+        self.waiting = WaitingQueue()
         self.waiting.observer = observer
         self.running: List[Request] = []
         self.finished: List[RequestMetrics] = []
@@ -182,25 +180,24 @@ class LLMEngine:
         """Execute one engine step; returns ``None`` when fully idle.
 
         This is the only step loop.  It owns admission, the prefill phase,
-        the tracer spans, the commit order (decodes, then prefills), the
-        :class:`StepRecord` and the ``step_completed`` report, and
-        calls four seams a subclass may override:
+        the wall-clock phase reports, the commit order (decodes, then
+        prefills), the :class:`StepRecord` and the ``step_completed``
+        report, and calls four seams a subclass may override:
         :meth:`_schedule_decodes` (the whole decode phase),
         :meth:`_charge_prefill` (one chunk's work), :meth:`_step_time`
         (the step's work in seconds) and :meth:`_finalize_decode` (one
         decode's commit).  :class:`~repro.engine.spec_decode.SpecDecodeEngine`
         overrides all four.
         """
-        tracer = self.tracer
-        tracing = tracer.enabled
-        if tracing:
-            tracer.step_begin(self._step_index)
-            tracer.begin_span("schedule")
+        obs = self.observer
+        if obs is not None:
+            obs.phase_began("step")
+            obs.phase_began("schedule")
         work = self._admit_or_jump()
         if work is None:
-            if tracing:
-                tracer.end_span()
-                tracer.step_end()
+            if obs is not None:
+                obs.phase_ended()  # schedule
+                obs.phase_ended()  # step
             return None
         now = self.clock
 
@@ -236,22 +233,20 @@ class LLMEngine:
             self._charge_prefill(request, n, work)
             self._charge_reencode(request, work)
 
-        if tracing:
-            tracer.end_span()  # schedule
+        if obs is not None:
+            obs.phase_ended()  # schedule
         duration = self._step_time(work)
         end = now + duration
         self.clock = end
 
-        if tracing:
-            tracer.begin_span("commit")
+        if obs is not None:
+            obs.phase_began("commit")
         for request, n in decodes:
             self._finalize_decode(request, n, end)
         for request, n in prefills:
             self._finalize(request, n, end)
-        phases: Optional[Dict[str, float]] = None
-        if tracing:
-            tracer.end_span()  # commit
-            phases = tracer.step_end()
+        if obs is not None:
+            obs.phase_ended()  # commit
 
         record = StepRecord(
             index=self._step_index,
@@ -263,7 +258,6 @@ class LLMEngine:
             num_waiting=len(self.waiting),
             num_preemptions=step_preemptions,
             memory=self._memory_snapshot() if self.config.record_memory else None,
-            phases=phases,
         )
         self.collector.steps.append(record)
         self._step_index += 1
@@ -271,13 +265,9 @@ class LLMEngine:
             self._admission_cooldown = self._PREEMPTION_COOLDOWN_STEPS
         elif self._admission_cooldown:
             self._admission_cooldown -= 1
-        if tracing:
-            # Perfetto counter tracks alongside the phase spans.
-            tracer.counter("engine/running", record.num_running)
-            tracer.counter("engine/waiting", record.num_waiting)
-        obs = self.observer
         if obs is not None:
             obs.step_completed(end, record)
+            obs.phase_ended()  # step
         return record
 
     # ------------------------------------------------------------------
@@ -365,17 +355,14 @@ class LLMEngine:
     def _admit(self, now: float, work: StepWork) -> None:
         if self._admission_cooldown > 0 and self.running:
             return
-        tracer = self.tracer
-        if tracer.enabled:
-            # schedule/admission child span: the probe cost (including the
-            # nested prefix_lookup) stays attributable in engine.phases.
-            tracer.begin_span("admission")
-            try:
-                self._admit_loop(now, work)
-            finally:
-                tracer.end_span()
-        else:
-            self._admit_loop(now, work)
+        obs = self.observer
+        if obs is not None:
+            # schedule/admission child phase: the probe cost (including
+            # the nested prefix_lookup) stays attributable.
+            obs.phase_began("admission")
+        self._admit_loop(now, work)
+        if obs is not None:
+            obs.phase_ended()
 
     def _admit_loop(self, now: float, work: StepWork) -> None:
         """Probe-and-admit the waiting queue head until blocked or full."""
@@ -480,15 +467,14 @@ class LLMEngine:
         and retry; as a last resort preempt ``request`` itself.  Returns
         ``(success, num_preemptions)``.
         """
-        tracer = self.tracer
-        tracing = tracer.enabled
-        if tracing:
-            tracer.begin_span("allocate")
+        obs = self.observer
+        if obs is not None:
+            obs.phase_began("allocate")
         preemptions = 0
         while True:
             if self.manager.allocate_up_to(request.seq, target):
-                if tracing:
-                    tracer.end_span()
+                if obs is not None:
+                    obs.phase_ended()
                 return True, preemptions
             victim = self._pick_victim(exclude=scheduled_set, not_this=request)
             if victim is None:
@@ -499,8 +485,8 @@ class LLMEngine:
                 else:
                     self._preempt(request, reason="self")
                 preemptions += 1
-                if tracing:
-                    tracer.end_span()
+                if obs is not None:
+                    obs.phase_ended()
                 return False, preemptions
             self._preempt(victim)
             preemptions += 1
@@ -512,35 +498,29 @@ class LLMEngine:
         return None
 
     def _preempt(self, victim: Request, reason: str = "victim") -> None:
-        tracer = self.tracer
-        tracing = tracer.enabled
-        if tracing:
-            tracer.begin_span("release", args={"request": victim.request_id})
+        obs = self.observer
+        if obs is not None:
+            obs.phase_began("release", victim.request_id)
         self.manager.release(victim.seq, cacheable=True)
         victim.reset_for_recompute()
         self.running.remove(victim)
-        if tracing:
-            tracer.end_span()
         self.collector.preemptions += 1
-        obs = self.observer
         if obs is not None:
+            obs.phase_ended()
             obs.request_preempted(victim.request_id, self.clock, reason)
         self.waiting.push(victim)
 
     def _fail(self, request: Request) -> None:
-        tracer = self.tracer
-        tracing = tracer.enabled
-        if tracing:
-            tracer.begin_span("release", args={"request": request.request_id})
+        obs = self.observer
+        if obs is not None:
+            obs.phase_began("release", request.request_id)
         self.manager.release(request.seq, cacheable=False)
         request.state = RequestState.FINISHED
         if request in self.running:
             self.running.remove(request)
         self.failed.append(request)
-        if tracing:
-            tracer.end_span()
-        obs = self.observer
         if obs is not None:
+            obs.phase_ended()
             obs.request_failed(request.request_id, self.clock)
 
     def _finalize(self, request: Request, n: int, end: float) -> None:
@@ -572,16 +552,13 @@ class LLMEngine:
     def _finish(self, request: Request, end: float) -> None:
         request.state = RequestState.FINISHED
         request.finish_time = end
-        tracer = self.tracer
-        tracing = tracer.enabled
-        if tracing:
-            tracer.begin_span("release", args={"request": request.request_id})
-        self.manager.release(request.seq, cacheable=True)
-        self.running.remove(request)
-        if tracing:
-            tracer.end_span()
         obs = self.observer
         if obs is not None:
+            obs.phase_began("release", request.request_id)
+        self.manager.release(request.seq, cacheable=True)
+        self.running.remove(request)
+        if obs is not None:
+            obs.phase_ended()
             obs.request_finished(request.request_id, end)
         self.finished.append(
             RequestMetrics(

@@ -40,12 +40,9 @@ class MemorySnapshot:
 class StepRecord:
     """One engine step.
 
-    ``start_time``/``duration`` are *simulated* seconds from the cost
-    model.  ``phases`` is only populated when the engine runs with a
-    :class:`~repro.obs.tracer.Tracer` attached: exclusive *wall-clock*
-    seconds per step phase (``schedule`` / ``allocate`` / ``commit`` /
-    ``release``, plus any nested spans such as ``prefix_lookup``), whose
-    values sum to at most the step's wall duration.
+    Every field is simulated: ``start_time``/``duration`` are seconds
+    from the cost model.  Where the step's *wall-clock* time went is the
+    :class:`~repro.obs.tracer.Tracer`'s to record, not the record's.
     """
 
     index: int
@@ -57,7 +54,6 @@ class StepRecord:
     num_waiting: int
     num_preemptions: int
     memory: Optional[MemorySnapshot] = None
-    phases: Optional[Dict[str, float]] = None
 
 
 @dataclass(frozen=True)

@@ -95,19 +95,14 @@ class WaitingQueue:
 
     With an :attr:`observer` (bound by the engine), every push reports
     ``request_queued`` (both fresh arrivals and preempted requests
-    re-entering the queue).  When built with an enabled
-    :class:`~repro.obs.tracer.Tracer`, every push also drops a
-    ``queue/push`` instant (with the post-push depth) onto the trace so
-    queue growth is visible on the Perfetto timeline; both hooks follow
-    the guarded fast-path idiom, so a queue without consumers pays only a
-    predicate per push.
+    re-entering the queue); a queue without one pays only a predicate per
+    push.
     """
 
-    def __init__(self, tracer=None) -> None:
+    def __init__(self) -> None:
         self._heap: List[Tuple[float, int, int, Request]] = []
         self._seq = itertools.count()
         self.observer: Optional[Observer] = None
-        self.tracer = tracer
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -124,10 +119,6 @@ class WaitingQueue:
         obs = self.observer
         if obs is not None:
             obs.request_queued(request.request_id, request.arrival_time)
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.instant(
-                "queue/push", cat="scheduler", args={"depth": len(self._heap)}
-            )
 
     def peek_ready(self, now: float) -> Optional[Request]:
         if self._heap and self._heap[0][0] <= now:

@@ -2,11 +2,11 @@
 
 The subsystem closes the ROADMAP's "engine-step profiling hooks" item:
 
-* :mod:`repro.obs.tracer` -- a span-based :class:`Tracer` with a
-  zero-overhead null fast path; the engine splits each step into
-  ``schedule`` / ``allocate`` / ``commit`` / ``release`` phase spans and
-  stamps the exclusive per-phase wall time onto
-  :class:`~repro.engine.metrics.StepRecord`.
+* :mod:`repro.obs.tracer` -- :class:`Tracer`, the observer that turns
+  the stack's phase reports (each engine step's ``schedule`` /
+  ``allocate`` / ``commit`` / ``release`` ...) into wall-clock spans, and
+  each step's exclusive per-phase wall time into ``phase/<name>``
+  histograms of a registry.
 * :mod:`repro.obs.registry` -- :class:`TelemetryRegistry` (counters,
   gauges, fixed-bucket histograms, bounded timelines) fed by
   :class:`BusTelemetry`, the observer every report of the stack is
@@ -42,14 +42,13 @@ from .export import (
 )
 from .pressure import PressureMonitor
 from .registry import LATENCY_BUCKETS_S, BusTelemetry, Histogram, TelemetryRegistry
-from .tracer import NULL_TRACER, Span, Tracer
+from .tracer import Span, Tracer
 
 __all__ = [
     "BusTelemetry",
     "ClusterReport",
     "Histogram",
     "LATENCY_BUCKETS_S",
-    "NULL_TRACER",
     "PressureMonitor",
     "Span",
     "Tracer",

@@ -95,7 +95,8 @@ def cluster_chrome_trace(cluster: "ServingCluster") -> Dict[str, Any]:
     for idx, replica in enumerate(cluster.replicas):
         wall_pid, sim_pid = replica_pids(idx)
         events.append(_meta(wall_pid, f"{replica.replica_id} (wall clock)"))
-        events.extend(span_events(replica.tracer, wall_pid))
+        if replica.tracer is not None:
+            events.extend(span_events(replica.tracer, wall_pid))
         events.append(_meta(sim_pid, f"{replica.replica_id} (simulated clock)"))
         if replica.registry is not None:
             events.extend(

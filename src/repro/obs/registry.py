@@ -16,9 +16,10 @@ the stack makes exactly once into registry instruments:
   expected hit tokens) when it observes a serving replica,
 * the memory / waste / fragmentation timeline sampled from each step's
   :class:`~repro.engine.metrics.MemorySnapshot` (the Figure 16 axes), on
-  the *simulated* clock,
-* per-phase wall-time histograms from ``StepRecord.phases`` when the
-  engine ran with a tracer attached.
+  the *simulated* clock.
+
+A :class:`~repro.obs.tracer.Tracer` given the same registry adds the
+per-phase wall-time histograms (``phase/<name>``).
 
 Derived from those counts, the pressure EWMAs
 (:class:`~repro.obs.pressure.PressureMonitor`) are a *view* the fold's
@@ -356,9 +357,5 @@ class BusTelemetry(Observer):
                 value = getattr(memory, attr)
                 reg.set_gauge(key, value)
                 reg.record_point(key, time, value)
-        phases = getattr(record, "phases", None)
-        if phases:
-            for phase, seconds in phases.items():
-                reg.observe(f"phase/{phase}", seconds)
         if self.pressure is not None:
             self.pressure.on_step(time, memory)

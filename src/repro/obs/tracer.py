@@ -1,49 +1,50 @@
-"""Span-based tracer: wall-clock attribution for engine steps.
+"""Span tracer: the observer that stamps wall-clock phases.
 
-The simulator's :class:`~repro.engine.metrics.StepRecord` carries a single
-``duration`` in *simulated* seconds; nothing in the repo said where the
-*wall-clock* cost of a step went.  The :class:`Tracer` fills that gap: the
-engine opens one ``step`` span per :meth:`~repro.engine.engine.LLMEngine.step`
-call and nests ``schedule`` / ``allocate`` / ``commit`` / ``release`` phase
-spans inside it, so ``repro.cli trace`` can attribute a regression to the
-scheduler loop vs. the allocator vs. commit bookkeeping without an
-external profiler.
+The simulator's :class:`~repro.engine.metrics.StepRecord` carries
+*simulated* seconds only; nothing in the record says where the
+*wall-clock* cost of a step went.  The :class:`Tracer` is the
+:class:`~repro.core.events.Observer` that does.  The engine reports one
+``step`` phase per :meth:`~repro.engine.engine.LLMEngine.step` call and
+nests ``schedule`` / ``admission`` / ``allocate`` / ``commit`` /
+``release`` phases inside it, and
+:class:`~repro.core.kv_manager.JengaKVCacheManager` reports its
+``prefix_lookup``, each through the one observer it already holds::
+
+    obs = self.observer
+    if obs is not None:
+        obs.phase_began("allocate")
+
+So ``repro.cli trace`` can attribute a regression to the scheduler loop
+vs. the allocator vs. commit bookkeeping without an external profiler.
+``LLMEngine(tracer=...)`` seats a tracer beside another observer through
+:class:`~repro.core.events.Fanout`.
 
 Two clocks coexist deliberately: spans are stamped with ``perf_counter``
-wall time (this is a profiler), while observer reports and step records
-keep the simulated clock.  The Chrome-trace exporter keeps them on separate
-"processes" so Perfetto never conflates the two.
+wall time (this is a profiler), while the other reports and the step
+records keep the simulated clock.  The Chrome-trace exporter keeps them
+on separate "processes" so Perfetto never conflates the two.
 
-**Null fast path.**  Tracing must cost nothing when off.  Every span
-primitive is a no-op on a disabled tracer, but -- exactly like the
-``observer is not None`` test -- call sites on hot paths must not even
-pay for argument construction.  The convention: every span call in a
-hot module sits under a test of the tracer's ``.enabled`` flag::
-
-    if tracer is not None and tracer.enabled:
-        tracer.instant("queue.push", args={"depth": len(self._heap)})
-
-Engines hold :data:`NULL_TRACER` (a shared disabled instance) by default,
-so ``self.tracer.enabled`` is always a plain attribute load.
-
-**Phase accounting.**  Spans nest (``allocate`` runs inside ``schedule``'s
-loop, ``release`` inside ``allocate`` when an eviction victim is
-preempted), so per-phase totals are *exclusive* (self-time): entering a
-child pauses the parent's accumulation.  The per-step totals handed back
-by :meth:`Tracer.step_end` therefore sum to at most the step's wall
-duration -- never double-counting -- which is the invariant
-``tests/test_tracer.py`` locks in.
+**Phase accounting.**  Phases nest (``allocate`` runs inside
+``schedule``'s loop, ``release`` inside ``allocate`` when an eviction
+victim is preempted), so per-phase totals are *exclusive* (self-time):
+entering a child pauses the parent's accumulation.  When a step closes,
+its totals go to the tracer's registry as ``phase/<name>`` histograms;
+they sum to at most the step span's wall duration -- never
+double-counting -- which is the invariant ``tests/test_tracer.py`` locks
+in.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
-__all__ = ["Span", "Tracer", "NULL_TRACER"]
+from ..core.events import Observer
+from .registry import TelemetryRegistry
+
+__all__ = ["Span", "Tracer"]
 
 
 @dataclass(frozen=True)
@@ -65,46 +66,42 @@ class Span:
     args: Optional[Dict[str, Any]] = None
 
 
-# Open-span stack entry indices (plain lists beat a dataclass on the
-# per-phase hot path: two pushes + two pops per traced engine step).
-_NAME, _CAT, _START, _EXCL_MARK, _EXCL_ACC, _ARGS = range(6)
+# Open-phase stack entry indices (plain lists beat a dataclass on the
+# per-phase hot path).
+_EXCL_MARK, _EXCL_ACC, _ARGS = 2, 3, 4
 
-_STEP_CAT = "step"
+_STEP = "step"
 
 
-class Tracer:
-    """Records nested spans, instants, and counter samples.
+class Tracer(Observer):
+    """Records nested phase spans, instants, and counter samples.
 
     Args:
         capacity: Ring size for completed spans; the oldest are dropped
             once full (a trace, not an unbounded log).
         clock: Timestamp source, seconds, monotonic.  Defaults to
             :func:`time.perf_counter`; tests inject a deterministic fake.
-        enabled: A tracer built with ``enabled=False`` is inert: every
-            primitive returns immediately and records nothing (the null
-            fast path).  Use the shared :data:`NULL_TRACER` instead of
-            building disabled instances.
+        registry: Where each step's exclusive per-phase seconds go, as
+            ``phase/<name>`` histograms (``repro.cli report`` passes its
+            telemetry's); ``None`` keeps only the spans.
     """
 
     def __init__(
         self,
         capacity: int = 65536,
         clock: Optional[Callable[[], float]] = None,
-        enabled: bool = True,
+        registry: Optional[TelemetryRegistry] = None,
     ) -> None:
-        self.enabled = enabled
+        self.registry = registry
         self._clock: Callable[[], float] = clock if clock is not None else time.perf_counter
         self._spans: Deque[Span] = deque(maxlen=capacity)
         self._stack: List[List[Any]] = []
         self._phase_totals: Dict[str, float] = {}
-        self._epoch = self._clock() if enabled else 0.0
+        self._epoch = self._clock()
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._spans)
 
     @property
     def spans(self) -> List[Span]:
@@ -113,119 +110,76 @@ class Tracer:
 
     @property
     def open_depth(self) -> int:
-        """Number of spans currently open (0 when balanced)."""
+        """Number of phases currently open (0 when balanced)."""
         return len(self._stack)
 
-    def now(self) -> float:
-        """Seconds since the tracer's epoch."""
-        return self._clock() - self._epoch
-
     def clear(self) -> None:
-        """Drop completed spans and per-step totals; open spans survive."""
+        """Drop completed spans and per-step totals; open phases survive."""
         self._spans.clear()
         self._phase_totals.clear()
 
     # ------------------------------------------------------------------
-    # Span primitives
+    # Phase spans
     # ------------------------------------------------------------------
 
-    def begin_span(
-        self, name: str, cat: str = "phase", args: Optional[Dict[str, Any]] = None
-    ) -> None:
-        """Open a span; every ``begin_span`` needs a matching ``end_span``."""
-        if not self.enabled:
-            return
-        now = self.now()
-        if self._stack:
-            parent = self._stack[-1]
+    def phase_began(self, name: str, request_id: Optional[str] = None) -> None:
+        """Open a span; a ``"step"`` resets the per-phase totals."""
+        now = self._clock() - self._epoch
+        stack = self._stack
+        if stack:
+            parent = stack[-1]
             parent[_EXCL_ACC] += now - parent[_EXCL_MARK]
-        self._stack.append([name, cat, now, now, 0.0, args])
+        if name == _STEP:
+            self._phase_totals = {}
+        args = None if request_id is None else {"request": request_id}
+        stack.append([name, now, now, 0.0, args])
 
-    def end_span(self) -> Optional[Span]:
-        """Close the innermost open span and record it."""
-        if not self.enabled or not self._stack:
-            return None
-        now = self.now()
-        entry = self._stack.pop()
-        exclusive = entry[_EXCL_ACC] + (now - entry[_EXCL_MARK])
-        name: str = entry[_NAME]
-        if entry[_CAT] != _STEP_CAT:
-            self._phase_totals[name] = self._phase_totals.get(name, 0.0) + exclusive
-        span = Span(
-            name=name,
-            cat=entry[_CAT],
-            start=entry[_START],
-            duration=now - entry[_START],
-            depth=len(self._stack),
-            args=entry[_ARGS],
-        )
-        self._spans.append(span)
-        if self._stack:
-            self._stack[-1][_EXCL_MARK] = now
-        return span
-
-    @contextmanager
-    def span(
-        self, name: str, cat: str = "phase", args: Optional[Dict[str, Any]] = None
-    ) -> Iterator[None]:
-        """``with tracer.span("schedule"):`` -- begin/end around a block.
-
-        Convenience for warm paths; hot call sites use explicit
-        ``begin_span``/``end_span`` under an ``enabled`` guard so nothing
-        is evaluated when tracing is off.
-        """
-        if not self.enabled:
-            yield
+    def phase_ended(self) -> None:
+        """Close the innermost open span and record it; closing a step
+        observes its per-phase totals into the registry."""
+        stack = self._stack
+        if not stack:
             return
-        self.begin_span(name, cat, args)
-        try:
-            yield
-        finally:
-            self.end_span()
+        now = self._clock() - self._epoch
+        name, start, mark, exclusive, args = stack.pop()
+        totals = self._phase_totals
+        if name != _STEP:
+            cat = "phase"
+            totals[name] = totals.get(name, 0.0) + exclusive + (now - mark)
+        else:
+            cat = _STEP
+            registry = self.registry
+            if registry is not None:
+                for phase, seconds in totals.items():
+                    registry.observe(f"phase/{phase}", seconds)
+        self._spans.append(Span(name, cat, start, now - start, "X", len(stack), args))
+        if stack:
+            stack[-1][_EXCL_MARK] = now
+
+    # ------------------------------------------------------------------
+    # Markers
+    # ------------------------------------------------------------------
 
     def instant(
         self, name: str, cat: str = "instant", args: Optional[Dict[str, Any]] = None
     ) -> None:
         """Record a zero-duration marker (Chrome ``ph: "i"``)."""
-        if not self.enabled:
-            return
-        self._spans.append(
-            Span(name, cat, self.now(), 0.0, kind="i", depth=len(self._stack), args=args)
-        )
+        now = self._clock() - self._epoch
+        self._spans.append(Span(name, cat, now, 0.0, "i", len(self._stack), args))
 
     def counter(self, name: str, value: float, cat: str = "counter") -> None:
         """Record a counter sample (Chrome ``ph: "C"``, a Perfetto track)."""
-        if not self.enabled:
-            return
-        self._spans.append(
-            Span(name, cat, self.now(), 0.0, kind="C", args={"value": value})
-        )
+        now = self._clock() - self._epoch
+        self._spans.append(Span(name, cat, now, 0.0, "C", 0, {"value": value}))
 
-    # ------------------------------------------------------------------
-    # Engine-step protocol
-    # ------------------------------------------------------------------
+    def request_queued(self, request_id: str, arrival_time: float) -> None:
+        """A ``queue/push`` marker per push (arrival or preemption)."""
+        self.instant("queue/push", "scheduler", {"request": request_id})
 
-    def step_begin(self, index: int) -> None:
-        """Open the per-step root span and reset the phase accumulator."""
-        if not self.enabled:
-            return
-        self._phase_totals = {}
-        self.begin_span("step", cat=_STEP_CAT, args={"step": index})
-
-    def step_end(self) -> Optional[Dict[str, float]]:
-        """Close the step span; return exclusive per-phase seconds.
-
-        The dict maps phase name to self-time accumulated since
-        :meth:`step_begin`; the values sum to at most the step span's wall
-        duration.  Returns ``None`` on a disabled tracer.
-        """
-        if not self.enabled:
-            return None
-        totals = dict(self._phase_totals)
-        self.end_span()
-        return totals
-
-
-#: Shared inert tracer: the engine's default, so ``self.tracer.enabled``
-#: is always a valid (and false) test without ``None`` checks.
-NULL_TRACER = Tracer(capacity=0, enabled=False)
+    def step_completed(self, time: float, record: Any) -> None:
+        """Stamp the open step span with the record's index, and sample
+        the running and waiting counts as Perfetto counter tracks."""
+        if self._stack:
+            self._stack[-1][_ARGS] = {"step": record.index}
+        self.counter("engine/running", record.num_running)
+        self.counter("engine/waiting", record.num_waiting)

@@ -107,9 +107,9 @@ class ServingCluster:
 
         ``tracing``/``telemetry``/``pressure`` attach a *per-replica*
         :class:`~repro.obs.tracer.Tracer` / telemetry observer /
-        pressure view of that fold (all default off, preserving the
-        zero-overhead ``NULL_TRACER`` path); with tracing on the cluster
-        also records the route log for the merged trace's router lane.
+        pressure view of that fold (all default off: an unobserved
+        replica reports nothing); with tracing on the cluster also
+        records the route log for the merged trace's router lane.
         """
         from ..obs.tracer import Tracer  # deferred: serving stays obs-light
 

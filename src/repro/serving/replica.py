@@ -22,7 +22,7 @@ from ..engine.scheduler import SchedulerConfig
 from ..models.config import ModelSpec
 from ..obs.pressure import PressureMonitor
 from ..obs.registry import BusTelemetry, TelemetryRegistry
-from ..obs.tracer import NULL_TRACER, Tracer
+from ..obs.tracer import Tracer
 from ..platforms.gpu import GPU
 
 __all__ = ["Replica", "ReplicaLoad"]
@@ -66,9 +66,8 @@ class Replica:
         manager: Pre-built manager, overriding ``system``/``kv_bytes``
             construction -- how shared-allocator co-tenant replicas are
             assembled (build views via ``build_shared_managers`` first).
-        tracer: Per-replica span tracer handed to the engine.  ``None``
-            keeps the zero-overhead :data:`~repro.obs.tracer.NULL_TRACER`
-            default -- tracing must be opted into per replica.
+        tracer: Per-replica span tracer handed to the engine (``None``:
+            untraced) -- tracing is opted into per replica.
         telemetry: Observe the engine with a per-replica
             :class:`~repro.obs.registry.BusTelemetry` fold, kept as
             ``self.telemetry`` and feeding ``self.registry``.
@@ -106,7 +105,7 @@ class Replica:
                 seed=seed,
             )
         self.manager = manager
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         # One fold per replica; pressure is a view it ticks (counters ->
         # pressure EWMAs) on every step_completed.
         self.telemetry: Optional[BusTelemetry] = None
@@ -114,7 +113,7 @@ class Replica:
             self.telemetry = BusTelemetry()
         self.engine = LLMEngine(
             model, gpu, manager, config=config, observer=self.telemetry,
-            tracer=self.tracer,
+            tracer=tracer,
         )
         fold = self.telemetry
         if fold is not None and pressure:

@@ -24,7 +24,6 @@ the chosen replica engine's observer, when it has one.
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -181,7 +180,6 @@ class Router:
         # Per-replica routing tallies (index-aligned with ``replicas``).
         self.routed_counts: List[int] = [0] * len(self.replicas)
         self.expected_hit_counts: List[int] = [0] * len(self.replicas)
-        self.route_seconds: List[float] = []
 
     # ------------------------------------------------------------------
 
@@ -219,13 +217,11 @@ class Router:
         shadow (the routed prompt is about to become resident there) and
         reports ``request_routed`` to the replica engine's observer.
         """
-        start = time.perf_counter()
         hashes = self.block_hashes(request)
         idx = self.policy(self, request, hashes)
         shadow = self.shadows[idx]
         expected_hit = shadow.match_len(hashes) * self.tokens_per_page
         shadow.record(hashes)
-        self.route_seconds.append(time.perf_counter() - start)
 
         self.routed_counts[idx] += 1
         self.expected_hit_counts[idx] += expected_hit

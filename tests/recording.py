@@ -19,6 +19,8 @@ __all__ = [
     "PageEvicted",
     "PageReleased",
     "PagesAllocated",
+    "PhaseBegan",
+    "PhaseEnded",
     "PrefixHit",
     "RecordingObserver",
     "RequestAdmitted",
@@ -54,6 +56,8 @@ RequestFailed = _record("RequestFailed", "request_id", "time")
 RequestRouted = _record(
     "RequestRouted", "request_id", "replica_id", "policy", "expected_hit_tokens"
 )
+PhaseBegan = _record("PhaseBegan", "name", "request_id", request_id=None)
+PhaseEnded = _record("PhaseEnded")
 StepCompleted = _record(
     "StepCompleted", "index", "time", "num_preemptions", "record",
     record=dataclasses.field(default=None, compare=False),
@@ -74,6 +78,8 @@ RECORDS = {
     "request_finished": RequestFinished,
     "request_failed": RequestFailed,
     "request_routed": RequestRouted,
+    "phase_began": PhaseBegan,
+    "phase_ended": PhaseEnded,
 }
 
 

@@ -1,17 +1,19 @@
 """Tests for the stack's observer reports (the §5.4 traces included)."""
 
-import dataclasses
+import inspect
 
-from repro.core.events import ALLOCATION_STEPS, Observer
+from repro.core.events import ALLOCATION_STEPS, Fanout, Observer
 from repro.core.kv_manager import JengaKVCacheManager
 from repro.core.layer_policy import FULL_ATTENTION, GroupSpec
 from repro.core.registry import available_managers, create_manager
 from repro.core.sequence import IMAGE, TEXT, SequenceSpec
 from repro.engine import LLMEngine, Request, SchedulerConfig
+from repro.engine.metrics import StepRecord
 from repro.engine.multi_model import MultiModelEngine
 from repro.models import get_model
 from repro.obs.pressure import PressureMonitor
 from repro.obs.registry import BusTelemetry
+from repro.obs.tracer import Tracer
 from repro.platforms import H100
 from repro.workloads import token_block
 
@@ -316,15 +318,47 @@ class TestEngineEvents:
 
         def outcome(eng):
             eng.run(max_steps=20_000)
-            steps = [dataclasses.replace(r, phases=None) for r in eng.steps]
-            return steps, list(eng.finished)
+            return list(eng.steps), list(eng.finished)
 
         bare = outcome(self.pressured_engine())
         captured = outcome(self.pressured_engine(RecordingObserver()))
         telemetry = BusTelemetry()
         telemetry.pressure = PressureMonitor(telemetry)
         observed = outcome(self.pressured_engine(telemetry))
+        tracer = Tracer()
+        traced = outcome(self.pressured_engine(tracer))
+        fanned = outcome(self.pressured_engine(Fanout(BusTelemetry(), Tracer())))
         assert telemetry.registry.counters["alloc/pages"] > 0
         assert telemetry.registry.counters["pressure/admission_blocked"] > 0
         assert telemetry.pressure.score > 0.0
-        assert bare[0] and bare == captured == observed
+        assert tracer.spans and tracer.open_depth == 0
+        assert bare[0] and bare == captured == observed == traced == fanned
+
+    def test_fanout_forwards_every_call_in_order(self):
+        """Each observer behind a ``Fanout`` gets every ``Observer`` call,
+        in the order made: called directly, and over a whole run."""
+        first, second = RecordingObserver(), RecordingObserver()
+        fanout = Fanout(first, second)
+        record = StepRecord(index=3, start_time=0.0, duration=0.5, decode_batch=1,
+                            prefill_tokens=0, num_running=1, num_waiting=0,
+                            num_preemptions=0)
+        methods = [name for name in vars(Observer) if not name.startswith("_")]
+        for name in methods:
+            if name == "step_completed":
+                fanout.step_completed(0.5, record)
+                continue
+            arity = len(inspect.signature(getattr(Observer, name)).parameters) - 1
+            getattr(fanout, name)(*(f"{name}-{i}" for i in range(arity)))
+        expected = [
+            "StepCompleted" if name == "step_completed" else RECORDS[name].__name__
+            for name in methods
+        ]
+        assert [type(r).__name__ for r in first.records] == expected
+        assert first.records == second.records
+
+        alone = RecordingObserver()
+        self.pressured_engine(alone).run(max_steps=20_000)
+        first, second = RecordingObserver(), RecordingObserver()
+        self.pressured_engine(Fanout(first, second)).run(max_steps=20_000)
+        assert alone.counts["PhaseBegan"] > 0 and alone.counts["PageEvicted"] > 0
+        assert first.records == second.records == alone.records

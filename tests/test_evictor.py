@@ -9,7 +9,6 @@ class TestBasics:
     def test_empty(self):
         ev = LRUEvictor()
         assert len(ev) == 0
-        assert ev.peek() is None
         with pytest.raises(KeyError):
             ev.evict()
 
@@ -31,7 +30,7 @@ class TestBasics:
     def test_peek_does_not_remove(self):
         ev = LRUEvictor()
         ev.add("a", 1.0)
-        assert ev.peek() == "a"
+        assert list(ev.iter_in_order()) == ["a"]
         assert len(ev) == 1
 
 

@@ -76,13 +76,6 @@ class TestAllocateFree:
         assert alloc.allocate("image") == page_id
         assert alloc.owner_of(page_id) == "image"
 
-    def test_pages_owned_by(self):
-        alloc = make()
-        a = alloc.allocate("text")
-        b = alloc.allocate("text")
-        alloc.allocate("image")
-        assert alloc.pages_owned_by("text") == [a, b]
-
 
 class TestGeometry:
     def test_small_pages_per_large(self):

@@ -72,7 +72,6 @@ class TestEvictorProperties:
         while len(ev):
             order.append(ev.evict())
         assert order == sorted(last_add, key=last_add.__getitem__)
-        assert ev.peek() is None
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(
@@ -120,7 +119,7 @@ class TestEvictorProperties:
         for item, t in ops:
             ev.add(item, t)
         while len(ev):
-            assert ev.peek() == ev.evict()
+            assert next(ev.iter_in_order()) == ev.evict()
 
 
 class TestHashProperties:

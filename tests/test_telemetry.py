@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core.events import Fanout
 from repro.engine.metrics import MemorySnapshot, StepRecord
-from repro.obs import BusTelemetry, Histogram, TelemetryRegistry
+from repro.obs import BusTelemetry, Histogram, TelemetryRegistry, Tracer
 from repro.obs.export import render_report, report_payload
 
 
@@ -147,6 +148,16 @@ def _snapshot():
     )
 
 
+def traced_step(observer, record, phases):
+    """Report one engine step with ``phases`` inside it to ``observer``."""
+    observer.phase_began("step")
+    for phase in phases:
+        observer.phase_began(phase)
+        observer.phase_ended()
+    observer.step_completed(0.5, record)
+    observer.phase_ended()
+
+
 class TestBusTelemetry:
     def test_allocation_step_histogram(self):
         telemetry = BusTelemetry()
@@ -208,14 +219,16 @@ class TestBusTelemetry:
         assert c["requests/failed"] == 1
 
     def test_step_feeds_memory_timeline_and_phases(self):
+        """The fold keeps the memory timeline; a tracer given its registry
+        adds the ``phase/*`` histograms."""
         telemetry = BusTelemetry()
         record = StepRecord(
             index=0, start_time=0.0, duration=0.5, decode_batch=1,
             prefill_tokens=0, num_running=1, num_waiting=0,
             num_preemptions=0, memory=_snapshot(),
-            phases={"schedule": 1e-4, "allocate": 2e-5},
         )
-        telemetry.step_completed(0.5, record)
+        traced_step(Fanout(telemetry, Tracer(registry=telemetry.registry)),
+                    record, ("schedule", "allocate"))
         reg = telemetry.registry
         assert reg.counters["engine/steps"] == 1
         assert reg.gauges["mem/used"] == 3000
@@ -262,9 +275,9 @@ class TestReport:
             index=0, start_time=0.0, duration=0.5, decode_batch=1,
             prefill_tokens=8, num_running=1, num_waiting=0,
             num_preemptions=0, memory=_snapshot(),
-            phases={"schedule": 1e-4},
         )
-        telemetry.step_completed(0.5, record)
+        traced_step(Fanout(telemetry, Tracer(registry=telemetry.registry)),
+                    record, ("schedule",))
         return telemetry.registry
 
     def test_render_report_sections(self):

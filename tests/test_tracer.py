@@ -1,13 +1,13 @@
-"""Span tracer: null fast path, nesting, phase accounting, Chrome export."""
+"""Span tracer: nesting, phase accounting, Chrome export."""
 
 import json
 
 import pytest
 
 from repro.engine import LLMEngine, Request, SchedulerConfig
+from repro.engine.metrics import StepRecord
 from repro.models import GIB, get_model
 from repro.obs import (
-    NULL_TRACER,
     Tracer,
     chrome_trace,
     validate_chrome_trace,
@@ -36,41 +36,30 @@ def make_tracer(**kwargs):
     return Tracer(clock=clock, **kwargs), clock
 
 
-class TestNullFastPath:
-    def test_null_tracer_is_disabled(self):
-        assert NULL_TRACER.enabled is False
+def phase_seconds(registry):
+    """``phase/<name>`` histogram totals, by phase name."""
+    return {
+        name[len("phase/"):]: hist.total
+        for name, hist in registry.histograms.items()
+        if name.startswith("phase/")
+    }
 
-    def test_disabled_primitives_record_nothing(self):
-        tracer = Tracer(capacity=0, enabled=False)
-        tracer.begin_span("schedule")
-        tracer.instant("marker")
-        tracer.counter("depth", 3)
-        tracer.step_begin(0)
-        assert tracer.step_end() is None
-        assert tracer.end_span() is None
-        assert len(tracer) == 0
-        assert tracer.spans == []
-        assert tracer.open_depth == 0
 
-    def test_disabled_span_contextmanager_is_inert(self):
-        tracer = Tracer(capacity=0, enabled=False)
-        with tracer.span("schedule"):
-            pass
-        assert len(tracer) == 0
-
-    def test_null_tracer_ring_stays_empty_under_load(self):
-        for _ in range(100):
-            NULL_TRACER.instant("spam")
-        assert len(NULL_TRACER) == 0
+def step_record(index=0, num_running=1, num_waiting=0):
+    return StepRecord(
+        index=index, start_time=0.0, duration=0.5, decode_batch=1,
+        prefill_tokens=0, num_running=num_running, num_waiting=num_waiting,
+        num_preemptions=0,
+    )
 
 
 class TestSpans:
     def test_single_span_duration(self):
         tracer, clock = make_tracer()
-        tracer.begin_span("schedule")
+        tracer.phase_began("schedule")
         clock.tick(2.0)
-        span = tracer.end_span()
-        assert span is not None
+        tracer.phase_ended()
+        (span,) = tracer.spans
         assert span.name == "schedule"
         assert span.start == 0.0
         assert span.duration == 2.0
@@ -79,14 +68,15 @@ class TestSpans:
 
     def test_nesting_depth_and_monotonic_timestamps(self):
         tracer, clock = make_tracer()
-        tracer.begin_span("outer")
+        tracer.phase_began("outer")
         clock.tick(1.0)
-        tracer.begin_span("inner")
+        tracer.phase_began("inner", "r0")
         clock.tick(1.0)
-        tracer.end_span()
+        tracer.phase_ended()
         clock.tick(1.0)
-        tracer.end_span()
+        tracer.phase_ended()
         inner, outer = tracer.spans
+        assert (inner.args, outer.args) == ({"request": "r0"}, None)
         assert (inner.name, inner.depth) == ("inner", 1)
         assert (outer.name, outer.depth) == ("outer", 0)
         assert inner.start >= outer.start
@@ -96,89 +86,113 @@ class TestSpans:
         assert ends == sorted(ends)  # record order is end order
 
     def test_exclusive_time_pauses_parent(self):
-        tracer, clock = make_tracer()
-        tracer.step_begin(0)
+        registry = TelemetryRegistry()
+        tracer, clock = make_tracer(registry=registry)
+        tracer.phase_began("step")
         clock.tick(1.0)
-        tracer.begin_span("schedule")
+        tracer.phase_began("schedule")
         clock.tick(2.0)  # schedule self-time
-        tracer.begin_span("allocate")
+        tracer.phase_began("allocate")
         clock.tick(4.0)  # allocate self-time, not schedule's
-        tracer.end_span()
+        tracer.phase_ended()
         clock.tick(1.0)  # schedule self-time again
-        tracer.end_span()
-        phases = tracer.step_end()
-        assert phases == {"schedule": 3.0, "allocate": 4.0}
+        tracer.phase_ended()
+        tracer.phase_ended()
+        assert phase_seconds(registry) == {"schedule": 3.0, "allocate": 4.0}
 
     def test_phases_sum_at_most_step_duration(self):
-        tracer, clock = make_tracer()
-        tracer.step_begin(0)
+        registry = TelemetryRegistry()
+        tracer, clock = make_tracer(registry=registry)
+        tracer.phase_began("step")
         clock.tick(0.5)  # step overhead outside any phase
-        tracer.begin_span("schedule")
+        tracer.phase_began("schedule")
         clock.tick(2.0)
-        tracer.end_span()
+        tracer.phase_ended()
         clock.tick(0.5)
-        phases = tracer.step_end()
+        tracer.phase_ended()
         step_span = tracer.spans[-1]
         assert step_span.name == "step"
-        assert sum(phases.values()) <= step_span.duration
+        assert sum(phase_seconds(registry).values()) <= step_span.duration
         assert step_span.duration == 3.0
 
     def test_step_totals_reset_between_steps(self):
-        tracer, clock = make_tracer()
-        for index in range(2):
-            tracer.step_begin(index)
-            tracer.begin_span("schedule")
+        registry = TelemetryRegistry()
+        tracer, clock = make_tracer(registry=registry)
+        for _ in range(2):
+            tracer.phase_began("step")
+            tracer.phase_began("schedule")
             clock.tick(1.0)
-            tracer.end_span()
-            assert tracer.step_end() == {"schedule": 1.0}
-
-    def test_span_contextmanager_closes_on_error(self):
-        tracer, clock = make_tracer()
-        with pytest.raises(RuntimeError):
-            with tracer.span("schedule"):
-                clock.tick(1.0)
-                raise RuntimeError("boom")
-        assert tracer.open_depth == 0
-        assert tracer.spans[-1].duration == 1.0
+            tracer.phase_ended()
+            tracer.phase_ended()
+        hist = registry.histograms["phase/schedule"]
+        assert (hist.count, hist.total) == (2, 2.0)
 
     def test_capacity_is_a_ring(self):
         tracer, clock = make_tracer(capacity=4)
         for i in range(10):
-            tracer.instant(f"i{i}")
-        assert len(tracer) == 4
-        assert [s.name for s in tracer.spans] == ["i6", "i7", "i8", "i9"]
+            tracer.request_queued(f"r{i}", 0.0)
+        assert [s.args["request"] for s in tracer.spans] == ["r6", "r7", "r8", "r9"]
 
     def test_instant_and_counter_kinds(self):
         tracer, _ = make_tracer()
-        tracer.instant("queue/push", cat="scheduler", args={"depth": 3})
+        tracer.request_queued("r0", 0.0)
         tracer.counter("engine/running", 7)
         instant, counter = tracer.spans
-        assert (instant.kind, instant.duration) == ("i", 0.0)
+        assert (instant.name, instant.kind, instant.duration) == ("queue/push", "i", 0.0)
+        assert instant.args == {"request": "r0"}
         assert counter.kind == "C"
         assert counter.args == {"value": 7}
 
     def test_clear_keeps_open_spans(self):
         tracer, clock = make_tracer()
-        tracer.begin_span("outer")
+        tracer.phase_began("outer")
         tracer.instant("marker")
         tracer.clear()
-        assert len(tracer) == 0
+        assert tracer.spans == []
         assert tracer.open_depth == 1
         clock.tick(1.0)
-        assert tracer.end_span() is not None
+        tracer.phase_ended()
+        assert [s.name for s in tracer.spans] == ["outer"]
+
+    def test_step_phases_observed_into_the_registry(self):
+        """A step's exclusive per-phase seconds become ``phase/<name>``
+        histograms of the registry the tracer was given, and the step span
+        takes the record's index."""
+        registry = TelemetryRegistry()
+        tracer, clock = make_tracer(registry=registry)
+        tracer.phase_began("step")
+        tracer.phase_began("schedule")
+        clock.tick(1e-4)
+        tracer.phase_ended()
+        tracer.phase_began("allocate")
+        clock.tick(2e-5)
+        tracer.phase_ended()
+        tracer.step_completed(1.0, step_record(index=7, num_running=2, num_waiting=3))
+        tracer.phase_ended()
+        assert registry.histograms["phase/schedule"].count == 1
+        assert registry.histograms["phase/allocate"].count == 1
+        assert "phase/step" not in registry.histograms
+        counters = {s.name: s.args["value"] for s in tracer.spans if s.kind == "C"}
+        assert counters == {"engine/running": 2, "engine/waiting": 3}
+        assert tracer.spans[-1].args == {"step": 7}
+
+    def test_unbalanced_end_is_ignored(self):
+        tracer, _ = make_tracer()
+        tracer.phase_ended()
+        assert tracer.spans == [] and tracer.open_depth == 0
 
 
 class TestChromeExport:
     def _populated(self):
         tracer, clock = make_tracer()
-        tracer.step_begin(0)
+        tracer.phase_began("step")
         clock.tick(0.001)
-        tracer.begin_span("schedule")
+        tracer.phase_began("schedule")
         clock.tick(0.002)
-        tracer.end_span()
-        tracer.instant("queue/push", cat="scheduler", args={"depth": 1})
-        tracer.counter("engine/running", 2)
-        tracer.step_end()
+        tracer.phase_ended()
+        tracer.request_queued("r0", 0.0)
+        tracer.step_completed(0.5, step_record())
+        tracer.phase_ended()
         return tracer
 
     def test_round_trips_through_json(self):
@@ -228,12 +242,12 @@ class TestChromeExport:
 
 
 class TestEngineIntegration:
-    def _traced_engine(self):
+    def _traced_engine(self, registry=None):
         model = get_model("llama3-8b")
         from repro.baselines import make_manager
 
         manager = make_manager("jenga", model, 2 * GIB)
-        tracer = Tracer()
+        tracer = Tracer(registry=registry)
         engine = LLMEngine(
             model, H100, manager, config=SchedulerConfig(), tracer=tracer
         )
@@ -244,26 +258,39 @@ class TestEngineIntegration:
         engine.add_requests(requests)
         return engine, tracer
 
-    def test_step_records_carry_phases(self):
+    def test_every_step_span_holds_a_schedule_phase(self):
         engine, tracer = self._traced_engine()
         metrics = engine.run()
         engine.close()
         assert metrics.steps, "no steps ran"
-        for record in metrics.steps:
-            assert record.phases is not None
-            assert "schedule" in record.phases
-            assert all(v >= 0.0 for v in record.phases.values())
+        assert engine.observer is tracer
+        spans = tracer.spans
+        steps = [s for s in spans if s.cat == "step"]
+        assert [s.args for s in steps] == [{"step": r.index} for r in metrics.steps]
+        for step in steps:
+            inside = [
+                s for s in spans
+                if s.kind == "X" and s.depth == 1
+                and step.start <= s.start <= step.start + step.duration
+            ]
+            assert "schedule" in {s.name for s in inside}
+        names = {s.name for s in spans}
+        assert {"admission", "allocate", "commit", "release", "prefix_lookup",
+                "queue/push"} <= names
         assert tracer.open_depth == 0
 
     def test_phase_sums_bounded_by_step_spans(self):
-        engine, tracer = self._traced_engine()
+        registry = TelemetryRegistry()
+        engine, tracer = self._traced_engine(registry)
         metrics = engine.run()
         engine.close()
         step_spans = [s for s in tracer.spans if s.cat == "step"]
         assert len(step_spans) == len(metrics.steps)
         slack = 1e-9  # float accumulation across pause/resume marks
-        for record, span in zip(metrics.steps, step_spans):
-            assert sum(record.phases.values()) <= span.duration + slack
+        assert sum(phase_seconds(registry).values()) <= (
+            sum(s.duration for s in step_spans) + slack
+        )
+        assert registry.histograms["phase/schedule"].count == len(metrics.steps)
 
     def test_untraced_engine_records_no_phases(self):
         model = get_model("llama3-8b")
@@ -275,8 +302,9 @@ class TestEngineIntegration:
             [Request.text("t0", token_block(0, "t", 0, 64), 4)]
         )
         metrics = engine.run()
-        assert all(r.phases is None for r in metrics.steps)
-        assert len(engine.tracer) == 0  # NULL_TRACER stayed empty
+        assert metrics.steps
+        assert engine.observer is None and manager.observer is None
+        assert not hasattr(metrics.steps[0], "phases")
 
     def test_traced_trace_exports_valid(self, tmp_path):
         engine, tracer = self._traced_engine()
