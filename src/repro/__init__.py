@@ -52,7 +52,6 @@ from .core import (
 from .engine import (
     EngineMetrics,
     LLMEngine,
-    MultiModelEngine,
     Request,
     SchedulerConfig,
     SpecDecodeEngine,
@@ -82,7 +81,6 @@ __all__ = [
     "LLMEngine",
     "MaxPageManager",
     "ModelSpec",
-    "MultiModelEngine",
     "Observer",
     "PagedAttentionManager",
     "Replica",

@@ -24,10 +24,7 @@ every observer but :class:`~repro.obs.tracer.Tracer` ignores.  Several
 observers share one seat through :class:`Fanout`.
 
 Observers arrive by binding (``manager.bind_observer``, done by the
-engine).  A private allocator follows its manager.  A shared allocator
-(several manager views over one pool) reports to the first non-``None``
-observer bound to it; binding a different one raises ``ValueError`` and
-binding ``None`` leaves it unchanged.
+engine); the manager's allocator follows it.
 """
 
 from __future__ import annotations

@@ -108,9 +108,6 @@ class JengaKVCacheManager(KVCacheManagerBase):
         strategy: Compatible-page-size strategy (``"lcm"``/``"gcd"``/
             ``"max"``) -- non-LCM values exist for the Section 4.4 ablation.
         seed: Seed for randomized per-image eviction draws.
-        shared_allocator: Multi-model serving (Section 6.1): several
-            managers, one page pool, which reports to one observer (see
-            :meth:`bind_observer`).
     """
 
     name = "jenga"
@@ -123,34 +120,21 @@ class JengaKVCacheManager(KVCacheManagerBase):
         strategy: str = "lcm",
         seed: int = 0,
         request_aware: bool = True,
-        shared_allocator: Optional[TwoLevelAllocator] = None,
     ) -> None:
         super().__init__()
         self.specs = dict(group_specs)
-        if shared_allocator is not None:
-            # The shared allocator was built over the union of all models'
-            # groups; this manager drives only its own subset.
-            missing = set(self.specs) - set(shared_allocator.groups)
-            if missing:
-                raise ValueError(f"shared allocator lacks groups: {missing}")
-            self.policies = {
-                g: shared_allocator.groups[g].policy for g in self.specs
-            }
-            self.allocator = shared_allocator
-        else:
-            self.policies = {
-                g: make_policy(s, enable_prefix_caching=enable_prefix_caching, seed=seed)
-                for g, s in self.specs.items()
-            }
-            self.allocator = TwoLevelAllocator(
-                total_bytes,
-                self.specs,
-                self.policies,
-                strategy=strategy,
-                enable_prefix_caching=enable_prefix_caching,
-                request_aware=request_aware,
-            )
-        self._shares_pool = shared_allocator is not None
+        self.policies = {
+            g: make_policy(s, enable_prefix_caching=enable_prefix_caching, seed=seed)
+            for g, s in self.specs.items()
+        }
+        self.allocator = TwoLevelAllocator(
+            total_bytes,
+            self.specs,
+            self.policies,
+            strategy=strategy,
+            enable_prefix_caching=enable_prefix_caching,
+            request_aware=request_aware,
+        )
         self.enable_prefix_caching = enable_prefix_caching
         # Groups the vision encoder fills (allocate_vision/consume_vision).
         self._encoder_groups = {
@@ -170,44 +154,9 @@ class JengaKVCacheManager(KVCacheManagerBase):
         self.hit_tokens = 0
 
     def bind_observer(self, observer: Optional[Observer]) -> None:
-        """Report this view's lookups, and its pool's events, to ``observer``.
-
-        A private allocator follows the manager.  A shared pool reports to
-        one observer: the first non-``None`` one bound through any view.
-        Binding a different one raises ``ValueError`` (no multicast), and
-        binding ``None`` leaves the pool's observer as it is.
-        """
-        pool = self.allocator
-        if not self._shares_pool:
-            pool.observer = observer
-        elif observer is not None and pool.observer is not observer:
-            if pool.observer is not None:
-                raise ValueError(
-                    "a shared pool reports to one observer; bind the same "
-                    "observer through every view"
-                )
-            pool.observer = observer
+        """Report this manager's lookups, and its pool's events, to ``observer``."""
+        self.allocator.observer = observer
         self.observer = observer
-
-    def foreign_used_bytes(self) -> int:
-        """USED bytes co-tenant views hold in a shared allocator.
-
-        A privately-owned allocator carries exactly this manager's groups,
-        so the answer is 0 without scanning.  On a shared pool the engine
-        uses this to tell "my pool is idle and the request still does not
-        fit" (permanent failure) from "a co-tenant is holding the memory
-        right now" (block and retry): only USED pages count, because
-        evictable and free memory is reclaimable through the normal
-        allocation steps and so never justifies waiting.
-        """
-        groups = self.allocator.groups
-        if len(groups) == len(self.specs):
-            return 0
-        total = 0
-        for group_id, group in groups.items():
-            if group_id not in self.specs:
-                total += group.n_used * group.spec.page_bytes
-        return total
 
     def _require(self, request_id: str) -> Dict[str, GroupBinding]:
         bindings = self._bindings.get(request_id)
@@ -731,9 +680,7 @@ class JengaKVCacheManager(KVCacheManagerBase):
 
         Equal versions across probes guarantee the pool inputs of
         :meth:`can_admit` are unchanged, so the engine may skip re-probing
-        a blocked head-of-queue request entirely.  On a shared pool every
-        view reads the same allocator, so a co-tenant's mutation moves it
-        for all of them.
+        a blocked head-of-queue request entirely.
         """
         return self.allocator.version
 
@@ -743,12 +690,6 @@ class JengaKVCacheManager(KVCacheManagerBase):
 
     def stats(self) -> AllocatorStats:
         return self.allocator.stats()
-
-    def owned_groups(self) -> frozenset:
-        """This view's groups -- the shared allocator covers the union of
-        all co-tenant models' groups, but this manager drives (and should
-        be charged for) only its own subset."""
-        return frozenset(self.specs)
 
     @property
     def prefix_hit_rate(self) -> float:

@@ -26,7 +26,7 @@ snapshot.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol, runtime_checkable
 
 from .events import Observer
 from .sequence import SequenceSpec
@@ -114,16 +114,6 @@ class KVCacheManager(Protocol):
         """Point-in-time memory accounting."""
         ...
 
-    def owned_groups(self) -> FrozenSet[str]:
-        """Group ids this manager view owns within its allocator.
-
-        On a shared allocator, :meth:`stats` reports pool-wide accounting;
-        consumers attributing per-group bytes to one engine filter
-        ``used_bytes_by_group`` down to this set.  Empty means "all of
-        them" (a privately-owned pool needs no filtering).
-        """
-        ...
-
     # -- observation ------------------------------------------------------
 
     def bind_observer(self, observer: Optional[Observer]) -> None:
@@ -209,21 +199,6 @@ class KVCacheManagerBase:
 
     def consume_vision(self, seq: SequenceSpec, upto_global: int) -> None:
         return None
-
-    def foreign_used_bytes(self) -> int:
-        # USED bytes held by co-tenant views of a shared pool.  A private
-        # pool has no co-tenants, so the default is 0 -- which keeps the
-        # engine's empty-GPU permanent-failure heuristic exact for every
-        # single-tenant manager: a request that cannot be admitted onto an
-        # idle private pool can never be admitted.  Shared-allocator views
-        # override this so a tenant squeezed by its neighbours *waits*
-        # instead of failing.
-        return 0
-
-    def owned_groups(self) -> FrozenSet[str]:
-        # Empty set == "no filtering": a backend that owns its whole pool
-        # reports every group as its own.
-        return frozenset()
 
     @property
     def kernel_slowdown(self) -> float:

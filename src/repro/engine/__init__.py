@@ -9,7 +9,6 @@ from .metrics import (
     RequestMetrics,
     StepRecord,
 )
-from .multi_model import MultiModelEngine, build_shared_managers
 from .request import Request, RequestState
 from .scheduler import PROFILES, SchedulerConfig, WaitingQueue, profile_config
 from .spec_decode import SpecDecodeEngine, make_spec_manager
@@ -20,7 +19,6 @@ __all__ = [
     "LLMEngine",
     "MemorySnapshot",
     "MetricsCollector",
-    "MultiModelEngine",
     "PROFILES",
     "Request",
     "RequestMetrics",
@@ -30,7 +28,6 @@ __all__ = [
     "StepRecord",
     "StepWork",
     "WaitingQueue",
-    "build_shared_managers",
     "make_spec_manager",
     "profile_config",
 ]

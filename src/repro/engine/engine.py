@@ -326,8 +326,7 @@ class LLMEngine:
         The jump repeats for as long as each pass only fails requests
         permanently, so a request that can never fit does not strand the
         arrivals behind it.  A pass that fails nothing and still runs
-        nothing is blocked on a co-tenant (shared pool): report idle and
-        let the multiplexer run the tenant holding the memory.
+        nothing reports idle instead of jumping again.
         """
         work = StepWork()
         self._admit(self.clock, work)
@@ -425,12 +424,9 @@ class LLMEngine:
         queue (keep admitting), ``False`` when it is merely blocked.
         """
         self.manager.release(request.seq, cacheable=True)
-        if not self.running and self.manager.foreign_used_bytes() == 0:
+        if not self.running:
             # Even an empty GPU cannot host this request: permanent
-            # failure (the paper's Ministral-on-L4 vLLM case).  On a
-            # shared pool "empty" must mean the *pool*, not this engine:
-            # co-tenant USED bytes explain the refusal, so the request
-            # blocks and retries once they drain.
+            # failure (the paper's Ministral-on-L4 vLLM case).
             self.waiting.pop_ready(now)
             request.state = RequestState.FINISHED
             self.failed.append(request)
@@ -575,18 +571,8 @@ class LLMEngine:
 
     def _memory_snapshot(self) -> MemorySnapshot:
         stats = self.manager.stats()
-        # On a shared allocator stats() covers the whole pool; charge this
-        # engine only for its manager's own groups (mirroring
-        # MultiModelEngine.memory_report) so Figure-16 snapshots don't
-        # double-count co-tenants.  The scalar fields stay pool-wide: free
-        # and evictable capacity genuinely is shared headroom.
-        owned = self.manager.owned_groups()
-        used = {
-            g: b for g, b in stats.used_bytes_by_group.items()
-            if not owned or g in owned
-        }
         return MemorySnapshot(
-            used_by_group=used,
+            used_by_group=stats.used_bytes_by_group,
             evictable_bytes=stats.evictable_bytes,
             waste_bytes=stats.waste_bytes,
             free_bytes=stats.free_bytes,

@@ -54,6 +54,15 @@ class SchedulerConfig:
     output_len_factor: float = 1.0
     record_memory: bool = False
 
+    def __post_init__(self) -> None:
+        # Either limit below 1 strands requests: none is ever admitted, or
+        # admitted ones never get a token scheduled.
+        if self.max_num_seqs < 1 or self.max_num_batched_tokens < 1:
+            raise ValueError(
+                "max_num_seqs and max_num_batched_tokens must be at least 1, got "
+                f"{self.max_num_seqs} and {self.max_num_batched_tokens}"
+            )
+
     def with_(self, **kwargs) -> "SchedulerConfig":
         return replace(self, **kwargs)
 

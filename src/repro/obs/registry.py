@@ -259,7 +259,7 @@ class KeyMemo(Dict[Any, str]):
 class BusTelemetry(Observer):
     """The in-tree observer: every report counted once into a registry.
 
-    Pass it as ``LLMEngine(observer=...)`` (or ``MultiModelEngine``).
+    Pass it as ``LLMEngine(observer=...)``.
     ``pressure`` is the optional per-step view; whoever assembles the
     fold assigns it, and :meth:`step_completed` ticks it.
     """

@@ -64,8 +64,7 @@ class Replica:
         kv_bytes: KV-cache region size for this replica's manager.
         system: Registered manager system (``"jenga"``, ``"vllm"``, ...).
         manager: Pre-built manager, overriding ``system``/``kv_bytes``
-            construction -- how shared-allocator co-tenant replicas are
-            assembled (build views via ``build_shared_managers`` first).
+            construction (for instance one wrapped to count its calls).
         tracer: Per-replica span tracer handed to the engine (``None``:
             untraced) -- tracing is opted into per replica.
         telemetry: Observe the engine with a per-replica

@@ -315,49 +315,6 @@ class TestManagerVersion:
         assert admission_inputs(singles.allocator) == admission_inputs(batched.allocator)
         assert singles.can_admit(probe) == batched.can_admit(probe)
 
-    def test_no_bus_views_agree_with_uncached_under_cotenant_churn(self):
-        """A manager and a shared-pool sibling whose allocator has *no* observer
-        still answer ``can_admit`` as the allocation does and see each
-        other's mutations in ``admission_version`` -- they read the same
-        allocator."""
-        specs = hetero_specs()
-        policies = {g: make_policy(s) for g, s in specs.items()}
-        allocator = TwoLevelAllocator(32 * 4 * 64, specs, policies)
-        full = {"full": specs["full"]}
-        win = {"win": specs["win"]}
-        ma = JengaKVCacheManager(full, 0, shared_allocator=allocator)
-        mb = JengaKVCacheManager(win, 0, shared_allocator=allocator)
-        probes = [
-            SequenceSpec.text_only(f"p{n}", list(range(5000, 5000 + n)))
-            for n in (8, 48, 96, 128)
-        ]
-
-        def check():
-            for mgr in (ma, mb):
-                for probe in probes:
-                    assert mgr.can_admit(probe) == admission_oracle(mgr, probe)
-
-        check()
-        version = mb.admission_version()
-        assert version >= 0
-        held = []
-        for i in range(4):
-            seq = SequenceSpec.text_only(f"a{i}", list(range(100 * i, 100 * i + 24)))
-            ma.begin_request(seq)
-            assert ma.allocate_up_to(seq, 24)
-            ma.commit(seq, 24, now=float(i), phase="prefill")
-            held.append(seq)
-            assert mb.admission_version() > version  # co-tenant moved it
-            version = mb.admission_version()
-            check()
-        for i, seq in enumerate(held):
-            ma.release(seq, cacheable=(i % 2 == 0))
-            assert mb.admission_version() > version
-            version = mb.admission_version()
-            check()
-        assert allocator.observer is None
-        allocator.check_invariants()
-
 
 class TestStaleBoundRegression:
     def test_prefix_hit_reacquire_updates_admission_bounds(self):

@@ -43,21 +43,29 @@ GROUPS = ("one", "two", "four")  # small pages per large page: 1, 2, 4
 REQUESTS = ("r0", "r1", "r2", "r3")
 
 
-def make_allocator(num_large=12, caching=True, request_aware=True):
-    specs = {
+def group_specs():
+    return {
         g: GroupSpec(g, FULL_ATTENTION, 1, per_token_bytes=bytes_, tokens_per_page=4,
                      accepted_tags=T)
         for g, bytes_ in (("one", 256), ("two", 128), ("four", 64))
     }
-    alloc = TwoLevelAllocator(
-        1024 * num_large, specs, {g: make_policy(s) for g, s in specs.items()},
-        enable_prefix_caching=caching, request_aware=request_aware,
-    )
-    # ``events`` names the recorder the way other_events (unchanged since
-    # the golden was recorded) reads the stream.
+
+
+def recorded(alloc):
+    """``alloc`` reporting to a :class:`CarveOrder`.  ``events`` names the
+    recorder the way other_events (unchanged since the golden was
+    recorded) reads the stream."""
     alloc.observer = alloc.events = CarveOrder()
     assert [alloc.groups[g].small_per_large for g in GROUPS] == [1, 2, 4]
     return alloc
+
+
+def make_allocator(num_large=12, caching=True, request_aware=True):
+    specs = group_specs()
+    return recorded(TwoLevelAllocator(
+        1024 * num_large, specs, {g: make_policy(s) for g, s in specs.items()},
+        enable_prefix_caching=caching, request_aware=request_aware,
+    ))
 
 
 class CarveOrder(RecordingObserver):
@@ -519,29 +527,22 @@ class TestCheckThenCommit:
         ),
         caching=st.booleans(),
     )
-    def test_a_refused_allocate_up_to_mutates_nothing_on_a_shared_pool(self, ops, caching):
-        """Two managers over one pool ("one" + "two", and "four"); four
-        requests, two per view.  ``allocate_up_to`` refuses exactly when the
-        unchecked loop would run out of pages, and a refusal leaves the
-        pool as it was."""
+    def test_a_refused_allocate_up_to_mutates_nothing(self, ops, caching):
+        """One manager over groups "one", "two" and "four"; four requests.
+        ``allocate_up_to`` refuses exactly when the unchecked loop would
+        run out of pages, and a refusal leaves the pool as it was."""
         from repro.core.kv_manager import JengaKVCacheManager
         from repro.core.sequence import SequenceSpec
 
-        alloc = make_allocator(num_large=6, caching=caching)
-        views = [
-            JengaKVCacheManager(
-                {g: alloc.groups[g].spec for g in gids}, 0,
-                enable_prefix_caching=caching, shared_allocator=alloc,
-            )
-            for gids in (("one", "two"), ("four",))
-        ]
+        mgr = JengaKVCacheManager(group_specs(), 1024 * 6, enable_prefix_caching=caching)
+        alloc = recorded(mgr.allocator)
         seqs = [SequenceSpec.text_only(f"r{i}", list(range(i % 2, 40))) for i in range(4)]
         pos = [0] * 4
-        for i, seq in enumerate(seqs):
-            views[i % 2].begin_request(seq)
+        for seq in seqs:
+            mgr.begin_request(seq)
         clock = 0.0
         for i, kind, delta in ops:
-            mgr, seq = views[i % 2], seqs[i]
+            seq = seqs[i]
             clock += 1.0
             if kind == "release":
                 mgr.release(seq)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.baselines import make_manager
 from repro.engine import LLMEngine, Request, SchedulerConfig
-from repro.engine.multi_model import MultiModelEngine
 from repro.engine.request import RequestState, generated_token
 from repro.models import GIB, get_model
 from repro.platforms import H100
@@ -132,6 +131,16 @@ class TestEngineEdges:
 
 
 class TestSchedulerInvariants:
+    @pytest.mark.parametrize("limit", ["max_num_seqs", "max_num_batched_tokens"])
+    def test_a_limit_below_one_is_rejected(self, limit):
+        """Either limit at 0 would strand every request: none admitted, or
+        none ever scheduled a token."""
+        with pytest.raises(ValueError):
+            SchedulerConfig(**{limit: 0})
+        with pytest.raises(ValueError):
+            SchedulerConfig().with_(**{limit: -1})
+        assert getattr(SchedulerConfig().with_(**{limit: 1}), limit) == 1
+
     def test_budget_never_exceeded(self):
         eng = make_engine(max_num_batched_tokens=512)
         eng.add_requests(
@@ -158,28 +167,6 @@ class TestSchedulerInvariants:
         m = eng.run()
         starts = [s.start_time for s in m.steps]
         assert starts == sorted(starts)
-
-
-class TestMultiModelEdges:
-    def test_single_deployment_behaves_like_plain_engine(self):
-        model = get_model("llama3-8b")
-        multi = MultiModelEngine({"only": model}, H100, GIB,
-                                 enable_prefix_caching=False)
-        multi.add_requests(
-            "only",
-            [Request.text(f"r{i}", token_block(0, "m", i, 128), 8) for i in range(4)],
-        )
-        metrics = multi.run()["only"]
-
-        plain = make_engine(kv=GIB, caching=False)
-        plain.add_requests(
-            [Request.text(f"r{i}", token_block(0, "m", i, 128), 8) for i in range(4)]
-        )
-        plain_metrics = plain.run()
-        # Same steps, same makespan (the shared pool adds no overhead; the
-        # LCM of one model's groups is its own page size).
-        assert len(metrics.steps) == len(plain_metrics.steps)
-        assert metrics.makespan == pytest.approx(plain_metrics.makespan)
 
 
 class TestTerminalStates:
@@ -221,17 +208,6 @@ class TestTerminalStates:
         engine.add_requests(submitted)
         engine.run()
         self.assert_drained([engine], submitted)
-
-        for shared in (True, False):
-            multi = MultiModelEngine({"a": self.MODEL, "b": self.MODEL}, H100, 2 * pool,
-                                     shared=shared, config=config)
-            submitted = []
-            for name in ("a", "b"):
-                batch = self.requests(f"{name}{shared}")
-                multi.add_requests(name, batch)
-                submitted += batch
-            multi.run()
-            self.assert_drained(multi.engines.values(), submitted)
 
         cluster = ServingCluster.build(self.MODEL, H100, pool, 2, config=config)
         submitted = self.requests("c", n=16)

@@ -9,7 +9,6 @@ from repro.core.registry import available_managers, create_manager
 from repro.core.sequence import IMAGE, TEXT, SequenceSpec
 from repro.engine import LLMEngine, Request, SchedulerConfig
 from repro.engine.metrics import StepRecord
-from repro.engine.multi_model import MultiModelEngine
 from repro.models import get_model
 from repro.obs.pressure import PressureMonitor
 from repro.obs.registry import BusTelemetry
@@ -45,6 +44,15 @@ class TestObserver:
     def test_every_observer_method_has_a_record(self):
         methods = {name for name in vars(Observer) if not name.startswith("_")}
         assert methods == set(RECORDS) | {"step_completed"}
+
+    def test_a_private_allocator_follows_its_manager(self):
+        mgr = five_step_manager()
+        first, second = RecordingObserver(), RecordingObserver()
+        mgr.bind_observer(first)
+        mgr.bind_observer(second)
+        assert mgr.allocator.observer is second
+        mgr.bind_observer(None)
+        assert mgr.allocator.observer is None
 
 
 def five_step_manager():
@@ -283,34 +291,6 @@ class TestEngineEvents:
         assert bare.manager.observer is None
         bare.run(max_steps=20_000)
         assert unobserved == blocked
-
-    def test_shared_bus_keeps_per_engine_tallies(self):
-        """Two deployments publishing onto one bus report exactly what
-        they report on private buses: the tallies are the engines' own."""
-        model = get_model("llama3.2-1b")
-
-        def run(observer):
-            engine = MultiModelEngine(
-                {"a": model, "b": model}, H100, 48 * 1024 * 1024,
-                config=SchedulerConfig(max_num_seqs=4), observer=observer,
-            )
-            for name, prompt in (("a", 320), ("b", 512)):
-                engine.add_requests(name, [
-                    # i % 3: repeated prompts, so the prefix cache hits.
-                    Request.text(f"{name}{i}", token_block(0, name, i % 3, prompt), 16)
-                    for i in range(8)
-                ])
-            return {
-                name: (len(m.steps), m.preemptions, m.prefix_hit_tokens,
-                       m.prefix_lookup_tokens, len(m.requests))
-                for name, m in engine.run(max_steps=20_000).items()
-            }
-
-        private = run(None)
-        shared = run(RecordingObserver())
-        assert shared == private
-        assert private["a"] != private["b"]  # merged tallies would be equal
-        assert all(t[1] > 0 and t[2] > 0 for t in private.values())
 
     def test_observers_do_not_perturb_the_run(self):
         """Bare, recorded and fully-observed runs of one request set take

@@ -13,8 +13,8 @@ since under the by-name hash, below):
   preempts and one that does not, chunked prefill on and off;
 * ``LLMEngine`` on step paths the benchmark ledger never runs: a vision
   model whose encoder outputs are cached (``allocate_vision`` /
-  ``consume_vision``) or re-encoded per chunk, prefill without chunking,
-  and a shared-pool ``MultiModelEngine``;
+  ``consume_vision``) or re-encoded per chunk, and prefill without
+  chunking;
 * a hybrid Mamba/attention model under prefix caching and eviction, where
   one large page holds one Mamba page or 84 attention pages.
 
@@ -28,7 +28,6 @@ import pytest
 
 from repro.baselines import make_manager
 from repro.engine import LLMEngine, Request, SchedulerConfig, SpecDecodeEngine, make_spec_manager
-from repro.engine.multi_model import MultiModelEngine
 from repro.models import GIB, get_model
 from repro.platforms import H100
 from repro.workloads import mmmu_pro, token_block
@@ -181,17 +180,6 @@ def unchunked_run():
     return [engine]
 
 
-def shared_multi_model_run():
-    multi = MultiModelEngine(
-        {"big": get_model("llama3-8b"), "small": get_model("llama3.2-1b")},
-        H100, 256 * MIB, shared=True, config=CONFIG,
-    )
-    multi.add_requests("big", requests("b", 10, arrival_gap=0.01))
-    multi.add_requests("small", requests("m", 10, arrival_gap=0.007))
-    multi.run(max_steps=10000)
-    return list(multi.engines.values())
-
-
 def jamba_prefix_run():
     """jamba-52b with prefix caching over 40 large pages: one 21 MiB Mamba
     state or checkpoint per large page, 84 attention pages in another, so
@@ -220,7 +208,6 @@ LLM_RUNS = {
     "vision_cache": lambda: vision_run("jenga"),
     "vision_reencode": lambda: vision_run("vllm"),
     "unchunked": unchunked_run,
-    "multi_model_shared": shared_multi_model_run,
     "jamba_prefix": jamba_prefix_run,
 }
 
@@ -228,15 +215,13 @@ LLM_RUNS = {
 #: with the cause and the cross-check given for ``SPEC_GOLDEN``:
 #: ``unchunked`` and ``vision_cache`` keep every step, preemption and
 #: clock value, and only their memory snapshots move (refused calls
-#: no longer evict 114 / 288 cached pages); ``multi_model_shared`` loses
-#: 25 large-page evictions and one of its nine preemptions.
+#: no longer evict 114 / 288 cached pages).
 #: ``jamba_prefix`` was recorded later, on 6498d9f.  All five were
 #: re-recorded with ``SPEC_GOLDEN`` for the by-name hash.
 LLM_GOLDEN = {
     "vision_cache": "ac017dfb05fd42de",
     "vision_reencode": "856fcc8f9b189306",
     "unchunked": "e7fce4c6f084b69c",
-    "multi_model_shared": "af6265a509c28642",
     "jamba_prefix": "8cce08282b2cc4a5",
 }
 
