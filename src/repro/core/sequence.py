@@ -4,30 +4,30 @@ Heterogeneous models do not store cache for every token in every layer
 (paper Section 3): a Llama 3.2 Vision request with ``T`` text and ``I``
 image tokens needs self-attention KV for the text tokens only and
 cross-attention KV for the image tokens only.  We therefore model a request
-as one *global* token sequence in which every token carries a *tag*
-(``"text"`` or ``"image"``), and each layer-type group consumes the
-subsequence of tokens whose tags it accepts -- its *stream*.
+as one *global* token sequence plus the ``(start, end)`` span of each
+image in it.  A token inside a span is tagged ``"image"``, every other
+token ``"text"``, and each layer-type group consumes the subsequence of
+tokens whose tags it accepts -- its *stream*.
 
 :class:`SequenceSpec` is the only request-shaped object the core allocator
 layer knows about; the serving engine's richer ``Request`` wraps one.
 
 Performance note: the engine calls :meth:`SequenceSpec.stream_length` for
 every group of every running request on every step, and requests reach
-hundreds of thousands of tokens in the paper's long-context experiments,
-so the per-tag prefix-count caches are maintained *incrementally* across
-:meth:`append`/:meth:`extend` instead of being rebuilt.  The same applies
-to content hashing: :meth:`SequenceSpec.hash_chain` memoizes the chained
-block hashes per ``(accepted tags, boundary schedule)`` stream, so a
-prefix lookup or decode-time extension hashes only tokens it has never
-hashed before instead of the whole stream.
+hundreds of thousands of tokens in the paper's long-context experiments.
+A group that accepts both tags answers in O(1); any other walks the image
+spans, of which a request has a handful, never its tokens.  Decode appends
+text only, so an append touches no span.  Content hashing is
+incremental: :meth:`SequenceSpec.hash_chain` memoizes the chained block
+hashes per ``(accepted tags, boundary schedule)`` stream, so a prefix
+lookup or decode-time extension hashes only tokens it has never hashed
+before instead of the whole stream.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 __all__ = ["TokenTag", "SequenceSpec", "TEXT", "IMAGE", "HASH_SEED"]
 
@@ -45,6 +45,8 @@ HASH_SEED = 0x9E3779B97F4A7C15
 #: The router hashes under a policy's key too, so a routed prompt's chain
 #: is already built when the replica looks it up.
 ChainKey = Tuple[FrozenSet[TokenTag], Tuple[str, int]]
+
+_IMAGE_ONLY: FrozenSet[TokenTag] = frozenset({IMAGE})
 
 
 class _HashChain:
@@ -74,33 +76,31 @@ class SequenceSpec:
             generated tokens).  Ids only matter for prefix-cache hashing, so
             synthetic workloads may use any integers; equal prefixes hash
             equal.
-        tags: Per-token tag, parallel to ``token_ids``.
         image_spans: ``(start, end)`` global index ranges of each image's
-            tokens, in order.  Vision policies evict whole images at a time,
-            so they need the boundaries.
+            tokens, in order, non-empty and disjoint.  They are the only
+            record of token kind: every token outside a span is text.
+            Vision policies evict whole images at a time, so they need the
+            boundaries.
     """
 
     request_id: str
     token_ids: List[int] = field(default_factory=list)
-    tags: List[TokenTag] = field(default_factory=list)
     image_spans: List[Tuple[int, int]] = field(default_factory=list)
 
-    # Incrementally-maintained caches (see module docstring).
-    _prefix_counts: Dict[TokenTag, List[int]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _tag_set: Set[TokenTag] = field(default_factory=set, repr=False, compare=False)
+    # Incrementally-maintained hash chains (see module docstring).
     _hash_chains: Dict[ChainKey, _HashChain] = field(
         default_factory=dict, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        if len(self.token_ids) != len(self.tags):
-            raise ValueError(
-                f"token_ids ({len(self.token_ids)}) and tags ({len(self.tags)}) "
-                "must be parallel"
-            )
-        self._tag_set = set(self.tags)
+        pos = 0
+        for start, end in self.image_spans:
+            if not pos <= start < end <= len(self.token_ids):
+                raise ValueError(
+                    "image spans must be non-empty, in order, disjoint and within "
+                    f"the {len(self.token_ids)} tokens, got {self.image_spans}"
+                )
+            pos = end
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -109,8 +109,7 @@ class SequenceSpec:
     @classmethod
     def text_only(cls, request_id: str, token_ids: Sequence[int]) -> "SequenceSpec":
         """A plain text request (the common case for text models)."""
-        ids = list(token_ids)
-        return cls(request_id=request_id, token_ids=ids, tags=[TEXT] * len(ids))
+        return cls(request_id=request_id, token_ids=list(token_ids))
 
     @classmethod
     def multimodal(
@@ -120,45 +119,39 @@ class SequenceSpec:
     ) -> "SequenceSpec":
         """Build a sequence from ``(tag, token_ids)`` segments in order.
 
-        Every ``IMAGE`` segment is recorded as one image span.
+        Every ``IMAGE`` segment is recorded as one image span, so an empty
+        one raises :class:`ValueError`, as does a tag other than ``TEXT``
+        and ``IMAGE``.
         """
         token_ids: List[int] = []
-        tags: List[TokenTag] = []
         spans: List[Tuple[int, int]] = []
         for tag, ids in segments:
             start = len(token_ids)
             token_ids.extend(ids)
-            tags.extend([tag] * len(ids))
             if tag == IMAGE:
                 spans.append((start, len(token_ids)))
-        return cls(request_id=request_id, token_ids=token_ids, tags=tags, image_spans=spans)
+            elif tag != TEXT:
+                raise ValueError(f"unknown segment tag {tag!r}")
+        return cls(request_id=request_id, token_ids=token_ids, image_spans=spans)
 
     # ------------------------------------------------------------------
     # Mutation (decode appends)
     # ------------------------------------------------------------------
 
-    def append(self, token_id: int, tag: TokenTag = TEXT) -> None:
-        """Append one generated token (decode steps generate text tokens)."""
+    def append(self, token_id: int) -> None:
+        """Append one generated text token (decode steps generate text)."""
         self.token_ids.append(token_id)
-        self.tags.append(tag)
-        self._tag_set.add(tag)
-        for cached_tag, counts in self._prefix_counts.items():
-            counts.append(counts[-1] + (1 if tag == cached_tag else 0))
 
-    def extend(self, token_ids: Sequence[int], tag: TokenTag = TEXT) -> None:
-        for token_id in token_ids:
-            self.append(token_id, tag)
+    def extend(self, token_ids: Sequence[int]) -> None:
+        self.token_ids.extend(token_ids)
 
     def truncate(self, num_tokens: int) -> None:
         """Drop tokens beyond ``num_tokens`` (used on preemption rollback)."""
         del self.token_ids[num_tokens:]
-        del self.tags[num_tokens:]
         self.image_spans = [
             (s, min(e, num_tokens)) for s, e in self.image_spans if s < num_tokens
         ]
-        self._prefix_counts.clear()
         self._hash_chains.clear()
-        self._tag_set = set(self.tags)
 
     # ------------------------------------------------------------------
     # Views
@@ -171,21 +164,29 @@ class SequenceSpec:
     def num_tokens(self) -> int:
         return len(self.token_ids)
 
-    def count_tag(self, tag: TokenTag) -> int:
-        if tag not in self._tag_set:
-            return 0
-        return self._counts_for(tag)[len(self.token_ids)]
-
     def covered_by(self, accepted: FrozenSet[TokenTag]) -> bool:
         """Whether ``accepted`` covers every tag present: the stream is then
         ``token_ids`` itself, which a reader may use without a copy."""
-        return self._tag_set <= accepted
+        if IMAGE not in accepted and self.image_spans:
+            return False
+        return TEXT in accepted or self.stream_length(_IMAGE_ONLY) == len(self.token_ids)
 
     def stream_tokens(self, accepted: FrozenSet[TokenTag]) -> List[int]:
         """Token ids of the subsequence with tags in ``accepted``."""
         if self.covered_by(accepted):
             return list(self.token_ids)
-        return [t for t, tag in zip(self.token_ids, self.tags) if tag in accepted]
+        ids = self.token_ids
+        stream: List[int] = []
+        if IMAGE in accepted:
+            for start, end in self.image_spans:
+                stream += ids[start:end]
+        elif TEXT in accepted:
+            pos = 0
+            for start, end in self.image_spans:
+                stream += ids[pos:start]
+                pos = end
+            stream += ids[pos:]
+        return stream
 
     def stream_length(
         self, accepted: FrozenSet[TokenTag], global_prefix: Optional[int] = None
@@ -194,18 +195,20 @@ class SequenceSpec:
 
         ``global_prefix=None`` means the full sequence.
         """
-        n = (
-            len(self.token_ids)
-            if global_prefix is None
-            else min(global_prefix, len(self.token_ids))
-        )
-        if self.covered_by(accepted):
+        n = len(self.token_ids)
+        if global_prefix is not None and global_prefix < n:
+            n = global_prefix
+        text = TEXT in accepted
+        if text and IMAGE in accepted:
             return n
-        total = 0
-        for tag in accepted:
-            if tag in self._tag_set:
-                total += self._counts_for(tag)[n]
-        return total
+        images = 0
+        for start, end in self.image_spans:
+            if start >= n:
+                break
+            images += (end if end < n else n) - start
+        if text:
+            return n - images
+        return images if IMAGE in accepted else 0
 
     def global_prefix_for_stream(
         self, accepted: FrozenSet[TokenTag], stream_len: int
@@ -218,14 +221,29 @@ class SequenceSpec:
         """
         if stream_len == 0:
             return 0
-        if self.covered_by(accepted):
+        text = TEXT in accepted
+        image = IMAGE in accepted
+        if text and image:
             if stream_len > len(self.token_ids):
                 raise ValueError("stream_len beyond sequence")
             return stream_len
-        counts = self._combined_counts(accepted)
-        if stream_len > counts[-1]:
-            raise ValueError("stream_len beyond stream")
-        return bisect.bisect_left(counts, stream_len)
+        # Walk the alternating text and image runs, spending ``left`` on
+        # the accepted ones until it lands inside a run.
+        left = stream_len
+        pos = 0
+        for start, end in self.image_spans:
+            if text:
+                if left <= start - pos:
+                    return pos + left
+                left -= start - pos
+            elif image:
+                if left <= end - start:
+                    return start + left
+                left -= end - start
+            pos = end
+        if text and left <= len(self.token_ids) - pos:
+            return pos + left
+        raise ValueError("stream_len beyond stream")
 
     def hash_chain(
         self,
@@ -279,29 +297,3 @@ class SequenceSpec:
                 pos = boundary
             chain.state = state
         return chain.hashes if n == len(chain.hashes) else chain.hashes[:n]
-
-    def image_span_of(self, global_index: int) -> Optional[int]:
-        """Index of the image whose span contains ``global_index``."""
-        for i, (s, e) in enumerate(self.image_spans):
-            if s <= global_index < e:
-                return i
-        return None
-
-    # ------------------------------------------------------------------
-    # Internal caches
-    # ------------------------------------------------------------------
-
-    def _counts_for(self, tag: TokenTag) -> List[int]:
-        counts = self._prefix_counts.get(tag)
-        if counts is None:
-            counts = list(itertools.accumulate([t == tag for t in self.tags], initial=0))
-            self._prefix_counts[tag] = counts
-        return counts
-
-    def _combined_counts(self, accepted: FrozenSet[TokenTag]) -> List[int]:
-        per_tag = [self._counts_for(tag) for tag in accepted if tag in self._tag_set]
-        if not per_tag:
-            return [0] * (len(self.token_ids) + 1)
-        if len(per_tag) == 1:
-            return per_tag[0]
-        return [sum(c[i] for c in per_tag) for i in range(len(self.token_ids) + 1)]

@@ -6,7 +6,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from ..core.sequence import IMAGE, TEXT, SequenceSpec, TokenTag
+from ..core.sequence import SequenceSpec, TokenTag
 
 __all__ = ["RequestState", "Request"]
 
@@ -33,7 +33,7 @@ class Request:
 
     Attributes:
         seq: The token sequence (prompt, later extended by generated
-            tokens).  Image tokens are tagged; see
+            tokens).  Image tokens lie in its image spans; see
             :class:`~repro.core.sequence.SequenceSpec`.
         prompt_len: Number of prompt tokens (global).
         max_output_tokens: Tokens to generate before finishing (the
@@ -88,18 +88,6 @@ class Request:
         self.encoder_done = False
         self.num_preemptions += 1
         self.state = RequestState.WAITING
-
-    # Image helpers -----------------------------------------------------
-
-    def num_image_tokens(self) -> int:
-        return self.seq.count_tag(IMAGE)
-
-    def num_text_tokens(self) -> int:
-        return self.seq.count_tag(TEXT)
-
-    def images_in_range(self, lo: int, hi: int) -> int:
-        """Number of images whose spans overlap global range [lo, hi)."""
-        return sum(1 for s, e in self.seq.image_spans if s < hi and e > lo)
 
     # Construction helpers ----------------------------------------------
 

@@ -14,11 +14,58 @@ The model-wide prefix hit by the paper's rule (Section 5.2):
 group's valid prefixes with ``get_possible_prefix`` and intersects them
 with :func:`longest_common_prefix`.  The manager's lookup asks each
 policy's ``largest_prefix_at_most`` instead and must agree.
+
+A sequence's stream views token by token: :class:`PerTokenSequence`
+keeps one tag per token and a prefix count per accepted-tag set.
+``SequenceSpec`` answers the same questions from its image spans alone
+and must agree.
 """
 
+import bisect
+import itertools
 import pickle
 
 from repro.core.prefix_cache import chain_hashes
+from repro.core.sequence import TEXT
+
+
+class PerTokenSequence:
+    """The stream views of ``SequenceSpec.multimodal(..., segments)``,
+    computed from a per-token tag list."""
+
+    def __init__(self, segments):
+        self.token_ids, self.tags = [], []
+        for tag, ids in segments:
+            self.token_ids += ids
+            self.tags += [tag] * len(ids)
+
+    def append(self, token_id):
+        self.token_ids.append(token_id)
+        self.tags.append(TEXT)
+
+    def truncate(self, num_tokens):
+        del self.token_ids[num_tokens:]
+        del self.tags[num_tokens:]
+
+    def _counts(self, accepted):
+        """``counts[i]``: accepted tokens among the first ``i``."""
+        return list(itertools.accumulate((tag in accepted for tag in self.tags), initial=0))
+
+    def covered_by(self, accepted):
+        return set(self.tags) <= accepted
+
+    def stream_tokens(self, accepted):
+        return [t for t, tag in zip(self.token_ids, self.tags) if tag in accepted]
+
+    def stream_length(self, accepted, global_prefix=None):
+        n = len(self.tags) if global_prefix is None else min(global_prefix, len(self.tags))
+        return self._counts(accepted)[n]
+
+    def global_prefix_for_stream(self, accepted, stream_len):
+        counts = self._counts(accepted)
+        if stream_len > counts[-1]:
+            raise ValueError("stream_len beyond stream")
+        return bisect.bisect_left(counts, stream_len)
 
 
 def admission_demand(mgr, seq, watermark_pages=0, chunk_tokens=8192):

@@ -36,10 +36,9 @@ class TestRequestObject:
         r = Request.multimodal(
             "r", [("text", [1, 2]), ("image", [3, 4, 5]), ("text", [6])], 4
         )
-        assert r.num_image_tokens() == 3
-        assert r.num_text_tokens() == 3
-        assert r.images_in_range(0, 3) == 1
-        assert r.images_in_range(5, 6) == 0
+        assert r.seq.stream_length(frozenset({"image"})) == 3
+        assert r.seq.stream_length(frozenset({"text"})) == 3
+        assert r.seq.image_spans == [(2, 5)]
 
 
 class TestEngineEdges:

@@ -25,7 +25,7 @@ from repro.core.sequence import IMAGE, TEXT, SequenceSpec
 from repro.core.two_level import TwoLevelAllocator
 from repro.models.zoo import get_model
 
-from .oracle import reference_hit
+from .oracle import PerTokenSequence, reference_hit
 
 sizes = st.lists(st.integers(min_value=1, max_value=4096), min_size=1, max_size=5)
 
@@ -169,13 +169,29 @@ class TestWindowPolicyProperties:
                 assert t // tpp in active
 
 
+def _one_token_segments(tags):
+    """``tags`` as one-token segments: each image token is its own image."""
+    return [(tag, [i]) for i, tag in enumerate(tags)]
+
+
+_ACCEPTED = (frozenset(), frozenset({TEXT}), frozenset({IMAGE}), frozenset({TEXT, IMAGE}))
+
+segment_lists = st.lists(
+    st.one_of(
+        st.tuples(st.just(TEXT), st.integers(0, 12)),
+        st.tuples(st.just(IMAGE), st.integers(1, 12)),
+    ),
+    max_size=8,
+)
+
+
 class TestSequenceProperties:
     @given(
         st.lists(st.sampled_from([TEXT, IMAGE]), min_size=1, max_size=64),
         st.integers(0, 70),
     )
     def test_stream_length_monotone_and_bounded(self, tags, prefix):
-        seq = SequenceSpec("r", list(range(len(tags))), list(tags))
+        seq = SequenceSpec.multimodal("r", _one_token_segments(tags))
         for accepted in (frozenset({TEXT}), frozenset({IMAGE}), frozenset({TEXT, IMAGE})):
             n = seq.stream_length(accepted, prefix)
             assert 0 <= n <= min(prefix, len(tags))
@@ -184,13 +200,53 @@ class TestSequenceProperties:
 
     @given(st.lists(st.sampled_from([TEXT, IMAGE]), min_size=1, max_size=40))
     def test_global_prefix_roundtrip(self, tags):
-        seq = SequenceSpec("r", list(range(len(tags))), list(tags))
+        seq = SequenceSpec.multimodal("r", _one_token_segments(tags))
         accepted = frozenset({TEXT})
         total = seq.stream_length(accepted)
         for v in range(1, total + 1):
             g = seq.global_prefix_for_stream(accepted, v)
             assert seq.stream_length(accepted, g) == v
             assert g == 0 or seq.stream_length(accepted, g - 1) == v - 1
+
+    @given(
+        segment_lists,
+        st.lists(st.one_of(st.just("append"), st.integers(0, 100)), max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_spans_match_per_token_reference(self, lengths, ops):
+        """Random segments (adjacent images included), then appends and
+        truncates: every stream view equals :class:`PerTokenSequence`'s."""
+        ids = iter(range(10**6))
+        segments = [(tag, [next(ids) for _ in range(n)]) for tag, n in lengths]
+        seq = SequenceSpec.multimodal("r", segments)
+        ref = PerTokenSequence(segments)
+        for op in [None] + ops:
+            if op == "append":
+                token = next(ids)
+                seq.append(token)
+                ref.append(token)
+            elif op is not None:
+                seq.truncate(op)
+                ref.truncate(op)
+            assert seq.token_ids == ref.token_ids
+            for accepted in _ACCEPTED:
+                assert seq.covered_by(accepted) == ref.covered_by(accepted)
+                assert seq.stream_tokens(accepted) == ref.stream_tokens(accepted)
+                assert seq.stream_length(accepted) == ref.stream_length(accepted)
+                for prefix in range(len(seq) + 2):
+                    assert seq.stream_length(accepted, prefix) == ref.stream_length(
+                        accepted, prefix
+                    )
+                total = ref.stream_length(accepted)
+                for v in range(total + 1):
+                    assert seq.global_prefix_for_stream(
+                        accepted, v
+                    ) == ref.global_prefix_for_stream(accepted, v)
+                for beyond in (total + 1, total + 2):
+                    with pytest.raises(ValueError):
+                        ref.global_prefix_for_stream(accepted, beyond)
+                    with pytest.raises(ValueError):
+                        seq.global_prefix_for_stream(accepted, beyond)
 
 
 class TestAllocatorProperties:
@@ -490,9 +546,8 @@ class TestLookupOracle:
                         (IMAGE, data.draw(st.integers(1, 160), label="image")),
                         (TEXT, data.draw(st.integers(1, 120), label="text"))]
         ids = iter(range(10**6))
-        full = SequenceSpec.multimodal(
-            "full", [(tag, [next(ids) for _ in range(n)]) for tag, n in segments]
-        )
+        segments = [(tag, [next(ids) for _ in range(n)]) for tag, n in segments]
+        full = SequenceSpec.multimodal("full", segments)
         large = lcm_of([s.page_bytes for s in specs.values()])
         mgr = JengaKVCacheManager(specs, 64 * large)
         alloc = mgr.allocator
@@ -511,7 +566,8 @@ class TestLookupOracle:
                     alloc.register_block_hash(group_id, page_id, block_hash)
                 alloc.release_pages(group_id, pages, True)
         length = data.draw(st.integers(1, len(full)), label="prompt length")
-        seq = SequenceSpec("r", token_ids=full.token_ids[:length], tags=full.tags[:length])
+        seq = SequenceSpec.multimodal("r", segments)
+        seq.truncate(length)
         want = reference_hit(mgr, seq)
         assert mgr.begin_request(seq) == want
         alloc.check_invariants()

@@ -1,4 +1,4 @@
-"""Tests for tagged token sequences and stream views."""
+"""Tests for token sequences with image spans and their stream views."""
 
 import pytest
 
@@ -21,18 +21,56 @@ class TestConstruction:
     def test_text_only(self):
         seq = SequenceSpec.text_only("r", [1, 2, 3])
         assert len(seq) == 3
-        assert seq.count_tag(TEXT) == 3
-        assert seq.count_tag(IMAGE) == 0
+        assert seq.stream_length(T) == 3
+        assert seq.stream_length(I) == 0
 
     def test_multimodal_spans(self):
         seq = vlm_seq()
         assert seq.image_spans == [(3, 7)]
-        assert seq.count_tag(IMAGE) == 4
-        assert seq.count_tag(TEXT) == 5
+        assert seq.stream_length(I) == 4
+        assert seq.stream_length(T) == 5
 
-    def test_mismatched_lengths_raise(self):
+    def test_adjacent_spans_are_two_images(self):
+        seq = SequenceSpec.multimodal("r", [(IMAGE, [1, 2]), (IMAGE, [3]), (TEXT, [4])])
+        assert seq.image_spans == [(0, 2), (2, 3)]
+        assert seq.stream_tokens(I) == [1, 2, 3]
+        assert seq.stream_tokens(T) == [4]
+
+
+class TestSpanValidation:
+    """Every rejected span shape raises at construction."""
+
+    def test_empty_span_raises(self):
         with pytest.raises(ValueError):
-            SequenceSpec("r", token_ids=[1, 2], tags=[TEXT])
+            SequenceSpec("r", token_ids=[1, 2, 3], image_spans=[(1, 1)])
+
+    def test_reversed_span_raises(self):
+        with pytest.raises(ValueError):
+            SequenceSpec("r", token_ids=[1, 2, 3], image_spans=[(2, 1)])
+
+    def test_negative_start_raises(self):
+        with pytest.raises(ValueError):
+            SequenceSpec("r", token_ids=[1, 2, 3], image_spans=[(-1, 2)])
+
+    def test_out_of_order_spans_raise(self):
+        with pytest.raises(ValueError):
+            SequenceSpec("r", token_ids=[1, 2, 3, 4], image_spans=[(2, 3), (0, 1)])
+
+    def test_overlapping_spans_raise(self):
+        with pytest.raises(ValueError):
+            SequenceSpec("r", token_ids=[1, 2, 3, 4], image_spans=[(0, 2), (1, 3)])
+
+    def test_span_past_the_end_raises(self):
+        with pytest.raises(ValueError):
+            SequenceSpec("r", token_ids=[1, 2, 3], image_spans=[(1, 4)])
+
+    def test_empty_image_segment_raises(self):
+        with pytest.raises(ValueError):
+            SequenceSpec.multimodal("r", [(TEXT, [1, 2]), (IMAGE, []), (TEXT, [3])])
+
+    def test_unknown_segment_tag_raises(self):
+        with pytest.raises(ValueError):
+            SequenceSpec.multimodal("r", [(TEXT, [1, 2]), ("audio", [3])])
 
 
 class TestStreams:
@@ -66,12 +104,12 @@ class TestStreams:
         with pytest.raises(ValueError):
             seq.global_prefix_for_stream(I, 5)
 
-    def test_image_span_of(self):
+    def test_image_spans_hold_the_image_tokens(self):
         seq = vlm_seq()
-        assert seq.image_span_of(3) == 0
-        assert seq.image_span_of(6) == 0
-        assert seq.image_span_of(0) is None
-        assert seq.image_span_of(8) is None
+        (start, end), = seq.image_spans
+        assert start <= 3 < end and start <= 6 < end
+        assert not start <= 0 < end and not start <= 8 < end
+        assert seq.token_ids[start:end] == seq.stream_tokens(I)
 
 
 class TestMutation:
@@ -86,7 +124,7 @@ class TestMutation:
         seq = vlm_seq()
         # Materialize the per-tag caches first.
         assert seq.stream_length(T, 5) == 3
-        seq.append(99, TEXT)
+        seq.append(99)
         assert seq.stream_length(T, len(seq)) == 6
         assert seq.stream_length(I, len(seq)) == 4
 
@@ -112,7 +150,11 @@ class TestMutation:
         seq.stream_length(T, 4)  # materialize caches
         for i in range(10):
             seq.append(100 + i)
-        fresh = SequenceSpec("x", list(seq.token_ids), list(seq.tags))
+        fresh = SequenceSpec.multimodal(
+            "x",
+            [(TEXT, [1, 2, 3]), (IMAGE, [10, 11, 12, 13]), (TEXT, [4, 5] + list(range(100, 110)))],
+        )
+        assert fresh.token_ids == seq.token_ids
         for p in range(len(seq) + 1):
             assert seq.stream_length(T, p) == fresh.stream_length(T, p)
             assert seq.stream_length(I, p) == fresh.stream_length(I, p)

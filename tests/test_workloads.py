@@ -4,6 +4,7 @@ import statistics
 
 import pytest
 
+from repro.core.sequence import IMAGE, TEXT
 from repro.models import get_model
 from repro.workloads import (
     arxiv_qa,
@@ -54,8 +55,8 @@ class TestMmmuPro:
     def test_statistics_match_paper(self):
         model = get_model("llama3.2-vision-11b")
         rs = mmmu_pro(200, model, seed=3)
-        image_tokens = [r.num_image_tokens() for r in rs]
-        text_tokens = [r.num_text_tokens() for r in rs]
+        image_tokens = [r.seq.stream_length(frozenset({IMAGE})) for r in rs]
+        text_tokens = [r.seq.stream_length(frozenset({TEXT})) for r in rs]
         # Section 3.2: 6193 image and 43 text tokens on average.
         assert statistics.mean(image_tokens) == pytest.approx(6193, rel=0.15)
         assert statistics.mean(text_tokens) == pytest.approx(43, rel=0.5)
