@@ -17,8 +17,7 @@ small page; MAX needs 1344 tokens per attention page.
 import pytest
 
 from repro import get_model, kv_budget
-from repro.baselines import max_page_specs
-from repro.core.math_utils import lcm_blowup, tokens_per_page_for_max
+from repro.core.math_utils import lcm_blowup
 from repro.platforms import H100
 from repro.reporting import Table
 from repro.workloads import arxiv_qa_long, sharegpt
@@ -55,7 +54,8 @@ def test_sec44_pagesize(benchmark):
     groups = model.kv_groups(tokens_per_page=16)
     sizes = [g.page_bytes for g in groups.values()]
     blowup = lcm_blowup(sizes)
-    coarse = max_page_specs(groups, mode="coarse")["self_attn"].tokens_per_page
+    # Tokens per attention page if MAX filled its page with tokens, not padding.
+    coarse = max(sizes) // groups["self_attn"].per_token_bytes
 
     out = benchmark.pedantic(run_all, rounds=1, iterations=1)
     table = Table(

@@ -38,7 +38,6 @@ from .core import (
     GroupSpec,
     JengaKVCacheManager,
     KVCacheManager,
-    KVCacheManagerBase,
     LCMAllocator,
     Observer,
     SequenceSpec,
@@ -75,7 +74,6 @@ __all__ = [
     "H100",
     "JengaKVCacheManager",
     "KVCacheManager",
-    "KVCacheManagerBase",
     "L4",
     "LCMAllocator",
     "LLMEngine",

@@ -12,16 +12,13 @@ Jenga's request-aware LCM allocation already approximates to within a
 fraction of a percent; the *distinguishing* cost is kernel efficiency.  We
 therefore model GCD as the LCM mechanics plus a kernel slowdown applied to
 attention time in the cost model (:attr:`GCDPageManager.kernel_slowdown`).
-The default 2x penalty is conservative relative to the gap the paper
+The 2x penalty is conservative relative to the gap the paper
 describes between custom-layout kernels and FlashAttention-class kernels.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
 from ..core.kv_manager import JengaKVCacheManager
-from ..core.layer_policy import GroupSpec
 
 __all__ = ["GCDPageManager"]
 
@@ -31,23 +28,6 @@ class GCDPageManager(JengaKVCacheManager):
 
     name = "gcd"
 
-    def __init__(
-        self,
-        group_specs: Dict[str, GroupSpec],
-        total_bytes: int,
-        enable_prefix_caching: bool = True,
-        slowdown: float = 2.0,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(
-            group_specs,
-            total_bytes,
-            enable_prefix_caching=enable_prefix_caching,
-            strategy="lcm",
-            seed=seed,
-        )
-        self._slowdown = slowdown
-
     @property
     def kernel_slowdown(self) -> float:
-        return self._slowdown
+        return 2.0

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..core.events import Observer
-from ..core.protocols import KVCacheManagerBase
 from ..core.sequence import SequenceSpec
 from ..core.two_level import AllocatorStats
 from ..models.config import ModelSpec
@@ -23,7 +22,7 @@ from .paged_attention import PagedAttentionManager
 __all__ = ["DualManager", "manual_spec_managers"]
 
 
-class DualManager(KVCacheManagerBase):
+class DualManager:
     """Two independent managers presented behind the single-manager API.
 
     Every request is registered with both sides; an operation succeeds only
@@ -37,7 +36,7 @@ class DualManager(KVCacheManagerBase):
     def __init__(self, managers: List) -> None:
         if not managers:
             raise ValueError("DualManager needs at least one sub-manager")
-        super().__init__()
+        self.observer: Optional[Observer] = None
         self.managers = list(managers)
 
     def bind_observer(self, observer: Optional[Observer]) -> None:

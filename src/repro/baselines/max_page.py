@@ -6,15 +6,14 @@ uniform size must be the *maximum* -- every smaller type then wastes the
 tail of each of its pages.  We model this by padding every group's
 per-token bytes so its page size equals the global maximum; the padding
 shows up as ``partial_fill`` waste in the stats, which is exactly the
-internal fragmentation the paper attributes to this design.
-
-The §4.4 "workaround" variant instead inflates small types'
-``tokens_per_page`` to fill the max page (Jamba would need 1344 tokens per
-self-attention page); :func:`max_page_specs` exposes both via ``mode``.
+internal fragmentation the paper attributes to this design.  Where
+``tokens_per_page`` divides the maximum page (every zoo model and draft/target
+pair), one page size is left, so Jenga's LCM large page is that maximum page.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict
 
 from ..core.kv_manager import JengaKVCacheManager
@@ -23,50 +22,20 @@ from ..core.layer_policy import GroupSpec, MAMBA
 __all__ = ["max_page_specs", "MaxPageManager"]
 
 
-def max_page_specs(
-    groups: Dict[str, GroupSpec], mode: str = "pad"
-) -> Dict[str, GroupSpec]:
-    """Rewrite group specs so every group uses the maximum page size.
+def max_page_specs(groups: Dict[str, GroupSpec]) -> Dict[str, GroupSpec]:
+    """Rewrite group specs so every group's page is the maximum page size.
 
-    ``mode="pad"``: keep tokens-per-page, pad per-token bytes (memory
-    waste).  ``mode="coarse"``: keep per-token bytes, inflate
-    tokens-per-page (coarse allocation/hit granularity).
+    Tokens per page stay; per-token bytes are padded up (memory waste).  A
+    Mamba group's state is padded to the maximum page.
     """
-    if mode not in ("pad", "coarse"):
-        raise ValueError(f"unknown MAX-page mode {mode!r}")
     max_page = max(g.page_bytes for g in groups.values())
     out: Dict[str, GroupSpec] = {}
     for gid, g in groups.items():
         if g.kind == MAMBA:
-            out[gid] = GroupSpec(
-                group_id=g.group_id,
-                kind=g.kind,
-                num_layers=g.num_layers,
-                per_token_bytes=0,
-                tokens_per_page=1,
-                accepted_tags=g.accepted_tags,
-                state_bytes=max_page,
-                checkpoint_interval=g.checkpoint_interval,
-            )
-            continue
-        if mode == "pad":
-            tpp = g.tokens_per_page
-            per_token = -(-max_page // tpp)  # ceil division
+            out[gid] = replace(g, per_token_bytes=0, tokens_per_page=1, state_bytes=max_page)
         else:
-            per_token = g.per_token_bytes
-            tpp = max(g.tokens_per_page, -(-max_page // per_token))
-        out[gid] = GroupSpec(
-            group_id=g.group_id,
-            kind=g.kind,
-            num_layers=g.num_layers,
-            per_token_bytes=per_token,
-            tokens_per_page=tpp,
-            accepted_tags=g.accepted_tags,
-            window=g.window,
-            state_bytes=g.state_bytes,
-            checkpoint_interval=g.checkpoint_interval,
-            budget=g.budget,
-        )
+            per_token = -(-max_page // g.tokens_per_page)  # ceil division
+            out[gid] = replace(g, per_token_bytes=per_token)
     return out
 
 
@@ -80,13 +49,11 @@ class MaxPageManager(JengaKVCacheManager):
         group_specs: Dict[str, GroupSpec],
         total_bytes: int,
         enable_prefix_caching: bool = True,
-        mode: str = "pad",
         seed: int = 0,
     ) -> None:
         super().__init__(
-            max_page_specs(group_specs, mode=mode),
+            max_page_specs(group_specs),
             total_bytes,
             enable_prefix_caching=enable_prefix_caching,
-            strategy="max",
             seed=seed,
         )

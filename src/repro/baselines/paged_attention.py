@@ -95,7 +95,6 @@ class PagedAttentionManager(JengaKVCacheManager):
             unified_group_specs(model, tokens_per_page),
             kv_bytes,
             enable_prefix_caching=enable_prefix_caching,
-            strategy="lcm",
             seed=seed,
         )
         self._mamba_holders: Set[str] = set()

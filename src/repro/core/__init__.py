@@ -24,10 +24,10 @@ from .layer_policy import (
     make_policy,
 )
 from .lcm_allocator import LCMAllocator, OutOfLargePagesError
-from .math_utils import compatible_page_bytes, gcd_of, lcm_blowup, lcm_of
+from .math_utils import lcm_blowup, lcm_of
 from .pages import PageState, PhysicalExtent
 from .prefix_cache import CachedBlockIndex, chain_hashes
-from .protocols import KVCacheManager, KVCacheManagerBase
+from .protocols import KVCacheManager
 from .registry import (
     UnknownManagerError,
     available_managers,
@@ -53,7 +53,6 @@ __all__ = [
     "IMAGE",
     "JengaKVCacheManager",
     "KVCacheManager",
-    "KVCacheManagerBase",
     "LayerTypePolicy",
     "LCMAllocator",
     "LRUEvictor",
@@ -73,9 +72,7 @@ __all__ = [
     "VisionEmbeddingPolicy",
     "available_managers",
     "chain_hashes",
-    "compatible_page_bytes",
     "create_manager",
-    "gcd_of",
     "lcm_blowup",
     "lcm_of",
     "make_policy",

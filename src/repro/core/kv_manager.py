@@ -62,7 +62,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 from .events import Observer
 from .layer_policy import GroupSpec, LayerTypePolicy, make_policy
 from .pages import EVICTABLE
-from .protocols import KVCacheManagerBase
 from .sequence import SequenceSpec
 from .two_level import AllocatorStats, GroupAllocator, TwoLevelAllocator
 
@@ -97,7 +96,7 @@ class GroupBinding:
     last_checkpoint_page: Optional[Tuple[int, int]] = None
 
 
-class JengaKVCacheManager(KVCacheManagerBase):
+class JengaKVCacheManager:
     """Two-level, policy-customized KV-cache manager (the paper's system).
 
     Args:
@@ -105,8 +104,6 @@ class JengaKVCacheManager(KVCacheManagerBase):
             from :meth:`repro.models.config.ModelSpec.kv_groups`).
         total_bytes: Size of the KV-cache region.
         enable_prefix_caching: Retain finished requests' blocks for reuse.
-        strategy: Compatible-page-size strategy (``"lcm"``/``"gcd"``/
-            ``"max"``) -- non-LCM values exist for the Section 4.4 ablation.
         seed: Seed for randomized per-image eviction draws.
     """
 
@@ -117,11 +114,10 @@ class JengaKVCacheManager(KVCacheManagerBase):
         group_specs: Dict[str, GroupSpec],
         total_bytes: int,
         enable_prefix_caching: bool = True,
-        strategy: str = "lcm",
         seed: int = 0,
         request_aware: bool = True,
     ) -> None:
-        super().__init__()
+        self.observer: Optional[Observer] = None
         self.specs = dict(group_specs)
         self.policies = {
             g: make_policy(s, enable_prefix_caching=enable_prefix_caching, seed=seed)
@@ -131,7 +127,6 @@ class JengaKVCacheManager(KVCacheManagerBase):
             total_bytes,
             self.specs,
             self.policies,
-            strategy=strategy,
             enable_prefix_caching=enable_prefix_caching,
             request_aware=request_aware,
         )
@@ -703,8 +698,9 @@ class JengaKVCacheManager(KVCacheManagerBase):
 
     @property
     def kernel_slowdown(self) -> float:
-        """Attention-kernel penalty of the page-layout strategy (§4.4)."""
-        return 2.0 if self.allocator.lcm.strategy == "gcd" else 1.0
+        """Attention-kernel penalty of the page layout (§4.4): none, since
+        LCM pages keep each small page contiguous."""
+        return 1.0
 
 
 def ideal_resident_bytes(

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
-from .math_utils import compatible_page_bytes
+from .math_utils import lcm_of
 from .pages import PhysicalExtent
 
 __all__ = ["LCMAllocator", "OutOfLargePagesError"]
@@ -46,11 +46,8 @@ class LCMAllocator:
     Args:
         total_bytes: Size of the KV-cache region to manage.
         small_page_sizes: Mapping from layer-type group id to that group's
-            small page size in bytes.  The compatible large page size is
-            derived from these.
-        strategy: Compatibility-size strategy, one of ``"lcm"`` (default,
-            Jenga), ``"gcd"``, ``"max"`` -- exposed for the Section 4.4
-            ablation.
+            small page size in bytes.  The large page size is their least
+            common multiple.
 
     The region is split into ``total_bytes // large_page_bytes`` pages; the
     remainder (always smaller than one large page) is reported via
@@ -58,21 +55,13 @@ class LCMAllocator:
     fragmentation benchmarks.
     """
 
-    def __init__(
-        self,
-        total_bytes: int,
-        small_page_sizes: Dict[str, int],
-        strategy: str = "lcm",
-    ) -> None:
+    def __init__(self, total_bytes: int, small_page_sizes: Dict[str, int]) -> None:
         if total_bytes <= 0:
             raise ValueError(f"total_bytes must be positive, got {total_bytes}")
         if not small_page_sizes:
             raise ValueError("at least one layer-type group is required")
-        self.strategy = strategy
         self.small_page_sizes = dict(small_page_sizes)
-        self.large_page_bytes = compatible_page_bytes(
-            list(small_page_sizes.values()), strategy=strategy
-        )
+        self.large_page_bytes = lcm_of(small_page_sizes.values())
         self.num_pages = total_bytes // self.large_page_bytes
         if self.num_pages == 0:
             raise ValueError(
@@ -139,16 +128,9 @@ class LCMAllocator:
     def small_pages_per_large(self, group_id: str) -> int:
         """How many of ``group_id``'s small pages fit in one large page.
 
-        Under the LCM and MAX strategies this is exact division.  Under the
-        GCD strategy a small page *spans* multiple large pages instead; the
-        GCD baseline therefore inverts this computation and this method
-        returns 1 when the small page is at least as large as the large
-        page (the baseline accounts for the spanning separately).
+        Exact division: the large page is a multiple of every small page.
         """
-        small = self.small_page_sizes[group_id]
-        if small >= self.large_page_bytes:
-            return 1
-        return self.large_page_bytes // small
+        return self.large_page_bytes // self.small_page_sizes[group_id]
 
     def utilization(self) -> float:
         """Fraction of large pages currently allocated."""

@@ -3,21 +3,12 @@
 Jenga's first-level ("large") page size must be *compatible* with every
 per-layer-type small page size: a large page is carved into an integral
 number of small pages of one type, so the large page size must be a common
-multiple of all small page sizes.  The paper (Section 4.4) compares three
-choices of the compatible size:
-
-* ``LCM`` -- least common multiple of all small page sizes.  No internal
-  fragmentation inside a large page from size mismatch, no kernel changes.
-  This is what Jenga uses.
-* ``GCD`` -- greatest common divisor.  Zero fragmentation but splits small
-  pages across large pages, which requires custom GPU kernels (modelled as a
-  throughput penalty in :mod:`repro.engine.cost_model`).
-* ``MAX`` -- maximum small page size.  Types with a smaller page size leave
-  the tail of every large page unused unless their ``tokens_per_page`` is
-  inflated to fill it.
-
-These helpers centralise that arithmetic so the allocators and the ablation
-benchmark share one implementation.
+multiple of all small page sizes.  Jenga uses the least common multiple
+(Section 4.1): no internal fragmentation inside a large page from size
+mismatch, and no kernel changes.  Section 4.4's alternatives are baselines
+in :mod:`repro.baselines`, not page sizes computed here: GCD is the LCM
+layout plus an attention-kernel penalty, and MAX pads every group's page to
+the largest one, whose LCM is then that page.
 """
 
 from __future__ import annotations
@@ -25,14 +16,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-__all__ = [
-    "lcm_of",
-    "gcd_of",
-    "compatible_page_bytes",
-    "lcm_blowup",
-    "tokens_per_page_for_max",
-    "percentile",
-]
+__all__ = ["lcm_of", "lcm_blowup", "percentile"]
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -72,40 +56,6 @@ def lcm_of(sizes: Iterable[int]) -> int:
     return result
 
 
-def gcd_of(sizes: Iterable[int]) -> int:
-    """Return the greatest common divisor of ``sizes``.
-
-    Mirrors :func:`lcm_of` in validation behaviour.
-    """
-    result = 0
-    seen = False
-    for size in sizes:
-        if size <= 0:
-            raise ValueError(f"page sizes must be positive, got {size}")
-        result = math.gcd(result, size)
-        seen = True
-    if not seen:
-        raise ValueError("cannot take the GCD of zero page sizes")
-    return result
-
-
-def compatible_page_bytes(sizes: Sequence[int], strategy: str = "lcm") -> int:
-    """Compute the compatible (large) page size for ``sizes``.
-
-    ``strategy`` selects between the Section 4.4 alternatives: ``"lcm"``
-    (Jenga's default), ``"gcd"``, and ``"max"``.
-    """
-    if strategy == "lcm":
-        return lcm_of(sizes)
-    if strategy == "gcd":
-        return gcd_of(sizes)
-    if strategy == "max":
-        if not sizes:
-            raise ValueError("cannot take the MAX of zero page sizes")
-        return max(sizes)
-    raise ValueError(f"unknown compatibility strategy: {strategy!r}")
-
-
 def lcm_blowup(sizes: Sequence[int]) -> int:
     """Ratio of the LCM page to the smallest small page.
 
@@ -114,22 +64,3 @@ def lcm_blowup(sizes: Sequence[int]) -> int:
     sanity-check model-zoo page geometry.
     """
     return lcm_of(sizes) // min(sizes)
-
-
-def tokens_per_page_for_max(
-    small_page_bytes: int, max_page_bytes: int, base_tokens_per_page: int
-) -> int:
-    """Tokens per page a type needs under the MAX strategy to avoid waste.
-
-    Under the MAX strategy every type receives pages of ``max_page_bytes``.
-    A type whose natural page is ``small_page_bytes`` (holding
-    ``base_tokens_per_page`` tokens) must inflate its tokens-per-page by the
-    size ratio to fill the page; the paper's example is Jamba, where
-    self-attention pages would need 1344 tokens each.
-    """
-    if small_page_bytes <= 0 or max_page_bytes <= 0:
-        raise ValueError("page sizes must be positive")
-    if base_tokens_per_page <= 0:
-        raise ValueError("tokens_per_page must be positive")
-    ratio = math.ceil(max_page_bytes / small_page_bytes)
-    return base_tokens_per_page * ratio

@@ -3,18 +3,14 @@
 Historically the engine talked to its memory manager through an implicit
 duck-typed interface (attribute probes for ``kernel_slowdown`` and friends
 with hard-coded fallbacks).  This module names every method and property
-the engine is allowed to touch:
+the engine is allowed to touch.
 
-* :class:`KVCacheManager` -- a :func:`typing.runtime_checkable`
-  :class:`~typing.Protocol`; ``isinstance(obj, KVCacheManager)`` verifies
-  an implementation structurally (the parametrized conformance test in
-  ``tests/test_protocol.py`` runs this over every registered manager).
-* :class:`KVCacheManagerBase` -- a concrete base class providing the
-  defaults optional members used to be duck-typed for (``kernel_slowdown``
-  of 1.0, a zero ``prefix_hit_rate``, no vision cache) plus observer
-  binding.  All in-tree managers -- Jenga, the four
-  baselines, and the spec-decode composite -- derive from it; new backends
-  should too, then register a factory in :mod:`repro.core.registry`.
+:class:`KVCacheManager` is a :func:`typing.runtime_checkable`
+:class:`~typing.Protocol`; ``isinstance(obj, KVCacheManager)`` verifies an
+implementation structurally (the parametrized conformance test in
+``tests/test_protocol.py`` runs this over every registered manager).  A new
+backend implements every member below and registers a factory in
+:mod:`repro.core.registry`; there is no base class to derive from.
 
 The request lifecycle the protocol encodes (see
 :class:`~repro.core.kv_manager.JengaKVCacheManager` for the reference
@@ -32,7 +28,7 @@ from .events import Observer
 from .sequence import SequenceSpec
 from .two_level import AllocatorStats
 
-__all__ = ["KVCacheManager", "KVCacheManagerBase"]
+__all__ = ["KVCacheManager"]
 
 
 @runtime_checkable
@@ -125,7 +121,7 @@ class KVCacheManager(Protocol):
 
     @property
     def kernel_slowdown(self) -> float:
-        """Attention-kernel penalty of the page-layout strategy (§4.4)."""
+        """Attention-time multiplier of the page layout (§4.4; 1.0 = none)."""
         ...
 
     @property
@@ -137,77 +133,3 @@ class KVCacheManager(Protocol):
     def has_vision_cache(self) -> bool:
         """Whether this manager caches vision-encoder outputs (§6.2)."""
         ...
-
-
-class KVCacheManagerBase:
-    """Shared base class supplying the protocol's optional members.
-
-    Subclasses must implement the five core lifecycle/probe methods
-    (``begin_request``, ``allocate_up_to``, ``commit``, ``release``,
-    ``can_admit``) plus ``stats``; everything else has a sensible default
-    here, so a minimal backend (no vision cache, LCM-layout kernels) only
-    overrides what it customizes.
-    """
-
-    name = "abstract"
-    hit_tokens = 0
-    lookup_tokens = 0
-
-    def __init__(self) -> None:
-        self.observer: Optional[Observer] = None
-
-    def bind_observer(self, observer: Optional[Observer]) -> None:
-        self.observer = observer
-
-    # -- required lifecycle (abstract) ----------------------------------
-
-    def begin_request(self, seq: SequenceSpec) -> int:
-        raise NotImplementedError
-
-    def allocate_up_to(self, seq: SequenceSpec, target_global: int) -> bool:
-        raise NotImplementedError
-
-    def commit(
-        self, seq: SequenceSpec, computed_global: int, now: float, phase: str = "decode"
-    ) -> None:
-        raise NotImplementedError
-
-    def release(self, seq: SequenceSpec, cacheable: bool = True) -> None:
-        raise NotImplementedError
-
-    def can_admit(
-        self, seq: SequenceSpec, watermark_pages: int = 0, chunk_tokens: int = 8192
-    ) -> bool:
-        raise NotImplementedError
-
-    def stats(self) -> AllocatorStats:
-        raise NotImplementedError
-
-    # -- optional members with defaults ---------------------------------
-
-    def needs_allocation(self, seq: SequenceSpec, target_global: int) -> bool:
-        # Conservative default: always let allocate_up_to decide.
-        return True
-
-    def admission_version(self) -> int:
-        # -1: no version counter, never skip a re-probe on this
-        # manager's account.
-        return -1
-
-    def allocate_vision(self, seq: SequenceSpec) -> bool:
-        return True
-
-    def consume_vision(self, seq: SequenceSpec, upto_global: int) -> None:
-        return None
-
-    @property
-    def kernel_slowdown(self) -> float:
-        return 1.0
-
-    @property
-    def prefix_hit_rate(self) -> float:
-        return 0.0
-
-    @property
-    def has_vision_cache(self) -> bool:
-        return False

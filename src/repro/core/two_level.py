@@ -228,7 +228,6 @@ class TwoLevelAllocator:
         total_bytes: int,
         specs: Dict[str, GroupSpec],
         policies: Dict[str, LayerTypePolicy],
-        strategy: str = "lcm",
         enable_prefix_caching: bool = True,
         request_aware: bool = True,
     ) -> None:
@@ -239,9 +238,7 @@ class TwoLevelAllocator:
         # any empty small page first (the naive interleaving of Figure 8a)
         # instead of preferring the request's own large pages.
         self.request_aware = request_aware
-        self.lcm = LCMAllocator(
-            total_bytes, {g: s.page_bytes for g, s in specs.items()}, strategy=strategy
-        )
+        self.lcm = LCMAllocator(total_bytes, {g: s.page_bytes for g, s in specs.items()})
         self.groups: Dict[str, GroupAllocator] = {
             g: GroupAllocator(
                 specs[g], policies[g], self.lcm.small_pages_per_large(g), self.lcm.num_pages

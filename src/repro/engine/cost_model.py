@@ -13,7 +13,7 @@ enables:
 * cache hits skip prefill compute outright;
 * the vision encoder costs FLOPs per encoded image, so re-encoding per
   chunk (no embedding cache) is expensive;
-* the GCD page strategy's kernel-inefficiency penalty (Section 4.4) scales
+* the GCD baseline's kernel-inefficiency penalty (Section 4.4) scales
   the attention time.
 
 Everything is a pure function of the scheduled work, so simulations are
@@ -88,7 +88,7 @@ class CostModel:
         model: Architecture being served.
         gpu: Platform envelope.
         kernel_slowdown: Multiplier on attention time for non-contiguous KV
-            layouts (1.0 for LCM/MAX; >1 models the GCD strategy's custom
+            layouts (1.0 for LCM/MAX; >1 models the GCD baseline's custom
             kernels, Section 4.4).
     """
 

@@ -14,7 +14,7 @@ from repro.baselines import (
 )
 from repro.core.kv_manager import JengaKVCacheManager, ideal_resident_bytes
 from repro.core.sequence import IMAGE, TEXT, SequenceSpec
-from repro.models import GIB, get_model
+from repro.models import GIB, get_model, list_models
 
 
 def run_request(mgr, seq, now=1.0):
@@ -112,28 +112,51 @@ class TestPagedAttentionManager:
         assert not mgr.has_vision_cache
 
 
+def zoo_groups(name):
+    return get_model(name).kv_groups()
+
+
+def pair_groups(target, draft, quantized):
+    # Figure 19's layout: one manager over both models' groups.
+    groups = get_model(target, quantized=quantized).kv_groups(group_prefix="target/")
+    groups.update(get_model(draft, quantized=quantized).kv_groups(group_prefix="draft/"))
+    return groups
+
+
+# Figure 19's (target, draft, quantized) pairs.
+FIG19_PAIRS = [
+    ("llama3-70b", "llama3.2-1b", True),
+    ("gemma2-27b", "gemma2-2b", False),
+    ("ministral-8b", "ministral-draft-1b", False),
+    ("characterai-70b", "llama3.2-1b", True),
+]
+GROUP_SETS = [pytest.param(zoo_groups, (name,), id=name) for name in list_models()] + [
+    pytest.param(pair_groups, pair, id=f"{pair[1]}->{pair[0]}") for pair in FIG19_PAIRS
+]
+
+
 class TestMaxPage:
-    def test_pad_mode_uniform_page(self):
-        model = get_model("llama3.2-vision-11b")
-        specs = max_page_specs(model.kv_groups())
-        sizes = {g.page_bytes for g in specs.values()}
-        assert len(sizes) == 1
+    @pytest.mark.parametrize("build,args", GROUP_SETS)
+    def test_pad_mode_uniform_page(self, build, args):
+        # Padding leaves one page size, so the LCM large page is the
+        # largest unpadded page: MAX never needs a page size of its own.
+        groups = build(*args)
+        specs = max_page_specs(groups)
+        max_page = max(g.page_bytes for g in groups.values())
+        assert {g.page_bytes for g in specs.values()} == {max_page}
+        mgr = MaxPageManager(groups, 4 * GIB, enable_prefix_caching=False)
+        assert mgr.allocator.lcm.large_page_bytes == max_page
+        # GCD is Jenga's layout plus a kernel penalty.
+        gcd = GCDPageManager(groups, 4 * GIB, enable_prefix_caching=False)
+        jenga = JengaKVCacheManager(groups, 4 * GIB, enable_prefix_caching=False)
+        assert gcd.allocator.lcm.large_page_bytes == jenga.allocator.lcm.large_page_bytes
+        assert gcd.kernel_slowdown == 2.0
 
     def test_pad_mode_wastes_memory_for_small_groups(self):
         model = get_model("llama3.2-vision-11b")
         orig = model.kv_groups()
         padded = max_page_specs(orig)
         assert padded["cross_attn"].per_token_bytes > orig["cross_attn"].per_token_bytes
-
-    def test_coarse_mode_inflates_tokens_per_page(self):
-        model = get_model("jamba-52b")
-        specs = max_page_specs(model.kv_groups(tokens_per_page=16), mode="coarse")
-        # Section 4.4: Jamba needs 1344 tokens per attention page.
-        assert specs["self_attn"].tokens_per_page == 1344
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            max_page_specs(get_model("llama3-8b").kv_groups(), mode="weird")
 
     def test_manager_runs(self):
         model = get_model("llama3.2-vision-11b")

@@ -5,8 +5,8 @@ import pytest
 from repro.core.lcm_allocator import LCMAllocator, OutOfLargePagesError
 
 
-def make(total=768 * 10, sizes=None, strategy="lcm"):
-    return LCMAllocator(total, sizes or {"image": 256, "text": 384}, strategy=strategy)
+def make(total=768 * 10, sizes=None):
+    return LCMAllocator(total, sizes or {"image": 256, "text": 384})
 
 
 class TestConstruction:
@@ -102,7 +102,3 @@ class TestGeometry:
         assert alloc.utilization() == 0.0
         alloc.allocate("text")
         assert alloc.utilization() == 0.25
-
-    def test_max_strategy_page_size(self):
-        alloc = make(strategy="max")
-        assert alloc.large_page_bytes == 384

@@ -1,14 +1,8 @@
-"""Tests for page-size arithmetic (LCM/GCD/MAX compatibility layer)."""
+"""Tests for page-size arithmetic (the LCM compatibility layer)."""
 
 import pytest
 
-from repro.core.math_utils import (
-    compatible_page_bytes,
-    gcd_of,
-    lcm_blowup,
-    lcm_of,
-    tokens_per_page_for_max,
-)
+from repro.core.math_utils import lcm_blowup, lcm_of
 
 
 class TestLcmOf:
@@ -44,45 +38,6 @@ class TestLcmOf:
             lcm_of([-4, 4])
 
 
-class TestGcdOf:
-    def test_basic(self):
-        assert gcd_of([256, 384]) == 128
-
-    def test_single(self):
-        assert gcd_of([100]) == 100
-
-    def test_coprime(self):
-        assert gcd_of([7, 11]) == 1
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            gcd_of([])
-
-    def test_nonpositive_raises(self):
-        with pytest.raises(ValueError):
-            gcd_of([0])
-
-
-class TestCompatiblePageBytes:
-    def test_lcm_strategy(self):
-        # Figure 6: image pages 256, text pages 384 -> 768.
-        assert compatible_page_bytes([256, 384], "lcm") == 768
-
-    def test_gcd_strategy(self):
-        assert compatible_page_bytes([256, 384], "gcd") == 128
-
-    def test_max_strategy(self):
-        assert compatible_page_bytes([256, 384], "max") == 384
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            compatible_page_bytes([256], "median")
-
-    def test_max_empty_raises(self):
-        with pytest.raises(ValueError):
-            compatible_page_bytes([], "max")
-
-
 class TestBlowup:
     def test_paper_jamba_bound(self):
         # The paper reports the worst LCM across vLLM models is 84x
@@ -93,13 +48,3 @@ class TestBlowup:
 
     def test_identical_is_one(self):
         assert lcm_blowup([512, 512]) == 1
-
-    def test_tokens_per_page_for_max(self):
-        # Jamba under MAX: self-attention pages would need 1344 tokens.
-        assert tokens_per_page_for_max(16 * 16384, 1344 * 16384, 16) == 16 * 84
-
-    def test_tokens_per_page_validates(self):
-        with pytest.raises(ValueError):
-            tokens_per_page_for_max(0, 10, 16)
-        with pytest.raises(ValueError):
-            tokens_per_page_for_max(10, 10, 0)

@@ -92,6 +92,9 @@ class TestPaperNumbers:
         attn = groups["self_attn"]
         mamba = groups["mamba"]
         assert mamba.state_bytes // attn.per_token_bytes == 1344
+        # The §4.4 bench's figure: attention tokens a MAX page would hold
+        # if it were filled with tokens instead of padding.
+        assert max(sizes) // attn.per_token_bytes == 1344
 
     def test_characterai_kv_sharing(self):
         model = get_model("characterai-8b")

@@ -18,7 +18,7 @@ from repro.core.layer_policy import (
     SlidingWindowPolicy,
     make_policy,
 )
-from repro.core.math_utils import compatible_page_bytes, gcd_of, lcm_of
+from repro.core.math_utils import lcm_of
 from repro.core.pages import EMPTY, EVICTABLE, USED
 from repro.core.prefix_cache import chain_hashes
 from repro.core.sequence import IMAGE, TEXT, SequenceSpec
@@ -37,22 +37,8 @@ class TestMathProperties:
         assert all(lcm % s == 0 for s in ss)
 
     @given(sizes)
-    def test_gcd_divides_all(self, ss):
-        gcd = gcd_of(ss)
-        assert all(s % gcd == 0 for s in ss)
-
-    @given(sizes)
     def test_lcm_at_least_max_gcd_at_most_min(self, ss):
         assert lcm_of(ss) >= max(ss)
-        assert gcd_of(ss) <= min(ss)
-
-    @given(sizes)
-    def test_strategies_ordering(self, ss):
-        assert (
-            compatible_page_bytes(ss, "gcd")
-            <= compatible_page_bytes(ss, "max")
-            <= compatible_page_bytes(ss, "lcm")
-        )
 
 
 class TestEvictorProperties:

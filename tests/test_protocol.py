@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.protocols import KVCacheManager, KVCacheManagerBase
+from repro.core.protocols import KVCacheManager
 from repro.core.registry import (
     UnknownManagerError,
     available_managers,
@@ -104,7 +104,6 @@ class TestProtocolConformance:
     def test_model_managers_satisfy_protocol(self, system):
         manager = model_manager(system)
         assert isinstance(manager, KVCacheManager)
-        assert isinstance(manager, KVCacheManagerBase)
         assert protocol_mismatches(type(manager)) == []
         assert manager.observer is None
         assert isinstance(manager.name, str) and manager.name
