@@ -17,8 +17,7 @@ import copy
 import os
 from typing import Dict, List, Optional
 
-from repro import LLMEngine, get_model, kv_budget
-from repro.core.registry import available_managers, create_manager
+from repro import LLMEngine, get_model, kv_budget, make_manager
 from repro.engine.scheduler import profile_config
 from repro.platforms import H100, L4
 
@@ -49,14 +48,8 @@ def serve(
     if kv_bytes is None:
         kv_bytes = kv_budget(model, gpu).kv_bytes
     if manager is None:
-        if system not in available_managers("model"):
-            raise ValueError(
-                f"unknown system {system!r}; registered: "
-                f"{', '.join(available_managers('model'))}"
-            )
-        manager = create_manager(
-            system, "model", model, kv_bytes,
-            enable_prefix_caching=enable_prefix_caching,
+        manager = make_manager(
+            system, model, kv_bytes, enable_prefix_caching=enable_prefix_caching
         )
     engine = LLMEngine(
         model, gpu, manager, config=profile_config(profile, **config_overrides)

@@ -42,11 +42,6 @@ from .core import (
     Observer,
     SequenceSpec,
     TwoLevelAllocator,
-    UnknownManagerError,
-    available_managers,
-    create_manager,
-    register_manager,
-    resolve_manager,
 )
 from .engine import (
     EngineMetrics,
@@ -91,16 +86,11 @@ __all__ = [
     "TelemetryRegistry",
     "Tracer",
     "TwoLevelAllocator",
-    "UnknownManagerError",
-    "available_managers",
-    "create_manager",
     "get_model",
     "kv_budget",
     "list_models",
     "make_manager",
     "make_spec_manager",
     "profile_config",
-    "register_manager",
-    "resolve_manager",
     "__version__",
 ]

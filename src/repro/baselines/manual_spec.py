@@ -158,9 +158,7 @@ def manual_spec_managers(
     draft: ModelSpec,
     target: ModelSpec,
     total_bytes: int,
-    tokens_per_page: int = 16,
     enable_prefix_caching: bool = True,
-    max_num_seqs: int = 256,
 ) -> DualManager:
     """Build the SmartSpec static split for a draft/target pair.
 
@@ -179,12 +177,6 @@ def manual_spec_managers(
     for model, weight in zip((draft, target), weights):
         share = int(total_bytes * weight / total_weight)
         managers.append(
-            PagedAttentionManager(
-                model,
-                share,
-                tokens_per_page=tokens_per_page,
-                enable_prefix_caching=enable_prefix_caching,
-                max_num_seqs=max_num_seqs,
-            )
+            PagedAttentionManager(model, share, enable_prefix_caching=enable_prefix_caching)
         )
     return DualManager(managers)

@@ -31,7 +31,7 @@ from ..models.config import ModelSpec
 __all__ = ["PagedAttentionManager", "unified_group_specs"]
 
 
-def unified_group_specs(model: ModelSpec, tokens_per_page: int = 16) -> Dict[str, GroupSpec]:
+def unified_group_specs(model: ModelSpec) -> Dict[str, GroupSpec]:
     """One homogeneous full-attention group covering all attention layers."""
     per_token = model.kv_bytes_per_token_alllayers()
     if per_token <= 0:
@@ -42,7 +42,6 @@ def unified_group_specs(model: ModelSpec, tokens_per_page: int = 16) -> Dict[str
             kind=FULL_ATTENTION,
             num_layers=sum(1 for l in model.layers if l.kind != MAMBA),
             per_token_bytes=per_token,
-            tokens_per_page=tokens_per_page,
             accepted_tags=frozenset({TEXT, IMAGE}),
         )
     }
@@ -57,7 +56,6 @@ class PagedAttentionManager(JengaKVCacheManager):
         self,
         model: ModelSpec,
         total_bytes: int,
-        tokens_per_page: int = 16,
         enable_prefix_caching: bool = True,
         max_num_seqs: int = 256,
         seed: int = 0,
@@ -92,7 +90,7 @@ class PagedAttentionManager(JengaKVCacheManager):
             # is off for hybrid Mamba models (Marconi is concurrent work).
             enable_prefix_caching = False
         super().__init__(
-            unified_group_specs(model, tokens_per_page),
+            unified_group_specs(model),
             kv_bytes,
             enable_prefix_caching=enable_prefix_caching,
             seed=seed,

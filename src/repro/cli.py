@@ -12,6 +12,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -26,10 +27,12 @@ from . import (
     make_manager,
     make_spec_manager,
 )
-from .core.registry import available_managers
+from .baselines import SYSTEMS
 from .engine.scheduler import profile_config
+from .engine.spec_decode import SPEC_SYSTEMS
 from .models import GIB
 from .reporting import Table
+from .serving.router import ROUTING_POLICIES
 from .workloads import (
     arxiv_qa_long,
     arxiv_qa_multiturn,
@@ -44,21 +47,41 @@ GPUS = {"h100": H100, "l4": L4}
 WORKLOADS = ("mmlu", "sharegpt", "arxiv-long", "longdoc", "mmmu", "multiturn")
 
 
-def parse_systems(spec: str) -> List[str]:
-    """Split a ``--systems`` value and validate it against the registry."""
-    systems = [s.strip() for s in spec.split(",") if s.strip()]
-    registered = available_managers("model")
-    if not systems:
-        raise SystemExit(
-            f"--systems is empty; registered managers: {', '.join(registered)}"
-        )
-    unknown = [s for s in systems if s not in registered]
-    if unknown:
-        raise SystemExit(
-            f"unknown system(s) {', '.join(repr(s) for s in unknown)}; "
-            f"registered managers: {', '.join(registered)}"
-        )
-    return systems
+def names_from(table, what: str):
+    """argparse ``type=``: a comma-separated list of ``table``'s keys."""
+
+    def parse(text: str) -> List[str]:
+        names = [name.strip() for name in text.split(",") if name.strip()]
+        unknown = [name for name in names if name not in table]
+        if not names:
+            problem = f"no {what} given"
+        elif unknown:
+            problem = f"unknown {what} {', '.join(map(repr, unknown))}"
+        else:
+            return names
+        raise argparse.ArgumentTypeError(f"{problem}; choose from {', '.join(table)}")
+
+    return parse
+
+
+def checked(convert, ok, rule: str):
+    """argparse ``type=``: ``convert(text)``, rejected unless ``ok(value)``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+
+    return parse
+
+
+positive_int = checked(int, lambda v: v >= 1, "must be a positive integer")
+positive_rate = checked(float, lambda v: 0 < v < math.inf, "must be a positive number")
+probability = checked(float, lambda v: 0 <= v <= 1, "must be a probability in [0, 1]")
 
 
 def build_workload(name: str, n: int, model, seed: int):
@@ -110,7 +133,7 @@ def cmd_throughput(args) -> int:
         title=f"{model.name} on {gpu.name}, {args.workload} x{args.requests}, "
               f"KV {kv / GIB:.1f} GiB",
     )
-    for system in parse_systems(args.systems):
+    for system in args.systems:
         import copy
 
         manager = make_manager(system, model, kv,
@@ -136,7 +159,7 @@ def cmd_latency(args) -> int:
         ["system", "rate", "mean TTFT", "mean TPOT", "mean E2EL", "p99 TTFT"],
         title=f"{model.name} on {gpu.name}, Poisson {args.rate}/s",
     )
-    for system in parse_systems(args.systems):
+    for system in args.systems:
         requests = poisson_arrivals(
             build_workload(args.workload, args.requests, model, args.seed),
             rate=args.rate, seed=args.seed,
@@ -163,7 +186,7 @@ def cmd_specdecode(args) -> int:
         ["system", "output tok/s", "decode batch"],
         title=f"spec decode: {target.name} + {draft.name} on {gpu.name}",
     )
-    for system in available_managers("spec"):
+    for system in SPEC_SYSTEMS:
         import copy
 
         manager = make_spec_manager(system, draft, target, kv)
@@ -252,10 +275,9 @@ def cmd_cluster_report(args) -> int:
     model = get_model(args.model, quantized=args.fp8)
     gpu = GPUS[args.gpu]
     kv = (int(args.kv_gib * GIB) if args.kv_gib
-          else kv_budget(model, gpu).kv_bytes // max(1, args.replicas))
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
+          else kv_budget(model, gpu).kv_bytes // args.replicas)
     reports = []
-    for i, policy in enumerate(policies):
+    for i, policy in enumerate(args.policies):
         tracing = bool(args.trace) and i == 0
         cluster = ServingCluster.build(
             model, gpu, kv, args.replicas, policy=policy,
@@ -311,15 +333,16 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("throughput", help="offline throughput comparison")
     common(p)
-    p.add_argument("--systems", default="vllm,jenga",
-                   help="comma-separated manager names")
+    p.add_argument("--systems", type=names_from(SYSTEMS, "system"),
+                   default="vllm,jenga", help="comma-separated manager names")
     p.add_argument("--no-prefix-caching", action="store_true")
     p.set_defaults(func=cmd_throughput)
 
     p = sub.add_parser("latency", help="online latency at a request rate")
     common(p)
-    p.add_argument("--systems", default="vllm,jenga")
-    p.add_argument("--rate", type=float, default=1.0)
+    p.add_argument("--systems", type=names_from(SYSTEMS, "system"),
+                   default="vllm,jenga")
+    p.add_argument("--rate", type=positive_rate, default=1.0)
     p.set_defaults(func=cmd_latency)
 
     p = sub.add_parser("specdecode", help="speculative-decoding comparison")
@@ -333,7 +356,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-steps", type=int, default=200_000)
     p.add_argument("--k", type=int, default=4)
-    p.add_argument("--acceptance", type=float, default=0.7)
+    p.add_argument("--acceptance", type=probability, default=0.7)
     p.set_defaults(func=cmd_specdecode)
 
     p = sub.add_parser(
@@ -341,8 +364,8 @@ def make_parser() -> argparse.ArgumentParser:
         help="traced engine run -> Chrome trace-event JSON (Perfetto-loadable)",
     )
     common(p)
-    p.add_argument("--system", default="jenga",
-                   help="manager name (see `models`/registry)")
+    p.add_argument("--system", choices=SYSTEMS, default="jenga",
+                   help="manager name")
     p.add_argument("--output", default="trace.json",
                    help="Chrome trace-event JSON path")
     p.set_defaults(func=cmd_trace)
@@ -352,7 +375,7 @@ def make_parser() -> argparse.ArgumentParser:
         help="traced engine run -> telemetry summary (counters/histograms)",
     )
     common(p)
-    p.add_argument("--system", default="jenga")
+    p.add_argument("--system", choices=SYSTEMS, default="jenga")
     p.add_argument("--json", action="store_true",
                    help="machine-readable JSON instead of text")
     p.set_defaults(func=cmd_report)
@@ -368,14 +391,15 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--kv-gib", type=float, default=None,
                    help="per-replica KV budget (GiB); default: the GPU "
                         "budget split across replicas")
-    p.add_argument("--replicas", type=int, default=4)
+    p.add_argument("--replicas", type=positive_int, default=4)
     p.add_argument("--fanout", type=int, default=16,
                    help="requests forked per shared-prefix family")
     p.add_argument("--families", type=int, default=6,
                    help="number of shared-prefix families")
-    p.add_argument("--rate", type=float, default=8.0,
+    p.add_argument("--rate", type=positive_rate, default=8.0,
                    help="Poisson arrival rate (requests/simulated s)")
-    p.add_argument("--policies", default="round_robin,least_loaded,cache_aware",
+    p.add_argument("--policies", type=names_from(ROUTING_POLICIES, "routing policy"),
+                   default="round_robin,least_loaded,cache_aware",
                    help="comma-separated routing policies to compare")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", default=None, metavar="PATH",

@@ -28,13 +28,6 @@ from .math_utils import lcm_blowup, lcm_of
 from .pages import PageState, PhysicalExtent
 from .prefix_cache import CachedBlockIndex, chain_hashes
 from .protocols import KVCacheManager
-from .registry import (
-    UnknownManagerError,
-    available_managers,
-    create_manager,
-    register_manager,
-    resolve_manager,
-)
 from .sequence import IMAGE, TEXT, SequenceSpec
 from .two_level import AllocatorStats, TwoLevelAllocator
 
@@ -67,15 +60,10 @@ __all__ = [
     "SlidingWindowPolicy",
     "TEXT",
     "TwoLevelAllocator",
-    "UnknownManagerError",
     "VISION_EMBEDDING",
     "VisionEmbeddingPolicy",
-    "available_managers",
     "chain_hashes",
-    "create_manager",
     "lcm_blowup",
     "lcm_of",
     "make_policy",
-    "register_manager",
-    "resolve_manager",
 ]

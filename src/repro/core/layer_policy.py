@@ -54,6 +54,7 @@ __all__ = [
     "VisionEmbeddingPolicy",
     "DroppedTokenPolicy",
     "make_policy",
+    "TOKENS_PER_PAGE",
     "FULL_ATTENTION",
     "SLIDING_WINDOW",
     "MAMBA",
@@ -68,6 +69,10 @@ MAMBA = "mamba"
 CROSS_ATTENTION = "cross_attention"
 VISION_EMBEDDING = "vision_embedding"
 DROPPED_TOKEN = "dropped_token"
+
+#: Stream tokens per small page, vLLM's default; every manager, replica
+#: and router uses it (only ``GroupSpec`` and ``kv_groups`` take another).
+TOKENS_PER_PAGE = 16
 
 # A request's page ids for one group, by slot (None where released).
 PageTable = Sequence[Optional[int]]
@@ -98,7 +103,7 @@ class GroupSpec:
     kind: str
     num_layers: int
     per_token_bytes: int
-    tokens_per_page: int = 16
+    tokens_per_page: int = TOKENS_PER_PAGE
     accepted_tags: FrozenSet[TokenTag] = frozenset({TEXT, IMAGE})
     window: Optional[int] = None
     state_bytes: Optional[int] = None

@@ -8,9 +8,10 @@ the engine is allowed to touch.
 :class:`KVCacheManager` is a :func:`typing.runtime_checkable`
 :class:`~typing.Protocol`; ``isinstance(obj, KVCacheManager)`` verifies an
 implementation structurally (the parametrized conformance test in
-``tests/test_protocol.py`` runs this over every registered manager).  A new
-backend implements every member below and registers a factory in
-:mod:`repro.core.registry`; there is no base class to derive from.
+``tests/test_protocol.py`` runs this over every manager in
+:data:`repro.baselines.SYSTEMS` and :data:`repro.engine.spec_decode.SPEC_SYSTEMS`).
+A new backend implements every member below and adds its factory to one
+of those dicts; there is no base class to derive from.
 
 The request lifecycle the protocol encodes (see
 :class:`~repro.core.kv_manager.JengaKVCacheManager` for the reference

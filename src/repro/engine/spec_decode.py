@@ -26,7 +26,6 @@ import random
 from typing import List, Optional, Set, Tuple
 
 from ..core.kv_manager import JengaKVCacheManager
-from ..core.registry import create_manager, register_manager
 from ..baselines.manual_spec import manual_spec_managers
 from ..baselines.max_page import MaxPageManager
 from ..models.config import ModelSpec
@@ -36,65 +35,29 @@ from .engine import LLMEngine
 from .request import Request, RequestState
 from .scheduler import SchedulerConfig
 
-__all__ = ["SpecDecodeEngine", "make_spec_manager"]
+__all__ = ["SPEC_SYSTEMS", "SpecDecodeEngine", "make_spec_manager"]
 
 
-def _pair_groups(draft: ModelSpec, target: ModelSpec, tokens_per_page: int):
-    groups = {}
-    groups.update(target.kv_groups(tokens_per_page, group_prefix="target/"))
-    groups.update(draft.kv_groups(tokens_per_page, group_prefix="draft/"))
-    return groups
+def _over_pair_groups(manager_class):
+    """Factory: one ``manager_class`` over the target's and the draft's
+    groups, namespaced ``target/`` and ``draft/``."""
+
+    def make(draft: ModelSpec, target: ModelSpec, kv_bytes: int, enable_prefix_caching: bool):
+        groups = {
+            **target.kv_groups(group_prefix="target/"),
+            **draft.kv_groups(group_prefix="draft/"),
+        }
+        return manager_class(groups, kv_bytes, enable_prefix_caching=enable_prefix_caching)
+
+    return make
 
 
-@register_manager("jenga", kind="spec")
-def _make_spec_jenga(
-    draft: ModelSpec,
-    target: ModelSpec,
-    kv_bytes: int,
-    tokens_per_page: int = 16,
-    enable_prefix_caching: bool = False,
-    max_num_seqs: int = 256,
-):
-    return JengaKVCacheManager(
-        _pair_groups(draft, target, tokens_per_page),
-        kv_bytes,
-        enable_prefix_caching=enable_prefix_caching,
-    )
-
-
-@register_manager("vllm-max", kind="spec")
-def _make_spec_max(
-    draft: ModelSpec,
-    target: ModelSpec,
-    kv_bytes: int,
-    tokens_per_page: int = 16,
-    enable_prefix_caching: bool = False,
-    max_num_seqs: int = 256,
-):
-    return MaxPageManager(
-        _pair_groups(draft, target, tokens_per_page),
-        kv_bytes,
-        enable_prefix_caching=enable_prefix_caching,
-    )
-
-
-@register_manager("vllm-manual", kind="spec")
-def _make_spec_manual(
-    draft: ModelSpec,
-    target: ModelSpec,
-    kv_bytes: int,
-    tokens_per_page: int = 16,
-    enable_prefix_caching: bool = False,
-    max_num_seqs: int = 256,
-):
-    return manual_spec_managers(
-        draft,
-        target,
-        kv_bytes,
-        tokens_per_page=tokens_per_page,
-        enable_prefix_caching=enable_prefix_caching,
-        max_num_seqs=max_num_seqs,
-    )
+#: System name -> ``factory(draft, target, kv_bytes, enable_prefix_caching)``.
+SPEC_SYSTEMS = {
+    "jenga": _over_pair_groups(JengaKVCacheManager),
+    "vllm-max": _over_pair_groups(MaxPageManager),
+    "vllm-manual": manual_spec_managers,
+}
 
 
 def make_spec_manager(
@@ -102,21 +65,17 @@ def make_spec_manager(
     draft: ModelSpec,
     target: ModelSpec,
     kv_bytes: int,
-    tokens_per_page: int = 16,
     enable_prefix_caching: bool = False,
-    max_num_seqs: int = 256,
 ):
-    """KV manager serving a draft/target pair, by registered system name."""
-    return create_manager(
-        system,
-        "spec",
-        draft,
-        target,
-        kv_bytes,
-        tokens_per_page=tokens_per_page,
-        enable_prefix_caching=enable_prefix_caching,
-        max_num_seqs=max_num_seqs,
-    )
+    """KV manager serving a draft/target pair, by :data:`SPEC_SYSTEMS` name.
+
+    Any other name raises a :class:`KeyError` that lists the valid ones.
+    """
+    if system not in SPEC_SYSTEMS:
+        raise KeyError(
+            f"unknown spec-decode system {system!r}; choose from {', '.join(SPEC_SYSTEMS)}"
+        )
+    return SPEC_SYSTEMS[system](draft, target, kv_bytes, enable_prefix_caching)
 
 
 class SpecDecodeEngine(LLMEngine):

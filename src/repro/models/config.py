@@ -24,6 +24,7 @@ from ..core.layer_policy import (
     GroupSpec,
     MAMBA,
     SLIDING_WINDOW,
+    TOKENS_PER_PAGE,
     VISION_EMBEDDING,
 )
 from ..core.sequence import IMAGE, TEXT, TokenTag
@@ -170,7 +171,7 @@ class ModelSpec:
 
     def kv_groups(
         self,
-        tokens_per_page: int = 16,
+        tokens_per_page: int = TOKENS_PER_PAGE,
         include_vision_cache: bool = True,
         group_prefix: str = "",
     ) -> Dict[str, GroupSpec]:

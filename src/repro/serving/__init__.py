@@ -7,23 +7,18 @@ rtp-llm ``flexlb`` pattern):
 * :class:`~repro.serving.replica.Replica` -- one engine + manager, with
   an optional per-replica telemetry observer (routing decisions are
   reported to the chosen replica's engine observer);
-* :class:`~repro.serving.router.Router` -- pluggable policies:
-  ``round_robin``, ``least_loaded`` (free-pool pressure from
-  ``stats()``), and ``cache_aware`` (a router-side shadow of each
-  replica's prefix index keyed by ``SequenceSpec.hash_chain`` block
-  hashes, scored by expected hit length);
+* :class:`~repro.serving.router.Router` -- the three policies named in
+  ``ROUTING_POLICIES``: ``round_robin``, ``least_loaded`` (free-pool
+  pressure from ``stats()``), and ``cache_aware`` (a router-side shadow
+  of each replica's prefix index keyed by ``SequenceSpec.hash_chain``
+  block hashes, scored by expected hit length);
 * :class:`~repro.serving.cluster.ServingCluster` -- drives the replicas
   from ``poisson_arrivals``/trace workloads on the simulated clock.
 """
 
 from .cluster import ClusterSummary, ServingCluster
 from .replica import Replica, ReplicaLoad
-from .router import (
-    ROUTING_POLICIES,
-    ReplicaShadow,
-    Router,
-    register_policy,
-)
+from .router import ROUTING_POLICIES, ReplicaShadow, Router
 
 __all__ = [
     "ClusterSummary",
@@ -33,5 +28,4 @@ __all__ = [
     "ReplicaShadow",
     "Router",
     "ServingCluster",
-    "register_policy",
 ]

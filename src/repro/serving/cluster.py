@@ -97,7 +97,6 @@ class ServingCluster:
         policy: str = "cache_aware",
         system: str = "jenga",
         config=None,
-        tokens_per_page: int = 16,
         seed: int = 0,
         tracing: bool = False,
         telemetry: bool = False,
@@ -116,14 +115,13 @@ class ServingCluster:
         replicas = [
             Replica(
                 f"replica-{i}", model, gpu, kv_bytes,
-                system=system, config=config,
-                tokens_per_page=tokens_per_page, seed=seed + i,
+                system=system, config=config, seed=seed + i,
                 tracer=Tracer() if tracing else None,
                 telemetry=telemetry, pressure=pressure,
             )
             for i in range(num_replicas)
         ]
-        router = Router(replicas, policy=policy, tokens_per_page=tokens_per_page)
+        router = Router(replicas, policy=policy)
         return cls(replicas, router, record_routes=tracing)
 
     # ------------------------------------------------------------------

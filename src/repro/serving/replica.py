@@ -62,7 +62,8 @@ class Replica:
         model: Architecture served by this replica.
         gpu: Platform envelope (drives the engine's cost model).
         kv_bytes: KV-cache region size for this replica's manager.
-        system: Registered manager system (``"jenga"``, ``"vllm"``, ...).
+        system: A :data:`~repro.baselines.SYSTEMS` name (``"jenga"``,
+            ``"vllm"``, ...).
         manager: Pre-built manager, overriding ``system``/``kv_bytes``
             construction (for instance one wrapped to count its calls).
         tracer: Per-replica span tracer handed to the engine (``None``:
@@ -84,8 +85,6 @@ class Replica:
         kv_bytes: int = 0,
         system: str = "jenga",
         config: Optional[SchedulerConfig] = None,
-        enable_prefix_caching: bool = True,
-        tokens_per_page: int = 16,
         seed: int = 0,
         manager=None,
         tracer: Optional[Tracer] = None,
@@ -97,12 +96,7 @@ class Replica:
         if manager is None:
             if kv_bytes <= 0:
                 raise ValueError("kv_bytes is required when no manager is given")
-            manager = make_manager(
-                system, model, kv_bytes,
-                tokens_per_page=tokens_per_page,
-                enable_prefix_caching=enable_prefix_caching,
-                seed=seed,
-            )
+            manager = make_manager(system, model, kv_bytes, seed=seed)
         self.manager = manager
         self.tracer = tracer
         # One fold per replica; pressure is a view it ticks (counters ->

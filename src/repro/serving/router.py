@@ -1,6 +1,7 @@
-"""Request router over N replicas with pluggable balancing policies.
+"""Request router over N replicas under one of three balancing policies.
 
-Three built-in policies (the rtp-llm ``flexlb`` ladder):
+The policies (the rtp-llm ``flexlb`` ladder), named in
+:data:`ROUTING_POLICIES`:
 
 * ``round_robin`` -- position-blind rotation, the baseline;
 * ``least_loaded`` -- minimum queue depth, ties broken toward the most
@@ -27,6 +28,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core.layer_policy import TOKENS_PER_PAGE
 from ..core.sequence import IMAGE, TEXT, SequenceSpec
 from ..engine.request import Request
 from .replica import Replica
@@ -36,14 +38,13 @@ __all__ = [
     "ROUTING_POLICIES",
     "ReplicaShadow",
     "Router",
-    "register_policy",
 ]
 
 #: Tag filter for router-side block hashing.  The router does not know
 #: which layer-type groups a replica's model has, so it shadows the full
-#: multimodal stream.  With the schedule ``("uniform", tokens_per_page)``
-#: its memo key is that of any group accepting both tags at that page
-#: size: same stream, same boundaries, so the same chain.
+#: multimodal stream.  With the schedule ``("uniform", TOKENS_PER_PAGE)``
+#: its memo key is that of any group accepting both tags at the managers'
+#: page size: same stream, same boundaries, so the same chain.
 ROUTER_TAGS = frozenset({TEXT, IMAGE})
 
 
@@ -98,30 +99,13 @@ class ReplicaShadow:
 #: is the request's :meth:`Router.block_hashes`.
 RoutingPolicy = Callable[["Router", Request, Sequence[int]], int]
 
-#: Registered policy name -> policy callable.
-ROUTING_POLICIES: Dict[str, RoutingPolicy] = {}
 
-
-def register_policy(name: str) -> Callable[[RoutingPolicy], RoutingPolicy]:
-    """Register a routing policy under ``name`` (decorator)."""
-
-    def deco(fn: RoutingPolicy) -> RoutingPolicy:
-        if name in ROUTING_POLICIES:
-            raise ValueError(f"routing policy {name!r} already registered")
-        ROUTING_POLICIES[name] = fn
-        return fn
-
-    return deco
-
-
-@register_policy("round_robin")
 def _round_robin(router: "Router", request: Request, hashes: Sequence[int]) -> int:
     idx = router.rr_next % len(router.replicas)
     router.rr_next += 1
     return idx
 
 
-@register_policy("least_loaded")
 def _least_loaded(router: "Router", request: Request, hashes: Sequence[int]) -> int:
     best_idx = 0
     best_key: Optional[Tuple[int, int, int]] = None
@@ -133,7 +117,6 @@ def _least_loaded(router: "Router", request: Request, hashes: Sequence[int]) -> 
     return best_idx
 
 
-@register_policy("cache_aware")
 def _cache_aware(router: "Router", request: Request, hashes: Sequence[int]) -> int:
     best_idx = 0
     best_key: Optional[Tuple[int, int, int, int]] = None
@@ -146,6 +129,14 @@ def _cache_aware(router: "Router", request: Request, hashes: Sequence[int]) -> i
     return best_idx
 
 
+#: Policy name -> policy callable.
+ROUTING_POLICIES: Dict[str, RoutingPolicy] = {
+    "round_robin": _round_robin,
+    "least_loaded": _least_loaded,
+    "cache_aware": _cache_aware,
+}
+
+
 class Router:
     """Route requests onto replicas under a named policy.
 
@@ -154,27 +145,18 @@ class Router:
     comparison) stays meaningful even for position-blind policies.
     """
 
-    def __init__(
-        self,
-        replicas: Sequence[Replica],
-        policy: str = "cache_aware",
-        tokens_per_page: int = 16,
-        shadow_capacity: int = 65536,
-    ) -> None:
+    def __init__(self, replicas: Sequence[Replica], policy: str = "cache_aware") -> None:
         if not replicas:
             raise ValueError("router needs at least one replica")
         if policy not in ROUTING_POLICIES:
-            names = sorted(ROUTING_POLICIES)
             raise KeyError(
-                f"unknown routing policy {policy!r}; registered: {names}"
+                f"unknown routing policy {policy!r}; "
+                f"choose from {', '.join(ROUTING_POLICIES)}"
             )
         self.replicas: List[Replica] = list(replicas)
         self.policy_name = policy
         self.policy: RoutingPolicy = ROUTING_POLICIES[policy]
-        self.tokens_per_page = tokens_per_page
-        self.shadows: List[ReplicaShadow] = [
-            ReplicaShadow(shadow_capacity) for _ in self.replicas
-        ]
+        self.shadows: List[ReplicaShadow] = [ReplicaShadow() for _ in self.replicas]
         # round_robin rotation cursor (harmless state for other policies).
         self.rr_next = 0
         # Per-replica routing tallies (index-aligned with ``replicas``).
@@ -192,7 +174,7 @@ class Router:
         """Block-boundary hash chain of the request's current prompt.
 
         Uses the sequence's own memoized incremental chain under the key
-        ``(ROUTER_TAGS, ("uniform", tokens_per_page))``, which a replica
+        ``(ROUTER_TAGS, ("uniform", TOKENS_PER_PAGE))``, which a replica
         group of that page size shares; repeat probes of the same request
         cost only the new tail blocks.
         """
@@ -202,12 +184,11 @@ class Router:
             if seq.covered_by(ROUTER_TAGS)
             else seq.stream_tokens(ROUTER_TAGS)
         )
-        tokens_per_page = self.tokens_per_page
         return seq.hash_chain(
             ROUTER_TAGS,
-            ("uniform", tokens_per_page),
+            ("uniform", TOKENS_PER_PAGE),
             stream,
-            range(tokens_per_page, len(stream) + 1, tokens_per_page),
+            range(TOKENS_PER_PAGE, len(stream) + 1, TOKENS_PER_PAGE),
         )
 
     def route(self, request: Request) -> int:
@@ -220,7 +201,7 @@ class Router:
         hashes = self.block_hashes(request)
         idx = self.policy(self, request, hashes)
         shadow = self.shadows[idx]
-        expected_hit = shadow.match_len(hashes) * self.tokens_per_page
+        expected_hit = shadow.match_len(hashes) * TOKENS_PER_PAGE
         shadow.record(hashes)
 
         self.routed_counts[idx] += 1

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.baselines import SYSTEMS
 from repro.cli import main, make_parser
+from repro.serving import ROUTING_POLICIES
 
 
 class TestParser:
@@ -118,15 +120,48 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["throughput", "--model", "llama3-8b", "--workload", "secret"])
 
-    def test_unknown_system_lists_registered(self):
+    def test_unknown_system_lists_registered(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["throughput", "--model", "llama3-8b", "--systems",
                   "vllm,triton", "--requests", "1"])
-        message = str(exc.value)
+        assert exc.value.code == 2
+        message = capsys.readouterr().err
         assert "triton" in message
-        assert "jenga" in message and "vllm" in message
+        assert all(name in message for name in SYSTEMS)
 
-    def test_empty_systems_rejected(self):
-        with pytest.raises(SystemExit):
+    def test_empty_systems_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["latency", "--model", "llama3-8b", "--systems", " , ",
                   "--requests", "1"])
+        assert exc.value.code == 2
+        assert "jenga" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """Bad names and out-of-range numbers stop at parse time: exit 2, with
+    the valid names or the rule on stderr, before any run starts."""
+
+    ENGINE = ["--model", "llama3-8b", "--requests", "1", "--kv-gib", "1"]
+    SPEC = ["--target", "llama3-8b", "--draft", "llama3.2-1b", "--requests", "1"]
+    CLUSTER = ["--replicas", "1", "--fanout", "1", "--families", "1"]
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["report", *ENGINE, "--system", "nope"], SYSTEMS),
+        (["trace", *ENGINE, "--system", "nope"], SYSTEMS),
+        (["cluster-report", *CLUSTER, "--policies", "nope"], ROUTING_POLICIES),
+        (["cluster-report", *CLUSTER, "--policies", ""], ROUTING_POLICIES),
+        (["cluster-report", *CLUSTER, "--replicas", "0"], ["positive integer"]),
+        (["latency", *ENGINE, "--rate", "0"], ["positive number"]),
+        (["cluster-report", *CLUSTER, "--rate", "0"], ["positive number"]),
+        (["specdecode", *SPEC, "--acceptance", "1.5"], ["probability"]),
+    ], ids=[
+        "report-system", "trace-system", "cluster-policies",
+        "cluster-empty-policies", "cluster-replicas", "latency-rate",
+        "cluster-rate", "specdecode-acceptance",
+    ])
+    def test_usage_error(self, capsys, argv, expected):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in expected), err

@@ -5,7 +5,7 @@ import inspect
 from repro.core.events import ALLOCATION_STEPS, Fanout, Observer
 from repro.core.kv_manager import JengaKVCacheManager
 from repro.core.layer_policy import FULL_ATTENTION, GroupSpec
-from repro.core.registry import available_managers, create_manager
+from repro.baselines import SYSTEMS, make_manager
 from repro.core.sequence import IMAGE, TEXT, SequenceSpec
 from repro.engine import LLMEngine, Request, SchedulerConfig
 from repro.engine.metrics import StepRecord
@@ -257,8 +257,8 @@ class TestEngineEvents:
         so every report site is skipped and no record of any kind is
         built; the results are the engine's own run record."""
         model = get_model("llama3-8b")
-        for system in available_managers("model"):
-            mgr = create_manager(system, "model", model, 192 * 1024 * 1024)
+        for system in SYSTEMS:
+            mgr = make_manager(system, model, 192 * 1024 * 1024)
             eng = LLMEngine(model, H100, mgr, config=SchedulerConfig(max_num_seqs=4))
             assert eng.observer is None and eng.waiting.observer is None, system
             assert mgr.observer is None and mgr.allocator.observer is None, system

@@ -1,4 +1,4 @@
-"""Protocol conformance and registry tests for every KV-cache manager."""
+"""Protocol conformance and system-table tests for every KV-cache manager."""
 
 import inspect
 import re
@@ -6,32 +6,23 @@ from pathlib import Path
 
 import pytest
 
+from repro.baselines import SYSTEMS, make_manager
 from repro.core.protocols import KVCacheManager
-from repro.core.registry import (
-    UnknownManagerError,
-    available_managers,
-    create_manager,
-    register_manager,
-    resolve_manager,
-)
+from repro.core.registry import create_manager
 from repro.core.sequence import SequenceSpec
+from repro.engine.spec_decode import SPEC_SYSTEMS, make_spec_manager
 from repro.models import GIB, get_model
 
 from .oracle import admission_oracle
 from .recording import RecordingObserver
 
-MODEL_SYSTEMS = available_managers("model")
-SPEC_SYSTEMS = available_managers("spec")
-
 
 def model_manager(system):
-    return create_manager(system, "model", get_model("gemma2-9b"), GIB)
+    return make_manager(system, get_model("gemma2-9b"), GIB)
 
 
 def spec_manager(system):
-    return create_manager(
-        system, "spec", get_model("llama3.2-1b"), get_model("llama3-8b"), GIB
-    )
+    return make_spec_manager(system, get_model("llama3.2-1b"), get_model("llama3-8b"), GIB)
 
 
 def _positional_arity(func):
@@ -65,42 +56,31 @@ def protocol_mismatches(cls):
 
 class TestRegistry:
     def test_expected_systems_registered(self):
-        assert set(MODEL_SYSTEMS) >= {
-            "jenga", "vllm", "sglang", "tgi", "max", "gcd"
-        }
-        assert set(SPEC_SYSTEMS) == {"jenga", "vllm-max", "vllm-manual"}
-
-    def test_available_managers_is_sorted(self):
-        assert list(MODEL_SYSTEMS) == sorted(MODEL_SYSTEMS)
+        assert list(SYSTEMS) == ["jenga", "vllm", "sglang", "tgi", "max", "gcd"]
+        assert list(SPEC_SYSTEMS) == ["jenga", "vllm-max", "vllm-manual"]
 
     def test_unknown_manager_error_lists_registered(self):
-        with pytest.raises(UnknownManagerError) as exc:
-            resolve_manager("triton", "model")
-        message = str(exc.value)
-        assert "triton" in message
-        for name in MODEL_SYSTEMS:
-            assert name in message
-        # Still a KeyError for callers with pre-registry except clauses.
-        assert isinstance(exc.value, KeyError)
+        for make in (
+            lambda: create_manager("triton", "model", get_model("gemma2-9b"), GIB),
+            lambda: make_manager("triton", get_model("gemma2-9b"), GIB),
+        ):
+            with pytest.raises(KeyError) as exc:
+                make()
+            message = str(exc.value)
+            assert "triton" in message
+            for name in SYSTEMS:
+                assert name in message
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_manager("jenga", "nonsense")
-        with pytest.raises(ValueError):
-            register_manager("x", kind="nonsense")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-            register_manager("jenga", kind="model")(lambda: None)
-
-    def test_resolve_returns_registered_factory(self):
-        factory = resolve_manager("jenga", "model")
-        manager = factory(get_model("gemma2-9b"), GIB)
-        assert manager.name == "jenga"
+    def test_create_manager_routes_by_kind(self):
+        assert create_manager("jenga", "model", get_model("gemma2-9b"), GIB).name == "jenga"
+        manual = create_manager(
+            "vllm-manual", "spec", get_model("llama3.2-1b"), get_model("llama3-8b"), GIB
+        )
+        assert manual.name == "vllm-manual"
 
 
 class TestProtocolConformance:
-    @pytest.mark.parametrize("system", MODEL_SYSTEMS)
+    @pytest.mark.parametrize("system", SYSTEMS)
     def test_model_managers_satisfy_protocol(self, system):
         manager = model_manager(system)
         assert isinstance(manager, KVCacheManager)
@@ -115,7 +95,7 @@ class TestProtocolConformance:
         assert protocol_mismatches(type(manager)) == []
         assert manager.observer is None
 
-    @pytest.mark.parametrize("system", MODEL_SYSTEMS)
+    @pytest.mark.parametrize("system", SYSTEMS)
     def test_protocol_surface_is_live(self, system):
         """Every protocol member works on a real request, not just exists."""
         manager = model_manager(system)
@@ -135,7 +115,7 @@ class TestProtocolConformance:
         assert isinstance(manager.has_vision_cache, bool)
         manager.release(seq, cacheable=True)
 
-    @pytest.mark.parametrize("system", MODEL_SYSTEMS)
+    @pytest.mark.parametrize("system", SYSTEMS)
     def test_bind_observer_rewires_the_observer(self, system):
         manager = model_manager(system)
         observer = RecordingObserver()
@@ -165,8 +145,7 @@ class TestProtocolConformance:
 class TestNoDuckTyping:
     def test_no_getattr_on_managers_in_source(self):
         """The protocol makes every manager attribute explicit; duck-typed
-        ``getattr`` / ``hasattr`` probes on a manager must not creep back in.
-        The registry is the one sanctioned dynamic-dispatch point."""
+        ``getattr`` / ``hasattr`` probes on a manager must not creep back in."""
         src = Path(__file__).resolve().parents[1] / "src"
         pattern = re.compile(r"\b(?:getattr|hasattr)\(\s*[\w.]*(?:manager|mgr)", re.I)
         for probe in ('getattr(self.manager, "name")', 'hasattr(kv_mgr, "needs_allocation")'):
@@ -174,7 +153,6 @@ class TestNoDuckTyping:
         offenders = [
             f"{path}:{lineno}"
             for path in sorted(src.rglob("*.py"))
-            if path.relative_to(src).as_posix() != "repro/core/registry.py"
             for lineno, line in enumerate(path.read_text().splitlines(), 1)
             if pattern.search(line)
         ]

@@ -12,7 +12,6 @@ from repro.serving import (
     ReplicaShadow,
     Router,
     ServingCluster,
-    register_policy,
 )
 from repro.workloads import poisson_arrivals, token_block
 
@@ -122,13 +121,10 @@ class TestRouterPolicies:
         assert replicas[1].load().queue_depth >= replicas[0].load().queue_depth - 6
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as exc:
             Router(make_replicas(1), policy="coin_flip")
-
-    def test_duplicate_policy_registration_rejected(self):
-        with pytest.raises(ValueError):
-            register_policy("round_robin")(lambda router, request: 0)
-        assert "round_robin" in ROUTING_POLICIES
+        assert "coin_flip" in str(exc.value)
+        assert all(name in str(exc.value) for name in ROUTING_POLICIES)
 
     def test_route_emits_guarded_event_on_replica_bus(self):
         replicas = make_replicas(2)
