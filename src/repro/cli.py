@@ -324,7 +324,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", required=True)
         p.add_argument("--fp8", action="store_true")
         p.add_argument("--gpu", choices=sorted(GPUS), default="h100")
-        p.add_argument("--kv-gib", type=float, default=None,
+        p.add_argument("--kv-gib", type=positive_rate, default=None,
                        help="override the KV budget (GiB)")
         p.add_argument("--workload", choices=WORKLOADS, default="mmlu")
         p.add_argument("--requests", type=int, default=64)
@@ -350,12 +350,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--draft", required=True)
     p.add_argument("--fp8", action="store_true")
     p.add_argument("--gpu", choices=sorted(GPUS), default="h100")
-    p.add_argument("--kv-gib", type=float, default=None)
+    p.add_argument("--kv-gib", type=positive_rate, default=None)
     p.add_argument("--workload", choices=WORKLOADS, default="sharegpt")
     p.add_argument("--requests", type=int, default=48)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-steps", type=int, default=200_000)
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--k", type=positive_int, default=4)
     p.add_argument("--acceptance", type=probability, default=0.7)
     p.set_defaults(func=cmd_specdecode)
 
@@ -388,13 +388,13 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="gemma2-9b")
     p.add_argument("--fp8", action="store_true")
     p.add_argument("--gpu", choices=sorted(GPUS), default="l4")
-    p.add_argument("--kv-gib", type=float, default=None,
+    p.add_argument("--kv-gib", type=positive_rate, default=None,
                    help="per-replica KV budget (GiB); default: the GPU "
                         "budget split across replicas")
     p.add_argument("--replicas", type=positive_int, default=4)
-    p.add_argument("--fanout", type=int, default=16,
+    p.add_argument("--fanout", type=positive_int, default=16,
                    help="requests forked per shared-prefix family")
-    p.add_argument("--families", type=int, default=6,
+    p.add_argument("--families", type=positive_int, default=6,
                    help="number of shared-prefix families")
     p.add_argument("--rate", type=positive_rate, default=8.0,
                    help="Poisson arrival rate (requests/simulated s)")

@@ -57,7 +57,7 @@ cross-checks this optimized protocol against the literal per-step one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .events import Observer
 from .layer_policy import GroupSpec, LayerTypePolicy, make_policy
@@ -84,6 +84,9 @@ class GroupBinding:
     held: Set[int] = field(default_factory=set)
     stream_len: int = 0  # stream tokens with pages allocated
     backed_upto: int = 0  # global tokens needs_allocation last found backed
+    # Stream length below which commit has no block to register and no
+    # slot to release (the policy's ``quiet_below`` after a full pass).
+    quiet_below: int = 0
     filled_upto: int = 0  # stream tokens whose fill counts are recorded
     release_ptr: int = 0  # all held indices below this were released
     consumed: int = 0  # stream tokens prefill has consumed (consume_vision)
@@ -352,7 +355,7 @@ class JengaKVCacheManager:
             target_stream = seq.stream_length(policy.spec.accepted_tags, target_global)
             if target_stream <= binding.stream_len:
                 continue
-            missing = list(self._missing_slots(policy, binding, target_stream))
+            missing = self._missing_slots(policy, binding, target_stream)
             table = binding.page_table
             num_pages = policy.num_pages_for(target_stream)
             if num_pages > len(table):
@@ -382,13 +385,16 @@ class JengaKVCacheManager:
     @staticmethod
     def _missing_slots(
         policy: LayerTypePolicy, binding: GroupBinding, target_stream: int
-    ) -> Iterator[int]:
+    ) -> List[int]:
         """Write-set slots of growth to ``target_stream`` with no page yet."""
         held = binding.held
         table = binding.page_table
-        for idx in policy.pages_to_write(binding.stream_len, target_stream, held):
-            if idx not in held or idx >= len(table) or table[idx] is None:
-                yield idx
+        size = len(table)
+        return [
+            idx
+            for idx in policy.pages_to_write(binding.stream_len, target_stream, held)
+            if idx not in held or idx >= size or table[idx] is None
+        ]
 
     def needs_allocation(self, seq: SequenceSpec, target_global: int) -> bool:
         """Whether :meth:`allocate_up_to` would actually allocate anything.
@@ -416,7 +422,7 @@ class JengaKVCacheManager:
                 continue
             target_stream = seq.stream_length(policy.spec.accepted_tags, target_global)
             if target_stream > binding.stream_len:
-                for _ in self._missing_slots(policy, binding, target_stream):
+                if self._missing_slots(policy, binding, target_stream):
                     return True
                 slack = policy.write_free_tokens(target_stream)
             else:
@@ -457,7 +463,12 @@ class JengaKVCacheManager:
         completed blocks, and release of pages past the layer's active
         frontier (out-of-window / checkpointed / consumed).  Work done is
         proportional to tokens computed since the last commit, not to the
-        sequence length.
+        sequence length.  A group whose pages are all filled and whose
+        stream stays below ``binding.quiet_below`` (set after each full
+        pass from the policy's :meth:`~LayerTypePolicy.quiet_below`) has
+        nothing to register or release: its commit only stamps the time.
+        (A frontier that moves with ``consumed`` instead is released up to
+        by :meth:`consume_vision` itself.)
 
         ``phase`` customizes the eviction class of pages sliding out of a
         window layer's active set (Section 5.1's sliding-window rule):
@@ -471,12 +482,17 @@ class JengaKVCacheManager:
         """
         bindings = self._require(seq.request_id)
         slide_out_stamp = now - _OUT_OF_WINDOW_BIAS if phase == "prefill" else now
-        for group_id, policy in self.policies.items():
-            binding = bindings[group_id]
+        for group_id, binding in bindings.items():
+            binding.last_time = now
+            # Commit never looks past ``binding.stream_len``.
+            if binding.stream_len < binding.quiet_below and (
+                binding.stream_len <= binding.filled_upto
+            ):
+                continue
+            policy = self.policies[group_id]
             group = self.allocator.groups[group_id]
             stream_len = seq.stream_length(policy.spec.accepted_tags, computed_global)
             stream_len = min(stream_len, binding.stream_len)
-            binding.last_time = now
 
             if not policy.snapshot_blocks and stream_len > binding.filled_upto:
                 self._update_fill(group, binding, stream_len)
@@ -487,7 +503,11 @@ class JengaKVCacheManager:
             self._release_behind_frontier(
                 group, policy, binding, stream_len, slide_out_stamp, seq, cacheable=True
             )
-            if binding.last_checkpoint_page is not None:
+            if binding.last_checkpoint_page is None:
+                binding.quiet_below = policy.quiet_below(stream_len)
+            else:
+                # The newest checkpoint's stamp moves every step: never quiet.
+                binding.quiet_below = 0
                 self._refresh_last_checkpoint(group, binding.last_checkpoint_page, now)
 
     def release(self, seq: SequenceSpec, cacheable: bool = True) -> None:

@@ -212,6 +212,18 @@ class LayerTypePolicy:
         rest of the current page; 0 is always a safe answer)."""
         return -stream_len % self.spec.tokens_per_page
 
+    def quiet_below(self, stream_len: int) -> int:
+        """Stream length before which commit has nothing new to do.
+
+        Every ``s`` in ``[stream_len, quiet_below(stream_len))`` has as many
+        :meth:`cacheable_boundaries` and the same :meth:`release_frontier`
+        as ``stream_len``, so a commit there registers no block and
+        releases no slot (``stream_len + 1`` is always a safe answer).  The
+        default is the next page boundary.
+        """
+        tpp = self.spec.tokens_per_page
+        return (stream_len // tpp + 1) * tpp
+
     def release_frontier(self, stream_len: int, consumed: int = 0) -> int:
         """First page-table slot a request at ``stream_len`` still needs.
 
@@ -389,6 +401,13 @@ class SlidingWindowPolicy(LayerTypePolicy):
         # stream_len); every page overlapping that span stays.
         return max(0, stream_len - self.window) // self.spec.tokens_per_page
 
+    def quiet_below(self, stream_len: int) -> int:
+        # Also before the frontier's next move, which need not fall on a
+        # page boundary when the window is not a multiple of the page.
+        tpp = self.spec.tokens_per_page
+        frontier_moves = self.window + (self.release_frontier(stream_len) + 1) * tpp
+        return min(super().quiet_below(stream_len), frontier_moves)
+
     def peak_pages(self, stream_total: int, chunk_tokens: int) -> int:
         # A prefill chunk's blocks are all written before the out-of-window
         # ones release at commit, so the group transiently holds up to
@@ -517,6 +536,9 @@ class MambaPolicy(LayerTypePolicy):
 
     def write_free_tokens(self, stream_len: int) -> int:
         return 0  # the next token may cross a checkpoint boundary
+
+    def quiet_below(self, stream_len: int) -> int:
+        return stream_len + 1  # like write_free_tokens: growth may checkpoint
 
     def cacheable_boundaries(self, stream_len: int) -> List[int]:
         """Stream positions where the recurrent state is snapshotted: every

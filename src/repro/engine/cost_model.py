@@ -117,22 +117,29 @@ class CostModel:
         self._state_bytes = float(model.mamba_state_bytes())
         # Every storing layer writes each new token once.
         self._write_bytes = float(model.kv_bytes_per_token_alllayers())
+        # step_time's per-model factors.  Dense (linear-layer) compute:
+        # 2 * params FLOPs per token.
+        self._linear_flops_per_token = model.flops_per_token()
+        # Attention score/value FLOPs: ~4 * hidden per (token, context-token).
+        self._attn_flops_per_context = 4.0 * model.hidden_size
+        self._encoder_flops_per_image = model.vision_flops_per_image()
+        # Weights stream once per step.
+        self._weight_s = model.weight_bytes / self._bw
 
     def step_time(self, work: StepWork) -> float:
         """Seconds one engine step takes."""
-        if work.total_tokens == 0 and work.images_encoded == 0:
+        tokens = work.prefill_tokens + work.decode_tokens + work.speculative_extra_tokens
+        if tokens == 0 and work.images_encoded == 0:
             return _STEP_OVERHEAD_S
 
-        # Dense (linear-layer) compute: 2 * params FLOPs per token.
-        linear_flops = self.model.flops_per_token() * work.total_tokens
-        # Attention score/value FLOPs: ~4 * hidden per (token, context-token).
-        attn_flops = 4.0 * self.model.hidden_size * work.attn_context_tokens
-        encoder_flops = self.model.vision_flops_per_image() * work.images_encoded
+        linear_flops = self._linear_flops_per_token * tokens
+        attn_flops = self._attn_flops_per_context * work.attn_context_tokens
+        encoder_flops = self._encoder_flops_per_image * work.images_encoded
         compute_s = (linear_flops + encoder_flops) / self._flops
         attn_compute_s = attn_flops / self._flops
 
-        # Memory: weights stream once per step; KV reads/writes on top.
-        weight_s = self.model.weight_bytes / self._bw
+        # Memory: weights once, KV reads/writes on top.
+        weight_s = self._weight_s
         kv_s = (work.kv_read_bytes + work.kv_write_bytes) / self._bw
 
         attn_s = max(attn_compute_s, kv_s) * self.kernel_slowdown
@@ -154,7 +161,7 @@ class CostModel:
         ctx, read = self.attention_read_range(p0, p1)
         work.attn_context_tokens += ctx
         work.kv_read_bytes += read
-        work.kv_write_bytes += (p1 - p0) * self.write_bytes_per_token()
+        work.kv_write_bytes += (p1 - p0) * self._write_bytes
 
     def attention_read_range(self, p0: int, p1: int) -> Tuple[float, float]:
         """(context_token_sum, kv_bytes) the attention of new tokens at

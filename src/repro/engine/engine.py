@@ -11,6 +11,7 @@ model's step time.  The *only* component swapped between "vLLM" and
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
 
 from ..core.events import AdmissionBlocked, Fanout, Observer
@@ -28,6 +29,9 @@ from .request import Request, RequestState
 from .scheduler import AdmissionGate, SchedulerConfig, WaitingQueue
 
 __all__ = ["LLMEngine"]
+
+# Scheduling priority of ``running``: arrival, then id (see _admit_loop).
+_BY_ARRIVAL = attrgetter("arrival_time", "request_id")
 
 
 class _Events:
@@ -212,9 +216,10 @@ class LLMEngine:
                 break
             if request.state is not RequestState.RUNNING:
                 continue
-            if self._is_decode(request) or request.request_id in scheduled_set:
+            # Phase 1 put every decode it served in ``scheduled_set``.
+            if request.request_id in scheduled_set or self._is_decode(request):
                 continue
-            remaining = request.total_len - request.num_computed_tokens
+            remaining = len(request.seq.token_ids) - request.num_computed_tokens
             if remaining <= 0:
                 continue
             n = min(budget, remaining)
@@ -292,7 +297,7 @@ class LLMEngine:
                 # May have been preempted as an eviction victim earlier in
                 # this same loop (we iterate a snapshot of running).
                 continue
-            length = request.total_len
+            length = len(request.seq.token_ids)
             if self.manager.needs_allocation(request.seq, length):
                 ok, npre = self._allocate_or_preempt(request, length, scheduled_set)
                 preemptions += npre
@@ -346,7 +351,7 @@ class LLMEngine:
     def _is_decode(request: Request) -> bool:
         return (
             request.num_output_tokens > 0
-            and request.num_computed_tokens == request.total_len - 1
+            and request.num_computed_tokens == len(request.seq.token_ids) - 1
         )
 
     _PREEMPTION_COOLDOWN_STEPS = 8
@@ -371,7 +376,7 @@ class LLMEngine:
                 break
             seq = request.seq
             if self.running and self._admission_gate.should_skip(
-                seq.request_id, len(seq), self.manager.admission_version()
+                seq.request_id, len(seq.token_ids), self.manager.admission_version()
             ):
                 # Same blocked head, same sequence length, same pool
                 # version as at the last failed probe: the verdict cannot
@@ -388,7 +393,7 @@ class LLMEngine:
                 # Version is read *after* the release so the probe's own
                 # (count-net-zero) acquire/release moves are absorbed.
                 self._admission_gate.note_blocked(
-                    seq.request_id, len(seq), self.manager.admission_version()
+                    seq.request_id, len(seq.token_ids), self.manager.admission_version()
                 )
                 break
             if self.model.vision is not None and seq.image_spans and not request.encoder_done:
@@ -415,7 +420,7 @@ class LLMEngine:
             # victim choice: latest arrival first) is stable across
             # preempt/readmit cycles; otherwise a readmitted early request
             # lands at the back and is immediately re-victimized (thrash).
-            self.running.sort(key=lambda r: (r.arrival_time, r.request_id))
+            self.running.sort(key=_BY_ARRIVAL)
 
     def _refuse(self, request: Request, now: float) -> bool:
         """Undo the queue head's failed admission probe.
@@ -530,7 +535,7 @@ class LLMEngine:
             and self.manager.has_vision_cache
         ):
             self.manager.consume_vision(seq, request.num_computed_tokens)
-        if request.num_computed_tokens < request.total_len:
+        if request.num_computed_tokens < len(seq.token_ids):
             return
         # A token was generated this step.
         if request.first_token_time is None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 from ..core.sequence import SequenceSpec, TokenTag
@@ -40,6 +40,8 @@ class Request:
             simulator generates exactly this many -- the paper's benchmarks
             run with ``--ignore-eos``).
         arrival_time: Simulated arrival timestamp in seconds.
+        request_id: ``seq.request_id``, copied once at construction: the
+            step loop reads it several times per request per step.
     """
 
     seq: SequenceSpec
@@ -59,14 +61,10 @@ class Request:
     finish_time: Optional[float] = None
     num_preemptions: int = 0
     cached_prompt_tokens: int = 0  # prefix-cache hit at (latest) admission
+    request_id: str = field(init=False)
 
-    @property
-    def request_id(self) -> str:
-        return self.seq.request_id
-
-    @property
-    def total_len(self) -> int:
-        return len(self.seq)
+    def __post_init__(self) -> None:
+        self.request_id = self.seq.request_id
 
     def next_generated_token(self) -> int:
         """Deterministic synthetic token id for the next output token.
@@ -102,7 +100,7 @@ class Request:
         seq = SequenceSpec.text_only(request_id, prompt_tokens)
         return cls(
             seq=seq,
-            prompt_len=len(seq),
+            prompt_len=len(seq.token_ids),
             max_output_tokens=max_output_tokens,
             arrival_time=arrival_time,
         )
@@ -118,7 +116,7 @@ class Request:
         seq = SequenceSpec.multimodal(request_id, segments)
         return cls(
             seq=seq,
-            prompt_len=len(seq),
+            prompt_len=len(seq.token_ids),
             max_output_tokens=max_output_tokens,
             arrival_time=arrival_time,
         )

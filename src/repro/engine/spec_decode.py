@@ -134,10 +134,12 @@ class SpecDecodeEngine(LLMEngine):
             g = min(self._draw_accepted() + 1, remaining_out, k + 1)
             # Extend the sequence by the accepted tokens *before* allocating
             # so both caches grow to cover them.
-            base_len = request.total_len
+            base_len = len(request.seq.token_ids)
             for i in range(g):
                 request.seq.append(request.next_generated_token() + i)
-            ok, npre = self._allocate_or_preempt(request, request.total_len - 1, scheduled_set)
+            ok, npre = self._allocate_or_preempt(
+                request, len(request.seq.token_ids) - 1, scheduled_set
+            )
             preemptions += npre
             if not ok:
                 request.seq.truncate(base_len)

@@ -154,10 +154,16 @@ class TestUsageErrors:
         (["latency", *ENGINE, "--rate", "0"], ["positive number"]),
         (["cluster-report", *CLUSTER, "--rate", "0"], ["positive number"]),
         (["specdecode", *SPEC, "--acceptance", "1.5"], ["probability"]),
+        (["throughput", "--model", "llama3-8b", "--requests", "1", "--kv-gib", "-1"],
+         ["positive number"]),
+        (["specdecode", *SPEC, "--k", "-1"], ["positive integer"]),
+        (["cluster-report", *CLUSTER, "--fanout", "0"], ["positive integer"]),
+        (["cluster-report", *CLUSTER, "--families", "0"], ["positive integer"]),
     ], ids=[
         "report-system", "trace-system", "cluster-policies",
         "cluster-empty-policies", "cluster-replicas", "latency-rate",
-        "cluster-rate", "specdecode-acceptance",
+        "cluster-rate", "specdecode-acceptance", "throughput-kv-gib",
+        "specdecode-k", "cluster-fanout", "cluster-families",
     ])
     def test_usage_error(self, capsys, argv, expected):
         with pytest.raises(SystemExit) as exc:

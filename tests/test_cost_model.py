@@ -141,6 +141,11 @@ class PerLayerCostModel(CostModel):
     layers into classes -- one term per layer, in layer order.  Kept as the
     reference the folded model must equal bit for bit."""
 
+    def __init__(self, model, gpu, kernel_slowdown=1.0):
+        super().__init__(model, gpu, kernel_slowdown)
+        # ``charge`` reads the field: price writes with the per-layer sum.
+        self._write_bytes = self.write_bytes_per_token()
+
     def attention_read_range(self, p0, p1):
         if p1 <= p0:
             return 0.0, 0.0

@@ -18,6 +18,10 @@ from repro.core.layer_policy import (
 )
 from repro.core.pages import EMPTY, EVICTABLE
 from repro.core.sequence import IMAGE, TEXT, SequenceSpec
+from repro.engine import LLMEngine, Request
+from repro.models import GIB, get_model
+from repro.platforms import H100
+from repro.workloads import token_block
 
 from .oracle import admission_oracle
 
@@ -718,3 +722,65 @@ def test_needs_allocation_false_implies_write_set_backed():
                     assert idx in binding.held and binding.page_table[idx] is not None, (
                         other.request_id, group_id, idx
                     )
+
+
+class TestCommitMemo:
+    """``commit`` skips a group while its stream stays below the binding's
+    ``quiet_below``; after every commit of a served run, each binding must
+    hold what a full pass over its committed stream would leave."""
+
+    @staticmethod
+    def requests(model):
+        def prompt(i):
+            # A shared head, so the late request takes the prefix-hit path,
+            # and enough tokens to slide past a 4096-token window.
+            head = token_block(0, "memo-head", 0, 2500)
+            tail = token_block(0, "memo-tail", i, 1700)
+            if model.vision is None:
+                return [("text", head + tail)]
+            image = token_block(0, "memo-image", 0, 1601)
+            return [("text", head[:300]), ("image", image), ("text", tail)]
+
+        arrivals = (0.0, 0.0, 1000.0)
+        return [
+            Request.multimodal(f"m{i}", prompt(i), 70, arrival_time=at)
+            for i, at in enumerate(arrivals)
+        ]
+
+    @pytest.mark.parametrize(
+        "model_name", ["gemma2-9b", "jamba-52b", "llama3.2-vision-11b", "paligemma2-10b"]
+    )
+    def test_bindings_match_a_direct_recompute(self, model_name):
+        model = get_model(model_name)
+        manager = JengaKVCacheManager(model.kv_groups(), 4 * GIB)
+        commit = manager.commit
+        checked = []
+
+        def checked_commit(seq, computed_global, now, phase="decode"):
+            bindings = manager._bindings[seq.request_id]
+            quiet = {
+                g: b.stream_len < b.quiet_below and b.stream_len <= b.filled_upto
+                for g, b in bindings.items()
+            }
+            commit(seq, computed_global, now, phase)
+            for group_id, binding in bindings.items():
+                policy = manager.policies[group_id]
+                if policy.snapshot_blocks:
+                    continue
+                tags = policy.spec.accepted_tags
+                stream_len = min(seq.stream_length(tags, computed_global), binding.stream_len)
+                assert binding.last_time == now
+                assert binding.hashed_blocks == len(policy.cacheable_boundaries(stream_len))
+                assert binding.release_ptr >= policy.release_frontier(
+                    stream_len, binding.consumed
+                )
+                checked.append(quiet[group_id])
+
+        manager.commit = checked_commit
+        engine = LLMEngine(model, H100, manager)
+        engine.add_requests(self.requests(model))
+        metrics = engine.run(max_steps=5000)
+        assert len(metrics.requests) == 3 and not engine.failed
+        assert manager.hit_tokens > 0
+        # Most decode commits leave a group quiet; some do a full pass.
+        assert checked.count(True) > checked.count(False) > 0

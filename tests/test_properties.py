@@ -15,6 +15,7 @@ from repro.core.layer_policy import (
     MAMBA,
     GroupSpec,
     SLIDING_WINDOW,
+    VISION_EMBEDDING,
     SlidingWindowPolicy,
     make_policy,
 )
@@ -153,6 +154,34 @@ class TestWindowPolicyProperties:
             # Every token in [stream - window, stream) lies in an active page.
             for t in range(max(0, stream - window), stream):
                 assert t // tpp in active
+
+
+class TestQuietBelow:
+    """``quiet_below(s)`` is where commit's memo ends: no stream length in
+    ``[s, quiet_below(s))`` completes a new cacheable block or moves the
+    release frontier."""
+
+    @given(
+        st.sampled_from([FULL_ATTENTION, SLIDING_WINDOW, DROPPED_TOKEN, CROSS_ATTENTION,
+                         MAMBA, VISION_EMBEDDING]),
+        st.integers(1, 8),  # tokens per page
+        st.integers(1, 40),  # window / budget / checkpoint interval
+        st.integers(0, 160),  # stream length
+        st.integers(0, 160),  # tokens prefill consumed
+        st.booleans(),  # prefix caching (Mamba checkpoints)
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_nothing_changes_below_it(self, kind, tpp, span, stream, consumed, caching):
+        spec = GroupSpec("g", kind, 1, 8, tokens_per_page=tpp, window=span,
+                         budget=span, state_bytes=64, checkpoint_interval=span)
+        policy = make_policy(spec, enable_prefix_caching=caching)
+        quiet = policy.quiet_below(stream)
+        assert quiet > stream
+        blocks = len(policy.cacheable_boundaries(stream))
+        frontier = policy.release_frontier(stream, consumed)
+        for later in range(stream, quiet):
+            assert len(policy.cacheable_boundaries(later)) == blocks
+            assert policy.release_frontier(later, consumed) == frontier
 
 
 def _one_token_segments(tags):
