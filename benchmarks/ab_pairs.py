@@ -5,11 +5,12 @@
 
 Each pair runs ``benchmarks/e2e/run.py --workload W --seed S --trace 0``
 once from each checkout, alternating which side goes first, and reads
-its ``host_wall_s``.  Prints every pair, each side's median and
-quartiles, the change's win count and the verdict of ROADMAP's "How to
-measure": over at least ten pairs, a gain only if the change wins at
-least 9 of every 10 *and* the medians differ by more than the parent's
-quartile spread (a loss is the same rule with the sides swapped).  A run
+its ``host_wall_s`` and ``host_step_p50_us``.  Prints every pair, and per
+metric each side's median and quartiles, the change's win count and the
+verdict of ROADMAP's "How to measure": over at least ten pairs, a gain
+only if the change wins at least 9 of every 10 *and* the medians differ
+by more than the parent's quartile spread (a loss is the same rule with
+the sides swapped).  A run
 whose checks failed, more failed requests on the change's side, or two
 different simulated runs (``sim_digest``) void the comparison: the
 verdict is "no claim" and the exit status non-zero.
@@ -25,6 +26,10 @@ import subprocess
 import sys
 import tempfile
 from typing import Any, Dict, List, Sequence, Tuple
+
+#: Lower-is-better host metrics read from every run, each judged alone:
+#: the whole drain, and the typical step.
+METRICS = (("host_wall_s", "s", 3), ("host_step_p50_us", "us", 1))
 
 
 def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
@@ -60,7 +65,7 @@ def problems(parent: Sequence[Dict[str, Any]], change: Sequence[Dict[str, Any]])
 
 
 def run_side(tree: str, args: argparse.Namespace) -> Dict[str, Any]:
-    """One untraced run from ``tree``: its ``host_wall_s``, ``sim_digest``,
+    """One untraced run from ``tree``: its :data:`METRICS`, ``sim_digest``,
     ``correct`` and ``failed``."""
     with tempfile.TemporaryDirectory() as scratch:
         out = os.path.join(scratch, "result.json")
@@ -73,8 +78,8 @@ def run_side(tree: str, args: argparse.Namespace) -> Dict[str, Any]:
         with open(out) as f:
             payload = json.load(f)
     result = payload["result"]
-    return {"host_wall_s": result["metrics"]["host_wall_s"]["value"],
-            "sim_digest": payload["extras"]["sim_digest"],
+    values = {name: result["metrics"][name]["value"] for name, _, _ in METRICS}
+    return {**values, "sim_digest": payload["extras"]["sim_digest"],
             "correct": result["correct"], "failed": result["failed"]}
 
 
@@ -93,20 +98,25 @@ def main() -> int:
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(run_side(os.path.abspath(getattr(args, side)), args))
-        parent, change = (runs[side][-1]["host_wall_s"] for side in ("parent", "change"))
-        print(f"pair {pair + 1} ({order[0]} first): parent {parent:.3f} s, "
-              f"change {change:.3f} s, ratio {change / parent:.3f}", flush=True)
-    walls = {side: [run["host_wall_s"] for run in side_runs] for side, side_runs in runs.items()}
-    for side, values in walls.items():
-        q1, median, q3 = quartiles(values)
-        print(f"{side}: median {median:.3f} s (quartiles {q1:.3f}-{q3:.3f})")
-    wins = sum(c < p for p, c in zip(walls["parent"], walls["change"]))
-    print(f"change wins {wins} of {args.pairs} pairs")
+        cells = []
+        for name, unit, digits in METRICS:
+            parent, change = (runs[side][-1][name] for side in ("parent", "change"))
+            cells.append(f"{name} parent {parent:.{digits}f} {unit}, "
+                         f"change {change:.{digits}f} {unit}, ratio {change / parent:.3f}")
+        print(f"pair {pair + 1} ({order[0]} first): " + "; ".join(cells), flush=True)
     found = problems(runs["parent"], runs["change"])
     for problem in found:
         print(f"NOT COMPARABLE: {problem}")
-    claim = "no claim" if found else verdict(walls["parent"], walls["change"])
-    print(f"{args.workload} host_wall_s: {claim}")
+    for name, unit, digits in METRICS:
+        values = {side: [run[name] for run in side_runs] for side, side_runs in runs.items()}
+        for side, side_values in values.items():
+            q1, median, q3 = quartiles(side_values)
+            print(f"{name} {side}: median {median:.{digits}f} {unit} "
+                  f"(quartiles {q1:.{digits}f}-{q3:.{digits}f})")
+        wins = sum(c < p for p, c in zip(values["parent"], values["change"]))
+        print(f"{name}: change wins {wins} of {args.pairs} pairs")
+        claim = "no claim" if found else verdict(values["parent"], values["change"])
+        print(f"{args.workload} {name}: {claim}")
     return 1 if found else 0
 
 
