@@ -123,7 +123,6 @@ class CostModel:
         # Attention score/value FLOPs: ~4 * hidden per (token, context-token).
         self._attn_flops_per_context = 4.0 * model.hidden_size
         self._encoder_flops_per_image = model.vision_flops_per_image()
-        # Weights stream once per step.
         self._weight_s = model.weight_bytes / self._bw
 
     def step_time(self, work: StepWork) -> float:
@@ -138,18 +137,17 @@ class CostModel:
         compute_s = (linear_flops + encoder_flops) / self._flops
         attn_compute_s = attn_flops / self._flops
 
-        # Memory: weights once, KV reads/writes on top.
-        weight_s = self._weight_s
+        # Memory: weights stream once per step; KV reads/writes on top.
         kv_s = (work.kv_read_bytes + work.kv_write_bytes) / self._bw
 
         attn_s = max(attn_compute_s, kv_s) * self.kernel_slowdown
-        return max(compute_s, weight_s) + attn_s + _STEP_OVERHEAD_S
+        return max(compute_s, self._weight_s) + attn_s + _STEP_OVERHEAD_S
 
     def encoder_time(self, num_images: int) -> float:
         """Seconds to run the vision encoder on ``num_images`` images."""
         if num_images == 0:
             return 0.0
-        return self.model.vision_flops_per_image() * num_images / self._flops
+        return self._encoder_flops_per_image * num_images / self._flops
 
     # ------------------------------------------------------------------
     # Helpers for building StepWork
