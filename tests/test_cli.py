@@ -154,8 +154,7 @@ class TestUsageErrors:
         (["latency", *ENGINE, "--rate", "0"], ["positive number"]),
         (["cluster-report", *CLUSTER, "--rate", "0"], ["positive number"]),
         (["specdecode", *SPEC, "--acceptance", "1.5"], ["probability"]),
-        (["throughput", "--model", "llama3-8b", "--requests", "1", "--kv-gib", "-1"],
-         ["positive number"]),
+        (["throughput", *ENGINE, "--kv-gib", "-1"], ["positive number"]),
         (["specdecode", *SPEC, "--k", "-1"], ["positive integer"]),
         (["cluster-report", *CLUSTER, "--fanout", "0"], ["positive integer"]),
         (["cluster-report", *CLUSTER, "--families", "0"], ["positive integer"]),

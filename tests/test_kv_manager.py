@@ -770,6 +770,7 @@ class TestCommitMemo:
                 tags = policy.spec.accepted_tags
                 stream_len = min(seq.stream_length(tags, computed_global), binding.stream_len)
                 assert binding.last_time == now
+                assert binding.filled_upto >= stream_len
                 assert binding.hashed_blocks == len(policy.cacheable_boundaries(stream_len))
                 assert binding.release_ptr >= policy.release_frontier(
                     stream_len, binding.consumed
