@@ -467,8 +467,8 @@ class JengaKVCacheManager:
         stream stays below ``binding.quiet_below`` (set after each full
         pass from the policy's :meth:`~LayerTypePolicy.quiet_below`) has
         nothing to register or release: its commit only stamps the time.
-        (A frontier that moves with ``consumed`` instead is released up to
-        by :meth:`consume_vision` itself.)
+        (An encoder-filled group's frontier moves with ``consumed``, and
+        :meth:`consume_vision` releases behind it itself.)
 
         ``phase`` customizes the eviction class of pages sliding out of a
         window layer's active set (Section 5.1's sliding-window rule):
