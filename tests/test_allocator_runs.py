@@ -1,4 +1,4 @@
-"""Run forms of the allocator: batching invariance, a golden, observers.
+"""Run forms of the allocator: batching invariance, a golden, tallies.
 
 Every page transition of :class:`TwoLevelAllocator` has one run form
 (``allocate_pages``, ``release_pages``, ``acquire_cached_run``); the
@@ -9,11 +9,11 @@ its pages taken one at a time:
   op sequence, one issuing runs and one issuing runs of one, and compares
   everything observable after every op;
 * one scripted sequence is digested and compared with a recorded value
-  that an older implementation reproduces (see ``GOLDEN``), so "same
-  page, same step, same victim" is pinned against more than itself --
-  with page ids renamed to the carve order that implementation numbered
-  them in (:class:`CarveOrder`);
-* with an observer attached the reported stream and the cache-index
+  (see ``GOLDEN``), so "same page, same step, same victim" is pinned
+  against more than itself -- with page ids renamed to the carve order
+  an older implementation numbered them in (:class:`CarveOrder`);
+* the pool's tallies (pages per §5.4 step, victims per owning group,
+  aligned victims, cached and freed releases) and the cache-index
   counters are those of the per-page loop.
 """
 
@@ -25,17 +25,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.events import Observer
 from repro.core.layer_policy import FULL_ATTENTION, GroupSpec, make_policy
 from repro.core.pages import EMPTY, EVICTABLE, USED
 from repro.core.sequence import TEXT
 from repro.core.two_level import TwoLevelAllocator
 
-from .recording import (
-    LargePageCarved,
-    PageReleased,
-    PagesAllocated,
-    RecordingObserver,
-)
 from .test_admission_cache import admission_inputs
 
 T = frozenset({TEXT})
@@ -51,13 +46,49 @@ def group_specs():
     }
 
 
+class Tally(Observer):
+    """The pool's totals, counted from its per-page reports: pages per
+    §5.4 step (index 0: the ablation's first fit), victims per owning
+    group, victims chosen with a non-zero prefix length (§5.1's aligned
+    tiebreak), and last references dropped into the cache or freed."""
+
+    def __init__(self, groups):
+        self.step_pages = [0] * 6
+        self.victims = dict.fromkeys(groups, 0)
+        self.aligned_victims = 0
+        self.cached_releases = self.freed_releases = 0
+
+    def pages_allocated(self, group_id, request_id, page_ids, steps):
+        for step in steps:
+            self.step_pages[step] += 1
+
+    def page_evicted(self, group_id, page_id, level, last_access, prefix_length):
+        self.victims[group_id] += 1
+        self.aligned_victims += prefix_length != 0
+
+    def page_released(self, group_id, page_id, cached):
+        if cached:
+            self.cached_releases += 1
+        else:
+            self.freed_releases += 1
+
+
 def recorded(alloc):
-    """``alloc`` reporting to a :class:`CarveOrder`.  ``events`` names the
-    recorder the way other_events (unchanged since the golden was
-    recorded) reads the stream."""
-    alloc.observer = alloc.events = CarveOrder()
-    assert [alloc.groups[g].small_per_large for g in GROUPS] == [1, 2, 4]
+    """``alloc`` counting into a :class:`Tally`."""
+    alloc.observer = Tally(alloc.groups)
     return alloc
+
+
+def tallies(alloc):
+    """The pool's tallies, as a comparable value."""
+    tally = alloc.observer
+    return (tuple(tally.step_pages), tuple(sorted(tally.victims.items())),
+            tally.aligned_victims, tally.cached_releases, tally.freed_releases)
+
+
+def steps_taken(alloc):
+    """The §5.4 steps that have served a page so far."""
+    return {step for step, pages in enumerate(tallies(alloc)[0]) if pages}
 
 
 def make_allocator(num_large=12, caching=True, request_aware=True):
@@ -68,54 +99,46 @@ def make_allocator(num_large=12, caching=True, request_aware=True):
     ))
 
 
-class CarveOrder(RecordingObserver):
-    """A recorder that names small pages as the allocator the golden was
-    recorded on numbered them: each group counts 0, 1, 2, ... over the
-    slots it carves, in slot order, and a page keeps its name until its
-    large page is carved again.  An order-preserving bijection onto the
-    live page ids, so every pop order reads the same under both names.
-    Records carry the names."""
+class CarveOrder:
+    """Small pages named as an older allocator numbered them: each group
+    counts 0, 1, 2, ... over the slots it carves, in slot order, and a
+    page keeps its name until its large page is carved again.  An
+    order-preserving bijection onto the live page ids, so every pop order
+    reads the same under both names.
 
-    def __init__(self):
-        super().__init__()
-        self.num_carved = {}  # group -> small pages carved so far
+    Carves are found in the groups' per-large-page carve counts after
+    each allocation (:meth:`allocated`)."""
+
+    def __init__(self, alloc):
+        assert [alloc.groups[g].small_per_large for g in GROUPS] == [1, 2, 4]
+        self.alloc = alloc
+        self.carves = {gid: list(group.carve) for gid, group in alloc.groups.items()}
+        self.num_carved = dict.fromkeys(alloc.groups, 0)  # small pages carved so far
         self.names = {}  # (group, page id) -> carve-order name
 
-    def name(self, group_id, page_id):
+    def __call__(self, group_id, page_id):
         return self.names[group_id, page_id]
 
-    def large_page_carved(self, group_id, large_page_id, num_small_pages):
-        first = self.num_carved.get(group_id, 0)
-        self.num_carved[group_id] = first + num_small_pages
-        for slot in range(num_small_pages):
-            self.names[group_id, large_page_id * num_small_pages + slot] = first + slot
-        super().large_page_carved(group_id, large_page_id, num_small_pages)
-
-    def pages_allocated(self, group_id, request_id, page_ids, steps):
-        names = tuple(self.name(group_id, page_id) for page_id in page_ids)
-        super().pages_allocated(group_id, request_id, names, steps)
-
-    def page_evicted(self, group_id, page_id, level, last_access, prefix_length):
-        if level == "small":
-            page_id = self.name(group_id, page_id)
-        super().page_evicted(group_id, page_id, level, last_access, prefix_length)
-
-    def page_released(self, group_id, page_id, cached):
-        super().page_released(group_id, self.name(group_id, page_id), cached)
+    def allocated(self, group_id, page_ids):
+        """Name the large pages carved by the allocation that took
+        ``page_ids``: a run takes each carve's first slot before it carves
+        again, so the carves come in the order ``page_ids`` reaches them."""
+        group = self.alloc.groups[group_id]
+        spl = group.small_per_large
+        seen = self.carves[group_id]
+        for large_id in dict.fromkeys(page_id // spl for page_id in page_ids):
+            if seen[large_id] != group.carve[large_id]:
+                seen[large_id] += 1
+                first = self.num_carved[group_id]
+                self.num_carved[group_id] = first + spl
+                for slot, page_id in enumerate(group.slots(large_id)):
+                    self.names[group_id, page_id] = first + slot
+        assert all(self.carves[gid] == g.carve for gid, g in self.alloc.groups.items())
 
 
-def other_events(alloc):
-    """The captured stream without its ``PagesAllocated`` records: a run
-    publishes that record once, after all of its carve and eviction
-    records, so runs of one interleave it differently (``Driver.allocate``
-    reports the steps instead)."""
-    return [repr(e) for e in alloc.events.recent() if not isinstance(e, PagesAllocated)]
-
-
-def snapshot(alloc):
+def snapshot(alloc, name=lambda group_id, page_id: page_id):
     """Everything observable about the pool, as a comparable value, with
-    small pages under their carve-order names."""
-    name = alloc.events.name
+    small pages under ``name`` (their ids by default)."""
     groups = []
     for group_id, group in alloc.groups.items():
         spl = group.small_per_large
@@ -159,13 +182,12 @@ class Driver:
     def __init__(self, dialect, **kwargs):
         self.dialect = dialect
         self.alloc = make_allocator(**kwargs)
+        self.name = CarveOrder(self.alloc)
         self.held = {g: [] for g in GROUPS}  # references held, in order
         self.clock = 0.0
 
-    @property
-    def allocated(self):
-        """Every PagesAllocated record so far."""
-        return self.alloc.observer.recent(PagesAllocated)
+    def snapshot(self):
+        return snapshot(self.alloc, self.name)
 
     def release_ids(self, gid, ids, cacheable):
         alloc = self.alloc
@@ -179,12 +201,13 @@ class Driver:
                 alloc.release_page(gid, page_id, cacheable=cacheable)
 
     def names(self, gid, page_ids):
-        return [self.alloc.events.name(gid, page_id) for page_id in page_ids]
+        return [self.name(gid, page_id) for page_id in page_ids]
 
     def allocate(self, gid, rid, n):
-        """``(page names, steps)`` of the run, ``None`` if it was refused."""
+        """``(page names, pages served by each step)`` of the run, ``None``
+        if it was refused."""
         alloc = self.alloc
-        mark = len(self.allocated)
+        before = tallies(alloc)[0]
         if self.dialect != "single":
             pages = alloc.allocate_pages(gid, rid, n)
         elif not alloc.groups_that_fit([(gid, n)], rid):
@@ -198,8 +221,9 @@ class Driver:
         if pages is None:
             return None
         self.held[gid].extend(pages)
-        steps = [step for event in self.allocated[mark:] for step in event.steps]
-        return self.names(gid, pages), steps
+        self.name.allocated(gid, pages)
+        after = tallies(alloc)[0]
+        return self.names(gid, pages), tuple(b - a for a, b in zip(before, after))
 
     def release(self, gid, count, cacheable, hash_base):
         """Release the ``count`` oldest held references of ``gid``; with a
@@ -241,7 +265,7 @@ class Driver:
         name), if there is one."""
         self.clock += 1.0
         group = self.alloc.groups[gid]
-        name = self.alloc.events.name
+        name = self.name
         evictable = [p for p, state in enumerate(group.state) if state is EVICTABLE]
         if not evictable:
             return None
@@ -284,8 +308,8 @@ class TestBatchingInvariance:
         run, single = Driver("run", **kwargs), Driver("single", **kwargs)
         for op in ops:
             assert run.apply(op) == single.apply(op), op
-            assert snapshot(run.alloc) == snapshot(single.alloc), op
-            assert other_events(run.alloc) == other_events(single.alloc), op
+            assert run.snapshot() == single.snapshot(), op
+            assert tallies(run.alloc) == tallies(single.alloc), op
             for alloc in (run.alloc, single.alloc):
                 alloc.check_invariants()
                 assert alloc.stats() == alloc.stats_slow()
@@ -330,25 +354,32 @@ def scripted_digest(dialect, **kwargs):
     driver = Driver(dialect, **kwargs)
     results = [driver.apply(op) for op in scripted_ops()]
     driver.alloc.check_invariants()
-    payload = repr((results, snapshot(driver.alloc), other_events(driver.alloc)))
-    steps = {step for event in driver.allocated for step in event.steps}
-    return hashlib.sha256(payload.encode()).hexdigest()[:16], steps, results
+    payload = repr((results, driver.snapshot(), tallies(driver.alloc)))
+    return hashlib.sha256(payload.encode()).hexdigest()[:16], steps_taken(driver.alloc), results
 
 
-#: Re-recorded on a48a89f, the last allocator with soft quotas, when the
-#: script's op mix dropped its ``quota`` op and :func:`snapshot` stopped
-#: reading quotas and owned-page counts (the owner map already gives the
-#: latter): the values pin the five steps without quotas, so the allocator
-#: that no longer has them must match them unedited.  The values before
+#: Re-recorded on 26d8f13, the last allocator that reported each page to
+#: an observer (ROADMAP item 19), when the payload's event stream became
+#: the pool's tallies (counted there from the reports, so the allocator
+#: that keeps them itself must match unedited) and ``Driver.allocate``'s
+#: per-page steps became the pages each step served.  The carve-order
+#: names, now read from the groups' carve counts, were checked equal to
+#: the reported ones on this script under all three dialects and configs.
+#: Before that, re-recorded on a48a89f, the last allocator with soft
+#: quotas, when the script's op mix dropped its ``quota`` op and
+#: :func:`snapshot` stopped reading quotas and owned-page counts (the owner
+#: map already gives the latter): the values pin the five steps without
+#: quotas, so the allocator that no longer has them must match them
+#: unedited.  The values before
 #: (mix with quotas) had been pinned against 578b5bf driven with
 #: ``scripted_digest("run", **config)``, with every ``allocate_pages`` that
 #: returns ``None`` undone by restoring a deep copy of the allocator taken
 #: before it -- so a refusal is exactly "as if never called", and every
 #: successful call still takes the same pages in the same steps.
 GOLDEN = {
-    (True, True): "01ba74a2b02777e9",
-    (False, True): "55d0b33f59272ebd",
-    (True, False): "634d66f875894188",
+    (True, True): "c30c5d4c0045115b",
+    (False, True): "7ee9d4dbc9ed4b03",
+    (True, False): "a6a83b2d84590a40",
 }
 
 
@@ -370,7 +401,7 @@ class TestGoldenAgainstPerPageImplementation:
 
 
 # ----------------------------------------------------------------------
-# Observers see the per-page stream
+# The tallies the telemetry reads count page by page
 # ----------------------------------------------------------------------
 
 
@@ -388,28 +419,19 @@ class TestObserversSeeTheSameStream:
         pages = cached_run(alloc, "four", "r0", 6)
         shared = alloc.acquire_cached("four", 2, "r1")  # second reference
         plain = alloc.allocate_pages("four", "r0", 2)
-        seen = alloc.observer = RecordingObserver()
-        ids = pages + plain
-        alloc.release_pages("four", ids, cacheable=True)
-        # The shared page only dropped a reference: no record for it.
-        assert seen.records == [
-            PageReleased("four", page_id, cached=page_id not in plain)
-            for page_id in ids if page_id != shared
-        ]
+        *_, cached, freed = tallies(alloc)
+        alloc.release_pages("four", pages + plain, cacheable=True)
+        # The shared page only dropped a reference: not a release.
+        assert tallies(alloc)[3:] == (cached + 5, freed + 2)
         group = alloc.groups["four"]
         assert group.state[shared] is USED and group.ref_count[shared] == 1
 
     def test_one_pages_allocated_record_per_call_with_every_step(self):
         alloc = make_allocator(num_large=2)
-        seen = alloc.observer = RecordingObserver()
-        pages = alloc.allocate_pages("four", "r0", 6)
-        assert seen.recent(PagesAllocated) == [PagesAllocated(
-            "four", "r0", tuple(pages), (2, 1, 1, 1, 2, 1)
-        )]
-        # Carve records precede the allocation record they fed.
-        assert [type(e) for e in seen.records] == [
-            LargePageCarved, LargePageCarved, PagesAllocated
-        ]
+        assert alloc.allocate_pages("four", "r0", 6) is not None
+        # Two carves (step 2), each followed by the carve's own pages
+        # (step 1): steps 2, 1, 1, 1, 2, 1.
+        assert tallies(alloc)[0] == (0, 4, 2, 0, 0, 0)
 
     def test_failed_run_acquire_counts_lookups_like_the_loop(self):
         alloc = make_allocator()
@@ -427,13 +449,12 @@ class TestObserversSeeTheSameStream:
         cached = cached_run(alloc, "one", "r0", 2)
         alloc.release_pages("one", cached, cacheable=True)
         pinned = alloc.allocate_pages("one", "r1", 1)
-        seen = alloc.observer = RecordingObserver()
-        before, version = snapshot(alloc), alloc.version
+        before, version, counted = snapshot(alloc), alloc.version, tallies(alloc)
         assert alloc.groups_that_fit([("one", 3)], "r2") == 0
         assert alloc.allocate_pages("one", "r2", 3) is None
-        # No eviction, carve, release or report: the two cached pages
+        # No eviction, carve, release or tally: the two cached pages
         # stay cached and the pool is as it was.
-        assert seen.records == []
+        assert tallies(alloc) == counted
         assert snapshot(alloc) == before and alloc.version == version
         assert len(alloc.groups["one"].cache_index) == 2
         assert alloc.groups["one"].state[pinned[0]] is USED
@@ -441,6 +462,11 @@ class TestObserversSeeTheSameStream:
         assert alloc.groups_that_fit([("one", 2)], "r2") == 1
         assert alloc.allocate_pages("one", "r2", 2) is not None
         assert alloc.num_large_evictions == 2
+        # Both by step 3, of "one"'s own cached pages, stamped with no
+        # prefix length (balanced, not aligned).
+        assert tallies(alloc) == (
+            (0, 0, 3, 2, 0, 0), (("four", 0), ("one", 2), ("two", 0)), 0, 2, 0
+        )
         alloc.check_invariants()
 
 
@@ -511,11 +537,10 @@ class TestCheckThenCommit:
             assert alloc.allocate_pages(gid, rid, n) is not None
         if fitted < len(demand):
             gid, n = demand[fitted]
-            before, version = snapshot(alloc), alloc.version
-            records = len(alloc.observer.records)
+            before, version, counted = snapshot(alloc), alloc.version, tallies(alloc)
             assert alloc.allocate_pages(gid, rid, n) is None
             assert snapshot(alloc) == before and alloc.version == version
-            assert len(alloc.observer.records) == records
+            assert tallies(alloc) == counted
         alloc.check_invariants()
 
     @settings(max_examples=80, deadline=None)
