@@ -207,8 +207,9 @@ def _traced_run(args):
     """Run one traced engine workload; return ``(tracer, registry, metrics)``.
 
     Shared by ``trace`` and ``report``: a
-    :class:`~repro.obs.registry.BusTelemetry` observer, a memory-recording
-    scheduler profile so the simulated-clock timelines are populated, and a
+    :class:`~repro.obs.registry.BusTelemetry` observer reading the
+    manager's pool, a memory-recording scheduler profile so the
+    simulated-clock timelines are populated, and a
     :class:`~repro.obs.tracer.Tracer` on the engine that adds its
     ``phase/*`` histograms to the telemetry's registry.
     """
@@ -221,6 +222,7 @@ def _traced_run(args):
     telemetry = BusTelemetry()
     tracer = Tracer(registry=telemetry.registry)
     manager = make_manager(args.system, model, kv)
+    telemetry.allocator = manager.allocator
     engine = LLMEngine(
         model, gpu, manager,
         config=profile_config("vllm", record_memory=True),

@@ -3,7 +3,7 @@
 Public entry point: :class:`~repro.core.kv_manager.JengaKVCacheManager`.
 """
 
-from .events import ALLOCATION_STEPS, Observer
+from .events import Observer
 from .evictor import LRUEvictor
 from .kv_manager import GroupBinding, JengaKVCacheManager
 from .layer_policy import (
@@ -32,7 +32,6 @@ from .sequence import IMAGE, TEXT, SequenceSpec
 from .two_level import AllocatorStats, TwoLevelAllocator
 
 __all__ = [
-    "ALLOCATION_STEPS",
     "AllocatorStats",
     "CachedBlockIndex",
     "CROSS_ATTENTION",

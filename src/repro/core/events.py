@@ -1,16 +1,15 @@
 """What the serving stack reports: one optional :class:`Observer`.
 
-Every layer -- :class:`~repro.core.two_level.TwoLevelAllocator`,
+Every layer above the pool --
 :class:`~repro.core.kv_manager.JengaKVCacheManager`, the scheduler's
 waiting queue, :class:`~repro.engine.engine.LLMEngine` and, through the
 chosen replica's engine, the router -- holds ``observer:
-Optional[Observer]`` and reports each five-step allocation decision
-(Section 5.4), eviction (Section 5) and request transition as one plain
-method call::
+Optional[Observer]`` and reports each prefix lookup, request transition
+and engine step as one plain method call::
 
     obs = self.observer
     if obs is not None:
-        obs.page_evicted(group_id, page_id, "small", last_access, prefix)
+        obs.request_finished(request_id, time)
 
 An unobserved run therefore pays one ``is not None`` test per site and
 builds nothing.  Observation only: nothing the stack computes is read
@@ -18,65 +17,29 @@ back from the observer.  The engine keeps its own run record, admission
 reads the allocator's counters, and the in-tree observer is
 :class:`~repro.obs.registry.BusTelemetry`.
 
+The :class:`~repro.core.two_level.TwoLevelAllocator` reports nothing: it
+keeps what its five steps (Section 5.4) and evictions (Section 5) did as
+plain totals, which the telemetry reads once per ``step_completed``.
+
 Wall-clock profiling rides the same hook: the engine and the manager
 report the phases of their work (``phase_began`` / ``phase_ended``), which
 every observer but :class:`~repro.obs.tracer.Tracer` ignores.  Several
 observers share one seat through :class:`Fanout`.
 
 Observers arrive by binding (``manager.bind_observer``, done by the
-engine); the manager's allocator follows it.
+engine).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional
 
-__all__ = ["ALLOCATION_STEPS", "AdmissionBlocked", "Fanout", "Observer"]
-
-# Human-readable names of the §5.4 five-step allocation algorithm, keyed by
-# the ``steps`` of :meth:`Observer.pages_allocated`.  Step 0 is not part of
-# the paper's algorithm: it tags the naive first-fit path taken when
-# request-aware allocation is disabled (the §4.3 ablation), so analytics
-# can tell it apart from a genuine step-4 fallback.
-ALLOCATION_STEPS: Dict[int, str] = {
-    0: "first-fit small page (request-aware ablation)",
-    1: "request-associated small page",
-    2: "empty large page",
-    3: "evict large page",
-    4: "arbitrary small page",
-    5: "evict small page",
-}
+__all__ = ["AdmissionBlocked", "Fanout", "Observer"]
 
 
 class Observer:
     """One no-op method per record kind; subclasses override what they count."""
-
-    # -- allocator -------------------------------------------------------
-
-    def pages_allocated(
-        self, group_id: str, request_id: str,
-        page_ids: Tuple[int, ...], steps: Tuple[int, ...],
-    ) -> None:
-        """One ``allocate_pages`` call succeeded; ``steps[i]`` is the §5.4
-        step (1-5, or 0 for the ablation's first fit) that satisfied
-        ``page_ids[i]``.  Its carves and evictions were reported before."""
-
-    def large_page_carved(
-        self, group_id: str, large_page_id: int, num_small_pages: int
-    ) -> None:
-        """A large page was carved from the LCM pool into small pages."""
-
-    def page_evicted(
-        self, group_id: str, page_id: int, level: str,
-        last_access: float, prefix_length: float,
-    ) -> None:
-        """An evictable page (``level`` ``small``/``large``) was reclaimed;
-        the two keys are the priority it held (§5.1's eviction order)."""
-
-    def page_released(self, group_id: str, page_id: int, cached: bool) -> None:
-        """A page's last reference dropped (``cached``: kept as evictable),
-        or a displaced stale cached copy was freed (``cached=False``)."""
 
     # -- manager ---------------------------------------------------------
 

@@ -103,8 +103,8 @@ class LRUEvictor(Generic[T]):
         """Like :meth:`evict`, also returning the victim's priority.
 
         Returns ``(item, last_access, prefix_length)`` -- the two-key
-        eviction priority the victim held, reported through
-        :meth:`~repro.core.events.Observer.page_evicted`.
+        eviction priority the victim held (a non-zero prefix length makes
+        it an aligned victim in the allocator's tallies).
         """
         heap = self._heap
         priority = self._priority

@@ -152,8 +152,7 @@ class JengaKVCacheManager:
         self.hit_tokens = 0
 
     def bind_observer(self, observer: Optional[Observer]) -> None:
-        """Report this manager's lookups, and its pool's events, to ``observer``."""
-        self.allocator.observer = observer
+        """Report this manager's lookups to ``observer``."""
         self.observer = observer
 
     def _require(self, request_id: str) -> Dict[str, GroupBinding]:

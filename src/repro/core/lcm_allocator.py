@@ -131,7 +131,3 @@ class LCMAllocator:
         Exact division: the large page is a multiple of every small page.
         """
         return self.large_page_bytes // self.small_page_sizes[group_id]
-
-    def utilization(self) -> float:
-        """Fraction of large pages currently allocated."""
-        return self.num_allocated / self.num_pages

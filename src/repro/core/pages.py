@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Tuple
 
 __all__ = ["PageState", "PhysicalExtent"]
 
@@ -72,6 +71,3 @@ class PhysicalExtent:
 
     def overlaps(self, other: "PhysicalExtent") -> bool:
         return self.start < other.end and other.start < self.end
-
-    def as_tuple(self) -> Tuple[int, int]:
-        return (self.start, self.size)

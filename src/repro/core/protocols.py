@@ -114,8 +114,8 @@ class KVCacheManager(Protocol):
     # -- observation ------------------------------------------------------
 
     def bind_observer(self, observer: Optional[Observer]) -> None:
-        """Report to ``observer`` (``None``: to nobody), propagating to the
-        allocator under the rules in :mod:`repro.core.events`."""
+        """Report to ``observer`` (``None``: to nobody) under the rules in
+        :mod:`repro.core.events`."""
         ...
 
     # -- engine-facing properties ---------------------------------------

@@ -37,10 +37,15 @@ whole write set), :meth:`~TwoLevelAllocator.release_pages` and
 :meth:`~TwoLevelAllocator.acquire_cached_run` -- doing per page only what
 differs per page (its fields, its evictor entry, its large page's counts)
 and once per run the rest: the lookups, the ``version`` move, one
-``bump_state(old, new, n)`` and ``note_fill``, the observer test.  A run
-is its pages taken one at a time, in order (same page, same step, same
-victim), and takes or returns page ids; ``allocate_page``,
-``release_page`` and ``acquire_cached`` are delegates to the run of one.
+``bump_state(old, new, n)`` and ``note_fill``.  A run is its pages taken
+one at a time, in order (same page, same step, same victim), and takes or
+returns page ids; ``allocate_page``, ``release_page`` and
+``acquire_cached`` are delegates to the run of one.
+
+The pool reports nothing.  What the five steps did is kept as plain
+totals (:attr:`TwoLevelAllocator.step_pages` and the victim and release
+counts beside it), which :class:`~repro.obs.registry.BusTelemetry` reads
+once per engine step.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .events import Observer
 from .evictor import LRUEvictor
 from .free_pool import FreePool
 from .layer_policy import GroupSpec, LayerTypePolicy
@@ -175,11 +179,6 @@ class GroupAllocator:
         """EMPTY pages currently pooled (the pool holds no stale ids)."""
         return len(self.free_pool)
 
-    @property
-    def free_buckets(self) -> int:
-        """Per-request buckets in the free pool (bounded by ``num_free``)."""
-        return self.free_pool.num_buckets
-
     def slots(self, large_id: int) -> range:
         """Ids of the small pages large page ``large_id`` holds, in slot
         order, while this group owns it."""
@@ -261,10 +260,16 @@ class TwoLevelAllocator:
         # which no capacity count reads -- so an admission verdict taken at
         # one holds at the other.
         self.version = 0
-        # Where allocations, carves, evictions and releases are reported;
-        # bound by the manager(s) over this pool (see
-        # JengaKVCacheManager.bind_observer).  None reports nothing.
-        self.observer: Optional[Observer] = None
+        # What the five steps did, as totals (read by the telemetry; the
+        # pool reports nothing): pages each §5.4 step served (index 0 is
+        # the ablation's first fit), step-3/5 victims per owning group,
+        # victims that held a non-zero prefix length (§5.1's aligned
+        # tiebreak), and last references dropped into the cache or freed.
+        self.step_pages = [0] * 6
+        self.victims: Dict[str, int] = dict.fromkeys(specs, 0)
+        self.aligned_victims = 0
+        self.cached_releases = 0
+        self.freed_releases = 0
 
     # ------------------------------------------------------------------
     # The five-step allocation algorithm
@@ -289,12 +294,10 @@ class TwoLevelAllocator:
         Each page comes from the first of the five steps that has one, so
         a run takes the pages, in the order, ``n`` runs of one would.
         Check, then commit: a run :meth:`groups_that_fit` refuses returns
-        ``None`` and mutates nothing (no carve, eviction or report);
+        ``None`` and mutates nothing (no carve, eviction or count);
         otherwise returns the ids of the ``n`` USED pages (in allocation
-        order) and reports exactly one
-        :meth:`~repro.core.events.Observer.pages_allocated`, after the
-        carves and evictions that fed it.  ``n <= 0`` is a no-op
-        returning an empty list.
+        order) and adds each page to the :attr:`step_pages` of the step
+        that served it.  ``n <= 0`` is a no-op returning an empty list.
         """
         if not self.groups_that_fit(((group_id, n),), request_id):
             return None
@@ -306,20 +309,20 @@ class TwoLevelAllocator:
         lcm = self.lcm
         large_evictor = self.large_evictor
         large_counts = self._large_counts
-        obs = self.observer
+        step_pages = self.step_pages
         aware = self.request_aware
+        # In ablation mode (§4.3) step 1 is naive first-fit over any empty
+        # page instead, counted as step 0 so it never reads as a genuine
+        # step-4 fallback.
+        first_fit = 1 if aware else 0
         taken: List[int] = []
-        steps: List[int] = []
         reclaimed = 0
         while len(taken) < n:
-            # Step 1: request-associated empty small page.  In ablation
-            # mode (§4.3) naive first-fit over any empty page instead,
-            # tagged step 0 so event analytics never conflate it with a
-            # genuine step-4 fallback.
+            # Step 1: request-associated empty small page.
             page_id = pool.pop(request_id) if aware else pool.pop_any()
             if page_id is not None:
                 taken.append(page_id)
-                steps.append(1 if aware else 0)
+                step_pages[first_fit] += 1
                 continue
             # Step 2: carve a fresh large page.  Step 3: first evict the
             # least-recently-used fully-evictable large page (any group's)
@@ -327,14 +330,18 @@ class TwoLevelAllocator:
             carve_step = 2 if lcm.has_free() else 3 if len(large_evictor) else 0
             if carve_step:
                 if carve_step == 3:
-                    victim_id, last_access, prefix = large_evictor.evict_with_key()
+                    victim_id, _, prefix = large_evictor.evict_with_key()
                     victim_group = lcm.owner_of(victim_id)
                     assert victim_group is not None
                     self._num_fully_evictable[victim_group] -= 1
-                    self._evict_large_page(victim_id, victim_group, last_access, prefix)
+                    self._return_large_page(victim_id)
+                    self.num_large_evictions += 1
+                    self.victims[victim_group] += 1
+                    if prefix:
+                        self.aligned_victims += 1
                 carved = self._carve(group, request_id)
                 taken.append(carved[0])
-                steps.append(carve_step)
+                step_pages[carve_step] += 1
                 if spl > 1:
                     # The other slots would go to the request's bucket
                     # (step 1 just found it empty; in the ablation, the
@@ -344,7 +351,7 @@ class TwoLevelAllocator:
                     more = min(n - len(taken), spl - 1)
                     split = spl - more
                     taken.extend(reversed(carved[split:]))
-                    steps.extend([1 if aware else 0] * more)
+                    step_pages[first_fit] += more
                     for page_id in carved[1:split]:
                         pool.push(page_id, request_id)
                 continue
@@ -352,12 +359,12 @@ class TwoLevelAllocator:
             page_id = pool.pop_any()
             if page_id is not None:
                 taken.append(page_id)
-                steps.append(4)
+                step_pages[4] += 1
                 continue
             # Step 5: evict an evictable small page of this group and
             # reuse it in place (the check promised one).
             assert len(evictor), f"groups_that_fit admitted {n} pages of {group_id}"
-            victim_id, last_access, prefix = evictor.evict_with_key()
+            victim_id, _, prefix = evictor.evict_with_key()
             group.clear(victim_id)
             state[victim_id] = EMPTY
             large_id = victim_id // spl
@@ -367,15 +374,16 @@ class TwoLevelAllocator:
             counts[2] -= 1
             counts[0] += 1
             reclaimed += 1
-            if obs is not None:
-                obs.page_evicted(group_id, victim_id, "small", last_access, prefix)
+            if prefix:
+                self.aligned_victims += 1
             taken.append(victim_id)
-            steps.append(5)
         if not taken:
             return taken
         # EMPTY -> USED for the whole run at once.
         self.version += 1
         if reclaimed:
+            step_pages[5] += reclaimed
+            self.victims[group_id] += reclaimed
             group.note_eviction(reclaimed)
             group.bump_state(EVICTABLE, EMPTY, reclaimed)
         group.bump_state(EMPTY, USED, len(taken))
@@ -388,8 +396,6 @@ class TwoLevelAllocator:
             counts = large_counts[page_id // spl]
             counts[0] -= 1
             counts[1] += 1
-        if obs is not None:
-            obs.pages_allocated(group_id, request_id, tuple(taken), tuple(steps))
         return taken
 
     def groups_that_fit(
@@ -443,11 +449,7 @@ class TwoLevelAllocator:
     def _carve(self, group: GroupAllocator, request_id: str) -> range:
         """Carve a free large page into ``group``'s small pages: all EMPTY,
         associated with ``request_id``, not yet pooled."""
-        group_id = group.spec.group_id
-        large_id = self.lcm.allocate(group_id)
-        obs = self.observer
-        if obs is not None:
-            obs.large_page_carved(group_id, large_id, group.small_per_large)
+        large_id = self.lcm.allocate(group.spec.group_id)
         carved = group.new_pages(large_id, request_id)
         self._large_counts[large_id] = [len(carved), 0, 0]
         return carved
@@ -467,9 +469,9 @@ class TwoLevelAllocator:
         last reference caches it (hashed, ``cacheable``, prefix caching
         on) or frees it.
 
-        Reports one :meth:`~repro.core.events.Observer.page_released` per
-        page that dropped its last reference, in run order.  A page that is not
-        USED raises ``ValueError``; the pages before it stay released.
+        Each page that dropped its last reference counts once in
+        :attr:`cached_releases` or :attr:`freed_releases`.  A page that is
+        not USED raises ``ValueError``; the pages before it stay released.
         """
         group = self.groups[group_id]
         state = group.state
@@ -481,10 +483,9 @@ class TwoLevelAllocator:
         large_counts = self._large_counts
         spl = group.small_per_large
         cache = cacheable and self.enable_prefix_caching
-        released: List[Tuple[int, bool]] = []  # (page id, cached)
         small_run: List[Tuple[int, float, float]] = []
         large_run: List[Tuple[int, float, float]] = []
-        fill = 0
+        fill = freed = 0
         try:
             for page_id in page_ids:
                 refs_left = refs[page_id] - 1
@@ -497,9 +498,8 @@ class TwoLevelAllocator:
                 if refs_left:
                     continue
                 fill += num_tokens[page_id]
-                cached = cache and hashes[page_id] is not None
-                released.append((page_id, cached))
-                if not cached:
+                if not (cache and hashes[page_id] is not None):
+                    freed += 1
                     self._empty_page(group, page_id, USED)
                     continue
                 state[page_id] = EVICTABLE
@@ -514,17 +514,15 @@ class TwoLevelAllocator:
                     self._num_fully_evictable[group_id] += 1
                     large_run.append((large_id, *self._large_key_scan(large_id)))
         finally:
-            if released:
+            if small_run or freed:
                 group.evictor.add_run(small_run)
                 self.large_evictor.add_run(large_run)
                 self.version += 1
                 group.note_fill(-fill)
                 group.bump_state(USED, EVICTABLE, len(small_run))
-                group.bump_state(USED, EMPTY, len(released) - len(small_run))
-                obs = self.observer
-                if obs is not None:
-                    for page_id, cached in released:
-                        obs.page_released(group_id, page_id, cached)
+                group.bump_state(USED, EMPTY, freed)
+                self.cached_releases += len(small_run)
+                self.freed_releases += freed
 
     def acquire_cached(
         self, group_id: str, block_hash: int, request_id: str
@@ -594,15 +592,13 @@ class TwoLevelAllocator:
             hashes[displaced] = None
             if group.state[displaced] is EVICTABLE:
                 # The displaced copy frees outright without passing
-                # through release_pages: observers still see a release.
+                # through release_pages; it still counts as a release.
                 group.evictor.discard(displaced)
                 self._large_evictor_discard(displaced // group.small_per_large, group_id)
                 self.version += 1
                 group.bump_state(EVICTABLE, EMPTY)
                 self._empty_page(group, displaced, EVICTABLE)
-                obs = self.observer
-                if obs is not None:
-                    obs.page_released(group_id, displaced, False)
+                self.freed_releases += 1
 
     def touch_evictable(self, group_id: str, page_id: int) -> None:
         """Re-key an evictable page after its eviction metadata changed.
@@ -648,17 +644,6 @@ class TwoLevelAllocator:
             self._return_large_page(large_id)
         else:
             group.free_pool.push(page_id, group.request_id[page_id])
-
-    def _evict_large_page(
-        self, large_id: int, owner: str, last_access: float, prefix: float
-    ) -> None:
-        """Return ``owner``'s large page as an eviction: counted and
-        reported with the priority it held (step 3)."""
-        self._return_large_page(large_id)
-        self.num_large_evictions += 1
-        obs = self.observer
-        if obs is not None:
-            obs.page_evicted(owner, large_id, "large", last_access, prefix)
 
     def _return_large_page(self, large_id: int) -> None:
         """Give ``large_id`` back to the LCM pool, evicting in the same walk

@@ -10,7 +10,8 @@ The subsystem closes the ROADMAP's "engine-step profiling hooks" item:
 * :mod:`repro.obs.registry` -- :class:`TelemetryRegistry` (counters,
   gauges, fixed-bucket histograms, bounded timelines) fed by
   :class:`BusTelemetry`, the observer every report of the stack is
-  counted in.
+  counted in, and which copies the pool's allocation, eviction and
+  release totals in once per engine step.
 * :mod:`repro.obs.export` -- Chrome trace-event JSON (open it at
   https://ui.perfetto.dev) and plain-text/JSON summary reports, surfaced
   as ``repro.cli trace`` / ``repro.cli report``.

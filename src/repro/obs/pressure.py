@@ -1,12 +1,13 @@
 """Pool-pressure view: the fold's counters -> per-replica pressure gauges.
 
 :class:`PressureMonitor` observes nothing itself: the
-:class:`~repro.obs.registry.BusTelemetry` fold counts admission blocks,
-evictions (total and per group) and preemptions once, and ticks this view
-from its ``step_completed``.  The view turns the *per-step deltas*
-of those counters into exponentially-weighted moving averages, so the
-gauges answer "how hard is this replica's pool being squeezed *right
-now*", not "how many evictions ever happened".  The composite
+:class:`~repro.obs.registry.BusTelemetry` fold counts admission blocks and
+preemptions as they are reported, copies the pool's eviction totals (total
+and per group) into its counters at ``step_completed``, and then ticks
+this view.  The view turns the *per-step deltas* of those counters into
+exponentially-weighted moving averages, so the gauges answer "how hard is
+this replica's pool being squeezed *right now*", not "how many evictions
+ever happened".  The composite
 ``pressure/score`` in ``[0, 1]`` is the max of the block-rate,
 preemption-rate, and non-reclaimable-occupancy terms: any one of them
 saturating means the pool is the bottleneck.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from .registry import BusTelemetry, KeyMemo
+from .registry import BusTelemetry
 
 __all__ = ["PressureMonitor"]
 
@@ -61,7 +62,6 @@ class PressureMonitor:
         # EWMA state per gauge name, and per group id.
         self._rates: Dict[str, float] = dict.fromkeys(_RATE_INPUTS, 0.0)
         self._group_rates: Dict[str, float] = {}
-        self._group_rate_keys = KeyMemo("pressure/group/", "/eviction_rate")
         self.score = 0.0
 
     # ------------------------------------------------------------------
@@ -77,7 +77,7 @@ class PressureMonitor:
         for gid, key in self._group_keys.items():
             prev = self._group_rates.get(gid, 0.0)
             self._group_rates[gid] = cur = prev + _EWMA_ALPHA * (self._delta(key) - prev)
-            reg.set_gauge(self._group_rate_keys[gid], cur)
+            reg.set_gauge(f"pressure/group/{gid}/eviction_rate", cur)
 
         occupancy = 0.0
         if memory is not None:

@@ -3,13 +3,19 @@
 :class:`TelemetryRegistry` is a plain in-process metrics store; it knows
 nothing about the serving stack.  :class:`BusTelemetry` is the adapter and
 the in-tree :class:`~repro.core.events.Observer`: it counts every report
-the stack makes exactly once into registry instruments:
+the stack makes exactly once into registry instruments, and once per
+engine step copies the pool's own totals
+(:class:`~repro.core.two_level.TwoLevelAllocator` reports nothing) into
+counters:
 
-* the Section 5.4 five-step decision histogram (``alloc/step/<n>``
-  counters keyed by :data:`~repro.core.events.ALLOCATION_STEPS`),
-* eviction provenance -- small vs. large level, per group
+* the Section 5.4 five-step decision histogram (``alloc/step/<n>``, with
+  step 0 the request-aware ablation's first fit; ``alloc/pages``,
+  ``alloc/large_carved``),
+* eviction provenance -- small vs. large level, per owning group
   (``evict/group/<gid>``), and balanced (recency-keyed) vs. aligned
   (prefix-length tie-break) priority (Section 5.1),
+* releases into the prefix cache vs. freed (``release/cached`` /
+  ``release/freed``),
 * preemption reasons (``victim`` vs. ``self``), blocked admissions,
   request lifecycle tallies, prefix-cache token counters,
 * routing decisions (``routing/policy/<name>``, ``routing/replica/<id>``,
@@ -243,70 +249,64 @@ _MEM_GAUGES = (
 )
 
 
-class KeyMemo(Dict[Any, str]):
-    """``prefix + name + suffix`` instrument keys, formatted once per
-    distinct name so per-page handlers pay a dict lookup per event."""
-
-    def __init__(self, prefix: str, suffix: str = "") -> None:
-        super().__init__()
-        self.prefix, self.suffix = prefix, suffix
-
-    def __missing__(self, name: Any) -> str:
-        key = self[name] = f"{self.prefix}{name}{self.suffix}"
-        return key
+#: ``alloc/step/<n>``, indexed by step (0: the request-aware ablation's
+#: first fit; 1-5: Section 5.4's steps).
+_STEP_KEYS = tuple(f"alloc/step/{step}" for step in range(6))
 
 
 class BusTelemetry(Observer):
     """The in-tree observer: every report counted once into a registry.
 
-    Pass it as ``LLMEngine(observer=...)``.
-    ``pressure`` is the optional per-step view; whoever assembles the
-    fold assigns it, and :meth:`step_completed` ticks it.
+    Pass it as ``LLMEngine(observer=...)``.  Whoever assembles the fold
+    assigns its two optional parts: ``allocator``, the pool whose totals
+    :meth:`step_completed` copies into the ``alloc/``, ``evict/`` and
+    ``release/`` counters, and ``pressure``, the per-step view it then
+    ticks.
     """
 
     def __init__(self, registry: Optional[TelemetryRegistry] = None) -> None:
         self.registry = registry if registry is not None else TelemetryRegistry()
-        #: Duck-typed so obs.registry does not import the view's module:
+        #: Duck-typed so obs.registry imports neither module: the
+        #: :class:`~repro.core.two_level.TwoLevelAllocator` (its
+        #: ``step_pages``, ``victims``, ``aligned_victims``,
+        #: ``cached_releases`` and ``freed_releases``) and
         #: ``pressure.on_step(time, memory)``.
+        self.allocator: Any = None
         self.pressure: Any = None
-        self._step_keys = KeyMemo("alloc/step/")
-        self._evict_keys = KeyMemo("evict/")
-        self._preempt_keys = KeyMemo("preempt/")
         #: group id -> its ``evict/group/<gid>`` counter key, for every
         #: group that has evicted (the pressure view iterates it).
-        self.group_eviction_keys = KeyMemo("evict/group/")
+        self.group_eviction_keys: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
 
-    def pages_allocated(
-        self, group_id: str, request_id: str,
-        page_ids: Tuple[int, ...], steps: Tuple[int, ...],
-    ) -> None:
-        # One report per allocation call, len(page_ids) pool mutations.
-        reg = self.registry
-        reg.inc("alloc/pages", len(page_ids))
-        for step in steps:
-            reg.inc(self._step_keys[step])
-
-    def page_released(self, group_id: str, page_id: int, cached: bool) -> None:
-        self.registry.inc("release/cached" if cached else "release/freed")
-
-    def page_evicted(
-        self, group_id: str, page_id: int, level: str,
-        last_access: float, prefix_length: float,
-    ) -> None:
-        reg = self.registry
-        reg.inc(self._evict_keys[level])
-        reg.inc(self.group_eviction_keys[group_id])
-        # §5.1 provenance: a zero prefix length means plain recency
-        # ("balanced") eviction; a non-zero one means the prefix-depth
-        # tie-break ("aligned") participated in victim choice.
-        reg.inc("evict/priority/aligned" if prefix_length else "evict/priority/balanced")
-
-    def large_page_carved(
-        self, group_id: str, large_page_id: int, num_small_pages: int
-    ) -> None:
-        self.registry.inc("alloc/large_carved")
+    def _copy_pool_totals(self, pool: Any) -> None:
+        """The pool's totals into their counters.  Each counter appears
+        once its total is non-zero, as it would counting event by event."""
+        counters = self.registry.counters
+        steps = pool.step_pages
+        aligned = pool.aligned_victims
+        for key, total in (
+            *zip(_STEP_KEYS, steps),
+            ("alloc/pages", sum(steps)),
+            ("alloc/large_carved", steps[2] + steps[3]),
+            ("evict/small", steps[5]),
+            ("evict/large", steps[3]),
+            # §5.1 provenance: a victim with a non-zero prefix length was
+            # chosen with the prefix-depth tie-break ("aligned"), the rest
+            # by plain recency ("balanced").
+            ("evict/priority/aligned", aligned),
+            ("evict/priority/balanced", steps[3] + steps[5] - aligned),
+            ("release/cached", pool.cached_releases),
+            ("release/freed", pool.freed_releases),
+        ):
+            if total:
+                counters[key] = total
+        keys = self.group_eviction_keys
+        for group_id, total in pool.victims.items():
+            if total:
+                if group_id not in keys:
+                    keys[group_id] = f"evict/group/{group_id}"
+                counters[keys[group_id]] = total
 
     def prefix_hit(self, request_id: str, hit_tokens: int, lookup_tokens: int) -> None:
         reg = self.registry
@@ -327,7 +327,7 @@ class BusTelemetry(Observer):
         self.registry.set_gauge("pressure/queue_depth", float(queue_depth))
 
     def request_preempted(self, request_id: str, time: float, reason: str) -> None:
-        self.registry.inc(self._preempt_keys[reason])
+        self.registry.inc(f"preempt/{reason}")
 
     def request_finished(self, request_id: str, time: float) -> None:
         self.registry.inc("requests/finished")
@@ -347,9 +347,11 @@ class BusTelemetry(Observer):
         reg.inc("routing/expected_hit_tokens", expected_hit_tokens)
 
     def step_completed(self, time: float, record: Any) -> None:
-        """Counters, then the pressure view, whose EWMAs then include
-        this step."""
+        """The pool's totals and the step's counters, then the pressure
+        view, whose EWMAs then include this step."""
         reg = self.registry
+        if self.allocator is not None:
+            self._copy_pool_totals(self.allocator)
         reg.inc("engine/steps")
         memory = getattr(record, "memory", None)
         if memory is not None:

@@ -70,7 +70,8 @@ class Replica:
             untraced) -- tracing is opted into per replica.
         telemetry: Observe the engine with a per-replica
             :class:`~repro.obs.registry.BusTelemetry` fold, kept as
-            ``self.telemetry`` and feeding ``self.registry``.
+            ``self.telemetry`` and feeding ``self.registry``; it also reads
+            the totals of the manager's ``allocator``.
         pressure: Add the :class:`~repro.obs.pressure.PressureMonitor`
             view (``self.telemetry.pressure``: EWMA rates and
             ``pressure/score``) to that fold; it reads the fold's
@@ -99,11 +100,12 @@ class Replica:
             manager = make_manager(system, model, kv_bytes, seed=seed)
         self.manager = manager
         self.tracer = tracer
-        # One fold per replica; pressure is a view it ticks (counters ->
-        # pressure EWMAs) on every step_completed.
+        # One fold per replica, reading the replica's pool; pressure is a
+        # view it ticks (counters -> pressure EWMAs) on every step_completed.
         self.telemetry: Optional[BusTelemetry] = None
         if telemetry or pressure:
             self.telemetry = BusTelemetry()
+            self.telemetry.allocator = manager.allocator
         self.engine = LLMEngine(
             model, gpu, manager, config=config, observer=self.telemetry,
             tracer=tracer,

@@ -15,10 +15,6 @@ from repro.core.events import AdmissionBlocked, Observer
 
 __all__ = [
     "AdmissionBlocked",
-    "LargePageCarved",
-    "PageEvicted",
-    "PageReleased",
-    "PagesAllocated",
     "PhaseBegan",
     "PhaseEnded",
     "PrefixHit",
@@ -38,13 +34,6 @@ def _record(name, *fields, **defaults):
     return dataclasses.make_dataclass(name, spec, frozen=True)
 
 
-PagesAllocated = _record("PagesAllocated", "group_id", "request_id", "page_ids", "steps")
-LargePageCarved = _record("LargePageCarved", "group_id", "large_page_id", "num_small_pages")
-PageEvicted = _record(
-    "PageEvicted", "group_id", "page_id", "level", "last_access", "prefix_length",
-    last_access=0.0, prefix_length=0.0,
-)
-PageReleased = _record("PageReleased", "group_id", "page_id", "cached")
 PrefixHit = _record("PrefixHit", "request_id", "hit_tokens", "lookup_tokens")
 RequestQueued = _record("RequestQueued", "request_id", "arrival_time")
 RequestAdmitted = _record("RequestAdmitted", "request_id", "time", "cached_tokens",
@@ -66,10 +55,6 @@ StepCompleted = _record(
 #: Observer method -> the record class it is kept as (arguments map onto
 #: fields by position and name).
 RECORDS = {
-    "pages_allocated": PagesAllocated,
-    "large_page_carved": LargePageCarved,
-    "page_evicted": PageEvicted,
-    "page_released": PageReleased,
     "prefix_hit": PrefixHit,
     "request_queued": RequestQueued,
     "request_admitted": RequestAdmitted,

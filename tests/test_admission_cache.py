@@ -63,7 +63,7 @@ def make_manager(total=64 * 4 * 64, caching=True, specs=None):
 
 
 def make_allocator(num_large=3):
-    """Bare two-group allocator with no observer: 3 'a' or 2 'b' pages per large."""
+    """Bare two-group allocator: 3 'a' or 2 'b' pages per large."""
     specs = {
         "a": GroupSpec("a", FULL_ATTENTION, 1, 64, tokens_per_page=4,
                        accepted_tags=T),
@@ -73,7 +73,6 @@ def make_allocator(num_large=3):
     alloc = TwoLevelAllocator(
         768 * num_large, specs, {g: make_policy(s) for g, s in specs.items()}
     )
-    assert alloc.observer is None
     return alloc
 
 

@@ -25,7 +25,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.events import Observer
 from repro.core.layer_policy import FULL_ATTENTION, GroupSpec, make_policy
 from repro.core.pages import EMPTY, EVICTABLE, USED
 from repro.core.sequence import TEXT
@@ -46,44 +45,13 @@ def group_specs():
     }
 
 
-class Tally(Observer):
-    """The pool's totals, counted from its per-page reports: pages per
-    §5.4 step (index 0: the ablation's first fit), victims per owning
-    group, victims chosen with a non-zero prefix length (§5.1's aligned
-    tiebreak), and last references dropped into the cache or freed."""
-
-    def __init__(self, groups):
-        self.step_pages = [0] * 6
-        self.victims = dict.fromkeys(groups, 0)
-        self.aligned_victims = 0
-        self.cached_releases = self.freed_releases = 0
-
-    def pages_allocated(self, group_id, request_id, page_ids, steps):
-        for step in steps:
-            self.step_pages[step] += 1
-
-    def page_evicted(self, group_id, page_id, level, last_access, prefix_length):
-        self.victims[group_id] += 1
-        self.aligned_victims += prefix_length != 0
-
-    def page_released(self, group_id, page_id, cached):
-        if cached:
-            self.cached_releases += 1
-        else:
-            self.freed_releases += 1
-
-
-def recorded(alloc):
-    """``alloc`` counting into a :class:`Tally`."""
-    alloc.observer = Tally(alloc.groups)
-    return alloc
-
-
 def tallies(alloc):
-    """The pool's tallies, as a comparable value."""
-    tally = alloc.observer
-    return (tuple(tally.step_pages), tuple(sorted(tally.victims.items())),
-            tally.aligned_victims, tally.cached_releases, tally.freed_releases)
+    """The pool's tallies, as a comparable value: pages per §5.4 step
+    (index 0: the ablation's first fit), victims per owning group, victims
+    chosen with a non-zero prefix length (§5.1's aligned tiebreak), and
+    last references dropped into the cache or freed."""
+    return (tuple(alloc.step_pages), tuple(sorted(alloc.victims.items())),
+            alloc.aligned_victims, alloc.cached_releases, alloc.freed_releases)
 
 
 def steps_taken(alloc):
@@ -93,10 +61,10 @@ def steps_taken(alloc):
 
 def make_allocator(num_large=12, caching=True, request_aware=True):
     specs = group_specs()
-    return recorded(TwoLevelAllocator(
+    return TwoLevelAllocator(
         1024 * num_large, specs, {g: make_policy(s) for g, s in specs.items()},
         enable_prefix_caching=caching, request_aware=request_aware,
-    ))
+    )
 
 
 class CarveOrder:
@@ -560,7 +528,7 @@ class TestCheckThenCommit:
         from repro.core.sequence import SequenceSpec
 
         mgr = JengaKVCacheManager(group_specs(), 1024 * 6, enable_prefix_caching=caching)
-        alloc = recorded(mgr.allocator)
+        alloc = mgr.allocator
         seqs = [SequenceSpec.text_only(f"r{i}", list(range(i % 2, 40))) for i in range(4)]
         pos = [0] * 4
         for seq in seqs:

@@ -215,12 +215,11 @@ class TestReplicaFold:
         replica = self.build()
         assert replica.telemetry is None and replica.registry is None
         assert replica.engine.observer is None
-        assert replica.manager.allocator.observer is None
 
     def test_telemetry_alone_carries_no_views(self):
         replica = self.build(telemetry=True)
         assert replica.engine.observer is replica.telemetry
-        assert replica.manager.allocator.observer is replica.telemetry
+        assert replica.telemetry.allocator is replica.manager.allocator
         assert replica.registry is replica.telemetry.registry
         assert replica.telemetry.pressure is None
 

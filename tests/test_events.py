@@ -2,7 +2,7 @@
 
 import inspect
 
-from repro.core.events import ALLOCATION_STEPS, Fanout, Observer
+from repro.core.events import Fanout, Observer
 from repro.core.kv_manager import JengaKVCacheManager
 from repro.core.layer_policy import FULL_ATTENTION, GroupSpec
 from repro.baselines import SYSTEMS, make_manager
@@ -19,10 +19,6 @@ from repro.workloads import token_block
 from .recording import (
     RECORDS,
     AdmissionBlocked,
-    LargePageCarved,
-    PageEvicted,
-    PageReleased,
-    PagesAllocated,
     PrefixHit,
     RecordingObserver,
     RequestAdmitted,
@@ -35,24 +31,9 @@ I = frozenset({IMAGE})
 
 
 class TestObserver:
-    def test_step_names(self):
-        # 1-5 are the paper's five steps; 0 tags the request-aware
-        # ablation's first-fit path.
-        assert set(ALLOCATION_STEPS) == {0, 1, 2, 3, 4, 5}
-        assert all(isinstance(name, str) and name for name in ALLOCATION_STEPS.values())
-
     def test_every_observer_method_has_a_record(self):
         methods = {name for name in vars(Observer) if not name.startswith("_")}
         assert methods == set(RECORDS) | {"step_completed"}
-
-    def test_a_private_allocator_follows_its_manager(self):
-        mgr = five_step_manager()
-        first, second = RecordingObserver(), RecordingObserver()
-        mgr.bind_observer(first)
-        mgr.bind_observer(second)
-        assert mgr.allocator.observer is second
-        mgr.bind_observer(None)
-        assert mgr.allocator.observer is None
 
 
 def five_step_manager():
@@ -86,7 +67,8 @@ class TestFiveStepTrace:
     growing request A one page at a time exercises them as
     [1, 2, 1, 3, 1, 4, 5]: every odd growth first drains the second slot
     of A's own most recent large page (step 1), and the fallbacks fire in
-    §5.4 order as the staged resources run out.
+    §5.4 order as the staged resources run out.  The pool's per-step page
+    totals say which step served each growth.
     """
 
     def stage(self):
@@ -127,52 +109,28 @@ class TestFiveStepTrace:
 
     def test_allocation_steps_fire_in_paper_order(self):
         mgr, a = self.stage()
-        recorder = RecordingObserver()
-        mgr.bind_observer(recorder)
+        pool = mgr.allocator
+        victims, aligned = dict(pool.victims), pool.aligned_victims
 
+        steps = []
         for _ in range(7):  # grow A one "full" page per call
+            before = list(pool.step_pages)
             a.extend(range(len(a), len(a) + 4))
             assert mgr.allocate_up_to(a, len(a))
-        watched = (PagesAllocated, PageEvicted, LargePageCarved)
-        trace = [ev for ev in recorder.records if isinstance(ev, watched)]
-
-        # allocate_up_to batches: one PagesAllocated per call, whose steps
-        # record the §5.4 step satisfying each page of the batch.
-        allocs = [ev for ev in trace if isinstance(ev, PagesAllocated)]
-        steps = [step for ev in allocs for step in ev.steps]
+            served = [after - was for was, after in zip(before, pool.step_pages)]
+            assert sum(served) == 1  # one page per call, by one step
+            steps.append(served.index(1))
         assert steps == [1, 2, 1, 3, 1, 4, 5]
-        assert all(ev.request_id == "A" and ev.group_id == "full" for ev in allocs)
-        assert all(len(ev.page_ids) == len(ev.steps) == 1 for ev in allocs)
 
         # First occurrences walk the algorithm top to bottom.
         first_seen = list(dict.fromkeys(steps))
         assert first_seen == [1, 2, 3, 4, 5]
 
-        # The full interleaving: carves and evictions are reported inside
-        # the batch, before the PagesAllocated record they make room for.
-        shapes = [
-            (type(ev).__name__, getattr(ev, "steps", getattr(ev, "level", None)))
-            for ev in trace
-        ]
-        assert shapes == [
-            ("PagesAllocated", (1,)),
-            ("LargePageCarved", None),
-            ("PagesAllocated", (2,)),
-            ("PagesAllocated", (1,)),
-            ("PageEvicted", "large"),
-            ("LargePageCarved", None),
-            ("PagesAllocated", (3,)),
-            ("PagesAllocated", (1,)),
-            ("PagesAllocated", (4,)),
-            ("PageEvicted", "small"),
-            ("PagesAllocated", (5,)),
-        ]
-
-        # Eviction events carry the victim's two-key LRU priority.
-        large_evt = next(ev for ev in trace
-                         if isinstance(ev, PageEvicted) and ev.level == "large")
-        assert large_evt.last_access == 2.0  # F's commit time
-        assert large_evt.prefix_length > 0
+        # Both victims were "full" pages, each holding a non-zero prefix
+        # length (aligned): F's large page (step 3), then B's evictable
+        # second page (step 5).
+        assert pool.victims == {"full": victims["full"] + 2, "img": victims["img"]}
+        assert pool.aligned_victims == aligned + 2
 
     def test_prefix_hits_and_releases_are_emitted(self):
         mgr, a = self.stage()
@@ -181,9 +139,8 @@ class TestFiveStepTrace:
         assert by_request["E"].hit_tokens == 4
         assert by_request["E"].lookup_tokens == 8
         assert by_request["A"].hit_tokens == 0
-        released = mgr.observer.recent(PageReleased)
         # B's and F's two pages each were released into the cache.
-        assert len([ev for ev in released if ev.cached]) == 4
+        assert mgr.allocator.cached_releases == 4
 
 
 class TestEngineEvents:
@@ -209,15 +166,15 @@ class TestEngineEvents:
     def test_manager_events_flow_to_engine_bus(self):
         model = get_model("llama3-8b")
         mgr = JengaKVCacheManager(model.kv_groups(), 2 << 30)
-        assert mgr.observer is None and mgr.allocator.observer is None
+        assert mgr.observer is None
         seen = RecordingObserver()
         eng = LLMEngine(model, H100, mgr, config=SchedulerConfig(), observer=seen)
-        # The engine binds its observer on the queue, manager + allocator.
+        # The engine binds its observer on the queue and the manager.
         assert eng.observer is seen and eng.waiting.observer is seen
-        assert mgr.observer is seen and mgr.allocator.observer is seen
+        assert mgr.observer is seen
         eng.add_requests([Request.text("r0", token_block(0, "r", 0, 64), 2)])
         eng.run()
-        assert seen.counts["PagesAllocated"] > 0
+        assert seen.counts["PrefixHit"] == 1
         assert seen.counts["StepCompleted"] == len(eng.steps)
 
     def test_run_record_matches_what_the_bus_saw(self):
@@ -252,22 +209,23 @@ class TestEngineEvents:
         return eng
 
     def test_default_engine_constructs_no_page_event(self):
-        """An engine built without an observer leaves the queue, the manager
-        and its allocator with none, for every registered manager system,
-        so every report site is skipped and no record of any kind is
-        built; the results are the engine's own run record."""
+        """An engine built without an observer leaves the queue and the
+        manager with none, for every registered manager system, so every
+        report site is skipped and no record of any kind is built; the
+        allocator has no observer seat at all.  The results are the
+        engine's own run record."""
         model = get_model("llama3-8b")
         for system in SYSTEMS:
             mgr = make_manager(system, model, 192 * 1024 * 1024)
             eng = LLMEngine(model, H100, mgr, config=SchedulerConfig(max_num_seqs=4))
             assert eng.observer is None and eng.waiting.observer is None, system
-            assert mgr.observer is None and mgr.allocator.observer is None, system
+            assert mgr.observer is None, system
+            assert not hasattr(mgr.allocator, "observer"), system
         eng = self.pressured_engine()
         metrics = eng.run(max_steps=20_000)
         assert len(metrics.requests) == 12
         assert eng.manager.allocator.num_large_evictions > 0
         assert metrics.preemptions > 0 and len(metrics.steps) > 0
-        assert eng.manager.allocator.observer is None
 
     def test_events_subscribe_counts_what_telemetry_counts(self):
         """``engine.events.subscribe(fn, [AdmissionBlocked])`` (the e2e
@@ -279,7 +237,6 @@ class TestEngineEvents:
         blocked = []
         eng.events.subscribe(blocked.append, [AdmissionBlocked])
         assert eng.manager.observer is telemetry
-        assert eng.manager.allocator.observer is telemetry
         eng.run(max_steps=20_000)
         assert blocked and all(isinstance(ev, AdmissionBlocked) for ev in blocked)
         assert len(blocked) == telemetry.registry.counters["pressure/admission_blocked"]
@@ -304,7 +261,9 @@ class TestEngineEvents:
         captured = outcome(self.pressured_engine(RecordingObserver()))
         telemetry = BusTelemetry()
         telemetry.pressure = PressureMonitor(telemetry)
-        observed = outcome(self.pressured_engine(telemetry))
+        engine = self.pressured_engine(telemetry)
+        telemetry.allocator = engine.manager.allocator
+        observed = outcome(engine)
         tracer = Tracer()
         traced = outcome(self.pressured_engine(tracer))
         fanned = outcome(self.pressured_engine(Fanout(BusTelemetry(), Tracer())))
@@ -340,5 +299,5 @@ class TestEngineEvents:
         self.pressured_engine(alone).run(max_steps=20_000)
         first, second = RecordingObserver(), RecordingObserver()
         self.pressured_engine(Fanout(first, second)).run(max_steps=20_000)
-        assert alone.counts["PhaseBegan"] > 0 and alone.counts["PageEvicted"] > 0
+        assert alone.counts["PhaseBegan"] > 0 and alone.counts["PrefixHit"] > 0
         assert first.records == second.records == alone.records

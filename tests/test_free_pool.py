@@ -109,8 +109,8 @@ class TestBucketLeakRegression:
             assert p1 is not None and p2 is not None
             alloc.release_page("a", p1, cacheable=False)
             alloc.release_page("a", p2, cacheable=False)
-            assert group.free_buckets <= group.num_free
-        assert group.free_buckets <= 2
+            assert group.free_pool.num_buckets <= group.num_free
+        assert group.free_pool.num_buckets <= 2
         alloc.check_invariants()
 
     def test_long_churn_full_lifecycle_bounded(self):
@@ -124,9 +124,9 @@ class TestBucketLeakRegression:
             keep = pages[: i % 3]
             for p in pages[i % 3:]:
                 alloc.release_page("a", p, cacheable=False)
-            assert group.free_buckets <= group.num_free
+            assert group.free_pool.num_buckets <= group.num_free
             for p in keep:
                 alloc.release_page("a", p, cacheable=False)
-        assert group.free_buckets == 0
+        assert group.free_pool.num_buckets == 0
         assert group.num_free == 0
         alloc.check_invariants()

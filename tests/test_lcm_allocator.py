@@ -97,8 +97,3 @@ class TestGeometry:
         with pytest.raises(IndexError):
             alloc.extent_of(alloc.num_pages)
 
-    def test_utilization(self):
-        alloc = make(total=768 * 4)
-        assert alloc.utilization() == 0.0
-        alloc.allocate("text")
-        assert alloc.utilization() == 0.25

@@ -1,10 +1,10 @@
 """Zero cost when off: an unobserved run never enters the telemetry.
 
-Every layer holds ``observer: Optional[Observer]`` and reports through
-``if obs is not None``, so a run with no observer must make no call into
-``repro.obs`` and no call to any :class:`~repro.core.events.Observer`
-method.  ``sys.setprofile`` sees every Python call, so the check counts
-calls instead of timing them.
+Every layer above the pool holds ``observer: Optional[Observer]`` and
+reports through ``if obs is not None``, so a run with no observer must
+make no call into ``repro.obs`` and no call to any
+:class:`~repro.core.events.Observer` method.  ``sys.setprofile`` sees
+every Python call, so the check counts calls instead of timing them.
 """
 
 import os
@@ -52,6 +52,6 @@ def test_an_unobserved_jamba_drain_makes_no_telemetry_call():
 def test_the_counter_sees_an_observer_call():
     """The profile hook does count what the drain must not make."""
     _, into_obs, into_observer = telemetry_calls(
-        lambda: Observer().page_released("g", 0, False)
+        lambda: Observer().request_finished("r0", 0.0)
     )
     assert (into_obs, into_observer) == (0, 1)

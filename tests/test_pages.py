@@ -79,5 +79,3 @@ class TestPhysicalExtent:
         a = PhysicalExtent(10, 5)
         assert a.overlaps(a)
 
-    def test_as_tuple(self):
-        assert PhysicalExtent(4, 8).as_tuple() == (4, 8)

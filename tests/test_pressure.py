@@ -1,6 +1,8 @@
 """PressureMonitor: the pressure view of the telemetry fold, engine
 integration, guarded reports."""
 
+import pytest
+
 from repro.baselines import make_manager
 from repro.engine import LLMEngine, Request, SchedulerConfig
 from repro.engine.metrics import MemorySnapshot, StepRecord
@@ -11,6 +13,7 @@ from repro.platforms import H100
 from repro.workloads import token_block
 
 from .recording import RecordingObserver
+from .test_telemetry import pool_totals
 
 MODEL = get_model("llama3.2-1b")
 
@@ -49,9 +52,11 @@ class TestPressureMonitorUnit:
     def test_per_group_eviction_rates(self):
         fold = fold_with_pressure()
         monitor = fold.pressure
-        for _ in range(3):
-            fold.page_evicted("full", 1, "small", 0.0, 0.0)
-        fold.page_evicted("win", 2, "large", 0.0, 0.0)
+        # Three step-5 victims of "full", one step-3 victim "win" owned;
+        # "other" has evicted nothing and gets no gauge.
+        fold.allocator = pool = pool_totals(
+            step_pages=(0, 0, 0, 1, 0, 3), victims={"full": 3, "win": 1, "other": 0},
+        )
         step(fold)
         reg = monitor.registry
         assert reg.counters["evict/small"] + reg.counters["evict/large"] == 4
@@ -60,6 +65,17 @@ class TestPressureMonitorUnit:
         assert reg.gauges["pressure/eviction_rate"] == 0.2 * 4
         assert (reg.gauges["pressure/group/full/eviction_rate"]
                 > reg.gauges["pressure/group/win/eviction_rate"] > 0.0)
+        assert "pressure/group/other/eviction_rate" not in reg.gauges
+        # A quiet step: the totals stand still, so every rate decays.
+        rate = reg.gauges["pressure/group/full/eviction_rate"]
+        step(fold, index=1, t=2.0)
+        assert reg.gauges["pressure/group/full/eviction_rate"] == pytest.approx(0.8 * rate)
+        assert reg.gauges["pressure/eviction_rate"] == pytest.approx(0.8 * 0.2 * 4)
+        # "other" evicts: its gauge appears, fed by this step's delta.
+        pool.step_pages[5] += 1
+        pool.victims["other"] += 1
+        step(fold, index=2, t=3.0)
+        assert reg.gauges["pressure/group/other/eviction_rate"] == 0.2
 
     def test_rates_decay_over_quiet_steps(self):
         fold = fold_with_pressure()

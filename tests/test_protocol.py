@@ -121,9 +121,8 @@ class TestProtocolConformance:
         observer = RecordingObserver()
         manager.bind_observer(observer)
         assert manager.observer is observer
-        assert manager.allocator.observer is observer
         manager.bind_observer(None)
-        assert manager.observer is None and manager.allocator.observer is None
+        assert manager.observer is None
 
     def test_mismatched_method_is_flagged(self):
         base = type(model_manager("jenga"))

@@ -1,8 +1,13 @@
 """Telemetry registry, histogram/timeline math, and the telemetry observer."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.events import Fanout
+from repro.core.layer_policy import FULL_ATTENTION, GroupSpec, make_policy
+from repro.core.sequence import TEXT
+from repro.core.two_level import TwoLevelAllocator
 from repro.engine.metrics import MemorySnapshot, StepRecord
 from repro.obs import BusTelemetry, Histogram, TelemetryRegistry, Tracer
 from repro.obs.export import render_report, report_payload
@@ -158,48 +163,83 @@ def traced_step(observer, record, phases):
     observer.phase_ended()
 
 
+def pool_totals(step_pages=(0, 0, 0, 0, 0, 0), victims=(), aligned=0, cached=0, freed=0):
+    """A stand-in for the totals a :class:`TwoLevelAllocator` keeps and the
+    fold reads at ``step_completed``."""
+    return SimpleNamespace(
+        step_pages=list(step_pages), victims=dict(victims), aligned_victims=aligned,
+        cached_releases=cached, freed_releases=freed,
+    )
+
+
+def fold_reading(pool):
+    """A fold over ``pool`` after one engine step."""
+    telemetry = BusTelemetry()
+    telemetry.allocator = pool
+    telemetry.step_completed(0.5, None)
+    return telemetry
+
+
 class TestBusTelemetry:
     def test_allocation_step_histogram(self):
+        # Pages served by steps 1, 2, 2, 3 and 5.
+        pool = pool_totals(step_pages=(0, 1, 2, 1, 0, 1), victims={"g": 2})
         telemetry = BusTelemetry()
-        for step in (1, 2, 2, 3, 5):
-            telemetry.pages_allocated("g", "r0", (step,), (step,))
+        telemetry.allocator = pool
         reg = telemetry.registry
+        assert reg.counters == {}  # read at step_completed, not before
+        telemetry.step_completed(0.5, None)
         assert reg.counters["alloc/pages"] == 5
         assert reg.counters["alloc/step/2"] == 2
         assert reg.counters["alloc/step/5"] == 1
+        assert reg.counters["alloc/large_carved"] == 3
+        # A total that is still zero publishes no key.
         assert "alloc/step/4" not in reg.counters
+        assert "release/cached" not in reg.counters
+        pool.step_pages[4] += 1
+        telemetry.step_completed(1.0, None)
+        assert reg.counters["alloc/step/4"] == 1 and reg.counters["alloc/pages"] == 6
 
     def test_batched_allocation_counts_every_page(self):
-        # One pages_allocated report carries len(page_ids) pool mutations;
+        # One allocate_pages run of three pages moves the totals by three:
         # alloc/pages and the §5.4 step histogram count every page of it,
         # whether the call asked for three pages or one.
-        telemetry = BusTelemetry()
-        telemetry.pages_allocated("g", "r0", (1, 2, 3), (1, 2, 2))
-        telemetry.pages_allocated("g", "r0", (4,), (5,))
-        reg = telemetry.registry
+        specs = {
+            g: GroupSpec(g, FULL_ATTENTION, 1, per_token_bytes=b, tokens_per_page=4,
+                         accepted_tags=frozenset({TEXT}))
+            for g, b in (("g", 16), ("big", 64))
+        }
+        # One large page, carved into four of "g"'s pages.
+        pool = TwoLevelAllocator(256, specs, {g: make_policy(s) for g, s in specs.items()})
+        assert len(pool.allocate_pages("g", "r0", 3)) == 3  # steps 2, 1, 1
+        assert len(pool.allocate_pages("g", "r1", 1)) == 1  # step 4: r0's spare
+        reg = fold_reading(pool).registry
         assert reg.counters["alloc/pages"] == 4
-        assert reg.counters["alloc/step/1"] == 1
-        assert reg.counters["alloc/step/2"] == 2
-        assert reg.counters["alloc/step/5"] == 1
+        assert reg.counters["alloc/step/1"] == 2
+        assert reg.counters["alloc/step/2"] == 1
+        assert reg.counters["alloc/step/4"] == 1
+        assert reg.counters["alloc/large_carved"] == 1
 
     def test_eviction_provenance(self):
-        telemetry = BusTelemetry()
-        telemetry.page_evicted("g", 1, "small", 0.0, 0.0)
-        telemetry.page_evicted("g", 2, "large", 0.0, 3.0)
-        reg = telemetry.registry
+        # A step-5 victim of "g" with no prefix length, and a step-3 victim
+        # (a large page "h" owned) that held one.
+        reg = fold_reading(pool_totals(
+            step_pages=(0, 0, 0, 1, 0, 1), victims={"g": 1, "h": 1, "k": 0}, aligned=1,
+        )).registry
         assert reg.counters["evict/small"] == 1
         assert reg.counters["evict/large"] == 1
         assert reg.counters["evict/priority/balanced"] == 1
         assert reg.counters["evict/priority/aligned"] == 1
+        assert reg.counters["evict/group/g"] == reg.counters["evict/group/h"] == 1
+        assert "evict/group/k" not in reg.counters
 
     def test_lifecycle_and_prefix_counters(self):
         telemetry = BusTelemetry()
+        telemetry.allocator = pool_totals(step_pages=(0, 0, 1, 0, 0, 0), cached=1, freed=1)
         telemetry.request_queued("r0", 0.0)
         telemetry.request_admitted("r0", 0.1, 0)
         telemetry.prefix_hit("r0", 8, 64)
-        telemetry.large_page_carved("g", 0, 4)
-        telemetry.page_released("g", 1, True)
-        telemetry.page_released("g", 2, False)
+        telemetry.step_completed(0.15, None)
         telemetry.request_preempted("r1", 0.2, "victim")
         telemetry.request_preempted("r2", 0.3, "self")
         telemetry.request_finished("r0", 0.4)
@@ -270,7 +310,7 @@ class TestBusTelemetry:
 class TestReport:
     def _registry(self):
         telemetry = BusTelemetry()
-        telemetry.pages_allocated("g", "r0", (1,), (2,))
+        telemetry.allocator = pool_totals(step_pages=(0, 0, 1, 0, 0, 0))
         record = StepRecord(
             index=0, start_time=0.0, duration=0.5, decode_batch=1,
             prefill_tokens=8, num_running=1, num_waiting=0,
