@@ -12,6 +12,8 @@ its pages taken one at a time:
   (see ``GOLDEN``), so "same page, same step, same victim" is pinned
   against more than itself -- with page ids renamed to the carve order
   an older implementation numbered them in (:class:`CarveOrder`);
+* hand-built examples (``PHASES``) in which one run crosses every step
+  its group can reach, and a step-3 carve takes its victim's own id;
 * the pool's tallies (pages per §5.4 step, victims per owning group,
   aligned victims, cached and freed releases) and the cache-index
   counters are those of the per-page loop.
@@ -369,6 +371,104 @@ class TestGoldenAgainstPerPageImplementation:
 
 
 # ----------------------------------------------------------------------
+# One run crosses the §5.4 steps in order
+# ----------------------------------------------------------------------
+
+
+#: Setups in which one allocation by r1 crosses every step that can serve
+#: its group, each entry ``(ops, num_large, group, n, pages each step
+#: serves, the same in the request_aware=False ablation)``.
+#: Each ``release`` stamps its pages with ties in last access and
+#: distinct prefix lengths, so victims are chosen by both keys.
+PHASES = {
+    # "four" (4:1): r1's bucket (step 1), two free large pages (step 2),
+    # four fully-evictable large pages of all three groups (step 3), r2's
+    # bucket (step 4), then the three cached pages beside a USED one
+    # (step 5).  Every carve's spare slots go straight to the run (step 1).
+    # In the ablation r2's page came from r1's bucket, so one more large
+    # page is free.
+    "four": (
+        [("allocate", "four", "w", 4), ("allocate", "four", "r3", 4),
+         ("release", "four", 7, True, 0),
+         ("allocate", "four", "r1", 1), ("allocate", "four", "r2", 1),
+         ("allocate", "one", "w", 2), ("release", "one", 2, True, 7),
+         ("allocate", "two", "w", 2), ("release", "two", 2, True, 9)],
+        9, "four", 33, (0, 3 + 6 * 3, 2, 4, 3, 3), (2 + 7 * 3, 0, 3, 4, 0, 3),
+    ),
+    # "one" (1:1): a one-slot large page is never pooled, and its cached
+    # page makes it fully evictable, so only steps 2 and 3 can serve.
+    "one": (
+        [("allocate", "one", "w", 3), ("release", "one", 3, True, 0),
+         ("allocate", "two", "w", 2), ("release", "two", 2, True, 3),
+         ("allocate", "four", "w", 4), ("release", "four", 4, True, 5),
+         ("allocate", "four", "r2", 1)],
+        9, "one", 8, (0, 0, 3, 5, 0, 0), (0, 0, 3, 5, 0, 0),
+    ),
+}
+
+
+class TestPhaseBoundaries:
+    @pytest.mark.parametrize("request_aware", [True, False])
+    @pytest.mark.parametrize("name", sorted(PHASES))
+    def test_one_run_across_the_steps_is_its_pages_one_at_a_time(self, name, request_aware):
+        ops, num_large, gid, n, *served = PHASES[name]
+        kwargs = dict(num_large=num_large, request_aware=request_aware)
+        run, single = Driver("run", **kwargs), Driver("single", **kwargs)
+        for op in ops:
+            assert run.apply(op) == single.apply(op), op
+        assert run.alloc.groups_that_fit([(gid, n)], "r1") == 1
+        assert run.alloc.groups_that_fit([(gid, n + 1)], "r1") == 0
+        taken = run.apply(("allocate", gid, "r1", n))
+        assert taken == single.apply(("allocate", gid, "r1", n))
+        # The ablation's first fit (step 0) takes every bucket first.
+        assert taken[1] == served[not request_aware]
+        assert run.snapshot() == single.snapshot()
+        assert tallies(run.alloc) == tallies(single.alloc)
+        for alloc in (run.alloc, single.alloc):
+            assert alloc.lcm.num_free == 0 and len(alloc.large_evictor) == 0
+            alloc.check_invariants()
+            assert alloc.stats() == alloc.stats_slow()
+
+    @pytest.mark.parametrize("name", sorted(PHASES))
+    def test_a_step_three_carve_takes_its_victims_id(self, name):
+        """The carves take the free large pages first, then each victim's
+        own id in eviction order; the run leaves no large page free."""
+        ops, num_large, gid, n, served, _ = PHASES[name]
+        driver = Driver("run", num_large=num_large)
+        for op in ops:
+            driver.apply(op)
+        alloc = driver.alloc
+        group = alloc.groups[gid]
+        spl = group.small_per_large
+        free = [i for i in range(alloc.lcm.num_pages) if alloc.lcm.owner_of(i) is None]
+        victims = list(alloc.large_evictor.iter_in_order())
+        assert (len(free), len(victims)) == served[2:4]
+        bucket = {p // spl for p, state in enumerate(group.state)
+                  if state is EMPTY and group.request_id[p] == "r1"}
+        driver.apply(("allocate", gid, "r1", n))
+        carved = list(dict.fromkeys(p // spl for p in driver.held[gid][-n:]))
+        assert carved[len(bucket):len(bucket) + len(free) + len(victims)] == free + victims
+        assert all(alloc.lcm.owner_of(large_id) == gid for large_id in victims)
+        assert alloc.lcm.num_free == 0
+
+    def test_a_step_three_carve_ending_the_run_pools_its_spare_slots(self):
+        driver = Driver("run", num_large=2)
+        for op in [("allocate", "one", "w", 1), ("release", "one", 1, True, 0),
+                   ("allocate", "two", "w", 1)]:
+            driver.apply(op)
+        alloc = driver.alloc
+        (victim,) = alloc.large_evictor.iter_in_order()
+        pages, served = driver.apply(("allocate", "four", "r1", 2))
+        assert served == (0, 1, 0, 1, 0, 0)
+        group = alloc.groups["four"]
+        assert [p // 4 for p in driver.held["four"]] == [victim, victim]
+        assert group.free_pool.bucket_size("r1") == 2
+        assert alloc.lcm.num_free == 0 and alloc.lcm.owner_of(victim) == "four"
+        assert alloc.victims == {"one": 1, "two": 0, "four": 0}
+        alloc.check_invariants()
+
+
+# ----------------------------------------------------------------------
 # The tallies the telemetry reads count page by page
 # ----------------------------------------------------------------------
 
@@ -564,6 +664,16 @@ class TestCheckThenCommit:
             [("allocate", "four", "r0", 1), ("allocate", "one", "r3", 4)],
             [("four", 1), ("one", 1)], 1,
         ),
+        # "four" wants four carves but three large pages are free: it
+        # takes all three and finishes from its own free and cached pages
+        # (steps 4/5).  "two" then fits from its own alone: q's free page
+        # and the cached page beside it.
+        "first_overdraws_the_shared_carves": (
+            [("allocate", "two", "q", 1), ("allocate", "two", "u", 2),
+             ("release", "two", 1, True, 0),
+             ("allocate", "four", "p", 2), ("release", "four", 1, True, 3)],
+            [("four", 15), ("two", 2)], 2,
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(EDGES))
@@ -575,6 +685,21 @@ class TestCheckThenCommit:
         alloc = driver.alloc
         assert alloc.groups_that_fit(demand, "r1") == expected
         assert expected == unchecked_fit(alloc, demand, "r1")
+
+    def test_a_group_that_overdraws_the_shared_carves_leaves_the_next_its_own(self):
+        ops, demand, _ = self.EDGES["first_overdraws_the_shared_carves"]
+        driver = Driver("run", num_large=6)
+        for op in ops:
+            driver.apply(op)
+        alloc = driver.alloc
+        assert alloc.lcm.num_free == 3 and len(alloc.large_evictor) == 0
+        (four, n_four), (two, n_two) = demand
+        assert -(-n_four // 4) > alloc.lcm.num_free
+        _, served = driver.apply(("allocate", four, "r1", n_four))
+        assert served == (0, 9, 3, 0, 2, 1)
+        _, served = driver.apply(("allocate", two, "r1", n_two))
+        assert served == (0, 0, 0, 0, 1, 1)
+        alloc.check_invariants()
 
 
 # ----------------------------------------------------------------------
