@@ -73,15 +73,14 @@ class LRUEvictor(Generic[T]):
         """``add(item, last_access, prefix_length)`` for each triple, in
         order (a re-added item keeps its last priority)."""
         counter = self._counter
-        run: List[_Entry[T]] = [
-            (last_access, -prefix_length, next(counter), item)
-            for item, last_access, prefix_length in triples
-        ]
-        self._priority.update((entry[3], entry) for entry in run)
+        priority = self._priority
         heap = self._heap
-        for entry in run:
-            heapq.heappush(heap, entry)
-        if len(heap) > COMPACT_RATIO * len(self._priority):
+        push = heapq.heappush
+        for item, last_access, prefix_length in triples:
+            entry = (last_access, -prefix_length, next(counter), item)
+            priority[item] = entry
+            push(heap, entry)
+        if len(heap) > COMPACT_RATIO * len(priority):
             self._heap = list(self._priority.values())
             heapq.heapify(self._heap)
             self.num_compactions += 1

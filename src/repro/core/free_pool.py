@@ -3,9 +3,9 @@
 :class:`FreePool` keeps two exactly-synchronized indexes, so push, pop by
 request, pop any and discard by id are all O(1).  Entries are removed
 eagerly the moment a page leaves the EMPTY state, so the pool never holds
-stale ids and its size is exactly the group's free-page count.  Returning
-a large page to the LCM pool discards its ``small_per_large`` slot ids one
-by one (``TwoLevelAllocator._return_large_page``).
+stale ids and its size is exactly the group's free-page count.  Uncarving
+a large page discards its EMPTY slot ids one by one
+(``GroupAllocator.destroy_pages``).
 
 Pop order is LIFO within a request bucket (dict insertion order), and
 :meth:`pop_any` serves the oldest-created bucket first.

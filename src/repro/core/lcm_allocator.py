@@ -24,11 +24,12 @@ __all__ = ["LCMAllocator", "OutOfLargePagesError"]
 
 
 class OutOfLargePagesError(Exception):
-    """Raised when the large-page pool is exhausted.
+    """Raised when fewer large pages are free than a caller takes.
 
-    Callers (the two-level allocator) normally probe with
-    :meth:`LCMAllocator.has_free` or catch this to fall back to eviction, so
-    the exception carries enough context for diagnostics.
+    The two-level allocator never raises it: it takes at most
+    :attr:`LCMAllocator.num_free` pages and falls back to eviction for
+    the rest (Section 5.4 step 3).  The exception carries enough context
+    for diagnostics.
     """
 
     def __init__(self, requester: str, num_pages: int) -> None:
@@ -71,24 +72,29 @@ class LCMAllocator:
         self.total_bytes = total_bytes
         self.slack_bytes = total_bytes - self.num_pages * self.large_page_bytes
         # Owning group per large-page id; None while the page is free.
-        self._owner: List[Optional[str]] = [None] * self.num_pages
+        # The two-level allocator reads it directly, and re-points a step-3
+        # victim it recycles in place (the page never comes back free).
+        self.owner: List[Optional[str]] = [None] * self.num_pages
         self._free: Deque[int] = deque(range(self.num_pages))
 
     # ------------------------------------------------------------------
     # Allocation interface
     # ------------------------------------------------------------------
 
-    def allocate(self, group_id: str) -> int:
-        """Hand a free large page to ``group_id``; returns its id.
+    def take(self, group_id: str, k: int) -> List[int]:
+        """Hand ``k`` free large pages to ``group_id``, least recently freed
+        first; returns their ids.
 
-        Raises :class:`OutOfLargePagesError` when the pool is exhausted; the
-        two-level allocator then attempts eviction (Section 5.4 step 3).
+        Raises :class:`OutOfLargePagesError` when fewer than ``k`` are free.
         """
-        if not self._free:
+        free = self._free
+        if k > len(free):
             raise OutOfLargePagesError(group_id, self.num_pages)
-        page_id = self._free.popleft()
-        self._owner[page_id] = group_id
-        return page_id
+        taken = [free.popleft() for _ in range(k)]
+        owner = self.owner
+        for page_id in taken:
+            owner[page_id] = group_id
+        return taken
 
     def free(self, page_id: int) -> None:
         """Return a large page to the free pool.
@@ -96,28 +102,21 @@ class LCMAllocator:
         The caller must have already released all small pages carved from
         it; freeing an unowned page is a bookkeeping bug and raises.
         """
-        if self._owner[page_id] is None:
+        if self.owner[page_id] is None:
             raise ValueError(f"double free of large page {page_id}")
-        self._owner[page_id] = None
+        self.owner[page_id] = None
         self._free.append(page_id)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
-    def has_free(self) -> bool:
-        return bool(self._free)
-
     @property
     def num_free(self) -> int:
         return len(self._free)
 
-    @property
-    def num_allocated(self) -> int:
-        return self.num_pages - len(self._free)
-
     def owner_of(self, page_id: int) -> Optional[str]:
-        return self._owner[page_id]
+        return self.owner[page_id]
 
     def extent_of(self, page_id: int) -> PhysicalExtent:
         """Byte range of a large page in the flat KV tensor."""

@@ -25,6 +25,16 @@ The five-step allocation algorithm (Section 5.4):
 5. else evict the least-recently-used evictable *small* page of the needed
    type and reuse it in place.
 
+Each step serves a run of pages: it gives pages until the allocation is
+whole or it has none left, and no later step hands an earlier one a page
+back (step 1's bucket is refilled only by the spare slots of a carve the
+allocation ends in; steps 4 and 5 pool nothing and free no large page).
+So an allocation takes step 1, then steps 2/3 (``ceil(rest / spl)``
+carves, fresh large pages first), then step 4, then step 5, each once.
+Step 3 runs only while the LCM pool is empty, so it recycles its victim
+in place: the victim's group uncarves it and the allocating group carves
+it, without a trip through the LCM pool's free list.
+
 If all five steps fail the pool is genuinely full of used pages and the
 caller (the KV manager / scheduler) must preempt a request.  Allocation
 is check, then commit: :meth:`TwoLevelAllocator.groups_that_fit` counts,
@@ -196,13 +206,30 @@ class GroupAllocator:
         self.n_empty_carved += n
         return range(first, first + n)
 
-    def destroy_pages(self, large_id: int, evicted: int) -> None:
-        """Uncarve a large page returning to the LCM pool: ``evicted`` of
-        its pages were still EVICTABLE, the rest EMPTY, and all of them
-        are already cleared."""
+    def destroy_pages(self, large_id: int) -> None:
+        """Uncarve large page ``large_id``, none of whose pages is USED:
+        evict and clear (see :meth:`clear`) the EVICTABLE ones, unpool the
+        EMPTY ones."""
         n = self.small_per_large
         first = large_id * n
-        self.state[first:first + n] = [None] * n
+        state = self.state
+        hashes = self.block_hash
+        evicted = 0
+        for page_id in range(first, first + n):
+            if state[page_id] is EVICTABLE:
+                evicted += 1
+                self.evictor.discard(page_id)
+                block_hash = hashes[page_id]
+                if block_hash is not None:
+                    self.cache_index.remove(block_hash, page_id)
+                    hashes[page_id] = None
+                self.num_tokens[page_id] = 0
+                self.last_access[page_id] = -1.0
+                self.prefix_length[page_id] = 0.0
+            else:
+                # Pooled unless it is the page whose emptying returns it.
+                self.free_pool.discard(page_id)
+            state[page_id] = None
         self.num_evictions += evicted
         self.n_evictable -= evicted
         self.n_empty_carved -= n - evicted
@@ -301,92 +328,90 @@ class TwoLevelAllocator:
         """
         if not self.groups_that_fit(((group_id, n),), request_id):
             return None
+        if n <= 0:
+            return []
         group = self.groups[group_id]
         spl = group.small_per_large
         state = group.state
         pool = group.free_pool
-        evictor = group.evictor
-        lcm = self.lcm
-        large_evictor = self.large_evictor
         large_counts = self._large_counts
         step_pages = self.step_pages
         aware = self.request_aware
-        # In ablation mode (§4.3) step 1 is naive first-fit over any empty
-        # page instead, counted as step 0 so it never reads as a genuine
-        # step-4 fallback.
+        # Each step serves pages until the run is whole or the step has
+        # none left, and no later step gives an earlier one a page back
+        # (see the module docstring), so the steps run once each, in order.
+        # Step 1: the request's empty small pages.  In ablation mode
+        # (§4.3) it is naive first-fit over any empty page instead,
+        # counted as step 0 so it never reads as a genuine step-4 fallback.
         first_fit = 1 if aware else 0
         taken: List[int] = []
-        reclaimed = 0
-        while len(taken) < n:
-            # Step 1: request-associated empty small page.
+        for _ in range(min(n, self._step_one_pages(group, request_id))):
             page_id = pool.pop(request_id) if aware else pool.pop_any()
-            if page_id is not None:
-                taken.append(page_id)
-                step_pages[first_fit] += 1
-                continue
-            # Step 2: carve a fresh large page.  Step 3: first evict the
-            # least-recently-used fully-evictable large page (any group's)
-            # to have one.
-            carve_step = 2 if lcm.has_free() else 3 if len(large_evictor) else 0
-            if carve_step:
-                if carve_step == 3:
-                    victim_id, _, prefix = large_evictor.evict_with_key()
-                    victim_group = lcm.owner_of(victim_id)
-                    assert victim_group is not None
-                    self._num_fully_evictable[victim_group] -= 1
-                    self._return_large_page(victim_id)
-                    self.num_large_evictions += 1
-                    self.victims[victim_group] += 1
-                    if prefix:
-                        self.aligned_victims += 1
-                carved = self._carve(group, request_id)
+            assert page_id is not None
+            taken.append(page_id)
+        step_pages[first_fit] += len(taken)
+        carves = -(-(n - len(taken)) // spl)
+        if carves:
+            # Step 2: carve fresh large pages.  Step 3: then evict the
+            # least-recently-used fully-evictable large pages (any
+            # group's) and carve each one in place.
+            lcm = self.lcm
+            fresh = min(carves, lcm.num_free)
+            large_ids = lcm.take(group_id, fresh) if fresh else []
+            if carves > fresh:
+                large_ids += self._evict_large_pages(group_id, carves - fresh)
+            step_pages[2] += fresh
+            step_pages[3] += len(large_ids) - fresh
+            for large_id in large_ids:
+                carved = group.new_pages(large_id, request_id)
+                large_counts[large_id] = [spl, 0, 0]
                 taken.append(carved[0])
-                step_pages[carve_step] += 1
                 if spl > 1:
                     # The other slots would go to the request's bucket
-                    # (step 1 just found it empty; in the ablation, the
-                    # whole pool) and step 1 would pop them last slot
-                    # first: the run takes the ones it still needs
-                    # straight, in that order, and pools only the others.
+                    # (step 1 just emptied it; in the ablation, the whole
+                    # pool) and step 1 would pop them last slot first: the
+                    # run takes the ones it still needs straight, in that
+                    # order, and pools the others -- only in its last carve.
                     more = min(n - len(taken), spl - 1)
                     split = spl - more
                     taken.extend(reversed(carved[split:]))
                     step_pages[first_fit] += more
                     for page_id in carved[1:split]:
                         pool.push(page_id, request_id)
-                continue
-            # Step 4: any empty small page of this group.
+        # Step 4: any empty small page of this group.
+        rest = n - len(taken)
+        fallback = min(rest, len(pool)) if rest else 0
+        for _ in range(fallback):
             page_id = pool.pop_any()
-            if page_id is not None:
-                taken.append(page_id)
-                step_pages[4] += 1
-                continue
-            # Step 5: evict an evictable small page of this group and
-            # reuse it in place (the check promised one).
-            assert len(evictor), f"groups_that_fit admitted {n} pages of {group_id}"
-            victim_id, _, prefix = evictor.evict_with_key()
-            group.clear(victim_id)
-            state[victim_id] = EMPTY
-            large_id = victim_id // spl
-            counts = large_counts[large_id]
-            if counts[2] == spl:
-                self._large_evictor_discard(large_id, group_id)
-            counts[2] -= 1
-            counts[0] += 1
-            reclaimed += 1
-            if prefix:
-                self.aligned_victims += 1
-            taken.append(victim_id)
-        if not taken:
-            return taken
-        # EMPTY -> USED for the whole run at once.
-        self.version += 1
+            assert page_id is not None
+            taken.append(page_id)
+        step_pages[4] += fallback
+        # Step 5: evict evictable small pages of this group and reuse each
+        # in place (the check promised enough).
+        reclaimed = rest - fallback
         if reclaimed:
+            evictor = group.evictor
+            assert len(evictor) >= reclaimed, f"groups_that_fit admitted {n} pages of {group_id}"
+            for _ in range(reclaimed):
+                victim_id, _, prefix = evictor.evict_with_key()
+                group.clear(victim_id)
+                state[victim_id] = EMPTY
+                large_id = victim_id // spl
+                counts = large_counts[large_id]
+                if counts[2] == spl:
+                    self._large_evictor_discard(large_id, group_id)
+                counts[2] -= 1
+                counts[0] += 1
+                if prefix:
+                    self.aligned_victims += 1
+                taken.append(victim_id)
             step_pages[5] += reclaimed
             self.victims[group_id] += reclaimed
             group.note_eviction(reclaimed)
             group.bump_state(EVICTABLE, EMPTY, reclaimed)
-        group.bump_state(EMPTY, USED, len(taken))
+        # EMPTY -> USED for the whole run at once.
+        self.version += 1
+        group.bump_state(EMPTY, USED, n)
         owner = group.request_id
         refs = group.ref_count
         for page_id in taken:
@@ -397,6 +422,36 @@ class TwoLevelAllocator:
             counts[0] -= 1
             counts[1] += 1
         return taken
+
+    def _evict_large_pages(self, group_id: str, k: int) -> List[int]:
+        """Step 3's victims: evict the ``k`` least-recently-used
+        fully-evictable large pages (fewer if there are fewer) and hand
+        each one, uncarved, straight to ``group_id``.
+
+        Step 3 runs only when the LCM pool is empty, so a victim returned
+        to it would be the very page the next carve takes: it skips the
+        round trip and stays owned.  ``version`` moves once per victim.
+        """
+        large_evictor = self.large_evictor
+        owner = self.lcm.owner
+        groups = self.groups
+        fully = self._num_fully_evictable
+        victims = self.victims
+        recycled: List[int] = []
+        for _ in range(min(k, len(large_evictor))):
+            victim_id, _, prefix = large_evictor.evict_with_key()
+            victim_group = owner[victim_id]
+            assert victim_group is not None
+            fully[victim_group] -= 1
+            victims[victim_group] += 1
+            if prefix:
+                self.aligned_victims += 1
+            groups[victim_group].destroy_pages(victim_id)
+            owner[victim_id] = group_id
+            recycled.append(victim_id)
+        self.num_large_evictions += len(recycled)
+        self.version += len(recycled)
+        return recycled
 
     def groups_that_fit(
         self, demand: Sequence[Tuple[str, int]], request_id: str
@@ -445,14 +500,6 @@ class TwoLevelAllocator:
         if self.request_aware:
             return group.free_pool.bucket_size(request_id)
         return group.num_free
-
-    def _carve(self, group: GroupAllocator, request_id: str) -> range:
-        """Carve a free large page into ``group``'s small pages: all EMPTY,
-        associated with ``request_id``, not yet pooled."""
-        large_id = self.lcm.allocate(group.spec.group_id)
-        carved = group.new_pages(large_id, request_id)
-        self._large_counts[large_id] = [len(carved), 0, 0]
-        return carved
 
     # ------------------------------------------------------------------
     # Release / prefix-cache transitions
@@ -503,16 +550,20 @@ class TwoLevelAllocator:
                     self._empty_page(group, page_id, USED)
                     continue
                 state[page_id] = EVICTABLE
-                small_run.append((page_id, last_access[page_id], prefix_length[page_id]))
+                entry = (page_id, last_access[page_id], prefix_length[page_id])
+                small_run.append(entry)
                 large_id = page_id // spl
                 counts = large_counts[large_id]
                 counts[1] -= 1
                 counts[2] += 1
                 if counts[2] == spl:
                     # The last page to turn makes the large page fully
-                    # evictable: one key scan per large page.
+                    # evictable: one key scan per large page, and a
+                    # one-slot page's key is the one just stamped.
                     self._num_fully_evictable[group_id] += 1
-                    large_run.append((large_id, *self._large_key_scan(large_id)))
+                    large_run.append(
+                        entry if spl == 1 else (large_id, *self._large_key_scan(group, large_id))
+                    )
         finally:
             if small_run or freed:
                 group.evictor.add_run(small_run)
@@ -623,7 +674,7 @@ class TwoLevelAllocator:
                 if key != cur:
                     self.large_evictor.add(large_id, *key)
             else:
-                self.large_evictor.add(large_id, *self._large_key_scan(large_id))
+                self.large_evictor.add(large_id, *self._large_key_scan(group, large_id))
 
     # ------------------------------------------------------------------
     # Internal state machinery
@@ -646,41 +697,30 @@ class TwoLevelAllocator:
             group.free_pool.push(page_id, group.request_id[page_id])
 
     def _return_large_page(self, large_id: int) -> None:
-        """Give ``large_id`` back to the LCM pool, evicting in the same walk
-        whatever cached small pages it still holds.
+        """Give ``large_id``, whose last small page just emptied, back to
+        the LCM pool.
 
-        No small page may be USED, and the caller has already taken the
-        large page out of ``large_evictor``.
+        The caller has already taken the large page out of
+        ``large_evictor``.  (A step-3 victim, still holding cached pages,
+        never comes here: :meth:`_evict_large_pages` recycles it.)
         """
-        owner = self.lcm.owner_of(large_id)
+        owner = self.lcm.owner[large_id]
         assert owner is not None
-        group = self.groups[owner]
         counts = self._large_counts[large_id]
         if counts[1]:
             raise RuntimeError(
                 f"large page {large_id} returned while {counts[1]} small pages are USED"
             )
         del self._large_counts[large_id]
-        state = group.state
-        pool = group.free_pool
-        for page_id in group.slots(large_id):
-            if state[page_id] is EVICTABLE:
-                group.evictor.discard(page_id)
-                group.clear(page_id)
-            else:
-                # Pooled unless it is the page whose emptying returns it.
-                pool.discard(page_id)
-        group.destroy_pages(large_id, counts[2])
+        self.groups[owner].destroy_pages(large_id)
         self.version += 1
         self.lcm.free(large_id)
 
-    def _large_key_scan(self, large_id: int) -> Tuple[float, float]:
-        """Eviction key of a fully-evictable large page: the component-wise max
-        of ``(last_access, prefix_length)`` over its small pages, floor-free
-        (slide-outs stamped ``now - 1e15`` keep their LRU order)."""
-        owner = self.lcm.owner_of(large_id)
-        assert owner is not None
-        group = self.groups[owner]
+    def _large_key_scan(self, group: GroupAllocator, large_id: int) -> Tuple[float, float]:
+        """Eviction key of ``group``'s fully-evictable large page: the
+        component-wise max of ``(last_access, prefix_length)`` over its
+        small pages, floor-free (slide-outs stamped ``now - 1e15`` keep their
+        LRU order)."""
         n = group.small_per_large
         first = large_id * n
         if n == 1:  # most groups: the key is the one page's
@@ -836,7 +876,9 @@ class TwoLevelAllocator:
                 assert large_id in self.large_evictor, (
                     f"fully-evictable large page {large_id} missing from the evictor"
                 )
-                assert self.large_evictor.priority_of(large_id) == self._large_key_scan(large_id)
+                assert self.large_evictor.priority_of(large_id) == self._large_key_scan(
+                    group, large_id
+                )
             else:
                 assert large_id not in self.large_evictor, (
                     f"large page {large_id} in the evictor but not fully evictable"

@@ -9,6 +9,12 @@ def make(total=768 * 10, sizes=None):
     return LCMAllocator(total, sizes or {"image": 256, "text": 384})
 
 
+def allocate(alloc, group_id):
+    """Take one large page for ``group_id``; returns its id."""
+    (page_id,) = alloc.take(group_id, 1)
+    return page_id
+
+
 class TestConstruction:
     def test_page_size_is_lcm(self):
         alloc = make()
@@ -40,29 +46,39 @@ class TestConstruction:
 class TestAllocateFree:
     def test_allocate_assigns_owner(self):
         alloc = make()
-        page_id = alloc.allocate("text")
+        page_id = allocate(alloc, "text")
         assert alloc.owner_of(page_id) == "text"
-        assert alloc.num_allocated == 1
+        assert alloc.num_pages - alloc.num_free == 1
 
     def test_exhaustion_raises(self):
         alloc = make(total=768 * 2)
-        alloc.allocate("text")
-        alloc.allocate("image")
+        allocate(alloc, "text")
+        allocate(alloc, "image")
         with pytest.raises(OutOfLargePagesError) as exc:
-            alloc.allocate("text")
+            allocate(alloc, "text")
         assert exc.value.requester == "text"
+
+    def test_take_hands_out_pages_in_free_order(self):
+        alloc = make(total=768 * 4)
+        assert alloc.take("text", 0) == []
+        first = alloc.take("text", 2)
+        assert first == [0, 1] and [alloc.owner[i] for i in first] == ["text", "text"]
+        alloc.free(0)
+        assert alloc.take("image", 2) == [2, 3]
+        with pytest.raises(OutOfLargePagesError):
+            alloc.take("image", 2)  # one free: nothing is taken
+        assert alloc.take("image", 1) == [0] and alloc.owner[0] == "image"
 
     def test_free_returns_to_pool(self):
         alloc = make(total=768 * 1)
-        page_id = alloc.allocate("text")
-        assert not alloc.has_free()
+        page_id = allocate(alloc, "text")
+        assert alloc.num_free == 0
         alloc.free(page_id)
-        assert alloc.has_free()
         assert alloc.num_free == 1
 
     def test_double_free_raises(self):
         alloc = make()
-        page_id = alloc.allocate("text")
+        page_id = allocate(alloc, "text")
         alloc.free(page_id)
         with pytest.raises(ValueError):
             alloc.free(page_id)
@@ -70,10 +86,10 @@ class TestAllocateFree:
     def test_freed_page_reusable_by_any_group(self):
         # No external fragmentation: a page freed by one type serves another.
         alloc = make(total=768 * 1)
-        page_id = alloc.allocate("text")
+        page_id = allocate(alloc, "text")
         alloc.free(page_id)
         assert alloc.owner_of(page_id) is None
-        assert alloc.allocate("image") == page_id
+        assert allocate(alloc, "image") == page_id
         assert alloc.owner_of(page_id) == "image"
 
 
