@@ -80,17 +80,19 @@ class DualManager:
         computed_global: int,
         now: float,
         phase: str = "decode",
-    ) -> None:
-        for manager in self.managers:
-            manager.commit(seq, computed_global, now, phase)
+    ) -> float:
+        # A decode is quiet only where it is quiet on both sides.
+        return min([m.commit(seq, computed_global, now, phase) for m in self.managers])
 
     def consume_vision(self, seq: SequenceSpec, upto_global: int) -> None:
         for manager in self.managers:
             manager.consume_vision(seq, upto_global)
 
-    def release(self, seq: SequenceSpec, cacheable: bool = True) -> None:
+    def release(
+        self, seq: SequenceSpec, cacheable: bool = True, quiet_time: float = 0.0
+    ) -> None:
         for manager in self.managers:
-            manager.release(seq, cacheable=cacheable)
+            manager.release(seq, cacheable=cacheable, quiet_time=quiet_time)
 
     # -- probes ----------------------------------------------------------
 

@@ -128,7 +128,10 @@ class PagedAttentionManager(JengaKVCacheManager):
 
     def needs_allocation(self, seq: SequenceSpec, target_global: int) -> bool:
         # A request without its Mamba slot must reach allocate_up_to (the
-        # slot is claimed there), even when no KV page is missing.
+        # slot is claimed there), even when no KV page is missing.  Such a
+        # request holds no page (the slot is claimed before any grows, and
+        # hybrids never hit the prefix cache), so commit's horizon is 0
+        # and the engine asks here on every decode.
         if self._mamba_slots and seq.request_id not in self._mamba_holders:
             return True
         return super().needs_allocation(seq, target_global)
@@ -147,11 +150,13 @@ class PagedAttentionManager(JengaKVCacheManager):
     def admission_version(self) -> int:
         return super().admission_version() + self._mamba_churn
 
-    def release(self, seq: SequenceSpec, cacheable: bool = True) -> None:
+    def release(
+        self, seq: SequenceSpec, cacheable: bool = True, quiet_time: float = 0.0
+    ) -> None:
         if seq.request_id in self._mamba_holders:
             self._mamba_holders.discard(seq.request_id)
             self._mamba_churn += 1
-        super().release(seq, cacheable=cacheable)
+        super().release(seq, cacheable=cacheable, quiet_time=quiet_time)
 
     def stats(self) -> AllocatorStats:
         stats = super().stats()

@@ -37,7 +37,9 @@ Lifecycle of a request ``r``:
    counts, block-hash registration, and release of pages behind the
    policy's ``release_frontier`` (out-of-window pages; Mamba checkpoints
    leave at registration, consumed vision embeddings through
-   ``consume_vision``).
+   ``consume_vision``).  Commit returns the request's *horizon*: decodes
+   up to it need no page and have nothing to commit, so the engine skips
+   both calls there (the policies' ``horizon`` hook, folded over groups).
 3. ``release(seq)`` -- request finished or was preempted; all held
    references drop, and completed blocks stay resident as evictable cached
    prefixes.
@@ -47,22 +49,26 @@ Eviction metadata (the paper's ``update_last_access`` and
 last-access stamp only matters once the page turns evictable, and for every
 policy the stamp the paper's per-step protocol would leave on the page
 equals the timestamp of the step at which the page left the layer's active
-subset -- which is exactly when this manager releases it.  Mamba
-checkpoints are the one exception (older checkpoints must keep stale
-stamps, Section 5.3) and are stamped at creation instead, with only the
-most recent checkpoint refreshed each step.  ``tests/test_kv_manager.py``
-cross-checks this optimized protocol against the literal per-step one.
+subset -- which is exactly when this manager releases it.  Release
+stamps come from the request's last commit time: the last commit made
+here, or the later time of a commit the engine skipped below the horizon,
+which it hands to ``release``.  Mamba checkpoints are the one exception
+(older checkpoints must keep stale stamps, Section 5.3) and are stamped at
+creation instead, with only the most recent checkpoint refreshed each
+step.  ``tests/test_kv_manager.py`` cross-checks this optimized protocol
+against the literal per-step one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .events import Observer
 from .layer_policy import GroupSpec, LayerTypePolicy, make_policy
 from .pages import EVICTABLE
-from .sequence import SequenceSpec
+from .sequence import TEXT, SequenceSpec
 from .two_level import AllocatorStats, GroupAllocator, TwoLevelAllocator
 
 __all__ = ["JengaKVCacheManager", "GroupBinding", "ideal_resident_bytes"]
@@ -83,10 +89,6 @@ class GroupBinding:
     page_table: List[Optional[int]] = field(default_factory=list)
     held: Set[int] = field(default_factory=set)
     stream_len: int = 0  # stream tokens with pages allocated
-    backed_upto: int = 0  # global tokens needs_allocation last found backed
-    # Stream length below which commit has no block to register and no
-    # slot to release (the policy's ``quiet_below`` after a full pass).
-    quiet_below: int = 0
     filled_upto: int = 0  # stream tokens whose fill counts are recorded
     release_ptr: int = 0  # all held indices below this were released
     consumed: int = 0  # stream tokens prefill has consumed (consume_vision)
@@ -399,34 +401,21 @@ class JengaKVCacheManager:
         """Whether :meth:`allocate_up_to` would actually allocate anything.
 
         Pure page-table inspection, stopping at the first missing slot.
-        ``False`` lets the engine skip the allocate call outright on decode
-        steps that stay inside the current block -- note
+        ``False`` lets the engine skip the allocate call.  Note
         ``binding.stream_len`` is deliberately *not* advanced here, so
-        fill/hash bookkeeping catches up on the next real allocation (at
-        most one page's worth of lag per group).
-
-        A walk that finds every slot backed is remembered as
-        ``binding.backed_upto``: a global token adds at most one stream
-        token, so until the stream can leave the page the walk ended in,
-        the group answers from one compare.  A slot leaving the request's
-        hold (:meth:`_release_slots`) forgets it; a refused ``_grow``
-        allocates nothing, so no slot leaves a hold.
+        fill/hash bookkeeping catches up on the next real allocation.  The
+        engine asks only above the request's horizon (:meth:`commit`).
         """
         bindings = self._bindings.get(seq.request_id)
         if bindings is None:
             return True
         for group_id, policy in self.policies.items():
             binding = bindings[group_id]
-            if target_global <= binding.backed_upto:
-                continue
             target_stream = seq.stream_length(policy.spec.accepted_tags, target_global)
-            if target_stream > binding.stream_len:
-                if self._missing_slots(policy, binding, target_stream):
-                    return True
-                slack = policy.write_free_tokens(target_stream)
-            else:
-                slack = binding.stream_len - target_stream
-            binding.backed_upto = min(target_global, len(seq)) + slack
+            if target_stream > binding.stream_len and self._missing_slots(
+                policy, binding, target_stream
+            ):
+                return True
         return False
 
     def consume_vision(self, seq: SequenceSpec, upto_global: int) -> None:
@@ -455,19 +444,23 @@ class JengaKVCacheManager:
         computed_global: int,
         now: float,
         phase: str = "decode",
-    ) -> None:
+    ) -> float:
         """Record that the first ``computed_global`` tokens are computed.
 
         Per group: fill-count updates, block-hash registration for newly
         completed blocks, and release of pages past the layer's active
         frontier (out-of-window / checkpointed / consumed).  Work done is
         proportional to tokens computed since the last commit, not to the
-        sequence length.  A group whose pages are all filled and whose
-        stream stays below ``binding.quiet_below`` (set after each full
-        pass from the policy's :meth:`~LayerTypePolicy.quiet_below`) has
-        nothing to register or release: its commit only stamps the time.
-        (An encoder-filled group's frontier moves with ``consumed``, and
-        :meth:`consume_vision` releases behind it itself.)
+        sequence length.  (An encoder-filled group's frontier moves with
+        ``consumed``, and :meth:`consume_vision` releases behind it itself.)
+
+        Returns the request's *horizon* in global tokens: while the
+        sequence stays at or below it, a decode needs no page
+        (:meth:`needs_allocation` is ``False``) and its commit would
+        change nothing but the release stamp, so the engine makes neither
+        call and hands the skipped commit's time to :meth:`release`.  It is
+        0 while prompt tokens are left to compute and while a Mamba
+        checkpoint's stamp must move every step (Section 5.3).
 
         ``phase`` customizes the eviction class of pages sliding out of a
         window layer's active set (Section 5.1's sliding-window rule):
@@ -481,17 +474,15 @@ class JengaKVCacheManager:
         """
         bindings = self._require(seq.request_id)
         slide_out_stamp = now - _OUT_OF_WINDOW_BIAS if phase == "prefill" else now
+        horizon = math.inf if computed_global >= len(seq.token_ids) else 0
         for group_id, binding in bindings.items():
             binding.last_time = now
-            # Commit never looks past ``binding.stream_len``.
-            if binding.stream_len < binding.quiet_below and (
-                binding.stream_len <= binding.filled_upto
-            ):
-                continue
             policy = self.policies[group_id]
             group = self.allocator.groups[group_id]
-            stream_len = seq.stream_length(policy.spec.accepted_tags, computed_global)
-            stream_len = min(stream_len, binding.stream_len)
+            tags = policy.spec.accepted_tags
+            computed = seq.stream_length(tags, computed_global)
+            # Commit never looks past ``binding.stream_len``.
+            stream_len = min(computed, binding.stream_len)
 
             if not policy.snapshot_blocks and stream_len > binding.filled_upto:
                 self._update_fill(group, binding, stream_len)
@@ -502,18 +493,46 @@ class JengaKVCacheManager:
             self._release_behind_frontier(
                 group, policy, binding, stream_len, slide_out_stamp, seq, cacheable=True
             )
-            if binding.last_checkpoint_page is None:
-                binding.quiet_below = policy.quiet_below(stream_len)
-            else:
-                # The newest checkpoint's stamp moves every step: never quiet.
-                binding.quiet_below = 0
+            if binding.last_checkpoint_page is not None:
                 self._refresh_last_checkpoint(group, binding.last_checkpoint_page, now)
+                horizon = 0
+            elif horizon:
+                horizon = min(horizon, self._horizon(
+                    policy, binding, TEXT in tags, computed_global, computed
+                ))
+        return horizon
 
-    def release(self, seq: SequenceSpec, cacheable: bool = True) -> None:
+    def _horizon(
+        self,
+        policy: LayerTypePolicy,
+        binding: GroupBinding,
+        grows: bool,
+        computed_global: int,
+        computed: int,
+    ) -> float:
+        """One group's horizon in global tokens, after a commit through
+        ``computed_global`` (``computed`` stream tokens) with no prompt
+        left.  Decode appends text, so a stream that takes text (``grows``)
+        gains one token per decode, and any other stream is complete."""
+        if not grows:
+            return math.inf if computed <= binding.stream_len else computed_global
+        if computed < binding.stream_len:
+            return computed_global  # pages ahead of the commit: the next one fills
+        quiet = policy.horizon(binding.stream_len)
+        if quiet > binding.stream_len and self._missing_slots(policy, binding, quiet):
+            quiet = binding.stream_len
+        return computed_global + quiet - computed
+
+    def release(
+        self, seq: SequenceSpec, cacheable: bool = True, quiet_time: float = 0.0
+    ) -> None:
         """Drop every reference ``seq`` holds (finish or preemption).
 
         With prefix caching enabled and ``cacheable=True``, completed blocks
         remain resident as evictable cache; otherwise pages free outright.
+        ``quiet_time`` is when the engine last skipped a commit (a decode
+        below the horizon); pages are stamped with the later of it and the
+        last commit made here.
         """
         bindings = self._bindings.pop(seq.request_id, None)
         if bindings is None:
@@ -523,7 +542,7 @@ class JengaKVCacheManager:
                 self.allocator.groups[group_id], self.policies[group_id], binding,
                 # Per-request, not per-pool: the slots one request holds.
                 sorted(binding.held),
-                binding.last_time, seq, cacheable,
+                max(binding.last_time, quiet_time), seq, cacheable,
             )
             self._stream_cache.pop((seq.request_id, group_id), None)
 
@@ -545,7 +564,6 @@ class JengaKVCacheManager:
         A release that cannot cache stamps nothing: a page it frees is
         cleared, and a page another request still holds is stamped again
         by the release that drops its last reference."""
-        binding.backed_upto = 0
         held = binding.held
         table = binding.page_table
         last_access = group.last_access

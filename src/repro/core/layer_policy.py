@@ -38,6 +38,7 @@ The concrete policies mirror Section 5.3:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from typing import Callable, Collection, Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -206,23 +207,20 @@ class LayerTypePolicy:
         tpp = self.spec.tokens_per_page
         return list(range(old_stream // tpp, (new_stream + tpp - 1) // tpp))
 
-    def write_free_tokens(self, stream_len: int) -> int:
-        """Tokens the stream can grow past ``stream_len`` before
-        :meth:`pages_to_write` names a slot it does not name already (the
-        rest of the current page; 0 is always a safe answer)."""
-        return -stream_len % self.spec.tokens_per_page
+    def horizon(self, stream_len: int) -> float:
+        """The group's next event: the largest stream length the stream can
+        grow to from ``stream_len`` tokens with pages before
+        :meth:`pages_to_write` names a slot that growth to ``stream_len``
+        did not -- a page boundary, or a Mamba checkpoint.
 
-    def quiet_below(self, stream_len: int) -> int:
-        """Stream length before which commit has nothing new to do.
-
-        Every ``s`` in ``[stream_len, quiet_below(stream_len))`` has as many
-        :meth:`cacheable_boundaries` and the same :meth:`release_frontier`
-        as ``stream_len``, so a commit there registers no block and
-        releases no slot (``stream_len + 1`` is always a safe answer).  The
-        default is the next page boundary.
+        Commit never looks past the stream that has pages, so a frontier
+        move or a completed block only shows at the growth that crosses
+        one of these events; up to the horizon a decode needs no page and
+        its commit has nothing to do (the manager folds the groups into
+        the request's horizon).  ``stream_len`` is always a safe answer;
+        the default is the end of the current page.
         """
-        tpp = self.spec.tokens_per_page
-        return (stream_len // tpp + 1) * tpp
+        return stream_len + -stream_len % self.spec.tokens_per_page
 
     def release_frontier(self, stream_len: int, consumed: int = 0) -> int:
         """First page-table slot a request at ``stream_len`` still needs.
@@ -401,13 +399,6 @@ class SlidingWindowPolicy(LayerTypePolicy):
         # stream_len); every page overlapping that span stays.
         return max(0, stream_len - self.window) // self.spec.tokens_per_page
 
-    def quiet_below(self, stream_len: int) -> int:
-        # Also before the frontier's next move, which need not fall on a
-        # page boundary when the window is not a multiple of the page.
-        tpp = self.spec.tokens_per_page
-        frontier_moves = self.window + (self.release_frontier(stream_len) + 1) * tpp
-        return min(super().quiet_below(stream_len), frontier_moves)
-
     def peak_pages(self, stream_total: int, chunk_tokens: int) -> int:
         # A prefill chunk's blocks are all written before the out-of-window
         # ones release at commit, so the group transiently holds up to
@@ -534,11 +525,15 @@ class MambaPolicy(LayerTypePolicy):
                 indices.append(self.page_index_of_block(block_idx))
         return indices
 
-    def write_free_tokens(self, stream_len: int) -> int:
-        return 0  # the next token may cross a checkpoint boundary
-
-    def quiet_below(self, stream_len: int) -> int:
-        return stream_len + 1  # like write_free_tokens: growth may checkpoint
+    def horizon(self, stream_len: int) -> float:
+        # The first token writes the working state; after it, the token
+        # before the next checkpoint boundary.
+        if not stream_len:
+            return 0
+        if not self.enable_checkpoints:
+            return math.inf
+        interval = self.spec.checkpoint_interval
+        return (stream_len // interval + 1) * interval - 1
 
     def cacheable_boundaries(self, stream_len: int) -> List[int]:
         """Stream positions where the recurrent state is snapshotted: every

@@ -17,7 +17,8 @@ The request lifecycle the protocol encodes (see
 :class:`~repro.core.kv_manager.JengaKVCacheManager` for the reference
 implementation): ``begin_request`` -> repeated ``allocate_up_to`` +
 ``commit`` -> ``release``; ``can_admit`` is the scheduler's capacity probe,
-``needs_allocation`` its skip-the-call probe, and ``stats`` the memory
+``needs_allocation`` its skip-the-call probe, ``commit``'s horizon the
+point up to which a decode needs neither call, and ``stats`` the memory
 snapshot.
 """
 
@@ -60,11 +61,11 @@ class KVCacheManager(Protocol):
     def needs_allocation(self, seq: SequenceSpec, target_global: int) -> bool:
         """Whether growing ``seq`` to ``target_global`` needs new pages.
 
-        A cheap page-table inspection (no allocator mutation): ``False``
-        means ``allocate_up_to(seq, target_global)`` would be a no-op, so
-        the engine may skip the call -- the decode fast path, where a page
-        boundary is crossed only once every ``tokens_per_page`` steps.
-        ``True`` is always a safe answer.
+        A page-table inspection (no allocator mutation): ``False`` means
+        ``allocate_up_to(seq, target_global)`` would be a no-op, so the
+        engine may skip the call.  ``True`` is always a safe answer.  The
+        engine asks only for a decode above the horizon :meth:`commit`
+        returned; below it the answer is ``False`` without asking.
         """
         ...
 
@@ -74,16 +75,29 @@ class KVCacheManager(Protocol):
 
     def commit(
         self, seq: SequenceSpec, computed_global: int, now: float, phase: str = "decode"
-    ) -> None:
-        """Record that the first ``computed_global`` tokens are computed."""
+    ) -> float:
+        """Record that the first ``computed_global`` tokens are computed.
+
+        Returns the request's horizon in global tokens: a decode that
+        leaves the sequence at or below it needs no page and would commit
+        nothing, so the engine calls neither :meth:`needs_allocation` nor
+        ``commit`` for it.  0 is always a safe answer; a backend must
+        return it while the next decode has to reach ``allocate_up_to``.
+        """
         ...
 
     def consume_vision(self, seq: SequenceSpec, upto_global: int) -> None:
         """Free vision-embedding pages prefill has consumed."""
         ...
 
-    def release(self, seq: SequenceSpec, cacheable: bool = True) -> None:
-        """Drop every reference ``seq`` holds (finish or preemption)."""
+    def release(
+        self, seq: SequenceSpec, cacheable: bool = True, quiet_time: float = 0.0
+    ) -> None:
+        """Drop every reference ``seq`` holds (finish or preemption).
+
+        ``quiet_time`` is when the engine last skipped a commit below the
+        horizon; eviction stamps use the later of it and the last commit.
+        """
         ...
 
     # -- capacity probes / accounting ----------------------------------

@@ -298,7 +298,9 @@ class LLMEngine:
                 # this same loop (we iterate a snapshot of running).
                 continue
             length = len(request.seq.token_ids)
-            if self.manager.needs_allocation(request.seq, length):
+            if length > request.horizon and self.manager.needs_allocation(
+                request.seq, length
+            ):
                 ok, npre = self._allocate_or_preempt(request, length, scheduled_set)
                 preemptions += npre
                 if not ok:
@@ -502,7 +504,7 @@ class LLMEngine:
         obs = self.observer
         if obs is not None:
             obs.phase_began("release", victim.request_id)
-        self.manager.release(victim.seq, cacheable=True)
+        self.manager.release(victim.seq, cacheable=True, quiet_time=victim.quiet_time)
         victim.reset_for_recompute()
         self.running.remove(victim)
         self.collector.preemptions += 1
@@ -527,14 +529,21 @@ class LLMEngine:
     def _finalize(self, request: Request, n: int, end: float) -> None:
         request.num_computed_tokens += n
         seq = request.seq
-        phase = "prefill" if request.num_computed_tokens <= request.prompt_len else "decode"
-        self.manager.commit(seq, request.num_computed_tokens, now=end, phase=phase)
-        if (
-            self.model.vision is not None
-            and seq.image_spans
-            and self.manager.has_vision_cache
-        ):
-            self.manager.consume_vision(seq, request.num_computed_tokens)
+        if len(seq.token_ids) <= request.horizon:
+            # A quiet decode: nothing to commit or consume.  Release
+            # stamps the pages with this time.
+            request.quiet_time = end
+        else:
+            phase = "prefill" if request.num_computed_tokens <= request.prompt_len else "decode"
+            request.horizon = self.manager.commit(
+                seq, request.num_computed_tokens, now=end, phase=phase
+            )
+            if (
+                self.model.vision is not None
+                and seq.image_spans
+                and self.manager.has_vision_cache
+            ):
+                self.manager.consume_vision(seq, request.num_computed_tokens)
         if request.num_computed_tokens < len(seq.token_ids):
             return
         # A token was generated this step.
@@ -556,7 +565,7 @@ class LLMEngine:
         obs = self.observer
         if obs is not None:
             obs.phase_began("release", request.request_id)
-        self.manager.release(request.seq, cacheable=True)
+        self.manager.release(request.seq, cacheable=True, quiet_time=request.quiet_time)
         self.running.remove(request)
         if obs is not None:
             obs.phase_ended()

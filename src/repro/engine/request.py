@@ -54,6 +54,11 @@ class Request:
     num_computed_tokens: int = 0  # global tokens whose cache is computed
     num_output_tokens: int = 0
     encoder_done: bool = False  # vision encoder has run for this admission
+    # The manager's horizon from the last commit (``KVCacheManager.commit``):
+    # a decode at or below it skips both manager calls.  ``quiet_time`` is
+    # when the latest such decode ended, for ``release`` to stamp.
+    horizon: float = 0
+    quiet_time: float = 0.0
 
     # Timestamps for latency metrics.
     first_scheduled_time: Optional[float] = None
@@ -84,6 +89,11 @@ class Request:
         """
         self.num_computed_tokens = 0
         self.encoder_done = False
+        # The released pages' horizon and stamps are void: a re-admitted
+        # request may decode at once (a hit up to its last token), and
+        # its recompute chunks, past the prompt, read as decodes.
+        self.horizon = 0
+        self.quiet_time = 0.0
         self.num_preemptions += 1
         self.state = RequestState.WAITING
 

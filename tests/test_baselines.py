@@ -92,6 +92,18 @@ class TestPagedAttentionManager:
         mgr.release(s1)
         assert mgr.allocate_up_to(s2, 10)
 
+    def test_no_horizon_without_a_mamba_slot(self):
+        """A request the static pool has no slot for must reach
+        ``allocate_up_to`` (which claims one) on its next decode."""
+        model = get_model("jamba-52b")
+        mgr = PagedAttentionManager(model, 20 * GIB, max_num_seqs=1)
+        s1 = SequenceSpec.text_only("r1", list(range(10)))
+        run_request(mgr, s1)
+        assert mgr.commit(s1, 10, now=2.0) == 16  # the end of the page
+        s2 = SequenceSpec.text_only("r2", list(range(10)))
+        mgr.begin_request(s2)
+        assert mgr.commit(s2, 10, now=2.0) == 0
+
     def test_prefix_caching_forced_off_for_hybrids(self):
         for name in ("ministral-8b", "jamba-52b", "pyramidkv-8b", "llama3.2-vision-11b"):
             mgr = PagedAttentionManager(get_model(name), 10 * GIB)
@@ -208,6 +220,18 @@ class TestDualManager:
         assert any(k.startswith("m1/") for k in stats.used_bytes_by_group)
         dual.release(seq)
         assert dual.stats().used_bytes == 0
+
+    def test_horizon_is_the_lower_side(self):
+        class Side:
+            def __init__(self, horizon):
+                self.horizon = horizon
+
+            def commit(self, seq, computed_global, now, phase="decode"):
+                return self.horizon
+
+        seq = SequenceSpec.text_only("r", [1])
+        assert DualManager([Side(9), Side(5)]).commit(seq, 1, now=0.0) == 5
+        assert DualManager([Side(0), Side(5)]).commit(seq, 1, now=0.0) == 0
 
     def test_failure_on_one_side_fails(self):
         draft = get_model("llama3.2-1b")

@@ -26,9 +26,12 @@ class TestRequestObject:
         r = Request.text("r", [1, 2, 3], 4)
         r.num_computed_tokens = 3
         r.encoder_done = True
+        r.horizon, r.quiet_time = 16, 2.5
         r.reset_for_recompute()
         assert r.num_computed_tokens == 0
         assert not r.encoder_done
+        # The released pages' horizon and quiet-decode time are void.
+        assert r.horizon == 0 and r.quiet_time == 0.0
         assert r.num_preemptions == 1
         assert r.state is RequestState.WAITING
 

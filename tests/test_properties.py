@@ -156,10 +156,10 @@ class TestWindowPolicyProperties:
                 assert t // tpp in active
 
 
-class TestQuietBelow:
-    """``quiet_below(s)`` is where commit's memo ends: no stream length in
-    ``[s, quiet_below(s))`` completes a new cacheable block or moves the
-    release frontier."""
+class TestHorizon:
+    """``horizon(s)`` is a group's next event: growing its stream from
+    ``s`` tokens, holding the slots growth to ``s`` wrote, to any length up
+    to the horizon writes no other slot, and one token more does."""
 
     @given(
         st.sampled_from([FULL_ATTENTION, SLIDING_WINDOW, DROPPED_TOKEN, CROSS_ATTENTION,
@@ -167,21 +167,22 @@ class TestQuietBelow:
         st.integers(1, 8),  # tokens per page
         st.integers(1, 40),  # window / budget / checkpoint interval
         st.integers(0, 160),  # stream length
-        st.integers(0, 160),  # tokens prefill consumed
         st.booleans(),  # prefix caching (Mamba checkpoints)
     )
     @settings(max_examples=400, deadline=None)
-    def test_nothing_changes_below_it(self, kind, tpp, span, stream, consumed, caching):
+    def test_growth_writes_a_new_slot_just_past_it(self, kind, tpp, span, stream, caching):
         spec = GroupSpec("g", kind, 1, 8, tokens_per_page=tpp, window=span,
                          budget=span, state_bytes=64, checkpoint_interval=span)
         policy = make_policy(spec, enable_prefix_caching=caching)
-        quiet = policy.quiet_below(stream)
-        assert quiet > stream
-        blocks = len(policy.cacheable_boundaries(stream))
-        frontier = policy.release_frontier(stream, consumed)
-        for later in range(stream, quiet):
-            assert len(policy.cacheable_boundaries(later)) == blocks
-            assert policy.release_frontier(later, consumed) == frontier
+        horizon = policy.horizon(stream)
+        assert horizon >= stream
+        held = set(policy.pages_to_write(0, stream))
+        for later in range(stream + 1, int(min(horizon, stream + 200)) + 1):
+            assert set(policy.pages_to_write(stream, later, held)) <= held
+        if horizon < math.inf:
+            assert not set(policy.pages_to_write(stream, horizon + 1, held)) <= held
+        else:
+            assert kind == MAMBA and not caching
 
 
 def _one_token_segments(tags):

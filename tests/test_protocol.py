@@ -115,6 +115,29 @@ class TestProtocolConformance:
         assert isinstance(manager.has_vision_cache, bool)
         manager.release(seq, cacheable=True)
 
+    @pytest.mark.parametrize(
+        "build, system",
+        [(model_manager, s) for s in SYSTEMS] + [(spec_manager, s) for s in SPEC_SYSTEMS],
+    )
+    def test_commit_returns_the_horizon(self, build, system):
+        """``commit`` returns 0 while prompt is left; after the whole
+        prompt, the last length whose decode needs no page, so the engine
+        may skip every decode up to it."""
+        manager = build(system)
+        seq = SequenceSpec.text_only("r1", list(range(58)))
+        assert manager.begin_request(seq) == 0
+        assert manager.allocate_up_to(seq, 40)
+        assert manager.commit(seq, 40, now=1.0, phase="prefill") == 0
+        assert manager.allocate_up_to(seq, 58)
+        horizon = manager.commit(seq, 58, now=2.0, phase="prefill")
+        assert horizon == 64  # every manager here pages 16 tokens
+        for length in range(59, 65):
+            seq.append(length)
+            assert not manager.needs_allocation(seq, length)
+        seq.append(65)
+        assert manager.needs_allocation(seq, 65)
+        manager.release(seq, cacheable=True, quiet_time=3.0)
+
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_bind_observer_rewires_the_observer(self, system):
         manager = model_manager(system)
