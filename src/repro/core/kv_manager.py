@@ -37,9 +37,8 @@ Lifecycle of a request ``r``:
    counts, block-hash registration, and release of pages behind the
    policy's ``release_frontier`` (out-of-window pages; Mamba checkpoints
    leave at registration, consumed vision embeddings through
-   ``consume_vision``).  Commit returns the request's *horizon*: decodes
-   up to it need no page and have nothing to commit, so the engine skips
-   both calls there (the policies' ``horizon`` hook, folded over groups).
+   ``consume_vision``).  Commit returns the request's *horizon*, up to
+   which the engine skips both calls (the groups' ``horizon`` folded).
 3. ``release(seq)`` -- request finished or was preempted; all held
    references drop, and completed blocks stay resident as evictable cached
    prefixes.
@@ -454,13 +453,11 @@ class JengaKVCacheManager:
         sequence length.  (An encoder-filled group's frontier moves with
         ``consumed``, and :meth:`consume_vision` releases behind it itself.)
 
-        Returns the request's *horizon* in global tokens: while the
-        sequence stays at or below it, a decode needs no page
-        (:meth:`needs_allocation` is ``False``) and its commit would
-        change nothing but the release stamp, so the engine makes neither
-        call and hands the skipped commit's time to :meth:`release`.  It is
-        0 while prompt tokens are left to compute and while a Mamba
-        checkpoint's stamp must move every step (Section 5.3).
+        Returns the request's *horizon* in global tokens: a decode to a
+        length at or below it needs no page and would commit nothing but
+        the release stamp, so the engine skips both calls and hands that
+        time to :meth:`release`.  It is 0 while prompt is left and while a
+        Mamba checkpoint's stamp must move every step (Section 5.3).
 
         ``phase`` customizes the eviction class of pages sliding out of a
         window layer's active set (Section 5.1's sliding-window rule):
@@ -503,17 +500,12 @@ class JengaKVCacheManager:
         return horizon
 
     def _horizon(
-        self,
-        policy: LayerTypePolicy,
-        binding: GroupBinding,
-        grows: bool,
-        computed_global: int,
-        computed: int,
+        self, policy: LayerTypePolicy, binding: GroupBinding, grows: bool,
+        computed_global: int, computed: int,
     ) -> float:
-        """One group's horizon in global tokens, after a commit through
-        ``computed_global`` (``computed`` stream tokens) with no prompt
-        left.  Decode appends text, so a stream that takes text (``grows``)
-        gains one token per decode, and any other stream is complete."""
+        """One group's horizon after a commit through all ``computed_global``
+        tokens (``computed`` of its stream).  Decode appends text: a stream
+        taking text (``grows``) gains a token per decode, others none."""
         if not grows:
             return math.inf if computed <= binding.stream_len else computed_global
         if computed < binding.stream_len:
@@ -530,9 +522,8 @@ class JengaKVCacheManager:
 
         With prefix caching enabled and ``cacheable=True``, completed blocks
         remain resident as evictable cache; otherwise pages free outright.
-        ``quiet_time`` is when the engine last skipped a commit (a decode
-        below the horizon); pages are stamped with the later of it and the
-        last commit made here.
+        Pages are stamped with the later of the last commit made here and
+        ``quiet_time``, the last one the engine skipped below the horizon.
         """
         bindings = self._bindings.pop(seq.request_id, None)
         if bindings is None:

@@ -208,18 +208,13 @@ class LayerTypePolicy:
         return list(range(old_stream // tpp, (new_stream + tpp - 1) // tpp))
 
     def horizon(self, stream_len: int) -> float:
-        """The group's next event: the largest stream length the stream can
-        grow to from ``stream_len`` tokens with pages before
-        :meth:`pages_to_write` names a slot that growth to ``stream_len``
-        did not -- a page boundary, or a Mamba checkpoint.
-
-        Commit never looks past the stream that has pages, so a frontier
-        move or a completed block only shows at the growth that crosses
-        one of these events; up to the horizon a decode needs no page and
-        its commit has nothing to do (the manager folds the groups into
-        the request's horizon).  ``stream_len`` is always a safe answer;
-        the default is the end of the current page.
-        """
+        """The group's next event: the largest length the stream can grow
+        to from ``stream_len`` tokens with pages before
+        :meth:`pages_to_write` names a slot growth to ``stream_len`` did
+        not (a page boundary, a checkpoint).  Commit never looks past the
+        stream with pages, so frontier moves and completed blocks wait for
+        that growth too.  ``stream_len`` is always safe; the default is
+        the end of the current page."""
         return stream_len + -stream_len % self.spec.tokens_per_page
 
     def release_frontier(self, stream_len: int, consumed: int = 0) -> int:
@@ -526,8 +521,7 @@ class MambaPolicy(LayerTypePolicy):
         return indices
 
     def horizon(self, stream_len: int) -> float:
-        # The first token writes the working state; after it, the token
-        # before the next checkpoint boundary.
+        # The working state comes first, then a checkpoint per boundary.
         if not stream_len:
             return 0
         if not self.enable_checkpoints:
